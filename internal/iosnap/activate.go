@@ -1,8 +1,10 @@
 package iosnap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"iosnap/internal/bitmap"
@@ -335,7 +337,7 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 		for lba, e := range a.entries {
 			a.sorted = append(a.sorted, ftlmap.Entry{Key: lba, Val: uint64(e.addr)})
 		}
-		sort.Slice(a.sorted, func(i, j int) bool { return a.sorted[i].Key < a.sorted[j].Key })
+		sortEntries(a.sorted)
 		a.sortedBuilt = true
 	}
 
@@ -459,4 +461,13 @@ func (a *Activation) Cancel(now sim.Time) error {
 	a.entries = nil
 	a.sorted = nil
 	return ErrCancelled
+}
+
+// sortEntries orders map entries by key for a bottom-up map build. Keys
+// are unique (they come out of a map keyed by LBA), so any correct sort
+// yields the same order; slices.SortFunc does it without sort.Slice's
+// reflection-based swapper, which was a fifth of a snapshot-heavy server's
+// CPU.
+func sortEntries(entries []ftlmap.Entry) {
+	slices.SortFunc(entries, func(a, b ftlmap.Entry) int { return cmp.Compare(a.Key, b.Key) })
 }

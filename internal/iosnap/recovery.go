@@ -295,7 +295,7 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 	for lba, w := range winners {
 		entries = append(entries, ftlmap.Entry{Key: lba, Val: uint64(w.addr)})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+	sortEntries(entries)
 	f.active = &view{fmap: f.recoveredMap(entries, nil), epoch: activeEpoch, writable: true}
 	if s := f.nearestSnapshotAncestorInclusive(activeEpoch); s != nil {
 		f.active.parent = s
@@ -581,7 +581,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 	for _, p := range mapEntries {
 		entries = append(entries, ftlmap.Entry{Key: p[0], Val: p[1]})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+	sortEntries(entries)
 	f.active = &view{fmap: f.recoveredMap(entries, gtdEnts), epoch: treeState.active, writable: true}
 	f.views = []*view{f.active}
 

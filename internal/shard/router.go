@@ -147,10 +147,7 @@ func (r *Router) checkIO(lba int64, n int64) error {
 	if r.closed {
 		return ErrClosed
 	}
-	if n <= 0 || lba < 0 || lba+n > r.cfg.Base.UserSectors {
-		return fmt.Errorf("shard: I/O out of range: lba %d n %d (capacity %d)", lba, n, r.cfg.Base.UserSectors)
-	}
-	return nil
+	return r.cfg.checkIO(lba, n)
 }
 
 // Write stores data (a whole number of sectors) at lba. The payload first

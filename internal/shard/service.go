@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"iosnap/internal/iosnap"
@@ -11,49 +12,46 @@ import (
 	"iosnap/internal/sim"
 )
 
-// Service is the real-goroutine execution mode of the sharded front-end:
-// one worker goroutine per shard owns that shard's FTL, scheduler, and
-// virtual clock, and consumes a queue of request closures. Any number of
-// client goroutines may submit concurrently; requests to different shards
-// proceed in parallel, requests to the same shard serialize in queue
-// order.
+// Service is the real-goroutine execution mode of the sharded front-end.
+// It starts no goroutines for data ops: an operation runs to completion on
+// its caller's goroutine, under the mutex of the shard it touches, so only
+// requests to the same shard serialize.
 //
-// Synchronization model. All shard state is touched only (a) by its
-// worker goroutine or (b) by a caller holding the barrier write lock
-// while every queue is provably empty. Ordinary operations hold the read
-// lock: they enqueue closures and block on per-piece reply channels, so a
-// client releases the read lock only after its pieces finished executing.
-// The barrier (snapshot create, stats, close) takes the write lock, which
-// it cannot acquire until every reader released — i.e. until every
-// submitted closure has executed and replied. The worker's writes to
-// shard state happen-before its reply send, which happens-before the
-// client's read-lock release, which happens-before the barrier's
-// write-lock acquire: direct FTL access under the write lock is
-// race-free, and the race detector can follow that chain.
+// Synchronization model. A shard's FTL, scheduler and virtual clock are
+// touched only with that shard's mutex held. An operation that touches
+// several shards (a run straddling a shard boundary, or any run under
+// striping) locks all of them, in ascending index order, before it
+// executes its first piece; the barrier operations (snapshot create,
+// stats, invariant sweep, close) lock every shard in the same order. So a
+// barrier never observes half of a multi-shard write, and no two lock
+// holders can wait on each other. Activation, deactivation and snapshot
+// delete touch every shard but need no atomicity with the barrier: they
+// fan out one goroutine per shard, each under its own shard's lock, so the
+// shards' scans overlap instead of running back to back on the caller.
 //
-// Virtual time. Each worker keeps its own clock vnow: ops execute at
-// vnow, which then advances to the op's completion. The clocks decouple —
-// that is the point of sharding (an op on shard 3 does not wait for shard
-// 5's clock) — and re-synchronize only at snapshot barriers, which
-// advance every clock to the common freeze instant.
+// Virtual time. Each shard keeps its own clock vnow: ops execute at vnow,
+// which then advances to the op's completion. The clocks decouple — that
+// is the point of sharding (an op on shard 3 does not wait for shard 5's
+// clock) — and re-synchronize only at snapshot barriers, which advance
+// every clock to the common freeze instant.
 type Service struct {
-	r  *serviceState
-	mu sync.RWMutex
-}
-
-// serviceState is everything governed by the synchronization model above;
-// keeping it behind one pointer makes the ownership rule auditable.
-type serviceState struct {
 	cfg    Config
-	shards []*iosnap.FTL
 	gov    *Governor
-	queues []chan func()
-	vnow   []sim.Time
-	wg     sync.WaitGroup
+	shards []serviceShard
+	// closed is written with every shard locked and read with at least one
+	// locked.
 	closed bool
 }
 
-// NewService builds fresh shards and starts one worker per shard.
+// serviceShard is one shard's state, guarded by mu.
+type serviceShard struct {
+	mu   sync.Mutex
+	f    *iosnap.FTL
+	vnow sim.Time
+	_    [40]byte // a cache line per shard: neighbours' locks do not false-share
+}
+
+// NewService builds fresh shards.
 func NewService(cfg Config) (*Service, error) {
 	return newService(cfg, nil)
 }
@@ -75,37 +73,24 @@ func newService(cfg Config, devs []*nand.Device) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	in := &serviceState{cfg: cfg}
+	s := &Service{cfg: cfg, shards: make([]serviceShard, cfg.Shards)}
 	var gate iosnap.GCGate
 	if cfg.GCConcurrency > 0 {
-		in.gov = NewGovernor(cfg.GCConcurrency)
-		gate = in.gov
+		s.gov = NewGovernor(cfg.GCConcurrency)
+		gate = s.gov
 	}
-	in.vnow = make([]sim.Time, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sc := cfg.shardConfig(i, gate)
-		var f *iosnap.FTL
 		var err error
 		if devs == nil {
-			f, err = iosnap.New(sc, nil)
+			sh.f, err = iosnap.New(sc, nil)
 		} else {
-			f, in.vnow[i], err = iosnap.Recover(sc, devs[i], nil, 0)
+			sh.f, sh.vnow, err = iosnap.Recover(sc, devs[i], nil, 0)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		in.shards = append(in.shards, f)
-		in.queues = append(in.queues, make(chan func(), 64))
-	}
-	s := &Service{r: in}
-	for i := range in.queues {
-		in.wg.Add(1)
-		go func(q chan func()) {
-			defer in.wg.Done()
-			for fn := range q {
-				fn()
-			}
-		}(in.queues[i])
 	}
 	return s, nil
 }
@@ -137,191 +122,162 @@ func ConfigForDevices(devs []*nand.Device) (Config, error) {
 	return Config{Base: base, Shards: n}, nil
 }
 
-// LiveSnapshots returns the number of live snapshots (shard 0's count;
-// cross-shard snapshot IDs are aligned by the create barrier). It takes
-// the barrier lock, so it observes a quiescent point.
-func (s *Service) LiveSnapshots() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.shards[0].Tree().Live()
+// eachInRange applies lock (Lock or Unlock) to the count shards starting at
+// first, wrapping past the last shard — the set a run of extents touches
+// under either partitioning scheme — in ascending index order, which is
+// the one lock order.
+func (s *Service) eachInRange(first, count int, lock func(*sync.Mutex)) {
+	n := len(s.shards)
+	for i := 0; i < first+count-n; i++ {
+		lock(&s.shards[i].mu)
+	}
+	for i := first; i < min(first+count, n); i++ {
+		lock(&s.shards[i].mu)
+	}
 }
+
+// barrier locks every shard: a quiescent point, held until release.
+func (s *Service) barrier() { s.eachInRange(0, len(s.shards), (*sync.Mutex).Lock) }
+func (s *Service) release() { s.eachInRange(0, len(s.shards), (*sync.Mutex).Unlock) }
+
+// LiveSnapshots returns the number of live snapshots at a quiescent point.
+func (s *Service) LiveSnapshots() int { return s.Summary().LiveSnapshots }
 
 // MappedSectors sums the mapped-sector counts across shards at a quiescent
 // point.
-func (s *Service) MappedSectors() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total int64
-	for _, f := range s.r.shards {
-		total += int64(f.MappedSectors())
-	}
-	return total
-}
+func (s *Service) MappedSectors() int64 { return s.Summary().MappedSectors }
 
 // Shards returns the number of shards.
-func (s *Service) Shards() int { return len(s.r.shards) }
+func (s *Service) Shards() int { return len(s.shards) }
 
 // SectorSize returns the logical sector size.
-func (s *Service) SectorSize() int { return s.r.cfg.Base.Nand.SectorSize }
+func (s *Service) SectorSize() int { return s.cfg.Base.Nand.SectorSize }
 
 // Sectors returns the advertised capacity of the whole logical device.
-func (s *Service) Sectors() int64 { return s.r.cfg.Base.UserSectors }
+func (s *Service) Sectors() int64 { return s.cfg.Base.UserSectors }
 
 // Governor returns the global GC governor, or nil when GCConcurrency is 0.
-func (s *Service) Governor() *Governor { return s.r.gov }
+func (s *Service) Governor() *Governor { return s.gov }
 
-// shardOp is one piece of work bound for one shard's worker. The worker
-// runs the shard's scheduler up to its clock, executes op at the clock,
-// and advances the clock to the completion time.
-type shardOp func(f *iosnap.FTL, now sim.Time) (sim.Time, error)
+// advance moves the shard's clock to an op's completion time.
+func (sh *serviceShard) advance(done sim.Time) {
+	if done > sh.vnow {
+		sh.vnow = done
+	}
+}
 
-// submit enqueues op on shard i and returns the reply channel. The caller
-// must hold s.mu.RLock for the whole submit/await span.
-func (s *Service) submit(i int, op shardOp) chan error {
-	in := s.r
-	reply := make(chan error, 1)
-	in.queues[i] <- func() {
-		f := in.shards[i]
-		f.Scheduler().RunUntil(in.vnow[i])
-		done, err := op(f, in.vnow[i])
-		if done > in.vnow[i] {
-			in.vnow[i] = done
+type ioKind uint8
+
+const (
+	ioRead ioKind = iota
+	ioWrite
+	ioTrim
+)
+
+// io runs one data op: split into extents, lock the touched shards, run
+// every piece at its shard's clock, unlock. views, when non-nil, redirects
+// a read to an activated snapshot. The first piece error is returned; the
+// remaining pieces still execute. A single-extent op allocates nothing.
+func (s *Service) io(kind ioKind, views []*iosnap.View, lba, n int64, data []byte) error {
+	if err := s.cfg.checkIO(lba, n); err != nil {
+		return err
+	}
+	var arr [4]extent
+	exts := s.cfg.extents(lba, n, arr[:0])
+	first, count := exts[0].shard, min(len(exts), len(s.shards))
+	s.eachInRange(first, count, (*sync.Mutex).Lock)
+	defer s.eachInRange(first, count, (*sync.Mutex).Unlock)
+	if s.closed {
+		return ErrClosed
+	}
+	ss := int64(s.SectorSize())
+	var firstErr error
+	for _, e := range exts {
+		sh := &s.shards[e.shard]
+		sh.f.Scheduler().RunUntil(sh.vnow)
+		var piece []byte
+		if kind != ioTrim {
+			piece = data[e.off*ss : (e.off+e.n)*ss]
 		}
-		reply <- err
-	}
-	return reply
-}
-
-// await collects every piece's reply and returns the first error (all
-// pieces are always awaited, so no reply leaks).
-func await(replies []chan error) error {
-	var first error
-	for _, ch := range replies {
-		if err := <-ch; err != nil && first == nil {
-			first = err
+		var done sim.Time
+		var err error
+		switch {
+		case kind == ioTrim:
+			done, err = sh.f.Trim(sh.vnow, e.lba, e.n)
+		case kind == ioWrite:
+			done, err = sh.f.Write(sh.vnow, e.lba, piece)
+		case views != nil:
+			done, err = views[e.shard].Read(sh.vnow, e.lba, piece)
+		default:
+			done, err = sh.f.Read(sh.vnow, e.lba, piece)
+		}
+		sh.advance(done)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	return first
+	return firstErr
 }
 
-func (s *Service) checkIO(lba, n int64) error {
-	if n <= 0 || lba < 0 || lba+n > s.r.cfg.Base.UserSectors {
-		return fmt.Errorf("shard: I/O out of range: lba %d n %d (capacity %d)", lba, n, s.r.cfg.Base.UserSectors)
+// sectorsOf validates a payload length and converts it to sectors.
+func (s *Service) sectorsOf(what string, size int) (int64, error) {
+	ss := s.SectorSize()
+	if size == 0 || size%ss != 0 {
+		return 0, fmt.Errorf("shard: %s size %d not sector aligned", what, size)
 	}
-	return nil
+	return int64(size / ss), nil
 }
 
-// Write stores data at lba, fanning the pieces out to their shard workers
-// and waiting for all of them.
+// Write stores data at lba.
 func (s *Service) Write(lba int64, data []byte) error {
-	ss := s.SectorSize()
-	if len(data) == 0 || len(data)%ss != 0 {
-		return fmt.Errorf("shard: write size %d not sector aligned", len(data))
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.r.closed {
-		return ErrClosed
-	}
-	n := int64(len(data) / ss)
-	if err := s.checkIO(lba, n); err != nil {
+	n, err := s.sectorsOf("write", len(data))
+	if err != nil {
 		return err
 	}
-	exts := s.r.cfg.extents(lba, n, nil)
-	replies := make([]chan error, 0, len(exts))
-	for _, e := range exts {
-		e := e
-		replies = append(replies, s.submit(e.shard, func(f *iosnap.FTL, now sim.Time) (sim.Time, error) {
-			return f.Write(now, e.lba, data[e.off*int64(ss):(e.off+e.n)*int64(ss)])
-		}))
-	}
-	return await(replies)
+	return s.io(ioWrite, nil, lba, n, data)
 }
 
-// Read fills buf from lba. Pieces target disjoint buf ranges, so the
-// concurrent writes into buf do not race.
+// Read fills buf from lba.
 func (s *Service) Read(lba int64, buf []byte) error {
-	ss := s.SectorSize()
-	if len(buf) == 0 || len(buf)%ss != 0 {
-		return fmt.Errorf("shard: read size %d not sector aligned", len(buf))
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.r.closed {
-		return ErrClosed
-	}
-	n := int64(len(buf) / ss)
-	if err := s.checkIO(lba, n); err != nil {
+	n, err := s.sectorsOf("read", len(buf))
+	if err != nil {
 		return err
 	}
-	exts := s.r.cfg.extents(lba, n, nil)
-	replies := make([]chan error, 0, len(exts))
-	for _, e := range exts {
-		e := e
-		replies = append(replies, s.submit(e.shard, func(f *iosnap.FTL, now sim.Time) (sim.Time, error) {
-			return f.Read(now, e.lba, buf[e.off*int64(ss):(e.off+e.n)*int64(ss)])
-		}))
-	}
-	return await(replies)
+	return s.io(ioRead, nil, lba, n, buf)
 }
 
 // Trim invalidates [lba, lba+n).
 func (s *Service) Trim(lba, n int64) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.r.closed {
-		return ErrClosed
-	}
-	if err := s.checkIO(lba, n); err != nil {
-		return err
-	}
-	exts := s.r.cfg.extents(lba, n, nil)
-	replies := make([]chan error, 0, len(exts))
-	for _, e := range exts {
-		e := e
-		replies = append(replies, s.submit(e.shard, func(f *iosnap.FTL, now sim.Time) (sim.Time, error) {
-			return f.Trim(now, e.lba, e.n)
-		}))
-	}
-	return await(replies)
+	return s.io(ioTrim, nil, lba, n, nil)
 }
 
-// CreateSnapshot is the service-mode barrier: it takes the write lock
-// (acquired only once every in-flight request has fully completed — see
-// the synchronization model above), computes the consistent freeze
-// instant across all shard clocks and devices, and logs the create note
-// on every shard at that instant. All shard clocks advance to the
-// barrier, re-synchronizing them.
+// CreateSnapshot is the service-mode barrier: with every shard locked (so
+// no op is half-executed — see the synchronization model above) it
+// computes the consistent freeze instant across all shard clocks and
+// devices, and logs the create note on every shard at that instant. All
+// shard clocks advance to the barrier, re-synchronizing them.
 func (s *Service) CreateSnapshot() (iosnap.SnapshotID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	in := s.r
-	if in.closed {
+	s.barrier()
+	defer s.release()
+	if s.closed {
 		return 0, ErrClosed
 	}
 	tbar := sim.Time(0)
-	for i, f := range in.shards {
-		if in.vnow[i] > tbar {
-			tbar = in.vnow[i]
-		}
-		if b := f.Device().BusyUntil(); b > tbar {
-			tbar = b
-		}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		tbar = max(tbar, sh.vnow, sh.f.Device().BusyUntil())
 	}
 	var id iosnap.SnapshotID
-	created := 0
-	for i, f := range in.shards {
-		f.Scheduler().RunUntil(tbar)
-		snap, done, err := f.CreateSnapshot(tbar)
-		if done > in.vnow[i] {
-			in.vnow[i] = done
-		} else {
-			in.vnow[i] = tbar
-		}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.f.Scheduler().RunUntil(tbar)
+		snap, done, err := sh.f.CreateSnapshot(tbar)
+		sh.vnow = max(done, tbar)
 		if err != nil {
-			for j := 0; j < created; j++ {
-				if d, derr := in.shards[j].DeleteSnapshot(in.vnow[j], id); derr == nil && d > in.vnow[j] {
-					in.vnow[j] = d
+			for j := range s.shards[:i] {
+				prev := &s.shards[j]
+				if d, derr := prev.f.DeleteSnapshot(prev.vnow, id); derr == nil {
+					prev.advance(d)
 				}
 			}
 			return 0, fmt.Errorf("shard %d: snapshot create: %w", i, err)
@@ -331,112 +287,90 @@ func (s *Service) CreateSnapshot() (iosnap.SnapshotID, error) {
 		} else if snap.ID != id {
 			return 0, fmt.Errorf("shard %d: snapshot ID %d diverges from shard 0's %d", i, snap.ID, id)
 		}
-		created++
 	}
 	return id, nil
+}
+
+// fanOut runs op once per shard, each on its own goroutine under its own
+// shard's lock, and returns the lowest-numbered shard's error. The shards'
+// work overlaps; nothing orders it against a barrier as a whole.
+func (s *Service) fanOut(op func(i int, f *iosnap.FTL, now sim.Time) (sim.Time, error)) error {
+	errs := make([]error, len(s.shards))
+	var wg sync.WaitGroup
+	for i := range s.shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sh := &s.shards[i]
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			if s.closed {
+				errs[i] = ErrClosed
+				return
+			}
+			sh.f.Scheduler().RunUntil(sh.vnow)
+			done, err := op(i, sh.f, sh.vnow)
+			sh.advance(done)
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DeleteSnapshot tombstones id on every shard (no barrier needed: deletes
 // allocate nothing and commute with data ops).
 func (s *Service) DeleteSnapshot(id iosnap.SnapshotID) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.r.closed {
-		return ErrClosed
-	}
-	replies := make([]chan error, 0, len(s.r.shards))
-	for i := range s.r.shards {
-		replies = append(replies, s.submit(i, func(f *iosnap.FTL, now sim.Time) (sim.Time, error) {
-			return f.DeleteSnapshot(now, id)
-		}))
-	}
-	return await(replies)
+	return s.fanOut(func(_ int, f *iosnap.FTL, now sim.Time) (sim.Time, error) {
+		return f.DeleteSnapshot(now, id)
+	})
 }
 
-// ServiceView is an activated snapshot spanning every shard; its I/O goes
-// through the same worker queues as live I/O.
+// ServiceView is an activated snapshot spanning every shard; its I/O takes
+// the same shard locks as live I/O.
 type ServiceView struct {
 	s     *Service
 	views []*iosnap.View
 }
 
-// ActivateSync activates snapshot id on every shard. The per-shard
-// activations run on the workers (serializing with that shard's live
-// I/O); a partial failure deactivates what was built.
+// ActivateSync activates snapshot id on every shard, the per-shard scans
+// running side by side (each serializing with its own shard's live I/O); a
+// partial failure deactivates what was built.
 func (s *Service) ActivateSync(id iosnap.SnapshotID, writable bool) (*ServiceView, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.r.closed {
-		return nil, ErrClosed
-	}
-	views := make([]*iosnap.View, len(s.r.shards))
-	replies := make([]chan error, 0, len(s.r.shards))
-	for i := range s.r.shards {
-		i := i
-		replies = append(replies, s.submit(i, func(f *iosnap.FTL, now sim.Time) (sim.Time, error) {
-			v, done, err := f.ActivateSync(now, id, ratelimit.WorkSleep{}, writable)
-			views[i] = v // worker-owned slot; published by the reply send
-			return done, err
-		}))
-	}
-	if err := await(replies); err != nil {
-		for i, v := range views {
-			if v == nil {
-				continue
-			}
-			i, v := i, v
-			<-s.submit(i, func(f *iosnap.FTL, now sim.Time) (sim.Time, error) {
-				return v.Deactivate(now)
-			})
-		}
+	v := &ServiceView{s: s, views: make([]*iosnap.View, len(s.shards))}
+	err := s.fanOut(func(i int, f *iosnap.FTL, now sim.Time) (done sim.Time, err error) {
+		v.views[i], done, err = f.ActivateSync(now, id, ratelimit.WorkSleep{}, writable)
+		return done, err
+	})
+	if err != nil {
+		v.Deactivate()
 		return nil, err
 	}
-	return &ServiceView{s: s, views: views}, nil
+	return v, nil
 }
 
 // Read fills buf from the snapshot image.
 func (v *ServiceView) Read(lba int64, buf []byte) error {
-	s := v.s
-	ss := s.SectorSize()
-	if len(buf) == 0 || len(buf)%ss != 0 {
-		return fmt.Errorf("shard: read size %d not sector aligned", len(buf))
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.r.closed {
-		return ErrClosed
-	}
-	n := int64(len(buf) / ss)
-	if err := s.checkIO(lba, n); err != nil {
+	n, err := v.s.sectorsOf("read", len(buf))
+	if err != nil {
 		return err
 	}
-	exts := s.r.cfg.extents(lba, n, nil)
-	replies := make([]chan error, 0, len(exts))
-	for _, e := range exts {
-		e := e
-		replies = append(replies, s.submit(e.shard, func(f *iosnap.FTL, now sim.Time) (sim.Time, error) {
-			return v.views[e.shard].Read(now, e.lba, buf[e.off*int64(ss):(e.off+e.n)*int64(ss)])
-		}))
-	}
-	return await(replies)
+	return v.s.io(ioRead, v.views, lba, n, buf)
 }
 
-// Deactivate releases the activation on every shard.
+// Deactivate releases the activation on every shard that holds one.
 func (v *ServiceView) Deactivate() error {
-	s := v.s
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.r.closed {
-		return ErrClosed
-	}
-	replies := make([]chan error, 0, len(v.views))
-	for i, pv := range v.views {
-		pv := pv
-		replies = append(replies, s.submit(i, func(f *iosnap.FTL, now sim.Time) (sim.Time, error) {
-			return pv.Deactivate(now)
-		}))
-	}
-	return await(replies)
+	return v.s.fanOut(func(i int, _ *iosnap.FTL, now sim.Time) (sim.Time, error) {
+		if v.views[i] == nil {
+			return now, nil
+		}
+		return v.views[i].Deactivate(now)
+	})
 }
 
 // Summary is a single-barrier snapshot of everything a stats consumer
@@ -457,90 +391,65 @@ type Summary struct {
 // LiveSnapshots, MappedSectors, and ShardStats back to back, which pays
 // three barriers and lets I/O slip between them).
 func (s *Service) Summary() Summary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	in := s.r
+	s.barrier()
+	defer s.release()
 	sum := Summary{
-		Shards:        len(in.shards),
-		SectorSize:    in.cfg.Base.Nand.SectorSize,
-		Sectors:       in.cfg.Base.UserSectors,
-		LiveSnapshots: in.shards[0].Tree().Live(),
-		PerShard:      make([]iosnap.Stats, len(in.shards)),
-		Virtual:       make([]sim.Time, len(in.shards)),
+		Shards:        len(s.shards),
+		SectorSize:    s.SectorSize(),
+		Sectors:       s.Sectors(),
+		LiveSnapshots: s.shards[0].f.Tree().Live(), // IDs are aligned by the create barrier
+		PerShard:      make([]iosnap.Stats, len(s.shards)),
+		Virtual:       make([]sim.Time, len(s.shards)),
 	}
-	for i, f := range in.shards {
-		sum.MappedSectors += int64(f.MappedSectors())
-		sum.PerShard[i] = f.Stats()
-		sum.Virtual[i] = in.vnow[i]
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sum.MappedSectors += int64(sh.f.MappedSectors())
+		sum.PerShard[i] = sh.f.Stats()
+		sum.Virtual[i] = sh.vnow
 	}
 	return sum
 }
 
-// ShardStats returns each shard's statistics plus its virtual clock. It
-// takes the barrier lock, so it observes a quiescent point.
+// ShardStats returns each shard's statistics plus its virtual clock at a
+// quiescent point.
 func (s *Service) ShardStats() ([]iosnap.Stats, []sim.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stats := make([]iosnap.Stats, len(s.r.shards))
-	vnow := make([]sim.Time, len(s.r.shards))
-	for i, f := range s.r.shards {
-		stats[i] = f.Stats()
-		vnow[i] = s.r.vnow[i]
-	}
-	return stats, vnow
+	sum := s.Summary()
+	return sum.PerShard, sum.Virtual
 }
 
 // MaxVirtualTime returns the latest shard clock: the virtual makespan of
 // everything executed so far.
-func (s *Service) MaxVirtualTime() sim.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t sim.Time
-	for _, v := range s.r.vnow {
-		if v > t {
-			t = v
-		}
-	}
-	return t
-}
+func (s *Service) MaxVirtualTime() sim.Time { return slices.Max(s.Summary().Virtual) }
 
 // CheckInvariants sweeps every shard at a quiescent point.
 func (s *Service) CheckInvariants() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.barrier()
+	defer s.release()
 	var errs []error
-	for i, f := range s.r.shards {
-		if err := f.CheckInvariants(); err != nil {
+	for i := range s.shards {
+		if err := s.shards[i].f.CheckInvariants(); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// Close stops the workers (draining their queues), drains each shard's
+// Close waits out in-flight ops (it is a barrier), drains each shard's
 // scheduler, and closes each FTL at its final clock. Further calls on the
 // service return ErrClosed.
 func (s *Service) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	in := s.r
-	if in.closed {
+	s.barrier()
+	defer s.release()
+	if s.closed {
 		return ErrClosed
 	}
-	in.closed = true
-	for _, q := range in.queues {
-		close(q)
-	}
-	in.wg.Wait()
+	s.closed = true
 	var errs []error
-	for i, f := range in.shards {
-		if d := f.Scheduler().Drain(in.vnow[i]); d > in.vnow[i] {
-			in.vnow[i] = d
-		}
-		d, err := f.Close(in.vnow[i])
-		if d > in.vnow[i] {
-			in.vnow[i] = d
-		}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.advance(sh.f.Scheduler().Drain(sh.vnow))
+		d, err := sh.f.Close(sh.vnow)
+		sh.advance(d)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 		}

@@ -22,10 +22,10 @@
 //     Stats, and virtual completion times (the equivalence tests demand
 //     it).
 //
-//   - Service is the real-goroutine mode for wall-clock load tests: one
-//     worker goroutine per shard consumes a request queue, many client
-//     goroutines submit concurrently, and the per-shard virtual clocks
-//     advance independently. It is clean under -race.
+//   - Service is the real-goroutine mode the daemon serves: an op runs on
+//     its caller's goroutine under a mutex per shard, many callers run
+//     concurrently, and the per-shard virtual clocks advance
+//     independently. It is clean under -race.
 //
 // Cross-shard machinery:
 //
@@ -33,8 +33,8 @@
 //     instant (the maximum quiescence horizon across shard devices —
 //     nand.Device.BusyUntil), a create note lands in every shard's log at
 //     that instant, and the per-shard snapshot IDs are verified identical.
-//     In service mode the barrier additionally drains every worker queue
-//     before freezing.
+//     In service mode the barrier additionally holds every shard's lock,
+//     so no op is half-executed when it freezes.
 //
 //   - Background cleaning draws from a global budget: a Governor token
 //     gate (iosnap.Config.GCGate) caps how many shards clean concurrently,
@@ -169,6 +169,16 @@ type extent struct {
 	lba   int64 // shard-local LBA
 	n     int64 // sectors in this piece
 	off   int64 // sector offset within the global request
+}
+
+// checkIO rejects a run outside the advertised capacity. n is compared
+// against the room left after lba: lba+n would wrap for a hostile n and
+// pass, and extents would then split a run of 2^63 sectors.
+func (c *Config) checkIO(lba, n int64) error {
+	if n <= 0 || lba < 0 || n > c.Base.UserSectors-lba {
+		return fmt.Errorf("shard: I/O out of range: lba %d n %d (capacity %d)", lba, n, c.Base.UserSectors)
+	}
+	return nil
 }
 
 // extents splits the global run [lba, lba+n) into shard-local pieces in

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -382,5 +383,62 @@ func TestInterconnectSerializes(t *testing.T) {
 	}
 	if bused.Stats().BusWait <= 0 {
 		t.Fatal("second transfer did not queue on the shared interconnect")
+	}
+}
+
+// TestHugeRunRejected: a run length near 2^63 must fail the range check,
+// not wrap it. lba+n overflowed to a negative sum, passed, and extents
+// then split 2^63 sectors into pieces until the process ran out of memory
+// — over the wire, one trim frame.
+func TestHugeRunRejected(t *testing.T) {
+	for _, stripe := range []int64{0, 32} {
+		cfg := multiConfig(4, stripe)
+		svc, err := NewService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRouter(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int64{math.MaxInt64, math.MaxInt64 - 1, svc.Sectors()} {
+			if err := svc.Trim(1, n); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("stripe %d: Service.Trim(1, %d) = %v, want out of range", stripe, n, err)
+			}
+			if _, err := r.Trim(0, 1, n); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("stripe %d: Router.Trim(1, %d) = %v, want out of range", stripe, n, err)
+			}
+		}
+		if err := svc.Trim(1, svc.Sectors()-1); err != nil {
+			t.Fatalf("stripe %d: trim to the last sector: %v", stripe, err)
+		}
+		svc.Close()
+	}
+}
+
+// TestServiceSingleExtentAllocatesNothing: a one-sector read or write
+// through the service costs no allocation above the FTL's own — no
+// closure, no reply channel, the extent list on the stack.
+func TestServiceSingleExtentAllocatesNothing(t *testing.T) {
+	cfg := multiConfig(4, 32)
+	// What the layers below allocate is not this test's business: the
+	// measured writes stay inside one segment (no seal, no cleaner) and the
+	// device model keeps no payloads (no buffer per first-programmed page).
+	cfg.Base.Nand.PagesPerSegment = 1024
+	cfg.Base.Nand.StoreData = false
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	buf := runPattern(svc.SectorSize(), 5, 1, 9)
+	if err := svc.Write(5, buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { svc.Read(5, buf) }); n != 0 {
+		t.Errorf("one-sector Service.Read allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { svc.Write(5, buf) }); n != 0 {
+		t.Errorf("one-sector Service.Write allocates %v times", n)
 	}
 }

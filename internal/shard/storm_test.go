@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -167,4 +169,173 @@ func TestServiceStorm(t *testing.T) {
 	if err := svc.Write(0, make([]byte, ss)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("write after Close: got %v, want ErrClosed", err)
 	}
+}
+
+// TestServiceSnapshotAtomicity is the race-detector storm for the locking
+// model: writers whose runs straddle shard boundaries stamp every sector of
+// a write with one version, while another goroutine loops snapshot create →
+// activate → read → deactivate → delete. A multi-shard write locks every
+// shard it touches before executing, and the create barrier locks them all,
+// so every snapshot must show each write entirely or not at all.
+func TestServiceSnapshotAtomicity(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stripe int64
+	}{{"contiguous", 0}, {"striped", 16}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := multiConfig(4, tc.stripe)
+			cfg.Base.Nand.Segments = 64 // snapshots pin overwritten epochs until deleted
+			svc, err := NewService(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			ss := svc.SectorSize()
+			per := svc.Sectors() / 4
+			// One run across each contiguous shard boundary (under striping
+			// every one of them spans three stripes), one inside a shard.
+			const n = 40
+			lbas := []int64{per - n/2, 2*per - n/2, 3*per - n/2, 2*per + n}
+			for _, lba := range lbas {
+				if err := svc.Write(lba, runPattern(ss, lba, n, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			const rounds = 80
+			var wg sync.WaitGroup
+			var writing atomic.Int32
+			for _, lba := range lbas {
+				wg.Add(1)
+				writing.Add(1)
+				go func(lba int64) {
+					defer wg.Done()
+					defer writing.Add(-1)
+					for r := 0; r < rounds; r++ {
+						if err := svc.Write(lba, runPattern(ss, lba, n, byte(2+r))); err != nil {
+							t.Errorf("write lba %d round %d: %v", lba, r, err)
+							return
+						}
+					}
+				}(lba)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]byte, n*ss)
+				for snaps := 0; snaps < 8 || writing.Load() > 0; snaps++ {
+					id, err := svc.CreateSnapshot()
+					if err != nil {
+						t.Errorf("create: %v", err)
+						return
+					}
+					view, err := svc.ActivateSync(id, false)
+					if err != nil {
+						t.Errorf("activate %d: %v", id, err)
+						return
+					}
+					for _, lba := range lbas {
+						if err := view.Read(lba, buf); err != nil {
+							t.Errorf("view read: %v", err)
+							return
+						}
+						// The version is whatever the first sector carries; the
+						// whole run must carry the same one.
+						ver := buf[0] ^ byte(lba) ^ byte(lba>>8)
+						if string(buf) != string(runPattern(ss, lba, n, ver)) {
+							t.Errorf("snapshot %d holds a torn write at lba %d (first sector at version %d)", id, lba, ver)
+							return
+						}
+					}
+					if err := view.Deactivate(); err != nil {
+						t.Errorf("deactivate %d: %v", id, err)
+						return
+					}
+					if err := svc.DeleteSnapshot(id); err != nil {
+						t.Errorf("delete %d: %v", id, err)
+						return
+					}
+				}
+			}()
+			wg.Wait()
+			if err := svc.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestServiceCloseRacesOps: Close is a barrier racing in-flight callers of
+// every kind. Each of them ends with ErrClosed and nothing else, nobody
+// deadlocks (the test would time out), and Close itself succeeds.
+func TestServiceCloseRacesOps(t *testing.T) {
+	cfg := multiConfig(4, 16)
+	cfg.Base.Nand.Segments = 64
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := svc.SectorSize()
+	var wg sync.WaitGroup
+	var ops atomic.Int64
+	loop := func(step func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if err := step(i); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("op racing Close: %v", err)
+					}
+					return
+				}
+				ops.Add(1)
+			}
+		}()
+	}
+	for c := int64(0); c < 4; c++ {
+		base := c * 100
+		buf := make([]byte, 40*ss)
+		loop(func(i int) error {
+			lba := base + int64(i%50)
+			switch i % 3 {
+			case 0:
+				return svc.Write(lba, buf)
+			case 1:
+				return svc.Read(lba, buf)
+			default:
+				return svc.Trim(lba, 40)
+			}
+		})
+	}
+	loop(func(int) error {
+		id, err := svc.CreateSnapshot()
+		if err != nil {
+			return err
+		}
+		view, err := svc.ActivateSync(id, false)
+		if err != nil {
+			return err
+		}
+		if err := view.Deactivate(); err != nil {
+			return err
+		}
+		return svc.DeleteSnapshot(id)
+	})
+	var closed atomic.Bool
+	loop(func(int) error { // the barriers that stay legal on a closed service
+		svc.Summary()
+		if closed.Load() {
+			return ErrClosed
+		}
+		return svc.CheckInvariants()
+	})
+	for ops.Load() < 200 {
+		runtime.Gosched()
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("Close racing in-flight ops: %v", err)
+	}
+	closed.Store(true)
+	wg.Wait()
 }

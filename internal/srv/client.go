@@ -2,8 +2,10 @@ package srv
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 )
@@ -19,25 +21,24 @@ import (
 // connection for its round-trip, exactly the old behavior).
 type Client struct {
 	conn   net.Conn
+	br     *bufio.Reader // the reader goroutine's on v2, the caller's under wmu on v1
 	v2     bool
 	window int
 
-	// v1 serial path: one round-trip at a time.
-	mu sync.Mutex
-
-	// v2 write side. Frames accumulate in bw and flush when a caller is
-	// about to block (Wait, or Do stalling on a full window), so a burst
-	// of pipelined requests coalesces into few syscalls.
+	// Write side. On v2, frames accumulate in bw and flush when a caller
+	// is about to block (Wait, or do stalling on a full window), so a
+	// burst of pipelined requests coalesces into few syscalls. On v1, wmu
+	// is held for a whole round-trip: one at a time.
 	wmu sync.Mutex
 	bw  *bufio.Writer
 
-	// v2 demux state.
-	pmu     sync.Mutex
-	pending map[uint32]*Call
-	nextTag uint32
-	cerr    error // sticky connection error
+	// v2 demux state. A tag is an index into slots; free holds the tags
+	// not in flight, so it is also the window semaphore.
+	free  chan uint32
+	pmu   sync.Mutex
+	slots []*Call
+	cerr  error // sticky connection error
 
-	sem    chan struct{} // window slots
 	broken chan struct{} // closed on connection failure
 	failed sync.Once
 }
@@ -65,7 +66,7 @@ func DialOpts(addr string, o DialOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn}
+	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, connBuf), bw: bufio.NewWriterSize(conn, connBuf)}
 	if o.ForceV1 {
 		return c, nil
 	}
@@ -85,29 +86,22 @@ func DialOpts(addr string, o DialOptions) (*Client, error) {
 // reports an in-band "unknown op" error, which downgrades the client to
 // serial mode on the same connection.
 func (c *Client) negotiate(wantWindow int) error {
-	parts := append([][]byte{{opHello}}, helloRequest(wantWindow)...)
-	if err := writeFrame(c.conn, parts...); err != nil {
-		return err
-	}
-	resp, err := readFrame(c.conn)
+	status, resp, err := c.call1(opHello, helloArgs(wantWindow), nil)
 	if err != nil {
 		return err
 	}
 	defer putBuf(resp)
-	if len(resp) == 0 {
-		return fmt.Errorf("srv: empty hello response")
-	}
-	if resp[0] == statusErr {
+	if status == statusErr {
 		// A v1 server does not know the hello op; stay serial.
 		return nil
 	}
-	if resp[0] != statusOK || len(resp) != 9 {
-		return fmt.Errorf("srv: malformed hello response (%d bytes, status %d)", len(resp), resp[0])
+	if status != statusOK || len(resp) != 8 {
+		return fmt.Errorf("srv: malformed hello response (%d bytes, status %d)", len(resp), status)
 	}
-	if v := be32(resp[1:]); v != protoVersion2 {
+	if v := be32(resp); v != protoVersion2 {
 		return fmt.Errorf("srv: server negotiated unknown protocol version %d", v)
 	}
-	granted := int(be32(resp[5:]))
+	granted := int(be32(resp[4:]))
 	if granted <= 0 {
 		return fmt.Errorf("srv: server granted a zero request window")
 	}
@@ -116,9 +110,11 @@ func (c *Client) negotiate(wantWindow int) error {
 	}
 	c.v2 = true
 	c.window = granted
-	c.bw = bufio.NewWriterSize(c.conn, 64<<10)
-	c.pending = make(map[uint32]*Call)
-	c.sem = make(chan struct{}, granted)
+	c.slots = make([]*Call, granted)
+	c.free = make(chan uint32, granted)
+	for tag := range c.slots {
+		c.free <- uint32(tag)
+	}
 	c.broken = make(chan struct{})
 	go c.reader()
 	return nil
@@ -143,20 +139,20 @@ func (c *Client) Close() error {
 // Call is one in-flight pipelined request. Issue it with a Go* method,
 // then Wait (or select on Done) for the response.
 type Call struct {
-	c    *Client
-	done chan struct{}
-	buf  []byte // pooled response frame backing body (nil after release)
-	body []byte // [status][payload]
-	err  error
+	c      *Client
+	done   chan struct{}
+	status byte
+	body   []byte // pooled response payload (nil after release)
+	err    error
 }
 
 // Done is closed when the response (or a connection error) arrived.
 func (cl *Call) Done() <-chan struct{} { return cl.done }
 
 // Wait flushes any buffered requests, blocks for the response, and
-// returns the payload or the in-band error. The payload shares the
-// response buffer; it stays valid until release is called (the typed
-// wrappers handle that).
+// returns the payload or the in-band error. The payload is the response
+// buffer; it stays valid until release is called (the typed wrappers
+// handle that).
 func (cl *Call) Wait() ([]byte, error) {
 	select {
 	case <-cl.done:
@@ -167,21 +163,21 @@ func (cl *Call) Wait() ([]byte, error) {
 	if cl.err != nil {
 		return nil, cl.err
 	}
-	switch cl.body[0] {
+	switch cl.status {
 	case statusOK:
-		return cl.body[1:], nil
+		return cl.body, nil
 	case statusErr:
-		return nil, fmt.Errorf("%s", cl.body[1:])
+		return nil, fmt.Errorf("%s", cl.body)
 	default:
-		return nil, fmt.Errorf("srv: unknown status %d", cl.body[0])
+		return nil, fmt.Errorf("srv: unknown status %d", cl.status)
 	}
 }
 
 // release recycles the response buffer. Only wrappers that do not hand
 // the payload to the caller may use it.
 func (cl *Call) release() {
-	putBuf(cl.buf)
-	cl.buf, cl.body = nil, nil
+	putBuf(cl.body)
+	cl.body = nil
 }
 
 // waitDiscard waits and releases the response, keeping only the error.
@@ -191,43 +187,36 @@ func (cl *Call) waitDiscard() error {
 	return err
 }
 
+// completed is the Done channel of every call that never was in flight.
+var completed = func() chan struct{} {
+	done := make(chan struct{})
+	close(done)
+	return done
+}()
+
 // failedCall returns a pre-completed Call carrying err.
-func failedCall(err error) *Call {
-	done := make(chan struct{})
-	close(done)
-	return &Call{done: done, err: err}
-}
+func failedCall(err error) *Call { return &Call{done: completed, err: err} }
 
-// completedCall returns a pre-completed Call carrying a v1 response body.
-func completedCall(body []byte, err error) *Call {
-	done := make(chan struct{})
-	close(done)
-	if err != nil {
-		return &Call{done: done, err: err}
-	}
-	return &Call{done: done, buf: body, body: body}
-}
-
-// do issues one request. On a v2 connection it registers a tag, writes
-// the frame (possibly leaving it buffered), and returns immediately; on a
-// v1 connection it performs the blocking round-trip right here, so the
+// do issues one request. On a v2 connection it takes a tag, writes the
+// frame (possibly leaving it buffered), and returns immediately; on a v1
+// connection it performs the blocking round-trip right here, so the
 // pipeline API degrades to serial calls rather than failing.
-func (c *Client) do(op byte, parts ...[]byte) *Call {
+func (c *Client) do(op byte, a args, payload []byte) *Call {
 	if !c.v2 {
-		body, err := c.call1(op, parts...)
-		return completedCall(body, err)
+		status, body, err := c.call1(op, a, payload)
+		return &Call{done: completed, status: status, body: body, err: err}
 	}
-	// Take a window slot; if the window is full, flush first — the
-	// responses that free slots cannot arrive while their requests sit in
-	// our write buffer.
+	// Take a tag; if the window is full, flush first — the responses that
+	// free tags cannot arrive while their requests sit in our write buffer.
+	var tag uint32
 	select {
-	case c.sem <- struct{}{}:
+	case tag = <-c.free:
 	default:
 		c.flush()
 		select {
-		case c.sem <- struct{}{}:
+		case tag = <-c.free:
 		case <-c.broken:
-			return failedCall(c.connErr())
+			return failedCall(c.cerr) // set before broken closed
 		}
 	}
 	cl := &Call{c: c, done: make(chan struct{})}
@@ -235,16 +224,13 @@ func (c *Client) do(op byte, parts ...[]byte) *Call {
 	if c.cerr != nil {
 		err := c.cerr
 		c.pmu.Unlock()
-		<-c.sem
 		return failedCall(err)
 	}
-	c.nextTag++
-	tag := c.nextTag
-	c.pending[tag] = cl
+	c.slots[tag] = cl
 	c.pmu.Unlock()
 
 	c.wmu.Lock()
-	err := writeFrame(c.bw, append([][]byte{putU32(tag), {op}}, parts...)...)
+	err := c.send(tag, op, a, payload)
 	c.wmu.Unlock()
 	if err != nil {
 		c.fail(err)
@@ -252,51 +238,95 @@ func (c *Client) do(op byte, parts ...[]byte) *Call {
 	return cl
 }
 
+// send encodes one request frame into bw — [len][tag, v2 only][op][args]
+// in place in bw's buffer, then the payload. Caller holds wmu.
+func (c *Client) send(tag uint32, op byte, a args, payload []byte) error {
+	total := 1 + a.n + len(payload)
+	if c.v2 {
+		total += 4
+	}
+	if total > maxFrame {
+		return fmt.Errorf("srv: frame of %d bytes exceeds limit %d", total, maxFrame)
+	}
+	if c.bw.Available() < 9+len(a.b) {
+		if err := c.bw.Flush(); err != nil {
+			return err
+		}
+	}
+	b := binary.BigEndian.AppendUint32(c.bw.AvailableBuffer(), uint32(total))
+	if c.v2 {
+		b = binary.BigEndian.AppendUint32(b, tag)
+	}
+	b = append(append(b, op), a.b[:a.n]...)
+	if _, err := c.bw.Write(b); err != nil {
+		return err
+	}
+	_, err := c.bw.Write(payload)
+	return err
+}
+
+// recv reads one response frame: the fixed [len][tag, v2 only][status]
+// prefix is parsed where it lies in br, and only the payload is copied,
+// into a pooled buffer of its own size class that the caller owns.
+func (c *Client) recv() (tag uint32, status byte, payload []byte, err error) {
+	hdr := 5
+	if c.v2 {
+		hdr = 9
+	}
+	p, err := c.br.Peek(hdr)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	n := int(be32(p)) - (hdr - 4)
+	if n < 0 || n > maxFrame {
+		return 0, 0, nil, fmt.Errorf("srv: malformed response frame (%d bytes)", be32(p))
+	}
+	if c.v2 {
+		tag = be32(p[4:])
+	}
+	status = p[hdr-1]
+	c.br.Discard(hdr)
+	payload = getBuf(n)
+	if _, err := io.ReadFull(c.br, payload); err != nil {
+		putBuf(payload)
+		return 0, 0, nil, err
+	}
+	return tag, status, payload, nil
+}
+
 // flush pushes buffered request frames onto the wire.
 func (c *Client) flush() {
-	if !c.v2 {
-		return
-	}
 	c.wmu.Lock()
-	var err error
-	if c.bw.Buffered() > 0 {
-		err = c.bw.Flush()
-	}
+	err := c.bw.Flush()
 	c.wmu.Unlock()
-	if err != nil {
+	if err != nil && c.v2 {
 		c.fail(err)
 	}
 }
 
 // reader demuxes response frames to their tags until the connection dies,
 // then fails every outstanding call. The buffered reader matters: the
-// server's writer coalesces completions, so one syscall here drains many
-// response frames.
+// server batches responses, so one syscall here drains many frames.
 func (c *Client) reader() {
-	br := bufio.NewReaderSize(c.conn, 64<<10)
 	for {
-		buf, err := readFrame(br)
+		tag, status, payload, err := c.recv()
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		if len(buf) < 5 {
-			putBuf(buf)
-			c.fail(fmt.Errorf("srv: malformed tagged response (%d bytes)", len(buf)))
-			return
-		}
-		tag := be32(buf)
+		var cl *Call
 		c.pmu.Lock()
-		cl := c.pending[tag]
-		delete(c.pending, tag)
+		if int(tag) < len(c.slots) {
+			cl, c.slots[tag] = c.slots[tag], nil
+		}
 		c.pmu.Unlock()
 		if cl == nil {
-			putBuf(buf)
+			putBuf(payload)
 			c.fail(fmt.Errorf("srv: response for unknown tag %d", tag))
 			return
 		}
-		<-c.sem // release the window slot
-		cl.buf, cl.body = buf, buf[4:]
+		c.free <- tag // release the window slot
+		cl.status, cl.body = status, payload
 		close(cl.done)
 	}
 }
@@ -307,89 +337,67 @@ func (c *Client) fail(err error) {
 	c.failed.Do(func() {
 		c.pmu.Lock()
 		c.cerr = err
-		pend := c.pending
-		c.pending = make(map[uint32]*Call)
+		pend := c.slots
+		c.slots = nil
 		c.pmu.Unlock()
 		close(c.broken)
 		c.conn.Close()
 		for _, cl := range pend {
-			cl.err = err
-			close(cl.done)
+			if cl != nil {
+				cl.err = err
+				close(cl.done)
+			}
 		}
 	})
 }
 
-func (c *Client) connErr() error {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if c.cerr != nil {
-		return c.cerr
+// call1 performs one serial v1 round-trip and returns the response's
+// status and pooled payload.
+func (c *Client) call1(op byte, a args, payload []byte) (byte, []byte, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	err := c.send(0, op, a, payload)
+	if err == nil {
+		err = c.bw.Flush()
 	}
-	return fmt.Errorf("srv: connection broken")
-}
-
-// call1 performs one serial v1 round-trip and returns the success body,
-// or the server-reported error. The returned body is pooled-backed; it is
-// only handed onward by wrappers that give it to the caller.
-func (c *Client) call1(op byte, parts ...[]byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := writeFrame(c.conn, append([][]byte{{op}}, parts...)...); err != nil {
-		return nil, err
-	}
-	resp, err := readFrame(c.conn)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	if len(resp) == 0 {
-		putBuf(resp)
-		return nil, fmt.Errorf("srv: empty response")
-	}
-	switch resp[0] {
-	case statusOK:
-		return resp, nil
-	case statusErr:
-		err := fmt.Errorf("%s", resp[1:])
-		putBuf(resp)
-		return nil, err
-	default:
-		st := resp[0]
-		putBuf(resp)
-		return nil, fmt.Errorf("srv: unknown status %d", st)
-	}
+	_, status, body, err := c.recv()
+	return status, body, err
 }
 
 // --- pipelined (Go*) API ----------------------------------------------------
 
 // GoPing starts a liveness check.
-func (c *Client) GoPing() *Call { return c.do(opPing) }
+func (c *Client) GoPing() *Call { return c.do(opPing, args{}, nil) }
 
 // GoRead starts a read of n sectors at lba.
 func (c *Client) GoRead(lba int64, n int) *Call {
-	return c.do(opRead, putU64(uint64(lba)), putU32(uint32(n)))
+	return c.do(opRead, args{}.u64(uint64(lba)).u32(uint32(n)), nil)
 }
 
 // GoWrite starts a write of sector-aligned data at lba. The data is
 // copied into the connection's write buffer before GoWrite returns.
 func (c *Client) GoWrite(lba int64, data []byte) *Call {
-	return c.do(opWrite, putU64(uint64(lba)), data)
+	return c.do(opWrite, args{}.u64(uint64(lba)), data)
 }
 
 // GoTrim starts a trim of n sectors at lba.
 func (c *Client) GoTrim(lba, n int64) *Call {
-	return c.do(opTrim, putU64(uint64(lba)), putU64(uint64(n)))
+	return c.do(opTrim, args{}.u64(uint64(lba)).u64(uint64(n)), nil)
 }
 
 // GoSnapCreate starts a snapshot create. Note it barriers every shard, so
 // it serializes against all in-flight I/O.
-func (c *Client) GoSnapCreate() *Call { return c.do(opSnapCreate) }
+func (c *Client) GoSnapCreate() *Call { return c.do(opSnapCreate, args{}, nil) }
 
 // GoSnapDelete starts a snapshot delete.
-func (c *Client) GoSnapDelete(id uint64) *Call { return c.do(opSnapDelete, putU64(id)) }
+func (c *Client) GoSnapDelete(id uint64) *Call { return c.do(opSnapDelete, args{}.u64(id), nil) }
 
 // GoSnapRead starts a read of n sectors at lba from snapshot id.
 func (c *Client) GoSnapRead(id uint64, lba int64, n int) *Call {
-	return c.do(opSnapRead, putU64(id), putU64(uint64(lba)), putU32(uint32(n)))
+	return c.do(opSnapRead, args{}.u64(id).u64(uint64(lba)).u32(uint32(n)), nil)
 }
 
 // Flush pushes any buffered pipelined requests onto the wire without
@@ -446,7 +454,7 @@ func (c *Client) SnapRead(id uint64, lba int64, n int) ([]byte, error) {
 
 // Stats fetches the server's aggregate statistics.
 func (c *Client) Stats() (ServerStats, error) {
-	cl := c.do(opStats)
+	cl := c.do(opStats, args{}, nil)
 	b, err := cl.Wait()
 	if err != nil {
 		return ServerStats{}, err
@@ -464,5 +472,5 @@ func (c *Client) Stats() (ServerStats, error) {
 // acknowledged; Serve on the server side returns after in-flight work
 // drains.
 func (c *Client) Shutdown() error {
-	return c.do(opShutdown).waitDiscard()
+	return c.do(opShutdown, args{}, nil).waitDiscard()
 }

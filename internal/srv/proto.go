@@ -1,21 +1,20 @@
 // Package srv is the storage-service front-end: a long-running TCP block
 // server that multiplexes many client connections onto one shard.Service,
 // plus the matching client. Since wire protocol v2 a connection is a
-// *pipeline*: requests carry a 32-bit tag, the server dispatches each
-// tagged request on its own goroutine (bounded by a per-connection
-// window), and responses return in completion order — so independent
-// operations land on different shards concurrently instead of paying one
-// round-trip each. Version 1 (one untagged request/response pair at a
-// time) remains fully supported for old clients, and a v2 client degrades
-// to v1 automatically when the server does not understand the hello.
+// *pipeline*: requests carry a 32-bit tag, many are in flight at once
+// (bounded by a per-connection window), and responses return in
+// completion order — a window of requests pays one round-trip, not one
+// each, and a large transfer does not hold up what follows it. Version 1
+// (one untagged request/response pair at a time) remains fully supported
+// for old clients, and a v2 client degrades to v1 automatically when the
+// server does not understand the hello.
 package srv
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Wire format. Every frame, in both directions, is
@@ -89,15 +88,20 @@ const maxFrame = 1 << 26 // 64 MiB
 // protocol version (v2 spends 4 tag bytes + 1 status byte of the frame).
 const maxBody = maxFrame - 5
 
+// connBuf is the size of the buffered reader and writer on each end of a
+// connection: a deep pipeline delivers many frames per TCP segment, and one
+// syscall should move them all.
+const connBuf = 64 << 10
+
 // --- pooled frame buffers ---------------------------------------------------
 //
-// readFrame and the dispatch read paths used to allocate a fresh []byte
-// per frame — at depth-16 pipelines that is the single largest per-request
-// allocation on both ends of the wire. Buffers are pooled in power-of-two
-// size classes; getBuf returns a slice of exactly the requested length,
-// putBuf recycles any buffer whose capacity is exactly a class size (so a
-// slice that grew elsewhere, or a sub-slice handed to a caller, is simply
-// left for the GC rather than poisoning a class).
+// Frame and payload buffers are pooled in power-of-two size classes; getBuf
+// returns a slice of exactly the requested length, putBuf recycles any
+// buffer whose capacity is exactly a class size (so a slice that grew
+// elsewhere, or a sub-slice handed to a caller, is simply left for the GC
+// rather than poisoning a class). A pool entry is the pointer to the
+// buffer's first byte — its class implies the length — so neither
+// direction allocates a slice header.
 
 const (
 	minBufShift = 9  // 512 B
@@ -108,8 +112,11 @@ const (
 var bufPools [bufClasses]sync.Pool
 
 // getBuf returns a length-n slice backed by a pooled class buffer (or a
-// fresh allocation for n beyond the largest class).
+// fresh allocation for n beyond the largest class); nil for n == 0.
 func getBuf(n int) []byte {
+	if n == 0 {
+		return nil
+	}
 	if n > 1<<maxBufShift {
 		return make([]byte, n)
 	}
@@ -118,7 +125,7 @@ func getBuf(n int) []byte {
 		shift++
 	}
 	if p := bufPools[shift-minBufShift].Get(); p != nil {
-		return (*(p.(*[]byte)))[:n]
+		return unsafe.Slice(p.(*byte), 1<<shift)[:n]
 	}
 	return make([]byte, n, 1<<shift)
 }
@@ -130,59 +137,36 @@ func putBuf(b []byte) {
 	if c < 1<<minBufShift || c > 1<<maxBufShift || c&(c-1) != 0 {
 		return
 	}
-	b = b[:c]
-	bufPools[bits.TrailingZeros(uint(c))-minBufShift].Put(&b)
+	bufPools[bits.TrailingZeros(uint(c))-minBufShift].Put(unsafe.SliceData(b))
 }
 
-// writeFrame sends one length-prefixed frame built from the given parts.
-func writeFrame(w io.Writer, parts ...[]byte) error {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total > maxFrame {
-		return fmt.Errorf("srv: frame of %d bytes exceeds limit %d", total, maxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(total))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
+// args is a request's fixed-width fields, built by value on the caller's
+// stack: args{}.u64(lba).u32(n).
+type args struct {
+	b [maxArgs]byte
+	n int
 }
 
-// readFrame reads one length-prefixed frame into a pooled buffer. io.EOF
-// is returned only at a clean frame boundary; a frame cut off mid-payload
-// is ErrUnexpectedEOF. The caller owns the returned buffer and should
-// putBuf it when the frame's contents are dead.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("srv: frame of %d bytes exceeds limit %d", n, maxFrame)
-	}
-	buf := getBuf(int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		putBuf(buf)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return buf, nil
+// maxArgs is the widest fixed-width request body (snap-read's).
+const maxArgs = 20
+
+func (a args) u64(v uint64) args {
+	binary.BigEndian.PutUint64(a.b[a.n:], v)
+	a.n += 8
+	return a
 }
 
-// helloRequest builds the v2 negotiation frame body (after the op byte).
-func helloRequest(wantWindow int) [][]byte {
-	return [][]byte{[]byte(helloMagic), putU32(protoVersion2), putU32(uint32(wantWindow))}
+func (a args) u32(v uint32) args {
+	binary.BigEndian.PutUint32(a.b[a.n:], v)
+	a.n += 4
+	return a
+}
+
+// helloArgs builds the v2 negotiation frame body (after the op byte).
+func helloArgs(wantWindow int) args {
+	var a args
+	a.n = copy(a.b[:], helloMagic)
+	return a.u32(protoVersion2).u32(uint32(wantWindow))
 }
 
 // parseHello validates a hello body and returns the peer's max version and
@@ -200,11 +184,5 @@ func be32(b []byte) uint32 { return binary.BigEndian.Uint32(b) }
 func putU64(v uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
-	return b[:]
-}
-
-func putU32(v uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
 	return b[:]
 }

@@ -2,10 +2,11 @@ package srv
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
@@ -35,20 +36,22 @@ type ServerStats struct {
 	ViewCacheLive          int
 }
 
-// Server serves the block protocol over a listener, dispatching every
-// request onto one shard.Service. Connections are handled concurrently,
-// and a v2 connection additionally pipelines: each tagged request runs on
-// its own goroutine (at most Window in flight per connection), responses
-// are serialized through a per-connection writer goroutine in completion
-// order. A graceful shutdown (Shutdown call or shutdown op) stops the
+// Server serves the block protocol over a listener, executing every
+// request against one shard.Service. Connections are handled concurrently.
+// Within a connection, the goroutine that reads the frames also runs the
+// small requests to completion, in arrival order, and writes their
+// responses; only a v2 request that carries more than inlineMax bytes (in
+// its payload or in its response) gets a goroutine of its own, at most
+// Window of them per connection, so a large transfer never blocks what
+// follows it. A graceful shutdown (Shutdown call or shutdown op) stops the
 // accept loop, waits for in-flight requests to finish, drains the
-// snapshot-view cache, and returns from Serve with the service still
-// open, so the owner can checkpoint and persist it.
+// snapshot-view cache, and returns from Serve with the service still open,
+// so the owner can checkpoint and persist it.
 type Server struct {
 	svc *shard.Service
 	ln  net.Listener
 
-	// Window bounds in-flight pipelined requests per v2 connection. Zero
+	// Window bounds in-flight handler goroutines per v2 connection. Zero
 	// means defaultWindow. Set before Serve.
 	Window int
 	// ViewTTL is how long an idle activated snapshot view stays cached
@@ -59,15 +62,13 @@ type Server struct {
 
 	views *viewCache
 
-	// preDispatch, when non-nil, runs in the handler goroutine before a v2
-	// request dispatches. Test hook: it forces deterministic out-of-order
-	// completion by stalling chosen ops.
-	preDispatch func(op byte)
+	// beforeHandler, when non-nil, runs at the top of every handler
+	// goroutine. Test hook: stalling it holds a large request in flight.
+	beforeHandler func()
 
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	stopping bool
-	stopped  chan struct{}
 	wg       sync.WaitGroup
 }
 
@@ -78,7 +79,7 @@ const defaultViewTTL = 2 * time.Second
 // returns with the service open, and closing it (checkpointing the FTLs)
 // is the caller's job.
 func NewServer(svc *shard.Service, ln net.Listener) *Server {
-	return &Server{svc: svc, ln: ln, conns: make(map[net.Conn]struct{}), stopped: make(chan struct{})}
+	return &Server{svc: svc, ln: ln, conns: make(map[net.Conn]struct{})}
 }
 
 // Addr returns the listener address (useful with ":0" listeners).
@@ -172,15 +173,10 @@ func (s *Server) janitor(stop <-chan struct{}) {
 // connections are closed. Safe to call more than once and from request
 // handlers. It does not wait — Serve's return is the completion signal.
 func (s *Server) Shutdown() {
+	s.stopAccepting()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopping {
-		return
-	}
-	s.stopping = true
-	close(s.stopped)
-	s.ln.Close()
-	// Close connections so their readFrame unblocks. A request being
+	// Close connections so their readers unblock. A request being
 	// executed right now still writes its response: the write races the
 	// close harmlessly (worst case the client sees a reset after its
 	// response, exactly like a server crash after commit).
@@ -189,198 +185,327 @@ func (s *Server) Shutdown() {
 	}
 }
 
-// serveConn inspects the first frame: a valid hello upgrades the
-// connection to the pipelined v2 loop, anything else is a v1 client and
-// runs the serial loop (starting with that first request).
-func (s *Server) serveConn(c net.Conn) {
-	req, err := readFrame(c)
-	if err != nil || len(req) == 0 {
-		putBuf(req)
-		return
+// stopAccepting closes the listener: from here on a dial is refused.
+func (s *Server) stopAccepting() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.stopping {
+		s.stopping = true
+		s.ln.Close()
 	}
-	if req[0] == opHello {
-		if _, want, ok := parseHello(req[1:]); ok {
-			putBuf(req)
-			s.serveConn2(c, want)
-			return
-		}
-	}
-	s.serveConn1(c, req)
 }
 
-// serveConn1 runs the serial v1 request loop: one request, one response,
-// in order. first is the already-read first frame (owned by this func).
-// Any protocol error (as opposed to an op error, which is reported
-// in-band) ends the connection.
-func (s *Server) serveConn1(c net.Conn, first []byte) {
-	req := first
-	for {
-		if req == nil {
-			var err error
-			req, err = readFrame(c)
+// inlineMax is the most bytes a request may carry — in its payload or in
+// its response — and still run on the connection's reader goroutine. Below
+// it an op is cheaper than the hand-off to another goroutine; several
+// times above it an op is long enough that the connection's socket copies
+// should overlap its FTL work and that a read behind it should not wait
+// for it. A quarter of the write buffer, so that several inline responses
+// still share one flush.
+const inlineMax = connBuf / 4
+
+// conn is one client connection. The reader goroutine (serveConn) owns br;
+// bw is shared with the handler goroutines under wmu.
+type conn struct {
+	s      *Server
+	nc     net.Conn
+	br     *bufio.Reader
+	tagged bool // protocol v2: frames carry a tag after the length
+
+	wmu sync.Mutex
+	bw  *bufio.Writer
+}
+
+// serveConn runs one connection: read a frame, execute it (here, or on a
+// handler goroutine if it is tagged and large), repeat. Responses collect
+// in bw and go out when the reader is about to block; a handler flushes
+// after its own response. A protocol error (as opposed to an op error,
+// which is reported in-band) ends the connection. No ordering is promised
+// between in-flight requests, except that the small requests of one
+// connection take effect in arrival order.
+func (s *Server) serveConn(nc net.Conn) {
+	c := &conn{s: s, nc: nc, br: bufio.NewReaderSize(nc, connBuf), bw: bufio.NewWriterSize(nc, connBuf)}
+	var handlers sync.WaitGroup
+	defer func() {
+		handlers.Wait()
+		c.flush()
+	}()
+	// Handler admission: a client past its window simply stalls in TCP —
+	// flow control, not an error.
+	var sem chan struct{}
+	for first := true; ; first = false {
+		hdr, err := c.peek(4)
+		if err != nil {
+			return
+		}
+		n := int(be32(hdr))
+		minLen := 1 // op
+		if c.tagged {
+			minLen = 5 // tag+op; anything shorter has no tag to answer on
+		}
+		if n > maxFrame || n < minLen {
+			return
+		}
+		// A frame short enough to be a small request is parsed where it
+		// lies in br; a longer one is read into a pooled buffer.
+		var req, pooled []byte
+		if n <= 5+maxArgs+inlineMax {
+			frame, err := c.peek(4 + n)
 			if err != nil {
-				return // client went away or spoke garbage; nothing to answer
-			}
-			if len(req) == 0 {
-				putBuf(req)
 				return
 			}
+			req = frame[4:]
+		} else {
+			c.flushUnless(4 + n)
+			c.br.Discard(4)
+			pooled = getBuf(n)
+			if _, err := io.ReadFull(c.br, pooled); err != nil {
+				return
+			}
+			req = pooled
+		}
+		if first && req[0] == opHello {
+			// A valid hello as the first frame upgrades the connection to
+			// tagged framing; anything else is a v1 client's first request.
+			if _, want, ok := parseHello(req[1:]); ok {
+				window := s.window()
+				if want > 0 && want < window {
+					window = want
+				}
+				sem = make(chan struct{}, window)
+				ack := args{}.u32(protoVersion2).u32(uint32(window))
+				c.reply(0, statusOK, ack.b[:ack.n], false)
+				c.tagged = true
+				c.br.Discard(4 + n)
+				continue
+			}
+		}
+		var tag uint32
+		if c.tagged {
+			tag, req = be32(req), req[4:]
 		}
 		op, body := req[0], req[1:]
-		if op == opShutdown {
-			// Acknowledge before stopping: Shutdown closes every
-			// connection, so the response must already be on the wire.
-			putBuf(req)
-			writeFrame(c, []byte{statusOK})
-			s.Shutdown()
-			return
-		}
-		result, err := s.dispatch(op, body)
-		putBuf(req)
-		req = nil
-		if err != nil {
-			if werr := writeFrame(c, []byte{statusErr}, []byte(err.Error())); werr != nil {
-				return
+		if c.tagged && s.carried(op, body) > inlineMax {
+			if pooled == nil {
+				pooled = getBuf(len(body))
+				copy(pooled, body)
+				body = pooled
+				c.br.Discard(4 + n)
 			}
+			c.flush() // the window may block, and a large op is long: answer what came before it now
+			sem <- struct{}{}
+			handlers.Add(1)
+			go func() {
+				defer handlers.Done()
+				defer func() { <-sem }()
+				if s.beforeHandler != nil {
+					s.beforeHandler()
+				}
+				c.handle(tag, op, body, true)
+				putBuf(pooled)
+			}()
 			continue
 		}
-		werr := writeFrame(c, []byte{statusOK}, result)
-		putBuf(result)
-		if werr != nil {
+		stop := c.handle(tag, op, body, false)
+		if pooled != nil {
+			putBuf(pooled)
+		} else {
+			c.br.Discard(4 + n)
+		}
+		if stop {
 			return
 		}
 	}
 }
 
-// wresp is one response bound for a v2 connection's writer goroutine.
-type wresp struct {
-	tag    uint32
-	status byte
-	body   []byte // recycled by the writer after the frame is out
-	after  func() // runs after the frame (and everything before it) is flushed
+// peek returns the next n bytes of the request stream without consuming
+// them.
+func (c *conn) peek(n int) ([]byte, error) {
+	c.flushUnless(n)
+	return c.br.Peek(n)
 }
 
-// serveConn2 runs the pipelined v2 loop. The reader accepts tagged frames
-// and hands each to its own handler goroutine, admission-limited by a
-// window semaphore (a client past the window simply stalls in TCP — flow
-// control, not an error). Handlers dispatch concurrently, so requests to
-// different shards overlap; a single writer goroutine serializes the
-// responses in completion order, flushing when the queue runs dry so
-// back-to-back completions coalesce into one syscall. No ordering is
-// promised between in-flight requests — a client that needs write-then-
-// read ordering must wait for the write's response before issuing the
-// read.
-func (s *Server) serveConn2(c net.Conn, wantWindow int) {
-	window := s.window()
-	if wantWindow > 0 && wantWindow < window {
-		window = wantWindow
+// flushUnless flushes the pending responses unless n request bytes are
+// already buffered: the reader is about to block, and nothing else will
+// put what it has answered so far on the wire.
+func (c *conn) flushUnless(n int) {
+	if c.br.Buffered() < n {
+		c.flush()
 	}
-	if err := writeFrame(c, []byte{statusOK}, putU32(protoVersion2), putU32(uint32(window))); err != nil {
-		return
-	}
-
-	out := make(chan wresp, window)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriterSize(c, 64<<10)
-		broken := false
-		for r := range out {
-			if !broken {
-				if err := writeFrame(bw, putU32(r.tag), []byte{r.status}, r.body); err != nil {
-					broken = true
-				}
-				if len(out) == 0 && !broken {
-					// Flush only when the queue is truly dry. Handlers whose
-					// responses are an instant away are sitting on the run
-					// queue; yielding once lets them enqueue, so one syscall
-					// carries a batch instead of every completion paying its
-					// own. (On the loopback bench this halves write syscalls.)
-					runtime.Gosched()
-					if len(out) == 0 {
-						if err := bw.Flush(); err != nil {
-							broken = true
-						}
-					}
-				}
-			}
-			putBuf(r.body)
-			if r.after != nil {
-				bw.Flush()
-				r.after()
-			}
-		}
-		bw.Flush()
-	}()
-
-	sem := make(chan struct{}, window)
-	var wg sync.WaitGroup
-	// Buffer the read side too: a deep pipeline delivers many request
-	// frames per TCP segment, and one syscall should consume them all.
-	br := bufio.NewReaderSize(c, 64<<10)
-	for {
-		req, err := readFrame(br)
-		if err != nil {
-			break
-		}
-		if len(req) < 5 {
-			// A tagged frame needs at least tag+op; anything shorter is a
-			// protocol violation and ends the connection (there is no tag
-			// to answer on).
-			putBuf(req)
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(req []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			tag, op, body := be32(req), req[4], req[5:]
-			if gate := s.preDispatch; gate != nil {
-				gate(op)
-			}
-			if op == opShutdown {
-				putBuf(req)
-				out <- wresp{tag: tag, status: statusOK, after: s.Shutdown}
-				return
-			}
-			result, err := s.dispatch(op, body)
-			putBuf(req)
-			if err != nil {
-				out <- wresp{tag: tag, status: statusErr, body: []byte(err.Error())}
-				return
-			}
-			out <- wresp{tag: tag, status: statusOK, body: result}
-		}(req)
-	}
-	wg.Wait()
-	close(out)
-	<-writerDone
 }
 
-// dispatch executes one op against the service. The returned buffer may be
-// pooled; the caller recycles it (putBuf) once the response frame is out.
+func (c *conn) flush() {
+	c.wmu.Lock()
+	c.finish(nil, true)
+	c.wmu.Unlock()
+}
+
+// finish ends a write under wmu: flush if asked, and on any error close
+// the connection, which is what unwinds the reader.
+func (c *conn) finish(err error, flush bool) {
+	if err == nil && flush {
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		c.nc.Close()
+	}
+}
+
+// hdr is the response header's length: [u32 len][u32 tag, v2 only][u8 status].
+func (c *conn) hdr() int {
+	if c.tagged {
+		return 9
+	}
+	return 5
+}
+
+// reserve returns n writable bytes at the tail of bw's buffer (flushing
+// first if they do not fit) for put to commit. Caller holds wmu.
+func (c *conn) reserve(n int) []byte {
+	if c.bw.Available() < n {
+		c.finish(nil, true)
+		if c.bw.Available() < n {
+			return make([]byte, n) // the flush failed: bw refuses every write from here on
+		}
+	}
+	return c.bw.AvailableBuffer()[:n]
+}
+
+// put is the one response encoder: it stamps the header into the first
+// hdr() bytes of frame and writes frame, then rest. Caller holds wmu.
+func (c *conn) put(frame, rest []byte, tag uint32, status byte, flush bool) {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4+len(rest)))
+	if c.tagged {
+		binary.BigEndian.PutUint32(frame[4:], tag)
+	}
+	frame[c.hdr()-1] = status
+	_, err := c.bw.Write(frame)
+	if err == nil && len(rest) > 0 {
+		_, err = c.bw.Write(rest)
+	}
+	c.finish(err, flush)
+}
+
+// reply writes a response whose body already exists.
+func (c *conn) reply(tag uint32, status byte, body []byte, flush bool) {
+	c.wmu.Lock()
+	c.put(c.reserve(c.hdr()), body, tag, status, flush)
+	c.wmu.Unlock()
+}
+
+// handle executes one request and writes its response; flush says the
+// caller is a handler goroutine, which puts its own response on the wire.
+// It reports whether the connection should stop reading (shutdown op).
+func (c *conn) handle(tag uint32, op byte, body []byte, flush bool) (stop bool) {
+	var result []byte
+	var err error
+	switch op {
+	case opRead, opSnapRead:
+		if err = c.read(tag, op, body, flush); err == nil {
+			return false
+		}
+	case opShutdown:
+		// Refuse new connections, then acknowledge, then stop: a client
+		// holding the ack finds the port closed, and Shutdown closes every
+		// connection, so the ack must already be on the wire.
+		c.s.stopAccepting()
+		c.reply(tag, statusOK, nil, true)
+		c.s.Shutdown()
+		return true
+	default:
+		result, err = c.s.dispatch(op, body)
+	}
+	if err != nil {
+		c.reply(tag, statusErr, []byte(err.Error()), flush)
+	} else {
+		c.reply(tag, statusOK, result, flush)
+	}
+	return false
+}
+
+// carried is the number of payload bytes a request moves, in whichever
+// direction: what decides between inline and handler execution. A
+// malformed request carries nothing and is refused inline.
+func (s *Server) carried(op byte, body []byte) int64 {
+	switch {
+	case op == opWrite && len(body) > 8:
+		return int64(len(body) - 8)
+	case op == opRead && len(body) == 12:
+		return int64(be32(body[8:])) * int64(s.svc.SectorSize())
+	case op == opSnapRead && len(body) == 20:
+		return int64(be32(body[16:])) * int64(s.svc.SectorSize())
+	}
+	return 0
+}
+
+// read serves a read or snap-read and writes the success response itself;
+// an error is returned for the caller to report in-band. A small read is
+// filled by the FTL straight into bw's buffer — one copy from NAND to the
+// socket buffer — under wmu, and nothing of it is committed to the buffer
+// until it succeeded. A large one is filled into a pooled frame first.
+func (c *conn) read(tag uint32, op byte, body []byte, flush bool) error {
+	s := c.s
+	name, at := "read", 0
+	if op == opSnapRead {
+		name, at = "snap-read", 8
+	}
+	if len(body) != at+12 {
+		return fmt.Errorf("srv: %s body %d bytes, want %d", name, len(body), at+12)
+	}
+	lba, n := int64(be64(body[at:])), int64(be32(body[at+8:]))
+	size := n * int64(s.svc.SectorSize())
+	if n <= 0 || size > maxBody {
+		return fmt.Errorf("srv: %s of %d sectors out of range", name, n)
+	}
+	var view *shard.ServiceView
+	var release func() error
+	if op == opSnapRead {
+		var err error
+		if view, release, err = s.acquireView(iosnap.SnapshotID(be64(body))); err != nil {
+			return err
+		}
+	}
+	hdr := c.hdr()
+	if size > inlineMax {
+		frame := getBuf(hdr + int(size))
+		defer putBuf(frame)
+		if err := s.fill(view, release, lba, frame[hdr:]); err != nil {
+			return err
+		}
+		c.wmu.Lock()
+		defer c.wmu.Unlock()
+		c.put(frame, nil, tag, statusOK, flush)
+		return nil
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	frame := c.reserve(hdr + int(size))
+	if err := s.fill(view, release, lba, frame[hdr:]); err != nil {
+		return err
+	}
+	c.put(frame, nil, tag, statusOK, flush)
+	return nil
+}
+
+// fill reads dst from the live image or, when view is non-nil, from the
+// snapshot, whose reference it then releases.
+func (s *Server) fill(view *shard.ServiceView, release func() error, lba int64, dst []byte) error {
+	if view == nil {
+		return s.svc.Read(lba, dst)
+	}
+	err := view.Read(lba, dst)
+	if rerr := release(); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// dispatch executes one op other than the reads and shutdown and returns
+// its response body.
 func (s *Server) dispatch(op byte, body []byte) ([]byte, error) {
 	switch op {
 	case opPing:
 		return nil, nil
-
-	case opRead:
-		if len(body) != 12 {
-			return nil, fmt.Errorf("srv: read body %d bytes, want 12", len(body))
-		}
-		lba := int64(be64(body))
-		n := int64(be32(body[8:]))
-		size := n * int64(s.svc.SectorSize())
-		if n <= 0 || size > maxBody {
-			return nil, fmt.Errorf("srv: read of %d sectors out of range", n)
-		}
-		buf := getBuf(int(size))
-		if err := s.svc.Read(lba, buf); err != nil {
-			putBuf(buf)
-			return nil, err
-		}
-		return buf, nil
 
 	case opWrite:
 		if len(body) < 8 {
@@ -416,33 +541,6 @@ func (s *Server) dispatch(op byte, body []byte) ([]byte, error) {
 			s.views.invalidate(id)
 		}
 		return nil, s.svc.DeleteSnapshot(id)
-
-	case opSnapRead:
-		if len(body) != 20 {
-			return nil, fmt.Errorf("srv: snap-read body %d bytes, want 20", len(body))
-		}
-		id := iosnap.SnapshotID(be64(body))
-		lba := int64(be64(body[8:]))
-		n := int64(be32(body[16:]))
-		size := n * int64(s.svc.SectorSize())
-		if n <= 0 || size > maxBody {
-			return nil, fmt.Errorf("srv: snap-read of %d sectors out of range", n)
-		}
-		view, release, err := s.acquireView(id)
-		if err != nil {
-			return nil, err
-		}
-		buf := getBuf(int(size))
-		rerr := view.Read(lba, buf)
-		derr := release()
-		if rerr == nil {
-			rerr = derr
-		}
-		if rerr != nil {
-			putBuf(buf)
-			return nil, rerr
-		}
-		return buf, nil
 
 	case opStats:
 		sum := s.svc.Summary()

@@ -2,10 +2,14 @@ package srv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,7 +17,7 @@ import (
 )
 
 // startServerWith is startServer with a chance to configure the Server
-// (window, TTL, preDispatch hook) before Serve starts — the hook field
+// (window, TTL, beforeHandler hook) before Serve starts — the hook field
 // must not be written once handler goroutines may be reading it.
 func startServerWith(t *testing.T, svc *shard.Service, setup func(*Server)) (*Server, string, chan error) {
 	t.Helper()
@@ -67,9 +71,55 @@ func TestWireNegotiation(t *testing.T) {
 	}
 }
 
-// TestWireOutOfOrderCompletion pins the point of tagging: a slow request
-// does not block a fast one behind it. The preDispatch gate stalls the
-// read deterministically; the ping issued after it completes first.
+// largeRead is a sector count whose response is above the inline threshold
+// at the test geometry's 512-byte sectors, so the request gets a handler.
+const largeRead = inlineMax/512 + 1
+
+// writeFrame sends one length-prefixed frame built from the given parts:
+// what a raw test peer speaks.
+func writeFrame(w io.Writer, parts ...[]byte) error {
+	frame := make([]byte, 4)
+	for _, p := range parts {
+		frame = append(frame, p...)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
+	return err
+}
+
+// readFrame reads one length-prefixed frame, as a raw test peer does.
+func readFrame(r io.Reader) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+	_, err := io.ReadFull(r, buf)
+	return buf, err
+}
+
+// rawHello dials a raw connection and completes the v2 hello on it.
+func rawHello(t *testing.T, addr string, window int) net.Conn {
+	t.Helper()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := helloArgs(window)
+	if err := writeFrame(raw, []byte{opHello}, h.b[:h.n]); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := readFrame(raw)
+	if err != nil || len(ack) == 0 || ack[0] != statusOK {
+		t.Fatalf("hello ack: %v", err)
+	}
+	return raw
+}
+
+// TestWireOutOfOrderCompletion pins the point of tagging: a large transfer
+// does not block what follows it. The beforeHandler gate stalls the large
+// read's handler deterministically; the ping issued after it runs inline
+// on the reader and completes first.
 func TestWireOutOfOrderCompletion(t *testing.T) {
 	svc, err := shard.NewService(testShardConfig(2))
 	if err != nil {
@@ -78,11 +128,7 @@ func TestWireOutOfOrderCompletion(t *testing.T) {
 	defer svc.Close()
 	release := make(chan struct{})
 	s, addr, served := startServerWith(t, svc, func(s *Server) {
-		s.preDispatch = func(op byte) {
-			if op == opRead {
-				<-release
-			}
-		}
+		s.beforeHandler = func() { <-release }
 	})
 	defer func() { s.Shutdown(); <-served }()
 
@@ -92,7 +138,7 @@ func TestWireOutOfOrderCompletion(t *testing.T) {
 	}
 	defer c.Close()
 
-	rd := c.GoRead(0, 1) // stalls server-side until release
+	rd := c.GoRead(0, largeRead) // stalls server-side until release
 	pg := c.GoPing()
 	if _, err := pg.Wait(); err != nil {
 		t.Fatalf("ping behind stalled read: %v", err)
@@ -103,8 +149,43 @@ func TestWireOutOfOrderCompletion(t *testing.T) {
 	default:
 	}
 	close(release)
-	if _, err := rd.Wait(); err != nil {
-		t.Fatalf("read after release: %v", err)
+	if b, err := rd.Wait(); err != nil || len(b) != largeRead*svc.SectorSize() {
+		t.Fatalf("read after release: %d bytes, %v", len(b), err)
+	}
+}
+
+// TestWireSmallRequestsInOrder is the converse: the small requests of one
+// connection take effect in arrival order, so a write and a read of the
+// same LBA pipelined in one window — never waiting in between — observe
+// each other.
+func TestWireSmallRequestsInOrder(t *testing.T) {
+	svc, err := shard.NewService(testShardConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	s, addr, served := startServer(t, svc)
+	defer func() { s.Shutdown(); <-served }()
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ss := svc.SectorSize()
+	const rounds = 40
+	var writes, reads []*Call
+	for r := 0; r < rounds; r++ {
+		writes = append(writes, c.GoWrite(7, pattern(byte(r), 2, ss)))
+		reads = append(reads, c.GoRead(7, 2))
+	}
+	for r := 0; r < rounds; r++ {
+		if _, err := writes[r].Wait(); err != nil {
+			t.Fatalf("write %d: %v", r, err)
+		}
+		if got, err := reads[r].Wait(); err != nil || !bytes.Equal(got, pattern(byte(r), 2, ss)) {
+			t.Fatalf("read %d did not observe the write pipelined before it: %v", r, err)
+		}
 	}
 }
 
@@ -161,23 +242,7 @@ func TestWireMalformedTaggedFrames(t *testing.T) {
 	defer func() { s.Shutdown(); <-served }()
 
 	// Each raw connection completes the v2 hello first, then misbehaves.
-	hello := func(t *testing.T) net.Conn {
-		t.Helper()
-		raw, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := append([][]byte{{opHello}}, helloRequest(4)...)
-		if err := writeFrame(raw, parts...); err != nil {
-			t.Fatal(err)
-		}
-		ack, err := readFrame(raw)
-		if err != nil || len(ack) == 0 || ack[0] != statusOK {
-			t.Fatalf("hello ack: %v", err)
-		}
-		putBuf(ack)
-		return raw
-	}
+	hello := func(t *testing.T) net.Conn { return rawHello(t, addr, 4) }
 
 	t.Run("short", func(t *testing.T) {
 		raw := hello(t)
@@ -279,13 +344,10 @@ func TestServeDrainsOnAcceptError(t *testing.T) {
 	defer svc.Close()
 	release := make(chan struct{})
 	entered := make(chan struct{})
-	var once sync.Once
 	s, addr, served := startServerWith(t, svc, func(s *Server) {
-		s.preDispatch = func(op byte) {
-			if op == opRead {
-				once.Do(func() { close(entered) })
-				<-release
-			}
+		s.beforeHandler = func() {
+			close(entered)
+			<-release
 		}
 	})
 
@@ -294,7 +356,7 @@ func TestServeDrainsOnAcceptError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rd := c.GoRead(0, 1)
+	rd := c.GoRead(0, largeRead)
 	c.Flush()
 	<-entered // the handler is now in flight
 
@@ -333,7 +395,7 @@ func TestWriteValidation(t *testing.T) {
 	defer c.Close()
 
 	// Empty payload: a raw 8-byte body (lba only, zero data).
-	if _, err := c.do(opWrite, putU64(0)).Wait(); err == nil || !strings.Contains(err.Error(), "sector size") {
+	if _, err := c.do(opWrite, args{}.u64(0), nil).Wait(); err == nil || !strings.Contains(err.Error(), "sector size") {
 		t.Fatalf("empty write payload: %v", err)
 	}
 	if err := c.Write(0, make([]byte, svc.SectorSize()+1)); err == nil || !strings.Contains(err.Error(), "sector size") {
@@ -653,5 +715,199 @@ func TestLoadgenSerialV1Baseline(t *testing.T) {
 	}
 	if rep.Ops < 100 {
 		t.Fatalf("v1 run completed %d ops", rep.Ops)
+	}
+}
+
+// TestWireHugeTrimStaysInBand: one trim frame with a run length near 2^63
+// used to wrap the range check and run the daemon out of memory. It is an
+// ordinary in-band error; the connection and the server carry on.
+func TestWireHugeTrimStaysInBand(t *testing.T) {
+	svc, err := shard.NewService(testShardConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	s, addr, served := startServer(t, svc)
+	defer func() { s.Shutdown(); <-served }()
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ss := svc.SectorSize()
+	if err := c.Write(1, pattern('z', 2, ss)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Trim(1, math.MaxInt64); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("huge trim: %v, want an in-band out-of-range error", err)
+	}
+	if got, err := c.Read(1, 2); err != nil || !bytes.Equal(got, pattern('z', 2, ss)) {
+		t.Fatalf("read on the same connection after the huge trim: %v", err)
+	}
+	c2, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := c2.Ping(); err != nil {
+		t.Fatalf("server did not survive the huge trim: %v", err)
+	}
+}
+
+// TestWireInlineThreshold walks the edge between the two execution paths:
+// a read of exactly inlineMax bytes runs on the reader, one sector more
+// gets a handler, and both return the right bytes — as does a small read
+// pipelined behind an inline read that failed after its room in the write
+// buffer was reserved (nothing of the failed one may be left there).
+func TestWireInlineThreshold(t *testing.T) {
+	svc, err := shard.NewService(testShardConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var handlers atomic.Int32
+	s, addr, served := startServerWith(t, svc, func(s *Server) {
+		s.beforeHandler = func() { handlers.Add(1) }
+	})
+	defer func() { s.Shutdown(); <-served }()
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ss := svc.SectorSize()
+	const atEdge = inlineMax / 512
+	want := pattern('t', atEdge+1, ss)
+	if err := c.Write(0, want[:atEdge*ss]); err != nil { // payload == inlineMax: inline
+		t.Fatal(err)
+	}
+	if n := handlers.Load(); n != 0 {
+		t.Fatalf("a write of exactly inlineMax bytes took %d handlers", n)
+	}
+	if err := c.Write(atEdge, want[atEdge*ss:]); err != nil {
+		t.Fatal(err)
+	}
+
+	edge := c.GoRead(0, atEdge)
+	bad := c.GoRead(svc.Sectors()-1, 2) // fails inside the FTL call, buffer room already reserved
+	small := c.GoRead(atEdge, 1)
+	if got, err := edge.Wait(); err != nil || !bytes.Equal(got, want[:atEdge*ss]) {
+		t.Fatalf("read of exactly inlineMax bytes: %v", err)
+	}
+	if _, err := bad.Wait(); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("failing inline read: %v", err)
+	}
+	if got, err := small.Wait(); err != nil || !bytes.Equal(got, want[atEdge*ss:]) {
+		t.Fatalf("read behind a failed inline read: %v", err)
+	}
+	if n := handlers.Load(); n != 0 {
+		t.Fatalf("reads up to inlineMax bytes took %d handlers", n)
+	}
+
+	if got, err := c.Read(0, atEdge+1); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read one sector over inlineMax: %v", err)
+	}
+	if n := handlers.Load(); n != 1 {
+		t.Fatalf("a read one sector over inlineMax took %d handlers, want 1", n)
+	}
+	if err := c.Write(0, want); err != nil || handlers.Load() != 2 {
+		t.Fatalf("a write one sector over inlineMax: err %v, %d handlers, want 2", err, handlers.Load())
+	}
+	// A v1 connection has no handlers: the same large read runs on its reader.
+	c1, err := DialOpts(addr, DialOptions{ForceV1: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	if got, err := c1.Read(0, atEdge+1); err != nil || !bytes.Equal(got, want) || handlers.Load() != 2 {
+		t.Fatalf("large v1 read: err %v, %d handlers, want 2", err, handlers.Load())
+	}
+}
+
+// TestWireShutdownWithHandlersInFlight: the shutdown op is acknowledged at
+// once even while a large request of the same connection is executing, and
+// Serve returns only after that handler finished.
+func TestWireShutdownWithHandlersInFlight(t *testing.T) {
+	svc, err := shard.NewService(testShardConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	_, addr, served := startServerWith(t, svc, func(s *Server) {
+		s.beforeHandler = func() {
+			close(entered)
+			<-release
+		}
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rd := c.GoRead(0, largeRead)
+	c.Flush()
+	<-entered
+	if err := c.Shutdown(); err != nil {
+		t.Fatalf("shutdown op behind an in-flight handler: %v", err)
+	}
+	select {
+	case err := <-served:
+		t.Fatalf("Serve returned %v with a handler still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v", err)
+	}
+	<-rd.Done() // answered or failed by the closed connection; never hung
+	if err := svc.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWireClientStopsReading: a peer that pipelines reads and never takes
+// a response fills the socket, and the server side blocks in its write.
+// When the peer goes away the connection unwinds — reader, handlers and
+// all — without the server having to shut down.
+func TestWireClientStopsReading(t *testing.T) {
+	svc, err := shard.NewService(testShardConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	s, addr, served := startServer(t, svc)
+	defer func() { s.Shutdown(); <-served }()
+
+	raw := rawHello(t, addr, 8)
+	// 8 MiB of small responses and as much again of large ones, none read:
+	// far more than loopback socket buffers hold.
+	raw.SetWriteDeadline(time.Now().Add(2 * time.Second)) // the server stops reading once its writes block
+	for tag := uint32(1); tag <= 1024; tag++ {
+		n := uint32(inlineMax / 512)
+		if tag%2 == 0 {
+			n = largeRead
+		}
+		rd := args{}.u32(tag).u64(0).u32(n)
+		if writeFrame(raw, rd.b[:4], []byte{opRead}, rd.b[4:rd.n]) != nil {
+			break
+		}
+	}
+	raw.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		live := len(s.conns)
+		s.mu.Unlock()
+		if live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d server connections still alive after the peer went away", live)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -7,7 +7,9 @@
 //
 // With no -run flag every experiment runs in order. -scale multiplies data
 // volumes (1.0 = the default scaled-down-from-paper sizes; try 0.1 for a
-// quick pass). -csv writes each report's tables and series as CSV files.
+// quick pass). -csv writes each report's tables and series as CSV files;
+// the committed results/*.csv are the default scale's, and scripts/verify.sh
+// holds every run to them byte for byte.
 package main
 
 import (
@@ -78,10 +80,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
 				os.Exit(1)
 			}
-			if err := report.WriteCSV(f); err != nil {
-				fmt.Fprintf(os.Stderr, "benchrunner: writing %s: %v\n", path, err)
+			err = report.WriteCSV(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-			f.Close()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "benchrunner: writing %s: %v\n", path, err)
+				failures++
+			}
 		}
 	}
 	if failures > 0 {

@@ -23,18 +23,14 @@
 //	iosnapctl -image dev.img check
 //	iosnapctl -image dev.img health
 //	iosnapctl faultdemo [-plan gc-copy|torn-note|crash-scan|random|transient|wear-out|none] [-seed N] [-steps N]
-//	iosnapctl shardbench [-shards N] [-clients N] [-ops N] [-seed N]
-//	iosnapctl -remote host:port {ping|write|read|trim|snap-create|snap-delete|snap-read|stats|loadgen|shutdown} [flags]
+//	iosnapctl -remote host:port {ping|write|read|trim|snap-create|snap-delete|snap-read|stats|shutdown} [flags]
 //
 // With -remote, the verb runs against a live iosnapd (see cmd/iosnapd)
 // instead of reloading an image: the same -lba/-count/-text/-id flags
 // apply, no -image is needed, and shutdown asks the server to checkpoint
-// and persist its images. Remote connections negotiate wire protocol v2
-// and pipeline automatically; loadgen drives wall-clock load (N
-// connections x depth-D pipelines with a read/write/snapshot mix, e.g.
-// `iosnapctl -remote :7621 loadgen -conns 4 -depth 16 -ops 5000`) and
-// prints the measured ops/s; stats additionally reports per-shard virtual
-// clocks (shard skew) and snapshot-view-cache effectiveness.
+// and persist its images. stats additionally reports per-shard virtual
+// clocks (shard skew) and snapshot-view-cache effectiveness. Load against
+// a daemon is the benchmark's job (bench/).
 //
 // The replication verbs speak the internal/xport transport. export writes a
 // self-checking chunk stream (no activation needed; with -base only the
@@ -60,11 +56,6 @@
 // plan combines an erase budget (erases past it fail probabilistically,
 // retiring segments after rescue), 1% transient faults, an armed scrubber,
 // and three crash/recover cycles.
-//
-// shardbench also needs no image: it drives the seeded service-mode load
-// through the sharded front-end with real client goroutines and prints the
-// virtual-time throughput the run modeled — the same figure bench.sh
-// extracts into BENCH_shard.json.
 package main
 
 import (
@@ -78,7 +69,6 @@ import (
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/retry"
-	"iosnap/internal/shard"
 	"iosnap/internal/sim"
 	"iosnap/internal/vfs"
 	"iosnap/internal/xport"
@@ -110,12 +100,9 @@ func run(args []string) error {
 	}
 	cmd, cmdArgs := rest[0], rest[1:]
 
-	// faultdemo and shardbench run against in-memory devices and need no image.
+	// faultdemo runs against an in-memory device and needs no image.
 	if cmd == "faultdemo" {
 		return cmdFaultDemo(cmdArgs)
-	}
-	if cmd == "shardbench" {
-		return cmdShardBench(cmdArgs)
 	}
 	if *remote != "" {
 		return runRemote(*remote, cmd, cmdArgs)
@@ -755,36 +742,6 @@ func cmdFaultDemo(args []string) error {
 	for _, fi := range rep.Fired {
 		fmt.Printf("fired %-15s op=%-8s page=%d (match #%d)\n", fi.Rule, fi.Op, fi.Addr, fi.Count)
 	}
-	return nil
-}
-
-// cmdShardBench runs the service-mode load driver and prints what it
-// measured. The virtual-MB/s figure depends on the (shards, clients,
-// ops, seed) tuple — host speed only perturbs it a couple of percent
-// through queue-arrival interleaving; wall time depends on the host.
-func cmdShardBench(args []string) error {
-	fs := flag.NewFlagSet("shardbench", flag.ContinueOnError)
-	shards := fs.Int("shards", 4, "number of shards")
-	clients := fs.Int("clients", 16, "concurrent client goroutines")
-	opsPer := fs.Int("ops", 150, "operations per client")
-	seed := fs.Int64("seed", 1, "workload RNG seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rep, err := shard.RunLoad(shard.LoadConfig{
-		Shards:       *shards,
-		Clients:      *clients,
-		OpsPerClient: *opsPer,
-		RunSectors:   16,
-		Seed:         *seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("shards=%d clients=%d ops=%d bytes=%d\n", rep.Shards, rep.Clients, rep.Ops, rep.Bytes)
-	fmt.Printf("virtual makespan:   %v\n", sim.Duration(rep.Virtual))
-	fmt.Printf("virtual throughput: %.1f MB/s\n", rep.VirtualMBps())
-	fmt.Printf("wall time:          %v\n", rep.Wall)
 	return nil
 }
 

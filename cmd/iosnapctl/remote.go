@@ -4,8 +4,6 @@ import (
 	"flag"
 	"fmt"
 
-	"time"
-
 	"iosnap/internal/sim"
 	"iosnap/internal/srv"
 )
@@ -54,10 +52,6 @@ func runRemote(addr, cmd string, args []string) error {
 		return remoteSnapRead(c, args)
 	case "stats":
 		return remoteStats(c)
-	case "loadgen":
-		// loadgen opens its own connections; the dialed one only proved
-		// the server is there.
-		return remoteLoadgen(addr, args)
 	case "shutdown":
 		if err := c.Shutdown(); err != nil {
 			return err
@@ -65,7 +59,7 @@ func runRemote(addr, cmd string, args []string) error {
 		fmt.Printf("%s is shutting down (it checkpoints and persists its images)\n", addr)
 		return nil
 	default:
-		return fmt.Errorf("verb %q is not available over -remote (want ping, write, read, trim, snap-create, snap-delete, snap-read, stats, loadgen, or shutdown)", cmd)
+		return fmt.Errorf("verb %q is not available over -remote (want ping, write, read, trim, snap-create, snap-delete, snap-read, stats, or shutdown)", cmd)
 	}
 }
 
@@ -191,41 +185,6 @@ func remoteStats(c *srv.Client) error {
 		fmt.Printf("view cache:         %d lookups, %.1f%% hit, %d live, %d expired, %d invalidated\n",
 			lookups, 100*float64(st.ViewCacheHits)/float64(lookups),
 			st.ViewCacheLive, st.ViewCacheExpiries, st.ViewCacheInvalidations)
-	}
-	return nil
-}
-
-// remoteLoadgen drives the wall-clock load generator against the server:
-// real connections, real pipelines, and a throughput report — ROADMAP's
-// "many client processes hammering the daemon" in one verb.
-func remoteLoadgen(addr string, args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
-	conns := fs.Int("conns", 4, "concurrent connections")
-	depth := fs.Int("depth", 16, "in-flight requests per connection (1 = serial)")
-	ops := fs.Int("ops", 5000, "requests per connection")
-	writePct := fs.Int("writepct", 20, "percent of ops that are writes")
-	snapPct := fs.Int("snappct", 0, "percent of ops that are snapshot create/read/delete")
-	sectors := fs.Int("sectors", 1, "sectors per read/write")
-	seed := fs.Int64("seed", 1, "op-mix RNG seed")
-	v1 := fs.Bool("v1", false, "force the serial v1 protocol (baseline)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rep, err := srv.RunLoad(srv.LoadConfig{
-		Addr: addr, Conns: *conns, Depth: *depth, Ops: *ops,
-		WritePct: *writePct, SnapPct: *snapPct, Sectors: *sectors,
-		Seed: *seed, V1: *v1,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("proto:       v%d, %d conns x depth %d\n", rep.Proto, rep.Conns, rep.Depth)
-	fmt.Printf("completed:   %d ops in %v\n", rep.Ops, rep.Wall.Round(time.Millisecond))
-	fmt.Printf("throughput:  %.0f ops/s, %.2f MB/s payload\n",
-		rep.OpsPerSec(), float64(rep.Bytes)/(1<<20)/rep.Wall.Seconds())
-	if rep.SnapCreates+rep.SnapReads+rep.SnapDeletes > 0 {
-		fmt.Printf("snapshots:   %d created, %d reads, %d deleted\n",
-			rep.SnapCreates, rep.SnapReads, rep.SnapDeletes)
 	}
 	return nil
 }

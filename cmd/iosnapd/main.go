@@ -26,11 +26,11 @@
 //	iosnapctl -remote 127.0.0.1:7621 stats
 //	iosnapctl -remote 127.0.0.1:7621 shutdown
 //
-// Connections negotiate wire protocol v2 and may keep up to -window
-// requests in flight each (old v1 clients keep working serially).
-// Activated snapshot views are cached server-side and expire after
-// -viewttl idle; -viewttl -1ns disables the cache. Measure throughput
-// with `iosnapctl -remote ADDR loadgen`.
+// A connection may keep up to -window requests in flight (the wire
+// protocol and its ordering contract: internal/srv/proto.go). Activated
+// snapshot views are cached server-side and expire after -viewttl idle;
+// -viewttl -1ns disables the cache. Measure throughput with the benchmark
+// (bench/README.md).
 package main
 
 import (

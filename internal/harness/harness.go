@@ -8,6 +8,7 @@
 package harness
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -242,8 +243,11 @@ func sparkline(ys []float64, width int) string {
 	return b.String()
 }
 
-// WriteCSV dumps every table and series of the report as CSV sections.
-func (r *Report) WriteCSV(w io.Writer) error {
+// WriteCSV dumps every table and series of the report as CSV sections. It
+// returns the first write error: the CSVs are a refactoring oracle, and a
+// short file must not pass for a result.
+func (r *Report) WriteCSV(out io.Writer) error {
+	w := bufio.NewWriter(out) // its error is sticky: Flush reports any failed write
 	for _, t := range r.Tables {
 		fmt.Fprintf(w, "# table,%s,%s\n", r.ID, csvEscape(t.Title))
 		fmt.Fprintln(w, strings.Join(mapSlice(t.Header, csvEscape), ","))
@@ -258,7 +262,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			fmt.Fprintf(w, "%g,%g\n", s.X[i], s.Y[i])
 		}
 	}
-	return nil
+	return w.Flush()
 }
 
 func csvEscape(s string) string {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -131,7 +132,14 @@ func TestCSVOutput(t *testing.T) {
 	if !strings.Contains(out, "1.5,2.5") {
 		t.Fatalf("series row missing: %s", out)
 	}
+	if err := r.WriteCSV(failingWriter{}); err == nil {
+		t.Fatal("WriteCSV swallowed a write error")
+	}
 }
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 func TestWorstWindowMean(t *testing.T) {
 	mk := func(times []int64, lats []int64) []sim.SeriesPoint {

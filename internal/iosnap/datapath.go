@@ -81,7 +81,7 @@ func (f *FTL) readVia(v *view, now sim.Time, lba int64, buf []byte) (completed i
 				addrs = append(addrs, nand.PageAddr(a))
 				secIdx = append(secIdx, i)
 			} else {
-				zeroSector(buf[i*ss : (i+1)*ss])
+				clear(buf[i*ss : (i+1)*ss])
 			}
 		}
 	} else {
@@ -93,7 +93,7 @@ func (f *FTL) readVia(v *view, now sim.Time, lba int64, buf []byte) (completed i
 				secIdx = append(secIdx, i)
 				found[i] = false // leave the scratch all-false for reuse
 			} else {
-				zeroSector(buf[i*ss : (i+1)*ss])
+				clear(buf[i*ss : (i+1)*ss])
 			}
 		}
 	}
@@ -376,10 +376,4 @@ func (f *FTL) lookupScratch(n int) ([]uint64, []bool) {
 		f.ws.found = make([]bool, n)
 	}
 	return f.ws.vals[:n], f.ws.found[:n]
-}
-
-func zeroSector(s []byte) {
-	for i := range s {
-		s[i] = 0
-	}
 }

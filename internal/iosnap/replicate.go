@@ -41,6 +41,10 @@ import (
 // and gcFixup re-points their collected entries exactly as it re-points
 // in-flight activations.
 
+// ErrBadExport reports an export that cannot be produced at all (the
+// device retains no payloads to ship).
+var ErrBadExport = errors.New("iosnap: malformed export stream")
+
 // ErrExportAborted is the terminal error of a cancelled or invalidated
 // export (e.g. its snapshot was deleted mid-export).
 var ErrExportAborted = errors.New("iosnap: export aborted")
@@ -76,6 +80,10 @@ type ExportOpts struct {
 	// unthrottled), like activation's rate limit.
 	Limit ratelimit.WorkSleep
 }
+
+// exportChunk is the export's read queue depth: how many block reads one
+// step posts to the device as a batch.
+const exportChunk = 256
 
 // expEntry is one page of the export's ship set.
 type expEntry struct {

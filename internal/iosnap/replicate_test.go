@@ -79,6 +79,10 @@ func TestFullReplicateBitIdentical(t *testing.T) {
 		t.Fatalf("manifest defines %d sectors, want %d", len(m.Writes), len(want))
 	}
 	checkReplica(t, dst, want)
+	// Sectors outside the image were cleared by trim, not written as zeros.
+	if dst.MappedSectors() != len(want) {
+		t.Fatalf("destination maps %d sectors, want %d", dst.MappedSectors(), len(want))
+	}
 
 	mism, _, err := VerifyReplica(dst, now, m)
 	if err != nil || len(mism) != 0 {
@@ -352,6 +356,62 @@ func TestDamagedStreamFailsAtomically(t *testing.T) {
 		buf := make([]byte, ss)
 		if _, err := dst.Read(now, 2, buf); err != nil || !bytes.Equal(buf, sentinel) {
 			t.Fatalf("%s: rejected stream mutated the destination", tc.name)
+		}
+	}
+}
+
+// TestImportRejectsGarbage: bytes that are no transfer stream at all are
+// refused, as retryable stream damage, before the destination is touched.
+func TestImportRejectsGarbage(t *testing.T) {
+	dst := newTestFTL(t)
+	for _, tc := range []struct {
+		junk []byte
+		want error
+	}{
+		{[]byte("junk"), xport.ErrTruncated},
+		{bytes.Repeat([]byte("not a transfer stream "), 4), xport.ErrBadStream},
+	} {
+		if _, _, err := ReceiveInto(dst, 0, tc.junk, ReceiveOpts{}); !errors.Is(err, tc.want) || !xport.Retryable(err) {
+			t.Fatalf("%d junk bytes: got %v, want %v", len(tc.junk), err, tc.want)
+		}
+	}
+	if dst.MappedSectors() != 0 || dst.Stats().Trims != 0 {
+		t.Fatal("a refused stream touched the destination")
+	}
+}
+
+// TestImportSectorSizeMismatch: a destination whose geometry cannot hold
+// the manifest's image is refused untouched, by the receive and by verify.
+func TestImportSectorSizeMismatch(t *testing.T) {
+	src, _, _, now := replPair(t, []int64{0, 1, 2}, 1)
+	snap, now, err := src.FrozenSnapshot(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, stream, now, err := src.ExportSync(now, ExportOpts{Snapshot: snap.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := testConfig()
+	small.Nand.SectorSize = 256
+	small.Nand.PagesPerSegment = 32
+	fewer := testConfig()
+	fewer.UserSectors = src.Sectors() / 2
+	for name, cfg := range map[string]Config{"smaller sectors": small, "fewer sectors": fewer} {
+		dst, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReceiveInto(dst, now, stream, ReceiveOpts{}); !errors.Is(err, ErrReplicaMismatch) {
+			t.Fatalf("%s: receive got %v, want ErrReplicaMismatch", name, err)
+		}
+		if dst.MappedSectors() != 0 {
+			t.Fatalf("%s: refused receive wrote to the destination", name)
+		}
+		if name == "smaller sectors" {
+			if _, _, err := VerifyReplica(dst, now, m); !errors.Is(err, ErrReplicaMismatch) {
+				t.Fatalf("%s: verify got %v, want ErrReplicaMismatch", name, err)
+			}
 		}
 	}
 }
@@ -682,4 +742,53 @@ func TestExportSurvivesGCMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkReplica(t, dst, want)
+}
+
+func TestDestageThenDeleteFreesFlash(t *testing.T) {
+	// The destage workflow: export a snapshot, delete it, verify the
+	// cleaner can then reclaim its blocks (the device keeps working under
+	// churn that would otherwise exhaust it).
+	f := newTestFTL(t)
+	ss := f.SectorSize()
+	now := sim.Time(0)
+	for lba := int64(0); lba < 100; lba++ {
+		f.sched.RunUntil(now)
+		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 1))
+	}
+	snap, now, _ := f.CreateSnapshot(now)
+	for lba := int64(0); lba < 100; lba++ {
+		f.sched.RunUntil(now)
+		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 2))
+	}
+	_, archive, now, err := f.ExportSync(now, ExportOpts{Snapshot: snap.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = f.DeleteSnapshot(now, snap.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Churn that needs the reclaimed space.
+	rng := sim.NewRNG(9)
+	for i := 0; i < 300; i++ {
+		f.sched.RunUntil(now)
+		lba := rng.Int63n(100)
+		d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i)))
+		if err != nil {
+			t.Fatalf("churn after destage: %v", err)
+		}
+		now = d
+	}
+	// And the archive still restores generation 1.
+	dst := newTestFTL(t)
+	_, now2, err := ReceiveInto(dst, 0, archive, ReceiveOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, ss)
+	if _, err := dst.Read(now2, 42, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, sectorPattern(ss, 42, 1)) {
+		t.Fatal("archive lost the snapshot contents")
+	}
 }

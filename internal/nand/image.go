@@ -11,39 +11,25 @@ import (
 	"io"
 )
 
-// Device images exist in two on-disk formats:
+// A device image is a magic string followed by CRC-framed chunks — one
+// header frame, one frame per *touched* segment, and an end frame carrying
+// totals. SaveImage emits it segment-at-a-time through any io.Writer and
+// LoadImage consumes it frame-at-a-time, so peak extra heap is O(one
+// segment), never O(device) — which is what lets a TB-class geometry
+// persist through an ordinary file handle. Untouched segments (never
+// programmed, never erased, healthy) are not framed at all, so a sparse
+// huge device images in O(touched) bytes. Every frame carries a CRC32 and
+// the end frame carries segment/page counts: a truncated, torn, or
+// bit-flipped image fails loudly, and no partial device is ever returned.
 //
-//   - The STREAMING format (version 4, current): a magic string followed by
-//     CRC-framed chunks — one header frame, one frame per *touched* segment,
-//     and an end frame carrying totals. SaveImage emits it segment-at-a-time
-//     through any io.Writer and LoadImage consumes it frame-at-a-time, so
-//     peak extra heap is O(one segment), never O(device) — which is what
-//     lets a TB-class geometry persist through an ordinary file handle.
-//     Untouched segments (never programmed, never erased, healthy) are not
-//     framed at all, so a sparse huge device images in O(touched) bytes.
-//     Every frame carries a CRC32 and the end frame carries segment/page
-//     counts: a truncated, torn, or bit-flipped image fails loudly, and no
-//     partial device is ever returned.
-//
-//   - The LEGACY gob format (versions 1-3): a gob stream of header plus one
-//     record per segment. LoadImage still reads it (detected by the absence
-//     of the streaming magic); nothing writes it anymore outside tests.
-//
-// Version history: version 2 added per-segment health (the grown-bad-block
-// table); version 1 images load with every segment healthy. Version 3 added
-// the checkpoint anchor; older images load with no anchor, which recovery
-// treats as "full scan required". Version 4 is the streaming format.
-const (
-	imageVersion       = 4
-	legacyImageVersion = 3
-)
+// This is format version 4, the only one read or written; a stream that
+// does not open with its magic is refused as corrupt.
+const imageVersion = 4
 
-// imageMagic begins every streaming image. Legacy gob images cannot start
-// with these bytes (a gob stream opens with a type definition whose first
-// byte is a small length), so format detection is a prefix check.
+// imageMagic begins every image.
 const imageMagic = "ioSnapImg4\n"
 
-// Streaming frame types.
+// Frame types.
 const (
 	frameHeader byte = 1 // gob-encoded imageHeader
 	frameSeg    byte = 2 // one touched segment, binary-encoded
@@ -60,28 +46,11 @@ const maxFramePayload = 1 << 30
 // frame, duplicate or out-of-range indices, or totals that do not add up.
 var ErrImageCorrupt = errors.New("nand: image corrupt")
 
-// imagePage is the serialized form of a programmed page.
-type imagePage struct {
-	Index int
-	OOB   [OOBSize]byte
-	FP    uint64
-	Data  []byte
-}
-
-type imageSegment struct {
-	Index    int
-	NextProg int
-	Erases   int
-	Health   Health // absent in v1 images; gob leaves it Healthy
-	Pages    []imagePage
-}
-
 type imageHeader struct {
 	Version int
 	Cfg     Config
 	Stats   Stats
-	// HasAnchor distinguishes "no checkpoint" from a zero-valued anchor;
-	// both fields are absent in pre-v3 images and gob leaves them zero.
+	// HasAnchor distinguishes "no checkpoint" from a zero-valued anchor.
 	HasAnchor bool
 	Anchor    Anchor
 }
@@ -94,8 +63,8 @@ func (s *segment) touched() bool {
 	return s.pages != nil || s.nextProg != 0 || s.erases != 0 || s.health != Healthy
 }
 
-// SaveImage serializes the device (configuration, wear, page contents) to w
-// in the streaming format. It buffers at most one segment frame at a time,
+// SaveImage serializes the device (configuration, wear, page contents) to
+// w. It buffers at most one segment frame at a time,
 // so the writer may be a plain file handle and the device may be TB-class.
 // Together with LoadImage it gives the CLI and the storage server
 // persistent device images across process lifetimes.
@@ -242,24 +211,24 @@ func readFrame(r io.Reader, payload *[]byte) (typ byte, body []byte, err error) 
 	return hdr[0], body, nil
 }
 
-// LoadImage reconstructs a device previously serialized with SaveImage. It
-// reads both formats: the streaming format (detected by its magic) and
-// legacy gob images. On any error — truncation, bit damage, duplicate or
+// LoadImage reconstructs a device previously serialized with SaveImage. On
+// any error — a missing magic, truncation, bit damage, duplicate or
 // out-of-range indices — no device is returned: a partially-reconstructed
 // device must never reach recovery.
 func LoadImage(r io.Reader) (*Device, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	peek, err := br.Peek(len(imageMagic))
-	if err == nil && string(peek) == imageMagic {
-		br.Discard(len(imageMagic))
-		return loadStreamImage(br)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("nand: reading image: %w", err)
 	}
-	// Not the streaming magic (or too short to hold it): legacy gob. The
-	// gob decoder produces the authoritative error for garbage input.
-	return loadLegacyImage(br)
+	if string(peek) != imageMagic {
+		return nil, fmt.Errorf("%w: stream does not open with the image magic", ErrImageCorrupt)
+	}
+	br.Discard(len(imageMagic))
+	return loadFrames(br)
 }
 
-func loadStreamImage(r io.Reader) (*Device, error) {
+func loadFrames(r io.Reader) (*Device, error) {
 	var scratch []byte
 	typ, body, err := readFrame(r, &scratch)
 	if err != nil {
@@ -276,7 +245,7 @@ func loadStreamImage(r io.Reader) (*Device, error) {
 		return nil, fmt.Errorf("nand: decoding image header: %w", err)
 	}
 	if hdr.Version != imageVersion {
-		return nil, fmt.Errorf("nand: streaming image version %d, want %d", hdr.Version, imageVersion)
+		return nil, fmt.Errorf("nand: image version %d, want %d", hdr.Version, imageVersion)
 	}
 	if err := hdr.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("nand: image has invalid config: %w", err)
@@ -405,93 +374,6 @@ func decodeSegmentFrame(d *Device, body []byte, seen map[int]bool) (pages int, e
 		return 0, fmt.Errorf("%w: segment %d frame has %d trailing bytes", ErrImageCorrupt, idx, rd.Len())
 	}
 	return nPages, nil
-}
-
-// saveImageLegacy writes the pre-v4 gob format. It exists so tests can
-// produce legacy images and prove both loaders reconstruct bit-identical
-// devices; production code always writes the streaming format.
-func (d *Device) saveImageLegacy(w io.Writer) error {
-	enc := gob.NewEncoder(w)
-	hdr := imageHeader{Version: legacyImageVersion, Cfg: d.cfg, Stats: d.stats}
-	if d.anchor != nil {
-		hdr.HasAnchor = true
-		hdr.Anchor = *d.anchor.clone()
-	}
-	if err := enc.Encode(hdr); err != nil {
-		return fmt.Errorf("nand: encoding image header: %w", err)
-	}
-	for i := range d.segs {
-		s := &d.segs[i]
-		is := imageSegment{Index: i, NextProg: s.nextProg, Erases: s.erases, Health: s.health}
-		for j := range s.pages {
-			p := &s.pages[j]
-			if p.state != pageProgrammed {
-				continue
-			}
-			is.Pages = append(is.Pages, imagePage{Index: j, OOB: p.oob, FP: p.fp, Data: p.data})
-		}
-		if err := enc.Encode(is); err != nil {
-			return fmt.Errorf("nand: encoding segment %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// loadLegacyImage reconstructs a device from a pre-v4 gob image.
-func loadLegacyImage(r io.Reader) (*Device, error) {
-	dec := gob.NewDecoder(r)
-	var hdr imageHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("nand: decoding image header: %w", err)
-	}
-	if hdr.Version < 1 || hdr.Version > legacyImageVersion {
-		return nil, fmt.Errorf("nand: image version %d, want 1..%d", hdr.Version, legacyImageVersion)
-	}
-	if err := hdr.Cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("nand: image has invalid config: %w", err)
-	}
-	d := New(hdr.Cfg)
-	d.stats = hdr.Stats
-	if hdr.HasAnchor {
-		d.anchor = hdr.Anchor.clone()
-	}
-	seen := make(map[int]bool, hdr.Cfg.Segments)
-	for i := 0; i < hdr.Cfg.Segments; i++ {
-		var is imageSegment
-		if err := dec.Decode(&is); err != nil {
-			return nil, fmt.Errorf("nand: decoding segment %d: %w", i, err)
-		}
-		if is.Index < 0 || is.Index >= hdr.Cfg.Segments {
-			return nil, fmt.Errorf("nand: image segment index %d out of range", is.Index)
-		}
-		if seen[is.Index] {
-			// A duplicated record would overwrite one segment twice and
-			// leave another fresh-from-New — a silently wrong device.
-			return nil, fmt.Errorf("%w: duplicate segment %d", ErrImageCorrupt, is.Index)
-		}
-		seen[is.Index] = true
-		s := &d.segs[is.Index]
-		s.nextProg = is.NextProg
-		s.erases = is.Erases
-		s.health = is.Health
-		if len(is.Pages) > 0 && s.pages == nil {
-			s.pages = make([]page, hdr.Cfg.PagesPerSegment)
-		}
-		prevPage := -1
-		for _, ip := range is.Pages {
-			if ip.Index <= prevPage || ip.Index >= hdr.Cfg.PagesPerSegment {
-				return nil, fmt.Errorf("%w: segment %d page index %d after %d",
-					ErrImageCorrupt, is.Index, ip.Index, prevPage)
-			}
-			prevPage = ip.Index
-			p := &s.pages[ip.Index]
-			p.state = pageProgrammed
-			p.oob = ip.OOB
-			p.fp = ip.FP
-			p.data = ip.Data
-		}
-	}
-	return d, nil
 }
 
 // StateDigest hashes the complete externally-observable device state:

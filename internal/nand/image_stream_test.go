@@ -2,7 +2,6 @@ package nand
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -44,43 +43,8 @@ func seededDevice(t *testing.T, cfg Config, seed int64) *Device {
 	return d
 }
 
-// TestImageFormatsBitIdentical is the cross-format oracle: a seeded device
-// saved through the legacy gob writer and through the streaming writer must
-// reload as bit-identical devices (equal StateDigest), both equal to the
-// original.
-func TestImageFormatsBitIdentical(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		cfg := testConfig()
-		cfg.Segments = 8
-		d := seededDevice(t, cfg, seed)
-		want := d.StateDigest()
-
-		var legacy, stream bytes.Buffer
-		if err := d.saveImageLegacy(&legacy); err != nil {
-			t.Fatalf("seed %d: legacy save: %v", seed, err)
-		}
-		if err := d.SaveImage(&stream); err != nil {
-			t.Fatalf("seed %d: streaming save: %v", seed, err)
-		}
-		dl, err := LoadImage(&legacy)
-		if err != nil {
-			t.Fatalf("seed %d: legacy load: %v", seed, err)
-		}
-		ds, err := LoadImage(&stream)
-		if err != nil {
-			t.Fatalf("seed %d: streaming load: %v", seed, err)
-		}
-		if got := dl.StateDigest(); got != want {
-			t.Fatalf("seed %d: legacy round-trip digest %#x, want %#x", seed, got, want)
-		}
-		if got := ds.StateDigest(); got != want {
-			t.Fatalf("seed %d: streaming round-trip digest %#x, want %#x", seed, got, want)
-		}
-	}
-}
-
 // TestImageFingerprintModeStream round-trips a fingerprint-only device
-// (data absent, dlen 0) through the streaming format.
+// (data absent, dlen 0) and compares the whole state, not just the page.
 func TestImageFingerprintModeStream(t *testing.T) {
 	cfg := testConfig()
 	cfg.StoreData = false
@@ -109,7 +73,7 @@ func TestImageFingerprintModeStream(t *testing.T) {
 	}
 }
 
-// TestLoadImageTruncatedPrefix: every proper prefix of a streaming image
+// TestLoadImageTruncatedPrefix: every proper prefix of an image
 // must fail cleanly — no partial device, no panic — whether the cut lands
 // mid-magic, mid-frame-header, mid-payload, mid-CRC, or between frames
 // (missing end frame).
@@ -167,25 +131,9 @@ func TestLoadImageBitDamage(t *testing.T) {
 	}
 }
 
-// craftLegacyImage builds a legacy gob image whose segment records are
-// produced by mutate — the hook for crafting malformed images the writer
-// would never emit.
-func craftLegacyImage(t *testing.T, d *Device, mutate func([]imageSegment) []imageSegment) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := d.saveImageLegacy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Re-encode from scratch: decode header + segments, mutate, re-emit.
-	hdr, segs := decodeLegacy(t, buf.Bytes(), d.cfg.Segments)
-	segs = mutate(segs)
-	return encodeLegacy(t, hdr, segs)
-}
-
-// TestLoadImageRejectsDuplicateSegment is the satellite regression: a
-// legacy image carrying the same segment index twice used to overwrite one
-// segment twice and leave another fresh-from-New with no error. Both
-// loaders must now reject it.
+// TestLoadImageRejectsDuplicateSegment: an image carrying the same segment
+// index twice would overwrite one segment twice and leave another
+// fresh-from-New. It is rejected, even though every frame checksums.
 func TestLoadImageRejectsDuplicateSegment(t *testing.T) {
 	cfg := testConfig()
 	d := New(cfg)
@@ -195,27 +143,13 @@ func TestLoadImageRejectsDuplicateSegment(t *testing.T) {
 		}
 	}
 
-	t.Run("legacy", func(t *testing.T) {
-		img := craftLegacyImage(t, d, func(segs []imageSegment) []imageSegment {
-			// Replace segment 2's record with a second copy of segment 1's:
-			// same record count, duplicate index — the old loader accepted
-			// this and left segment 2 empty.
-			segs[2] = segs[1]
-			return segs
-		})
-		dev, err := LoadImage(bytes.NewReader(img))
-		if !errors.Is(err, ErrImageCorrupt) {
-			t.Fatalf("duplicate-segment legacy image: %v (device %v)", err, dev != nil)
-		}
-	})
-
 	t.Run("streaming", func(t *testing.T) {
 		var buf bytes.Buffer
 		if err := d.SaveImage(&buf); err != nil {
 			t.Fatal(err)
 		}
-		// The streaming writer emits one frame per touched segment in index
-		// order; duplicate a middle segment frame wholesale (frames are
+		// The writer emits one frame per touched segment in index order;
+		// duplicate a middle segment frame wholesale (frames are
 		// self-checksummed, so the copy remains internally valid).
 		img := buf.Bytes()
 		frames := splitFrames(t, img)
@@ -231,7 +165,7 @@ func TestLoadImageRejectsDuplicateSegment(t *testing.T) {
 			crafted.Write(f)
 		}
 		if _, err := LoadImage(bytes.NewReader(crafted.Bytes())); !errors.Is(err, ErrImageCorrupt) {
-			t.Fatalf("duplicate-segment streaming image: %v", err)
+			t.Fatalf("duplicate-segment image: %v", err)
 		}
 	})
 }
@@ -261,11 +195,11 @@ func TestLoadImageRejectsBadEndCounts(t *testing.T) {
 	}
 }
 
-// splitFrames cuts a streaming image (past the magic) into whole frames.
+// splitFrames cuts an image (past the magic) into whole frames.
 func splitFrames(t *testing.T, img []byte) [][]byte {
 	t.Helper()
 	if !bytes.HasPrefix(img, []byte(imageMagic)) {
-		t.Fatal("not a streaming image")
+		t.Fatal("image does not open with the magic")
 	}
 	rest := img[len(imageMagic):]
 	var frames [][]byte
@@ -456,36 +390,4 @@ func TestImageTBClassAllocationBounds(t *testing.T) {
 	if d2.IsProgrammed(d2.Addr(cfg.Segments-1, 0)) {
 		t.Fatal("untouched segment materialized as programmed")
 	}
-}
-
-// decodeLegacy/encodeLegacy are crafting helpers for malformed-image tests.
-func decodeLegacy(t *testing.T, b []byte, nSegs int) (imageHeader, []imageSegment) {
-	t.Helper()
-	dec := gob.NewDecoder(bytes.NewReader(b))
-	var hdr imageHeader
-	if err := dec.Decode(&hdr); err != nil {
-		t.Fatal(err)
-	}
-	segs := make([]imageSegment, nSegs)
-	for i := 0; i < nSegs; i++ {
-		if err := dec.Decode(&segs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return hdr, segs
-}
-
-func encodeLegacy(t *testing.T, hdr imageHeader, segs []imageSegment) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(hdr); err != nil {
-		t.Fatal(err)
-	}
-	for i := range segs {
-		if err := enc.Encode(segs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
 }

@@ -2,6 +2,7 @@ package nand
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"testing"
 )
@@ -172,9 +173,22 @@ func TestImageAnchorPersists(t *testing.T) {
 	}
 }
 
+// TestLoadImageGarbage: a stream that does not open with the image magic is
+// refused as corrupt — text, nothing at all, and an image in the retired
+// gob format (a gob stream of the header, which is how such a file began).
 func TestLoadImageGarbage(t *testing.T) {
-	if _, err := LoadImage(bytes.NewReader([]byte("not an image"))); err == nil {
-		t.Fatal("garbage image accepted")
+	var gobImage bytes.Buffer
+	if err := gob.NewEncoder(&gobImage).Encode(imageHeader{Version: 3, Cfg: testConfig()}); err != nil {
+		t.Fatal(err)
+	}
+	for name, img := range map[string][]byte{
+		"text":      []byte("not an image"),
+		"empty":     nil,
+		"gob image": gobImage.Bytes(),
+	} {
+		if d, err := LoadImage(bytes.NewReader(img)); !errors.Is(err, ErrImageCorrupt) || d != nil {
+			t.Errorf("%s: LoadImage = %v, %v; want no device and ErrImageCorrupt", name, d, err)
+		}
 	}
 }
 

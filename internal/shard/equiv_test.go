@@ -11,12 +11,12 @@ import (
 	"iosnap/internal/sim"
 )
 
-// With one shard the router must be a pure pass-through: the same seeded
-// op mix driven through a Router{Shards:1} and through a bare iosnap.FTL
-// must agree bit-for-bit — per-op completion times, errors, Stats, device
-// Stats, and the full device image. This is the same lockstep discipline
-// the batched-vs-reference data-path equivalence test enforces, lifted to
-// the sharded front-end.
+// With one shard the front-end must be a pure pass-through: the same seeded
+// op mix driven through a Service{Shards:1} and through a bare iosnap.FTL
+// must agree bit-for-bit — per-op errors, payloads and completion times,
+// Stats, device Stats, and the full device image. This is the same lockstep
+// discipline the batched-vs-reference data-path equivalence test enforces,
+// lifted to the sharded front-end.
 
 func equivBase() iosnap.Config {
 	nc := nand.DefaultConfig()
@@ -124,44 +124,53 @@ func TestSingleShardLockstepEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			router, err := NewRouter(Config{Base: equivBase(), Shards: 1})
+			svc, err := NewService(Config{Base: equivBase(), Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
+			sh := &svc.shards[0]
 			ss := bare.SectorSize()
 			ops := genEquivOps(seed, bare.Sectors(), 250, 256)
 
+			// The bare FTL is driven by the service's own rule: run the
+			// scheduler up to the clock, issue the op at the clock, move the
+			// clock to the op's completion. A snapshot create first waits for
+			// the device to quiesce, as the barrier does.
 			now := sim.Time(0)
 			bbuf := make([]byte, 256*ss)
-			rbuf := make([]byte, 256*ss)
+			sbuf := make([]byte, 256*ss)
 			var liveSnaps []iosnap.SnapshotID
 			for i, op := range ops {
-				var bd, rd sim.Time
-				var be, re error
+				if op.kind == 's' {
+					now = max(now, bare.Device().BusyUntil())
+				}
+				bare.Scheduler().RunUntil(now)
+				done := now
+				var be, se error
 				switch op.kind {
 				case 'w':
 					data := runPattern(ss, op.lba, op.n, op.ver)
-					bd, be = bare.Write(now, op.lba, data)
-					rd, re = router.Write(now, op.lba, data)
+					done, be = bare.Write(now, op.lba, data)
+					se = svc.Write(op.lba, data)
 				case 'r':
-					bd, be = bare.Read(now, op.lba, bbuf[:op.n*ss])
-					rd, re = router.Read(now, op.lba, rbuf[:op.n*ss])
-					if string(bbuf[:op.n*ss]) != string(rbuf[:op.n*ss]) {
+					done, be = bare.Read(now, op.lba, bbuf[:op.n*ss])
+					se = svc.Read(op.lba, sbuf[:op.n*ss])
+					if be == nil && string(bbuf[:op.n*ss]) != string(sbuf[:op.n*ss]) {
 						t.Fatalf("op %d (%c lba=%d n=%d): payload mismatch", i, op.kind, op.lba, op.n)
 					}
 				case 't':
-					bd, be = bare.Trim(now, op.lba, int64(op.n))
-					rd, re = router.Trim(now, op.lba, int64(op.n))
+					done, be = bare.Trim(now, op.lba, int64(op.n))
+					se = svc.Trim(op.lba, int64(op.n))
 				case 's':
 					var bs *iosnap.Snapshot
-					var rid iosnap.SnapshotID
-					bs, bd, be = bare.CreateSnapshot(now)
-					rid, rd, re = router.CreateSnapshot(now)
-					if be == nil {
-						if bs.ID != rid {
-							t.Fatalf("op %d: snapshot IDs diverge: %d vs %d", i, bs.ID, rid)
+					var sid iosnap.SnapshotID
+					bs, done, be = bare.CreateSnapshot(now)
+					sid, se = svc.CreateSnapshot()
+					if be == nil && se == nil {
+						if bs.ID != sid {
+							t.Fatalf("op %d: snapshot IDs diverge: %d vs %d", i, bs.ID, sid)
 						}
-						liveSnaps = append(liveSnaps, rid)
+						liveSnaps = append(liveSnaps, sid)
 					}
 				case 'd':
 					if len(liveSnaps) == 0 {
@@ -169,45 +178,40 @@ func TestSingleShardLockstepEquivalence(t *testing.T) {
 					}
 					id := liveSnaps[0]
 					liveSnaps = liveSnaps[1:]
-					bd, be = bare.DeleteSnapshot(now, id)
-					rd, re = router.DeleteSnapshot(now, id)
+					done, be = bare.DeleteSnapshot(now, id)
+					se = svc.DeleteSnapshot(id)
 				}
-				if (be == nil) != (re == nil) {
-					t.Fatalf("op %d (%c lba=%d n=%d): bare err %v, router err %v", i, op.kind, op.lba, op.n, be, re)
+				if (be == nil) != (se == nil) {
+					t.Fatalf("op %d (%c lba=%d n=%d): bare err %v, service err %v", i, op.kind, op.lba, op.n, be, se)
 				}
-				if bd != rd {
-					t.Fatalf("op %d (%c lba=%d n=%d): bare done %d, router done %d (Δ %d)",
-						i, op.kind, op.lba, op.n, bd, rd, bd.Sub(rd))
+				now = max(now, done)
+				if sh.vnow != now {
+					t.Fatalf("op %d (%c lba=%d n=%d): bare done %d, service clock %d (Δ %d)",
+						i, op.kind, op.lba, op.n, now, sh.vnow, now.Sub(sh.vnow))
 				}
-				if bd > now {
-					now = bd
-				}
-				bare.Scheduler().RunUntil(now)
-				router.RunUntil(now)
 			}
 
-			// The pass-through must not have spent anything on front-end
-			// machinery: no splits, no barriers, no bus waits.
-			if rs := router.Stats(); rs != (RouterStats{}) {
-				t.Fatalf("single-shard router accrued front-end stats: %+v", rs)
+			if bs, ss2 := bare.Stats(), sh.f.Stats(); bs != ss2 {
+				t.Fatalf("Stats diverge:\nbare:    %+v\nservice: %+v", bs, ss2)
 			}
-			bs, ss2 := bare.Stats(), router.Shard(0).Stats()
-			if bs != ss2 {
-				t.Fatalf("Stats diverge:\nbare:   %+v\nrouter: %+v", bs, ss2)
+			if bdev, sdev := bare.Device().Stats(), sh.f.Device().Stats(); bdev != sdev {
+				t.Fatalf("device Stats diverge:\nbare:    %+v\nservice: %+v", bdev, sdev)
 			}
-			if bdev, rdev := bare.Device().Stats(), router.Shard(0).Device().Stats(); bdev != rdev {
-				t.Fatalf("device Stats diverge:\nbare:   %+v\nrouter: %+v", bdev, rdev)
-			}
-			if bdig, rdig := deviceDigest(t, bare.Device()), deviceDigest(t, router.Shard(0).Device()); bdig != rdig {
+			if bdig, sdig := deviceDigest(t, bare.Device()), deviceDigest(t, sh.f.Device()); bdig != sdig {
 				t.Fatal("device images diverge")
 			}
-			if err := router.CheckInvariants(); err != nil {
+			if err := svc.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
+			// Close drains the scheduler, then checkpoints at the final clock.
+			now = max(now, bare.Scheduler().Drain(now))
 			bd, be := bare.Close(now)
-			rd, re := router.Close(now)
-			if (be == nil) != (re == nil) || bd != rd {
-				t.Fatalf("Close diverges: %v/%v at %d/%d", be, re, bd, rd)
+			se := svc.Close()
+			if (be == nil) != (se == nil) || max(now, bd) != sh.vnow {
+				t.Fatalf("Close diverges: %v/%v at %d/%d", be, se, max(now, bd), sh.vnow)
+			}
+			if bdig, sdig := deviceDigest(t, bare.Device()), deviceDigest(t, sh.f.Device()); bdig != sdig {
+				t.Fatal("device images diverge after Close")
 			}
 		})
 	}

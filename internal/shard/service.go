@@ -12,8 +12,10 @@ import (
 	"iosnap/internal/sim"
 )
 
-// Service is the real-goroutine execution mode of the sharded front-end.
-// It starts no goroutines for data ops: an operation runs to completion on
+// ErrClosed is returned once the service has been closed.
+var ErrClosed = errors.New("shard: closed")
+
+// Service is the sharded front-end. It starts no goroutines for data ops: an operation runs to completion on
 // its caller's goroutine, under the mutex of the shard it touches, so only
 // requests to the same shard serialize.
 //
@@ -251,7 +253,7 @@ func (s *Service) Trim(lba, n int64) error {
 	return s.io(ioTrim, nil, lba, n, nil)
 }
 
-// CreateSnapshot is the service-mode barrier: with every shard locked (so
+// CreateSnapshot is the barrier: with every shard locked (so
 // no op is half-executed — see the synchronization model above) it
 // computes the consistent freeze instant across all shard clocks and
 // devices, and logs the create note on every shard at that instant. All

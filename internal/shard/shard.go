@@ -10,22 +10,14 @@
 // is split at shard boundaries and the pieces proceed independently; two
 // requests to different shards never contend on host-side state.
 //
-// Two execution modes share the same partitioning:
-//
-//   - Router is the deterministic virtual-time mode: a single caller
-//     drives it exactly like an unsharded FTL, and shard overlap is
-//     *modeled* — pieces of a request are submitted to their shards at the
-//     same virtual instant, and each shard's NAND channels/buses queue the
-//     work independently (the per-channel busy-time accounting
-//     internal/nand already performs). With Shards=1 the Router is a pure
-//     pass-through: bit-exact against the unsharded FTL in device state,
-//     Stats, and virtual completion times (the equivalence tests demand
-//     it).
-//
-//   - Service is the real-goroutine mode the daemon serves: an op runs on
-//     its caller's goroutine under a mutex per shard, many callers run
-//     concurrently, and the per-shard virtual clocks advance
-//     independently. It is clean under -race.
+// Service is the front-end: an op runs on its caller's goroutine under a
+// mutex per shard, many callers run concurrently, and the per-shard virtual
+// clocks advance independently. Shard overlap in virtual time falls out of
+// the shards' independent NAND resources (the per-channel busy-time
+// accounting internal/nand already performs). Driven from one goroutine it
+// is deterministic, and with Shards=1 it is bit-exact against the unsharded
+// FTL in device state and Stats (the equivalence test demands it). It is
+// clean under -race.
 //
 // Cross-shard machinery:
 //
@@ -33,8 +25,8 @@
 //     instant (the maximum quiescence horizon across shard devices —
 //     nand.Device.BusyUntil), a create note lands in every shard's log at
 //     that instant, and the per-shard snapshot IDs are verified identical.
-//     In service mode the barrier additionally holds every shard's lock,
-//     so no op is half-executed when it freezes.
+//     The barrier holds every shard's lock, so no op is half-executed when
+//     it freezes.
 //
 //   - Background cleaning draws from a global budget: a Governor token
 //     gate (iosnap.Config.GCGate) caps how many shards clean concurrently,
@@ -45,11 +37,6 @@
 //   - The rescue reserve is a global budget distributed across shards:
 //     Config.Base.RescueReserve segments total, round-robin, so sharding
 //     does not multiply the held-back space.
-//
-//   - An optional shared interconnect (Config.InterconnectMBps) models the
-//     host link all shards share: request payloads serialize over one bus
-//     before fanning out to per-shard NAND. Zero disables it (required
-//     for Shards=1 bit-exactness).
 package shard
 
 import (
@@ -77,14 +64,6 @@ type Config struct {
 	// serializes sequential streams on one shard.
 	StripeSectors int64
 
-	// InterconnectReadMBps/InterconnectWriteMBps model the shared host
-	// link between the front-end and the shards: read completions and
-	// write payloads serialize over it before/after fanning out. 0
-	// disables a direction (the default, and required for Shards=1
-	// lockstep equivalence with the unsharded FTL).
-	InterconnectReadMBps  int
-	InterconnectWriteMBps int
-
 	// GCConcurrency caps how many shards may run *background* cleaning at
 	// once (the global GC budget). 0 = unlimited (no gate installed).
 	GCConcurrency int
@@ -101,7 +80,7 @@ func DefaultConfig(nc nand.Config, shards int) Config {
 }
 
 // Validate checks shard-level consistency (per-shard configs are validated
-// again by iosnap.New when the router is built).
+// again by iosnap.New when the service is built).
 func (c Config) Validate() error {
 	if c.Shards < 1 {
 		return fmt.Errorf("shard: Shards %d must be at least 1", c.Shards)
@@ -118,9 +97,6 @@ func (c Config) Validate() error {
 	if c.StripeSectors > 0 && c.Base.UserSectors%(c.StripeSectors*int64(c.Shards)) != 0 {
 		return fmt.Errorf("shard: UserSectors %d not divisible by stripe %d x %d shards",
 			c.Base.UserSectors, c.StripeSectors, c.Shards)
-	}
-	if c.InterconnectReadMBps < 0 || c.InterconnectWriteMBps < 0 {
-		return fmt.Errorf("shard: interconnect bandwidth must not be negative")
 	}
 	if c.GCConcurrency < 0 {
 		return fmt.Errorf("shard: GCConcurrency %d must not be negative", c.GCConcurrency)
@@ -229,7 +205,7 @@ func (c *Config) extents(lba, n int64, out []extent) []extent {
 
 // Governor is the global background-GC budget: a token gate shared by
 // every shard's cleaner (installed as iosnap.Config.GCGate). It is safe
-// for concurrent use, so the same governor serves both execution modes.
+// for concurrent use.
 type Governor struct {
 	mu       sync.Mutex
 	capacity int

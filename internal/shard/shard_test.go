@@ -1,17 +1,14 @@
 package shard
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"iosnap/internal/iosnap"
-	"iosnap/internal/ratelimit"
-	"iosnap/internal/sim"
 )
-
-// noLimit is an unthrottled activation budget.
-var noLimit = ratelimit.WorkSleep{}
 
 // multiBase is a 4-shard-friendly base: 768 user sectors leave each shard
 // two spare segments for cleaning headroom.
@@ -32,7 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{"sectors not divisible", func(c *Config) { c.Base.UserSectors = 770 }, "not divisible"},
 		{"stripe misaligned", func(c *Config) { c.StripeSectors = 7 }, "stripe"},
 		{"negative stripe", func(c *Config) { c.StripeSectors = -1 }, "negative"},
-		{"negative bus", func(c *Config) { c.InterconnectReadMBps = -1 }, "bandwidth"},
 		{"negative gc", func(c *Config) { c.GCConcurrency = -1 }, "GCConcurrency"},
 	} {
 		cfg := multiConfig(4, 32)
@@ -105,43 +101,50 @@ func TestDistributeConservesBudget(t *testing.T) {
 	}
 }
 
+// The tests below drive a Service from one goroutine, which makes every
+// virtual time in them deterministic.
+
 func TestShardedWriteReadTrimRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		stripe int64
 	}{{"contiguous", 0}, {"striped", 32}} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := NewRouter(multiConfig(4, tc.stripe))
+			svc, err := NewService(multiConfig(4, tc.stripe))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss := r.SectorSize()
-			now := sim.Time(0)
+			ss := svc.SectorSize()
 			// Runs of 100 sectors deliberately straddle both stripe and
 			// contiguous shard boundaries.
-			for lba := int64(0); lba+100 <= r.Sectors(); lba += 100 {
-				if now, err = r.Write(now, lba, runPattern(ss, lba, 100, 1)); err != nil {
+			if len(svc.cfg.extents(100, 100, nil)) < 2 {
+				t.Fatal("workload never crosses a shard boundary")
+			}
+			for lba := int64(0); lba+100 <= svc.Sectors(); lba += 100 {
+				if err := svc.Write(lba, runPattern(ss, lba, 100, 1)); err != nil {
 					t.Fatalf("write lba %d: %v", lba, err)
 				}
-				r.RunUntil(now)
 			}
 			buf := make([]byte, 100*ss)
-			for lba := int64(0); lba+100 <= r.Sectors(); lba += 100 {
-				if now, err = r.Read(now, lba, buf); err != nil {
+			for lba := int64(0); lba+100 <= svc.Sectors(); lba += 100 {
+				if err := svc.Read(lba, buf); err != nil {
 					t.Fatalf("read lba %d: %v", lba, err)
 				}
 				if string(buf) != string(runPattern(ss, lba, 100, 1)) {
 					t.Fatalf("payload mismatch at lba %d", lba)
 				}
 			}
-			if st := r.Stats(); st.SplitOps == 0 || st.Pieces <= st.Ops {
-				t.Fatalf("workload never crossed a shard boundary: %+v", st)
+			stats, _ := svc.ShardStats()
+			for i, st := range stats {
+				if st.UserWrites == 0 {
+					t.Fatalf("shard %d received no writes", i)
+				}
 			}
 			// Trim a boundary-straddling run; it must read back as zeros.
-			if now, err = r.Trim(now, 150, 100); err != nil {
+			if err := svc.Trim(150, 100); err != nil {
 				t.Fatal(err)
 			}
-			if now, err = r.Read(now, 150, buf); err != nil {
+			if err := svc.Read(150, buf); err != nil {
 				t.Fatal(err)
 			}
 			for i, c := range buf {
@@ -149,13 +152,13 @@ func TestShardedWriteReadTrimRoundTrip(t *testing.T) {
 					t.Fatalf("trimmed sector not zero at byte %d", i)
 				}
 			}
-			if err := r.CheckInvariants(); err != nil {
+			if err := svc.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Close(now); err != nil {
+			if err := svc.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Close(now); err != ErrClosed {
+			if err := svc.Close(); !errors.Is(err, ErrClosed) {
 				t.Fatalf("second Close: got %v, want ErrClosed", err)
 			}
 		})
@@ -164,74 +167,77 @@ func TestShardedWriteReadTrimRoundTrip(t *testing.T) {
 
 // TestSnapshotBarrier: a multi-shard snapshot is one consistent image —
 // same ID on every shard, taken at a single instant no earlier than any
-// shard's in-flight NAND work, readable across shard boundaries after
-// the active view moves on.
+// shard's clock or in-flight NAND work, readable across shard boundaries
+// after the active view moves on.
 func TestSnapshotBarrier(t *testing.T) {
-	r, err := NewRouter(multiConfig(4, 32))
+	svc, err := NewService(multiConfig(4, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := r.SectorSize()
-	now := sim.Time(0)
-	if now, err = r.Write(now, 0, runPattern(ss, 0, 256, 1)); err != nil {
+	defer svc.Close()
+	ss := svc.SectorSize()
+	if err := svc.Write(0, runPattern(ss, 0, 256, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot while shard NAND is still busy: the barrier must wait.
-	id, done, err := r.CreateSnapshot(now / 2)
+	// An extra write leaves one shard's clock ahead of the others': the
+	// barrier must wait for it.
+	if err := svc.Write(0, runPattern(ss, 0, 8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	_, before := svc.ShardStats()
+	if slices.Min(before) == slices.Max(before) {
+		t.Fatalf("shard clocks not skewed before the barrier: %v", before)
+	}
+	id, err := svc.CreateSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done < now {
-		t.Fatalf("snapshot completed at %d, before in-flight writes at %d", done, now)
-	}
-	st := r.Stats()
-	if st.Barriers != 1 || st.BarrierWait <= 0 {
-		t.Fatalf("barrier not exercised: %+v", st)
-	}
-	now = done
 	// Every shard's tree must list the same ID, created at the same time.
-	var createdAt sim.Time
-	for i := 0; i < r.Shards(); i++ {
-		snaps := r.Shard(i).Snapshots()
+	createdAt := svc.shards[0].f.Snapshots()[0].CreatedAt
+	if createdAt < slices.Max(before) {
+		t.Fatalf("snapshot froze at %d, before the furthest shard clock %d", createdAt, slices.Max(before))
+	}
+	for i := range svc.shards {
+		snaps := svc.shards[i].f.Snapshots()
 		if len(snaps) != 1 || snaps[0].ID != id {
 			t.Fatalf("shard %d tree diverges: %+v", i, snaps)
 		}
-		if i == 0 {
-			createdAt = snaps[0].CreatedAt
-		} else if snaps[0].CreatedAt != createdAt {
+		if snaps[0].CreatedAt != createdAt {
 			t.Fatalf("shard %d froze at %d, shard 0 at %d", i, snaps[0].CreatedAt, createdAt)
+		}
+		if svc.shards[i].vnow < createdAt {
+			t.Fatalf("shard %d clock %d left behind the barrier at %d", i, svc.shards[i].vnow, createdAt)
 		}
 	}
 	// Diverge the active view, then read the old data through the
 	// composed activation.
-	if now, err = r.Write(now, 0, runPattern(ss, 0, 256, 2)); err != nil {
+	if err := svc.Write(0, runPattern(ss, 0, 256, 2)); err != nil {
 		t.Fatal(err)
 	}
-	view, done, err := r.ActivateSync(now, id, noLimit, false)
+	view, err := svc.ActivateSync(id, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	now = done
 	buf := make([]byte, 256*ss)
-	if now, err = view.Read(now, 0, buf); err != nil {
+	if err := view.Read(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != string(runPattern(ss, 0, 256, 1)) {
 		t.Fatal("snapshot view does not show the frozen image")
 	}
-	if now, err = view.Deactivate(now); err != nil {
+	if err := view.Deactivate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.SnapshotIDs()) != 1 {
-		t.Fatalf("SnapshotIDs = %v", r.SnapshotIDs())
+	if n := svc.LiveSnapshots(); n != 1 {
+		t.Fatalf("LiveSnapshots = %d, want 1", n)
 	}
-	if now, err = r.DeleteSnapshot(now, id); err != nil {
+	if err := svc.DeleteSnapshot(id); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.SnapshotIDs()) != 0 {
-		t.Fatal("deleted snapshot still listed")
+	if n := svc.LiveSnapshots(); n != 0 {
+		t.Fatalf("deleted snapshot still counted: LiveSnapshots = %d", n)
 	}
-	if err := r.CheckInvariants(); err != nil {
+	if err := svc.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -239,33 +245,32 @@ func TestSnapshotBarrier(t *testing.T) {
 // TestSnapshotIDsStayAligned: creates and deletes interleaved with writes
 // keep every shard's ID sequence identical.
 func TestSnapshotIDsStayAligned(t *testing.T) {
-	r, err := NewRouter(multiConfig(4, 32))
+	svc, err := NewService(multiConfig(4, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := r.SectorSize()
-	now := sim.Time(0)
+	defer svc.Close()
+	ss := svc.SectorSize()
 	var ids []iosnap.SnapshotID
 	for k := 0; k < 5; k++ {
-		if now, err = r.Write(now, int64(k*64), runPattern(ss, int64(k*64), 64, byte(k+1))); err != nil {
+		if err := svc.Write(int64(k*64), runPattern(ss, int64(k*64), 64, byte(k+1))); err != nil {
 			t.Fatal(err)
 		}
-		id, done, err := r.CreateSnapshot(now)
+		id, err := svc.CreateSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		now = done
 		ids = append(ids, id)
 	}
-	if now, err = r.DeleteSnapshot(now, ids[2]); err != nil {
+	if err := svc.DeleteSnapshot(ids[2]); err != nil {
 		t.Fatal(err)
 	}
-	live := r.SnapshotIDs()
-	if len(live) != 4 {
-		t.Fatalf("live snapshots: %v", live)
+	if n := svc.LiveSnapshots(); n != 4 {
+		t.Fatalf("live snapshots: %d, want 4", n)
 	}
-	for i := 1; i < r.Shards(); i++ {
-		a, b := r.Shard(0).Snapshots(), r.Shard(i).Snapshots()
+	a := svc.shards[0].f.Snapshots()
+	for i := 1; i < svc.Shards(); i++ {
+		b := svc.shards[i].f.Snapshots()
 		if len(a) != len(b) {
 			t.Fatalf("shard %d tree size %d vs %d", i, len(b), len(a))
 		}
@@ -305,84 +310,53 @@ func TestGovernorTokenGate(t *testing.T) {
 	}
 }
 
+// drainBackground runs every shard's scheduler dry, with no caller in
+// flight: a token check before it would count a clean that is still running
+// and holds its token legitimately.
+func drainBackground(svc *Service) {
+	for i := range svc.shards {
+		sh := &svc.shards[i]
+		sh.advance(sh.f.Scheduler().Drain(sh.vnow))
+	}
+}
+
 // TestGovernedCleaning: heavy overwrite churn across 4 shards with a
 // global GC budget of 1 still cleans (granted tokens, completed runs) and
 // never leaks a token.
 func TestGovernedCleaning(t *testing.T) {
 	cfg := multiConfig(4, 32)
 	cfg.GCConcurrency = 1
-	r, err := NewRouter(cfg)
+	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := r.SectorSize()
-	now := sim.Time(0)
+	defer svc.Close()
+	ss := svc.SectorSize()
 	for round := 0; round < 20; round++ {
-		for lba := int64(0); lba+128 <= r.Sectors(); lba += 128 {
-			if now, err = r.Write(now, lba, runPattern(ss, lba, 128, byte(round+1))); err != nil {
+		for lba := int64(0); lba+128 <= svc.Sectors(); lba += 128 {
+			if err := svc.Write(lba, runPattern(ss, lba, 128, byte(round+1))); err != nil {
 				t.Fatalf("round %d lba %d: %v", round, lba, err)
 			}
-			r.RunUntil(now)
 		}
 	}
-	now = r.Drain(now)
+	drainBackground(svc)
 	var gcRuns int64
-	for _, st := range r.ShardStats() {
+	stats, _ := svc.ShardStats()
+	for _, st := range stats {
 		gcRuns += st.GCRuns
 	}
 	if gcRuns == 0 {
 		t.Fatal("churn workload never cleaned")
 	}
-	granted, _ := r.Governor().Counts()
+	granted, _ := svc.Governor().Counts()
 	if granted == 0 {
 		t.Fatal("governed cleaning never acquired a token")
 	}
-	if r.Governor().InUse() != 0 {
-		t.Fatalf("token leaked: InUse = %d", r.Governor().InUse())
+	if svc.Governor().InUse() != 0 {
+		t.Fatalf("token leaked: InUse = %d", svc.Governor().InUse())
 	}
-	if err := r.CheckInvariants(); err != nil {
+	if err := svc.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestInterconnectSerializes: with a shared write bus configured, two
-// back-to-back writes at the same instant finish later than they would
-// with infinite interconnect bandwidth.
-func TestInterconnectSerializes(t *testing.T) {
-	free, err := NewRouter(multiConfig(4, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := multiConfig(4, 32)
-	cfg.InterconnectWriteMBps = 100
-	cfg.InterconnectReadMBps = 100
-	bused, err := NewRouter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := free.SectorSize()
-	data := runPattern(ss, 0, 256, 1)
-	d1, err := free.Write(0, 0, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := bused.Write(0, 0, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2 <= d1 {
-		t.Fatalf("bus-charged write done %d, free write done %d", d2, d1)
-	}
-	if bused.Stats().BusWait != 0 {
-		t.Fatalf("first transfer should not wait, got %v", bused.Stats().BusWait)
-	}
-	// Issue a second write at time zero: it must queue behind the first
-	// transfer on the shared link.
-	if _, err := bused.Write(0, 256, data); err != nil {
-		t.Fatal(err)
-	}
-	if bused.Stats().BusWait <= 0 {
-		t.Fatal("second transfer did not queue on the shared interconnect")
 	}
 }
 
@@ -397,16 +371,9 @@ func TestHugeRunRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRouter(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, n := range []int64{math.MaxInt64, math.MaxInt64 - 1, svc.Sectors()} {
 			if err := svc.Trim(1, n); err == nil || !strings.Contains(err.Error(), "out of range") {
 				t.Fatalf("stripe %d: Service.Trim(1, %d) = %v, want out of range", stripe, n, err)
-			}
-			if _, err := r.Trim(0, 1, n); err == nil || !strings.Contains(err.Error(), "out of range") {
-				t.Fatalf("stripe %d: Router.Trim(1, %d) = %v, want out of range", stripe, n, err)
 			}
 		}
 		if err := svc.Trim(1, svc.Sectors()-1); err != nil {

@@ -157,6 +157,7 @@ func TestServiceStorm(t *testing.T) {
 	if svc.MaxVirtualTime() <= 0 {
 		t.Fatal("no virtual time elapsed")
 	}
+	drainBackground(svc)
 	if g := svc.Governor(); g.InUse() != 0 {
 		t.Fatalf("GC token leaked: %d", g.InUse())
 	}

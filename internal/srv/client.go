@@ -10,30 +10,25 @@ import (
 	"sync"
 )
 
-// Client speaks the block protocol to a Server over one connection. Dial
-// negotiates protocol v2 when the server supports it: the client then
+// Client speaks the block protocol to a Server over one connection. It
 // keeps many tagged requests in flight (a background reader demuxes
 // responses by tag) and the Go* methods expose the pipeline explicitly —
-// issue several calls, then Wait them. The plain blocking methods are
-// thin submit-and-wait wrappers and remain safe for concurrent use from
-// any number of goroutines. Against a v1-only server the client falls
-// back to the serial protocol transparently (every call then holds the
-// connection for its round-trip, exactly the old behavior).
+// issue several calls, then Wait them. The plain blocking methods are thin
+// submit-and-wait wrappers and remain safe for concurrent use from any
+// number of goroutines.
 type Client struct {
 	conn   net.Conn
-	br     *bufio.Reader // the reader goroutine's on v2, the caller's under wmu on v1
-	v2     bool
+	br     *bufio.Reader // the reader goroutine's
 	window int
 
-	// Write side. On v2, frames accumulate in bw and flush when a caller
-	// is about to block (Wait, or do stalling on a full window), so a
-	// burst of pipelined requests coalesces into few syscalls. On v1, wmu
-	// is held for a whole round-trip: one at a time.
+	// Write side. Frames accumulate in bw and flush when a caller is about
+	// to block (Wait, or do stalling on a full window), so a burst of
+	// pipelined requests coalesces into few syscalls.
 	wmu sync.Mutex
 	bw  *bufio.Writer
 
-	// v2 demux state. A tag is an index into slots; free holds the tags
-	// not in flight, so it is also the window semaphore.
+	// Demux state. A tag is an index into slots; free holds the tags not in
+	// flight, so it is also the window semaphore.
 	free  chan uint32
 	pmu   sync.Mutex
 	slots []*Call
@@ -45,17 +40,12 @@ type Client struct {
 
 // DialOptions tunes the connection handshake.
 type DialOptions struct {
-	// ForceV1 skips version negotiation and speaks the serial v1
-	// protocol, byte-for-byte what pre-v2 clients sent. Useful as a
-	// baseline in benchmarks and to exercise the server's v1 path.
-	ForceV1 bool
 	// Window caps this client's in-flight pipelined requests. Zero asks
 	// for the package default; the server may grant less.
 	Window int
 }
 
-// Dial connects to a server, negotiating the newest protocol both sides
-// speak.
+// Dial connects to a server with the default window.
 func Dial(addr string) (*Client, error) {
 	return DialOpts(addr, DialOptions{})
 }
@@ -67,48 +57,50 @@ func DialOpts(addr string, o DialOptions) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, connBuf), bw: bufio.NewWriterSize(conn, connBuf)}
-	if o.ForceV1 {
-		return c, nil
-	}
 	want := o.Window
 	if want <= 0 {
 		want = defaultWindow
 	}
-	if err := c.negotiate(want); err != nil {
+	if err := c.handshake(want); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// negotiate sends the hello and interprets the answer: a v2 server grants
-// a window and the connection switches to tagged framing; a v1 server
-// reports an in-band "unknown op" error, which downgrades the client to
-// serial mode on the same connection.
-func (c *Client) negotiate(wantWindow int) error {
-	status, resp, err := c.call1(opHello, helloArgs(wantWindow), nil)
-	if err != nil {
+// handshake exchanges the connection's two untagged frames: it sends the
+// hello and requires the server's acknowledgement, which grants a window.
+// Any other answer — an in-band refusal included — is an error: there is
+// no other protocol to fall back to.
+func (c *Client) handshake(wantWindow int) error {
+	var hello [4 + helloLen]byte
+	binary.BigEndian.PutUint32(hello[:], uint32(helloLen))
+	hello[4] = opHello
+	h := helloArgs(wantWindow)
+	copy(hello[5:], h.b[:h.n])
+	if _, err := c.conn.Write(hello[:]); err != nil {
 		return err
 	}
-	defer putBuf(resp)
-	if status == statusErr {
-		// A v1 server does not know the hello op; stay serial.
-		return nil
+	var ack [13]byte // [u32 len][u8 status][u32 version][u32 window]
+	if _, err := io.ReadFull(c.br, ack[:5]); err != nil {
+		return err
 	}
-	if status != statusOK || len(resp) != 8 {
-		return fmt.Errorf("srv: malformed hello response (%d bytes, status %d)", len(resp), status)
+	if n, status := be32(ack[:]), ack[4]; n != 9 || status != statusOK {
+		return fmt.Errorf("srv: peer refused the hello (%d-byte answer, status %d)", n, status)
 	}
-	if v := be32(resp); v != protoVersion2 {
+	if _, err := io.ReadFull(c.br, ack[5:]); err != nil {
+		return err
+	}
+	if v := be32(ack[5:]); v != protoVersion2 {
 		return fmt.Errorf("srv: server negotiated unknown protocol version %d", v)
 	}
-	granted := int(be32(resp[4:]))
+	granted := int(be32(ack[9:]))
 	if granted <= 0 {
 		return fmt.Errorf("srv: server granted a zero request window")
 	}
 	if granted > wantWindow {
 		granted = wantWindow
 	}
-	c.v2 = true
 	c.window = granted
 	c.slots = make([]*Call, granted)
 	c.free = make(chan uint32, granted)
@@ -120,15 +112,10 @@ func (c *Client) negotiate(wantWindow int) error {
 	return nil
 }
 
-// Proto reports the negotiated protocol version (1 or 2).
-func (c *Client) Proto() int {
-	if c.v2 {
-		return 2
-	}
-	return 1
-}
+// Proto reports the protocol version the connection speaks.
+func (c *Client) Proto() int { return protoVersion2 }
 
-// Window reports the granted pipeline window (0 on a v1 connection).
+// Window reports the granted pipeline window.
 func (c *Client) Window() int { return c.window }
 
 // Close closes the connection. Outstanding pipelined calls fail.
@@ -197,15 +184,9 @@ var completed = func() chan struct{} {
 // failedCall returns a pre-completed Call carrying err.
 func failedCall(err error) *Call { return &Call{done: completed, err: err} }
 
-// do issues one request. On a v2 connection it takes a tag, writes the
-// frame (possibly leaving it buffered), and returns immediately; on a v1
-// connection it performs the blocking round-trip right here, so the
-// pipeline API degrades to serial calls rather than failing.
+// do issues one request: it takes a tag, writes the frame (possibly leaving
+// it buffered), and returns immediately.
 func (c *Client) do(op byte, a args, payload []byte) *Call {
-	if !c.v2 {
-		status, body, err := c.call1(op, a, payload)
-		return &Call{done: completed, status: status, body: body, err: err}
-	}
 	// Take a tag; if the window is full, flush first — the responses that
 	// free tags cannot arrive while their requests sit in our write buffer.
 	var tag uint32
@@ -238,13 +219,10 @@ func (c *Client) do(op byte, a args, payload []byte) *Call {
 	return cl
 }
 
-// send encodes one request frame into bw — [len][tag, v2 only][op][args]
-// in place in bw's buffer, then the payload. Caller holds wmu.
+// send encodes one request frame into bw — [len][tag][op][args] in place
+// in bw's buffer, then the payload. Caller holds wmu.
 func (c *Client) send(tag uint32, op byte, a args, payload []byte) error {
-	total := 1 + a.n + len(payload)
-	if c.v2 {
-		total += 4
-	}
+	total := 5 + a.n + len(payload)
 	if total > maxFrame {
 		return fmt.Errorf("srv: frame of %d bytes exceeds limit %d", total, maxFrame)
 	}
@@ -254,9 +232,7 @@ func (c *Client) send(tag uint32, op byte, a args, payload []byte) error {
 		}
 	}
 	b := binary.BigEndian.AppendUint32(c.bw.AvailableBuffer(), uint32(total))
-	if c.v2 {
-		b = binary.BigEndian.AppendUint32(b, tag)
-	}
+	b = binary.BigEndian.AppendUint32(b, tag)
 	b = append(append(b, op), a.b[:a.n]...)
 	if _, err := c.bw.Write(b); err != nil {
 		return err
@@ -265,27 +241,20 @@ func (c *Client) send(tag uint32, op byte, a args, payload []byte) error {
 	return err
 }
 
-// recv reads one response frame: the fixed [len][tag, v2 only][status]
-// prefix is parsed where it lies in br, and only the payload is copied,
-// into a pooled buffer of its own size class that the caller owns.
+// recv reads one response frame: the fixed [len][tag][status] prefix is
+// parsed where it lies in br, and only the payload is copied, into a pooled
+// buffer of its own size class that the caller owns.
 func (c *Client) recv() (tag uint32, status byte, payload []byte, err error) {
-	hdr := 5
-	if c.v2 {
-		hdr = 9
-	}
-	p, err := c.br.Peek(hdr)
+	p, err := c.br.Peek(respHdr)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	n := int(be32(p)) - (hdr - 4)
+	n := int(be32(p)) - (respHdr - 4)
 	if n < 0 || n > maxFrame {
 		return 0, 0, nil, fmt.Errorf("srv: malformed response frame (%d bytes)", be32(p))
 	}
-	if c.v2 {
-		tag = be32(p[4:])
-	}
-	status = p[hdr-1]
-	c.br.Discard(hdr)
+	tag, status = be32(p[4:]), p[respHdr-1]
+	c.br.Discard(respHdr)
 	payload = getBuf(n)
 	if _, err := io.ReadFull(c.br, payload); err != nil {
 		putBuf(payload)
@@ -299,7 +268,7 @@ func (c *Client) flush() {
 	c.wmu.Lock()
 	err := c.bw.Flush()
 	c.wmu.Unlock()
-	if err != nil && c.v2 {
+	if err != nil {
 		c.fail(err)
 	}
 }
@@ -349,22 +318,6 @@ func (c *Client) fail(err error) {
 			}
 		}
 	})
-}
-
-// call1 performs one serial v1 round-trip and returns the response's
-// status and pooled payload.
-func (c *Client) call1(op byte, a args, payload []byte) (byte, []byte, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	err := c.send(0, op, a, payload)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	_, status, body, err := c.recv()
-	return status, body, err
 }
 
 // --- pipelined (Go*) API ----------------------------------------------------

@@ -1,13 +1,10 @@
 // Package srv is the storage-service front-end: a long-running TCP block
 // server that multiplexes many client connections onto one shard.Service,
-// plus the matching client. Since wire protocol v2 a connection is a
-// *pipeline*: requests carry a 32-bit tag, many are in flight at once
-// (bounded by a per-connection window), and responses return in
-// completion order — a window of requests pays one round-trip, not one
-// each, and a large transfer does not hold up what follows it. Version 1
-// (one untagged request/response pair at a time) remains fully supported
-// for old clients, and a v2 client degrades to v1 automatically when the
-// server does not understand the hello.
+// plus the matching client. A connection is a pipeline: requests carry a
+// 32-bit tag, many are in flight at once (bounded by a per-connection
+// window), and responses return in completion order — a window of requests
+// pays one round-trip, not one each, and a large transfer does not hold up
+// what follows it.
 package srv
 
 import (
@@ -21,21 +18,30 @@ import (
 //
 //	[u32 big-endian length][payload of exactly that many bytes]
 //
-// Protocol v1: a request payload is [u8 op][op-specific body]; a response
-// payload is [u8 status][body], where status 0 is success (body is the
-// op's result) and status 1 is an error (body is the error text). The
-// connection carries one request/response pair at a time.
+// Handshake. The client's first frame is the hello, the one untagged
+// request: [opHello]["iosnapv2"][u32 maxVersion][u32 wantWindow]. The
+// server answers with one untagged frame, [statusOK][u32 version][u32
+// window], and every later frame is tagged. A connection whose first frame
+// is anything but a valid hello is closed without an answer; a client whose
+// hello is answered by anything but that acknowledgement gives up (Dial
+// returns an error).
 //
-// Protocol v2 is negotiated by a hello exchange in v1 framing: the
-// client's first frame is [opHello]["iosnapv2"][u32 maxVersion][u32
-// wantWindow]; a v2 server answers [statusOK][u32 version][u32 window]
-// and the connection switches to tagged framing, where a request payload
-// is [u32 tag][u8 op][body] and a response payload is [u32 tag][u8
-// status][body]. Tags are chosen by the client; the server answers each
-// tag exactly once, in completion order (NOT submission order — that is
-// the point), and at most `window` requests may be in flight. A v1 server
-// answers the hello with an in-band statusErr ("unknown op"), which a v2
-// client takes as the signal to fall back to serial v1 operation.
+// Requests and responses. A request payload is [u32 tag][u8 op][body]; a
+// response payload is [u32 tag][u8 status][body], where status 0 is success
+// (body is the op's result) and status 1 is an error (body is the error
+// text). Tags are chosen by the client; the server answers each tag exactly
+// once, and at most `window` requests may be in flight. A frame too short to
+// carry tag and op, or longer than maxFrame, ends the connection; every
+// other failure is reported in-band on the request's tag.
+//
+// Ordering. The requests of one connection that carry at most inlineMax
+// bytes — in their payload or in their response — take effect in arrival
+// order: a read pipelined behind a write of the same LBA observes it. A
+// request that carries more runs beside the requests sent after it and may
+// be overtaken by them, so a client that needs a large transfer ordered
+// against anything waits for its response first. Responses return in
+// completion order, and nothing is promised between the requests of
+// different connections.
 //
 // Op bodies (all integers big-endian):
 //
@@ -48,7 +54,6 @@ import (
 //	snapRead    -> u64 id, u64 lba, u32 sectors  <- data
 //	stats       ->                               <- JSON ServerStats
 //	shutdown    ->                               <- (empty; server stops)
-//	hello       -> magic, u32 ver, u32 window    <- u32 ver, u32 window
 const (
 	opPing       byte = 1
 	opRead       byte = 2
@@ -67,16 +72,19 @@ const (
 	statusErr byte = 1
 )
 
-// protoVersion2 is the highest protocol version this package speaks.
+// protoVersion2 is the protocol version this package speaks, the one the
+// hello and its acknowledgement name.
 const protoVersion2 = 2
 
-// helloMagic guards against mistaking a v1 request that happens to start
-// with byte 10 for a negotiation attempt (no v1 op uses 10, but a hostile
-// peer could).
+// helloMagic opens the hello's body: a first frame without it is not a
+// peer of this protocol.
 const helloMagic = "iosnapv2"
 
-// defaultWindow bounds in-flight requests per v2 connection when neither
-// side asks for a specific window.
+// helloLen is the hello's payload length: op, magic, version, window.
+const helloLen = 1 + len(helloMagic) + 8
+
+// defaultWindow bounds in-flight requests per connection when neither side
+// asks for a specific window.
 const defaultWindow = 128
 
 // maxFrame bounds a single frame. It caps request sizes (a hostile or
@@ -84,8 +92,11 @@ const defaultWindow = 128
 // largest single read/write a client may issue.
 const maxFrame = 1 << 26 // 64 MiB
 
-// maxBody is the largest op result that fits a response frame in either
-// protocol version (v2 spends 4 tag bytes + 1 status byte of the frame).
+// respHdr is a response's fixed prefix: [u32 len][u32 tag][u8 status].
+const respHdr = 9
+
+// maxBody is the largest op result that fits a response frame, which
+// spends 4 tag bytes + 1 status byte of its payload.
 const maxBody = maxFrame - 5
 
 // connBuf is the size of the buffered reader and writer on each end of a
@@ -162,7 +173,7 @@ func (a args) u32(v uint32) args {
 	return a
 }
 
-// helloArgs builds the v2 negotiation frame body (after the op byte).
+// helloArgs builds the hello's body (after the op byte).
 func helloArgs(wantWindow int) args {
 	var a args
 	a.n = copy(a.b[:], helloMagic)

@@ -40,24 +40,24 @@ type ServerStats struct {
 // request against one shard.Service. Connections are handled concurrently.
 // Within a connection, the goroutine that reads the frames also runs the
 // small requests to completion, in arrival order, and writes their
-// responses; only a v2 request that carries more than inlineMax bytes (in
-// its payload or in its response) gets a goroutine of its own, at most
-// Window of them per connection, so a large transfer never blocks what
-// follows it. A graceful shutdown (Shutdown call or shutdown op) stops the
-// accept loop, waits for in-flight requests to finish, drains the
-// snapshot-view cache, and returns from Serve with the service still open,
-// so the owner can checkpoint and persist it.
+// responses; only a request that carries more than inlineMax bytes (in its
+// payload or in its response) gets a goroutine of its own, at most Window
+// of them per connection, so a large transfer never blocks what follows
+// it. A graceful shutdown (Shutdown call or shutdown op) stops the accept
+// loop, waits for in-flight requests to finish, drains the snapshot-view
+// cache, and returns from Serve with the service still open, so the owner
+// can checkpoint and persist it.
 type Server struct {
 	svc *shard.Service
 	ln  net.Listener
 
-	// Window bounds in-flight handler goroutines per v2 connection. Zero
-	// means defaultWindow. Set before Serve.
+	// Window bounds in-flight handler goroutines per connection. Zero means
+	// defaultWindow. Set before Serve.
 	Window int
 	// ViewTTL is how long an idle activated snapshot view stays cached
 	// before the janitor deactivates it. Zero means defaultViewTTL; a
 	// negative value disables caching entirely (every snap-read activates
-	// and deactivates, the pre-v2 behavior). Set before Serve.
+	// and deactivates). Set before Serve.
 	ViewTTL time.Duration
 
 	views *viewCache
@@ -207,43 +207,41 @@ const inlineMax = connBuf / 4
 // conn is one client connection. The reader goroutine (serveConn) owns br;
 // bw is shared with the handler goroutines under wmu.
 type conn struct {
-	s      *Server
-	nc     net.Conn
-	br     *bufio.Reader
-	tagged bool // protocol v2: frames carry a tag after the length
+	s  *Server
+	nc net.Conn
+	br *bufio.Reader
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
 }
 
-// serveConn runs one connection: read a frame, execute it (here, or on a
-// handler goroutine if it is tagged and large), repeat. Responses collect
-// in bw and go out when the reader is about to block; a handler flushes
-// after its own response. A protocol error (as opposed to an op error,
-// which is reported in-band) ends the connection. No ordering is promised
-// between in-flight requests, except that the small requests of one
-// connection take effect in arrival order.
+// serveConn runs one connection: complete the handshake, then read a frame,
+// execute it (here, or on a handler goroutine if it is large), repeat.
+// Responses collect in bw and go out when the reader is about to block; a
+// handler flushes after its own response. A protocol error (as opposed to
+// an op error, which is reported in-band) ends the connection. The ordering
+// this gives a client is the contract in proto.go.
 func (s *Server) serveConn(nc net.Conn) {
 	c := &conn{s: s, nc: nc, br: bufio.NewReaderSize(nc, connBuf), bw: bufio.NewWriterSize(nc, connBuf)}
+	window, ok := c.handshake()
+	if !ok {
+		return
+	}
+	// Handler admission: a client past its window simply stalls in TCP —
+	// flow control, not an error.
+	sem := make(chan struct{}, window)
 	var handlers sync.WaitGroup
 	defer func() {
 		handlers.Wait()
 		c.flush()
 	}()
-	// Handler admission: a client past its window simply stalls in TCP —
-	// flow control, not an error.
-	var sem chan struct{}
-	for first := true; ; first = false {
+	for {
 		hdr, err := c.peek(4)
 		if err != nil {
 			return
 		}
 		n := int(be32(hdr))
-		minLen := 1 // op
-		if c.tagged {
-			minLen = 5 // tag+op; anything shorter has no tag to answer on
-		}
-		if n > maxFrame || n < minLen {
+		if n > maxFrame || n < 5 { // shorter than tag+op: no tag to answer on
 			return
 		}
 		// A frame short enough to be a small request is parsed where it
@@ -264,28 +262,8 @@ func (s *Server) serveConn(nc net.Conn) {
 			}
 			req = pooled
 		}
-		if first && req[0] == opHello {
-			// A valid hello as the first frame upgrades the connection to
-			// tagged framing; anything else is a v1 client's first request.
-			if _, want, ok := parseHello(req[1:]); ok {
-				window := s.window()
-				if want > 0 && want < window {
-					window = want
-				}
-				sem = make(chan struct{}, window)
-				ack := args{}.u32(protoVersion2).u32(uint32(window))
-				c.reply(0, statusOK, ack.b[:ack.n], false)
-				c.tagged = true
-				c.br.Discard(4 + n)
-				continue
-			}
-		}
-		var tag uint32
-		if c.tagged {
-			tag, req = be32(req), req[4:]
-		}
-		op, body := req[0], req[1:]
-		if c.tagged && s.carried(op, body) > inlineMax {
+		tag, op, body := be32(req), req[4], req[5:]
+		if s.carried(op, body) > inlineMax {
 			if pooled == nil {
 				pooled = getBuf(len(body))
 				copy(pooled, body)
@@ -316,6 +294,37 @@ func (s *Server) serveConn(nc net.Conn) {
 			return
 		}
 	}
+}
+
+// handshake reads the connection's first frame, which must be a valid
+// hello, and queues the acknowledgement — the two untagged frames of a
+// connection. It returns the granted window. Any other first frame, a
+// request of the retired untagged protocol included, gets no answer.
+func (c *conn) handshake() (window int, ok bool) {
+	hdr, err := c.br.Peek(4)
+	if err != nil || int(be32(hdr)) != helloLen {
+		return 0, false
+	}
+	frame, err := c.br.Peek(4 + helloLen)
+	if err != nil || frame[4] != opHello {
+		return 0, false
+	}
+	_, want, ok := parseHello(frame[5:])
+	if !ok {
+		return 0, false
+	}
+	c.br.Discard(4 + helloLen)
+	window = c.s.window()
+	if want > 0 && want < window {
+		window = want
+	}
+	var ack [13]byte // [u32 len][u8 status][u32 version][u32 window]
+	binary.BigEndian.PutUint32(ack[0:], 9)
+	ack[4] = statusOK
+	binary.BigEndian.PutUint32(ack[5:], protoVersion2)
+	binary.BigEndian.PutUint32(ack[9:], uint32(window))
+	c.bw.Write(ack[:]) // into the empty buffer; the loop's first peek flushes it
+	return window, true
 }
 
 // peek returns the next n bytes of the request stream without consuming
@@ -351,14 +360,6 @@ func (c *conn) finish(err error, flush bool) {
 	}
 }
 
-// hdr is the response header's length: [u32 len][u32 tag, v2 only][u8 status].
-func (c *conn) hdr() int {
-	if c.tagged {
-		return 9
-	}
-	return 5
-}
-
 // reserve returns n writable bytes at the tail of bw's buffer (flushing
 // first if they do not fit) for put to commit. Caller holds wmu.
 func (c *conn) reserve(n int) []byte {
@@ -372,13 +373,11 @@ func (c *conn) reserve(n int) []byte {
 }
 
 // put is the one response encoder: it stamps the header into the first
-// hdr() bytes of frame and writes frame, then rest. Caller holds wmu.
+// respHdr bytes of frame and writes frame, then rest. Caller holds wmu.
 func (c *conn) put(frame, rest []byte, tag uint32, status byte, flush bool) {
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4+len(rest)))
-	if c.tagged {
-		binary.BigEndian.PutUint32(frame[4:], tag)
-	}
-	frame[c.hdr()-1] = status
+	binary.BigEndian.PutUint32(frame[4:], tag)
+	frame[respHdr-1] = status
 	_, err := c.bw.Write(frame)
 	if err == nil && len(rest) > 0 {
 		_, err = c.bw.Write(rest)
@@ -389,7 +388,7 @@ func (c *conn) put(frame, rest []byte, tag uint32, status byte, flush bool) {
 // reply writes a response whose body already exists.
 func (c *conn) reply(tag uint32, status byte, body []byte, flush bool) {
 	c.wmu.Lock()
-	c.put(c.reserve(c.hdr()), body, tag, status, flush)
+	c.put(c.reserve(respHdr), body, tag, status, flush)
 	c.wmu.Unlock()
 }
 
@@ -465,11 +464,10 @@ func (c *conn) read(tag uint32, op byte, body []byte, flush bool) error {
 			return err
 		}
 	}
-	hdr := c.hdr()
 	if size > inlineMax {
-		frame := getBuf(hdr + int(size))
+		frame := getBuf(respHdr + int(size))
 		defer putBuf(frame)
-		if err := s.fill(view, release, lba, frame[hdr:]); err != nil {
+		if err := s.fill(view, release, lba, frame[respHdr:]); err != nil {
 			return err
 		}
 		c.wmu.Lock()
@@ -479,8 +477,8 @@ func (c *conn) read(tag uint32, op byte, body []byte, flush bool) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	frame := c.reserve(hdr + int(size))
-	if err := s.fill(view, release, lba, frame[hdr:]); err != nil {
+	frame := c.reserve(respHdr + int(size))
+	if err := s.fill(view, release, lba, frame[respHdr:]); err != nil {
 		return err
 	}
 	c.put(frame, nil, tag, statusOK, flush)

@@ -281,8 +281,10 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestServerRejectsGarbage: an oversized frame header terminates the
-// connection without taking the server down.
+// TestServerRejectsGarbage: a connection whose first frame is not a valid
+// hello — an oversized frame header, or a well-formed ping of the retired
+// untagged protocol — is closed without an answer and without taking the
+// server down.
 func TestServerRejectsGarbage(t *testing.T) {
 	svc, err := shard.NewService(testShardConfig(2))
 	if err != nil {
@@ -292,16 +294,20 @@ func TestServerRejectsGarbage(t *testing.T) {
 	s, addr, served := startServer(t, svc)
 	defer func() { s.Shutdown(); <-served }()
 
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	for name, first := range map[string][]byte{
+		"oversized header": {0xff, 0xff, 0xff, 0xff, 0x00},
+		"untagged ping":    frame([]byte{opPing}),
+	} {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Write(first)
+		if n, _ := raw.Read(make([]byte, 16)); n != 0 {
+			t.Fatalf("%s: server answered with %d bytes", name, n)
+		}
+		raw.Close()
 	}
-	raw.Write([]byte{0xff, 0xff, 0xff, 0xff, 0x00})
-	buf := make([]byte, 16)
-	if n, _ := raw.Read(buf); n != 0 {
-		t.Fatalf("server answered a garbage frame with %d bytes", n)
-	}
-	raw.Close()
 
 	c, err := Dial(addr)
 	if err != nil {

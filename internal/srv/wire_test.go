@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -34,8 +35,8 @@ func startServerWith(t *testing.T, svc *shard.Service, setup func(*Server)) (*Se
 	return s, ln.Addr().String(), served
 }
 
-// TestWireNegotiation: a default dial lands on protocol v2 with a granted
-// window; ForceV1 stays serial; both speak to the same server.
+// TestWireNegotiation: a dial completes the handshake and is granted a
+// window, no larger than the one it asked for.
 func TestWireNegotiation(t *testing.T) {
 	svc, err := shard.NewService(testShardConfig(2))
 	if err != nil {
@@ -45,29 +46,29 @@ func TestWireNegotiation(t *testing.T) {
 	s, addr, served := startServer(t, svc)
 	defer func() { s.Shutdown(); <-served }()
 
-	c2, err := Dial(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	if c2.Proto() != 2 || c2.Window() <= 0 {
-		t.Fatalf("negotiated proto %d window %d, want v2 with a window", c2.Proto(), c2.Window())
+	defer c.Close()
+	if c.Proto() != 2 || c.Window() != defaultWindow {
+		t.Fatalf("negotiated proto %d window %d, want v2 with the default window", c.Proto(), c.Window())
 	}
-	c1, err := DialOpts(addr, DialOptions{ForceV1: true})
+	c3, err := DialOpts(addr, DialOptions{Window: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c1.Close()
-	if c1.Proto() != 1 {
-		t.Fatalf("ForceV1 negotiated proto %d", c1.Proto())
+	defer c3.Close()
+	if c3.Window() != 3 {
+		t.Fatalf("asked for a window of 3, got %d", c3.Window())
 	}
 	ss := svc.SectorSize()
-	if err := c1.Write(0, pattern('1', 4, ss)); err != nil {
+	if err := c3.Write(0, pattern('1', 4, ss)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.Read(0, 4)
+	got, err := c.Read(0, 4)
 	if err != nil || !bytes.Equal(got, pattern('1', 4, ss)) {
-		t.Fatalf("v2 read of v1 write: %v", err)
+		t.Fatalf("read on one connection of a write acknowledged on another: %v", err)
 	}
 }
 
@@ -75,15 +76,24 @@ func TestWireNegotiation(t *testing.T) {
 // at the test geometry's 512-byte sectors, so the request gets a handler.
 const largeRead = inlineMax/512 + 1
 
-// writeFrame sends one length-prefixed frame built from the given parts:
-// what a raw test peer speaks.
-func writeFrame(w io.Writer, parts ...[]byte) error {
-	frame := make([]byte, 4)
+// frame builds one length-prefixed frame from the given parts: what a raw
+// test peer speaks.
+func frame(parts ...[]byte) []byte {
+	f := make([]byte, 4)
 	for _, p := range parts {
-		frame = append(frame, p...)
+		f = append(f, p...)
 	}
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
-	_, err := w.Write(frame)
+	binary.BigEndian.PutUint32(f, uint32(len(f)-4))
+	return f
+}
+
+// request builds one tagged request frame.
+func request(tag uint32, op byte, a args, payload []byte) []byte {
+	return frame(binary.BigEndian.AppendUint32(nil, tag), []byte{op}, a.b[:a.n], payload)
+}
+
+func writeFrame(w io.Writer, parts ...[]byte) error {
+	_, err := w.Write(frame(parts...))
 	return err
 }
 
@@ -280,17 +290,16 @@ func TestWireMalformedTaggedFrames(t *testing.T) {
 	}
 }
 
-// TestWireV1FallbackAgainstV1Server: a v2 client dialing a server that
-// answers the hello with an in-band error (exactly what the PR 9 server
-// did) downgrades to serial v1 on the same connection.
+// TestWireV1FallbackAgainstV1Server: a peer that answers the hello with an
+// in-band error (exactly what the PR 9 server, which knew no hello, did) is
+// not a server of this protocol. There is nothing to fall back to: Dial
+// fails.
 func TestWireV1FallbackAgainstV1Server(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	// Minimal v1-only server: ping works, every other op (the hello
-	// included) gets "unknown op".
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -304,32 +313,19 @@ func TestWireV1FallbackAgainstV1Server(t *testing.T) {
 					if err != nil || len(req) == 0 {
 						return
 					}
-					op := req[0]
-					putBuf(req)
-					if op == opPing {
-						writeFrame(c, []byte{statusOK})
-					} else {
-						writeFrame(c, []byte{statusErr}, []byte(fmt.Sprintf("srv: unknown op %d", op)))
-					}
+					writeFrame(c, []byte{statusErr}, []byte(fmt.Sprintf("srv: unknown op %d", req[0])))
 				}
 			}()
 		}
 	}()
 
 	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial v1-only server: %v", err)
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial succeeded against a peer that refused the hello")
 	}
-	defer c.Close()
-	if c.Proto() != 1 {
-		t.Fatalf("negotiated proto %d against a v1 server", c.Proto())
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping over fallback connection: %v", err)
-	}
-	// The pipeline API degrades to serial calls rather than failing.
-	if _, err := c.GoPing().Wait(); err != nil {
-		t.Fatalf("pipelined ping over v1: %v", err)
+	if !strings.Contains(err.Error(), "refused the hello") {
+		t.Fatalf("Dial error = %v, want the refusal named", err)
 	}
 }
 
@@ -583,9 +579,104 @@ func TestViewCacheInvalidateWithReaderInside(t *testing.T) {
 	}
 }
 
-// TestWirePipelinedStorm is the -race leg for the v2 path: several tagged
-// clients with deep pipelines, a write/snap-churn mix, all through the
-// real load generator, then a full invariant sweep.
+// stormCounts tallies the snapshot ops of every connection of a storm.
+type stormCounts struct{ creates, snapReads, deletes atomic.Int64 }
+
+// stormConn drives one connection of TestWirePipelinedStorm: up to depth
+// calls in flight, harvested oldest first, a seeded mix of 1-sector reads,
+// writes (30%) and snapshot ops (10%: create, four snap-reads, delete the
+// oldest once more than three are live) inside the connection's own LBA
+// region. It deletes what it created and counts the snapshot ops it issued.
+func stormConn(addr string, ci, depth, ops int, region int64, ss int, n *stormCounts) error {
+	c, err := DialOpts(addr, DialOptions{Window: depth})
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(42 + int64(ci)*7919))
+	base := region * int64(ci)
+	wbuf := pattern(byte(ci), 1, ss)
+
+	var snaps []uint64
+	snapPhase := 0 // 0 create, 1..4 snap-read, 5 delete-oldest
+	type slot struct {
+		call   *Call
+		create bool
+	}
+	ring := make([]slot, 0, depth)
+	harvest := func(sl slot) error {
+		b, err := sl.call.Wait()
+		if err != nil {
+			return err
+		}
+		if sl.create {
+			if len(b) != 8 {
+				return fmt.Errorf("snap-create response %d bytes", len(b))
+			}
+			snaps = append(snaps, be64(b))
+		}
+		sl.call.release()
+		return nil
+	}
+	drain := func() error {
+		for _, sl := range ring {
+			if err := harvest(sl); err != nil {
+				return err
+			}
+		}
+		ring = ring[:0]
+		return nil
+	}
+	for i := 0; i < ops; i++ {
+		if len(ring) == depth {
+			if err := harvest(ring[0]); err != nil {
+				return err
+			}
+			ring = ring[1:]
+		}
+		lba := base + rng.Int63n(region)
+		var sl slot
+		switch p := rng.Intn(100); {
+		case p < 10 && (snapPhase == 0 || len(snaps) == 0):
+			// The create's ID is needed before the next snapshot op can be
+			// chosen, so it does not overlap this connection's own calls.
+			if err := drain(); err != nil {
+				return err
+			}
+			sl = slot{call: c.GoSnapCreate(), create: true}
+			n.creates.Add(1)
+			snapPhase = 1
+		case p < 10 && snapPhase >= 5 && len(snaps) > 3:
+			sl = slot{call: c.GoSnapDelete(snaps[0])}
+			snaps = snaps[1:]
+			n.deletes.Add(1)
+			snapPhase = 0
+		case p < 10:
+			sl = slot{call: c.GoSnapRead(snaps[len(snaps)-1], lba, 1)}
+			n.snapReads.Add(1)
+			snapPhase = (snapPhase + 1) % 6
+		case p < 40:
+			sl = slot{call: c.GoWrite(lba, wbuf)}
+		default:
+			sl = slot{call: c.GoRead(lba, 1)}
+		}
+		ring = append(ring, sl)
+	}
+	if err := drain(); err != nil {
+		return err
+	}
+	for _, id := range snaps {
+		if err := c.SnapDelete(id); err != nil {
+			return err
+		}
+		n.deletes.Add(1)
+	}
+	return nil
+}
+
+// TestWirePipelinedStorm is the -race leg for the wire path: several
+// clients with deep pipelines, a write/snap-churn mix, then a full
+// invariant sweep.
 func TestWirePipelinedStorm(t *testing.T) {
 	svc, err := shard.NewService(testShardConfig(4))
 	if err != nil {
@@ -599,30 +690,31 @@ func TestWirePipelinedStorm(t *testing.T) {
 	if testing.Short() {
 		ops = 60
 	}
-	rep, err := RunLoad(LoadConfig{
-		Addr: addr, Conns: 4, Depth: 8, Ops: ops,
-		WritePct: 30, SnapPct: 10, Seed: 42,
-	})
+	const conns = 4
+	var wg sync.WaitGroup
+	var n stormCounts
+	for ci := 0; ci < conns; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			if err := stormConn(addr, ci, 8, ops, svc.Sectors()/conns, svc.SectorSize(), &n); err != nil {
+				t.Errorf("conn %d: %v", ci, err)
+			}
+		}(ci)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if n.creates.Load() == 0 || n.snapReads.Load() == 0 || n.deletes.Load() == 0 {
+		t.Fatalf("storm mix degenerate: %d creates, %d snap-reads, %d deletes", n.creates.Load(), n.snapReads.Load(), n.deletes.Load())
+	}
+	c, err := Dial(addr)
 	if err != nil {
-		t.Fatalf("storm: %v (report %+v)", err, rep)
+		t.Fatal(err)
 	}
-	if rep.Proto != 2 {
-		t.Fatalf("storm negotiated proto %d", rep.Proto)
-	}
-	if rep.Ops < int64(4*ops) {
-		t.Fatalf("storm completed %d ops, want >= %d", rep.Ops, 4*ops)
-	}
-	if rep.SnapCreates == 0 || rep.SnapReads == 0 || rep.SnapDeletes == 0 {
-		t.Fatalf("storm mix degenerate: %+v", rep)
-	}
-	st, err := func() (ServerStats, error) {
-		c, err := Dial(addr)
-		if err != nil {
-			return ServerStats{}, err
-		}
-		defer c.Close()
-		return c.Stats()
-	}()
+	defer c.Close()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,32 +781,6 @@ func TestWireShutdownMidPipeline(t *testing.T) {
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLoadgenSerialV1Baseline: the loadgen's baseline mode really speaks
-// v1 and still completes a mixed run.
-func TestLoadgenSerialV1Baseline(t *testing.T) {
-	svc, err := shard.NewService(testShardConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	s, addr, served := startServer(t, svc)
-	defer func() { s.Shutdown(); <-served }()
-
-	rep, err := RunLoad(LoadConfig{
-		Addr: addr, Conns: 2, Depth: 4, Ops: 50,
-		WritePct: 20, SnapPct: 5, V1: true,
-	})
-	if err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	if rep.Proto != 1 {
-		t.Fatalf("V1 run negotiated proto %d", rep.Proto)
-	}
-	if rep.Ops < 100 {
-		t.Fatalf("v1 run completed %d ops", rep.Ops)
 	}
 }
 
@@ -815,15 +881,6 @@ func TestWireInlineThreshold(t *testing.T) {
 	if err := c.Write(0, want); err != nil || handlers.Load() != 2 {
 		t.Fatalf("a write one sector over inlineMax: err %v, %d handlers, want 2", err, handlers.Load())
 	}
-	// A v1 connection has no handlers: the same large read runs on its reader.
-	c1, err := DialOpts(addr, DialOptions{ForceV1: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	if got, err := c1.Read(0, atEdge+1); err != nil || !bytes.Equal(got, want) || handlers.Load() != 2 {
-		t.Fatalf("large v1 read: err %v, %d handlers, want 2", err, handlers.Load())
-	}
 }
 
 // TestWireShutdownWithHandlersInFlight: the shutdown op is acknowledged at
@@ -891,8 +948,7 @@ func TestWireClientStopsReading(t *testing.T) {
 		if tag%2 == 0 {
 			n = largeRead
 		}
-		rd := args{}.u32(tag).u64(0).u32(n)
-		if writeFrame(raw, rd.b[:4], []byte{opRead}, rd.b[4:rd.n]) != nil {
+		if _, err := raw.Write(request(tag, opRead, args{}.u64(0).u32(n), nil)); err != nil {
 			break
 		}
 	}

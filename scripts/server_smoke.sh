@@ -70,11 +70,6 @@ $CTL read -lba 0 | grep "smoke v2"
 $CTL read -lba 4097 | grep "far sector"
 $CTL snap-read -id 1 -lba 0 | grep "smoke v1"
 
-echo "== pipelined load: depth-8 v2 pipeline and serial v1 baseline"
-$CTL loadgen -conns 2 -depth 8 -ops 400 -writepct 20 -snappct 5 | grep "proto:       v2, 2 conns x depth 8"
-$CTL loadgen -conns 1 -depth 1 -ops 100 -v1 | grep "proto:       v1, 1 conns x depth 1"
-$CTL snap-read -id 1 -lba 0 | grep "smoke v1"   # snapshot 1 froze before the load ran
-
 $CTL shutdown
 wait_daemon
 

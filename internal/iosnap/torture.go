@@ -112,6 +112,7 @@ type TortureReport struct {
 	Replications int64               // snapshot replications committed and bit-verified
 	Fired        []faultinject.Fired // accumulated across all armed plans
 	FinalStats   Stats
+	FinalDigest  uint64 // the final device's StateDigest (pinned by the oracle table)
 }
 
 func (r *TortureReport) String() string {
@@ -194,6 +195,7 @@ func Torture(cfg Config, opt TortureOptions) (*TortureReport, error) {
 	err = t.run()
 	t.retirePlan()
 	t.rep.FinalStats = t.f.Stats()
+	t.rep.FinalDigest = t.f.dev.StateDigest()
 	return t.rep, err
 }
 

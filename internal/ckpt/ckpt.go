@@ -242,3 +242,19 @@ func (r *Reader) Err() error { return r.err }
 
 // Rest reports how many bytes remain unread.
 func (r *Reader) Rest() int { return len(r.B) - r.off }
+
+// Count validates an element count the caller just read against the bytes
+// that remain: n records of at least recSize bytes each must fit, or the
+// reader fails (ErrTruncated) and Count returns 0. Streams arrive from image
+// files, so no decoder may size an allocation or a loop from a count the
+// stream has not paid for.
+func (r *Reader) Count(n uint64, recSize int) int {
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(r.Rest()/recSize) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}

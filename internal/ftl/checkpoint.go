@@ -4,31 +4,17 @@ import (
 	"fmt"
 
 	"iosnap/internal/ckpt"
+	"iosnap/internal/ftlmap"
 	"iosnap/internal/header"
+	"iosnap/internal/logcore"
 	"iosnap/internal/mapcache"
-	"iosnap/internal/nand"
-	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
-	"iosnap/internal/sim"
 )
 
-// Checkpoint format (shared codec, internal/ckpt): a stream of sections —
-// the forward map and a segment table — framed with the checkpoint's
-// identity and a checksum, split into sector-sized chunks each tagged with
-// the checkpoint ID. The chunk header carries the chunk index in LBA and
-// the total chunk count in Epoch, so a scan can group a generation's
-// chunks and prove it complete ({0..total-1}, all tagged with the same ID)
-// before decoding anything. The checkpoint's identity doubles as its
-// cut-off: ckptID = ckptSeq = f.seq at serialization, and recovery replays
-// only records with seq > ckptSeq on top of the loaded state.
-//
-// The segment table is what makes a checkpoint safely *skippable* work at
-// recovery: for every used segment it records the erase count, programmed
-// page count, and newest sequence number at serialization time. A segment
-// whose erase count has since changed was reclaimed by the cleaner — its
-// blocks were copy-forwarded with their sequence numbers preserved, i.e.
-// below the cut-off and invisible to tail replay — so the whole checkpoint
-// is stale and recovery falls back to the full scan.
+// A vanilla checkpoint is one stream (header.TypeCheckpoint chunks) of two
+// sections: the forward map and the segment table. Framing, chunking, the
+// anchor, the pins and the background task are the log engine's
+// (logcore/checkpoint.go); the validity bitmap is not serialized — recovery
+// derives it from the map.
 
 // Section kinds inside a vanilla checkpoint stream.
 const (
@@ -37,391 +23,73 @@ const (
 	ckptSecGTD      = 3 // bounded-paged map: the global translation directory
 )
 
-// ckptSegRecord is one used segment's identity at serialization time.
-type ckptSegRecord struct {
-	seg    int
-	erases int
-	prog   int
-	maxSeq uint64
-}
-
-// serializeCheckpoint captures the forward map and segment table at one
-// instant and returns the checkpoint identity plus its sector-sized chunks.
-func (f *FTL) serializeCheckpoint() (uint64, [][]byte, error) {
-	ckptID := f.seq
-	// Tree and cache-unbounded maps serialize the full mapping list
-	// (byte-identical between the two — the unbounded equivalence
-	// contract). A bounded paged map serializes only the GTD: every dirty
-	// translation page was flushed before this point (writeCheckpoint /
-	// ckptTask call flushAllMapPages first), so the directory's flash
-	// copies are current.
-	var mw ckpt.Writer
+// SerializeCheckpoint implements logcore.Policy: it captures the forward
+// map and the segment table at one instant.
+func (f *FTL) SerializeCheckpoint() (uint64, []logcore.ChunkJob, error) {
+	ckptID := f.Seq
+	mapData, gtd, err := f.EncodeMapSection()
+	if err != nil {
+		return 0, nil, err
+	}
 	mapKind := uint8(ckptSecMap)
-	if c := f.fmap.Paged(); c != nil && c.Bounded() {
-		if dirty := c.DirtyPages(); len(dirty) != 0 {
-			return 0, nil, fmt.Errorf("ftl: checkpoint with %d unflushed translation pages", len(dirty))
-		}
+	if gtd {
 		mapKind = ckptSecGTD
-		ents := c.GTDEntries()
-		mw.U32(uint32(c.SlotsPerPage()))
-		mw.U32(uint32(len(ents)))
-		for _, ent := range ents {
-			mw.U64(ent.Idx)
-			mw.U64(ent.Addr)
-			mw.U32(uint32(ent.Live))
-		}
-	} else {
-		mw.U64(uint64(f.fmap.Len()))
-		f.fmap.All(func(k, v uint64) bool {
-			mw.U64(k)
-			mw.U64(v)
-			return true
-		})
 	}
 	var sw ckpt.Writer
-	sw.U32(uint32(len(f.usedSegs)))
-	for _, s := range f.usedSegs {
-		sw.U32(uint32(s))
-		sw.U32(uint32(f.dev.EraseCount(s)))
-		sw.U32(uint32(f.dev.NextFreeInSegment(s)))
-		sw.U64(f.segLastSeq[s])
+	sw.U32(uint32(len(f.UsedSegs)))
+	for _, s := range f.UsedSegs {
+		f.EncodeSegRecord(&sw, s)
 	}
-	stream := ckpt.Encode(ckptID, ckptID, []ckpt.Section{
-		{Kind: mapKind, Data: mw.B},
+	jobs, err := f.StreamJobs(header.TypeCheckpoint, ckptID, []ckpt.Section{
+		{Kind: mapKind, Data: mapData},
 		{Kind: ckptSecSegTable, Data: sw.B},
 	})
-	chunks, err := ckpt.Split(ckptID, stream, f.cfg.Nand.SectorSize)
-	if err != nil {
-		return 0, nil, fmt.Errorf("ftl: chunking checkpoint: %w", err)
-	}
-	return ckptID, chunks, nil
+	return ckptID, jobs, err
 }
 
-// programCkptChunk appends one chunk at the log head and pins it against
-// the cleaner. A failed program is attributed like every other program
-// path: roll back the allocation and, on a permanent media failure, seal
-// the head so future appends move off the failing segment.
-func (f *FTL) programCkptChunk(now sim.Time, chunk []byte, idx, total int) (nand.PageAddr, sim.Time, error) {
-	addr, now, err := f.allocPage(now)
-	if err != nil {
-		return 0, now, fmt.Errorf("ftl: allocating checkpoint page: %w", err)
-	}
-	f.seq++
-	h := header.Header{Type: header.TypeCheckpoint, LBA: uint64(idx), Epoch: uint64(total), Seq: f.seq}
-	done, err := f.devProgramPage(now, addr, chunk, h.Marshal())
-	if err != nil {
-		f.ungetPage(addr)
-		if retry.MediaFailure(err) {
-			f.sealHead()
-		}
-		return 0, now, fmt.Errorf("ftl: writing checkpoint chunk %d: %w", idx, err)
-	}
-	f.segLastSeq[f.dev.SegmentOf(addr)] = f.seq
-	f.ckptPins[addr] = true
-	return addr, done, nil
+// ckptImage is a decoded checkpoint: the map in one of its two layouts (the
+// full mapping list, or — gtd non-nil — the translation directory) and the
+// segment table.
+type ckptImage struct {
+	entries  []ftlmap.Entry
+	gtd      []mapcache.GTDEnt
+	gtdSlots int
+	table    []logcore.SegRecord
 }
 
-// commitCheckpoint atomically publishes a fully-programmed checkpoint: the
-// device anchor flips to the new generation and the superseded
-// generation's pins drop, making its chunks reclaimable.
-func (f *FTL) commitCheckpoint(now sim.Time, ckptID uint64, addrs []nand.PageAddr) {
-	for _, a := range f.anchorAddrs {
-		delete(f.ckptPins, a)
-	}
-	f.anchorID = ckptID
-	f.anchorAddrs = addrs
-	f.dev.SetAnchor(&nand.Anchor{ID: ckptID, Addrs: addrs})
-	f.lastCkpt = now
-	f.stats.Checkpoints++
-	f.stats.CheckpointChunks += int64(len(addrs))
-}
-
-// pinnedInSeg counts pinned pages (checkpoint chunks and live
-// GTD-referenced translation pages) in seg. Victim scoring treats them as
-// live: a segment full of pinned pages has zero valid bits yet cleaning it
-// reclaims nothing.
-func (f *FTL) pinnedInSeg(seg int) int {
-	n := 0
-	for a := range f.ckptPins {
-		if f.dev.SegmentOf(a) == seg {
-			n++
-		}
-	}
-	for a := range f.mapPins {
-		if f.dev.SegmentOf(a) == seg {
-			n++
-		}
-	}
-	return n
-}
-
-// movePin follows a copy-forwarded checkpoint chunk: the pin moves with
-// the page, and whichever list names it — the committed anchor or the
-// in-flight chunk list — is updated in place. A moved anchor chunk
-// republishes the device anchor so recovery still finds every chunk.
-func (f *FTL) movePin(old, dst nand.PageAddr) {
-	delete(f.ckptPins, old)
-	f.ckptPins[dst] = true
-	for i, a := range f.anchorAddrs {
-		if a == old {
-			f.anchorAddrs[i] = dst
-			f.dev.SetAnchor(&nand.Anchor{ID: f.anchorID, Addrs: f.anchorAddrs})
-			return
-		}
-	}
-	for i, a := range f.ckptInflight {
-		if a == old {
-			f.ckptInflight[i] = dst
-			return
-		}
-	}
-}
-
-// abortCheckpoint unpins a partial generation; the previous anchor stays.
-func (f *FTL) abortCheckpoint(addrs []nand.PageAddr, err error) {
-	for _, a := range addrs {
-		delete(f.ckptPins, a)
-	}
-	f.stats.CheckpointErrors++
-	f.stats.CheckpointLastErr = err.Error()
-}
-
-// writeCheckpoint synchronously serializes and programs a checkpoint (the
-// Close path).
-func (f *FTL) writeCheckpoint(now sim.Time) (sim.Time, error) {
-	// ckptActive guards the whole sequence: the map flushes below advance
-	// the log head, which must not arm a second (background) checkpoint.
-	f.ckptActive = true
-	defer func() { f.ckptActive = false }()
-	if c := f.fmap.Paged(); c != nil && c.Bounded() {
-		var err error
-		if now, err = f.flushAllMapPages(now, c); err != nil {
-			f.stats.CheckpointErrors++
-			f.stats.CheckpointLastErr = err.Error()
-			return now, err
-		}
-	}
-	ckptID, chunks, err := f.serializeCheckpoint()
-	if err != nil {
-		f.stats.CheckpointErrors++
-		f.stats.CheckpointLastErr = err.Error()
-		return now, err
-	}
-	var addrs []nand.PageAddr
-	for i, c := range chunks {
-		var addr nand.PageAddr
-		addr, now, err = f.programCkptChunk(now, c, i, len(chunks))
-		if err != nil {
-			f.abortCheckpoint(addrs, err)
-			return now, err
-		}
-		addrs = append(addrs, addr)
-	}
-	f.commitCheckpoint(now, ckptID, addrs)
-	return now, nil
-}
-
-// maybeScheduleCheckpoint arms the periodic background checkpoint from the
-// head-advance path, the same way the cleaner is armed.
-func (f *FTL) maybeScheduleCheckpoint(now sim.Time) {
-	if f.ckptActive || f.closed || f.cfg.CheckpointInterval <= 0 || !f.cfg.Nand.StoreData {
-		return
-	}
-	if now.Sub(f.lastCkpt) < f.cfg.CheckpointInterval {
-		return
-	}
-	f.startCheckpoint(now)
-}
-
-// StartCheckpoint forces a background checkpoint now (tests and tools).
-// It reports whether a task was scheduled.
-func (f *FTL) StartCheckpoint(now sim.Time) bool {
-	if f.ckptActive || f.closed {
-		return false
-	}
-	return f.startCheckpoint(now)
-}
-
-func (f *FTL) startCheckpoint(now sim.Time) bool {
-	if c := f.fmap.Paged(); c != nil && c.Bounded() {
-		// A bounded paged map must flush every dirty translation page before
-		// serializing, and flushing programs through the log head — which
-		// cannot happen here: startCheckpoint fires from the head-advance
-		// path, possibly mid-program under SequentialProg. Defer both the
-		// flush and the serialization to the task's first run.
-		f.ckptActive = true
-		f.ckptInflight = nil
-		f.sched.Schedule(now, &ckptTask{
-			f:       f,
-			pending: true,
-			budget:  ratelimit.NewBudget(f.cfg.CheckpointLimit),
-		})
-		return true
-	}
-	ckptID, chunks, err := f.serializeCheckpoint()
-	if err != nil {
-		f.stats.CheckpointErrors++
-		f.stats.CheckpointLastErr = err.Error()
-		return false
-	}
-	f.ckptActive = true
-	f.ckptInflight = nil
-	f.sched.Schedule(now, &ckptTask{
-		f:      f,
-		id:     ckptID,
-		chunks: chunks,
-		budget: ratelimit.NewBudget(f.cfg.CheckpointLimit),
-	})
-	return true
-}
-
-// ckptTask programs a serialized checkpoint's chunks under the WorkSleep
-// budget. The state was captured at scheduling time, so foreground writes
-// that land between quanta carry seq > ckptSeq and are replayed on top at
-// recovery — the checkpoint stays consistent without stalling writers.
-type ckptTask struct {
-	f       *FTL
-	id      uint64
-	chunks  [][]byte
-	next    int
-	pending bool // bounded-paged mode: flush + serialize on first run
-	budget  *ratelimit.Budget
-}
-
-// Name implements sim.Task.
-func (t *ckptTask) Name() string { return fmt.Sprintf("ftl-checkpoint(%d)", t.id) }
-
-// Run implements sim.Task: one budgeted batch of chunk programs.
-func (t *ckptTask) Run(now sim.Time) (sim.Time, bool) {
-	f := t.f
-	if f.closed {
-		// Close wrote its own synchronous checkpoint, superseding this one.
-		for _, a := range f.ckptInflight {
-			delete(f.ckptPins, a)
-		}
-		f.ckptInflight = nil
-		f.ckptActive = false
-		return 0, true
-	}
-	if t.pending {
-		var err error
-		if c := f.fmap.Paged(); c != nil && c.Bounded() {
-			now, err = f.flushAllMapPages(now, c)
-		}
-		if err == nil {
-			t.id, t.chunks, err = f.serializeCheckpoint()
-		}
-		if err != nil {
-			f.stats.CheckpointErrors++
-			f.stats.CheckpointLastErr = err.Error()
-			f.ckptActive = false
-			return 0, true
-		}
-		t.pending = false
-	}
-	start := now
-	for programmed := 0; t.next < len(t.chunks) && programmed < f.cfg.GCChunk; programmed++ {
-		addr, done, err := f.programCkptChunk(now, t.chunks[t.next], t.next, len(t.chunks))
-		if err != nil {
-			f.abortCheckpoint(f.ckptInflight, err)
-			f.ckptInflight = nil
-			f.ckptActive = false
-			return 0, true
-		}
-		f.ckptInflight = append(f.ckptInflight, addr)
-		t.next++
-		now = done
-	}
-	if t.next < len(t.chunks) {
-		if sleep, exhausted := t.budget.Charge(now.Sub(start)); exhausted {
-			return now.Add(sleep), false
-		}
-		return now, false
-	}
-	f.commitCheckpoint(now, t.id, f.ckptInflight)
-	f.ckptInflight = nil
-	f.ckptActive = false
-	return 0, true
-}
-
-// decodeCheckpointSections parses a decoded stream's sections into the map
-// state and the segment table. The map section comes in either layout: the
-// full mapping list (tree / cache-unbounded checkpoints, ckptSecMap) or
-// the global translation directory (bounded-paged checkpoints,
-// ckptSecGTD); exactly one of entries / gtd is populated on success.
-func decodeCheckpointSections(secs []ckpt.Section) (entries [][2]uint64, gtd []mapcache.GTDEnt, slotsPer int, table []ckptSegRecord, err error) {
-	var sawMap, sawTable bool
+// decodeCheckpointSections parses a decoded stream's sections. Section
+// bodies arrive from an image file: every count is proven against the bytes
+// that remain before it sizes a loop or an allocation.
+func decodeCheckpointSections(secs []ckpt.Section) (*ckptImage, error) {
+	var (
+		img              ckptImage
+		sawMap, sawTable bool
+		err              error
+	)
 	for _, s := range secs {
 		switch s.Kind {
 		case ckptSecMap:
 			sawMap = true
-			r := ckpt.Reader{B: s.Data}
-			n := r.U64()
-			for i := uint64(0); i < n; i++ {
-				lba, addr := r.U64(), r.U64()
-				entries = append(entries, [2]uint64{lba, addr})
-			}
-			if r.Err() != nil {
-				return nil, nil, 0, nil, fmt.Errorf("ftl: checkpoint map section: %w", r.Err())
-			}
+			img.entries, err = logcore.DecodeMapSection(s.Data)
 		case ckptSecGTD:
 			sawMap = true
-			r := ckpt.Reader{B: s.Data}
-			slotsPer = int(r.U32())
-			n := r.U32()
-			gtd = make([]mapcache.GTDEnt, 0, n)
-			for i := uint32(0); i < n; i++ {
-				gtd = append(gtd, mapcache.GTDEnt{Idx: r.U64(), Addr: r.U64(), Live: int(r.U32())})
-			}
-			if r.Err() != nil {
-				return nil, nil, 0, nil, fmt.Errorf("ftl: checkpoint GTD section: %w", r.Err())
-			}
+			img.gtd, img.gtdSlots, err = logcore.DecodeGTDSection(s.Data)
 		case ckptSecSegTable:
 			sawTable = true
 			r := ckpt.Reader{B: s.Data}
-			n := r.U32()
-			for i := uint32(0); i < n; i++ {
-				rec := ckptSegRecord{
-					seg:    int(r.U32()),
-					erases: int(r.U32()),
-					prog:   int(r.U32()),
-					maxSeq: r.U64(),
-				}
-				table = append(table, rec)
+			for i, n := 0, r.Count(uint64(r.U32()), logcore.SegRecordSize); i < n; i++ {
+				img.table = append(img.table, logcore.DecodeSegRecord(&r))
 			}
 			if r.Err() != nil {
-				return nil, nil, 0, nil, fmt.Errorf("ftl: checkpoint segment table: %w", r.Err())
+				err = fmt.Errorf("ftl: checkpoint segment table: %w", r.Err())
 			}
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	if !sawMap || !sawTable {
-		return nil, nil, 0, nil, fmt.Errorf("ftl: checkpoint missing required sections")
+		return nil, fmt.Errorf("ftl: checkpoint missing required sections")
 	}
-	return entries, gtd, slotsPer, table, nil
-}
-
-// checkSegTable decides whether a checkpoint's segment table still
-// describes the device. It returns the set of segments recovery may skip
-// (recorded used, unchanged, nothing newer) — and ok=false when any
-// recorded segment was erased, retired, or rewound since serialization,
-// which means the cleaner moved pre-cut-off blocks and the checkpoint can
-// no longer be trusted.
-func checkSegTable(dev *nand.Device, table []ckptSegRecord) (recorded map[int]ckptSegRecord, ok bool) {
-	recorded = make(map[int]ckptSegRecord, len(table))
-	for _, rec := range table {
-		if rec.seg < 0 || rec.seg >= dev.Config().Segments {
-			return nil, false
-		}
-		if dev.SegmentHealth(rec.seg) == nand.Retired {
-			return nil, false
-		}
-		if dev.EraseCount(rec.seg) != rec.erases {
-			return nil, false
-		}
-		if dev.NextFreeInSegment(rec.seg) < rec.prog {
-			return nil, false
-		}
-		recorded[rec.seg] = rec
-	}
-	return recorded, true
+	return &img, nil
 }

@@ -28,13 +28,13 @@ func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 
 	// A victim that still holds valid data, so the clean must copy.
 	pps := int64(f.cfg.Nand.PagesPerSegment)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg == f.headSeg {
+		if seg == f.HeadSeg {
 			continue
 		}
 		for p := int64(seg) * pps; p < int64(seg+1)*pps; p++ {
@@ -55,7 +55,7 @@ func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 	if err := f.ForceClean(now, victim); err != nil {
 		t.Fatal(err)
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	plan.Disarm(f.Device())
 
 	st := f.Stats()
@@ -78,7 +78,7 @@ func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 	if err := f.ForceClean(now, victim); err != nil {
 		t.Fatalf("victim not cleanable after abort: %v", err)
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	if st := f.Stats(); st.GCErases == 0 {
 		t.Fatal("retry clean never erased the victim")
 	}

@@ -1,316 +1,68 @@
 // Package ftl implements the vanilla log-structured FTL the paper builds
-// on: the Fusion-io Virtual Storage Layer as described in §5.2 — a host-
-// memory B+tree forward map, a validity bitmap, Remap-on-Write log
-// appends, a greedy paced segment cleaner, checkpoint on clean shutdown,
-// and crash recovery by log scan.
+// on: the Fusion-io Virtual Storage Layer as described in §5.2 — a forward
+// map, a validity bitmap, Remap-on-Write log appends, a greedy paced segment
+// cleaner, checkpoint on clean shutdown, and crash recovery by log scan.
 //
-// This package has no snapshot support at all; it is the baseline
-// ("Vanilla") column of the paper's Table 2 and Table 4. Package iosnap
-// extends the same design with epochs, snapshot trees, and CoW validity
-// maps.
+// The log itself is internal/logcore, the engine package iosnap embeds too;
+// this package is the policy of a device with no snapshots at all — one flat
+// bitmap says which blocks are valid — and is the baseline ("Vanilla") column
+// of the paper's Table 2 and Table 4.
 package ftl
 
 import (
-	"errors"
-	"fmt"
-
 	"iosnap/internal/bitmap"
-	"iosnap/internal/mapcache"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
-	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
-// Errors returned by FTL operations.
+// Errors returned by FTL operations: the log engine's.
 var (
-	ErrOutOfRange  = errors.New("ftl: LBA out of range")
-	ErrBadLength   = errors.New("ftl: buffer not a multiple of sector size")
-	ErrClosed      = errors.New("ftl: device closed")
-	ErrDeviceFull  = errors.New("ftl: no reclaimable space")
-	ErrUnformatted = errors.New("ftl: device holds no valid log")
-	// ErrOutOfSpace is graceful degradation: new writes are shed because the
-	// free pool is down to the rescue reserve and cleaning cannot refill it.
-	// Reads, trims, and background cleaning keep running, and writes resume
-	// automatically once reclaimed space lifts the pool above the reserve.
-	ErrOutOfSpace = errors.New("ftl: out of space (degraded: writes shed, reads still served)")
+	ErrOutOfRange = logcore.ErrOutOfRange
+	ErrBadLength  = logcore.ErrBadLength
+	ErrClosed     = logcore.ErrClosed
+	ErrDeviceFull = logcore.ErrDeviceFull
+	ErrOutOfSpace = logcore.ErrOutOfSpace
 )
 
-// Config parameterizes the FTL above the raw NAND geometry.
-type Config struct {
-	Nand nand.Config
+// Config, Stats and VictimPolicy are the log engine's: the vanilla FTL adds
+// no knob and no counter of its own.
+type (
+	Config       = logcore.Config
+	Stats        = logcore.Stats
+	VictimPolicy = logcore.VictimPolicy
+)
 
-	// UserSectors is the advertised logical capacity. It must leave
-	// over-provisioning headroom below the physical capacity or the cleaner
-	// cannot make progress; Default leaves 1/8 plus the reserve.
-	UserSectors int64
-
-	// ReserveSegments triggers background cleaning when the free-segment
-	// pool drops to this level. Writes that find the pool down to one
-	// segment force synchronous cleaning.
-	ReserveSegments int
-
-	// GCWindow is the interval over which the cleaner paces the copy-forward
-	// of one victim segment.
-	GCWindow sim.Duration
-
-	// GCChunk is the number of pages the cleaner copies per quantum.
-	GCChunk int
-
-	// VictimPolicy selects how the cleaner picks segments (§5.2.3: "the
-	// segment to erase is chosen on the basis of ... invalid data ... and
-	// the relative age of the blocks").
-	VictimPolicy VictimPolicy
-
-	// MapCPUCost models the host CPU cost of one forward-map descent on the
-	// I/O path. A multi-sector request is charged once per *leaf* its run
-	// spans in a maximally-packed tree (ftlmap.RunSpan), not once per sector — the batched data
-	// path's cost model (DESIGN.md §10).
-	MapCPUCost sim.Duration
-
-	// MapCachePages selects the forward map's memory layout (DESIGN.md
-	// §13). 0 (the default) keeps the in-RAM B+tree. Non-zero switches to
-	// the flash-resident paged map: translation pages of
-	// mapcache.SlotsFor(SectorSize) slots each, a RAM-pinned global
-	// translation directory, and a CLOCK cache of resident pages. A
-	// positive value bounds the cache to that many resident translation
-	// pages — dirty pages write back through the log head on eviction and
-	// the map's host footprint becomes O(cache + GTD) instead of O(map) —
-	// and requires a data-storing device (Nand.StoreData). A negative
-	// value runs the paged layout cache-unbounded: nothing is ever written
-	// to flash, which keeps it lockstep bit-exact with the tree.
-	MapCachePages int
-
-	// ReferenceDataPath selects the per-sector reference implementation of
-	// the data path: per-key map operations, per-bit validity flips, and
-	// per-page device calls, all on the exact virtual-time skeleton the
-	// batched path uses. It exists to pin the batched path's semantics (the
-	// equivalence tests run every workload both ways) and as the baseline
-	// the data-path benchmarks compare against.
-	ReferenceDataPath bool
-
-	// MergeCPUPerBlock models the cleaner's host CPU cost to determine one
-	// block's validity. The vanilla FTL consults a single bitmap; the
-	// snapshot FTL pays this per epoch merged (Table 4's "validity merge").
-	MergeCPUPerBlock sim.Duration
-
-	// Retry bounds per-NAND-operation retries of transient media errors.
-	// The zero value disables retrying.
-	Retry retry.Policy
-
-	// RescueReserve is the number of free segments the write path must leave
-	// untouched: headroom that keeps the cleaner and segment rescue able to
-	// make progress even when users have filled the device. Writes that
-	// would dip into the reserve (and cannot force-clean their way out) are
-	// shed with ErrOutOfSpace. 0 behaves like the historical floor of 1.
-	RescueReserve int
-
-	// CheckpointInterval arms periodic background checkpointing: once at
-	// least this much virtual time has passed since the last checkpoint, the
-	// next head advance starts a paced checkpoint task. 0 disables the
-	// periodic mode (Close still writes a synchronous checkpoint). Periodic
-	// checkpoints only run when the NAND stores payloads
-	// (nand.Config.StoreData) — without payloads a checkpoint can never be
-	// read back.
-	CheckpointInterval sim.Duration
-
-	// CheckpointLimit paces the background checkpoint task's chunk
-	// programs, like the scrubber's budget: after Work time spent
-	// programming chunks, the task sleeps Sleep. The zero value is
-	// unlimited.
-	CheckpointLimit ratelimit.WorkSleep
-}
+// The cleaner's segment-choice heuristics.
+const (
+	VictimGreedy      = logcore.VictimGreedy
+	VictimCostBenefit = logcore.VictimCostBenefit
+)
 
 // DefaultConfig returns a config over the given NAND geometry with the
 // calibrated defaults used throughout the experiments.
-func DefaultConfig(nc nand.Config) Config {
-	phys := nc.TotalPages()
-	reserve := nc.Segments / 16
-	if reserve < 2 {
-		reserve = 2
-	}
-	user := phys * 7 / 8
-	// Never advertise into the reserve segments.
-	maxUser := int64(nc.Segments-reserve-1) * int64(nc.PagesPerSegment)
-	if user > maxUser {
-		user = maxUser
-	}
-	return Config{
-		Nand:             nc,
-		UserSectors:      user,
-		ReserveSegments:  reserve,
-		GCWindow:         10 * sim.Second,
-		GCChunk:          32,
-		MapCPUCost:       300 * sim.Nanosecond,
-		MergeCPUPerBlock: 15 * sim.Nanosecond,
-		Retry:            retry.Default(),
-		RescueReserve:    2,
-	}
-}
+func DefaultConfig(nc nand.Config) Config { return logcore.DefaultConfig(nc) }
 
-// dataReserve is the free-segment floor user writes may not cross; the
-// historical behaviour (keep one segment for the cleaner) is the minimum.
-func (c Config) dataReserve() int {
-	if c.RescueReserve < 1 {
-		return 1
-	}
-	return c.RescueReserve
-}
-
-// Validate checks config consistency.
-func (c Config) Validate() error {
-	if err := c.Nand.Validate(); err != nil {
-		return err
-	}
-	if c.UserSectors <= 0 {
-		return fmt.Errorf("ftl: UserSectors %d must be positive", c.UserSectors)
-	}
-	if c.UserSectors >= c.Nand.TotalPages() {
-		return fmt.Errorf("ftl: UserSectors %d leaves no over-provisioning (physical %d)",
-			c.UserSectors, c.Nand.TotalPages())
-	}
-	if c.ReserveSegments < 1 || c.ReserveSegments >= c.Nand.Segments {
-		return fmt.Errorf("ftl: ReserveSegments %d out of range", c.ReserveSegments)
-	}
-	if c.GCChunk <= 0 {
-		return fmt.Errorf("ftl: GCChunk %d must be positive", c.GCChunk)
-	}
-	if c.RescueReserve < 0 || c.RescueReserve >= c.Nand.Segments {
-		return fmt.Errorf("ftl: RescueReserve %d out of range", c.RescueReserve)
-	}
-	if c.MapCachePages > 0 && !c.Nand.StoreData {
-		return fmt.Errorf("ftl: MapCachePages %d requires a data-storing device (translation pages live on flash)", c.MapCachePages)
-	}
-	return nil
-}
-
-// mapLimit converts MapCachePages to the cache's residency-limit parameter
-// (<=0 = unbounded).
-func (c Config) mapLimit() int {
-	if c.MapCachePages < 0 {
-		return 0
-	}
-	return c.MapCachePages
-}
-
-// Stats counts FTL-level activity.
-type Stats struct {
-	UserReads    int64 // sectors read by the user (not calls)
-	UserWrites   int64 // sectors written by the user (not calls)
-	BytesRead    int64
-	BytesWritten int64
-	Trims        int64
-
-	GCRuns       int64        // victim segments cleaned
-	GCForced     int64        // cleans forced synchronously by writers
-	GCCopied     int64        // pages copy-forwarded
-	GCErases     int64        // segments erased by the cleaner
-	GCErrors     int64        // background cleans aborted by device errors
-	GCLastErr    string       // most recent aborting error ("" when none)
-	GCMergeTime  sim.Duration // host time spent computing block validity
-	GCTotalTime  sim.Duration // virtual time from victim selection to erase
-	GCLastAt     sim.Time     // completion time of the most recent clean
-	MapMemory    int64        // forward map bytes, as if fully resident (refreshed on Stats())
-	WriteAmplify float64      // (user+gc programs)/user programs, refreshed on Stats()
-
-	MapMemoryResident int64 // host RAM the map actually holds: resident pages + GTD (refreshed on Stats())
-	MapCacheHits      int64 // translation pages served from the cache (paged mode)
-	MapCacheMisses    int64 // translation pages faulted from flash (paged mode)
-	MapCacheEvictions int64 // resident translation pages evicted (paged mode)
-	MapPagesFlushed   int64 // dirty translation pages written back to the log (paged mode)
-
-	Retries          int64 // NAND operations re-attempted by the retry policy
-	MediaFailures    int64 // permanent media failures (each marks a segment suspect)
-	SegmentsSuspect  int   // refreshed on Stats()
-	SegmentsRetired  int   // refreshed on Stats()
-	OutOfSpaceWrites int64 // writes shed with ErrOutOfSpace
-	Degraded         bool  // write path currently shedding load, refreshed on Stats()
-
-	TornPagesSkipped int64 // unparseable headers dropped during recovery scans
-
-	// Batched data-path accounting. The reference path reports the same
-	// numbers — what the batched path would have submitted — so the two
-	// paths' Stats stay comparable field for field.
-	BatchDescents  int64 // leaf descents charged for run operations
-	BatchPages     int64 // pages submitted through batch NAND entry points
-	BatchNandCalls int64 // batch NAND calls issued (one per run chunk)
-
-	Checkpoints       int64  // checkpoints committed (anchor updated)
-	CheckpointChunks  int64  // chunk pages programmed by committed checkpoints
-	CheckpointErrors  int64  // checkpoint attempts aborted by device errors
-	CheckpointLastErr string // most recent aborting error ("" when none)
-
-	RecoveryTailBounded bool  // this FTL came up via the checkpoint fast path
-	RecoveryFallbacks   int64 // tail-bounded attempts that fell back to a full scan
-	RecoverySegsScanned int64 // segments whose OOB headers recovery scanned
-	RecoveryHeaderPages int64 // header pages recovery scanned
-}
-
-// FTL is the vanilla log-structured translation layer. It is not safe for
-// concurrent use (the whole simulation is single-threaded virtual time).
+// FTL is the vanilla log-structured translation layer: the log engine plus
+// one validity bitmap. It is not safe for concurrent use (the whole
+// simulation is single-threaded virtual time).
 type FTL struct {
+	logcore.Log
 	cfg   Config
-	dev   *nand.Device
-	sched *sim.Scheduler
+	stats Stats
 
-	fmap     *mapcache.Map
+	// validity is the one bitmap. The log's per-segment valid counts
+	// (AddValid) mirror it exactly at all times — there is no epoch set to go
+	// stale — so victim selection never walks it.
 	validity *bitmap.Bitmap
-
-	headSeg    int      // segment currently absorbing appends
-	headIdx    int      // next page index within headSeg
-	seq        uint64   // global write sequence number
-	freeSegs   []int    // erased segments available for the log head
-	usedSegs   []int    // segments with data, oldest first (headSeg is last)
-	segLastSeq []uint64 // newest write sequence in each segment (victim aging)
-
-	gcActive bool
-	gcVictim int // segment a background gcTask currently owns (-1 = none)
-	degraded bool
-	closed   bool
-	stats    Stats
-
-	acct *gcAcct // incremental per-segment valid counters (gcacct.go)
-
-	ws dataPathScratch // reusable buffers for the batched data path (datapath.go)
-
-	// Checkpoint state. Chunk pages are never valid in the bitmap — they are
-	// consumed at recovery, not translated — so the pin set is what keeps the
-	// cleaner from erasing the newest durable checkpoint (and one in flight)
-	// out from under a future recovery; pinned pages are copy-forwarded like
-	// valid ones and the anchor follows them. anchorID/anchorAddrs mirror the
-	// device anchor; ckptInflight is the partial chunk list of a running
-	// background checkpoint task.
-	ckptActive   bool
-	lastCkpt     sim.Time
-	ckptPins     map[nand.PageAddr]bool
-	anchorID     uint64
-	anchorAddrs  []nand.PageAddr
-	ckptInflight []nand.PageAddr
-
-	// mapPins protects on-flash translation pages (paged map mode) the
-	// same way ckptPins protects checkpoint chunks: translation pages are
-	// never valid in the bitmap, so the pin is their only cleaning
-	// protection. Keyed by flash address, valued by translation-page index.
-	mapPins map[nand.PageAddr]uint64
 }
 
-// markValid sets a validity bit and keeps the per-segment counters exact.
-// All validity transitions must go through markValid/markInvalid.
-func (f *FTL) markValid(p int64) {
-	if f.validity.Test(p) {
-		return
-	}
-	f.validity.Set(p)
-	f.acct.onSet(p)
-}
-
-// markInvalid clears a validity bit and keeps the per-segment counters exact.
-func (f *FTL) markInvalid(p int64) {
-	if !f.validity.Test(p) {
-		return
-	}
-	f.validity.Clear(p)
-	f.acct.onClear(p)
+// newShell builds an FTL with its log wired to dev and nothing in it: New
+// formats it, the recovery paths fill it in.
+func newShell(cfg Config, dev *nand.Device, sched *sim.Scheduler) *FTL {
+	f := &FTL{cfg: cfg, validity: bitmap.New(cfg.Nand.TotalPages())}
+	f.Log.Init(cfg, dev, sched, f, &f.stats)
+	return f
 }
 
 // New formats a fresh device and returns an FTL over it. The scheduler is
@@ -323,159 +75,55 @@ func New(cfg Config, sched *sim.Scheduler) (*FTL, error) {
 	if sched == nil {
 		sched = sim.NewScheduler()
 	}
-	f := &FTL{
-		cfg:        cfg,
-		dev:        nand.New(cfg.Nand),
-		sched:      sched,
-		validity:   bitmap.New(cfg.Nand.TotalPages()),
-		gcVictim:   -1,
-		segLastSeq: make([]uint64, cfg.Nand.Segments),
-		ckptPins:   make(map[nand.PageAddr]bool),
-		mapPins:    make(map[nand.PageAddr]uint64),
-	}
-	f.fmap = f.newActiveMap()
-	for s := cfg.Nand.Segments - 1; s >= 1; s-- {
-		f.freeSegs = append(f.freeSegs, s)
-	}
-	f.headSeg = 0
-	f.usedSegs = []int{0}
-	f.acct = newGCAcct(f)
-	f.acct.track(0)
+	f := newShell(cfg, nand.New(cfg.Nand), sched)
+	f.Format()
 	return f, nil
 }
-
-// Device exposes the underlying NAND (tests and experiments inspect it).
-func (f *FTL) Device() *nand.Device { return f.dev }
-
-// Scheduler returns the background-task scheduler this FTL enqueues on.
-func (f *FTL) Scheduler() *sim.Scheduler { return f.sched }
 
 // Config returns the FTL configuration.
 func (f *FTL) Config() Config { return f.cfg }
 
-// SectorSize implements blockdev.Device.
-func (f *FTL) SectorSize() int { return f.cfg.Nand.SectorSize }
-
-// Sectors implements blockdev.Device.
-func (f *FTL) Sectors() int64 { return f.cfg.UserSectors }
-
-// Stats returns a snapshot of the counters with derived fields refreshed.
-func (f *FTL) Stats() Stats {
-	s := f.stats
-	s.MapMemory = f.fmap.MemoryBytes()
-	s.MapMemoryResident = f.fmap.ResidentBytes()
-	if c := f.fmap.Paged(); c != nil {
-		cs := c.Stats()
-		s.MapCacheHits = cs.Hits
-		s.MapCacheMisses = cs.Misses
-		s.MapCacheEvictions = cs.Evictions
-		s.MapPagesFlushed = cs.Flushed
-	}
-	if s.UserWrites > 0 {
-		s.WriteAmplify = float64(s.UserWrites+s.GCCopied) / float64(s.UserWrites)
-	}
-	s.SegmentsSuspect, s.SegmentsRetired = f.dev.HealthCounts()
-	s.Degraded = f.degraded
-	return s
+// Write implements blockdev.Device: the run is appended at the log head in
+// per-segment chunks, old translations are invalidated, and the forward map
+// absorbs the run — Remap-on-Write. Block headers carry epoch 0.
+func (f *FTL) Write(now sim.Time, lba int64, data []byte) (sim.Time, error) {
+	return f.WriteActive(now, 0, lba, data)
 }
 
-// FreeSegments returns the size of the erased-segment pool.
-func (f *FTL) FreeSegments() int { return len(f.freeSegs) }
-
-// MappedSectors returns how many LBAs currently have a translation.
-func (f *FTL) MappedSectors() int { return f.fmap.Len() }
-
-func (f *FTL) checkIO(lba int64, n int) error {
-	if f.closed {
-		return ErrClosed
-	}
-	if n == 0 {
-		return fmt.Errorf("%w: zero-length I/O", ErrBadLength)
-	}
-	if lba < 0 || lba+int64(n) > f.cfg.UserSectors {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, lba, lba+int64(n), f.cfg.UserSectors)
-	}
-	return nil
+// Trim implements blockdev.Trimmer: it drops the run's translations and
+// invalidates the backing pages, making them reclaimable.
+func (f *FTL) Trim(now sim.Time, lba int64, n int64) (sim.Time, error) {
+	return f.TrimActive(now, 0, lba, n)
 }
 
-// ungetPage rolls back the most recent allocPage/allocPageGC after a failed
-// program. Without it the unprogrammed page becomes a permanent hole at the
-// log head: SequentialProg devices reject every later program in the segment
-// with ErrOutOfOrder, turning one transient fault into a bricked log. Only
-// the exact page just handed out is reclaimed, and only if the program
-// really did not land.
-func (f *FTL) ungetPage(addr nand.PageAddr) {
-	if f.headIdx == 0 || addr != f.dev.Addr(f.headSeg, f.headIdx-1) {
+// HeadAdvanced implements logcore.Policy: a writer moved the head onto a
+// fresh segment, the moment the cleaner is armed.
+func (f *FTL) HeadAdvanced(now sim.Time) { f.maybeScheduleGC(now) }
+
+// SegmentTracked and SegmentReleased implement logcore.Policy: the vanilla
+// FTL keeps nothing per segment beyond the log's valid count.
+func (f *FTL) SegmentTracked(int, bool) {}
+func (f *FTL) SegmentReleased(int)      {}
+
+// segOf returns the segment holding physical page p.
+func (f *FTL) segOf(p int64) int { return int(p) / f.cfg.Nand.PagesPerSegment }
+
+// markValid sets a validity bit and keeps the per-segment counts exact. All
+// validity transitions must go through markValid/markInvalid (or their run
+// forms in datapath.go).
+func (f *FTL) markValid(p int64) {
+	if f.validity.Test(p) {
 		return
 	}
-	if _, err := f.dev.PageOOB(addr); err == nil {
+	f.validity.Set(p)
+	f.AddValid(f.segOf(p), 1)
+}
+
+// markInvalid clears a validity bit and keeps the per-segment counters exact.
+func (f *FTL) markInvalid(p int64) {
+	if !f.validity.Test(p) {
 		return
 	}
-	f.headIdx--
-}
-
-// allocPage returns the next log-head page, advancing segments and invoking
-// the cleaner as needed. The returned time reflects any synchronous
-// cleaning the caller had to wait for.
-func (f *FTL) allocPage(now sim.Time) (nand.PageAddr, sim.Time, error) {
-	if f.headIdx == f.cfg.Nand.PagesPerSegment {
-		var err error
-		now, err = f.advanceHead(now)
-		if err != nil {
-			return 0, now, err
-		}
-	}
-	addr := f.dev.Addr(f.headSeg, f.headIdx)
-	f.headIdx++
-	return addr, now, nil
-}
-
-func (f *FTL) advanceHead(now sim.Time) (sim.Time, error) {
-	// Forced cleaning: the pool is down to the reserve and the writer must
-	// wait. If cleaning cannot lift it back out, the write is shed instead
-	// of bricking the device — reads, trims, and GC continue, and the next
-	// write re-evaluates the pool from scratch.
-	for len(f.freeSegs) <= f.cfg.dataReserve() {
-		var err error
-		now, err = f.cleanOnce(now, true)
-		if err != nil {
-			if errors.Is(err, ErrDeviceFull) {
-				f.degraded = true
-				f.stats.OutOfSpaceWrites++
-				return now, ErrOutOfSpace
-			}
-			return now, err
-		}
-	}
-	f.degraded = false
-	f.headSeg = f.freeSegs[0]
-	f.freeSegs = f.freeSegs[1:]
-	f.headIdx = 0
-	f.usedSegs = append(f.usedSegs, f.headSeg)
-	f.acct.track(f.headSeg)
-	f.maybeScheduleGC(now)
-	f.maybeScheduleCheckpoint(now)
-	return now, nil
-}
-
-// Close checkpoints the forward map to the log and marks the FTL closed.
-// Recovery from a checkpoint requires the NAND to store payloads
-// (nand.Config.StoreData); without it, recovery falls back to the full
-// header scan.
-//
-// The log remains the source of truth: a failed checkpoint attempt is
-// recorded in CheckpointErrors, leaves the previous anchor (if any)
-// intact, and the close still proceeds — the next recovery simply falls
-// back to the full scan, matching iosnap's Close semantics. The returned
-// time includes the NAND/bus time consumed by a partial attempt.
-func (f *FTL) Close(now sim.Time) (sim.Time, error) {
-	if f.closed {
-		return now, ErrClosed
-	}
-	if !f.ckptActive {
-		done, _ := f.writeCheckpoint(now)
-		now = done
-	}
-	f.closed = true
-	return now, nil
+	f.validity.Clear(p)
+	f.AddValid(f.segOf(p), -1)
 }

@@ -230,12 +230,12 @@ func TestValidityConsistentWithMap(t *testing.T) {
 	_, _ = fillAndChurn(t, f, 800, 80, 13)
 	// Every mapped LBA's physical page must be valid and hold that LBA.
 	count := 0
-	f.fmap.All(func(lba, addr uint64) bool {
+	f.ActiveMap.All(func(lba, addr uint64) bool {
 		count++
 		if !f.validity.Test(int64(addr)) {
 			t.Fatalf("LBA %d maps to invalid page %d", lba, addr)
 		}
-		if _, err := f.dev.PageOOB(nand.PageAddr(addr)); err != nil {
+		if _, err := f.Dev.PageOOB(nand.PageAddr(addr)); err != nil {
 			t.Fatalf("LBA %d page %d unreadable: %v", lba, addr, err)
 		}
 		return true

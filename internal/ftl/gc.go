@@ -6,85 +6,38 @@ import (
 	"iosnap/internal/header"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
-// VictimPolicy selects the cleaner's segment-choice heuristic.
-type VictimPolicy int
-
-const (
-	// VictimGreedy picks the segment with the most invalid blocks.
-	VictimGreedy VictimPolicy = iota
-	// VictimCostBenefit weighs reclaimable space by block age (the classic
-	// LFS benefit/cost heuristic): older, colder segments win ties, which
-	// segregates cold data and reduces long-run write amplification.
-	VictimCostBenefit
-)
-
-func (p VictimPolicy) String() string {
-	if p == VictimCostBenefit {
-		return "cost-benefit"
-	}
-	return "greedy"
-}
-
-// victimScore rates a candidate segment; higher is better.
-func victimScore(policy VictimPolicy, invalid, valid int, curSeq, segSeq uint64) float64 {
-	switch policy {
-	case VictimCostBenefit:
-		u := float64(valid) / float64(valid+invalid)
-		age := float64(curSeq - segSeq)
-		return (1 - u) * age / (1 + u)
-	default:
-		return float64(invalid)
-	}
-}
+// The vanilla segment cleaner: pick the victim from the log's valid counts
+// (logcore.BestVictim), walk it with a live cursor copying whatever the bitmap still calls
+// valid at copy time, erase it. Admission, the copy-forward batch, the erase
+// and the pools are the log engine's (logcore/clean.go).
 
 // maybeScheduleGC starts a background cleaning task when the free pool is at
 // or below the reserve and no cleaner is already running.
 func (f *FTL) maybeScheduleGC(now sim.Time) {
-	if f.gcActive || f.closed || len(f.freeSegs) > f.cfg.ReserveSegments {
+	if !f.AdmitClean() {
 		return
 	}
-	victim, est := f.selectVictim()
+	victim := f.BestVictim()
 	if victim < 0 {
+		f.EndClean()
 		return
 	}
-	f.gcActive = true
-	f.gcVictim = victim
-	quanta := (est + f.cfg.GCChunk - 1) / f.cfg.GCChunk
-	task := &gcTask{
-		f:       f,
-		victim:  victim,
-		pacer:   ratelimit.NewPacer(now, quanta, f.cfg.GCWindow),
-		started: now,
-	}
-	f.sched.Schedule(now, task)
+	f.ScheduleClean(now, victim)
 }
 
-// selectVictim picks the cleaning victim per the configured policy,
-// returning its index and the number of valid pages it still holds (the
-// vanilla cleaner's work estimate). It returns -1 when no candidate exists —
-// including when every candidate is fully valid, since cleaning a segment
-// with nothing invalid reclaims no space and only burns an erase. (The log
-// head and a segment the background task is mid-way through cleaning are
-// never picked: a forced clean stealing the latter would erase it twice and
-// corrupt the free pool.)
-//
-// Selection runs entirely over the incrementally-maintained counters in
-// f.acct: O(log S) for greedy, O(S) for cost-benefit, no bitmap walks.
-func (f *FTL) selectVictim() (victim, validPages int) {
-	var e *segCounter
-	if f.cfg.VictimPolicy == VictimCostBenefit {
-		e = f.acct.bestCostBenefit()
-	} else {
-		e = f.acct.bestGreedy()
-	}
-	if e == nil {
-		return -1, 0
-	}
-	return e.seg, f.acct.validCount(e.seg)
+// ScheduleClean implements logcore.Policy: a paced background clean of seg,
+// picked by selectVictim or forced by ForceClean. The number of valid pages
+// it holds now is the work estimate.
+func (f *FTL) ScheduleClean(now sim.Time, seg int) {
+	f.BeginClean(now, seg, &gcTask{
+		f:       f,
+		victim:  seg,
+		pacer:   f.CleanPacer(now, f.ValidCount(seg)),
+		started: now,
+	})
 }
 
 // gcTask incrementally cleans one victim segment under pacing.
@@ -103,291 +56,102 @@ func (t *gcTask) Name() string { return fmt.Sprintf("ftl-gc(seg %d)", t.victim) 
 // Run implements sim.Task: one paced quantum of copy-forward.
 func (t *gcTask) Run(now sim.Time) (sim.Time, bool) {
 	f := t.f
+	if f.Closed() {
+		return 0, true // cancelled by Close, which released the slot
+	}
 	if !t.merged {
-		// Validity examination: a single pass over the segment's bitmap.
-		mergeCost := sim.Duration(f.cfg.Nand.PagesPerSegment) * f.cfg.MergeCPUPerBlock
-		f.stats.GCMergeTime += mergeCost
-		now = now.Add(mergeCost)
+		now = f.chargeMerge(now)
 		t.merged = true
 	}
 	var err error
-	t.cursor, now, _, err = f.copyForward(now, t.victim, t.cursor, f.cfg.GCChunk)
+	t.cursor, now, err = f.copyForward(now, t.victim, t.cursor, f.cfg.GCChunk)
 	if err != nil {
 		// Abandon the clean but record why: the victim keeps its remaining
 		// valid pages (already-moved ones were re-pointed one by one and the
 		// failed destination was rolled back), so forced cleaning can retry.
-		f.gcActive = false
-		f.gcVictim = -1
-		f.stats.GCErrors++
-		f.stats.GCLastErr = err.Error()
+		f.AbortClean(err)
 		return 0, true
 	}
 	if t.cursor < f.cfg.Nand.PagesPerSegment {
 		return t.pacer.Ready(now), false
 	}
-	now, err = f.finishClean(now, t.victim)
-	f.gcActive = false
-	f.gcVictim = -1
-	if err != nil {
-		// Erase failed; the victim stays in usedSegs, consistent.
-		f.stats.GCErrors++
-		f.stats.GCLastErr = err.Error()
+	if now, err = f.FinishClean(now, t.victim); err != nil {
+		// Erase failed; the victim stays in UsedSegs, consistent.
+		f.AbortClean(err)
 		return 0, true
 	}
-	f.stats.GCRuns++
-	f.stats.GCTotalTime += now.Sub(t.started)
-	f.stats.GCLastAt = now
+	f.EndClean()
+	f.CleanDone(now, t.started)
 	f.maybeScheduleGC(now) // chain onto the next victim if still low
 	return 0, true
 }
 
-// cleanOnce synchronously cleans the best victim (the forced path taken by
-// writers when the pool is nearly empty).
-func (f *FTL) cleanOnce(now sim.Time, forced bool) (sim.Time, error) {
-	victim, _ := f.selectVictim()
+// chargeMerge charges the validity examination of one clean: a single pass
+// over the victim's bitmap.
+func (f *FTL) chargeMerge(now sim.Time) sim.Time {
+	cost := sim.Duration(f.cfg.Nand.PagesPerSegment) * f.cfg.MergeCPUPerBlock
+	f.stats.GCMergeTime += cost
+	return now.Add(cost)
+}
+
+// CleanOnce implements logcore.Policy: it synchronously cleans the best
+// victim (the forced path taken by writers when the pool is nearly empty).
+func (f *FTL) CleanOnce(now sim.Time, forced bool) (sim.Time, error) {
+	victim := f.BestVictim()
 	if victim < 0 {
 		return now, ErrDeviceFull
 	}
-	mergeCost := sim.Duration(f.cfg.Nand.PagesPerSegment) * f.cfg.MergeCPUPerBlock
-	f.stats.GCMergeTime += mergeCost
-	now = now.Add(mergeCost)
+	now = f.chargeMerge(now)
 	start := now
-	cursor := 0
-	for cursor < f.cfg.Nand.PagesPerSegment {
+	pps := f.cfg.Nand.PagesPerSegment
+	for cursor := 0; cursor < pps; {
 		var err error
-		cursor, now, _, err = f.copyForward(now, victim, cursor, f.cfg.Nand.PagesPerSegment)
+		cursor, now, err = f.copyForward(now, victim, cursor, pps)
 		if err != nil {
 			return now, err
 		}
 	}
-	now, err := f.finishClean(now, victim)
+	now, err := f.FinishClean(now, victim)
 	if err != nil {
 		return now, err
 	}
-	f.stats.GCRuns++
 	if forced {
 		f.stats.GCForced++
 	}
-	f.stats.GCTotalTime += now.Sub(start)
-	f.stats.GCLastAt = now
+	f.CleanDone(now, start)
 	return now, nil
 }
 
-// copyForward moves up to max valid pages of the victim starting at page
-// index cursor, returning the new cursor, the completion time, and how many
-// pages were copied.
-//
-// The quantum is planned first (destination allocation + header decode are
-// host-side) and then issued as one devCopyPages call per head segment.
-// Copies within one quantum were always pipelined — submitted together at
-// the quantum's start, serialized by the device's per-channel queues — so
-// the batch submission is virtual-time identical to the per-page reference
-// loop below (nand.CopyPages is exactly sequential-equivalent).
-func (f *FTL) copyForward(now sim.Time, victim, cursor, max int) (int, sim.Time, int, error) {
-	if f.cfg.ReferenceDataPath {
-		return f.copyForwardRef(now, victim, cursor, max)
-	}
+// copyForward moves up to max pages of the victim that are valid (or
+// pinned: checkpoint chunks and translation pages are valid in no bitmap
+// but must survive cleaning) right now, starting at page index cursor, and
+// returns the new cursor and the completion time. Validity is tested at copy
+// time, quantum by quantum: a page a foreground write invalidated since the
+// victim was chosen is not copied.
+func (f *FTL) copyForward(now sim.Time, victim, cursor, max int) (int, sim.Time, error) {
 	pps := f.cfg.Nand.PagesPerSegment
-	copied := 0
-	submit := now
-	maxDone := now
-	var (
-		froms, tos []nand.PageAddr
-		hs         []header.Header
-		pins       []bool
-		idxs       []int // victim page index per planned copy
-	)
-	for cursor < pps && copied < max {
-		froms, tos, hs, pins, idxs = froms[:0], tos[:0], hs[:0], pins[:0], idxs[:0]
-		room := max - copied
-		var planErr error
-		for len(froms) < room && cursor < pps {
-			idx := cursor
-			cursor++
-			old := f.dev.Addr(victim, idx)
-			// Checkpoint chunks and translation pages are never valid in the
-			// bitmap (they are consumed at recovery or faulted by the map
-			// cache, not translated) but pinned pages must survive cleaning:
-			// they are copied like valid ones and the anchor / GTD follows.
-			_, mapPinned := f.mapPins[old]
-			pinned := f.ckptPins[old] || mapPinned
-			if !f.validity.Test(int64(old)) && !pinned {
-				continue
-			}
-			dst, _, err := f.allocPageGC(submit)
-			if err != nil {
-				planErr = err
-				break
-			}
-			oob, err := f.dev.PageOOB(old)
-			if err != nil {
-				f.ungetPage(dst)
-				planErr = fmt.Errorf("ftl: cleaner reading header: %w", err)
-				break
-			}
-			h, err := header.Unmarshal(oob)
-			if err != nil {
-				f.ungetPage(dst)
-				planErr = fmt.Errorf("ftl: cleaner decoding header: %w", err)
-				break
-			}
-			froms = append(froms, old)
-			tos = append(tos, dst)
-			hs = append(hs, h)
-			pins = append(pins, pinned)
-			idxs = append(idxs, idx)
-			if len(froms) == 1 {
-				// Confine the batch to the current head segment so a
-				// mid-batch failure rolls back with a plain headIdx walk.
-				if r := 1 + pps - f.headIdx; r < room {
-					room = r
-				}
-			}
-		}
-		n, d, copyErr := f.devCopyPages(submit, froms, tos)
-		if d > maxDone {
-			maxDone = d
-		}
-		for j := 0; j < n; j++ {
-			f.gcFixup(froms[j], tos[j], hs[j], pins[j])
-		}
-		copied += n
-		if copyErr != nil {
-			// Hand back the destinations that were planned but never
-			// attempted, then the failing page's own (which may have landed
-			// after all — ungetPage checks). The cursor resumes just past
-			// the failing victim page, exactly as the per-page loop would.
-			f.headIdx -= len(tos) - n - 1
-			f.ungetPage(tos[n])
-			return idxs[n] + 1, maxDone, copied, fmt.Errorf("ftl: copy-forward: %w", copyErr)
-		}
-		if planErr != nil {
-			return cursor, maxDone, copied, planErr
+	var order []int
+	for ; cursor < pps && len(order) < max; cursor++ {
+		p := f.Dev.Addr(victim, cursor)
+		_, mapPinned := f.MapPins[p]
+		if f.validity.Test(int64(p)) || f.CkptPins[p] || mapPinned {
+			order = append(order, cursor)
 		}
 	}
-	return cursor, maxDone, copied, nil
+	_, now, err := f.CopyForward(now, victim, order, 0, max, f.blockMoved)
+	return cursor, now, err
 }
 
-// copyForwardRef is the per-page reference implementation of copyForward,
-// kept for the batched-vs-reference equivalence tests (Config.ReferenceDataPath).
-func (f *FTL) copyForwardRef(now sim.Time, victim, cursor, max int) (int, sim.Time, int, error) {
-	pps := f.cfg.Nand.PagesPerSegment
-	copied := 0
-	// Copies within one quantum are pipelined (submitted together, the
-	// device's per-channel queues serialize them), like a cleaner thread
-	// issuing a batch of copyback commands.
-	submit := now
-	maxDone := now
-	for cursor < pps && copied < max {
-		idx := cursor
-		cursor++
-		old := f.dev.Addr(victim, idx)
-		_, mapPinned := f.mapPins[old]
-		pinned := f.ckptPins[old] || mapPinned
-		if !f.validity.Test(int64(old)) && !pinned {
-			continue
-		}
-		dst, _, err := f.allocPageGC(submit)
-		if err != nil {
-			return cursor, maxDone, copied, err
-		}
-		oob, err := f.dev.PageOOB(old)
-		if err != nil {
-			f.ungetPage(dst)
-			return cursor, maxDone, copied, fmt.Errorf("ftl: cleaner reading header: %w", err)
-		}
-		h, err := header.Unmarshal(oob)
-		if err != nil {
-			f.ungetPage(dst)
-			return cursor, maxDone, copied, fmt.Errorf("ftl: cleaner decoding header: %w", err)
-		}
-		done, err := f.devCopyPage(submit, old, dst)
-		if err != nil {
-			f.ungetPage(dst)
-			return cursor, maxDone, copied, fmt.Errorf("ftl: copy-forward: %w", err)
-		}
-		if done > maxDone {
-			maxDone = done
-		}
-		f.gcFixup(old, dst, h, pinned)
-		copied++
-	}
-	return cursor, maxDone, copied, nil
-}
-
-// gcFixup applies the host-side metadata moves for one copied page: the
-// destination inherits the block's age, pins and anchors follow pinned
-// pages, and data pages get their translation and validity bit re-pointed.
-func (f *FTL) gcFixup(old, dst nand.PageAddr, h header.Header, pinned bool) {
-	// The destination inherits the block's age (its original seq), so
-	// segments holding cold data still look old to cost-benefit.
-	if dseg := f.dev.SegmentOf(dst); h.Seq > f.segLastSeq[dseg] {
-		f.segLastSeq[dseg] = h.Seq
-	}
+// blockMoved is the cleaner's fix-up for one copied block (logcore.MovedFunc):
+// a data page gets its translation re-pointed and the validity bit follows
+// the page. A pinned page has neither.
+func (f *FTL) blockMoved(_ int, old, dst nand.PageAddr, h header.Header, pinned bool) {
 	if pinned {
-		// The pin and the anchor (or in-flight chunk list, or GTD entry)
-		// follow the page; no translation or validity bit exists to move.
-		if h.Type == header.TypeMapPage {
-			f.moveMapPin(old, dst)
-		} else {
-			f.movePin(old, dst)
-		}
-	} else {
-		// Re-point the translation and move the validity bit.
-		if h.Type == header.TypeData {
-			f.fmap.Insert(h.LBA, uint64(dst))
-		}
-		f.markInvalid(int64(old))
-		f.markValid(int64(dst))
+		return
 	}
-	f.stats.GCCopied++
-}
-
-// allocPageGC allocates a log-head page for the cleaner. Unlike writer
-// allocation it never forces a nested clean; if the pool is exhausted the
-// device is genuinely out of reclaimable space.
-func (f *FTL) allocPageGC(now sim.Time) (nand.PageAddr, sim.Time, error) {
-	if f.headIdx == f.cfg.Nand.PagesPerSegment {
-		if len(f.freeSegs) == 0 {
-			return 0, now, ErrDeviceFull
-		}
-		f.headSeg = f.freeSegs[0]
-		f.freeSegs = f.freeSegs[1:]
-		f.headIdx = 0
-		f.usedSegs = append(f.usedSegs, f.headSeg)
-		f.acct.track(f.headSeg)
+	if h.Type == header.TypeData {
+		f.ActiveMap.Insert(h.LBA, uint64(dst))
 	}
-	addr := f.dev.Addr(f.headSeg, f.headIdx)
-	f.headIdx++
-	return addr, now, nil
-}
-
-// finishClean erases the victim and returns it to the free pool — or
-// retires it. By this point every valid page has been copied off, so a
-// permanently failing or suspect victim can leave service without losing a
-// byte; returning it to the pool would just let the next writer trip over
-// the same dying segment.
-func (f *FTL) finishClean(now sim.Time, victim int) (sim.Time, error) {
-	done, err := f.devEraseSegment(now, victim)
-	if err != nil {
-		if retry.MediaFailure(err) {
-			f.retireSegment(victim)
-			return now, nil
-		}
-		return now, fmt.Errorf("ftl: erasing segment %d: %w", victim, err)
-	}
-	f.stats.GCErases++
-	if f.dev.SegmentHealth(victim) != nand.Healthy {
-		f.retireSegment(victim)
-		return done, nil
-	}
-	for i, s := range f.usedSegs {
-		if s == victim {
-			f.usedSegs = append(f.usedSegs[:i], f.usedSegs[i+1:]...)
-			break
-		}
-	}
-	f.acct.untrack(victim)
-	f.freeSegs = append(f.freeSegs, victim)
-	return done, nil
+	f.markInvalid(int64(old))
+	f.markValid(int64(dst))
 }

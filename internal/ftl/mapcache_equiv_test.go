@@ -32,7 +32,7 @@ func TestPagedMapEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if paged.fmap.Paged() == nil {
+			if paged.ActiveMap.Paged() == nil {
 				t.Fatal("MapCachePages=-1 did not produce a paged map")
 			}
 			ss := tree.SectorSize()

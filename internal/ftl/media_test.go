@@ -110,10 +110,10 @@ func TestSuspectVictimRetiredAfterClean(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
@@ -121,16 +121,16 @@ func TestSuspectVictimRetiredAfterClean(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no victim")
 	}
-	f.dev.MarkSuspect(victim)
+	f.Dev.MarkSuspect(victim)
 	if err := f.ForceClean(now, victim); err != nil {
 		t.Fatal(err)
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 
-	if h := f.dev.SegmentHealth(victim); h != nand.Retired {
+	if h := f.Dev.SegmentHealth(victim); h != nand.Retired {
 		t.Fatalf("cleaned suspect segment health = %v, want retired", h)
 	}
-	for _, s := range append(f.UsedSegments(), f.freeSegs...) {
+	for _, s := range append(f.UsedSegments(), f.FreeSegs...) {
 		if s == victim {
 			t.Fatal("retired segment still pooled")
 		}
@@ -162,10 +162,10 @@ func TestPermanentEraseFailureRetiresVictim(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
@@ -178,10 +178,10 @@ func TestPermanentEraseFailureRetiresVictim(t *testing.T) {
 	if err := f.ForceClean(now, victim); err != nil {
 		t.Fatalf("clean with failing erase must rescue+retire, got %v", err)
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	plan.Disarm(f.Device())
 
-	if h := f.dev.SegmentHealth(victim); h != nand.Retired {
+	if h := f.Dev.SegmentHealth(victim); h != nand.Retired {
 		t.Fatalf("victim health = %v, want retired", h)
 	}
 	buf := make([]byte, ss)
@@ -221,7 +221,7 @@ func TestOutOfSpaceDegradation(t *testing.T) {
 		}
 		written++
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	// Keep writing fresh LBAs until degradation (if not already there).
 	sawShed := false
 	for lba := written; lba < f.Sectors(); lba++ {
@@ -281,34 +281,34 @@ func TestRetiredSegmentSurvivesRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
 	}
-	f.dev.MarkSuspect(victim)
+	f.Dev.MarkSuspect(victim)
 	if err := f.ForceClean(now, victim); err != nil {
 		t.Fatal(err)
 	}
-	now = f.sched.Drain(now)
-	if f.dev.SegmentHealth(victim) != nand.Retired {
+	now = f.Sched.Drain(now)
+	if f.Dev.SegmentHealth(victim) != nand.Retired {
 		t.Fatal("setup: victim not retired")
 	}
 
 	// Crash (no Close) and recover on the same device.
-	f2, now, err := Recover(f.cfg, f.dev, nil, now)
+	f2, now, err := Recover(f.cfg, f.Dev, nil, now)
 	if err != nil {
 		t.Fatalf("recovery with retired segment: %v", err)
 	}
-	for _, s := range append(f2.UsedSegments(), f2.freeSegs...) {
+	for _, s := range append(f2.UsedSegments(), f2.FreeSegs...) {
 		if s == victim {
 			t.Fatal("retired segment re-pooled by recovery")
 		}
 	}
-	if f2.headSeg == victim {
+	if f2.HeadSeg == victim {
 		t.Fatal("recovery resumed head on retired segment")
 	}
 	buf := make([]byte, ss)

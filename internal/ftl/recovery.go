@@ -4,28 +4,26 @@ import (
 	"fmt"
 	"sort"
 
-	"iosnap/internal/bitmap"
 	"iosnap/internal/ckpt"
 	"iosnap/internal/ftlmap"
 	"iosnap/internal/header"
+	"iosnap/internal/logcore"
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
+
+// Crash recovery. The shell — anchor chunks, stream assembly, the OOB scan
+// loop, pool and head reconstruction — is the log engine's
+// (logcore/recovery.go); here is what the vanilla FTL makes of the records:
+// last write wins per LBA, and the validity bitmap is whatever the recovered
+// map points at.
 
 // scanEntry is one data translation found during the log scan.
 type scanEntry struct {
 	lba  uint64
 	addr nand.PageAddr
 	seq  uint64
-}
-
-// ckptChunk locates one checkpoint chunk on the log.
-type ckptChunk struct {
-	idx   uint64
-	total uint64
-	seq   uint64
-	addr  nand.PageAddr
 }
 
 // Recover reconstructs an FTL from an existing device. If the device
@@ -57,9 +55,8 @@ func recoverFTL(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time
 	if sched == nil {
 		sched = sim.NewScheduler()
 	}
-	tailAttempted := false
-	if !forceFull && dev.Anchor() != nil && cfg.Nand.StoreData {
-		tailAttempted = true
+	tailAttempted := !forceFull && dev.Anchor() != nil && cfg.Nand.StoreData
+	if tailAttempted {
 		f, t, ok := tryTailRecover(cfg, dev, sched, now)
 		if ok {
 			return f, t, nil
@@ -76,77 +73,15 @@ func recoverFTL(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time
 	return f, now, nil
 }
 
-// recoverShell builds the empty FTL both recovery paths fill in.
-func recoverShell(cfg Config, dev *nand.Device, sched *sim.Scheduler) *FTL {
-	f := &FTL{
-		cfg:        cfg,
-		dev:        dev,
-		sched:      sched,
-		validity:   bitmap.New(cfg.Nand.TotalPages()),
-		gcVictim:   -1,
-		segLastSeq: make([]uint64, cfg.Nand.Segments),
-		ckptPins:   make(map[nand.PageAddr]bool),
-		mapPins:    make(map[nand.PageAddr]uint64),
-	}
-	f.fmap = f.newActiveMap()
-	f.acct = newGCAcct(f)
-	return f
-}
-
-// scanSegment reads one segment's OOB headers into the recovery
-// accumulators, counting torn pages instead of silently dropping them.
-func (f *FTL) scanSegment(now sim.Time, seg int, entries *[]scanEntry, chunks *[]ckptChunk,
-	segUsed []bool, segMaxSeq []uint64, maxSeq *uint64) (sim.Time, error) {
-	oobs, done, err := f.devScanSegmentOOB(now, seg)
-	if err != nil {
-		return now, fmt.Errorf("ftl: scanning segment %d: %w", seg, err)
-	}
-	f.stats.RecoverySegsScanned++
-	f.stats.RecoveryHeaderPages += int64(f.cfg.Nand.PagesPerSegment)
-	for idx, oob := range oobs {
-		if oob == nil {
-			continue
-		}
-		segUsed[seg] = true
-		h, err := header.Unmarshal(oob)
-		if err != nil {
-			// Torn write at the crashed log tail: never acknowledged, so
-			// skipping it loses nothing; the cleaner reclaims the page. It
-			// is still evidence worth counting.
-			f.stats.TornPagesSkipped++
-			continue
-		}
-		if h.Seq > segMaxSeq[seg] {
-			segMaxSeq[seg] = h.Seq
-		}
-		if h.Seq > *maxSeq {
-			*maxSeq = h.Seq
-		}
-		addr := f.dev.Addr(seg, idx)
-		switch h.Type {
-		case header.TypeData:
-			*entries = append(*entries, scanEntry{lba: h.LBA, addr: addr, seq: h.Seq})
-		case header.TypeCheckpoint:
-			if chunks != nil {
-				*chunks = append(*chunks, ckptChunk{idx: h.LBA, total: h.Epoch, seq: h.Seq, addr: addr})
-			}
-		}
-	}
-	return done, nil
-}
-
 // fullScanRecover is the historical path: scan every live segment's
 // headers, prefer the newest complete checkpoint found on the log, and
 // replay translations on top.
 func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time) (*FTL, sim.Time, error) {
-	f := recoverShell(cfg, dev, sched)
-
+	f := newShell(cfg, dev, sched)
 	var (
-		entries   []scanEntry
-		chunks    []ckptChunk
-		segMaxSeq = make([]uint64, cfg.Nand.Segments)
-		segUsed   = make([]bool, cfg.Nand.Segments)
-		maxSeq    uint64
+		entries []scanEntry
+		chunks  []logcore.AnchorChunk
+		scan    = f.NewScan(0)
 	)
 	for seg := 0; seg < cfg.Nand.Segments; seg++ {
 		if dev.SegmentHealth(seg) == nand.Retired {
@@ -156,55 +91,40 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 			continue
 		}
 		var err error
-		now, err = f.scanSegment(now, seg, &entries, &chunks, segUsed, segMaxSeq, &maxSeq)
+		now, _, err = f.ScanSegment(now, seg, 0, scan, func(addr nand.PageAddr, h header.Header) bool {
+			switch h.Type {
+			case header.TypeData:
+				entries = append(entries, scanEntry{lba: h.LBA, addr: addr, seq: h.Seq})
+			case header.TypeCheckpoint:
+				chunks = append(chunks, logcore.AnchorChunk{Addr: addr, Idx: h.LBA, Total: h.Epoch, Type: h.Type})
+			}
+			return true
+		})
 		if err != nil {
 			return nil, now, err
 		}
 	}
-	if len(entries) == 0 && len(chunks) == 0 && maxSeq == 0 {
-		// Fresh device: recovery degenerates to formatting.
-		usedAny := false
-		for _, u := range segUsed {
-			usedAny = usedAny || u
-		}
-		if !usedAny {
-			nf, err := New(cfg, sched)
-			if err != nil {
-				return nil, now, err
-			}
-			nf.dev = dev
-			return nf, now, nil
-		}
-	}
-	f.seq = maxSeq
 
 	// Prefer the newest complete checkpoint, then replay any data written
 	// after it (the device may have been reopened and written post-close).
-	loaded, ckptSeq, t, err := f.loadCheckpoint(now, chunks)
+	loaded, ckptSeq, now, err := f.loadCheckpoint(now, chunks)
 	if err != nil {
 		return nil, now, err
 	}
-	now = t
 	if loaded {
-		newer := entries[:0]
-		for _, e := range entries {
-			if e.seq > ckptSeq {
-				newer = append(newer, e)
-			}
-		}
-		f.applyNewerEntries(newer)
+		f.applyNewer(entries, ckptSeq)
 	} else {
 		// No usable checkpoint on the log: whatever the anchor pointed at
-		// is gone or untrustworthy, so drop it.
+		// is gone or untrustworthy, so drop it, and bulk-load the map from
+		// the scan's winners bottom-up.
 		dev.SetAnchor(nil)
-		f.replayEntries(entries)
+		img := &ckptImage{}
+		for lba, e := range winners(entries, 0) {
+			img.entries = append(img.entries, ftlmap.Entry{Key: lba, Val: uint64(e.addr)})
+		}
+		f.loadMap(now, img) // no GTD: nothing to read, nothing to fail
 	}
-
-	now, err = f.rebuildGeometry(now, segUsed, segMaxSeq)
-	if err != nil {
-		return nil, now, err
-	}
-	return f, now, nil
+	return f.finishRecovery(now, scan)
 }
 
 // tryTailRecover attempts checkpoint-based recovery via the device anchor.
@@ -212,130 +132,71 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 // point simply discards the partial state and reports ok=false.
 func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time) (*FTL, sim.Time, bool) {
 	anchor := dev.Anchor()
-	f := recoverShell(cfg, dev, sched)
+	f := newShell(cfg, dev, sched)
 
-	// Read and validate every chunk the anchor names.
-	payloads := make([][]byte, 0, len(anchor.Addrs))
-	if f.cfg.ReferenceDataPath {
-		for _, addr := range anchor.Addrs {
-			oob, err := dev.PageOOB(addr)
-			if err != nil {
-				return nil, now, false
-			}
-			h, err := header.Unmarshal(oob)
-			if err != nil || h.Type != header.TypeCheckpoint {
-				return nil, now, false
-			}
-			payload, _, done, err := f.devReadPage(now, addr)
-			if err != nil {
-				return nil, now, false
-			}
-			now = done
-			payloads = append(payloads, payload)
-		}
-	} else {
-		// Batched anchor load: validate the chunk headers host-side, then
-		// fetch every payload in one devReadPages call (cell reads overlap
-		// across channels instead of chaining).
-		for _, addr := range anchor.Addrs {
-			oob, err := dev.PageOOB(addr)
-			if err != nil {
-				return nil, now, false
-			}
-			h, err := header.Unmarshal(oob)
-			if err != nil || h.Type != header.TypeCheckpoint {
-				return nil, now, false
-			}
-		}
-		ds, _, k, done, err := f.devReadPages(now, anchor.Addrs)
-		now = done
-		if err != nil || k != len(anchor.Addrs) {
+	chunks, now, ok := f.ReadAnchorChunks(now)
+	if !ok {
+		return nil, now, false
+	}
+	for _, c := range chunks {
+		if c.Type != header.TypeCheckpoint {
 			return nil, now, false
 		}
-		payloads = append(payloads, ds...)
 	}
-	stream, err := ckpt.Join(anchor.ID, payloads)
-	if err != nil {
+	ckptSeq, secs, ok := logcore.AssembleStream(anchor.ID, chunks)
+	if !ok {
 		return nil, now, false
 	}
-	id, ckptSeq, secs, err := ckpt.Decode(stream)
-	if err != nil || id != anchor.ID {
-		return nil, now, false
-	}
-	mapEntries, gtdEnts, gtdSlots, table, err := decodeCheckpointSections(secs)
-	if err != nil {
-		return nil, now, false
-	}
-	if gtdEnts != nil && !f.gtdUsable(gtdSlots) {
+	img, err := decodeCheckpointSections(secs)
+	if err != nil || (img.gtd != nil && !f.GTDUsable(img.gtdSlots)) {
 		// A GTD checkpoint under a tree-mode config (or a foreign page
 		// geometry) cannot be consumed lazily; the full scan rebuilds the
 		// map from data headers instead.
 		return nil, now, false
 	}
-	recorded, ok := checkSegTable(dev, table)
+	recorded, ok := logcore.CheckSegTable(dev, img.table)
 	if !ok {
 		return nil, now, false
 	}
 
 	// Scan only segments that changed since the checkpoint; trust the
 	// table for the rest.
-	var (
-		entries   []scanEntry
-		segMaxSeq = make([]uint64, cfg.Nand.Segments)
-		segUsed   = make([]bool, cfg.Nand.Segments)
-		maxSeq    = ckptSeq
-	)
+	var entries []scanEntry
+	scan := f.NewScan(ckptSeq)
+	for _, rec := range img.table {
+		scan.Trust(rec)
+	}
 	for seg := 0; seg < cfg.Nand.Segments; seg++ {
 		if dev.SegmentHealth(seg) == nand.Retired {
 			continue
 		}
 		rec, isRecorded := recorded[seg]
-		if isRecorded && dev.NextFreeInSegment(seg) == rec.prog {
-			// Unchanged since serialization: the table speaks for it.
-			segUsed[seg] = rec.prog > 0
-			segMaxSeq[seg] = rec.maxSeq
-			if rec.maxSeq > maxSeq {
-				maxSeq = rec.maxSeq
-			}
-			continue
+		if isRecorded && dev.NextFreeInSegment(seg) == rec.Prog {
+			continue // unchanged since serialization: the table speaks for it
 		}
 		if !isRecorded && dev.ProgrammedInSegment(seg) == 0 {
 			continue // still free
 		}
 		var err error
-		now, err = f.scanSegment(now, seg, &entries, nil, segUsed, segMaxSeq, &maxSeq)
+		now, _, err = f.ScanSegment(now, seg, 0, scan, func(addr nand.PageAddr, h header.Header) bool {
+			if h.Type == header.TypeData {
+				entries = append(entries, scanEntry{lba: h.LBA, addr: addr, seq: h.Seq})
+			}
+			return true
+		})
 		if err != nil {
 			return nil, now, false
 		}
-		if isRecorded {
-			segUsed[seg] = segUsed[seg] || rec.prog > 0
-			if rec.maxSeq > segMaxSeq[seg] {
-				segMaxSeq[seg] = rec.maxSeq
-			}
-		}
 	}
-	f.seq = maxSeq
 
-	f.loadMapEntries(mapEntries, gtdEnts)
-	if now, err = f.markValidFromGTD(now, gtdEnts); err != nil {
+	if now, err = f.loadMap(now, img); err != nil {
 		return nil, now, false
 	}
-	newer := entries[:0]
-	for _, e := range entries {
-		if e.seq > ckptSeq {
-			newer = append(newer, e)
-		}
-	}
-	f.applyNewerEntries(newer)
-
+	f.applyNewer(entries, ckptSeq)
 	// The anchor's chunks are live recovery state until superseded.
-	f.anchorID = anchor.ID
-	f.anchorAddrs = anchor.Addrs
-	for _, a := range anchor.Addrs {
-		f.ckptPins[a] = true
-	}
+	f.AdoptAnchor(anchor.ID, anchor.Addrs)
 
-	now, err = f.rebuildGeometry(now, segUsed, segMaxSeq)
+	f, now, err = f.finishRecovery(now, scan)
 	if err != nil {
 		return nil, now, false
 	}
@@ -343,107 +204,45 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 	return f, now, true
 }
 
-// rebuildGeometry reconstructs the segment pools and log head from the
-// per-segment summaries either recovery path produced.
-func (f *FTL) rebuildGeometry(now sim.Time, segUsed []bool, segMaxSeq []uint64) (sim.Time, error) {
-	cfg, dev := f.cfg, f.dev
-	type segOrder struct {
-		seg int
-		seq uint64
-	}
-	var used []segOrder
-	for seg := 0; seg < cfg.Nand.Segments; seg++ {
-		switch {
-		case dev.SegmentHealth(seg) == nand.Retired:
-			// Belongs to neither pool: a grown bad block stays out of service.
-		case segUsed[seg]:
-			used = append(used, segOrder{seg, segMaxSeq[seg]})
-		default:
-			f.freeSegs = append(f.freeSegs, seg)
-		}
-	}
-	sort.SliceStable(used, func(i, j int) bool { return used[i].seq < used[j].seq })
-	for _, u := range used {
-		f.usedSegs = append(f.usedSegs, u.seg)
-	}
-	copy(f.segLastSeq, segMaxSeq)
-
-	// The head resumes at the newest segment if it still has room — and is
-	// healthy; appending onto suspect media would repeat the failure that
-	// made it suspect.
-	if len(f.usedSegs) > 0 {
-		last := f.usedSegs[len(f.usedSegs)-1]
-		next := dev.NextFreeInSegment(last)
-		if next < cfg.Nand.PagesPerSegment && dev.SegmentHealth(last) == nand.Healthy {
-			f.headSeg, f.headIdx = last, next
-		} else {
-			if len(f.freeSegs) == 0 {
-				return now, ErrDeviceFull
-			}
-			f.headSeg = f.freeSegs[0]
-			f.freeSegs = f.freeSegs[1:]
-			f.headIdx = 0
-			f.usedSegs = append(f.usedSegs, f.headSeg)
-		}
-	} else {
-		if len(f.freeSegs) == 0 {
-			return now, ErrUnformatted
-		}
-		f.headSeg = f.freeSegs[0]
-		f.freeSegs = f.freeSegs[1:]
-		f.headIdx = 0
-		f.usedSegs = append(f.usedSegs, f.headSeg)
-	}
-	// Track in usedSegs order so insertion stamps reproduce the oldest-first
-	// tie-break of a scan-based selection.
-	for _, s := range f.usedSegs {
-		f.acct.track(s)
+// finishRecovery rebuilds the log geometry from what either path scanned
+// and re-arms the cleaner.
+func (f *FTL) finishRecovery(now sim.Time, scan *logcore.Scan) (*FTL, sim.Time, error) {
+	if err := f.RebuildGeometry(scan); err != nil {
+		return nil, now, err
 	}
 	f.maybeScheduleGC(now)
-	return now, nil
+	return f, now, nil
 }
 
-// loadMapEntries bulk-loads checkpointed translations and marks their
-// backing pages valid. A bounded-paged checkpoint supplies a GTD instead
-// of entries; its pages stay on flash (pinned via recoveredMap) and the
-// caller marks their mappings valid via markValidFromGTD.
-func (f *FTL) loadMapEntries(pairs [][2]uint64, gtd []mapcache.GTDEnt) {
-	entries := make([]ftlmap.Entry, 0, len(pairs))
-	for _, p := range pairs {
-		entries = append(entries, ftlmap.Entry{Key: p[0], Val: p[1]})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	f.fmap = f.recoveredMap(entries, gtd)
-	for _, e := range entries {
+// loadMap installs a checkpoint's map and marks what it maps valid. The bitmap is derived from the forward map — unlike iosnap,
+// whose checkpoints carry an explicit validity stream — so for a
+// bounded-paged checkpoint recovery must read every GTD-referenced
+// translation page (a charged batch read) and mark each mapping it holds.
+// The pages are decoded and discarded, not made resident: the cache stays
+// empty and bounded, and the pages stay on flash, pinned by RecoverMap.
+func (f *FTL) loadMap(now sim.Time, img *ckptImage) (sim.Time, error) {
+	f.RecoverMap(img.entries, img.gtd)
+	for _, e := range img.entries {
 		f.markValid(int64(e.Val))
 	}
-}
-
-// markValidFromGTD rebuilds the validity bits a GTD checkpoint implies.
-// Unlike iosnap — whose checkpoints carry an explicit validity stream —
-// the vanilla bitmap is derived from the forward map, so recovery must
-// read every GTD-referenced translation page (a charged batch read) and
-// mark each mapping it holds. The pages are decoded and discarded, not
-// made resident: the cache stays empty and bounded.
-func (f *FTL) markValidFromGTD(now sim.Time, gtd []mapcache.GTDEnt) (sim.Time, error) {
-	if len(gtd) == 0 {
+	if len(img.gtd) == 0 {
 		return now, nil
 	}
-	addrs := make([]nand.PageAddr, len(gtd))
-	for i, ent := range gtd {
+	addrs := make([]nand.PageAddr, len(img.gtd))
+	for i, ent := range img.gtd {
 		addrs[i] = nand.PageAddr(ent.Addr)
 	}
-	datas, _, k, done, err := f.devReadPages(now, addrs)
+	datas, _, k, done, err := f.DevReadPages(now, addrs)
 	if err != nil {
-		return done, fmt.Errorf("ftl: reading GTD translation page %d: %w", gtd[k].Idx, err)
+		return done, fmt.Errorf("ftl: reading GTD translation page %d: %w", img.gtd[k].Idx, err)
 	}
-	for i := 0; i < k; i++ {
+	for i, ent := range img.gtd {
 		gotIdx, slots, derr := mapcache.DecodePage(datas[i])
 		if derr != nil {
-			return done, fmt.Errorf("ftl: translation page %d at %d: %w", gtd[i].Idx, addrs[i], derr)
+			return done, fmt.Errorf("ftl: translation page %d at %d: %w", ent.Idx, addrs[i], derr)
 		}
-		if gotIdx != gtd[i].Idx {
-			return done, fmt.Errorf("ftl: translation page %d decoded as %d", gtd[i].Idx, gotIdx)
+		if gotIdx != ent.Idx {
+			return done, fmt.Errorf("ftl: translation page %d decoded as %d", ent.Idx, gotIdx)
 		}
 		for _, v := range slots {
 			if v != mapcache.Unmapped {
@@ -454,70 +253,37 @@ func (f *FTL) markValidFromGTD(now sim.Time, gtd []mapcache.GTDEnt) (sim.Time, e
 	return done, nil
 }
 
-// gtdUsable reports whether a GTD map section can serve this FTL's
-// configuration: the map must be paged and the page geometry must match.
-func (f *FTL) gtdUsable(slotsPer int) bool {
-	return f.cfg.MapCachePages != 0 && slotsPer == mapcache.SlotsFor(f.cfg.Nand.SectorSize)
-}
-
-// loadCheckpoint tries to decode the newest complete checkpoint found by
-// the full scan. Chunks are grouped by the generation tag each chunk
-// carries — an index-set check alone would accept a "complete-looking"
-// interleaving of two generations — and a group is used only if its index
-// set covers {0..total-1}, its stream checksum verifies, and its segment
-// table still describes the device. It returns loaded=false (and no
-// error) when no group qualifies — including on devices that do not store
+// loadCheckpoint tries to decode the newest complete checkpoint among the
+// chunks the full scan found. Chunks are grouped by the generation tag each
+// chunk carries — an index-set check alone would accept a
+// "complete-looking" interleaving of two generations — and a group is used
+// only if it assembles into one complete stream, its checksum verifies, and
+// its segment table still describes the device. It returns loaded=false (and
+// no error) when no group qualifies — including on devices that do not store
 // payloads.
-func (f *FTL) loadCheckpoint(now sim.Time, chunks []ckptChunk) (bool, uint64, sim.Time, error) {
+func (f *FTL) loadCheckpoint(now sim.Time, chunks []logcore.AnchorChunk) (bool, uint64, sim.Time, error) {
 	if len(chunks) == 0 || !f.cfg.Nand.StoreData {
 		return false, 0, now, nil
 	}
-	// Group chunk payloads by generation tag.
-	type chunkPage struct {
-		ckptChunk
-		payload []byte
-	}
-	groups := make(map[uint64][]chunkPage)
-	payloads := make([][]byte, len(chunks))
-	if f.cfg.ReferenceDataPath {
-		for i, c := range chunks {
-			payload, _, done, err := f.devReadPage(now, c.addr)
-			if err != nil {
-				// A vanishing chunk disqualifies only its generation.
-				continue
-			}
-			now = done
-			payloads[i] = payload
-		}
-	} else {
-		// Batched chunk load: each devReadPages call reads as far as it can;
-		// a permanently failing chunk is skipped (it disqualifies only its
-		// generation) and the batch resumes just past it.
-		addrs := make([]nand.PageAddr, len(chunks))
-		for i, c := range chunks {
-			addrs[i] = c.addr
-		}
-		base := 0
-		for base < len(addrs) {
-			ds, _, k, done, err := f.devReadPages(now, addrs[base:])
-			now = done
-			copy(payloads[base:], ds[:k])
-			base += k
-			if err == nil {
-				break
-			}
-			base++
-		}
-	}
+	addrs := make([]nand.PageAddr, len(chunks))
 	for i, c := range chunks {
-		if payloads[i] == nil {
-			continue
-		}
+		addrs[i] = c.Addr
+	}
+	// A vanishing chunk disqualifies only its generation.
+	payloads, now, _ := f.ReadChunkPayloads(now, addrs, true)
+	// Group by generation tag, one chunk per index: the cleaner may have
+	// duplicated a chunk (copied forward, crash before the victim's erase).
+	groups := make(map[uint64]map[uint64]logcore.AnchorChunk)
+	for i, c := range chunks {
 		id, ok := ckpt.ChunkID(payloads[i])
-		if !ok {
+		if payloads[i] == nil || !ok {
 			continue
 		}
-		groups[id] = append(groups[id], chunkPage{c, payloads[i]})
+		if groups[id] == nil {
+			groups[id] = make(map[uint64]logcore.AnchorChunk)
+		}
+		c.Payload = payloads[i]
+		groups[id][c.Idx] = c
 	}
 	// Try generations newest-first.
 	ids := make([]uint64, 0, len(groups))
@@ -526,95 +292,56 @@ func (f *FTL) loadCheckpoint(now sim.Time, chunks []ckptChunk) (bool, uint64, si
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] > ids[j] })
 	for _, id := range ids {
-		group := groups[id]
-		total := group[0].total
-		if total == 0 || uint64(len(group)) < total {
-			continue
+		group := make([]logcore.AnchorChunk, 0, len(groups[id]))
+		for _, c := range groups[id] {
+			group = append(group, c)
 		}
-		byIdx := make(map[uint64]chunkPage, total)
-		consistent := true
-		for _, c := range group {
-			if c.total != total || c.idx >= total {
-				consistent = false
-				break
-			}
-			byIdx[c.idx] = c
-		}
-		if !consistent || uint64(len(byIdx)) != total {
+		sort.Slice(group, func(i, j int) bool { return group[i].Idx < group[j].Idx })
+		ckptSeq, secs, ok := logcore.AssembleStream(id, group)
+		if !ok {
 			continue // incomplete: some chunks were reclaimed or never written
 		}
-		ordered := make([][]byte, total)
-		for i := uint64(0); i < total; i++ {
-			ordered[i] = byIdx[i].payload
+		img, err := decodeCheckpointSections(secs)
+		if err != nil || (img.gtd != nil && !f.GTDUsable(img.gtdSlots)) {
+			continue // undecodable, or a GTD layout this config cannot consume
 		}
-		stream, err := ckpt.Join(id, ordered)
-		if err != nil {
-			continue
-		}
-		decID, ckptSeq, secs, err := ckpt.Decode(stream)
-		if err != nil || decID != id {
-			continue
-		}
-		mapEntries, gtdEnts, gtdSlots, table, err := decodeCheckpointSections(secs)
-		if err != nil {
-			continue
-		}
-		if gtdEnts != nil && !f.gtdUsable(gtdSlots) {
-			continue // GTD layout this config cannot consume; scan replays instead
-		}
-		if _, ok := checkSegTable(f.dev, table); !ok {
+		if _, ok := logcore.CheckSegTable(f.Dev, img.table); !ok {
 			continue // the cleaner moved pre-cut-off blocks since; stale
 		}
-		f.loadMapEntries(mapEntries, gtdEnts)
-		if now, err = f.markValidFromGTD(now, gtdEnts); err != nil {
+		if now, err = f.loadMap(now, img); err != nil {
 			return false, 0, now, err
 		}
 		// Re-pin and re-anchor the winning generation so the cleaner keeps
 		// honoring it after this reopen.
-		f.anchorID = id
-		f.anchorAddrs = nil
-		for i := uint64(0); i < total; i++ {
-			f.anchorAddrs = append(f.anchorAddrs, byIdx[i].addr)
+		anchor := make([]nand.PageAddr, len(group))
+		for i, c := range group {
+			anchor[i] = c.Addr
 		}
-		for _, a := range f.anchorAddrs {
-			f.ckptPins[a] = true
-		}
-		f.dev.SetAnchor(&nand.Anchor{ID: id, Addrs: f.anchorAddrs})
+		f.AdoptAnchor(id, anchor)
+		f.Dev.SetAnchor(&nand.Anchor{ID: id, Addrs: f.AnchorAddrs})
 		return true, ckptSeq, now, nil
 	}
 	return false, 0, now, nil
 }
 
-// applyNewerEntries overlays post-checkpoint translations (last write wins)
-// onto the checkpoint-loaded map.
-func (f *FTL) applyNewerEntries(entries []scanEntry) {
-	winners := make(map[uint64]scanEntry, len(entries))
+// winners resolves the scanned translations newer than the cut-off to one
+// per LBA: the last write (highest seq) wins.
+func winners(entries []scanEntry, ckptSeq uint64) map[uint64]scanEntry {
+	w := make(map[uint64]scanEntry, len(entries))
 	for _, e := range entries {
-		if w, ok := winners[e.lba]; !ok || e.seq > w.seq {
-			winners[e.lba] = e
+		if cur, ok := w[e.lba]; e.seq > ckptSeq && (!ok || e.seq > cur.seq) {
+			w[e.lba] = e
 		}
 	}
-	for lba, e := range winners {
-		if prev, existed := f.fmap.Insert(lba, uint64(e.addr)); existed {
+	return w
+}
+
+// applyNewer overlays post-checkpoint translations onto the loaded map.
+func (f *FTL) applyNewer(entries []scanEntry, ckptSeq uint64) {
+	for lba, e := range winners(entries, ckptSeq) {
+		if prev, existed := f.ActiveMap.Insert(lba, uint64(e.addr)); existed {
 			f.markInvalid(int64(prev))
 		}
 		f.markValid(int64(e.addr))
 	}
-}
-
-// replayEntries rebuilds the forward map from scanned data translations:
-// last write (highest seq) wins per LBA, then the survivors are sorted by
-// LBA and bulk-loaded bottom-up.
-func (f *FTL) replayEntries(entries []scanEntry) {
-	winners := make(map[uint64]scanEntry, len(entries))
-	for _, e := range entries {
-		if w, ok := winners[e.lba]; !ok || e.seq > w.seq {
-			winners[e.lba] = e
-		}
-	}
-	pairs := make([][2]uint64, 0, len(winners))
-	for lba, e := range winners {
-		pairs = append(pairs, [2]uint64{lba, uint64(e.addr)})
-	}
-	f.loadMapEntries(pairs, nil)
 }

@@ -121,7 +121,7 @@ func TestRecoverEquivalentToLive(t *testing.T) {
 		f := newTestFTL(t)
 		_, now := fillAndChurn(t, f, 500, 70, seed)
 		live := make(map[uint64]uint64)
-		f.fmap.All(func(k, v uint64) bool {
+		f.ActiveMap.All(func(k, v uint64) bool {
 			live[k] = v
 			return true
 		})
@@ -132,7 +132,7 @@ func TestRecoverEquivalentToLive(t *testing.T) {
 		if r.MappedSectors() != len(live) {
 			t.Fatalf("seed %d: recovered %d mappings, want %d", seed, r.MappedSectors(), len(live))
 		}
-		r.fmap.All(func(k, v uint64) bool {
+		r.ActiveMap.All(func(k, v uint64) bool {
 			if live[k] != v {
 				t.Fatalf("seed %d: LBA %d -> %d, live had %d", seed, k, v, live[k])
 			}

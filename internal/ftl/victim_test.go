@@ -3,34 +3,35 @@ package ftl
 import (
 	"testing"
 
+	"iosnap/internal/logcore"
 	"iosnap/internal/sim"
 )
 
 func TestVictimScoreGreedy(t *testing.T) {
 	// Greedy: score is the invalid count, age-independent.
-	if victimScore(VictimGreedy, 10, 6, 100, 50) != 10 {
+	if logcore.VictimScore(VictimGreedy, 10, 6, 100, 50) != 10 {
 		t.Fatal("greedy score wrong")
 	}
-	if victimScore(VictimGreedy, 10, 6, 100, 99) != 10 {
+	if logcore.VictimScore(VictimGreedy, 10, 6, 100, 99) != 10 {
 		t.Fatal("greedy must ignore age")
 	}
 }
 
 func TestVictimScoreCostBenefit(t *testing.T) {
 	// Equal utilization: the older segment must score higher.
-	oldSeg := victimScore(VictimCostBenefit, 8, 8, 1000, 100)
-	newSeg := victimScore(VictimCostBenefit, 8, 8, 1000, 900)
+	oldSeg := logcore.VictimScore(VictimCostBenefit, 8, 8, 1000, 100)
+	newSeg := logcore.VictimScore(VictimCostBenefit, 8, 8, 1000, 900)
 	if oldSeg <= newSeg {
 		t.Fatalf("cost-benefit should prefer older: old=%v new=%v", oldSeg, newSeg)
 	}
 	// Equal age: the emptier segment must score higher.
-	empty := victimScore(VictimCostBenefit, 12, 4, 1000, 500)
-	full := victimScore(VictimCostBenefit, 4, 12, 1000, 500)
+	empty := logcore.VictimScore(VictimCostBenefit, 12, 4, 1000, 500)
+	full := logcore.VictimScore(VictimCostBenefit, 4, 12, 1000, 500)
 	if empty <= full {
 		t.Fatalf("cost-benefit should prefer emptier: %v vs %v", empty, full)
 	}
 	// Fully valid segments score zero.
-	if victimScore(VictimCostBenefit, 0, 16, 1000, 1) != 0 {
+	if logcore.VictimScore(VictimCostBenefit, 0, 16, 1000, 1) != 0 {
 		t.Fatal("fully valid segment should score 0")
 	}
 }

@@ -53,7 +53,7 @@ func (vw *View) Read(now sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	if vw.v.closed {
 		return now, ErrViewClosed
 	}
-	_, done, err := vw.f.readVia(vw.v, now, lba, buf)
+	_, done, err := vw.f.ReadRun(vw.v.fmap, now, lba, buf)
 	return done, err
 }
 
@@ -65,7 +65,7 @@ func (vw *View) Write(now sim.Time, lba int64, data []byte) (sim.Time, error) {
 	if !vw.v.writable {
 		return now, ErrReadOnlyView
 	}
-	_, done, err := vw.f.writeVia(vw.v, now, lba, data)
+	_, done, err := vw.f.WriteRun(vw.v.fmap, uint64(vw.v.epoch), now, lba, data)
 	return done, err
 }
 
@@ -188,7 +188,7 @@ func (f *FTL) Activate(now sim.Time, id SnapshotID, limit ratelimit.WorkSleep, w
 	if err != nil {
 		return nil, now, err
 	}
-	f.sched.Schedule(done, act)
+	f.Sched.Schedule(done, act)
 	return act, done, nil
 }
 
@@ -216,7 +216,7 @@ func (f *FTL) ActivateSync(now sim.Time, id SnapshotID, limit ratelimit.WorkSlee
 }
 
 func (f *FTL) beginActivation(now sim.Time, id SnapshotID, limit ratelimit.WorkSleep, writable bool) (*Activation, sim.Time, error) {
-	if f.closed {
+	if f.Closed() {
 		return nil, now, ErrClosed
 	}
 	snap, ok := f.tree.Lookup(id)
@@ -246,7 +246,7 @@ func (f *FTL) beginActivation(now sim.Time, id SnapshotID, limit ratelimit.WorkS
 		snap:     snap,
 		writable: writable,
 		epoch:    newEpoch,
-		budget:   ratelimitBudget(limit),
+		budget:   ratelimit.NewBudget(limit),
 		entries:  make(map[uint64]actEntry),
 	}
 	if f.cfg.SelectiveScan {
@@ -289,7 +289,7 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 			seg := a.scanList[a.segCursor]
 			a.segCursor++
 			start := now
-			oobs, done, err := f.devScanSegmentOOB(now, seg)
+			oobs, done, err := f.DevScanSegmentOOB(now, seg)
 			if err != nil {
 				return a.fail(now, fmt.Errorf("iosnap: activation scan of segment %d: %w", seg, err))
 			}
@@ -310,7 +310,7 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 				if h.Type != header.TypeData {
 					continue
 				}
-				addr := f.dev.Addr(seg, idx)
+				addr := f.Dev.Addr(seg, idx)
 				// The snapshot's validity map is the oracle: a page is part
 				// of the snapshot iff its bit is set in the frozen epoch.
 				if !f.vstore.Test(a.snap.Epoch, int64(addr)) {
@@ -409,10 +409,10 @@ func (a *Activation) onBlockMoved(old, new nand.PageAddr, h header.Header) {
 	}
 	// A block that jumped from a not-yet-scanned segment into one the scan
 	// will never (or no longer) visit must be inserted directly.
-	if !a.scanWillVisit(a.f.dev.SegmentOf(old)) {
+	if !a.scanWillVisit(a.f.Dev.SegmentOf(old)) {
 		return // already scanned: the entry existed and was handled above
 	}
-	if a.scanWillVisit(a.f.dev.SegmentOf(new)) {
+	if a.scanWillVisit(a.f.Dev.SegmentOf(new)) {
 		return // the scan will pick it up at its new home
 	}
 	if cur, ok := a.entries[h.LBA]; !ok || h.Seq > cur.seq {

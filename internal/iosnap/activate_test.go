@@ -21,7 +21,7 @@ func TestActivateEachOfFiveSnapshots(t *testing.T) {
 	rng := sim.NewRNG(5)
 	for s := 0; s < 5; s++ {
 		for i := 0; i < 20; i++ {
-			f.sched.RunUntil(now)
+			f.Sched.RunUntil(now)
 			lba := rng.Int63n(60)
 			v := byte(s*20 + i + 1)
 			d, err := f.Write(now, lba, sectorPattern(ss, lba, v))
@@ -97,7 +97,7 @@ func TestBackgroundActivation(t *testing.T) {
 	if _, err := act.View(); !errors.Is(err, ErrNotReady) {
 		t.Fatalf("View before ready: %v", err)
 	}
-	end := f.sched.Drain(now)
+	end := f.Sched.Drain(now)
 	if !act.Ready() {
 		t.Fatal("activation not ready after drain")
 	}
@@ -259,7 +259,7 @@ func TestActivatedTreeIsCompact(t *testing.T) {
 	rng := sim.NewRNG(77)
 	perm := rng.Perm(120)
 	for _, p := range perm {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		d, err := f.Write(now, int64(p), sectorPattern(ss, int64(p), 1))
 		if err != nil {
 			t.Fatal(err)
@@ -292,7 +292,7 @@ func TestActivationDuringChurnWithGC(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		model := make(map[int64]byte)
 		for i := 0; i < 120; i++ {
-			f.sched.RunUntil(now)
+			f.Sched.RunUntil(now)
 			lba := rng.Int63n(80)
 			v := byte(i + 1)
 			d, err := f.Write(now, lba, sectorPattern(ss, lba, v))
@@ -318,7 +318,7 @@ func TestActivationDuringChurnWithGC(t *testing.T) {
 		}
 		now = d2
 		for i := 0; i < 250; i++ {
-			f.sched.RunUntil(now)
+			f.Sched.RunUntil(now)
 			lba := rng.Int63n(80)
 			d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(200+i%50)))
 			if err != nil {
@@ -326,7 +326,7 @@ func TestActivationDuringChurnWithGC(t *testing.T) {
 			}
 			now = d
 		}
-		end := f.sched.Drain(now)
+		end := f.Sched.Drain(now)
 		if !act.Ready() {
 			t.Fatalf("seed %d: activation never finished", seed)
 		}
@@ -381,7 +381,7 @@ func TestParallelActivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := f.sched.Drain(now)
+	end := f.Sched.Drain(now)
 	viewA, err := actA.View()
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +482,7 @@ func TestCancelActivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let a little of the scan happen, then cancel.
-	f.sched.RunUntil(now.Add(2 * sim.Millisecond))
+	f.Sched.RunUntil(now.Add(2 * sim.Millisecond))
 	if err := act.Cancel(now.Add(2 * sim.Millisecond)); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("Cancel: %v", err)
 	}
@@ -493,7 +493,7 @@ func TestCancelActivation(t *testing.T) {
 		t.Fatalf("View after cancel: %v", err)
 	}
 	// Remaining scheduled quanta must be harmless.
-	end := f.sched.Drain(now.Add(2 * sim.Millisecond))
+	end := f.Sched.Drain(now.Add(2 * sim.Millisecond))
 	// The snapshot itself is unharmed: a fresh activation works.
 	view, _, err := f.ActivateSync(end, snap.ID, noLimit, false)
 	if err != nil {

@@ -6,12 +6,11 @@ import (
 
 	"iosnap/internal/bitmap"
 	"iosnap/internal/ckpt"
+	"iosnap/internal/ftlmap"
 	"iosnap/internal/header"
+	"iosnap/internal/logcore"
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
-	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
-	"iosnap/internal/sim"
 )
 
 // Snapshot-aware checkpointing. A checkpoint captures, at one serialization
@@ -31,7 +30,7 @@ import (
 // chunk count (Epoch field). The device anchor — updated atomically only at
 // commit, like a checkpoint pack — names every chunk of the committed
 // generation, and those pages are pinned so the cleaner copies them forward
-// instead of reclaiming them. ckptID = ckptSeq = f.seq at serialization:
+// instead of reclaiming them. ckptID = ckptSeq = f.Seq at serialization:
 // recovery bulk-loads the checkpoint and replays only records newer than
 // the cut-off, falling back to the full scan whenever anything about the
 // generation cannot be proven intact.
@@ -59,15 +58,6 @@ type ckptSnapRec struct {
 	noteAddr nand.PageAddr
 }
 
-// ckptSegRec is one used segment's identity at serialization time.
-type ckptSegRec struct {
-	seg      int
-	erases   int
-	prog     int
-	maxSeq   uint64
-	presence []bitmap.Epoch // epoch-presence summary, ascending
-}
-
 // ckptEpochRec is one epoch's serialized validity delta.
 type ckptEpochRec struct {
 	epoch   bitmap.Epoch
@@ -81,16 +71,10 @@ type ckptTreeState struct {
 	counter bitmap.Epoch
 	active  bitmap.Epoch
 	snaps   []ckptSnapRec
-	table   []ckptSegRec
-}
-
-// ckptChunkJob is one chunk awaiting its program, with the stream identity
-// its OOB header must carry.
-type ckptChunkJob struct {
-	typ   header.Type
-	data  []byte
-	idx   int
-	total int
+	// The segment table, with each recorded segment's epoch-presence summary
+	// (ascending) beside it.
+	table    []logcore.SegRecord
+	presence [][]bitmap.Epoch
 }
 
 // ckptEpochDies reports whether epoch e, live right now, would be dead
@@ -111,39 +95,21 @@ func (f *FTL) ckptEpochDies(e bitmap.Epoch) bool {
 	return false
 }
 
-// serializeCheckpoint captures the three streams at one instant and returns
-// the checkpoint identity plus every chunk to program.
-func (f *FTL) serializeCheckpoint() (uint64, []ckptChunkJob, error) {
-	ckptID := f.seq
+// SerializeCheckpoint implements logcore.Policy: it captures the three
+// streams at one instant and returns the checkpoint identity plus every
+// chunk to program.
+func (f *FTL) SerializeCheckpoint() (uint64, []logcore.ChunkJob, error) {
+	ckptID := f.Seq
 
-	// Stream 1: the active forward map. Tree and cache-unbounded maps
-	// serialize the full mapping list (byte-identical between the two —
-	// the unbounded equivalence contract). A bounded paged map serializes
-	// only the GTD: every dirty translation page was flushed before this
-	// point (writeCheckpoint / ckptTask call flushAllMapPages first), so
-	// the directory's flash copies are current.
-	var mw ckpt.Writer
+	// Stream 1: the active forward map, in whichever layout the engine
+	// serializes it.
+	mapData, gtd, err := f.EncodeMapSection()
+	if err != nil {
+		return 0, nil, err
+	}
 	mapKind := uint8(ckptSecMap)
-	if c := f.pagedActive(); c != nil && c.Bounded() {
-		if dirty := c.DirtyPages(); len(dirty) != 0 {
-			return 0, nil, fmt.Errorf("iosnap: checkpoint with %d unflushed translation pages", len(dirty))
-		}
+	if gtd {
 		mapKind = ckptSecGTD
-		ents := c.GTDEntries()
-		mw.U32(uint32(c.SlotsPerPage()))
-		mw.U32(uint32(len(ents)))
-		for _, ent := range ents {
-			mw.U64(ent.Idx)
-			mw.U64(ent.Addr)
-			mw.U32(uint32(ent.Live))
-		}
-	} else {
-		mw.U64(uint64(f.active.fmap.Len()))
-		f.active.fmap.All(func(lba, addr uint64) bool {
-			mw.U64(lba)
-			mw.U64(addr)
-			return true
-		})
 	}
 
 	// Stream 2: epoch counter, active epoch, snapshot tree, segment table.
@@ -164,12 +130,9 @@ func (f *FTL) serializeCheckpoint() (uint64, []ckptChunkJob, error) {
 		tw.Bool(s.Deleted)
 		tw.U64(uint64(s.noteAddr))
 	}
-	tw.U32(uint32(len(f.usedSegs)))
-	for _, s := range f.usedSegs {
-		tw.U32(uint32(s))
-		tw.U32(uint32(f.dev.EraseCount(s)))
-		tw.U32(uint32(f.dev.NextFreeInSegment(s)))
-		tw.U64(f.segLastSeq[s])
+	tw.U32(uint32(len(f.UsedSegs)))
+	for _, s := range f.UsedSegs {
+		f.EncodeSegRecord(&tw, s)
 		eps := make([]bitmap.Epoch, 0, f.presence.count(s))
 		for e := range f.presence.segs[s] {
 			eps = append(eps, e)
@@ -206,258 +169,23 @@ func (f *FTL) serializeCheckpoint() (uint64, []ckptChunkJob, error) {
 		}
 	}
 
-	var jobs []ckptChunkJob
+	var jobs []logcore.ChunkJob
 	for _, st := range []struct {
 		typ  header.Type
 		kind uint8
 		data []byte
 	}{
-		{header.TypeCkptMap, mapKind, mw.B},
+		{header.TypeCkptMap, mapKind, mapData},
 		{header.TypeCkptTree, ckptSecTree, tw.B},
 		{header.TypeCkptValid, ckptSecValid, vw.B},
 	} {
-		stream := ckpt.Encode(ckptID, ckptID, []ckpt.Section{{Kind: st.kind, Data: st.data}})
-		chunks, err := ckpt.Split(ckptID, stream, f.cfg.Nand.SectorSize)
+		stream, err := f.StreamJobs(st.typ, ckptID, []ckpt.Section{{Kind: st.kind, Data: st.data}})
 		if err != nil {
-			return 0, nil, fmt.Errorf("iosnap: chunking %v stream: %w", st.typ, err)
+			return 0, nil, err
 		}
-		for i, c := range chunks {
-			jobs = append(jobs, ckptChunkJob{typ: st.typ, data: c, idx: i, total: len(chunks)})
-		}
+		jobs = append(jobs, stream...)
 	}
 	return ckptID, jobs, nil
-}
-
-// programCkptChunk appends one chunk at the log head and pins it against
-// the cleaner. Chunk pages are never validity-marked — they are consumed at
-// recovery, not translated — so the pin is their only protection. A failed
-// program rolls back the allocation and seals the head on permanent media
-// failure, like every other program path.
-func (f *FTL) programCkptChunk(now sim.Time, job ckptChunkJob) (nand.PageAddr, sim.Time, error) {
-	addr, now, err := f.allocPage(now)
-	if err != nil {
-		return 0, now, fmt.Errorf("iosnap: allocating checkpoint page: %w", err)
-	}
-	f.seq++
-	h := header.Header{Type: job.typ, LBA: uint64(job.idx), Epoch: uint64(job.total), Seq: f.seq}
-	done, err := f.devProgramPage(now, addr, job.data, h.Marshal())
-	if err != nil {
-		f.ungetPage(addr)
-		if retry.MediaFailure(err) {
-			f.sealHead()
-		}
-		return 0, now, fmt.Errorf("iosnap: writing %v chunk %d: %w", job.typ, job.idx, err)
-	}
-	f.segLastSeq[f.dev.SegmentOf(addr)] = f.seq
-	f.ckptPins[addr] = true
-	return addr, done, nil
-}
-
-// commitCheckpoint atomically publishes a fully-programmed generation: the
-// device anchor flips and the superseded generation's pins drop.
-func (f *FTL) commitCheckpoint(now sim.Time, ckptID uint64, addrs []nand.PageAddr) {
-	for _, a := range f.anchorAddrs {
-		delete(f.ckptPins, a)
-	}
-	f.anchorID = ckptID
-	f.anchorAddrs = addrs
-	f.dev.SetAnchor(&nand.Anchor{ID: ckptID, Addrs: addrs})
-	f.lastCkpt = now
-	f.stats.Checkpoints++
-	f.stats.CheckpointChunks += int64(len(addrs))
-}
-
-// movePin follows a copy-forwarded chunk: the pin moves with the page and
-// whichever list names it — the committed anchor or the in-flight chunk
-// list — is updated in place. A moved anchor chunk republishes the device
-// anchor so recovery still finds every chunk.
-func (f *FTL) movePin(old, dst nand.PageAddr) {
-	delete(f.ckptPins, old)
-	f.ckptPins[dst] = true
-	for i, a := range f.anchorAddrs {
-		if a == old {
-			f.anchorAddrs[i] = dst
-			f.dev.SetAnchor(&nand.Anchor{ID: f.anchorID, Addrs: f.anchorAddrs})
-			return
-		}
-	}
-	for i, a := range f.ckptInflight {
-		if a == old {
-			f.ckptInflight[i] = dst
-			return
-		}
-	}
-}
-
-// abortCheckpoint unpins a partial generation; the previous anchor stays.
-func (f *FTL) abortCheckpoint(addrs []nand.PageAddr, err error) {
-	for _, a := range addrs {
-		delete(f.ckptPins, a)
-	}
-	f.stats.CheckpointErrors++
-	f.stats.CheckpointLastErr = err.Error()
-}
-
-// writeCheckpoint synchronously serializes and programs a checkpoint (the
-// Close path).
-func (f *FTL) writeCheckpoint(now sim.Time) (sim.Time, error) {
-	// ckptActive guards the whole sequence: the map flushes below advance
-	// the log head, which must not arm a second (background) checkpoint.
-	f.ckptActive = true
-	defer func() { f.ckptActive = false }()
-	if c := f.pagedActive(); c != nil && c.Bounded() {
-		var err error
-		if now, err = f.flushAllMapPages(now, c); err != nil {
-			f.stats.CheckpointErrors++
-			f.stats.CheckpointLastErr = err.Error()
-			return now, err
-		}
-	}
-	ckptID, jobs, err := f.serializeCheckpoint()
-	if err != nil {
-		f.stats.CheckpointErrors++
-		f.stats.CheckpointLastErr = err.Error()
-		return now, err
-	}
-	var addrs []nand.PageAddr
-	for _, job := range jobs {
-		var addr nand.PageAddr
-		addr, now, err = f.programCkptChunk(now, job)
-		if err != nil {
-			f.abortCheckpoint(addrs, err)
-			return now, err
-		}
-		addrs = append(addrs, addr)
-	}
-	f.commitCheckpoint(now, ckptID, addrs)
-	return now, nil
-}
-
-// maybeScheduleCheckpoint arms the periodic background checkpoint from the
-// head-advance path, the same way the cleaner and scrubber are armed.
-func (f *FTL) maybeScheduleCheckpoint(now sim.Time) {
-	if f.ckptActive || f.closed || f.cfg.CheckpointInterval <= 0 || !f.cfg.Nand.StoreData {
-		return
-	}
-	if now.Sub(f.lastCkpt) < f.cfg.CheckpointInterval {
-		return
-	}
-	f.startCheckpoint(now)
-}
-
-// StartCheckpoint forces a background checkpoint now (tests and tools). It
-// reports whether a task was scheduled.
-func (f *FTL) StartCheckpoint(now sim.Time) bool {
-	if f.ckptActive || f.closed || !f.cfg.Nand.StoreData {
-		return false
-	}
-	return f.startCheckpoint(now)
-}
-
-// CheckpointActive reports whether a checkpoint is being written.
-func (f *FTL) CheckpointActive() bool { return f.ckptActive }
-
-func (f *FTL) startCheckpoint(now sim.Time) bool {
-	if c := f.pagedActive(); c != nil && c.Bounded() {
-		// A bounded paged map must flush every dirty translation page before
-		// serializing, and flushing programs through the log head — which
-		// cannot happen here: startCheckpoint fires from the head-advance
-		// path, possibly mid-program under SequentialProg. Defer both the
-		// flush and the serialization to the task's first run.
-		f.ckptActive = true
-		f.ckptInflight = nil
-		f.sched.Schedule(now, &ckptTask{
-			f:       f,
-			pending: true,
-			budget:  ratelimit.NewBudget(f.cfg.CheckpointLimit),
-		})
-		return true
-	}
-	ckptID, jobs, err := f.serializeCheckpoint()
-	if err != nil {
-		f.stats.CheckpointErrors++
-		f.stats.CheckpointLastErr = err.Error()
-		return false
-	}
-	f.ckptActive = true
-	f.ckptInflight = nil
-	f.sched.Schedule(now, &ckptTask{
-		f:      f,
-		id:     ckptID,
-		jobs:   jobs,
-		budget: ratelimit.NewBudget(f.cfg.CheckpointLimit),
-	})
-	return true
-}
-
-// ckptTask programs a serialized generation's chunks under the WorkSleep
-// budget. The streams were captured at scheduling time, so foreground
-// writes that land between quanta carry seq > ckptSeq and are replayed on
-// top at recovery — the checkpoint stays consistent without stalling
-// writers.
-type ckptTask struct {
-	f       *FTL
-	id      uint64
-	jobs    []ckptChunkJob
-	next    int
-	pending bool // bounded-paged mode: flush + serialize on first run
-	budget  *ratelimit.Budget
-}
-
-// Name implements sim.Task.
-func (t *ckptTask) Name() string { return fmt.Sprintf("iosnap-checkpoint(%d)", t.id) }
-
-// Run implements sim.Task: one budgeted batch of chunk programs.
-func (t *ckptTask) Run(now sim.Time) (sim.Time, bool) {
-	f := t.f
-	if f.closed {
-		// Close wrote its own synchronous checkpoint, superseding this one.
-		for _, a := range f.ckptInflight {
-			delete(f.ckptPins, a)
-		}
-		f.ckptInflight = nil
-		f.ckptActive = false
-		return 0, true
-	}
-	if t.pending {
-		var err error
-		if c := f.pagedActive(); c != nil && c.Bounded() {
-			now, err = f.flushAllMapPages(now, c)
-		}
-		if err == nil {
-			t.id, t.jobs, err = f.serializeCheckpoint()
-		}
-		if err != nil {
-			f.stats.CheckpointErrors++
-			f.stats.CheckpointLastErr = err.Error()
-			f.ckptActive = false
-			return 0, true
-		}
-		t.pending = false
-	}
-	start := now
-	for programmed := 0; t.next < len(t.jobs) && programmed < f.cfg.GCChunk; programmed++ {
-		addr, done, err := f.programCkptChunk(now, t.jobs[t.next])
-		if err != nil {
-			f.abortCheckpoint(f.ckptInflight, err)
-			f.ckptInflight = nil
-			f.ckptActive = false
-			return 0, true
-		}
-		f.ckptInflight = append(f.ckptInflight, addr)
-		t.next++
-		now = done
-	}
-	if t.next < len(t.jobs) {
-		if sleep, exhausted := t.budget.Charge(now.Sub(start)); exhausted {
-			return now.Add(sleep), false
-		}
-		return now, false
-	}
-	f.commitCheckpoint(now, t.id, f.ckptInflight)
-	f.ckptInflight = nil
-	f.ckptActive = false
-	return 0, true
 }
 
 // orPinsInto overlays the victim's pinned pages — checkpoint chunks and
@@ -465,71 +193,37 @@ func (t *ckptTask) Run(now sim.Time) (sim.Time, bool) {
 // so the cleaner's copy order visits them: both are valid in no epoch,
 // but both must survive cleaning.
 func (f *FTL) orPinsInto(victim int, merged *bitmap.Bitmap) {
-	for a := range f.ckptPins {
-		if f.dev.SegmentOf(a) == victim {
-			merged.Set(int64(f.dev.PageIndexOf(a)))
+	for a := range f.CkptPins {
+		if f.Dev.SegmentOf(a) == victim {
+			merged.Set(int64(f.Dev.PageIndexOf(a)))
 		}
 	}
-	for a := range f.mapPins {
-		if f.dev.SegmentOf(a) == victim {
-			merged.Set(int64(f.dev.PageIndexOf(a)))
+	for a := range f.MapPins {
+		if f.Dev.SegmentOf(a) == victim {
+			merged.Set(int64(f.Dev.PageIndexOf(a)))
 		}
 	}
-}
-
-// pinnedInSeg counts pinned pages (checkpoint chunks and translation
-// pages) in seg. Victim scoring must treat them as live: a segment full
-// of pinned pages has zero valid bits yet cleaning it reclaims nothing —
-// picking it anyway would let the emergency-clean loop churn forever
-// moving pins from segment to segment.
-func (f *FTL) pinnedInSeg(seg int) int {
-	n := 0
-	for a := range f.ckptPins {
-		if f.dev.SegmentOf(a) == seg {
-			n++
-		}
-	}
-	for a := range f.mapPins {
-		if f.dev.SegmentOf(a) == seg {
-			n++
-		}
-	}
-	return n
 }
 
 // ---- Decode helpers (recovery side). ----
 
+// Section bodies arrive from an image file: every count is proven against
+// the bytes that remain (Reader.Count) before it sizes a loop or an
+// allocation, and a decoder stops at the reader's first error.
+
 // decodeCkptMapStream decodes the map stream in either layout: the full
 // mapping list (tree / cache-unbounded checkpoints, ckptSecMap) or the
 // global translation directory (bounded-paged checkpoints, ckptSecGTD).
-// Exactly one of entries / gtd is non-nil on success.
-func decodeCkptMapStream(secs []ckpt.Section) (entries [][2]uint64, gtd []mapcache.GTDEnt, slotsPer int, err error) {
+// gtd is non-nil exactly when the stream held a directory.
+func decodeCkptMapStream(secs []ckpt.Section) (entries []ftlmap.Entry, gtd []mapcache.GTDEnt, slotsPer int, err error) {
 	for _, s := range secs {
 		switch s.Kind {
 		case ckptSecMap:
-			r := ckpt.Reader{B: s.Data}
-			n := r.U64()
-			entries = make([][2]uint64, 0, n)
-			for i := uint64(0); i < n; i++ {
-				lba, addr := r.U64(), r.U64()
-				entries = append(entries, [2]uint64{lba, addr})
-			}
-			if r.Err() != nil {
-				return nil, nil, 0, fmt.Errorf("iosnap: checkpoint map section: %w", r.Err())
-			}
-			return entries, nil, 0, nil
+			entries, err = logcore.DecodeMapSection(s.Data)
+			return entries, nil, 0, err
 		case ckptSecGTD:
-			r := ckpt.Reader{B: s.Data}
-			slotsPer = int(r.U32())
-			n := r.U32()
-			gtd = make([]mapcache.GTDEnt, 0, n)
-			for i := uint32(0); i < n; i++ {
-				gtd = append(gtd, mapcache.GTDEnt{Idx: r.U64(), Addr: r.U64(), Live: int(r.U32())})
-			}
-			if r.Err() != nil {
-				return nil, nil, 0, fmt.Errorf("iosnap: checkpoint GTD section: %w", r.Err())
-			}
-			return nil, gtd, slotsPer, nil
+			gtd, slotsPer, err = logcore.DecodeGTDSection(s.Data)
+			return nil, gtd, slotsPer, err
 		}
 	}
 	return nil, nil, 0, fmt.Errorf("iosnap: checkpoint map section missing")
@@ -545,8 +239,7 @@ func decodeCkptTree(secs []ckpt.Section) (*ckptTreeState, error) {
 			counter: bitmap.Epoch(r.U64()),
 			active:  bitmap.Epoch(r.U64()),
 		}
-		nSnaps := r.U32()
-		for i := uint32(0); i < nSnaps; i++ {
+		for i, n := 0, r.Count(uint64(r.U32()), 33); i < n; i++ {
 			st.snaps = append(st.snaps, ckptSnapRec{
 				id:       SnapshotID(r.U64()),
 				epoch:    bitmap.Epoch(r.U64()),
@@ -555,19 +248,13 @@ func decodeCkptTree(secs []ckpt.Section) (*ckptTreeState, error) {
 				noteAddr: nand.PageAddr(r.U64()),
 			})
 		}
-		nSegs := r.U32()
-		for i := uint32(0); i < nSegs; i++ {
-			rec := ckptSegRec{
-				seg:    int(r.U32()),
-				erases: int(r.U32()),
-				prog:   int(r.U32()),
-				maxSeq: r.U64(),
+		for i, n := 0, r.Count(uint64(r.U32()), logcore.SegRecordSize+4); i < n && r.Err() == nil; i++ {
+			st.table = append(st.table, logcore.DecodeSegRecord(&r))
+			var eps []bitmap.Epoch
+			for j, m := 0, r.Count(uint64(r.U32()), 8); j < m; j++ {
+				eps = append(eps, bitmap.Epoch(r.U64()))
 			}
-			nEps := r.U32()
-			for j := uint32(0); j < nEps; j++ {
-				rec.presence = append(rec.presence, bitmap.Epoch(r.U64()))
-			}
-			st.table = append(st.table, rec)
+			st.presence = append(st.presence, eps)
 		}
 		if r.Err() != nil {
 			return nil, fmt.Errorf("iosnap: checkpoint tree section: %w", r.Err())
@@ -587,26 +274,21 @@ func decodeCkptValid(secs []ckpt.Section, bitsPerPage int64) ([]ckptEpochRec, er
 			return nil, fmt.Errorf("iosnap: checkpoint bitmap granularity %d, store uses %d", got, bitsPerPage)
 		}
 		words := int(bitsPerPage / 64)
-		nEpochs := r.U32()
 		var out []ckptEpochRec
-		for i := uint32(0); i < nEpochs; i++ {
+		for i, n := 0, r.Count(uint64(r.U32()), 21); i < n && r.Err() == nil; i++ {
 			er := ckptEpochRec{
 				epoch:   bitmap.Epoch(r.U64()),
 				parent:  bitmap.Epoch(r.U64()),
 				deleted: r.Bool(),
 			}
-			nPages := r.U32()
-			for j := uint32(0); j < nPages; j++ {
+			for j, m := 0, r.Count(uint64(r.U32()), 8+8*words); j < m; j++ {
 				pg := bitmap.OwnedPage{PageIdx: int64(r.U64()), Words: make([]uint64, words)}
-				for w := 0; w < words; w++ {
+				for w := range pg.Words {
 					pg.Words[w] = r.U64()
 				}
 				er.pages = append(er.pages, pg)
 			}
 			out = append(out, er)
-			if r.Err() != nil {
-				return nil, fmt.Errorf("iosnap: checkpoint validity section: %w", r.Err())
-			}
 		}
 		if r.Err() != nil {
 			return nil, fmt.Errorf("iosnap: checkpoint validity section: %w", r.Err())
@@ -614,29 +296,4 @@ func decodeCkptValid(secs []ckpt.Section, bitsPerPage int64) ([]ckptEpochRec, er
 		return out, nil
 	}
 	return nil, fmt.Errorf("iosnap: checkpoint validity section missing")
-}
-
-// checkSegTable decides whether a checkpoint's segment table still
-// describes the device, returning the recorded-segment index. ok=false
-// means a recorded segment was erased, retired, or rewound since
-// serialization — the cleaner moved pre-cut-off blocks, so the generation
-// is stale and recovery must fall back to the full scan.
-func checkSegTable(dev *nand.Device, table []ckptSegRec) (recorded map[int]ckptSegRec, ok bool) {
-	recorded = make(map[int]ckptSegRec, len(table))
-	for _, rec := range table {
-		if rec.seg < 0 || rec.seg >= dev.Config().Segments {
-			return nil, false
-		}
-		if dev.SegmentHealth(rec.seg) == nand.Retired {
-			return nil, false
-		}
-		if dev.EraseCount(rec.seg) != rec.erases {
-			return nil, false
-		}
-		if dev.NextFreeInSegment(rec.seg) < rec.prog {
-			return nil, false
-		}
-		recorded[rec.seg] = rec
-	}
-	return recorded, true
 }

@@ -59,7 +59,7 @@ func tailChurn(t *testing.T, s *crashScenario, seed uint64) {
 	ss := f.SectorSize()
 	rng := sim.NewRNG(seed)
 	write := func(i int) {
-		f.sched.RunUntil(s.now)
+		f.Sched.RunUntil(s.now)
 		lba := rng.Int63n(70)
 		v := byte(200 + i%50)
 		d, err := f.Write(s.now, lba, sectorPattern(ss, lba, v))
@@ -102,7 +102,7 @@ func tailChurn(t *testing.T, s *crashScenario, seed uint64) {
 	for i := 16; i < 24; i++ {
 		write(i)
 	}
-	s.now = f.sched.Drain(s.now)
+	s.now = f.Sched.Drain(s.now)
 }
 
 func verifyModel(t *testing.T, f *FTL, now sim.Time, model map[int64]byte) {
@@ -161,7 +161,7 @@ func TestTailRecoveryMatchesFullScan(t *testing.T) {
 		if !f.StartCheckpoint(s.now) {
 			t.Fatalf("seed %d: StartCheckpoint refused", seed)
 		}
-		s.now = f.sched.Drain(s.now)
+		s.now = f.Sched.Drain(s.now)
 		if f.Stats().Checkpoints < 1 {
 			t.Fatalf("seed %d: checkpoint did not commit", seed)
 		}
@@ -295,8 +295,8 @@ func TestCheckpointChunksSurviveGC(t *testing.T) {
 	if !f.StartCheckpoint(s.now) {
 		t.Fatal("StartCheckpoint refused")
 	}
-	s.now = f.sched.Drain(s.now)
-	before := append([]nand.PageAddr(nil), f.anchorAddrs...)
+	s.now = f.Sched.Drain(s.now)
+	before := append([]nand.PageAddr(nil), f.AnchorAddrs...)
 	if len(before) == 0 {
 		t.Fatal("no committed checkpoint")
 	}
@@ -307,9 +307,9 @@ func TestCheckpointChunksSurviveGC(t *testing.T) {
 	cleaned := make(map[int]bool)
 	for {
 		target := -1
-		for _, addr := range f.anchorAddrs {
-			seg := f.dev.SegmentOf(addr)
-			if seg != f.headSeg && !cleaned[seg] {
+		for _, addr := range f.AnchorAddrs {
+			seg := f.Dev.SegmentOf(addr)
+			if seg != f.HeadSeg && !cleaned[seg] {
 				target = seg
 				break
 			}
@@ -321,7 +321,7 @@ func TestCheckpointChunksSurviveGC(t *testing.T) {
 		if err := f.ForceClean(s.now, target); err != nil {
 			t.Fatalf("ForceClean(%d): %v", target, err)
 		}
-		s.now = f.sched.Drain(s.now)
+		s.now = f.Sched.Drain(s.now)
 		moved = true
 	}
 	if !moved {
@@ -364,7 +364,7 @@ func TestCheckpointChunksSurviveGC(t *testing.T) {
 	if !f.StartCheckpoint(s.now) {
 		t.Fatal("re-checkpoint refused")
 	}
-	s.now = f.sched.Drain(s.now)
+	s.now = f.Sched.Drain(s.now)
 	r2, now2, err := Recover(f.Config(), f.Device(), nil, s.now)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	model := make(map[int64]byte)
 	now := sim.Time(0)
 	for i := 0; i < 400; i++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		lba := int64(i % 60)
 		v := byte(i%250 + 1)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, v))
@@ -404,7 +404,7 @@ func TestPeriodicCheckpoint(t *testing.T) {
 		// Idle gaps let virtual time cross the interval between head rolls.
 		now = now.Add(100 * sim.Microsecond)
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	st := f.Stats()
 	if st.Checkpoints < 2 {
 		t.Fatalf("periodic checkpointing committed %d generations, want >= 2", st.Checkpoints)
@@ -433,7 +433,7 @@ func TestPeriodicCheckpoint(t *testing.T) {
 func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	s := runScenario(t, 19, 200)
 	f := s.f
-	oldHead := f.headSeg
+	oldHead := f.HeadSeg
 	plan := faultinject.NewPlan(0, faultinject.Rule{
 		Kind: faultinject.KindTransient, Op: nand.OpProgram, Seg: faultinject.AnySeg,
 		AfterN: 1, Times: 10, // outlasts the retry budget: a permanent failure
@@ -442,7 +442,7 @@ func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	if !f.StartCheckpoint(s.now) {
 		t.Fatal("StartCheckpoint refused")
 	}
-	s.now = f.sched.Drain(s.now)
+	s.now = f.Sched.Drain(s.now)
 	plan.Disarm(f.Device())
 	st := f.Stats()
 	if st.CheckpointErrors < 1 {
@@ -454,7 +454,7 @@ func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	if f.Device().Anchor() != nil {
 		t.Fatal("aborted checkpoint left an anchor")
 	}
-	if f.headSeg == oldHead {
+	if f.HeadSeg == oldHead {
 		t.Fatal("head not sealed off the failing segment")
 	}
 	if err := f.CheckInvariants(); err != nil {
@@ -470,7 +470,7 @@ func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	if !f.StartCheckpoint(s.now) {
 		t.Fatal("retry StartCheckpoint refused")
 	}
-	s.now = f.sched.Drain(s.now)
+	s.now = f.Sched.Drain(s.now)
 	if f.Stats().Checkpoints != 1 {
 		t.Fatalf("retried checkpoint did not commit: %+v", f.Stats())
 	}
@@ -493,7 +493,7 @@ func TestSnapshotsSurviveTailRecovery(t *testing.T) {
 	if !f.StartCheckpoint(s.now) {
 		t.Fatal("StartCheckpoint refused")
 	}
-	s.now = f.sched.Drain(s.now)
+	s.now = f.Sched.Drain(s.now)
 	tailChurn(t, s, 999)
 	r, now, err := Recover(f.Config(), f.Device(), nil, s.now)
 	if err != nil {

@@ -25,7 +25,7 @@ func TestForceCleanTargetsSegment(t *testing.T) {
 	if !f.CleaningActive() {
 		t.Fatal("cleaning not active after ForceClean")
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	if f.CleaningActive() {
 		t.Fatal("cleaning still active after drain")
 	}
@@ -52,7 +52,7 @@ func TestForceCleanErrors(t *testing.T) {
 	f := newTestFTL(t)
 	now := sim.Time(0)
 	now, _ = f.Write(now, 0, sectorPattern(f.SectorSize(), 0, 1))
-	if err := f.ForceClean(now, f.headSeg); err == nil {
+	if err := f.ForceClean(now, f.HeadSeg); err == nil {
 		t.Fatal("cleaning the log head accepted")
 	}
 	if err := f.ForceClean(now, -1); err == nil {
@@ -62,7 +62,7 @@ func TestForceCleanErrors(t *testing.T) {
 		t.Fatal("out-of-range segment accepted")
 	}
 	// A free (unused) segment is rejected.
-	free := f.freeSegs[0]
+	free := f.FreeSegs[0]
 	if err := f.ForceClean(now, free); err == nil {
 		t.Fatal("unused segment accepted")
 	}
@@ -99,7 +99,7 @@ func TestForceCleanPreservesSnapshotBlocks(t *testing.T) {
 	if err := f.ForceClean(now, target); err != nil {
 		t.Fatal(err)
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	view, now, err := f.ActivateSync(now, snap.ID, noLimit, false)
 	if err != nil {
 		t.Fatal(err)

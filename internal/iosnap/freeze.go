@@ -1,13 +1,6 @@
 package iosnap
 
-import (
-	"errors"
-
-	"iosnap/internal/sim"
-)
-
-// ErrFrozen is returned for writes attempted while the device is frozen.
-var ErrFrozen = errors.New("iosnap: device frozen")
+import "iosnap/internal/sim"
 
 // Freeze quiesces the write path, the block-layer half of the freeze/
 // unfreeze handshake the paper describes (§2: file systems flush dirty
@@ -17,24 +10,21 @@ var ErrFrozen = errors.New("iosnap: device frozen")
 // writable views — fail with ErrFrozen; reads and snapshot operations
 // proceed.
 func (f *FTL) Freeze(now sim.Time) (sim.Time, error) {
-	if f.closed {
+	if f.Closed() {
 		return now, ErrClosed
 	}
-	f.frozen = true
+	f.SetFrozen(true)
 	return now, nil
 }
 
 // Unfreeze resumes the write path.
 func (f *FTL) Unfreeze(now sim.Time) (sim.Time, error) {
-	if f.closed {
+	if f.Closed() {
 		return now, ErrClosed
 	}
-	f.frozen = false
+	f.SetFrozen(false)
 	return now, nil
 }
-
-// Frozen reports whether the device is currently quiesced.
-func (f *FTL) Frozen() bool { return f.frozen }
 
 // FrozenSnapshot is the safe-create convenience: freeze, snapshot,
 // unfreeze, returning the snapshot.

@@ -6,9 +6,9 @@ import (
 
 	"iosnap/internal/bitmap"
 	"iosnap/internal/header"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
@@ -46,30 +46,18 @@ func (f *FTL) mergeSegment(seg int) (*bitmap.Bitmap, sim.Duration) {
 
 // selectVictim picks the non-head segment with the best score under the
 // *merged* view (the only correct notion of invalid once snapshots exist),
-// returning the victim, its merged valid count, the active-epoch valid
-// count (the vanilla estimate), and the merge CPU charged for bringing
+// returning the victim (-1 for none) and the merge CPU charged for bringing
 // stale caches up to date. A segment with no merged-invalid block is never
 // a victim — cleaning it would be pure copy-forward churn. The log head and
 // a segment mid-clean are never picked (a forced clean stealing the latter
 // would erase it twice and corrupt the free pool).
-func (f *FTL) selectVictim() (victim, mergedValid, activeValid int, cost sim.Duration) {
+func (f *FTL) selectVictim() (victim int, cost sim.Duration) {
 	cost = f.acct.refreshAll()
 	f.stats.GCVictimSelects++
 	if cost == 0 {
 		f.stats.GCCacheHits++
 	}
-	var e *segAcct
-	if f.cfg.VictimPolicy == VictimCostBenefit {
-		e = f.acct.bestCostBenefit()
-	} else {
-		e = f.acct.bestGreedy()
-	}
-	if e == nil {
-		return -1, 0, 0, cost
-	}
-	pps := int64(f.cfg.Nand.PagesPerSegment)
-	lo, hi := int64(e.seg)*pps, int64(e.seg+1)*pps
-	return e.seg, e.valid, f.vstore.CountValid(f.active.epoch, lo, hi), cost
+	return f.BestVictim(), cost
 }
 
 // selectVictimScratch re-derives the victim by a full re-merge of every
@@ -81,17 +69,17 @@ func (f *FTL) selectVictimScratch() (victim, mergedValid int) {
 	best := -1
 	bestScore := -1.0
 	bestMerged := 0
-	for _, seg := range f.usedSegs {
-		if seg == f.headSeg || seg == f.gcVictim {
+	for _, seg := range f.UsedSegs {
+		if seg == f.HeadSeg || seg == f.GCVictim {
 			continue
 		}
 		merged, _ := f.mergeSegment(seg)
 		mv := merged.Count()
-		invalid := int(pps) - mv - f.pinnedInSeg(seg)
+		invalid := int(pps) - mv - f.PinnedInSeg(seg)
 		if invalid <= 0 {
 			continue
 		}
-		score := victimScore(f.cfg.VictimPolicy, invalid, mv, f.seq, f.segLastSeq[seg])
+		score := logcore.VictimScore(f.cfg.VictimPolicy, invalid, mv, f.Seq, f.SegLastSeq[seg])
 		if score > bestScore {
 			best, bestScore, bestMerged = seg, score, mv
 		}
@@ -99,84 +87,45 @@ func (f *FTL) selectVictimScratch() (victim, mergedValid int) {
 	return best, bestMerged
 }
 
-// VictimPolicy selects the cleaner's segment-choice heuristic.
-type VictimPolicy int
-
-const (
-	// VictimGreedy picks the segment with the most merged-invalid blocks.
-	VictimGreedy VictimPolicy = iota
-	// VictimCostBenefit weighs reclaimable space by block age (the classic
-	// LFS benefit/cost heuristic). With snapshots present this tends to
-	// segregate cold, pinned data — the co-location goal of §5.4.2.
-	VictimCostBenefit
-)
-
-func (p VictimPolicy) String() string {
-	if p == VictimCostBenefit {
-		return "cost-benefit"
-	}
-	return "greedy"
-}
-
-// victimScore rates a candidate segment; higher is better.
-func victimScore(policy VictimPolicy, invalid, valid int, curSeq, segSeq uint64) float64 {
-	switch policy {
-	case VictimCostBenefit:
-		u := float64(valid) / float64(valid+invalid)
-		age := float64(curSeq - segSeq)
-		return (1 - u) * age / (1 + u)
-	default:
-		return float64(invalid)
-	}
-}
-
-// releaseGCGate returns a background clean's budget token, if a gate is
-// arbitrating cleans across FTL instances.
-func (f *FTL) releaseGCGate() {
-	if f.cfg.GCGate != nil {
-		f.cfg.GCGate.Release()
-	}
-}
-
-// maybeScheduleGC starts background cleaning when the pool is low. With a
-// GCGate configured, a clean only starts when the shared budget grants a
-// token; a denied shard retries on its next head advance.
+// maybeScheduleGC starts background cleaning when the pool is low and the
+// log admits one (logcore.AdmitClean: none running, and the GCGate's token
+// when a gate is configured).
 func (f *FTL) maybeScheduleGC(now sim.Time) {
-	if f.gcActive || f.closed || len(f.freeSegs) > f.cfg.ReserveSegments {
+	if !f.AdmitClean() {
 		return
 	}
-	if f.cfg.GCGate != nil && !f.cfg.GCGate.TryAcquire() {
-		return
-	}
-	victim, mergedValid, activeValid, cost := f.selectVictim()
+	victim, cost := f.selectVictim()
 	f.stats.GCMergeTime += cost
 	if victim < 0 {
-		f.releaseGCGate()
+		f.EndClean()
 		return
 	}
-	est := mergedValid
+	f.ScheduleClean(now, victim)
+}
+
+// ScheduleClean implements logcore.Policy: a paced background clean of seg,
+// picked by selectVictim or forced by ForceClean. The work estimate (and
+// hence pacing) follows the configured GCPolicy.
+func (f *FTL) ScheduleClean(now sim.Time, seg int) {
+	cost := f.acct.ensureFresh(seg) // zero straight after a selection
+	f.stats.GCMergeTime += cost
+	est := f.ValidCount(seg)
 	if f.cfg.GCPolicy == GCVanillaEstimate {
 		// The unmodified driver plans from the active epoch only; with
 		// snapshots present this underestimates the copy-forward work and
 		// the tail of the clean runs unpaced (Figure 10b).
-		est = activeValid
+		pps := int64(f.cfg.Nand.PagesPerSegment)
+		est = f.vstore.CountValid(f.active.epoch, int64(seg)*pps, int64(seg+1)*pps)
 	}
-	quanta := (est + f.cfg.GCChunk - 1) / f.cfg.GCChunk
-	f.gcActive = true
-	f.gcVictim = victim
-	// Hand the selection-time merged map to the task: re-merging it in the
-	// task's first quantum would charge GCMergeTime twice for one clean.
-	merged := f.acct.mergedClone(victim)
-	f.orPinsInto(victim, merged)
-	task := &gcTask{
+	// The task copies the merged map as of now: re-merging it in its first
+	// quantum would charge GCMergeTime twice for one clean.
+	f.BeginClean(now, seg, &gcTask{
 		f:       f,
-		victim:  victim,
-		pacer:   ratelimit.NewPacer(now, quanta, f.cfg.GCWindow),
+		victim:  seg,
+		pacer:   f.CleanPacer(now, est),
 		started: now,
-		merged:  merged,
-		order:   f.copyOrder(victim, merged),
-	}
-	f.sched.Schedule(now, task)
+		order:   f.copyOrder(seg),
+	})
 }
 
 // gcTask incrementally cleans one victim under pacing.
@@ -185,9 +134,8 @@ type gcTask struct {
 	victim  int
 	pacer   *ratelimit.Pacer
 	started sim.Time
-	order   []int // victim page indices to examine, in copy order
+	order   []int // victim page indices to copy, in copy order
 	cursor  int
-	merged  *bitmap.Bitmap
 }
 
 // Name implements sim.Task.
@@ -196,16 +144,18 @@ func (t *gcTask) Name() string { return fmt.Sprintf("iosnap-gc(seg %d)", t.victi
 // Run implements sim.Task.
 func (t *gcTask) Run(now sim.Time) (sim.Time, bool) {
 	f := t.f
-
+	if f.Closed() {
+		return 0, true // cancelled by Close, which released the slot
+	}
 	var err error
-	t.cursor, now, err = f.copyForward(now, t.victim, t.merged, t.order, t.cursor, f.cfg.GCChunk)
+	t.cursor, now, err = f.CopyForward(now, t.victim, t.order, t.cursor, f.cfg.GCChunk, f.blockMoved)
 	if err != nil {
 		// Abort, but leave the victim cleanable: blocks already moved had
 		// their validity bits and translations re-pointed one by one, the
-		// failed destination page was rolled back by copyForward, and the
-		// victim stays in usedSegs for a later clean to re-select. Record
+		// failed destination page was rolled back by CopyForward, and the
+		// victim stays in UsedSegs for a later clean to re-select. Record
 		// the error instead of dropping it on the floor.
-		t.abort(err)
+		f.AbortClean(err)
 		return 0, true
 	}
 	if t.cursor < len(t.order) {
@@ -218,38 +168,26 @@ func (t *gcTask) Run(now sim.Time) (sim.Time, bool) {
 		}
 		return next, false
 	}
-	now, err = f.finishClean(now, t.victim)
-	f.gcActive = false
-	f.gcVictim = -1
-	f.releaseGCGate()
-	if err != nil {
-		// Erase failed: finishClean left the victim in usedSegs and its
+	if now, err = f.FinishClean(now, t.victim); err != nil {
+		// Erase failed: FinishClean left the victim in UsedSegs and its
 		// remaining valid blocks untouched, so the device is consistent.
-		f.stats.GCErrors++
-		f.stats.GCLastErr = err.Error()
+		f.AbortClean(err)
 		return 0, true
 	}
-	f.stats.GCRuns++
-	f.stats.GCTotalTime += now.Sub(t.started)
-	f.stats.GCLastAt = now
+	f.EndClean()
+	f.CleanDone(now, t.started)
 	f.maybeScheduleGC(now)
 	return 0, true
 }
 
-// abort ends a background clean on a device error, recording it in Stats.
-func (t *gcTask) abort(err error) {
-	f := t.f
-	f.gcActive = false
-	f.gcVictim = -1
-	f.releaseGCGate()
-	f.stats.GCErrors++
-	f.stats.GCLastErr = err.Error()
-}
-
-// copyOrder lists the victim's valid page indices. With EpochSegregation
-// the cleaner groups blocks by epoch so data of one snapshot stays
-// co-located after cleaning (§5.4.2's policy, built as an ablation).
-func (f *FTL) copyOrder(victim int, merged *bitmap.Bitmap) []int {
+// copyOrder lists the page indices of the victim worth copying: valid in the
+// merged map as of now (the caller made its cache fresh), or pinned. With
+// EpochSegregation the cleaner groups blocks by epoch so data of one
+// snapshot stays co-located after cleaning (§5.4.2's policy, built as an
+// ablation).
+func (f *FTL) copyOrder(victim int) []int {
+	merged := f.acct.mergedClone(victim)
+	f.orPinsInto(victim, merged)
 	pps := f.cfg.Nand.PagesPerSegment
 	idxs := make([]int, 0, pps)
 	for i := 0; i < pps; i++ {
@@ -264,7 +202,7 @@ func (f *FTL) copyOrder(victim int, merged *bitmap.Bitmap) []int {
 	tags := make([]tagged, 0, len(idxs))
 	for _, i := range idxs {
 		e := 0
-		if oob, err := f.dev.PageOOB(f.dev.Addr(victim, i)); err == nil {
+		if oob, err := f.Dev.PageOOB(f.Dev.Addr(victim, i)); err == nil {
 			if h, err := header.Unmarshal(oob); err == nil {
 				e = int(h.Epoch)
 			}
@@ -279,195 +217,56 @@ func (f *FTL) copyOrder(victim int, merged *bitmap.Bitmap) []int {
 	return out
 }
 
-// cleanOnce synchronously cleans the best victim (forced path). Selection
-// already leaves the victim's merged map cached and fresh, so the clean
-// reuses it instead of merging (and charging) a second time.
-func (f *FTL) cleanOnce(now sim.Time, forced bool) (sim.Time, error) {
-	victim, _, _, cost := f.selectVictim()
+// CleanOnce implements logcore.Policy: it synchronously cleans the best
+// victim (the forced path). Selection already leaves the victim's merged
+// map cached and fresh, so the clean reuses it instead of merging (and
+// charging) a second time.
+func (f *FTL) CleanOnce(now sim.Time, forced bool) (sim.Time, error) {
+	victim, cost := f.selectVictim()
 	f.stats.GCMergeTime += cost
 	now = now.Add(cost)
 	if victim < 0 {
 		return now, ErrDeviceFull
 	}
-	merged := f.acct.mergedClone(victim)
-	f.orPinsInto(victim, merged)
-	order := f.copyOrder(victim, merged)
 	start := now
-	cursor := 0
-	for cursor < len(order) {
+	now, err := f.cleanSegment(now, victim)
+	if err != nil {
+		return now, err
+	}
+	if forced {
+		f.stats.GCForced++
+	}
+	f.CleanDone(now, start)
+	return now, nil
+}
+
+// cleanSegment copies everything worth keeping off seg in one unpaced go —
+// every block valid in ANY live epoch, so snapshotted data and note pages
+// survive and every epoch's validity bits plus every view's translations are
+// re-pointed — then erases it (or retires it, if it is dying).
+func (f *FTL) cleanSegment(now sim.Time, seg int) (sim.Time, error) {
+	order := f.copyOrder(seg)
+	for cursor := 0; cursor < len(order); {
 		var err error
-		cursor, now, err = f.copyForward(now, victim, merged, order, cursor, len(order))
+		cursor, now, err = f.CopyForward(now, seg, order, cursor, len(order), f.blockMoved)
 		if err != nil {
 			return now, err
 		}
 	}
-	now, err := f.finishClean(now, victim)
-	if err != nil {
-		return now, err
-	}
-	f.stats.GCRuns++
-	if forced {
-		f.stats.GCForced++
-	}
-	f.stats.GCTotalTime += now.Sub(start)
-	f.stats.GCLastAt = now
-	return now, nil
+	return f.FinishClean(now, seg)
 }
 
-// copyForward moves up to max blocks from order[cursor:], fixing every
-// epoch's validity bits and every view's translation.
-//
-// The quantum is planned first (destination allocation + header decode are
-// host-side) and then issued as one devCopyPages call per head segment.
-// Copies within one quantum were always pipelined — submitted together at
-// the quantum's start and serialized by the device's per-channel queues —
-// so the batch submission is virtual-time identical to the per-page
-// reference loop below (nand.CopyPages is exactly sequential-equivalent).
-func (f *FTL) copyForward(now sim.Time, victim int, merged *bitmap.Bitmap, order []int, cursor, max int) (int, sim.Time, error) {
-	if f.cfg.ReferenceDataPath {
-		return f.copyForwardRef(now, victim, merged, order, cursor, max)
-	}
-	copied := 0
-	submit := now
-	maxDone := now
-	pps := f.cfg.Nand.PagesPerSegment
-	var (
-		froms, tos []nand.PageAddr
-		hs         []header.Header
-		pins       []bool
-	)
-	for cursor < len(order) && copied < max {
-		froms, tos, hs, pins = froms[:0], tos[:0], hs[:0], pins[:0]
-		room := max - copied
-		var planErr error
-		for len(froms) < room && cursor < len(order) {
-			idx := order[cursor]
-			cursor++
-			old := f.dev.Addr(victim, idx)
-			dst, _, err := f.allocPageGC(submit)
-			if err != nil {
-				planErr = err
-				break
-			}
-			oob, err := f.dev.PageOOB(old)
-			if err != nil {
-				f.ungetPage(dst)
-				planErr = fmt.Errorf("iosnap: cleaner reading header: %w", err)
-				break
-			}
-			h, err := header.Unmarshal(oob)
-			if err != nil {
-				f.ungetPage(dst)
-				planErr = fmt.Errorf("iosnap: cleaner decoding header: %w", err)
-				break
-			}
-			froms = append(froms, old)
-			tos = append(tos, dst)
-			hs = append(hs, h)
-			_, mapPinned := f.mapPins[old]
-			pins = append(pins, f.ckptPins[old] || mapPinned)
-			if len(froms) == 1 {
-				// Confine the batch to the current head segment so a
-				// mid-batch failure rolls back with a plain headIdx walk.
-				if r := 1 + pps - f.headIdx; r < room {
-					room = r
-				}
-			}
-		}
-		n, d, copyErr := f.devCopyPages(submit, froms, tos)
-		if d > maxDone {
-			maxDone = d
-		}
-		for j := 0; j < n; j++ {
-			f.gcFixup(victim, froms[j], tos[j], hs[j], pins[j])
-		}
-		copied += n
-		if copyErr != nil {
-			// Hand back the destinations that were planned but never
-			// attempted, then the failing page's own (which may have landed
-			// after all — ungetPage checks). The cursor resumes just past
-			// the failing entry in order, exactly as the per-page loop would.
-			unattempted := len(tos) - n - 1
-			f.headIdx -= unattempted
-			f.ungetPage(tos[n])
-			cursor -= unattempted
-			return cursor, maxDone, fmt.Errorf("iosnap: copy-forward: %w", copyErr)
-		}
-		if planErr != nil {
-			return cursor, maxDone, planErr
-		}
-	}
-	return cursor, maxDone, nil
-}
-
-// copyForwardRef is the per-page reference implementation of copyForward,
-// kept for the batched-vs-reference equivalence tests (Config.ReferenceDataPath).
-func (f *FTL) copyForwardRef(now sim.Time, victim int, merged *bitmap.Bitmap, order []int, cursor, max int) (int, sim.Time, error) {
-	copied := 0
-	// Copies within one quantum are pipelined: all are submitted at the
-	// quantum's start and the device's per-channel queues serialize them,
-	// exactly like a cleaner thread issuing a batch of copyback commands.
-	submit := now
-	maxDone := now
-	for cursor < len(order) && copied < max {
-		idx := order[cursor]
-		cursor++
-		old := f.dev.Addr(victim, idx)
-		dst, t, err := f.allocPageGC(submit)
-		if err != nil {
-			return cursor, maxDone, err
-		}
-		_ = t
-		oob, err := f.dev.PageOOB(old)
-		if err != nil {
-			f.ungetPage(dst)
-			return cursor, maxDone, fmt.Errorf("iosnap: cleaner reading header: %w", err)
-		}
-		h, err := header.Unmarshal(oob)
-		if err != nil {
-			f.ungetPage(dst)
-			return cursor, maxDone, fmt.Errorf("iosnap: cleaner decoding header: %w", err)
-		}
-		_, mapPinned := f.mapPins[old]
-		pinned := f.ckptPins[old] || mapPinned
-		done, err := f.devCopyPage(submit, old, dst)
-		if err != nil {
-			f.ungetPage(dst)
-			return cursor, maxDone, fmt.Errorf("iosnap: copy-forward: %w", err)
-		}
-		if done > maxDone {
-			maxDone = done
-		}
-		f.gcFixup(victim, old, dst, h, pinned)
-		copied++
-	}
-	return cursor, maxDone, nil
-}
-
-// gcFixup applies the host-side metadata moves for one copied block: the
-// destination inherits the block's age and epoch presence, pins and anchors
-// follow pinned pages, every holding epoch's validity bit is re-pointed
-// (step 3), and every view's forward map entry follows (step 4).
-func (f *FTL) gcFixup(victim int, old, dst nand.PageAddr, h header.Header, pinned bool) {
-	// The destination inherits the block's age (its original seq), so
-	// segments holding cold data still look old to cost-benefit.
-	dseg := f.dev.SegmentOf(dst)
-	if h.Seq > f.segLastSeq[dseg] {
-		f.segLastSeq[dseg] = h.Seq
-	}
+// blockMoved is the cleaner's fix-up for one block copied off victim
+// (logcore.MovedFunc). The log has already aged the destination segment and
+// moved a pinned page's pin; what is left is ioSnap's: the destination
+// inherits the block's epoch presence, every holding epoch's validity bit is
+// re-pointed (step 3), and every view's forward map entry follows (step 4).
+func (f *FTL) blockMoved(victim int, old, dst nand.PageAddr, h header.Header, _ bool) {
 	// Checkpoint chunks carry chunk geometry in the Epoch field, not an
 	// epoch, and translation pages are valid in no epoch: neither
-	// contributes to presence, and their pins follow the page instead of
-	// validity bits.
+	// contributes to presence.
 	if !h.Type.IsCheckpoint() && h.Type != header.TypeMapPage {
-		f.presence.add(dseg, bitmap.Epoch(h.Epoch))
-	}
-	if pinned {
-		if h.Type == header.TypeMapPage {
-			f.moveMapPin(old, dst)
-		} else {
-			f.movePin(old, dst)
-		}
+		f.presence.add(f.Dev.SegmentOf(dst), bitmap.Epoch(h.Epoch))
 	}
 
 	// Step 3: re-point every live epoch that saw the old block. In the
@@ -521,42 +320,9 @@ func (f *FTL) gcFixup(victim int, old, dst nand.PageAddr, h header.Header, pinne
 	for _, x := range f.exports {
 		x.onBlockMoved(old, dst, h)
 	}
-	f.stats.GCCopied++
-	if f.dev.SegmentHealth(victim) != nand.Healthy {
+	if f.Dev.SegmentHealth(victim) != nand.Healthy {
 		f.stats.RescuedPages++
 	}
-}
-
-// finishClean erases the victim and returns it to the pool — or retires it.
-// By this point every block valid in ANY live epoch has been copied off
-// (copy-forward runs under the merged validity map), so a permanently
-// failing or suspect victim can leave service without losing a byte of any
-// snapshot; returning it to the pool would just let the next writer trip
-// over the same dying segment.
-func (f *FTL) finishClean(now sim.Time, victim int) (sim.Time, error) {
-	done, err := f.devEraseSegment(now, victim)
-	if err != nil {
-		if retry.MediaFailure(err) {
-			f.retireSegment(victim)
-			return now, nil
-		}
-		return now, fmt.Errorf("iosnap: erasing segment %d: %w", victim, err)
-	}
-	f.stats.GCErases++
-	if f.dev.SegmentHealth(victim) != nand.Healthy {
-		f.retireSegment(victim)
-		return done, nil
-	}
-	for i, s := range f.usedSegs {
-		if s == victim {
-			f.usedSegs = append(f.usedSegs[:i], f.usedSegs[i+1:]...)
-			break
-		}
-	}
-	f.freeSegs = append(f.freeSegs, victim)
-	f.presence.clear(victim)
-	f.acct.untrack(victim)
-	return done, nil
 }
 
 // SegmentEpochRuns measures epoch intermixing: the number of maximal runs
@@ -567,7 +333,7 @@ func (f *FTL) SegmentEpochRuns(seg int) int {
 	runs := 0
 	prev := int64(-1)
 	for i := 0; i < pps; i++ {
-		oob, err := f.dev.PageOOB(f.dev.Addr(seg, i))
+		oob, err := f.Dev.PageOOB(f.Dev.Addr(seg, i))
 		if err != nil {
 			continue
 		}
@@ -581,4 +347,16 @@ func (f *FTL) SegmentEpochRuns(seg int) int {
 		}
 	}
 	return runs
+}
+
+// CountValidActive counts active-epoch-valid blocks in [lo, hi) physical
+// pages (experiment/diagnostic hook).
+func (f *FTL) CountValidActive(lo, hi int64) int {
+	return f.vstore.CountValid(f.active.epoch, lo, hi)
+}
+
+// CountValidMerged counts merged-valid blocks in [lo, hi) physical pages
+// across all live epochs (experiment/diagnostic hook).
+func (f *FTL) CountValidMerged(lo, hi int64) int {
+	return f.vstore.MergeRange(f.vstore.Epochs(), lo, hi).Count()
 }

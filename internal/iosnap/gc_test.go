@@ -14,7 +14,7 @@ func TestSnapshottedDataSurvivesHeavyCleaning(t *testing.T) {
 	rng := sim.NewRNG(100)
 	model := make(map[int64]byte)
 	for i := 0; i < 100; i++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		lba := rng.Int63n(60)
 		v := byte(i + 1)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, v))
@@ -34,7 +34,7 @@ func TestSnapshottedDataSurvivesHeavyCleaning(t *testing.T) {
 	}
 	// Heavy churn: many segment cleanings move snapshot blocks repeatedly.
 	for i := 0; i < 600; i++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		lba := rng.Int63n(60)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i)))
 		if err != nil {
@@ -42,7 +42,7 @@ func TestSnapshottedDataSurvivesHeavyCleaning(t *testing.T) {
 		}
 		now = d
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	if f.Stats().GCRuns < 5 {
 		t.Fatalf("only %d cleanings; test is weak", f.Stats().GCRuns)
 	}
@@ -70,7 +70,7 @@ func TestGCCopiesMoreWithSnapshots(t *testing.T) {
 		now := sim.Time(0)
 		rng := sim.NewRNG(9)
 		for i := 0; i < 80; i++ {
-			f.sched.RunUntil(now)
+			f.Sched.RunUntil(now)
 			lba := rng.Int63n(80)
 			now, _ = f.Write(now, lba, sectorPattern(ss, lba, 1))
 		}
@@ -82,7 +82,7 @@ func TestGCCopiesMoreWithSnapshots(t *testing.T) {
 			now = d
 		}
 		for i := 0; i < 400; i++ {
-			f.sched.RunUntil(now)
+			f.Sched.RunUntil(now)
 			lba := rng.Int63n(80)
 			d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(2+i%10)))
 			if err != nil {
@@ -90,7 +90,7 @@ func TestGCCopiesMoreWithSnapshots(t *testing.T) {
 			}
 			now = d
 		}
-		f.sched.Drain(now)
+		f.Sched.Drain(now)
 		return f.Stats().GCCopied
 	}
 	without := run(false)
@@ -109,7 +109,7 @@ func TestEpochsPreservedAcrossMoves(t *testing.T) {
 	// Force cleaning by churning unrelated LBAs.
 	rng := sim.NewRNG(4)
 	for i := 0; i < 500; i++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		lba := 10 + rng.Int63n(50)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i)))
 		if err != nil {
@@ -117,7 +117,7 @@ func TestEpochsPreservedAcrossMoves(t *testing.T) {
 		}
 		now = d
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	// The snapshot block was moved at least once; its epoch tag must have
 	// moved with it so activation can still find it.
 	view, now, err := f.ActivateSync(now, snap.ID, noLimit, false)
@@ -141,7 +141,7 @@ func TestMergeTimeGrowsWithSnapshots(t *testing.T) {
 		rng := sim.NewRNG(12)
 		for s := 0; s <= snaps; s++ {
 			for i := 0; i < 40; i++ {
-				f.sched.RunUntil(now)
+				f.Sched.RunUntil(now)
 				lba := rng.Int63n(60)
 				d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i)))
 				if err != nil {
@@ -158,7 +158,7 @@ func TestMergeTimeGrowsWithSnapshots(t *testing.T) {
 			}
 		}
 		for i := 0; i < 300; i++ {
-			f.sched.RunUntil(now)
+			f.Sched.RunUntil(now)
 			lba := rng.Int63n(60)
 			d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i)))
 			if err != nil {
@@ -166,7 +166,7 @@ func TestMergeTimeGrowsWithSnapshots(t *testing.T) {
 			}
 			now = d
 		}
-		f.sched.Drain(now)
+		f.Sched.Drain(now)
 		st := f.Stats()
 		if st.GCRuns == 0 {
 			t.Fatal("no cleaning")
@@ -194,7 +194,7 @@ func TestEpochSegregationReducesIntermix(t *testing.T) {
 		// Interleave writes and snapshots so victims hold several epochs.
 		for s := 0; s < 4; s++ {
 			for i := 0; i < 45; i++ {
-				f.sched.RunUntil(now)
+				f.Sched.RunUntil(now)
 				lba := rng.Int63n(90)
 				d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(s*50+i)))
 				if err != nil {
@@ -211,7 +211,7 @@ func TestEpochSegregationReducesIntermix(t *testing.T) {
 			}
 		}
 		for i := 0; i < 400; i++ {
-			f.sched.RunUntil(now)
+			f.Sched.RunUntil(now)
 			lba := rng.Int63n(90)
 			d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i)))
 			if err != nil {
@@ -219,11 +219,11 @@ func TestEpochSegregationReducesIntermix(t *testing.T) {
 			}
 			now = d
 		}
-		f.sched.Drain(now)
+		f.Sched.Drain(now)
 		// Average epoch-run count across used segments.
 		total, n := 0, 0
 		for seg := 0; seg < cfg.Nand.Segments; seg++ {
-			if f.dev.ProgrammedInSegment(seg) > 0 {
+			if f.Dev.ProgrammedInSegment(seg) > 0 {
 				total += f.SegmentEpochRuns(seg)
 				n++
 			}

@@ -14,18 +14,16 @@ import (
 // O(segments × live-epochs × pages-per-segment); this layer makes it
 // incremental instead:
 //
-//   - every used segment carries a cached merged bitmap plus a merged-valid
-//     counter, updated O(1) on each validity-bit flip (write, trim,
-//     copy-forward re-point);
+//   - every used segment carries a cached merged bitmap, and the log engine
+//     a merged-valid counter for it (logcore.AddValid), both updated O(1) on
+//     each validity-bit flip (write, trim, copy-forward re-point);
 //   - epoch create/delete (and view publish/retire) invalidates lazily by
 //     advancing a generation stamp; a stale segment's cache is rebuilt
 //     word-at-a-time — one pass per live epoch over just that segment —
 //     at most once per epoch-set change;
-//   - greedy victim selection reads a score-ordered heap (most merged-
-//     invalid first), so a decision with fresh caches costs O(log segments)
-//     instead of a device-wide re-merge. Cost-benefit scores depend on a
-//     globally drifting age term, so that policy scans the cached counters
-//     (O(segments) integer work, still no merging).
+//   - victim selection reads the engine's counters (logcore.BestVictim: a
+//     heap for greedy, a counter scan for cost-benefit), so a decision with
+//     fresh caches costs no merging at all.
 //
 // To keep view-epoch clears O(1), two bitmaps are cached per segment: the
 // full merge ("merged") and the merge over live epochs that do NOT back a
@@ -36,23 +34,18 @@ import (
 
 // segAcct is one used segment's cached cleaning state.
 type segAcct struct {
-	seg     int
-	merged  *bitmap.Bitmap // OR of validity across all live epochs (segment-relative)
-	frozen  *bitmap.Bitmap // OR across live epochs not backing a view
-	valid   int            // merged.Count()
-	gen     uint64         // accounting generation the caches were built against
-	stamp   uint64         // log-order insertion stamp (victim tie-break)
-	heapIdx int            // position in the greedy heap (-1 when untracked)
+	seg    int
+	merged *bitmap.Bitmap // OR of validity across all live epochs (segment-relative); its popcount is the log's ValidCount
+	frozen *bitmap.Bitmap // OR across live epochs not backing a view
+	gen    uint64         // accounting generation the caches were built against
 }
 
-// gcAcct owns the per-segment caches and the greedy selection heap.
+// gcAcct owns the per-segment caches.
 type gcAcct struct {
 	f        *FTL
 	bySeg    []*segAcct // indexed by segment; nil when not in usedSegs
-	heap     []*segAcct // best victim first: fewest merged-valid, oldest stamp
-	stamp    uint64
-	viewGen  uint64 // advanced when the set of view-backing epochs changes
-	freshGen uint64 // generation as of the last complete refreshAll
+	viewGen  uint64     // advanced when the set of view-backing epochs changes
+	freshGen uint64     // generation as of the last complete refreshAll
 }
 
 func newGCAcct(f *FTL) *gcAcct {
@@ -76,28 +69,19 @@ func (a *gcAcct) bumpViewGen() { a.viewGen++ }
 // decision rebuilds them.
 func (a *gcAcct) track(seg int, freshEmpty bool) {
 	pps := int64(a.f.cfg.Nand.PagesPerSegment)
-	a.stamp++
-	e := &segAcct{seg: seg, stamp: a.stamp, heapIdx: -1}
+	e := &segAcct{seg: seg}
 	if freshEmpty {
 		e.merged = bitmap.New(pps)
 		e.frozen = bitmap.New(pps)
 		e.gen = a.curGen()
 	}
 	a.bySeg[seg] = e
-	a.heapPush(e)
+	a.f.SetValid(seg, 0) // a stale cache ignored the flips since it went stale
 }
 
 // untrack drops a segment that left usedSegs (erased back to the pool, or
-// retired). Untracking an untracked segment is a no-op so retireSegment can
-// call it unconditionally.
-func (a *gcAcct) untrack(seg int) {
-	e := a.bySeg[seg]
-	if e == nil {
-		return
-	}
-	a.heapRemove(e)
-	a.bySeg[seg] = nil
-}
+// retired).
+func (a *gcAcct) untrack(seg int) { a.bySeg[seg] = nil }
 
 // entryFor returns the fresh cache entry covering physical page p, or nil
 // when the page's segment is untracked or its cache is stale (a stale cache
@@ -120,8 +104,7 @@ func (a *gcAcct) onViewSet(p int64) {
 	}
 	if !e.merged.Test(rel) {
 		e.merged.Set(rel)
-		e.valid++
-		a.heapFix(e)
+		a.f.AddValid(e.seg, 1)
 	}
 }
 
@@ -142,8 +125,7 @@ func (a *gcAcct) onViewClear(ve bitmap.Epoch, p int64) {
 		}
 	}
 	e.merged.Clear(rel)
-	e.valid--
-	a.heapFix(e)
+	a.f.AddValid(e.seg, -1)
 }
 
 // onViewSetRun is onViewSet over one segment-contained physical run: the
@@ -158,8 +140,7 @@ func (a *gcAcct) onViewSetRun(lo, hi int64) {
 	delta := int(n) - e.merged.CountRange(rel, rel+n)
 	if delta > 0 {
 		e.merged.SetRange(rel, rel+n)
-		e.valid += delta
-		a.heapFix(e)
+		a.f.AddValid(e.seg, delta)
 	}
 }
 
@@ -191,8 +172,7 @@ func (a *gcAcct) onViewClearRun(ve bitmap.Epoch, lo, hi int64) {
 		delta++
 	}
 	if delta > 0 {
-		e.valid -= delta
-		a.heapFix(e)
+		a.f.AddValid(e.seg, -delta)
 	}
 }
 
@@ -206,16 +186,14 @@ func (a *gcAcct) onBlockMoved(old, dst nand.PageAddr, anyHolder, frozenHolder bo
 	if e, rel := a.entryFor(int64(old)); e != nil {
 		if e.merged.Test(rel) {
 			e.merged.Clear(rel)
-			e.valid--
-			a.heapFix(e)
+			a.f.AddValid(e.seg, -1)
 		}
 		e.frozen.Clear(rel)
 	}
 	if e, rel := a.entryFor(int64(dst)); e != nil {
 		if !e.merged.Test(rel) {
 			e.merged.Set(rel)
-			e.valid++
-			a.heapFix(e)
+			a.f.AddValid(e.seg, 1)
 		}
 		if frozenHolder {
 			e.frozen.Set(rel)
@@ -259,9 +237,8 @@ func (a *gcAcct) ensureFresh(seg int) sim.Duration {
 		e.merged.CopyFrom(e.frozen)
 	}
 	f.vstore.OrRangeInto(viewEps, lo, hi, e.merged)
-	e.valid = e.merged.Count()
+	f.SetValid(seg, e.merged.Count())
 	e.gen = gen
-	a.heapFix(e)
 	f.stats.GCCacheRebuilds++
 	f.stats.GCCacheRebuildPages += pps
 	live := int64(len(frozenEps) + len(viewEps))
@@ -279,7 +256,7 @@ func (a *gcAcct) refreshAll() sim.Duration {
 		return 0
 	}
 	var total sim.Duration
-	for _, seg := range a.f.usedSegs {
+	for _, seg := range a.f.UsedSegs {
 		total += a.ensureFresh(seg)
 	}
 	a.freshGen = a.curGen()
@@ -291,136 +268,4 @@ func (a *gcAcct) refreshAll() sim.Duration {
 // plan from accounting updates that land while the clean is paced out.
 func (a *gcAcct) mergedClone(seg int) *bitmap.Bitmap {
 	return a.bySeg[seg].merged.Clone()
-}
-
-// validCount returns seg's cached merged-valid counter (caller refreshes).
-func (a *gcAcct) validCount(seg int) int {
-	return a.bySeg[seg].valid
-}
-
-// bestGreedy returns the heap top excluding the log head and an in-flight
-// victim, or nil when no candidate has a merged-invalid block. Parked
-// entries are pushed back, so the heap is unchanged on return.
-func (a *gcAcct) bestGreedy() *segAcct {
-	f := a.f
-	pps := f.cfg.Nand.PagesPerSegment
-	var parked []*segAcct
-	var best *segAcct
-	for len(a.heap) > 0 {
-		top := a.heap[0]
-		// Skip the head, an in-flight victim, and segments with nothing
-		// reclaimable once pinned checkpoint chunks count as live.
-		if top.seg == f.headSeg || top.seg == f.gcVictim ||
-			pps-top.valid-f.pinnedInSeg(top.seg) <= 0 {
-			a.heapRemove(top)
-			parked = append(parked, top)
-			continue
-		}
-		best = top
-		break
-	}
-	for _, e := range parked {
-		a.heapPush(e)
-	}
-	return best
-}
-
-// bestCostBenefit scans the cached counters in log order (the age term
-// drifts with every write, so a static heap key cannot order it). Segments
-// with no merged-invalid block are never candidates.
-func (a *gcAcct) bestCostBenefit() *segAcct {
-	f := a.f
-	pps := f.cfg.Nand.PagesPerSegment
-	var best *segAcct
-	bestScore := -1.0
-	for _, seg := range f.usedSegs {
-		if seg == f.headSeg || seg == f.gcVictim {
-			continue
-		}
-		e := a.bySeg[seg]
-		invalid := pps - e.valid - f.pinnedInSeg(seg)
-		if invalid <= 0 {
-			continue
-		}
-		score := victimScore(VictimCostBenefit, invalid, e.valid, f.seq, f.segLastSeq[seg])
-		if score > bestScore {
-			best, bestScore = e, score
-		}
-	}
-	return best
-}
-
-// ---- Greedy max-heap: fewest merged-valid first, oldest stamp on ties. ----
-// The stamp tie-break reproduces the old linear scan's first-max rule:
-// stamps are handed out at every usedSegs append, so stamp order IS log
-// order.
-
-func (a *gcAcct) better(x, y *segAcct) bool {
-	if x.valid != y.valid {
-		return x.valid < y.valid
-	}
-	return x.stamp < y.stamp
-}
-
-func (a *gcAcct) heapSwap(i, j int) {
-	a.heap[i], a.heap[j] = a.heap[j], a.heap[i]
-	a.heap[i].heapIdx = i
-	a.heap[j].heapIdx = j
-}
-
-func (a *gcAcct) heapPush(e *segAcct) {
-	e.heapIdx = len(a.heap)
-	a.heap = append(a.heap, e)
-	a.siftUp(e.heapIdx)
-}
-
-func (a *gcAcct) heapRemove(e *segAcct) {
-	i := e.heapIdx
-	last := len(a.heap) - 1
-	a.heapSwap(i, last)
-	a.heap = a.heap[:last]
-	e.heapIdx = -1
-	if i < last {
-		moved := a.heap[i]
-		a.siftUp(moved.heapIdx)
-		a.siftDown(moved.heapIdx)
-	}
-}
-
-// heapFix restores the heap property after e's valid counter changed.
-func (a *gcAcct) heapFix(e *segAcct) {
-	if e.heapIdx < 0 {
-		return
-	}
-	a.siftUp(e.heapIdx)
-	a.siftDown(e.heapIdx)
-}
-
-func (a *gcAcct) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !a.better(a.heap[i], a.heap[p]) {
-			break
-		}
-		a.heapSwap(i, p)
-		i = p
-	}
-}
-
-func (a *gcAcct) siftDown(i int) {
-	n := len(a.heap)
-	for {
-		best := i
-		if l := 2*i + 1; l < n && a.better(a.heap[l], a.heap[best]) {
-			best = l
-		}
-		if r := 2*i + 2; r < n && a.better(a.heap[r], a.heap[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		a.heapSwap(i, best)
-		i = best
-	}
 }

@@ -21,7 +21,7 @@ func churnVictimState(t *testing.T, f *FTL) sim.Time {
 				t.Fatalf("round %d write lba %d: %v", round, lba, err)
 			}
 			now = done
-			f.sched.RunUntil(now)
+			f.Sched.RunUntil(now)
 		}
 		if round%2 == 0 {
 			s, done, err := f.CreateSnapshot(now)
@@ -43,7 +43,7 @@ func churnVictimState(t *testing.T, f *FTL) sim.Time {
 			t.Fatalf("round %d trim: %v", round, err)
 		}
 	}
-	return f.sched.Drain(now)
+	return f.Sched.Drain(now)
 }
 
 // TestSelectVictimMatchesScratch pins the tentpole's correctness bar: the
@@ -60,7 +60,11 @@ func TestSelectVictimMatchesScratch(t *testing.T) {
 		}
 		now := churnVictimState(t, f)
 		for i := 0; i < 4; i++ {
-			gotSeg, gotValid, _, _ := f.selectVictim()
+			gotSeg, _ := f.selectVictim()
+			gotValid := 0
+			if gotSeg >= 0 {
+				gotValid = f.ValidCount(gotSeg) // the clean's work estimate
+			}
 			wantSeg, wantValid := f.selectVictimScratch()
 			if gotSeg != wantSeg || gotValid != wantValid {
 				t.Fatalf("policy %v pass %d: incremental selection (%d, %d) != scratch (%d, %d)",
@@ -82,7 +86,7 @@ func TestSelectVictimMatchesScratch(t *testing.T) {
 					now = done
 				}
 			}
-			now = f.sched.Drain(now)
+			now = f.Sched.Drain(now)
 		}
 	}
 }
@@ -99,12 +103,12 @@ func TestSelectVictimNeverFullyValid(t *testing.T) {
 			t.Fatal(err)
 		}
 		churnVictimState(t, f)
-		victim, mergedValid, _, _ := f.selectVictim()
+		victim, _ := f.selectVictim()
 		if victim < 0 {
 			continue
 		}
 		pps := f.cfg.Nand.PagesPerSegment
-		if mergedValid >= pps {
+		if mergedValid := f.ValidCount(victim); mergedValid >= pps {
 			t.Fatalf("policy %v: victim %d is fully merged-valid (%d/%d)", policy, victim, mergedValid, pps)
 		}
 	}

@@ -68,14 +68,14 @@ func (f *FTL) CheckInvariants() error {
 // every pinned page must hold a parseable translation-page header whose
 // LBA field names the pinned index.
 func (f *FTL) checkMapPins() error {
-	c := f.pagedActive()
+	c := f.ActiveMap.Paged()
 	if c == nil {
-		if len(f.mapPins) != 0 {
-			return fmt.Errorf("invariant: %d translation-page pins with no paged map", len(f.mapPins))
+		if len(f.MapPins) != 0 {
+			return fmt.Errorf("invariant: %d translation-page pins with no paged map", len(f.MapPins))
 		}
 		return nil
 	}
-	for a, idx := range f.mapPins {
+	for a, idx := range f.MapPins {
 		want, ok := c.AddrOf(idx)
 		if !ok {
 			return fmt.Errorf("invariant: pinned translation page %d (addr %d) not in the GTD", idx, a)
@@ -83,7 +83,7 @@ func (f *FTL) checkMapPins() error {
 		if want != uint64(a) {
 			return fmt.Errorf("invariant: translation page %d pinned at %d but GTD says %d", idx, a, want)
 		}
-		oob, err := f.dev.PageOOB(a)
+		oob, err := f.Dev.PageOOB(a)
 		if err != nil {
 			return fmt.Errorf("invariant: pinned translation page %d not programmed: %v", a, err)
 		}
@@ -99,7 +99,7 @@ func (f *FTL) checkMapPins() error {
 		}
 	}
 	for _, ent := range c.GTDEntries() {
-		if _, ok := f.mapPins[nand.PageAddr(ent.Addr)]; !ok {
+		if _, ok := f.MapPins[nand.PageAddr(ent.Addr)]; !ok {
 			return fmt.Errorf("invariant: GTD page %d at %d not pinned", ent.Idx, ent.Addr)
 		}
 	}
@@ -111,24 +111,24 @@ func (f *FTL) checkMapPins() error {
 // pages, every pinned page must hold a parseable checkpoint-chunk header,
 // and the device anchor must mirror the committed generation.
 func (f *FTL) checkCheckpointPins() error {
-	named := make(map[nand.PageAddr]bool, len(f.anchorAddrs)+len(f.ckptInflight))
-	for _, a := range f.anchorAddrs {
+	named := make(map[nand.PageAddr]bool, len(f.AnchorAddrs)+len(f.CkptInflight))
+	for _, a := range f.AnchorAddrs {
 		named[a] = true
-		if !f.ckptPins[a] {
+		if !f.CkptPins[a] {
 			return fmt.Errorf("invariant: anchor chunk %d not pinned", a)
 		}
 	}
-	for _, a := range f.ckptInflight {
+	for _, a := range f.CkptInflight {
 		named[a] = true
-		if !f.ckptPins[a] {
+		if !f.CkptPins[a] {
 			return fmt.Errorf("invariant: in-flight checkpoint chunk %d not pinned", a)
 		}
 	}
-	for a := range f.ckptPins {
+	for a := range f.CkptPins {
 		if !named[a] {
 			return fmt.Errorf("invariant: pinned page %d named by neither the anchor nor the in-flight generation", a)
 		}
-		oob, err := f.dev.PageOOB(a)
+		oob, err := f.Dev.PageOOB(a)
 		if err != nil {
 			return fmt.Errorf("invariant: pinned page %d not programmed: %v", a, err)
 		}
@@ -140,16 +140,16 @@ func (f *FTL) checkCheckpointPins() error {
 			return fmt.Errorf("invariant: pinned page %d holds %v, not a checkpoint chunk", a, h.Type)
 		}
 	}
-	anchor := f.dev.Anchor()
-	if len(f.anchorAddrs) > 0 {
+	anchor := f.Dev.Anchor()
+	if len(f.AnchorAddrs) > 0 {
 		if anchor == nil {
-			return fmt.Errorf("invariant: committed checkpoint %d has no device anchor", f.anchorID)
+			return fmt.Errorf("invariant: committed checkpoint %d has no device anchor", f.AnchorID)
 		}
-		if anchor.ID != f.anchorID || len(anchor.Addrs) != len(f.anchorAddrs) {
+		if anchor.ID != f.AnchorID || len(anchor.Addrs) != len(f.AnchorAddrs) {
 			return fmt.Errorf("invariant: device anchor (%d, %d chunks) diverges from committed checkpoint (%d, %d chunks)",
-				anchor.ID, len(anchor.Addrs), f.anchorID, len(f.anchorAddrs))
+				anchor.ID, len(anchor.Addrs), f.AnchorID, len(f.AnchorAddrs))
 		}
-		for i, a := range f.anchorAddrs {
+		for i, a := range f.AnchorAddrs {
 			if anchor.Addrs[i] != a {
 				return fmt.Errorf("invariant: device anchor chunk %d is %d, FTL records %d", i, anchor.Addrs[i], a)
 			}
@@ -176,42 +176,15 @@ func (f *FTL) checkGCAccounting() error {
 	pps := int64(f.cfg.Nand.PagesPerSegment)
 	gen := a.curGen()
 
-	tracked := 0
+	if err := f.CheckVictimHeap(); err != nil {
+		return err
+	}
 	for s, e := range a.bySeg {
-		if e == nil {
-			continue
+		if (e != nil) != f.SegInUse(s) {
+			return fmt.Errorf("invariant: gcacct cache for segment %d present=%v, in use=%v", s, e != nil, f.SegInUse(s))
 		}
-		tracked++
-		if e.seg != s {
+		if e != nil && e.seg != s {
 			return fmt.Errorf("invariant: gcacct entry for segment %d carries seg %d", s, e.seg)
-		}
-	}
-	if tracked != len(f.usedSegs) {
-		return fmt.Errorf("invariant: gcacct tracks %d segments, usedSegs has %d", tracked, len(f.usedSegs))
-	}
-	if len(a.heap) != tracked {
-		return fmt.Errorf("invariant: gcacct heap has %d entries for %d tracked segments", len(a.heap), tracked)
-	}
-	var prevStamp uint64
-	for i, s := range f.usedSegs {
-		e := a.bySeg[s]
-		if e == nil {
-			return fmt.Errorf("invariant: used segment %d untracked by gcacct", s)
-		}
-		if i > 0 && e.stamp <= prevStamp {
-			return fmt.Errorf("invariant: gcacct stamp order broken at used segment %d (%d after %d)", s, e.stamp, prevStamp)
-		}
-		prevStamp = e.stamp
-	}
-	for i, e := range a.heap {
-		if e.heapIdx != i {
-			return fmt.Errorf("invariant: gcacct heap[%d] (segment %d) back-pointer is %d", i, e.seg, e.heapIdx)
-		}
-		if a.bySeg[e.seg] != e {
-			return fmt.Errorf("invariant: gcacct heap[%d] (segment %d) not the tracked entry", i, e.seg)
-		}
-		if i > 0 && a.better(e, a.heap[(i-1)/2]) {
-			return fmt.Errorf("invariant: gcacct heap property broken at index %d (segment %d)", i, e.seg)
 		}
 	}
 
@@ -230,7 +203,7 @@ func (f *FTL) checkGCAccounting() error {
 			frozenEps = append(frozenEps, ep)
 		}
 	}
-	for _, s := range f.usedSegs {
+	for _, s := range f.UsedSegs {
 		e := a.bySeg[s]
 		if e.gen != gen {
 			continue // stale by design; rebuilt before the next selection
@@ -244,8 +217,8 @@ func (f *FTL) checkGCAccounting() error {
 		if !e.frozen.Equal(wantFrozen) {
 			return fmt.Errorf("invariant: gcacct segment %d cached frozen bitmap diverges from scratch merge", s)
 		}
-		if e.valid != wantMerged.Count() {
-			return fmt.Errorf("invariant: gcacct segment %d valid counter %d, scratch merge counts %d", s, e.valid, wantMerged.Count())
+		if f.ValidCount(s) != wantMerged.Count() {
+			return fmt.Errorf("invariant: gcacct segment %d valid counter %d, scratch merge counts %d", s, f.ValidCount(s), wantMerged.Count())
 		}
 	}
 	return nil
@@ -283,7 +256,7 @@ func (f *FTL) checkViews() error {
 				return false
 			}
 			seen[addr] = lba
-			oob, err := f.dev.PageOOB(nand.PageAddr(addr))
+			oob, err := f.Dev.PageOOB(nand.PageAddr(addr))
 			if err != nil {
 				ierr = fmt.Errorf("invariant: view %d: LBA %d -> unprogrammed page %d: %v", vi, lba, addr, err)
 				return false
@@ -362,7 +335,7 @@ func (f *FTL) checkValidity() error {
 			if validIn == 0 {
 				continue
 			}
-			oob, err := f.dev.PageOOB(nand.PageAddr(p))
+			oob, err := f.Dev.PageOOB(nand.PageAddr(p))
 			if err != nil {
 				return fmt.Errorf("invariant: page %d valid in epoch %d but not programmed: %v", p, validIn, err)
 			}
@@ -426,12 +399,12 @@ func (f *FTL) checkTree() error {
 
 func (f *FTL) checkPools() error {
 	where := make(map[int]string)
-	for _, s := range f.freeSegs {
+	for _, s := range f.FreeSegs {
 		if prev, dup := where[s]; dup {
 			return fmt.Errorf("invariant: segment %d in %s and free pool", s, prev)
 		}
 		where[s] = "free"
-		if n := f.dev.ProgrammedInSegment(s); n != 0 {
+		if n := f.Dev.ProgrammedInSegment(s); n != 0 {
 			return fmt.Errorf("invariant: free segment %d holds %d programmed pages", s, n)
 		}
 		if f.presence.count(s) != 0 {
@@ -439,21 +412,21 @@ func (f *FTL) checkPools() error {
 		}
 	}
 	headUsed := false
-	for _, s := range f.usedSegs {
+	for _, s := range f.UsedSegs {
 		if prev, dup := where[s]; dup {
 			return fmt.Errorf("invariant: segment %d in %s and used list", s, prev)
 		}
 		where[s] = "used"
-		if s == f.headSeg {
+		if s == f.HeadSeg {
 			headUsed = true
 		}
 	}
-	retired := f.dev.RetiredSegments()
+	retired := f.Dev.RetiredSegments()
 	for _, s := range retired {
 		if pool, pooled := where[s]; pooled {
 			return fmt.Errorf("invariant: retired segment %d still in %s pool", s, pool)
 		}
-		if s == f.headSeg {
+		if s == f.HeadSeg {
 			return fmt.Errorf("invariant: log head on retired segment %d", s)
 		}
 		pps := int64(f.cfg.Nand.PagesPerSegment)
@@ -470,7 +443,7 @@ func (f *FTL) checkPools() error {
 			len(where), len(retired), f.cfg.Nand.Segments)
 	}
 	if !headUsed {
-		return fmt.Errorf("invariant: log head segment %d not in used list", f.headSeg)
+		return fmt.Errorf("invariant: log head segment %d not in used list", f.HeadSeg)
 	}
 	return nil
 }
@@ -494,21 +467,21 @@ func CompareRecovered(a, b *FTL) error {
 	if a.epochCounter != b.epochCounter {
 		return fmt.Errorf("compare: epoch counter %d vs %d", a.epochCounter, b.epochCounter)
 	}
-	if a.seq != b.seq {
-		return fmt.Errorf("compare: sequence number %d vs %d", a.seq, b.seq)
+	if a.Seq != b.Seq {
+		return fmt.Errorf("compare: sequence number %d vs %d", a.Seq, b.Seq)
 	}
-	if a.headSeg != b.headSeg || a.headIdx != b.headIdx {
-		return fmt.Errorf("compare: log head %d/%d vs %d/%d", a.headSeg, a.headIdx, b.headSeg, b.headIdx)
+	if a.HeadSeg != b.HeadSeg || a.HeadIdx != b.HeadIdx {
+		return fmt.Errorf("compare: log head %d/%d vs %d/%d", a.HeadSeg, a.HeadIdx, b.HeadSeg, b.HeadIdx)
 	}
-	if fmt.Sprint(a.usedSegs) != fmt.Sprint(b.usedSegs) {
-		return fmt.Errorf("compare: usedSegs %v vs %v", a.usedSegs, b.usedSegs)
+	if fmt.Sprint(a.UsedSegs) != fmt.Sprint(b.UsedSegs) {
+		return fmt.Errorf("compare: usedSegs %v vs %v", a.UsedSegs, b.UsedSegs)
 	}
-	if fmt.Sprint(a.freeSegs) != fmt.Sprint(b.freeSegs) {
-		return fmt.Errorf("compare: freeSegs %v vs %v", a.freeSegs, b.freeSegs)
+	if fmt.Sprint(a.FreeSegs) != fmt.Sprint(b.FreeSegs) {
+		return fmt.Errorf("compare: freeSegs %v vs %v", a.FreeSegs, b.FreeSegs)
 	}
-	for s := range a.segLastSeq {
-		if a.segLastSeq[s] != b.segLastSeq[s] {
-			return fmt.Errorf("compare: segment %d last seq %d vs %d", s, a.segLastSeq[s], b.segLastSeq[s])
+	for s := range a.SegLastSeq {
+		if a.SegLastSeq[s] != b.SegLastSeq[s] {
+			return fmt.Errorf("compare: segment %d last seq %d vs %d", s, a.SegLastSeq[s], b.SegLastSeq[s])
 		}
 	}
 
@@ -585,7 +558,7 @@ func CompareRecovered(a, b *FTL) error {
 		}
 	}
 	for p := int64(0); p < a.cfg.Nand.TotalPages(); p++ {
-		oob, err := a.dev.PageOOB(nand.PageAddr(p))
+		oob, err := a.Dev.PageOOB(nand.PageAddr(p))
 		if err != nil {
 			continue // unprogrammed
 		}

@@ -51,7 +51,7 @@ func TestRandomizedInvariantStress(t *testing.T) {
 			const space = 100
 
 			for step := 0; step < 1200; step++ {
-				f.sched.RunUntil(now)
+				f.Sched.RunUntil(now)
 				switch op := rng.Intn(100); {
 				case op < 55: // active write
 					lba := rng.Int63n(space)
@@ -136,8 +136,8 @@ func TestRandomizedInvariantStress(t *testing.T) {
 						t.Fatal(err)
 					}
 				case op < 92 && len(views) == 0: // crash + recover
-					now = f.sched.Drain(now)
-					rec, d, err := Recover(cfg, f.dev, nil, now)
+					now = f.Sched.Drain(now)
+					rec, d, err := Recover(cfg, f.Dev, nil, now)
 					if err != nil {
 						t.Fatalf("step %d recover: %v", step, err)
 					}
@@ -156,7 +156,7 @@ func TestRandomizedInvariantStress(t *testing.T) {
 					}
 				}
 				if step%200 == 199 {
-					now = f.sched.Drain(now)
+					now = f.Sched.Drain(now)
 					checkInvariants(t, f)
 					// Views must still show their frozen-or-written state.
 					buf := make([]byte, ss)
@@ -172,7 +172,7 @@ func TestRandomizedInvariantStress(t *testing.T) {
 					}
 				}
 			}
-			now = f.sched.Drain(now)
+			now = f.Sched.Drain(now)
 			checkInvariants(t, f)
 			// Final full verification of active + every live snapshot.
 			buf := make([]byte, ss)

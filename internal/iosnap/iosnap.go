@@ -1,6 +1,6 @@
 // Package iosnap implements the paper's contribution: a snapshot-capable
-// log-structured FTL ("ioSnap", EuroSys 2014). It extends the vanilla
-// Remap-on-Write design of internal/ftl with:
+// log-structured FTL ("ioSnap", EuroSys 2014). It embeds the log engine
+// internal/ftl runs on (internal/logcore) and adds what the paper adds:
 //
 //   - epochs — a monotonically increasing counter stamped into every block
 //     header, preserving log-time across segment-cleaner intermixing (§5.3.2);
@@ -27,6 +27,7 @@ import (
 
 	"iosnap/internal/bitmap"
 	"iosnap/internal/header"
+	"iosnap/internal/logcore"
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
@@ -34,23 +35,20 @@ import (
 	"iosnap/internal/sim"
 )
 
-// Errors returned by ioSnap operations.
+// Errors returned by ioSnap operations. The log's own are the engine's.
 var (
-	ErrOutOfRange      = errors.New("iosnap: LBA out of range")
-	ErrBadLength       = errors.New("iosnap: buffer not a multiple of sector size")
-	ErrClosed          = errors.New("iosnap: device closed")
-	ErrDeviceFull      = errors.New("iosnap: no reclaimable space")
+	ErrOutOfRange = logcore.ErrOutOfRange
+	ErrBadLength  = logcore.ErrBadLength
+	ErrClosed     = logcore.ErrClosed
+	ErrDeviceFull = logcore.ErrDeviceFull
+	ErrOutOfSpace = logcore.ErrOutOfSpace
+	ErrFrozen     = logcore.ErrFrozen
+
 	ErrNoSuchSnapshot  = errors.New("iosnap: no such snapshot")
 	ErrSnapshotDeleted = errors.New("iosnap: snapshot deleted")
 	ErrNotReady        = errors.New("iosnap: activation not finished")
 	ErrViewClosed      = errors.New("iosnap: activated view deactivated")
 	ErrReadOnlyView    = errors.New("iosnap: view is read-only")
-	// ErrOutOfSpace is the graceful-degradation error: the free pool fell to
-	// the rescue reserve with nothing reclaimable, so new writes shed while
-	// reads, snapshot deletes, and GC keep working. The condition clears
-	// automatically once cleaning frees space (e.g. after a trim or a
-	// snapshot delete releases blocks).
-	ErrOutOfSpace = errors.New("iosnap: out of space (degraded read-only)")
 )
 
 // GCPolicy selects how the cleaner estimates its work for pacing.
@@ -73,53 +71,30 @@ func (p GCPolicy) String() string {
 	return "vanilla-estimate"
 }
 
-// Config parameterizes the snapshot-capable FTL.
-type Config struct {
-	Nand nand.Config
+// VictimPolicy selects the cleaner's segment-choice heuristic; under ioSnap
+// "invalid" means invalid in the merged view of every live epoch.
+type VictimPolicy = logcore.VictimPolicy
 
-	// UserSectors is the advertised logical capacity (see ftl.Config).
-	UserSectors int64
-	// ReserveSegments triggers background cleaning at or below this pool size.
-	ReserveSegments int
-	// GCWindow paces the copy-forward of one victim segment.
-	GCWindow sim.Duration
-	// GCChunk is pages copied per cleaning quantum.
-	GCChunk int
+const (
+	VictimGreedy      = logcore.VictimGreedy
+	VictimCostBenefit = logcore.VictimCostBenefit
+)
+
+// GCGate is the cross-FTL admission gate for background cleaning.
+type GCGate = logcore.GCGate
+
+// Config parameterizes the snapshot-capable FTL: the log engine's knobs
+// plus the snapshot machinery's.
+type Config struct {
+	logcore.Config
+
 	// GCPolicy selects the pacing estimate (Figure 10's ablation).
 	GCPolicy GCPolicy
-	// VictimPolicy selects the cleaner's segment-choice heuristic.
-	VictimPolicy VictimPolicy
 	// EpochSegregation makes the cleaner copy a victim's blocks grouped by
 	// epoch, minimizing intermix in the destination segment (§5.4.2's
 	// policy sketch; an ablation in this repo).
 	EpochSegregation bool
 
-	// MapCPUCost is the host cost of one forward-map descent. A multi-sector
-	// request is charged once per *leaf* its run spans in a maximally-packed tree (ftlmap.RunSpan),
-	// not once per sector — the batched data path's cost model (DESIGN.md
-	// §10).
-	MapCPUCost sim.Duration
-	// MapCachePages selects the active forward map's memory layout
-	// (DESIGN.md §13). 0 (the default) keeps the in-RAM B+tree. Non-zero
-	// switches to the flash-resident paged map: translation pages of
-	// mapcache.SlotsFor(SectorSize) slots each, a RAM-pinned global
-	// translation directory, and a CLOCK cache of resident pages. A
-	// positive value bounds the cache to that many resident translation
-	// pages — dirty pages write back through the log head on eviction and
-	// the map's host footprint becomes O(cache + GTD) instead of O(map) —
-	// and requires a data-storing device (Nand.StoreData). A negative
-	// value runs the paged layout cache-unbounded: nothing is ever written
-	// to flash, which keeps it lockstep bit-exact with the tree.
-	MapCachePages int
-	// ReferenceDataPath selects the per-sector reference implementation of
-	// the data path: per-key map operations, per-bit validity flips, and
-	// per-page device calls, on the exact virtual-time skeleton the batched
-	// path uses. The equivalence tests run workloads both ways and demand
-	// identical device state, Stats, and completion times.
-	ReferenceDataPath bool
-	// MergeCPUPerBlock is the host cost, per block per epoch, of validity
-	// merging in the cleaner (Table 4's "validity merge" column).
-	MergeCPUPerBlock sim.Duration
 	// CoWPageCost is the host cost of copying one validity-bitmap page when
 	// a write mutates a page frozen by a snapshot (Figure 7's spikes).
 	CoWPageCost sim.Duration
@@ -140,17 +115,6 @@ type Config struct {
 	// snapshot's lineage, instead of the whole log.
 	SelectiveScan bool
 
-	// Retry bounds how many times a failed NAND operation is reissued and
-	// how virtual-time backoff grows between attempts. Errors that persist
-	// past the budget are permanent: the segment is marked suspect and the
-	// rescue machinery takes over.
-	Retry retry.Policy
-	// RescueReserve is the number of free segments held back from normal
-	// allocation so a dying segment can always be rescued (copy-forward
-	// needs destination space even when the device is nearly full). When
-	// the pool would dip below the reserve and nothing is reclaimable,
-	// writes shed with ErrOutOfSpace instead of consuming the reserve.
-	RescueReserve int
 	// ScrubInterval arms the background scrubber: at most one scrub pass
 	// per interval walks the used segments oldest-first, read-verifying
 	// their headers and rescuing+retiring any suspect segment. Zero
@@ -160,91 +124,32 @@ type Config struct {
 	// activation rate-limiting) so foreground latency is preserved. The
 	// zero value scrubs unthrottled.
 	ScrubLimit ratelimit.WorkSleep
-	// CheckpointInterval arms the periodic background checkpoint: at most
-	// one snapshot-aware checkpoint (active map + snapshot tree + per-epoch
-	// validity deltas) is written to the log per interval, bounding how much
-	// of the log recovery must scan. Zero disables periodic checkpoints
-	// (Close still writes one when the device stores data).
-	CheckpointInterval sim.Duration
-	// CheckpointLimit paces the background checkpoint's chunk programs
-	// (work/sleep) so serialization never stalls foreground writes. The
-	// zero value programs unthrottled.
-	CheckpointLimit ratelimit.WorkSleep
 
 	// GCGate, when non-nil, arbitrates *background* cleaning across FTL
 	// instances that share a budget (the sharded front-end's global GC
-	// governor): maybeScheduleGC acquires the gate before starting a
-	// cleaner task and releases it when the task ends, and a denied
-	// acquisition simply defers cleaning to the next head advance. Forced
-	// synchronous cleans bypass the gate — they are how a writer makes
-	// progress and must never deadlock on another shard's budget. nil (the
-	// default) leaves scheduling exactly as it was.
+	// governor): a cleaner task starts only when the gate grants a token,
+	// returned when the task ends, and a denied acquisition simply defers
+	// cleaning to the next head advance. Forced synchronous cleans bypass
+	// the gate. nil (the default) leaves scheduling ungated.
 	GCGate GCGate
 }
 
-// GCGate is a cross-FTL admission gate for background cleaning. TryAcquire
-// reports whether a new background clean may start; every successful
-// acquisition is matched by exactly one Release when the clean finishes or
-// aborts. Implementations must be safe for concurrent use when FTLs run on
-// separate goroutines (service mode).
-type GCGate interface {
-	TryAcquire() bool
-	Release()
-}
-
-// DefaultConfig mirrors ftl.DefaultConfig with the snapshot knobs added.
+// DefaultConfig is the engine's defaults with the snapshot knobs added.
 func DefaultConfig(nc nand.Config) Config {
-	phys := nc.TotalPages()
-	reserve := nc.Segments / 16
-	if reserve < 2 {
-		reserve = 2
-	}
-	user := phys * 7 / 8
-	maxUser := int64(nc.Segments-reserve-1) * int64(nc.PagesPerSegment)
-	if user > maxUser {
-		user = maxUser
-	}
 	return Config{
-		Nand:                   nc,
-		UserSectors:            user,
-		ReserveSegments:        reserve,
-		GCWindow:               10 * sim.Second,
-		GCChunk:                32,
+		Config:                 logcore.DefaultConfig(nc),
 		GCPolicy:               GCSnapshotAware,
-		MapCPUCost:             300 * sim.Nanosecond,
-		MergeCPUPerBlock:       15 * sim.Nanosecond,
 		CoWPageCost:            100 * sim.Microsecond,
 		ReconstructCPUPerEntry: 150 * sim.Nanosecond,
 		BitmapPageBits:         bitmap.DefaultBitsPerPage,
 		ActivationBatch:        8,
-		Retry:                  retry.Default(),
-		RescueReserve:          2,
 	}
-}
-
-// dataReserve is the free-pool floor for ordinary allocation. At least one
-// segment must always stay free for the cleaner's copy destination.
-func (c Config) dataReserve() int {
-	if c.RescueReserve < 1 {
-		return 1
-	}
-	return c.RescueReserve
 }
 
 // Validate checks configuration consistency.
 func (c Config) Validate() error {
-	if err := c.Nand.Validate(); err != nil {
+	if err := c.Config.Validate(); err != nil {
 		return err
-	}
-	if c.UserSectors <= 0 || c.UserSectors >= c.Nand.TotalPages() {
-		return fmt.Errorf("iosnap: UserSectors %d must be positive and leave over-provisioning (physical %d)",
-			c.UserSectors, c.Nand.TotalPages())
-	}
-	if c.ReserveSegments < 1 || c.ReserveSegments >= c.Nand.Segments {
-		return fmt.Errorf("iosnap: ReserveSegments %d out of range", c.ReserveSegments)
-	}
-	if c.GCChunk <= 0 {
-		return fmt.Errorf("iosnap: GCChunk %d must be positive", c.GCChunk)
 	}
 	if c.BitmapPageBits != 0 && (c.BitmapPageBits < 64 || c.BitmapPageBits%64 != 0) {
 		return fmt.Errorf("iosnap: BitmapPageBits %d must be a positive multiple of 64", c.BitmapPageBits)
@@ -252,91 +157,35 @@ func (c Config) Validate() error {
 	if c.ActivationBatch < 1 {
 		return fmt.Errorf("iosnap: ActivationBatch %d must be at least 1", c.ActivationBatch)
 	}
-	if c.RescueReserve < 0 || c.RescueReserve >= c.Nand.Segments {
-		return fmt.Errorf("iosnap: RescueReserve %d out of range", c.RescueReserve)
-	}
 	if c.ScrubInterval < 0 {
 		return fmt.Errorf("iosnap: ScrubInterval must not be negative")
-	}
-	if c.CheckpointInterval < 0 {
-		return fmt.Errorf("iosnap: CheckpointInterval must not be negative")
-	}
-	if c.MapCachePages > 0 && !c.Nand.StoreData {
-		return fmt.Errorf("iosnap: MapCachePages %d requires a data-storing device (translation pages live on flash)", c.MapCachePages)
 	}
 	return nil
 }
 
-// mapLimit converts MapCachePages to the cache's residency-limit parameter
-// (<=0 = unbounded).
-func (c Config) mapLimit() int {
-	if c.MapCachePages < 0 {
-		return 0
-	}
-	return c.MapCachePages
-}
-
-// Stats counts ioSnap activity.
+// Stats counts ioSnap activity: the log engine's counters plus the snapshot
+// machinery's.
 type Stats struct {
-	UserReads    int64 // sectors read by the user (not calls)
-	UserWrites   int64 // sectors written by the user (not calls)
-	BytesRead    int64
-	BytesWritten int64
-	Trims        int64
+	logcore.Stats
 
 	SnapshotCreates     int64
 	SnapshotDeletes     int64
 	SnapshotActivations int64
 	CoWPageCopies       int64 // validity bitmap pages copied (Figure 7b)
 
-	GCRuns          int64
-	GCForced        int64
-	GCCopied        int64
-	GCErases        int64
-	GCErrors        int64  // background cleans aborted by device errors
-	GCLastErr       string // most recent aborting error ("" when none)
-	GCUnpacedQuanta int64  // cleaner quanta run unthrottled because the work estimate was exhausted
-	GCMergeTime     sim.Duration
-	GCTotalTime     sim.Duration
-	GCLastAt        sim.Time
+	GCUnpacedQuanta int64 // cleaner quanta run unthrottled because the work estimate was exhausted
 
 	GCVictimSelects     int64 // victim-selection decisions taken
 	GCCacheHits         int64 // decisions served entirely from fresh merge caches
 	GCCacheRebuilds     int64 // per-segment merge caches rebuilt after an epoch-set change
 	GCCacheRebuildPages int64 // pages passed over by those rebuilds
 
-	TornPagesSkipped int64 // unparseable OOB headers tolerated during recovery/activation scans
-
-	// Batched data-path accounting. The reference path reports the same
-	// numbers — what the batched path would have submitted — so the two
-	// paths' Stats stay comparable field for field.
-	BatchDescents  int64 // leaf descents charged for run operations
-	BatchPages     int64 // pages submitted through batch NAND entry points
-	BatchNandCalls int64 // batch NAND calls issued (one per run chunk)
-
-	Checkpoints       int64  // checkpoint generations committed
-	CheckpointChunks  int64  // chunk pages programmed by committed generations
-	CheckpointErrors  int64  // checkpoint attempts aborted by errors
-	CheckpointLastErr string // most recent aborting error ("" when none)
-
-	RecoveryTailBounded bool  // last recovery loaded a checkpoint and scanned only the tail
-	RecoveryFallbacks   int64 // tail recoveries abandoned for the full scan
-	RecoverySegsScanned int64 // segments header-scanned by the last recovery
-	RecoveryHeaderPages int64 // header pages read by the last recovery
-
-	Retries         int64 // NAND operations reissued after a transient error
-	MediaFailures   int64 // permanent media failures observed (segments marked suspect)
-	SegmentsSuspect int   // segments awaiting rescue (refreshed by Stats())
-	SegmentsRetired int   // segments permanently out of service (refreshed by Stats())
-	RescuedPages    int64 // blocks copied off suspect segments by rescue/scrub
+	RescuedPages int64 // blocks copied off suspect segments by rescue/scrub
 
 	ScrubPasses   int64    // completed scrub passes over the log
 	ScrubSegments int64    // segments read-verified by the scrubber
 	ScrubRescues  int64    // suspect segments rescued+retired by the scrubber
 	ScrubLastAt   sim.Time // completion time of the last scrub pass
-
-	OutOfSpaceWrites int64 // writes shed with ErrOutOfSpace
-	Degraded         bool  // currently in out-of-space read-only degradation
 
 	ExportChunks     int64 // chunks shipped by snapshot exports (after dedup)
 	ExportDedupHits  int64 // chunks the receiver already held (listed, not shipped)
@@ -344,14 +193,7 @@ type Stats struct {
 	ImportResumes    int64 // receives resumed from a persisted journal
 	VerifyMismatches int64 // replica sectors that failed post-receive verification
 
-	MapMemory         int64 // active forward map bytes, as if fully resident (refreshed by Stats())
-	MapMemoryResident int64 // host RAM the map actually holds: resident pages + GTD (refreshed by Stats())
-	MapCacheHits      int64 // translation pages served from the cache (paged mode)
-	MapCacheMisses    int64 // translation pages faulted from flash (paged mode)
-	MapCacheEvictions int64 // resident translation pages evicted (paged mode)
-	MapPagesFlushed   int64 // dirty translation pages written back to the log (paged mode)
-	ValidityMemory    int64 // CoW validity pages bytes (refreshed by Stats())
-	WriteAmplify      float64
+	ValidityMemory int64 // CoW validity pages bytes (refreshed by Stats())
 }
 
 // view is one writable-or-readable mapping of the device: the active tree,
@@ -372,58 +214,50 @@ type view struct {
 	fromActivation bool
 }
 
-// FTL is the snapshot-capable translation layer. Not safe for concurrent
-// use; the simulation is single-threaded over virtual time.
+// FTL is the snapshot-capable translation layer: the log engine plus
+// epochs, the snapshot tree, CoW validity and the views. Not safe for
+// concurrent use; the simulation is single-threaded over virtual time.
 type FTL struct {
+	logcore.Log
 	cfg   Config
-	dev   *nand.Device
-	sched *sim.Scheduler
+	stats Stats // the embedded Log counts into stats.Stats
 
 	vstore   *bitmap.Store
 	tree     *Tree
 	presence *epochPresence
 	acct     *gcAcct // incremental merged-validity accounting (gcacct.go)
 
-	active *view   // the primary block device
+	active *view   // the primary block device; its map is Log.ActiveMap
 	views  []*view // active + all live activated views
 
 	epochCounter bitmap.Epoch
 	epochParent  map[bitmap.Epoch]bitmap.Epoch
 
-	headSeg    int
-	headIdx    int
-	seq        uint64
-	freeSegs   []int
-	usedSegs   []int
-	segLastSeq []uint64 // newest write sequence per segment (victim aging)
-
-	gcActive    bool
-	gcVictim    int // segment a background gcTask currently owns (-1 = none)
 	scrubActive bool
 	lastScrub   sim.Time // completion time of the last scrub pass
 
-	ckptActive   bool
-	lastCkpt     sim.Time               // completion time of the last committed checkpoint
-	ckptPins     map[nand.PageAddr]bool // chunk pages the cleaner must preserve
-	// mapPins maps each live GTD-referenced translation page to its
-	// translation-page index. Like checkpoint chunks, translation pages are
-	// valid in no epoch, so the pin is their only cleaning protection; the
-	// cleaner copies them forward and re-points the GTD (mappage.go).
-	mapPins map[nand.PageAddr]uint64
-	anchorID     uint64                 // committed checkpoint generation (0 = none)
-	anchorAddrs  []nand.PageAddr        // the committed generation's chunk addresses
-	ckptInflight []nand.PageAddr        // chunks of the generation being written
-	degraded     bool                   // out-of-space: writes shed until cleaning frees space
-	closed       bool
-	frozen       bool
-	activations  []*Activation // in-flight activations (cleaner keeps them consistent)
-	exports      []*Export     // in-flight snapshot exports (ditto)
-	stats        Stats
-
-	ws dataPathScratch // reusable buffers for the batched data path (datapath.go)
+	activations []*Activation // in-flight activations (cleaner keeps them consistent)
+	exports     []*Export     // in-flight snapshot exports (ditto)
 }
 
-// New formats a fresh device. See ftl.New for the scheduler contract.
+// newShell builds an FTL with its log wired to dev and nothing in it: New
+// formats it, the recovery paths fill it in.
+func newShell(cfg Config, dev *nand.Device, sched *sim.Scheduler) *FTL {
+	f := &FTL{
+		cfg:         cfg,
+		vstore:      bitmap.NewStore(cfg.Nand.TotalPages(), cfg.BitmapPageBits),
+		tree:        NewTree(),
+		epochParent: make(map[bitmap.Epoch]bitmap.Epoch),
+		presence:    newEpochPresence(cfg.Nand.Segments),
+	}
+	f.Log.Init(cfg.Config, dev, sched, f, &f.stats.Stats)
+	f.Gate = cfg.GCGate
+	f.acct = newGCAcct(f)
+	return f
+}
+
+// New formats a fresh device. The scheduler is where the FTL queues its
+// background work; nil gives it one of its own.
 func New(cfg Config, sched *sim.Scheduler) (*FTL, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -431,40 +265,16 @@ func New(cfg Config, sched *sim.Scheduler) (*FTL, error) {
 	if sched == nil {
 		sched = sim.NewScheduler()
 	}
-	f := &FTL{
-		cfg:          cfg,
-		dev:          nand.New(cfg.Nand),
-		sched:        sched,
-		vstore:       bitmap.NewStore(cfg.Nand.TotalPages(), cfg.BitmapPageBits),
-		tree:         NewTree(),
-		epochCounter: 1,
-		epochParent:  make(map[bitmap.Epoch]bitmap.Epoch),
-		gcVictim:     -1,
-		segLastSeq:   make([]uint64, cfg.Nand.Segments),
-		presence:     newEpochPresence(cfg.Nand.Segments),
-		ckptPins:     make(map[nand.PageAddr]bool),
-		mapPins:      make(map[nand.PageAddr]uint64),
-	}
+	f := newShell(cfg, nand.New(cfg.Nand), sched)
+	f.epochCounter = 1
 	if err := f.vstore.CreateEpoch(1, bitmap.NoParent); err != nil {
 		return nil, err
 	}
-	f.active = &view{fmap: f.newActiveMap(), epoch: 1, writable: true}
+	f.Format()
+	f.active = &view{fmap: f.ActiveMap, epoch: 1, writable: true}
 	f.views = []*view{f.active}
-	for s := cfg.Nand.Segments - 1; s >= 1; s-- {
-		f.freeSegs = append(f.freeSegs, s)
-	}
-	f.headSeg = 0
-	f.usedSegs = []int{0}
-	f.acct = newGCAcct(f)
-	f.acct.track(0, true)
 	return f, nil
 }
-
-// Device exposes the underlying NAND.
-func (f *FTL) Device() *nand.Device { return f.dev }
-
-// Scheduler returns the background-task scheduler.
-func (f *FTL) Scheduler() *sim.Scheduler { return f.sched }
 
 // Config returns the configuration.
 func (f *FTL) Config() Config { return f.cfg }
@@ -475,215 +285,85 @@ func (f *FTL) Tree() *Tree { return f.tree }
 // ActiveEpoch returns the epoch currently absorbing primary writes.
 func (f *FTL) ActiveEpoch() bitmap.Epoch { return f.active.epoch }
 
-// SectorSize implements blockdev.Device.
-func (f *FTL) SectorSize() int { return f.cfg.Nand.SectorSize }
-
-// Sectors implements blockdev.Device.
-func (f *FTL) Sectors() int64 { return f.cfg.UserSectors }
-
-// FreeSegments returns the size of the erased-segment pool.
-func (f *FTL) FreeSegments() int { return len(f.freeSegs) }
-
-// MappedSectors returns the active view's translation count.
-func (f *FTL) MappedSectors() int { return f.active.fmap.Len() }
-
 // ActiveMapMemory returns the active forward map's footprint in bytes.
-func (f *FTL) ActiveMapMemory() int64 { return f.active.fmap.MemoryBytes() }
+func (f *FTL) ActiveMapMemory() int64 { return f.ActiveMap.MemoryBytes() }
 
 // Stats returns a snapshot of the counters with derived fields refreshed.
 func (f *FTL) Stats() Stats {
 	s := f.stats
+	s.Stats = f.Log.Stats()
 	s.CoWPageCopies = f.vstore.CoWCopies()
-	s.MapMemory = f.active.fmap.MemoryBytes()
-	s.MapMemoryResident = f.active.fmap.ResidentBytes()
-	if c := f.pagedActive(); c != nil {
-		cs := c.Stats()
-		s.MapCacheHits = cs.Hits
-		s.MapCacheMisses = cs.Misses
-		s.MapCacheEvictions = cs.Evictions
-		s.MapPagesFlushed = cs.Flushed
-	}
 	s.ValidityMemory = f.vstore.MemoryBytes()
-	s.SegmentsSuspect, s.SegmentsRetired = f.dev.HealthCounts()
-	s.Degraded = f.degraded
-	if s.UserWrites > 0 {
-		s.WriteAmplify = float64(s.UserWrites+s.GCCopied) / float64(s.UserWrites)
-	}
 	return s
 }
 
-func (f *FTL) checkIO(lba int64, n int) error {
-	if f.closed {
-		return ErrClosed
-	}
-	if n == 0 {
-		return fmt.Errorf("%w: zero-length I/O", ErrBadLength)
-	}
-	if lba < 0 || lba+int64(n) > f.cfg.UserSectors {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, lba, lba+int64(n), f.cfg.UserSectors)
-	}
-	return nil
-}
-
-// Read implements blockdev.Device on the active view. Reads that fail
-// mid-run report the sectors completed before the failure in
-// UserReads/BytesRead and return the virtual time already consumed.
-func (f *FTL) Read(now sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	if f.closed {
-		return now, ErrClosed
-	}
-	completed, done, err := f.readVia(f.active, now, lba, buf)
-	f.stats.UserReads += int64(completed)
-	f.stats.BytesRead += int64(completed) * int64(f.cfg.Nand.SectorSize)
-	return done, err
-}
-
-// Write implements blockdev.Device on the active view. Like Read, a mid-run
-// device failure leaves the completed sectors committed and counted.
+// Write implements blockdev.Device on the active view. A mid-run device
+// failure leaves the completed sectors committed and counted.
 func (f *FTL) Write(now sim.Time, lba int64, data []byte) (sim.Time, error) {
-	if f.closed {
-		return now, ErrClosed
-	}
-	completed, done, err := f.writeVia(f.active, now, lba, data)
-	f.stats.UserWrites += int64(completed)
-	f.stats.BytesWritten += int64(completed) * int64(f.cfg.Nand.SectorSize)
-	return done, err
+	return f.WriteActive(now, uint64(f.active.epoch), lba, data)
 }
 
-// allocPage returns the next log-head page, forcing synchronous cleaning
-// when the pool is nearly empty. Ordinary allocation honours the rescue
-// reserve; when the pool cannot be kept above it the device degrades to
-// read-only and the write sheds with ErrOutOfSpace.
-func (f *FTL) allocPage(now sim.Time) (nand.PageAddr, sim.Time, error) {
-	return f.allocPageReserve(now, f.cfg.dataReserve())
+// Trim drops active-view translations for the run. The pages remain live in
+// any snapshot that captured them; only the active epoch's bits clear.
+func (f *FTL) Trim(now sim.Time, lba int64, n int64) (sim.Time, error) {
+	return f.TrimActive(now, uint64(f.active.epoch), lba, n)
 }
 
-// allocPageReserve allocates a log-head page while keeping at least
-// `reserve` segments free. Space-freeing operations (snapshot delete and
-// deactivate notes) pass a lower reserve so they still work while the
-// device is degraded; everything else goes through allocPage.
-func (f *FTL) allocPageReserve(now sim.Time, reserve int) (nand.PageAddr, sim.Time, error) {
-	if f.headIdx == f.cfg.Nand.PagesPerSegment {
-		for len(f.freeSegs) <= reserve {
-			var err error
-			now, err = f.cleanOnce(now, true)
-			if err != nil {
-				if errors.Is(err, ErrDeviceFull) {
-					f.degraded = true
-					f.stats.OutOfSpaceWrites++
-					return 0, now, ErrOutOfSpace
-				}
-				return 0, now, err
-			}
-		}
-		f.degraded = false
-		f.headSeg = f.freeSegs[0]
-		f.freeSegs = f.freeSegs[1:]
-		f.headIdx = 0
-		f.usedSegs = append(f.usedSegs, f.headSeg)
-		f.acct.track(f.headSeg, true)
-		f.maybeScheduleGC(now)
-		f.maybeScheduleScrub(now)
-		f.maybeScheduleCheckpoint(now)
-	}
-	addr := f.dev.Addr(f.headSeg, f.headIdx)
-	f.headIdx++
-	return addr, now, nil
+// HeadAdvanced implements logcore.Policy: a writer moved the head onto a
+// fresh segment, the moment background work is armed.
+func (f *FTL) HeadAdvanced(now sim.Time) {
+	f.maybeScheduleGC(now)
+	f.maybeScheduleScrub(now)
 }
 
-// ungetPage rolls back the most recent allocPage/allocPageGC after a failed
-// program. Without this the unprogrammed page becomes a permanent hole at
-// the log head: SequentialProg devices reject every later program in the
-// segment with ErrOutOfOrder, turning one transient fault into a bricked
-// log. Only the exact page just handed out is reclaimed, and only if the
-// program really did not land.
-func (f *FTL) ungetPage(addr nand.PageAddr) {
-	if f.headIdx == 0 || addr != f.dev.Addr(f.headSeg, f.headIdx-1) {
-		return
-	}
-	if _, err := f.dev.PageOOB(addr); err == nil {
-		return // the program landed after all (e.g. a post-program fault)
-	}
-	f.headIdx--
-}
+// SegmentTracked implements logcore.Policy.
+func (f *FTL) SegmentTracked(seg int, fresh bool) { f.acct.track(seg, fresh) }
 
-// allocPageGC is the cleaner's allocation: it never forces a nested clean.
-func (f *FTL) allocPageGC(now sim.Time) (nand.PageAddr, sim.Time, error) {
-	if f.headIdx == f.cfg.Nand.PagesPerSegment {
-		if len(f.freeSegs) == 0 {
-			return 0, now, ErrDeviceFull
-		}
-		f.headSeg = f.freeSegs[0]
-		f.freeSegs = f.freeSegs[1:]
-		f.headIdx = 0
-		f.usedSegs = append(f.usedSegs, f.headSeg)
-		f.acct.track(f.headSeg, true)
-	}
-	addr := f.dev.Addr(f.headSeg, f.headIdx)
-	f.headIdx++
-	return addr, now, nil
+// SegmentReleased implements logcore.Policy: an erased or retired segment
+// holds no epoch's data any more.
+func (f *FTL) SegmentReleased(seg int) {
+	f.presence.clear(seg)
+	f.acct.untrack(seg)
 }
 
 // writeNote appends a snapshot note (one metadata block, the paper's 4 KB
 // per snapshot operation) and returns its address. Notes are marked valid
 // in the active epoch so the cleaner preserves them for crash recovery.
 func (f *FTL) writeNote(now sim.Time, typ header.Type, id SnapshotID, epoch bitmap.Epoch) (nand.PageAddr, sim.Time, error) {
-	reserve := f.cfg.dataReserve()
+	var (
+		addr nand.PageAddr
+		err  error
+	)
 	if typ == header.TypeSnapDelete || typ == header.TypeSnapDeactivate {
 		// Space-FREEING notes dip below the rescue reserve: deleting a
 		// snapshot is how a degraded device recovers, so it must not be
 		// refused for the very space it is about to release.
-		reserve = 1
+		addr, now, err = f.AllocPageReserve(now, 1)
+	} else {
+		addr, now, err = f.AllocPage(now)
 	}
-	addr, now, err := f.allocPageReserve(now, reserve)
 	if err != nil {
 		return 0, now, err
 	}
-	f.seq++
-	h := header.Header{Type: typ, LBA: uint64(id), Epoch: uint64(epoch), Seq: f.seq}
+	f.Seq++
+	h := header.Header{Type: typ, LBA: uint64(id), Epoch: uint64(epoch), Seq: f.Seq}
 	payload := make([]byte, f.cfg.Nand.SectorSize)
-	done, err := f.devProgramPage(now, addr, payload, h.Marshal())
+	done, err := f.DevProgramPage(now, addr, payload, h.Marshal())
 	if err != nil {
-		f.ungetPage(addr)
+		f.UngetPage(addr)
 		if retry.MediaFailure(err) {
-			f.sealHead()
+			f.SealHead()
 		}
 		return 0, now, fmt.Errorf("iosnap: writing %v note: %w", typ, err)
 	}
 	// Notes age their segment exactly like data: without this the checkpoint
-	// segment table's per-segment max sequence (taken from segLastSeq) would
+	// segment table's per-segment max sequence (taken from SegLastSeq) would
 	// undercount a note-tailed segment and recovery's staleness check would
 	// diverge from what a scan of the same segment reports.
-	f.segLastSeq[f.dev.SegmentOf(addr)] = f.seq
+	seg := f.Dev.SegmentOf(addr)
+	f.SegLastSeq[seg] = f.Seq
 	f.vstore.Set(f.active.epoch, int64(addr))
 	f.acct.onViewSet(int64(addr))
-	f.presence.add(f.dev.SegmentOf(addr), f.active.epoch)
+	f.presence.add(seg, f.active.epoch)
 	return addr, done, nil
 }
-
-// Close writes a final synchronous checkpoint (when the device stores
-// data, so the chunks can be read back) and marks the FTL closed. The log
-// remains the source of truth — a failed or absent checkpoint only means
-// the next recovery falls back to the full header scan.
-func (f *FTL) Close(now sim.Time) (sim.Time, error) {
-	if f.closed {
-		return now, ErrClosed
-	}
-	if f.cfg.Nand.StoreData && !f.ckptActive {
-		done, _ := f.writeCheckpoint(now)
-		// A failed attempt still consumed real NAND and bus time for the
-		// chunks that landed before the error, so the clock advances on
-		// both paths. The error itself was recorded in CheckpointErrors
-		// and the previous anchor (if any) stays intact; closing proceeds.
-		now = done
-	}
-	f.closed = true
-	return now, nil
-}
-
-// liveEpochs returns every registered epoch (deleted ones are skipped by
-// merge operations internally but still enumerated for per-epoch fixups).
-func (f *FTL) liveEpochs() []bitmap.Epoch { return f.vstore.Epochs() }
-
-// ratelimitBudget is a tiny helper so activation code reads clearly.
-func ratelimitBudget(ws ratelimit.WorkSleep) *ratelimit.Budget { return ratelimit.NewBudget(ws) }

@@ -235,7 +235,7 @@ func TestDeletedSnapshotBlocksReclaimed(t *testing.T) {
 	// old copies), delete the snapshot, churn: the cleaner must reclaim the
 	// snapshot-only blocks and the device must not fill up.
 	for lba := int64(0); lba < 100; lba++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 1))
 	}
 	snap, now, err := f.CreateSnapshot(now)
@@ -243,7 +243,7 @@ func TestDeletedSnapshotBlocksReclaimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lba := int64(0); lba < 100; lba++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, 2))
 		if err != nil {
 			t.Fatal(err)
@@ -256,7 +256,7 @@ func TestDeletedSnapshotBlocksReclaimed(t *testing.T) {
 	// Churn: without reclamation of the deleted snapshot's blocks this
 	// would exhaust the device (100 live + 100 snapshot + churn > 256).
 	for i := 0; i < 300; i++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		lba := int64(i % 100)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(3+i/100)))
 		if err != nil {
@@ -264,7 +264,7 @@ func TestDeletedSnapshotBlocksReclaimed(t *testing.T) {
 		}
 		now = d
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	buf := make([]byte, ss)
 	if _, err := f.Read(now, 0, buf); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func TestPagedMapEquivalenceWithSnapshots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if paged.pagedActive() == nil {
+			if paged.ActiveMap.Paged() == nil {
 				t.Fatal("MapCachePages=-1 did not produce a paged map")
 			}
 			ss := tree.SectorSize()

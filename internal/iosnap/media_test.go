@@ -100,14 +100,14 @@ func TestSnapshotDataRescuedOnRetirement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 
 	// Retire every non-head segment holding snapshot-only data.
 	retired := 0
 	for {
 		victim := -1
 		for _, seg := range f.UsedSegments() {
-			if seg != f.headSeg && f.dev.SegmentHealth(seg) == nand.Healthy {
+			if seg != f.HeadSeg && f.Dev.SegmentHealth(seg) == nand.Healthy {
 				victim = seg
 				break
 			}
@@ -115,13 +115,13 @@ func TestSnapshotDataRescuedOnRetirement(t *testing.T) {
 		if victim < 0 || retired >= 2 {
 			break
 		}
-		f.dev.MarkSuspect(victim)
+		f.Dev.MarkSuspect(victim)
 		if done, err := f.rescueSegment(now, victim); err != nil {
 			t.Fatalf("rescue of segment %d: %v", victim, err)
 		} else {
 			now = done
 		}
-		if f.dev.SegmentHealth(victim) != nand.Retired {
+		if f.Dev.SegmentHealth(victim) != nand.Retired {
 			t.Fatalf("segment %d not retired after rescue", victim)
 		}
 		retired++
@@ -178,24 +178,24 @@ func TestScrubRescuesSuspectSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
 	}
-	f.dev.MarkSuspect(victim)
+	f.Dev.MarkSuspect(victim)
 	if !f.StartScrub(now) {
 		t.Fatal("scrub did not start")
 	}
 	if f.StartScrub(now) {
 		t.Fatal("second concurrent scrub pass allowed")
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 
-	if h := f.dev.SegmentHealth(victim); h != nand.Retired {
+	if h := f.Dev.SegmentHealth(victim); h != nand.Retired {
 		t.Fatalf("suspect segment health after scrub = %v, want retired", h)
 	}
 	st := f.Stats()
@@ -238,7 +238,7 @@ func TestScrubIntervalArmsAutomatically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	if st := f.Stats(); st.ScrubPasses == 0 {
 		t.Fatalf("interval scrubbing never ran: %+v", st)
 	}
@@ -352,35 +352,35 @@ func TestRetiredSegmentSurvivesRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
 	}
-	f.dev.MarkSuspect(victim)
+	f.Dev.MarkSuspect(victim)
 	if now, err = f.rescueSegment(now, victim); err != nil {
 		t.Fatal(err)
 	}
-	if f.dev.SegmentHealth(victim) != nand.Retired {
+	if f.Dev.SegmentHealth(victim) != nand.Retired {
 		t.Fatal("setup: victim not retired")
 	}
 
 	// Crash (no Close) and recover on the same device.
-	f2, now, err := Recover(f.cfg, f.dev, nil, now)
+	f2, now, err := Recover(f.cfg, f.Dev, nil, now)
 	if err != nil {
 		t.Fatalf("recovery with retired segment: %v", err)
 	}
-	pooled := append(f2.UsedSegments(), f2.freeSegs...)
+	pooled := append(f2.UsedSegments(), f2.FreeSegs...)
 	sort.Ints(pooled)
 	for _, s := range pooled {
 		if s == victim {
 			t.Fatal("retired segment re-pooled by recovery")
 		}
 	}
-	if f2.headSeg == victim {
+	if f2.HeadSeg == victim {
 		t.Fatal("recovery resumed head on retired segment")
 	}
 	if err := f2.CheckInvariants(); err != nil {

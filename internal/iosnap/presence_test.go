@@ -53,7 +53,7 @@ func TestSelectiveScanMatchesFullScan(t *testing.T) {
 		snapModels := make(map[SnapshotID]map[int64]byte)
 		var snaps []SnapshotID
 		for step := 0; step < 700; step++ {
-			f.sched.RunUntil(now)
+			f.Sched.RunUntil(now)
 			if step%180 == 120 && len(snaps) < 3 {
 				snap, d, err := f.CreateSnapshot(now)
 				if err != nil {
@@ -77,7 +77,7 @@ func TestSelectiveScanMatchesFullScan(t *testing.T) {
 			model[lba] = v
 			now = d
 		}
-		now = f.sched.Drain(now)
+		now = f.Sched.Drain(now)
 		if f.Stats().GCRuns == 0 {
 			t.Fatalf("seed %d: no cleaning; selective-scan test weak", seed)
 		}
@@ -134,7 +134,7 @@ func TestSelectiveScanIsFaster(t *testing.T) {
 		}
 		// ...followed by a lot of unrelated data filling many segments.
 		for lba := int64(100); lba < 700; lba++ {
-			f.sched.RunUntil(now)
+			f.Sched.RunUntil(now)
 			d, err := f.Write(now, lba, sectorPattern(ss, lba, 2))
 			if err != nil {
 				t.Fatal(err)
@@ -172,7 +172,7 @@ func TestSelectiveScanWithConcurrentGC(t *testing.T) {
 	now := sim.Time(0)
 	model := make(map[int64]byte)
 	for i := 0; i < 120; i++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		lba := rng.Int63n(80)
 		v := byte(i + 1)
 		now, _ = f.Write(now, lba, sectorPattern(ss, lba, v))
@@ -188,7 +188,7 @@ func TestSelectiveScanWithConcurrentGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		lba := rng.Int63n(80)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(200+i%50)))
 		if err != nil {
@@ -196,7 +196,7 @@ func TestSelectiveScanWithConcurrentGC(t *testing.T) {
 		}
 		now = d
 	}
-	end := f.sched.Drain(now)
+	end := f.Sched.Drain(now)
 	view, err := act.View()
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 	"iosnap/internal/ckpt"
 	"iosnap/internal/ftlmap"
 	"iosnap/internal/header"
-	"iosnap/internal/mapcache"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -79,9 +79,8 @@ func recoverIoSnap(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.T
 	if sched == nil {
 		sched = sim.NewScheduler()
 	}
-	tailAttempted := false
-	if !forceFull && dev.Anchor() != nil && cfg.Nand.StoreData {
-		tailAttempted = true
+	tailAttempted := !forceFull && dev.Anchor() != nil && cfg.Nand.StoreData
+	if tailAttempted {
 		f, t, ok := tryTailRecover(cfg, dev, sched, now)
 		if ok {
 			return f, t, nil
@@ -98,37 +97,34 @@ func recoverIoSnap(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.T
 	return f, now, nil
 }
 
-// recoverShell builds the empty FTL both recovery paths fill in.
-func recoverShell(cfg Config, dev *nand.Device, sched *sim.Scheduler) *FTL {
-	f := &FTL{
-		cfg:         cfg,
-		dev:         dev,
-		sched:       sched,
-		vstore:      bitmap.NewStore(cfg.Nand.TotalPages(), cfg.BitmapPageBits),
-		tree:        NewTree(),
-		epochParent: make(map[bitmap.Epoch]bitmap.Epoch),
-		gcVictim:    -1,
-		segLastSeq:  make([]uint64, cfg.Nand.Segments),
-		presence:    newEpochPresence(cfg.Nand.Segments),
-		ckptPins:    make(map[nand.PageAddr]bool),
-		mapPins:     make(map[nand.PageAddr]uint64),
+// collect files one scanned header under the note or data records recovery
+// replays, and the epoch it carries under its segment's presence summary.
+// Checkpoint chunks and translation pages carry coordinates, not epochs, and
+// are consumed through the anchor and the GTD, never replayed.
+func (f *FTL) collect(addr nand.PageAddr, h header.Header, notes *[]recNote, data *[]recData) {
+	switch h.Type {
+	case header.TypeData:
+		*data = append(*data, recData{lba: h.LBA, epoch: bitmap.Epoch(h.Epoch), seq: h.Seq, addr: addr})
+	case header.TypeSnapCreate, header.TypeSnapDelete, header.TypeSnapActivate, header.TypeSnapDeactivate:
+		*notes = append(*notes, recNote{typ: h.Type, id: SnapshotID(h.LBA), epoch: bitmap.Epoch(h.Epoch), seq: h.Seq, addr: addr})
+	default:
+		return
 	}
-	f.acct = newGCAcct(f)
-	return f
+	f.presence.add(f.Dev.SegmentOf(addr), bitmap.Epoch(h.Epoch))
 }
 
 // fullScanRecover is the historical path: scan every live segment's
-// headers and rebuild everything bottom-up.
+// headers and rebuild everything bottom-up. Checkpoint chunks are
+// deliberately ignored: the full scan is the reference reconstruction and
+// trusts only the raw log.
 func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time) (*FTL, sim.Time, error) {
-	f := recoverShell(cfg, dev, sched)
+	f := newShell(cfg, dev, sched)
 
 	// ---- Scan: one pass over all OOB headers. ----
 	var (
-		notes     []recNote
-		data      []recData
-		segMaxSeq = make([]uint64, cfg.Nand.Segments)
-		segUsed   = make([]bool, cfg.Nand.Segments)
-		maxSeq    uint64
+		notes []recNote
+		data  []recData
+		scan  = f.NewScan(0)
 	)
 	for seg := 0; seg < cfg.Nand.Segments; seg++ {
 		if dev.SegmentHealth(seg) == nand.Retired {
@@ -137,50 +133,14 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 			// last-write-wins replay over the rescued ones.
 			continue
 		}
-		oobs, done, err := f.devScanSegmentOOB(now, seg)
+		var err error
+		now, _, err = f.ScanSegment(now, seg, 0, scan, func(addr nand.PageAddr, h header.Header) bool {
+			f.collect(addr, h, &notes, &data)
+			return true
+		})
 		if err != nil {
-			return nil, now, fmt.Errorf("iosnap: scanning segment %d: %w", seg, err)
+			return nil, now, err
 		}
-		now = done
-		f.stats.RecoverySegsScanned++
-		f.stats.RecoveryHeaderPages += int64(cfg.Nand.PagesPerSegment)
-		for idx, oob := range oobs {
-			if oob == nil {
-				continue
-			}
-			segUsed[seg] = true
-			h, err := header.Unmarshal(oob)
-			if err != nil {
-				// A torn write: power failed while this header was being
-				// programmed, so its contents were never acknowledged. Skip
-				// it — the page stays invalid in every epoch and the cleaner
-				// reclaims it — but keep count so operators can see it.
-				f.stats.TornPagesSkipped++
-				continue
-			}
-			if h.Seq > segMaxSeq[seg] {
-				segMaxSeq[seg] = h.Seq
-			}
-			if h.Seq > maxSeq {
-				maxSeq = h.Seq
-			}
-			addr := dev.Addr(seg, idx)
-			switch h.Type {
-			case header.TypeData:
-				data = append(data, recData{lba: h.LBA, epoch: bitmap.Epoch(h.Epoch), seq: h.Seq, addr: addr})
-			case header.TypeSnapCreate, header.TypeSnapDelete, header.TypeSnapActivate, header.TypeSnapDeactivate:
-				notes = append(notes, recNote{typ: h.Type, id: SnapshotID(h.LBA), epoch: bitmap.Epoch(h.Epoch), seq: h.Seq, addr: addr})
-			}
-			// Checkpoint chunks are deliberately ignored: the full scan is
-			// the reference reconstruction and trusts only the raw log.
-		}
-	}
-	f.seq = maxSeq
-	for _, d := range data {
-		f.presence.add(f.dev.SegmentOf(d.addr), d.epoch)
-	}
-	for _, n := range notes {
-		f.presence.add(f.dev.SegmentOf(n.addr), n.epoch)
 	}
 	// The full scan rebuilds without the checkpoint and pins nothing, so a
 	// stale anchor must not survive into the next reopen: its chunks are
@@ -295,8 +255,7 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 	for lba, w := range winners {
 		entries = append(entries, ftlmap.Entry{Key: lba, Val: uint64(w.addr)})
 	}
-	sortEntries(entries)
-	f.active = &view{fmap: f.recoveredMap(entries, nil), epoch: activeEpoch, writable: true}
+	f.active = &view{fmap: f.RecoverMap(entries, nil), epoch: activeEpoch, writable: true}
 	if s := f.nearestSnapshotAncestorInclusive(activeEpoch); s != nil {
 		f.active.parent = s
 	}
@@ -329,7 +288,7 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 	}
 	f.vstore.ResetCoWCounter()
 
-	return finishRecovery(f, now, segUsed, segMaxSeq, len(data))
+	return f.finishRecovery(now, scan, len(data))
 }
 
 // tryTailRecover attempts checkpoint-based recovery via the device anchor.
@@ -337,106 +296,36 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 // point simply discards the partial state and reports ok=false.
 func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time) (*FTL, sim.Time, bool) {
 	anchor := dev.Anchor()
-	f := recoverShell(cfg, dev, sched)
+	f := newShell(cfg, dev, sched)
 
 	// ---- Read the anchor's chunks and bucket them by stream type. ----
-	type chunkPage struct {
-		idx, total uint64
-		payload    []byte
+	chunks, now, ok := f.ReadAnchorChunks(now)
+	if !ok {
+		return nil, now, false
 	}
-	streams := make(map[header.Type][]chunkPage)
-	if f.cfg.ReferenceDataPath {
-		for _, addr := range anchor.Addrs {
-			oob, err := dev.PageOOB(addr)
-			if err != nil {
-				return nil, now, false
-			}
-			h, err := header.Unmarshal(oob)
-			if err != nil || !h.Type.IsCheckpoint() {
-				return nil, now, false
-			}
-			payload, _, done, err := f.devReadPage(now, addr)
-			if err != nil {
-				return nil, now, false
-			}
-			now = done
-			streams[h.Type] = append(streams[h.Type], chunkPage{idx: h.LBA, total: h.Epoch, payload: payload})
-		}
-	} else {
-		// Batched anchor load: validate the chunk headers host-side, then
-		// fetch every chunk payload in one devReadPages call (cell reads
-		// overlap across channels instead of chaining).
-		hs := make([]header.Header, 0, len(anchor.Addrs))
-		for _, addr := range anchor.Addrs {
-			oob, err := dev.PageOOB(addr)
-			if err != nil {
-				return nil, now, false
-			}
-			h, err := header.Unmarshal(oob)
-			if err != nil || !h.Type.IsCheckpoint() {
-				return nil, now, false
-			}
-			hs = append(hs, h)
-		}
-		payloads, _, k, done, err := f.devReadPages(now, anchor.Addrs)
-		now = done
-		if err != nil || k != len(anchor.Addrs) {
-			return nil, now, false
-		}
-		for i, h := range hs {
-			streams[h.Type] = append(streams[h.Type], chunkPage{idx: h.LBA, total: h.Epoch, payload: payloads[i]})
-		}
+	streams := make(map[header.Type][]logcore.AnchorChunk)
+	for _, c := range chunks {
+		streams[c.Type] = append(streams[c.Type], c)
 	}
-	// Each of the three streams must be complete ({0..total-1}, one copy
-	// each) and decode against the anchor's generation and one shared
-	// cut-off; anything less means a torn or partially-reclaimed checkpoint.
+	// Each of the three streams must be complete and decode against the
+	// anchor's generation and one shared cut-off; anything less means a torn
+	// or partially-reclaimed checkpoint.
 	decoded := make(map[header.Type][]ckpt.Section, 3)
-	var (
-		ckptSeq uint64
-		haveSeq bool
-	)
-	for _, typ := range []header.Type{header.TypeCkptMap, header.TypeCkptTree, header.TypeCkptValid} {
-		group := streams[typ]
-		if len(group) == 0 {
+	var ckptSeq uint64
+	for i, typ := range []header.Type{header.TypeCkptMap, header.TypeCkptTree, header.TypeCkptValid} {
+		seq, secs, ok := logcore.AssembleStream(anchor.ID, streams[typ])
+		if !ok || (i > 0 && seq != ckptSeq) {
 			return nil, now, false
 		}
-		total := group[0].total
-		if total == 0 || uint64(len(group)) != total {
-			return nil, now, false
-		}
-		ordered := make([][]byte, total)
-		for _, c := range group {
-			if c.total != total || c.idx >= total || ordered[c.idx] != nil {
-				return nil, now, false
-			}
-			ordered[c.idx] = c.payload
-		}
-		stream, err := ckpt.Join(anchor.ID, ordered)
-		if err != nil {
-			return nil, now, false
-		}
-		id, seq, secs, err := ckpt.Decode(stream)
-		if err != nil || id != anchor.ID {
-			return nil, now, false
-		}
-		if !haveSeq {
-			ckptSeq, haveSeq = seq, true
-		} else if seq != ckptSeq {
-			return nil, now, false
-		}
+		ckptSeq = seq
 		decoded[typ] = secs
 	}
 	mapEntries, gtdEnts, gtdSlots, err := decodeCkptMapStream(decoded[header.TypeCkptMap])
 	if err != nil {
 		return nil, now, false
 	}
-	if gtdEnts != nil {
-		// A GTD checkpoint is only loadable into a paged map with the same
-		// translation-page geometry; any other configuration falls back to
-		// the full scan, which handles every mode.
-		if f.cfg.MapCachePages == 0 || gtdSlots != mapcache.SlotsFor(cfg.Nand.SectorSize) {
-			return nil, now, false
-		}
+	if gtdEnts != nil && !f.GTDUsable(gtdSlots) {
+		return nil, now, false
 	}
 	treeState, err := decodeCkptTree(decoded[header.TypeCkptTree])
 	if err != nil {
@@ -446,7 +335,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 	if err != nil {
 		return nil, now, false
 	}
-	recorded, ok := checkSegTable(dev, treeState.table)
+	recorded, ok := logcore.CheckSegTable(dev, treeState.table)
 	if !ok {
 		return nil, now, false
 	}
@@ -489,62 +378,35 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 		}
 		f.tree.add(&Snapshot{ID: sr.id, Epoch: sr.epoch, Parent: parent, Deleted: sr.deleted, noteAddr: sr.noteAddr})
 	}
-	// Presence summaries for every recorded segment; scanned tail records
-	// layer on top below.
-	for _, rec := range treeState.table {
-		for _, e := range rec.presence {
-			f.presence.add(rec.seg, e)
+	// Presence summaries and geometry for every recorded segment; scanned
+	// tail records layer on top below.
+	var (
+		notes []recNote
+		data  []recData
+		scan  = f.NewScan(ckptSeq)
+	)
+	for i, rec := range treeState.table {
+		for _, e := range treeState.presence[i] {
+			f.presence.add(rec.Seg, e)
 		}
+		scan.Trust(rec)
 	}
 
 	// ---- Tail scan: only segments the table proves changed. ----
-	var (
-		notes     []recNote
-		data      []recData
-		segMaxSeq = make([]uint64, cfg.Nand.Segments)
-		segUsed   = make([]bool, cfg.Nand.Segments)
-		maxSeq    = ckptSeq
-	)
-	for _, rec := range treeState.table {
-		segUsed[rec.seg] = rec.prog > 0
-		segMaxSeq[rec.seg] = rec.maxSeq
-		if rec.maxSeq > maxSeq {
-			maxSeq = rec.maxSeq
-		}
-	}
 	for seg := 0; seg < cfg.Nand.Segments; seg++ {
 		if dev.SegmentHealth(seg) == nand.Retired {
 			continue
 		}
 		rec, isRecorded := recorded[seg]
-		if isRecorded && dev.NextFreeInSegment(seg) == rec.prog {
+		if isRecorded && dev.NextFreeInSegment(seg) == rec.Prog {
 			continue // unchanged since serialization: the table speaks for it
 		}
 		if !isRecorded && dev.ProgrammedInSegment(seg) == 0 {
 			continue // still free
 		}
-		from := 0
-		if isRecorded {
-			from = rec.prog // pages below prog are checkpoint-covered state
-		}
-		oobs, done, err := f.devScanSegmentOOB(now, seg)
-		if err != nil {
-			return nil, now, false
-		}
-		now = done
-		f.stats.RecoverySegsScanned++
-		f.stats.RecoveryHeaderPages += int64(cfg.Nand.PagesPerSegment)
-		for idx := from; idx < len(oobs); idx++ {
-			oob := oobs[idx]
-			if oob == nil {
-				continue
-			}
-			segUsed[seg] = true
-			h, err := header.Unmarshal(oob)
-			if err != nil {
-				f.stats.TornPagesSkipped++
-				continue
-			}
+		// Pages below rec.Prog (0 for an unrecorded segment) are
+		// checkpoint-covered state.
+		done, ok, _ := f.ScanSegment(now, seg, rec.Prog, scan, func(addr nand.PageAddr, h header.Header) bool {
 			if h.Seq <= ckptSeq {
 				// A parseable pre-cut-off header in the post-checkpoint
 				// region is a cleaner copy of checkpointed state (copied
@@ -552,37 +414,19 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 				// Replaying it would double-apply history the checkpoint
 				// already contains — and the full scan resolves such
 				// duplicates differently — so the generation is stale.
-				return nil, now, false
+				return false
 			}
-			if h.Seq > segMaxSeq[seg] {
-				segMaxSeq[seg] = h.Seq
-			}
-			if h.Seq > maxSeq {
-				maxSeq = h.Seq
-			}
-			if h.Type.IsCheckpoint() {
-				continue // this (or an aborted) generation's chunks
-			}
-			addr := dev.Addr(seg, idx)
-			switch h.Type {
-			case header.TypeData:
-				data = append(data, recData{lba: h.LBA, epoch: bitmap.Epoch(h.Epoch), seq: h.Seq, addr: addr})
-				f.presence.add(seg, bitmap.Epoch(h.Epoch))
-			case header.TypeSnapCreate, header.TypeSnapDelete, header.TypeSnapActivate, header.TypeSnapDeactivate:
-				notes = append(notes, recNote{typ: h.Type, id: SnapshotID(h.LBA), epoch: bitmap.Epoch(h.Epoch), seq: h.Seq, addr: addr})
-				f.presence.add(seg, bitmap.Epoch(h.Epoch))
-			}
+			f.collect(addr, h, &notes, &data)
+			return true
+		})
+		if !ok {
+			return nil, now, false
 		}
+		now = done
 	}
-	f.seq = maxSeq
 
 	// ---- Replay the tail on top of the loaded image. ----
-	entries := make([]ftlmap.Entry, 0, len(mapEntries))
-	for _, p := range mapEntries {
-		entries = append(entries, ftlmap.Entry{Key: p[0], Val: p[1]})
-	}
-	sortEntries(entries)
-	f.active = &view{fmap: f.recoveredMap(entries, gtdEnts), epoch: treeState.active, writable: true}
+	f.active = &view{fmap: f.RecoverMap(mapEntries, gtdEnts), epoch: treeState.active, writable: true}
 	f.views = []*view{f.active}
 
 	if !f.replayTail(notes, data) {
@@ -594,13 +438,9 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 	f.vstore.ResetCoWCounter()
 
 	// The anchor's chunks are live recovery state until superseded.
-	f.anchorID = anchor.ID
-	f.anchorAddrs = append([]nand.PageAddr(nil), anchor.Addrs...)
-	for _, a := range f.anchorAddrs {
-		f.ckptPins[a] = true
-	}
+	f.AdoptAnchor(anchor.ID, anchor.Addrs)
 
-	out, done, err := finishRecovery(f, now, segUsed, segMaxSeq, len(mapEntries)+len(gtdEnts)+len(notes)+len(data))
+	out, done, err := f.finishRecovery(now, scan, len(mapEntries)+len(gtdEnts)+len(notes)+len(data))
 	if err != nil {
 		return nil, done, false
 	}
@@ -733,64 +573,16 @@ func (f *FTL) replayTail(notes []recNote, data []recData) bool {
 	return true
 }
 
-// finishRecovery rebuilds the log geometry — segment pools, head, cleaner
-// accounting — shared by both recovery paths, and charges the modeled
-// reconstruction CPU for the processed records.
-func finishRecovery(f *FTL, now sim.Time, segUsed []bool, segMaxSeq []uint64, records int) (*FTL, sim.Time, error) {
-	cfg, dev := f.cfg, f.dev
-	type segOrder struct {
-		seg int
-		seq uint64
+// finishRecovery rebuilds the log geometry shared by both recovery paths
+// (the engine's pools and head; accounting entries start stale — their
+// caches were never built — and the first selection decision rebuilds them
+// against the recovered epochs) and charges the modeled reconstruction CPU
+// for the processed records.
+func (f *FTL) finishRecovery(now sim.Time, scan *logcore.Scan, records int) (*FTL, sim.Time, error) {
+	if err := f.RebuildGeometry(scan); err != nil {
+		return nil, now, err
 	}
-	var used []segOrder
-	for seg := 0; seg < cfg.Nand.Segments; seg++ {
-		switch {
-		case dev.SegmentHealth(seg) == nand.Retired:
-			// Belongs to neither pool: a grown bad block stays out of service.
-		case segUsed[seg]:
-			used = append(used, segOrder{seg, segMaxSeq[seg]})
-		default:
-			f.freeSegs = append(f.freeSegs, seg)
-		}
-	}
-	sort.Slice(used, func(i, j int) bool { return used[i].seq < used[j].seq })
-	for _, u := range used {
-		f.usedSegs = append(f.usedSegs, u.seg)
-	}
-	copy(f.segLastSeq, segMaxSeq)
-	if len(f.usedSegs) > 0 {
-		last := f.usedSegs[len(f.usedSegs)-1]
-		// The head resumes at the newest segment if it still has room — and
-		// is healthy; appending onto suspect media would repeat the failure
-		// that made it suspect.
-		if next := dev.NextFreeInSegment(last); next < cfg.Nand.PagesPerSegment && dev.SegmentHealth(last) == nand.Healthy {
-			f.headSeg, f.headIdx = last, next
-		} else {
-			if len(f.freeSegs) == 0 {
-				return nil, now, ErrDeviceFull
-			}
-			f.headSeg = f.freeSegs[0]
-			f.freeSegs = f.freeSegs[1:]
-			f.headIdx = 0
-			f.usedSegs = append(f.usedSegs, f.headSeg)
-		}
-	} else {
-		if len(f.freeSegs) == 0 {
-			return nil, now, ErrDeviceFull
-		}
-		f.headSeg = f.freeSegs[0]
-		f.freeSegs = f.freeSegs[1:]
-		f.headIdx = 0
-		f.usedSegs = append(f.usedSegs, f.headSeg)
-	}
-	// Accounting entries start stale (their caches were never built), in
-	// final usedSegs order so victim tie-breaks match a linear scan; the
-	// first selection decision rebuilds them against the recovered epochs.
-	for _, s := range f.usedSegs {
-		f.acct.track(s, false)
-	}
-	// Reconstruction CPU cost: proportional to processed translations.
-	now = now.Add(sim.Duration(records) * cfg.ReconstructCPUPerEntry)
+	now = now.Add(sim.Duration(records) * f.cfg.ReconstructCPUPerEntry)
 	f.maybeScheduleGC(now)
 	return f, now, nil
 }

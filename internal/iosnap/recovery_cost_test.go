@@ -27,7 +27,7 @@ func buildCheckpointedDevice(t testing.TB) (Config, *nand.Device, sim.Time) {
 	rng := sim.NewRNG(1)
 	now := sim.Time(0)
 	for i := 0; i < 2500; i++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		lba := rng.Int63n(400)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i%250+1)))
 		if err != nil {
@@ -40,7 +40,7 @@ func buildCheckpointedDevice(t testing.TB) (Config, *nand.Device, sim.Time) {
 			}
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	now, err = f.Close(now)
 	if err != nil {
 		t.Fatal(err)

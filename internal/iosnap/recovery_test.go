@@ -39,7 +39,7 @@ func driveScenario(t *testing.T, f0 *FTL, seed uint64, steps int) *crashScenario
 	rng := sim.NewRNG(seed)
 	var liveSnaps []SnapshotID
 	for i := 0; i < steps; i++ {
-		f.sched.RunUntil(s.now)
+		f.Sched.RunUntil(s.now)
 		switch op := rng.Intn(20); {
 		case op == 0 && len(liveSnaps) < 2:
 			// Bound live snapshots: each one pins its divergent blocks, and
@@ -77,7 +77,7 @@ func driveScenario(t *testing.T, f0 *FTL, seed uint64, steps int) *crashScenario
 			s.now = d
 		}
 	}
-	s.now = f.sched.Drain(s.now)
+	s.now = f.Sched.Drain(s.now)
 	return s
 }
 
@@ -298,12 +298,12 @@ func TestRecoverAfterDeleteReclaims(t *testing.T) {
 	ss := f.SectorSize()
 	now := sim.Time(0)
 	for lba := int64(0); lba < 50; lba++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 1))
 	}
 	snap, now, _ := f.CreateSnapshot(now)
 	for lba := int64(0); lba < 50; lba++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 2))
 	}
 	now, err := f.DeleteSnapshot(now, snap.ID)

@@ -149,7 +149,7 @@ func (x *Export) Result() (*xport.Manifest, []byte, error) {
 // resolve LBAs, batched reads to hash and ship payloads — happens in Run
 // steps that interleave with foreground I/O.
 func (f *FTL) BeginExport(now sim.Time, opt ExportOpts) (*Export, sim.Time, error) {
-	if f.closed {
+	if f.Closed() {
 		return nil, now, ErrClosed
 	}
 	if !f.cfg.Nand.StoreData {
@@ -177,7 +177,7 @@ func (f *FTL) BeginExport(now sim.Time, opt ExportOpts) (*Export, sim.Time, erro
 		snap:     snap,
 		base:     base,
 		opt:      opt,
-		budget:   ratelimitBudget(opt.Limit),
+		budget:   ratelimit.NewBudget(opt.Limit),
 		writes:   make(map[uint64]expEntry),
 		baseOnly: make(map[uint64]struct{}),
 		chunks:   make(map[uint64][]byte),
@@ -239,7 +239,7 @@ func (x *Export) Run(now sim.Time) (sim.Time, bool) {
 		seg := x.scanList[x.segCursor]
 		x.segCursor++
 		start := now
-		oobs, done, err := f.devScanSegmentOOB(now, seg)
+		oobs, done, err := f.DevScanSegmentOOB(now, seg)
 		if err != nil {
 			return x.fail(now, fmt.Errorf("iosnap: export scan of segment %d: %w", seg, err))
 		}
@@ -256,7 +256,7 @@ func (x *Export) Run(now sim.Time) (sim.Time, bool) {
 			if h.Type != header.TypeData {
 				continue
 			}
-			addr := f.dev.Addr(seg, idx)
+			addr := f.Dev.Addr(seg, idx)
 			tgt, bas := x.inDiff(addr)
 			if tgt {
 				if cur, ok := x.writes[h.LBA]; !ok || h.Seq > cur.seq {
@@ -296,7 +296,7 @@ func (x *Export) Run(now sim.Time) (sim.Time, bool) {
 		for i, lba := range lbas {
 			addrs[i] = x.writes[lba].addr
 		}
-		datas, _, k, done, err := f.devReadPages(now, addrs)
+		datas, _, k, done, err := f.DevReadPages(now, addrs)
 		now = done
 		for i := 0; i < k; i++ {
 			lba := lbas[i]
@@ -400,10 +400,10 @@ func (x *Export) onBlockMoved(old, new nand.PageAddr, h header.Header) {
 		x.writes[h.LBA] = cur
 		return
 	}
-	if !x.scanWillVisit(x.f.dev.SegmentOf(old)) {
+	if !x.scanWillVisit(x.f.Dev.SegmentOf(old)) {
 		return // already scanned: handled above if it was ours
 	}
-	if x.scanWillVisit(x.f.dev.SegmentOf(new)) {
+	if x.scanWillVisit(x.f.Dev.SegmentOf(new)) {
 		return // the scan will classify it at its new home
 	}
 	tgt, bas := x.inDiff(new)

@@ -26,7 +26,7 @@ func buildReplicaSource(t testing.TB) (*FTL, SnapshotID, SnapshotID, sim.Time) {
 	ss := f.SectorSize()
 	now := sim.Time(0)
 	for lba := int64(0); lba < 600; lba++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, 1))
 		if err != nil {
 			t.Fatalf("fill LBA %d: %v", lba, err)
@@ -39,7 +39,7 @@ func buildReplicaSource(t testing.TB) (*FTL, SnapshotID, SnapshotID, sim.Time) {
 	}
 	now = d
 	for lba := int64(0); lba < 60; lba++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, 2))
 		if err != nil {
 			t.Fatalf("overwrite LBA %d: %v", lba, err)

@@ -33,7 +33,7 @@ func TestExportStorm(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					lba := rng.Int63n(64)
 					pat := sectorPattern(ss, lba, byte(10*g+i%10+1))
-					f.sched.RunUntil(now)
+					f.Sched.RunUntil(now)
 					d, err := f.Write(now, lba, pat)
 					if err != nil {
 						t.Fatalf("gen %d write: %v", g, err)
@@ -81,7 +81,7 @@ func TestExportStorm(t *testing.T) {
 					break
 				}
 				lba := rng.Int63n(64)
-				f.sched.RunUntil(now)
+				f.Sched.RunUntil(now)
 				d, err := f.Write(now, lba, sectorPattern(ss, lba, 99))
 				if err != nil {
 					t.Fatalf("storm write: %v", err)

@@ -752,12 +752,12 @@ func TestDestageThenDeleteFreesFlash(t *testing.T) {
 	ss := f.SectorSize()
 	now := sim.Time(0)
 	for lba := int64(0); lba < 100; lba++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 1))
 	}
 	snap, now, _ := f.CreateSnapshot(now)
 	for lba := int64(0); lba < 100; lba++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 2))
 	}
 	_, archive, now, err := f.ExportSync(now, ExportOpts{Snapshot: snap.ID})
@@ -770,7 +770,7 @@ func TestDestageThenDeleteFreesFlash(t *testing.T) {
 	// Churn that needs the reclaimed space.
 	rng := sim.NewRNG(9)
 	for i := 0; i < 300; i++ {
-		f.sched.RunUntil(now)
+		f.Sched.RunUntil(now)
 		lba := rng.Int63n(100)
 		d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i)))
 		if err != nil {

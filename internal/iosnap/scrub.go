@@ -19,10 +19,10 @@ import (
 // maybeScheduleScrub arms a scrub pass when scrubbing is enabled and either
 // the interval has elapsed or a suspect segment awaits rescue.
 func (f *FTL) maybeScheduleScrub(now sim.Time) {
-	if f.scrubActive || f.closed || f.cfg.ScrubInterval <= 0 {
+	if f.scrubActive || f.Closed() || f.cfg.ScrubInterval <= 0 {
 		return
 	}
-	suspect, _ := f.dev.HealthCounts()
+	suspect, _ := f.Dev.HealthCounts()
 	if suspect == 0 && now.Sub(f.lastScrub) < f.cfg.ScrubInterval {
 		return
 	}
@@ -33,13 +33,13 @@ func (f *FTL) maybeScheduleScrub(now sim.Time) {
 // It reports whether a pass was started (false when one is already running
 // or the device is closed).
 func (f *FTL) StartScrub(now sim.Time) bool {
-	if f.scrubActive || f.closed {
+	if f.scrubActive || f.Closed() {
 		return false
 	}
 	f.scrubActive = true
-	f.sched.Schedule(now, &scrubTask{
+	f.Sched.Schedule(now, &scrubTask{
 		f:      f,
-		segs:   append([]int(nil), f.usedSegs...),
+		segs:   append([]int(nil), f.UsedSegs...),
 		budget: ratelimit.NewBudget(f.cfg.ScrubLimit),
 	})
 	return true
@@ -63,29 +63,29 @@ func (t *scrubTask) Name() string { return "iosnap-scrub" }
 // sleep; finish the pass after one walk.
 func (t *scrubTask) Run(now sim.Time) (sim.Time, bool) {
 	f := t.f
-	if f.closed {
+	if f.Closed() {
 		f.scrubActive = false
 		return 0, true
 	}
 	for t.cursor < len(t.segs) {
 		seg := t.segs[t.cursor]
 		t.cursor++
-		if seg == f.headSeg || seg == f.gcVictim || !f.segInUse(seg) {
+		if seg == f.HeadSeg || seg == f.GCVictim || !f.SegInUse(seg) {
 			// The head is still being appended; a segment mid-clean belongs
 			// to the cleaner; a since-freed segment has nothing to verify.
 			continue
 		}
 		start := now
-		if f.dev.SegmentHealth(seg) == nand.Healthy {
+		if f.Dev.SegmentHealth(seg) == nand.Healthy {
 			// Read-verify: the scan exercises every programmed page's OOB
 			// read path; a permanent failure marks the segment suspect via
 			// the media wrapper, and the rescue below picks it up.
-			if _, done, err := f.devScanSegmentOOB(now, seg); err == nil {
+			if _, done, err := f.DevScanSegmentOOB(now, seg); err == nil {
 				now = done
 			}
 		}
 		f.stats.ScrubSegments++
-		if f.dev.SegmentHealth(seg) == nand.Suspect {
+		if f.Dev.SegmentHealth(seg) == nand.Suspect {
 			// Rescue failures (e.g. ErrDeviceFull) leave the segment suspect
 			// for the cleaner or the next pass; its data is still readable.
 			if done, err := f.rescueSegment(now, seg); err == nil {
@@ -102,14 +102,4 @@ func (t *scrubTask) Run(now sim.Time) (sim.Time, bool) {
 	f.stats.ScrubPasses++
 	f.stats.ScrubLastAt = now
 	return 0, true
-}
-
-// segInUse reports whether seg is currently in the used list.
-func (f *FTL) segInUse(seg int) bool {
-	for _, s := range f.usedSegs {
-		if s == seg {
-			return true
-		}
-	}
-	return false
 }

@@ -29,7 +29,7 @@ func scrubReadRun(t *testing.T, scrub bool) (sim.Duration, Stats) {
 			t.Fatalf("preload LBA %d: %v", lba, err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 
 	if scrub && !f.StartScrub(now) {
 		t.Fatal("StartScrub refused")
@@ -38,7 +38,7 @@ func scrubReadRun(t *testing.T, scrub bool) (sim.Duration, Stats) {
 	rec := sim.NewLatencyRecorder(0)
 	buf := make([]byte, ss)
 	for i := 0; i < 1200; i++ {
-		f.sched.RunUntil(now) // let pending scrub quanta contend for the device
+		f.Sched.RunUntil(now) // let pending scrub quanta contend for the device
 		done, err := f.Read(now, rng.Int63n(cfg.UserSectors), buf)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)

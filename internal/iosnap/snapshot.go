@@ -127,7 +127,7 @@ func (t *Tree) add(s *Snapshot) {
 // note is appended to the log, the epoch counter increments, and the
 // snapshot joins the tree. The whole operation costs one page program.
 func (f *FTL) CreateSnapshot(now sim.Time) (*Snapshot, sim.Time, error) {
-	if f.closed {
+	if f.Closed() {
 		return nil, now, ErrClosed
 	}
 	return f.createSnapshotFrom(f.active, now)
@@ -172,7 +172,7 @@ func (f *FTL) createSnapshotFrom(v *view, now sim.Time) (*Snapshot, sim.Time, er
 // blocks become reclaimable — the cleaner frees them in the background, so
 // deletion itself costs one page program (paper §5.8).
 func (f *FTL) DeleteSnapshot(now sim.Time, id SnapshotID) (sim.Time, error) {
-	if f.closed {
+	if f.Closed() {
 		return now, ErrClosed
 	}
 	snap, ok := f.tree.Lookup(id)

@@ -190,12 +190,12 @@ func Torture(cfg Config, opt TortureOptions) (*TortureReport, error) {
 	}
 	t.plan = opt.Plan
 	if t.plan != nil {
-		t.plan.Arm(f.dev)
+		t.plan.Arm(f.Dev)
 	}
 	err = t.run()
 	t.retirePlan()
 	t.rep.FinalStats = t.f.Stats()
-	t.rep.FinalDigest = t.f.dev.StateDigest()
+	t.rep.FinalDigest = t.f.Dev.StateDigest()
 	return t.rep, err
 }
 
@@ -206,7 +206,7 @@ func (t *tortureRun) retirePlan() {
 		return
 	}
 	t.rep.Fired = append(t.rep.Fired, t.plan.Fired()...)
-	t.plan.Disarm(t.f.dev)
+	t.plan.Disarm(t.f.Dev)
 	t.plan = nil
 }
 
@@ -220,7 +220,7 @@ func (t *tortureRun) opErr() { t.rep.OpErrors++ }
 func (t *tortureRun) run() error {
 	for step := 0; step < t.opt.Steps; step++ {
 		t.rep.Steps++
-		t.f.sched.RunUntil(t.now)
+		t.f.Sched.RunUntil(t.now)
 		if t.crashed() {
 			if err := t.powerCycle(); err != nil {
 				return fmt.Errorf("step %d: %w", step, err)
@@ -238,7 +238,7 @@ func (t *tortureRun) run() error {
 			continue
 		}
 		if step%t.opt.CheckEvery == t.opt.CheckEvery-1 {
-			t.now = t.f.sched.Drain(t.now)
+			t.now = t.f.Sched.Drain(t.now)
 			if t.crashed() {
 				if err := t.powerCycle(); err != nil {
 					return fmt.Errorf("step %d: %w", step, err)
@@ -252,7 +252,7 @@ func (t *tortureRun) run() error {
 	}
 	// Final settle: drain, recover once more if a late fault crashed us,
 	// then verify everything.
-	t.now = t.f.sched.Drain(t.now)
+	t.now = t.f.Sched.Drain(t.now)
 	if t.crashed() {
 		if err := t.powerCycle(); err != nil {
 			return err
@@ -380,7 +380,7 @@ func (t *tortureRun) step(step int) error {
 			return nil
 		}
 		seg := used[t.rng.Intn(len(used))]
-		if seg == f.headSeg {
+		if seg == f.HeadSeg {
 			return nil
 		}
 		if err := f.ForceClean(t.now, seg); err != nil {
@@ -519,9 +519,9 @@ func (t *tortureRun) powerCycle() error {
 	t.rep.Crashes++
 	t.crashHandled = true
 	t.retirePlan()
-	t.f.sched.Reset()
+	t.f.Sched.Reset()
 	t.act, t.view, t.vmod = nil, nil, nil
-	f2, now2, err := Recover(t.cfg, t.f.dev, sim.NewScheduler(), t.now)
+	f2, now2, err := Recover(t.cfg, t.f.Dev, sim.NewScheduler(), t.now)
 	if err != nil {
 		return fmt.Errorf("torture: crash recovery failed: %w", err)
 	}
@@ -549,7 +549,7 @@ func (t *tortureRun) powerCycle() error {
 	if t.opt.Replan != nil {
 		if p := t.opt.Replan(int(t.rep.Crashes)); p != nil {
 			t.plan = p
-			t.plan.Arm(t.f.dev)
+			t.plan.Arm(t.f.Dev)
 			t.crashHandled = false
 		}
 	}
@@ -603,7 +603,7 @@ func (t *tortureRun) check() error {
 // planArmed reports whether the fault plan is still attached to the device,
 // i.e. verification reads themselves can draw injected errors.
 func (t *tortureRun) planArmed() bool {
-	return t.plan != nil && t.f.dev.FaultHook() == t.plan
+	return t.plan != nil && t.f.Dev.FaultHook() == t.plan
 }
 
 // verifySnapshots activates every live snapshot (unthrottled, faults

@@ -269,13 +269,13 @@ func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 
 	// Pick a victim that still holds valid data, so the clean must copy.
 	pps := int64(f.cfg.Nand.PagesPerSegment)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg == f.headSeg {
+		if seg == f.HeadSeg {
 			continue
 		}
 		if f.CountValidMerged(int64(seg)*pps, int64(seg+1)*pps) > 0 {
@@ -291,7 +291,7 @@ func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 	if err := f.ForceClean(now, victim); err != nil {
 		t.Fatal(err)
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	plan.Disarm(f.Device())
 
 	st := f.Stats()
@@ -317,7 +317,7 @@ func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 	if err := f.ForceClean(now, victim); err != nil {
 		t.Fatalf("victim not cleanable after abort: %v", err)
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	if st := f.Stats(); st.GCErases == 0 {
 		t.Fatal("retry clean never erased the victim")
 	}
@@ -423,14 +423,14 @@ func TestCancelRacingBlockMove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 
 	act, now, err := f.Activate(now, snap.ID, actLimit, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Let the scan make partial progress, then cancel mid-flight.
-	f.sched.RunUntil(now.Add(6 * sim.Millisecond))
+	f.Sched.RunUntil(now.Add(6 * sim.Millisecond))
 	if act.Ready() {
 		t.Skip("activation finished before cancel; tighten actLimit")
 	}
@@ -441,7 +441,7 @@ func TestCancelRacingBlockMove(t *testing.T) {
 	// activation must ignore onBlockMoved deliveries.
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
@@ -451,7 +451,7 @@ func TestCancelRacingBlockMove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	if _, err := act.View(); err == nil {
 		t.Fatal("cancelled activation produced a view")
 	}
@@ -512,7 +512,7 @@ func TestDeactivateWritableViewAfterSnapshot(t *testing.T) {
 	if !f.vstore.Exists(forked.Epoch) || f.vstore.Deleted(forked.Epoch) {
 		t.Fatal("deactivation deleted the snapshotted epoch")
 	}
-	now = f.sched.Drain(now)
+	now = f.Sched.Drain(now)
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,426 @@
+package logcore
+
+import (
+	"fmt"
+
+	"iosnap/internal/ckpt"
+	"iosnap/internal/ftlmap"
+	"iosnap/internal/header"
+	"iosnap/internal/mapcache"
+	"iosnap/internal/nand"
+	"iosnap/internal/ratelimit"
+	"iosnap/internal/retry"
+	"iosnap/internal/sim"
+)
+
+// Checkpoint transport. A checkpoint is one or more streams of sections,
+// each framed and checksummed by the shared codec (internal/ckpt) and split
+// into sector-sized chunks tagged with the checkpoint ID. A chunk's OOB
+// header carries its stream type, its index (LBA field) and the stream's
+// total chunk count (Epoch field), so a reader can prove a stream complete
+// ({0..total-1}, all tagged with one ID) before decoding anything. The device
+// anchor — updated atomically only at commit — names every chunk of the
+// committed generation, and those pages are pinned so the cleaner copies
+// them forward instead of reclaiming them.
+//
+// The checkpoint's identity doubles as its cut-off: ckptID = ckptSeq = Seq at
+// serialization, and recovery replays only records with seq > ckptSeq on top
+// of the loaded state. What the streams hold is the policy's
+// (Policy.SerializeCheckpoint); the forward-map section and the segment-table
+// records every checkpoint needs are encoded and decoded here.
+//
+// The segment table is what makes a checkpoint safely *skippable* work at
+// recovery: for every used segment it records the erase count, programmed
+// page count, and newest sequence number at serialization time. A segment
+// whose erase count has since changed was reclaimed by the cleaner — its
+// blocks were copy-forwarded with their sequence numbers preserved, i.e.
+// below the cut-off and invisible to tail replay — so the whole checkpoint
+// is stale and recovery falls back to the full scan.
+
+// ChunkJob is one chunk awaiting its program, with the stream identity its
+// OOB header must carry.
+type ChunkJob struct {
+	Type  header.Type
+	Data  []byte
+	Idx   int
+	Total int
+}
+
+// StreamJobs frames secs as one checkpoint stream of generation id and cuts
+// it into the chunk jobs that carry it under typ.
+func (l *Log) StreamJobs(typ header.Type, id uint64, secs []ckpt.Section) ([]ChunkJob, error) {
+	chunks, err := ckpt.Split(id, ckpt.Encode(id, id, secs), l.cfg.Nand.SectorSize)
+	if err != nil {
+		return nil, fmt.Errorf("logcore: chunking %v stream: %w", typ, err)
+	}
+	jobs := make([]ChunkJob, len(chunks))
+	for i, c := range chunks {
+		jobs[i] = ChunkJob{Type: typ, Data: c, Idx: i, Total: len(chunks)}
+	}
+	return jobs, nil
+}
+
+// programCkptChunk appends one chunk at the log head and pins it against
+// the cleaner. A failed program rolls back the allocation and seals the head
+// on permanent media failure, like every other program path.
+func (l *Log) programCkptChunk(now sim.Time, job ChunkJob) (nand.PageAddr, sim.Time, error) {
+	addr, now, err := l.AllocPage(now)
+	if err != nil {
+		return 0, now, fmt.Errorf("logcore: allocating checkpoint page: %w", err)
+	}
+	l.Seq++
+	h := header.Header{Type: job.Type, LBA: uint64(job.Idx), Epoch: uint64(job.Total), Seq: l.Seq}
+	done, err := l.DevProgramPage(now, addr, job.Data, h.Marshal())
+	if err != nil {
+		l.UngetPage(addr)
+		if retry.MediaFailure(err) {
+			l.SealHead()
+		}
+		return 0, now, fmt.Errorf("logcore: writing %v chunk %d: %w", job.Type, job.Idx, err)
+	}
+	l.SegLastSeq[l.Dev.SegmentOf(addr)] = l.Seq
+	l.CkptPins[addr] = true
+	return addr, done, nil
+}
+
+// commitCheckpoint atomically publishes a fully-programmed generation: the
+// device anchor flips and the superseded generation's pins drop, making its
+// chunks reclaimable.
+func (l *Log) commitCheckpoint(now sim.Time, ckptID uint64, addrs []nand.PageAddr) {
+	for _, a := range l.AnchorAddrs {
+		delete(l.CkptPins, a)
+	}
+	l.AnchorID = ckptID
+	l.AnchorAddrs = addrs
+	l.Dev.SetAnchor(&nand.Anchor{ID: ckptID, Addrs: addrs})
+	l.lastCkpt = now
+	l.stats.Checkpoints++
+	l.stats.CheckpointChunks += int64(len(addrs))
+}
+
+// AdoptAnchor re-pins a generation recovery loaded, so the cleaner keeps
+// honouring it until a newer one supersedes it.
+func (l *Log) AdoptAnchor(id uint64, addrs []nand.PageAddr) {
+	l.AnchorID = id
+	l.AnchorAddrs = append([]nand.PageAddr(nil), addrs...)
+	for _, a := range addrs {
+		l.CkptPins[a] = true
+	}
+}
+
+// movePin follows a copy-forwarded chunk: the pin moves with the page and
+// whichever list names it — the committed anchor or the in-flight chunk
+// list — is updated in place. A moved anchor chunk republishes the device
+// anchor so recovery still finds every chunk.
+func (l *Log) movePin(old, dst nand.PageAddr) {
+	delete(l.CkptPins, old)
+	l.CkptPins[dst] = true
+	for i, a := range l.AnchorAddrs {
+		if a == old {
+			l.AnchorAddrs[i] = dst
+			l.Dev.SetAnchor(&nand.Anchor{ID: l.AnchorID, Addrs: l.AnchorAddrs})
+			return
+		}
+	}
+	for i, a := range l.CkptInflight {
+		if a == old {
+			l.CkptInflight[i] = dst
+			return
+		}
+	}
+}
+
+// PinnedInSeg counts pinned pages (checkpoint chunks and live
+// GTD-referenced translation pages) in seg. Victim scoring must treat them
+// as live: a segment full of pinned pages has zero valid bits yet cleaning
+// it reclaims nothing — picking it anyway would let the emergency-clean loop
+// churn forever moving pins from segment to segment.
+func (l *Log) PinnedInSeg(seg int) int {
+	n := 0
+	for a := range l.CkptPins {
+		if l.Dev.SegmentOf(a) == seg {
+			n++
+		}
+	}
+	for a := range l.MapPins {
+		if l.Dev.SegmentOf(a) == seg {
+			n++
+		}
+	}
+	return n
+}
+
+// ckptFailed records an aborted checkpoint attempt and drops the pins of the
+// chunks it had landed; the previous anchor stays.
+func (l *Log) ckptFailed(landed []nand.PageAddr, err error) {
+	for _, a := range landed {
+		delete(l.CkptPins, a)
+	}
+	l.stats.CheckpointErrors++
+	l.stats.CheckpointLastErr = err.Error()
+}
+
+// serialize flushes a bounded map's dirty translation pages — the GTD a
+// checkpoint serializes must reference current copies — and captures the
+// policy's state.
+func (l *Log) serialize(now sim.Time) (sim.Time, uint64, []ChunkJob, error) {
+	if c := l.boundedMap(); c != nil {
+		var err error
+		if now, err = l.flushAllMapPages(now, c); err != nil {
+			return now, 0, nil, err
+		}
+	}
+	id, jobs, err := l.policy.SerializeCheckpoint()
+	return now, id, jobs, err
+}
+
+// writeCheckpoint synchronously serializes and programs a checkpoint (the
+// Close path).
+func (l *Log) writeCheckpoint(now sim.Time) (sim.Time, error) {
+	// ckptActive guards the whole sequence: the map flushes advance the log
+	// head, which must not arm a second (background) checkpoint.
+	l.ckptActive = true
+	defer func() { l.ckptActive = false }()
+	now, ckptID, jobs, err := l.serialize(now)
+	if err != nil {
+		l.ckptFailed(nil, err)
+		return now, err
+	}
+	var addrs []nand.PageAddr
+	for _, job := range jobs {
+		var addr nand.PageAddr
+		addr, now, err = l.programCkptChunk(now, job)
+		if err != nil {
+			l.ckptFailed(addrs, err)
+			return now, err
+		}
+		addrs = append(addrs, addr)
+	}
+	l.commitCheckpoint(now, ckptID, addrs)
+	return now, nil
+}
+
+// maybeScheduleCheckpoint arms the periodic background checkpoint from the
+// head-advance path, the same way the cleaner is armed.
+func (l *Log) maybeScheduleCheckpoint(now sim.Time) {
+	if l.cfg.CheckpointInterval <= 0 || now.Sub(l.lastCkpt) < l.cfg.CheckpointInterval {
+		return
+	}
+	l.StartCheckpoint(now)
+}
+
+// StartCheckpoint starts a background checkpoint now, whatever the interval
+// (tests and tools). It reports whether a task was scheduled: not while one
+// is running, on a closed log, or on a device that stores no payloads.
+func (l *Log) StartCheckpoint(now sim.Time) bool {
+	if l.ckptActive || l.closed || !l.cfg.Nand.StoreData {
+		return false
+	}
+	task := &ckptTask{l: l, budget: ratelimit.NewBudget(l.cfg.CheckpointLimit)}
+	if l.boundedMap() != nil {
+		// A bounded paged map must flush every dirty translation page before
+		// serializing, and flushing programs through the log head — which
+		// cannot happen here: this fires from the head-advance path,
+		// possibly mid-program under SequentialProg. Defer both the flush
+		// and the serialization to the task's first run.
+		task.pending = true
+	} else {
+		var err error
+		if task.id, task.jobs, err = l.policy.SerializeCheckpoint(); err != nil {
+			l.ckptFailed(nil, err)
+			return false
+		}
+	}
+	l.ckptActive = true
+	l.CkptInflight = nil
+	l.Sched.Schedule(now, task)
+	return true
+}
+
+// CheckpointActive reports whether a checkpoint is being written.
+func (l *Log) CheckpointActive() bool { return l.ckptActive }
+
+// ckptTask programs a serialized generation's chunks under the WorkSleep
+// budget. The streams were captured at scheduling time, so foreground
+// writes that land between quanta carry seq > ckptSeq and are replayed on
+// top at recovery — the checkpoint stays consistent without stalling
+// writers.
+type ckptTask struct {
+	l       *Log
+	id      uint64
+	jobs    []ChunkJob
+	next    int
+	pending bool // bounded-paged mode: flush + serialize on first run
+	budget  *ratelimit.Budget
+}
+
+// Name implements sim.Task.
+func (t *ckptTask) Name() string { return fmt.Sprintf("checkpoint(%d)", t.id) }
+
+// Run implements sim.Task: one budgeted batch of chunk programs.
+func (t *ckptTask) Run(now sim.Time) (sim.Time, bool) {
+	l := t.l
+	if l.closed {
+		// Close wrote its own synchronous checkpoint, superseding this one.
+		for _, a := range l.CkptInflight {
+			delete(l.CkptPins, a)
+		}
+		return t.finish()
+	}
+	if t.pending {
+		var err error
+		if now, t.id, t.jobs, err = l.serialize(now); err != nil {
+			l.ckptFailed(nil, err)
+			return t.finish()
+		}
+		t.pending = false
+	}
+	start := now
+	for programmed := 0; t.next < len(t.jobs) && programmed < l.cfg.GCChunk; programmed++ {
+		addr, done, err := l.programCkptChunk(now, t.jobs[t.next])
+		if err != nil {
+			l.ckptFailed(l.CkptInflight, err)
+			return t.finish()
+		}
+		l.CkptInflight = append(l.CkptInflight, addr)
+		t.next++
+		now = done
+	}
+	if t.next < len(t.jobs) {
+		if sleep, exhausted := t.budget.Charge(now.Sub(start)); exhausted {
+			return now.Add(sleep), false
+		}
+		return now, false
+	}
+	l.commitCheckpoint(now, t.id, l.CkptInflight)
+	return t.finish()
+}
+
+// finish retires the task; the in-flight list is whoever's it became.
+func (t *ckptTask) finish() (sim.Time, bool) {
+	t.l.CkptInflight = nil
+	t.l.ckptActive = false
+	return 0, true
+}
+
+// ---- The sections every checkpoint carries. ----
+
+// EncodeMapSection serializes the device's forward map. Tree and
+// cache-unbounded maps serialize the full mapping list — count, then count ×
+// (lba, addr), byte-identical between the two (the unbounded equivalence
+// contract). A bounded paged map serializes only the global translation
+// directory (gtd = true): every dirty translation page was flushed before
+// this point, so the directory's flash copies are current.
+func (l *Log) EncodeMapSection() (data []byte, gtd bool, err error) {
+	var w ckpt.Writer
+	if c := l.boundedMap(); c != nil {
+		if dirty := c.DirtyPages(); len(dirty) != 0 {
+			return nil, true, fmt.Errorf("logcore: checkpoint with %d unflushed translation pages", len(dirty))
+		}
+		ents := c.GTDEntries()
+		w.U32(uint32(c.SlotsPerPage()))
+		w.U32(uint32(len(ents)))
+		for _, ent := range ents {
+			w.U64(ent.Idx)
+			w.U64(ent.Addr)
+			w.U32(uint32(ent.Live))
+		}
+		return w.B, true, nil
+	}
+	w.U64(uint64(l.ActiveMap.Len()))
+	l.ActiveMap.All(func(lba, addr uint64) bool {
+		w.U64(lba)
+		w.U64(addr)
+		return true
+	})
+	return w.B, false, nil
+}
+
+// DecodeMapSection parses a full mapping list. Section bodies arrive from an
+// image file, so every count is proven against the bytes that remain
+// (Reader.Count) before it sizes an allocation or a loop.
+func DecodeMapSection(data []byte) ([]ftlmap.Entry, error) {
+	r := ckpt.Reader{B: data}
+	n := r.Count(r.U64(), 16)
+	entries := make([]ftlmap.Entry, 0, n)
+	for i := 0; i < n; i++ {
+		entries = append(entries, ftlmap.Entry{Key: r.U64(), Val: r.U64()})
+	}
+	if r.Err() != nil {
+		return nil, fmt.Errorf("logcore: checkpoint map section: %w", r.Err())
+	}
+	return entries, nil
+}
+
+// DecodeGTDSection parses a bounded-paged checkpoint's translation
+// directory and the translation-page geometry it was written under.
+func DecodeGTDSection(data []byte) (gtd []mapcache.GTDEnt, slotsPer int, err error) {
+	r := ckpt.Reader{B: data}
+	slotsPer = int(r.U32())
+	n := r.Count(uint64(r.U32()), 20)
+	gtd = make([]mapcache.GTDEnt, 0, n)
+	for i := 0; i < n; i++ {
+		gtd = append(gtd, mapcache.GTDEnt{Idx: r.U64(), Addr: r.U64(), Live: int(r.U32())})
+	}
+	if r.Err() != nil {
+		return nil, 0, fmt.Errorf("logcore: checkpoint GTD section: %w", r.Err())
+	}
+	return gtd, slotsPer, nil
+}
+
+// GTDUsable reports whether a GTD checkpoint can serve this configuration:
+// the map must be paged with the same translation-page geometry. Anything
+// else falls back to the full scan, which rebuilds every layout from data
+// headers.
+func (l *Log) GTDUsable(slotsPer int) bool {
+	return l.cfg.MapCachePages != 0 && slotsPer == mapcache.SlotsFor(l.cfg.Nand.SectorSize)
+}
+
+// SegRecord is one used segment's identity at serialization time.
+type SegRecord struct {
+	Seg    int
+	Erases int
+	Prog   int
+	MaxSeq uint64
+}
+
+// SegRecordSize is the encoded size of a SegRecord.
+const SegRecordSize = 20
+
+// EncodeSegRecord appends seg's current identity to a segment table.
+func (l *Log) EncodeSegRecord(w *ckpt.Writer, seg int) {
+	w.U32(uint32(seg))
+	w.U32(uint32(l.Dev.EraseCount(seg)))
+	w.U32(uint32(l.Dev.NextFreeInSegment(seg)))
+	w.U64(l.SegLastSeq[seg])
+}
+
+// DecodeSegRecord reads what EncodeSegRecord wrote.
+func DecodeSegRecord(r *ckpt.Reader) SegRecord {
+	return SegRecord{Seg: int(r.U32()), Erases: int(r.U32()), Prog: int(r.U32()), MaxSeq: r.U64()}
+}
+
+// CheckSegTable decides whether a checkpoint's segment table still
+// describes the device, returning the recorded segments by index. ok=false
+// means a recorded segment was erased, retired, or rewound since
+// serialization — the cleaner moved pre-cut-off blocks, so the generation
+// is stale and recovery must fall back to the full scan.
+func CheckSegTable(dev *nand.Device, table []SegRecord) (recorded map[int]SegRecord, ok bool) {
+	recorded = make(map[int]SegRecord, len(table))
+	for _, rec := range table {
+		if rec.Seg < 0 || rec.Seg >= dev.Config().Segments {
+			return nil, false
+		}
+		if dev.SegmentHealth(rec.Seg) == nand.Retired {
+			return nil, false
+		}
+		if dev.EraseCount(rec.Seg) != rec.Erases {
+			return nil, false
+		}
+		if dev.NextFreeInSegment(rec.Seg) < rec.Prog {
+			return nil, false
+		}
+		recorded[rec.Seg] = rec
+	}
+	return recorded, true
+}

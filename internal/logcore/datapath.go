@@ -1,0 +1,347 @@
+package logcore
+
+// The foreground data path, built around batches. A multi-sector request is
+// one *run*: the forward map is charged one MapCPUCost per leaf the run spans
+// in a maximally-packed tree (ftlmap.RunSpan) instead of one per sector,
+// translations move through the run operations (InsertRun / LookupRange /
+// DeleteRange), the policy flips validity once per programmed chunk
+// (Policy.RunCommitted), and the NAND sees one batch call per log-head chunk.
+//
+// Config.ReferenceDataPath selects the historical per-sector algorithms —
+// per-key map operations, per-page device calls — on the *same* virtual-time
+// skeleton: the same MapCPUCost charge, the same chunk boundaries, the same
+// submit times, and the same Stats increments. The two paths must therefore
+// produce bit-identical device state, Stats, and completion times on any
+// fault-free workload; the equivalence tests enforce exactly that.
+//
+// Partial failure is accounted honestly in both: when the device fails
+// mid-run, the sectors that completed stay committed (map, validity, stats)
+// and the returned time reflects the work actually consumed.
+
+import (
+	"fmt"
+
+	"iosnap/internal/ftlmap"
+	"iosnap/internal/header"
+	"iosnap/internal/mapcache"
+	"iosnap/internal/nand"
+	"iosnap/internal/retry"
+	"iosnap/internal/sim"
+)
+
+// dataPathScratch holds the per-log reusable buffers of the batched data
+// path; the simulation is single-threaded, so one set suffices.
+type dataPathScratch struct {
+	addrs   []nand.PageAddr
+	datas   [][]byte
+	oobs    [][]byte
+	oobBuf  []byte   // flat backing store for oobs: header.Len bytes per page
+	rdatas  [][]byte // DevReadPages results, valid until its next call
+	roobs   [][]byte
+	entries []ftlmap.Entry
+	prevs   []uint64
+	vals    []uint64
+	found   []bool
+	secIdx  []int
+
+	mapMiss  []uint64        // translation-page fault lists (mappage.go)
+	mapAddrs []nand.PageAddr // their flash addresses for the batch read
+}
+
+// Read implements blockdev.Device on the device's own map. Unmapped sectors
+// read as zeros. Reads that fail mid-run report the sectors completed before
+// the failure in UserReads/BytesRead and return the virtual time already
+// consumed.
+func (l *Log) Read(now sim.Time, lba int64, buf []byte) (sim.Time, error) {
+	if l.closed {
+		return now, ErrClosed
+	}
+	completed, done, err := l.ReadRun(l.ActiveMap, now, lba, buf)
+	l.stats.UserReads += int64(completed)
+	l.stats.BytesRead += int64(completed) * int64(l.cfg.Nand.SectorSize)
+	return done, err
+}
+
+// WriteActive appends a run to the log on behalf of the device's own map,
+// stamping epoch into the block headers. Like Read, a mid-run device failure
+// leaves the completed sectors committed and counted.
+func (l *Log) WriteActive(now sim.Time, epoch uint64, lba int64, data []byte) (sim.Time, error) {
+	if l.closed {
+		return now, ErrClosed
+	}
+	completed, done, err := l.WriteRun(l.ActiveMap, epoch, now, lba, data)
+	l.stats.UserWrites += int64(completed)
+	l.stats.BytesWritten += int64(completed) * int64(l.cfg.Nand.SectorSize)
+	return done, err
+}
+
+// ReadRun serves a run read against m (the device's map or an activated
+// view's). It returns the number of sectors completed (all of them unless
+// the device failed mid-run), the completion time of the work performed, and
+// the first error.
+func (l *Log) ReadRun(m *mapcache.Map, now sim.Time, lba int64, buf []byte) (completed int, done sim.Time, err error) {
+	ss := l.cfg.Nand.SectorSize
+	if len(buf)%ss != 0 {
+		return 0, now, fmt.Errorf("%w: %d", ErrBadLength, len(buf))
+	}
+	n := len(buf) / ss
+	if err := l.CheckIO(lba, n); err != nil {
+		return 0, now, err
+	}
+	span := ftlmap.RunSpan(n)
+	l.stats.BatchDescents += int64(span)
+	t := now.Add(sim.Duration(span) * l.cfg.MapCPUCost)
+	// Paged map: fault the run's translation pages in (charged) before the
+	// map is consulted. Tree and unbounded-paged maps pass through untimed.
+	if t, err = l.mapEnsure(t, m, uint64(lba), n); err != nil {
+		return 0, t, err
+	}
+	done = t
+
+	// Resolve the run's translations; unmapped sectors read as zeros.
+	addrs := l.ws.addrs[:0]
+	secIdx := l.ws.secIdx[:0]
+	if l.cfg.ReferenceDataPath {
+		for i := 0; i < n; i++ {
+			if a, ok := m.Lookup(uint64(lba) + uint64(i)); ok {
+				addrs = append(addrs, nand.PageAddr(a))
+				secIdx = append(secIdx, i)
+			} else {
+				clear(buf[i*ss : (i+1)*ss])
+			}
+		}
+	} else {
+		vals, found := l.lookupScratch(n)
+		m.LookupRange(uint64(lba), vals, found)
+		for i := 0; i < n; i++ {
+			if found[i] {
+				addrs = append(addrs, nand.PageAddr(vals[i]))
+				secIdx = append(secIdx, i)
+				found[i] = false // leave the scratch all-false for reuse
+			} else {
+				clear(buf[i*ss : (i+1)*ss])
+			}
+		}
+	}
+	l.ws.addrs, l.ws.secIdx = addrs, secIdx
+	if len(addrs) == 0 {
+		return n, done, nil
+	}
+	l.stats.BatchPages += int64(len(addrs))
+	l.stats.BatchNandCalls++
+
+	if l.cfg.ReferenceDataPath {
+		for j, a := range addrs {
+			data, _, d, err := l.devReadPage(t, a)
+			if err != nil {
+				return secIdx[j], done, fmt.Errorf("logcore: reading LBA %d: %w", lba+int64(secIdx[j]), err)
+			}
+			copy(buf[secIdx[j]*ss:(secIdx[j]+1)*ss], data) // nil data (fingerprint mode) leaves buf as-is
+			if d > done {
+				done = d
+			}
+		}
+		return n, done, nil
+	}
+	datas, _, k, d, err := l.DevReadPages(t, addrs)
+	for j := 0; j < k; j++ {
+		copy(buf[secIdx[j]*ss:(secIdx[j]+1)*ss], datas[j])
+	}
+	if d > done {
+		done = d
+	}
+	if err != nil {
+		return secIdx[k], done, fmt.Errorf("logcore: reading LBA %d: %w", lba+int64(secIdx[k]), err)
+	}
+	return n, done, nil
+}
+
+// WriteRun appends a run to the log on behalf of m, the device's map or a
+// writable view's: the run lands in per-segment chunks at the head under
+// headers stamped with epoch, m absorbs it with one descent per touched
+// leaf, and the policy flips validity per chunk. The host time those flips
+// cost (ioSnap's CoW page copies) is charged in aggregate at the end of the
+// run.
+func (l *Log) WriteRun(m *mapcache.Map, epoch uint64, now sim.Time, lba int64, data []byte) (completed int, done sim.Time, err error) {
+	if l.frozen {
+		return 0, now, ErrFrozen
+	}
+	ss := l.cfg.Nand.SectorSize
+	if len(data)%ss != 0 {
+		return 0, now, fmt.Errorf("%w: %d", ErrBadLength, len(data))
+	}
+	n := len(data) / ss
+	if err := l.CheckIO(lba, n); err != nil {
+		return 0, now, err
+	}
+	span := ftlmap.RunSpan(n)
+	l.stats.BatchDescents += int64(span)
+	at := now.Add(sim.Duration(span) * l.cfg.MapCPUCost)
+	if at, err = l.mapEnsure(at, m, uint64(lba), n); err != nil {
+		return 0, at, err
+	}
+	done = at
+	written := 0
+	var flipCost sim.Duration
+	var firstErr error
+	for written < n && firstErr == nil {
+		// The first page of each chunk goes through AllocPage so head
+		// advancement (forced cleaning, degradation, background-task
+		// scheduling) behaves exactly as it does for a single page; the
+		// rest of the chunk fills the head segment contiguously.
+		addr0, at2, err := l.AllocPage(at)
+		if err != nil {
+			firstErr = err
+			break
+		}
+		at = at2
+		if at > done {
+			done = at
+		}
+		chunk := n - written
+		if room := l.cfg.Nand.PagesPerSegment - l.HeadIdx + 1; chunk > room {
+			chunk = room
+		}
+		addrs := append(l.ws.addrs[:0], addr0)
+		for j := 1; j < chunk; j++ {
+			addrs = append(addrs, l.Dev.Addr(l.HeadSeg, l.HeadIdx))
+			l.HeadIdx++
+		}
+		seqBase := l.Seq
+		datas, oobs := l.ws.datas[:0], l.ws.oobs[:0]
+		if need := chunk * header.Len; !l.cfg.ReferenceDataPath && cap(l.ws.oobBuf) < need {
+			l.ws.oobBuf = make([]byte, need)
+		}
+		for j := 0; j < chunk; j++ {
+			datas = append(datas, data[(written+j)*ss:(written+j+1)*ss])
+			h := header.Header{Type: header.TypeData, LBA: uint64(lba) + uint64(written+j), Epoch: epoch, Seq: seqBase + uint64(j) + 1}
+			if l.cfg.ReferenceDataPath {
+				// Historical host-cost profile: one fresh header buffer per page.
+				oobs = append(oobs, h.Marshal())
+				continue
+			}
+			oob := l.ws.oobBuf[j*header.Len : (j+1)*header.Len]
+			h.MarshalInto(oob)
+			oobs = append(oobs, oob)
+		}
+		l.Seq += uint64(chunk)
+		l.ws.addrs, l.ws.datas, l.ws.oobs = addrs, datas, oobs
+		l.stats.BatchPages += int64(chunk)
+		l.stats.BatchNandCalls++
+
+		var k int
+		var d sim.Time
+		if l.cfg.ReferenceDataPath {
+			d = at
+			for k = 0; k < chunk; k++ {
+				pd, e := l.DevProgramPage(at, addrs[k], datas[k], oobs[k])
+				if pd > d {
+					d = pd
+				}
+				if e != nil {
+					err = e
+					break
+				}
+			}
+		} else {
+			k, d, err = l.devProgramPages(at, addrs, datas, oobs)
+		}
+		if d > done {
+			done = d
+		}
+		if k > 0 {
+			l.SegLastSeq[l.Dev.SegmentOf(addrs[0])] = seqBase + uint64(k)
+		}
+		if err != nil {
+			// Pages past the failing one were never attempted: they hand
+			// back their sequence numbers and log-head slots. The failing
+			// page keeps its consumed seq (as the per-sector path always
+			// did) and is reclaimed by UngetPage unless it landed after all.
+			l.Seq -= uint64(chunk - k - 1)
+			l.HeadIdx -= chunk - k - 1
+			l.UngetPage(addrs[k])
+			if retry.MediaFailure(err) {
+				l.SealHead() // move future appends off the failing segment
+			}
+			firstErr = fmt.Errorf("logcore: programming LBA %d: %w", lba+int64(written+k), err)
+		}
+		flipCost += l.commitRun(m, epoch, uint64(lba)+uint64(written), addrs[:k])
+		written += k
+	}
+	return written, done.Add(flipCost), firstErr
+}
+
+// commitRun installs translations for a run of freshly-programmed pages
+// (addrs[j] backs lba0+j, one contiguous physical run in the head segment)
+// and hands the new pages and the displaced translations to the policy.
+func (l *Log) commitRun(m *mapcache.Map, epoch, lba0 uint64, addrs []nand.PageAddr) sim.Duration {
+	if len(addrs) == 0 {
+		return 0
+	}
+	l.ws.prevs = l.ws.prevs[:0]
+	if l.cfg.ReferenceDataPath {
+		for j, a := range addrs {
+			if prev, existed := m.Insert(lba0+uint64(j), uint64(a)); existed {
+				l.ws.prevs = append(l.ws.prevs, prev)
+			}
+		}
+	} else {
+		entries := l.ws.entries[:0]
+		for j, a := range addrs {
+			entries = append(entries, ftlmap.Entry{Key: lba0 + uint64(j), Val: uint64(a)})
+		}
+		l.ws.entries = entries
+		m.InsertRun(entries, func(_ int, prev uint64) {
+			l.ws.prevs = append(l.ws.prevs, prev)
+		})
+	}
+	return l.policy.RunCommitted(epoch, addrs, l.ws.prevs)
+}
+
+// TrimActive drops the run's translations from the device's own map and has
+// the policy invalidate the backing pages in epoch (under ioSnap they stay
+// live in any snapshot that captured them). Like the other run operations it
+// charges one MapCPUCost per touched leaf.
+func (l *Log) TrimActive(now sim.Time, epoch uint64, lba int64, n int64) (sim.Time, error) {
+	// A closed device refuses trims with ErrClosed even if it was frozen
+	// when it closed — closed beats frozen, matching Read and Write.
+	if err := l.CheckIO(lba, int(n)); err != nil {
+		return now, err
+	}
+	if l.frozen {
+		return now, ErrFrozen
+	}
+	span := ftlmap.RunSpan(int(n))
+	l.stats.BatchDescents += int64(span)
+	// Paged map: fault only the translation pages that exist inside the
+	// trimmed range (a discard over a hole touches nothing).
+	t, err := l.mapEnsureRange(now, l.ActiveMap, uint64(lba), uint64(lba)+uint64(n))
+	if err != nil {
+		return t, err
+	}
+	l.ws.prevs = l.ws.prevs[:0]
+	if l.cfg.ReferenceDataPath {
+		for i := int64(0); i < n; i++ {
+			if prev, existed := l.ActiveMap.Delete(uint64(lba + i)); existed {
+				l.ws.prevs = append(l.ws.prevs, prev)
+			}
+		}
+	} else {
+		l.ActiveMap.DeleteRange(uint64(lba), uint64(lba)+uint64(n), func(_, prev uint64) {
+			l.ws.prevs = append(l.ws.prevs, prev)
+		})
+	}
+	l.policy.RunCommitted(epoch, nil, l.ws.prevs)
+	l.stats.Trims += n
+	return t.Add(sim.Duration(span) * l.cfg.MapCPUCost), nil
+}
+
+// lookupScratch returns the reusable LookupRange buffers, grown to n and
+// with found all-false (ReadRun resets the bits it sets).
+func (l *Log) lookupScratch(n int) ([]uint64, []bool) {
+	if cap(l.ws.vals) < n {
+		l.ws.vals = make([]uint64, n)
+		l.ws.found = make([]bool, n)
+	}
+	return l.ws.vals[:n], l.ws.found[:n]
+}

@@ -1,0 +1,236 @@
+package logcore
+
+import (
+	"fmt"
+	"sort"
+
+	"iosnap/internal/ckpt"
+	"iosnap/internal/header"
+	"iosnap/internal/nand"
+	"iosnap/internal/sim"
+)
+
+// The recovery shell: what a crash recovery does to the log whichever FTL
+// runs it. The policy's Recover drives it — Init over the existing device,
+// then either the anchor's chunks (ReadAnchorChunks, AssembleStream,
+// CheckSegTable) and a scan of the segments written since, or a scan of
+// everything; RecoverMap; RebuildGeometry — and interprets the records.
+
+// AnchorChunk is one checkpoint chunk the device anchor names.
+type AnchorChunk struct {
+	Addr    nand.PageAddr
+	Idx     uint64 // position in its stream
+	Total   uint64 // the stream's chunk count
+	Type    header.Type
+	Payload []byte
+}
+
+// ReadAnchorChunks reads every chunk the device anchor names, in anchor
+// order. ok=false means a chunk is gone, unreadable, or no longer a
+// checkpoint page: the generation cannot be trusted.
+func (l *Log) ReadAnchorChunks(now sim.Time) (chunks []AnchorChunk, done sim.Time, ok bool) {
+	addrs := l.Dev.Anchor().Addrs
+	chunks = make([]AnchorChunk, 0, len(addrs))
+	// Validate the chunk headers host-side first.
+	for _, addr := range addrs {
+		oob, err := l.Dev.PageOOB(addr)
+		if err != nil {
+			return nil, now, false
+		}
+		h, err := header.Unmarshal(oob)
+		if err != nil || !h.Type.IsCheckpoint() {
+			return nil, now, false
+		}
+		chunks = append(chunks, AnchorChunk{Addr: addr, Idx: h.LBA, Total: h.Epoch, Type: h.Type})
+	}
+	payloads, now, ok := l.ReadChunkPayloads(now, addrs, false)
+	if !ok {
+		return nil, now, false
+	}
+	for i := range chunks {
+		chunks[i].Payload = payloads[i]
+	}
+	return chunks, now, true
+}
+
+// ReadChunkPayloads fetches chunk payloads: one DevReadPages call (cell
+// reads overlap across channels instead of chaining), or page by page on the
+// reference path. With skipFailed a permanently failing chunk is left nil
+// (it disqualifies only its generation) and the batch resumes just past it;
+// without, the first failure reports ok=false.
+func (l *Log) ReadChunkPayloads(now sim.Time, addrs []nand.PageAddr, skipFailed bool) (payloads [][]byte, done sim.Time, ok bool) {
+	payloads = make([][]byte, len(addrs))
+	if l.cfg.ReferenceDataPath {
+		for i, addr := range addrs {
+			payload, _, d, err := l.devReadPage(now, addr)
+			if err != nil {
+				if skipFailed {
+					continue
+				}
+				return nil, now, false
+			}
+			now = d
+			payloads[i] = payload
+		}
+		return payloads, now, true
+	}
+	for base := 0; base < len(addrs); base++ {
+		ds, _, k, d, err := l.DevReadPages(now, addrs[base:])
+		now = d
+		copy(payloads[base:], ds[:k])
+		base += k
+		if err == nil {
+			break
+		}
+		if !skipFailed {
+			return nil, now, false
+		}
+	}
+	return payloads, now, true
+}
+
+// AssembleStream proves a group of chunks is one complete stream — indices
+// {0..total-1}, one copy each, one total — joins it under generation id, and
+// decodes it. ok=false means a torn or partially-reclaimed stream.
+func AssembleStream(id uint64, group []AnchorChunk) (ckptSeq uint64, secs []ckpt.Section, ok bool) {
+	if len(group) == 0 {
+		return 0, nil, false
+	}
+	total := group[0].Total
+	if total == 0 || uint64(len(group)) != total {
+		return 0, nil, false
+	}
+	ordered := make([][]byte, total)
+	for _, c := range group {
+		if c.Total != total || c.Idx >= total || ordered[c.Idx] != nil {
+			return 0, nil, false
+		}
+		ordered[c.Idx] = c.Payload
+	}
+	stream, err := ckpt.Join(id, ordered)
+	if err != nil {
+		return 0, nil, false
+	}
+	decID, ckptSeq, secs, err := ckpt.Decode(stream)
+	if err != nil || decID != id {
+		return 0, nil, false
+	}
+	return ckptSeq, secs, true
+}
+
+// Scan accumulates what a recovery scan learns about the log's geometry.
+type Scan struct {
+	SegUsed   []bool   // segment holds at least one programmed page
+	SegMaxSeq []uint64 // newest sequence number seen (or recorded) per segment
+	MaxSeq    uint64   // newest sequence number overall
+}
+
+// NewScan returns empty accumulators; maxSeq is the checkpoint cut-off a
+// tail scan starts from (0 for a full scan).
+func (l *Log) NewScan(maxSeq uint64) *Scan {
+	return &Scan{
+		SegUsed:   make([]bool, l.cfg.Nand.Segments),
+		SegMaxSeq: make([]uint64, l.cfg.Nand.Segments),
+		MaxSeq:    maxSeq,
+	}
+}
+
+// Trust takes a checkpoint's word for a segment recovery does not scan.
+func (sc *Scan) Trust(rec SegRecord) {
+	sc.SegUsed[rec.Seg] = sc.SegUsed[rec.Seg] || rec.Prog > 0
+	if rec.MaxSeq > sc.SegMaxSeq[rec.Seg] {
+		sc.SegMaxSeq[rec.Seg] = rec.MaxSeq
+	}
+	if rec.MaxSeq > sc.MaxSeq {
+		sc.MaxSeq = rec.MaxSeq
+	}
+}
+
+// ScanSegment reads seg's OOB headers from page index from on, folds them
+// into sc, and hands every parseable header to visit; visit returning false
+// abandons the scan (ok=false, no error). Unparseable headers are torn
+// writes at a crashed log tail: power failed mid-program, so their contents
+// were never acknowledged — skipping one loses nothing and the cleaner
+// reclaims the page, but it is evidence worth counting.
+func (l *Log) ScanSegment(now sim.Time, seg, from int, sc *Scan,
+	visit func(addr nand.PageAddr, h header.Header) bool) (done sim.Time, ok bool, err error) {
+	oobs, done, err := l.DevScanSegmentOOB(now, seg)
+	if err != nil {
+		return now, false, fmt.Errorf("logcore: scanning segment %d: %w", seg, err)
+	}
+	l.stats.RecoverySegsScanned++
+	l.stats.RecoveryHeaderPages += int64(l.cfg.Nand.PagesPerSegment)
+	for idx := from; idx < len(oobs); idx++ {
+		if oobs[idx] == nil {
+			continue
+		}
+		sc.SegUsed[seg] = true
+		h, err := header.Unmarshal(oobs[idx])
+		if err != nil {
+			l.stats.TornPagesSkipped++
+			continue
+		}
+		if !visit(l.Dev.Addr(seg, idx), h) {
+			return done, false, nil
+		}
+		if h.Seq > sc.SegMaxSeq[seg] {
+			sc.SegMaxSeq[seg] = h.Seq
+		}
+		if h.Seq > sc.MaxSeq {
+			sc.MaxSeq = h.Seq
+		}
+	}
+	return done, true, nil
+}
+
+// RebuildGeometry reconstructs the segment pools, the log head and the
+// sequence counter from what a recovery scan produced, and tells the policy
+// which segments are in use — in final UsedSegs order, so victim tie-breaks
+// match a linear oldest-first scan.
+func (l *Log) RebuildGeometry(sc *Scan) error {
+	l.Seq = sc.MaxSeq
+	type segOrder struct {
+		seg int
+		seq uint64
+	}
+	var used []segOrder
+	for seg := 0; seg < l.cfg.Nand.Segments; seg++ {
+		switch {
+		case l.Dev.SegmentHealth(seg) == nand.Retired:
+			// Belongs to neither pool: a grown bad block stays out of service.
+		case sc.SegUsed[seg]:
+			used = append(used, segOrder{seg, sc.SegMaxSeq[seg]})
+		default:
+			l.FreeSegs = append(l.FreeSegs, seg)
+		}
+	}
+	sort.Slice(used, func(i, j int) bool { return used[i].seq < used[j].seq })
+	for _, u := range used {
+		l.UsedSegs = append(l.UsedSegs, u.seg)
+	}
+	copy(l.SegLastSeq, sc.SegMaxSeq)
+	// The head resumes at the newest segment if it still has room — and is
+	// healthy; appending onto suspect media would repeat the failure that
+	// made it suspect.
+	resumed := false
+	if len(l.UsedSegs) > 0 {
+		last := l.UsedSegs[len(l.UsedSegs)-1]
+		if next := l.Dev.NextFreeInSegment(last); next < l.cfg.Nand.PagesPerSegment && l.Dev.SegmentHealth(last) == nand.Healthy {
+			l.HeadSeg, l.HeadIdx = last, next
+			resumed = true
+		}
+	}
+	if !resumed {
+		if len(l.FreeSegs) == 0 {
+			return ErrDeviceFull
+		}
+		l.HeadSeg = l.FreeSegs[0]
+		l.FreeSegs = l.FreeSegs[1:]
+		l.HeadIdx = 0
+		l.UsedSegs = append(l.UsedSegs, l.HeadSeg)
+	}
+	for _, s := range l.UsedSegs {
+		l.track(s, false)
+	}
+	return nil
+}

@@ -1,0 +1,195 @@
+package logcore
+
+import "fmt"
+
+// Victim selection. The policy decides what "valid" means and keeps each
+// segment's count current (AddValid / SetValid); the log tracks segments as
+// they enter and leave UsedSegs and picks the victim from the counts alone —
+// O(log S) for the greedy policy (a min-valid heap), O(S) for cost-benefit
+// (its age term drifts with every write, so no static heap key can order
+// it) — with no bitmap walks either way.
+//
+// Determinism: a linear scan of UsedSegs oldest-first that keeps the first
+// strict maximum is the reference order. The heap reproduces it by breaking
+// valid-count ties on a monotone tracking stamp: segments are tracked in the
+// order they enter UsedSegs and removals never reorder survivors, so stamp
+// order always equals UsedSegs order.
+
+// victimHeap is a min-heap of the tracked segments by (valid, stamp).
+type victimHeap struct {
+	valid []int    // per segment: pages the policy counts valid
+	stamp []uint64 // per segment: tracking order, 0 = untracked
+	pos   []int    // per tracked segment: its index in heap
+	heap  []int
+	next  uint64
+}
+
+func newVictimHeap(segments int) victimHeap {
+	return victimHeap{valid: make([]int, segments), stamp: make([]uint64, segments), pos: make([]int, segments)}
+}
+
+// ValidCount returns the number of seg's pages the policy counts valid.
+func (l *Log) ValidCount(seg int) int { return l.victims.valid[seg] }
+
+// AddValid adjusts seg's valid-page count by delta.
+func (l *Log) AddValid(seg, delta int) { l.SetValid(seg, l.victims.valid[seg]+delta) }
+
+// SetValid sets seg's valid-page count.
+func (l *Log) SetValid(seg, n int) {
+	h := &l.victims
+	h.valid[seg] = n
+	if h.stamp[seg] != 0 {
+		h.fix(h.pos[seg])
+	}
+}
+
+// track registers a segment that just entered UsedSegs and tells the policy.
+func (l *Log) track(seg int, fresh bool) {
+	if h := &l.victims; h.stamp[seg] == 0 {
+		h.next++
+		h.stamp[seg] = h.next
+		h.push(seg)
+	}
+	l.policy.SegmentTracked(seg, fresh)
+}
+
+// untrack drops a segment that left UsedSegs (erased or retired) and tells
+// the policy. Retirement may hit a segment that was already in the free
+// pool, which the heap never held.
+func (l *Log) untrack(seg int) {
+	if h := &l.victims; h.stamp[seg] != 0 {
+		h.remove(h.pos[seg])
+		h.stamp[seg] = 0
+	}
+	l.policy.SegmentReleased(seg)
+}
+
+// BestVictim picks the cleaning victim per the configured policy, or -1 when
+// no candidate exists. The log head and a segment a background clean is
+// mid-way through are never picked (a forced clean stealing the latter would
+// erase it twice and corrupt the free pool), and neither is a segment with
+// nothing to reclaim once pinned pages count as live: cleaning it burns an
+// erase for no space and, picked repeatedly, would wedge the emergency-clean
+// loop shuffling pins from segment to segment.
+func (l *Log) BestVictim() int {
+	h := &l.victims
+	// reclaimable is how many pages cleaning seg would free (none for a
+	// segment that may not be picked).
+	reclaimable := func(seg int) int {
+		if seg == l.HeadSeg || seg == l.GCVictim {
+			return 0
+		}
+		return l.cfg.Nand.PagesPerSegment - h.valid[seg] - l.PinnedInSeg(seg)
+	}
+	best := -1
+	if l.cfg.VictimPolicy == VictimCostBenefit {
+		bestScore := -1.0
+		for _, seg := range l.UsedSegs {
+			invalid := reclaimable(seg)
+			if invalid <= 0 {
+				continue
+			}
+			if score := VictimScore(VictimCostBenefit, invalid, h.valid[seg], l.Seq, l.SegLastSeq[seg]); score > bestScore {
+				best, bestScore = seg, score
+			}
+		}
+		return best
+	}
+	// Greedy: the heap top, ineligible segments parked aside during the
+	// search and pushed back after it.
+	var parked []int
+	for len(h.heap) > 0 && best < 0 {
+		if top := h.heap[0]; reclaimable(top) > 0 {
+			best = top
+		} else {
+			h.remove(0)
+			parked = append(parked, top)
+		}
+	}
+	for _, seg := range parked {
+		h.push(seg)
+	}
+	return best
+}
+
+func (h *victimHeap) less(i, j int) bool {
+	a, b := h.heap[i], h.heap[j]
+	if h.valid[a] != h.valid[b] {
+		return h.valid[a] < h.valid[b]
+	}
+	return h.stamp[a] < h.stamp[b]
+}
+
+func (h *victimHeap) swap(i, j int) {
+	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
+	h.pos[h.heap[i]], h.pos[h.heap[j]] = i, j
+}
+
+func (h *victimHeap) push(seg int) {
+	h.pos[seg] = len(h.heap)
+	h.heap = append(h.heap, seg)
+	h.fix(h.pos[seg])
+}
+
+func (h *victimHeap) remove(i int) {
+	last := len(h.heap) - 1
+	h.swap(i, last)
+	h.heap = h.heap[:last]
+	if i < last {
+		h.fix(i)
+	}
+}
+
+// fix restores the heap property around position i after its key changed.
+func (h *victimHeap) fix(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h.swap(i, p)
+		i = p
+	}
+	for {
+		min := i
+		if c := 2*i + 1; c < len(h.heap) && h.less(c, min) {
+			min = c
+		}
+		if c := 2*i + 2; c < len(h.heap) && h.less(c, min) {
+			min = c
+		}
+		if min == i {
+			return
+		}
+		h.swap(i, min)
+		i = min
+	}
+}
+
+// CheckVictimHeap audits the selection structure (the invariant checker's
+// share of it): exactly the used segments are tracked, stamps strictly
+// increase in UsedSegs order — the tie-break that makes heap selection
+// reproduce the oldest-first scan — and the heap holds exactly the tracked
+// segments with correct back-pointers and the heap property intact.
+func (l *Log) CheckVictimHeap() error {
+	h := &l.victims
+	if len(h.heap) != len(l.UsedSegs) {
+		return fmt.Errorf("invariant: victim heap has %d entries for %d used segments", len(h.heap), len(l.UsedSegs))
+	}
+	var prev uint64
+	for _, s := range l.UsedSegs {
+		if h.stamp[s] <= prev {
+			return fmt.Errorf("invariant: victim stamp order broken at used segment %d (%d after %d)", s, h.stamp[s], prev)
+		}
+		prev = h.stamp[s]
+	}
+	for i, s := range h.heap {
+		if h.stamp[s] == 0 || h.pos[s] != i {
+			return fmt.Errorf("invariant: victim heap[%d] (segment %d) back-pointer is %d, stamp %d", i, s, h.pos[s], h.stamp[s])
+		}
+		if i > 0 && h.less(i, (i-1)/2) {
+			return fmt.Errorf("invariant: victim heap property broken at index %d (segment %d)", i, s)
+		}
+	}
+	return nil
+}

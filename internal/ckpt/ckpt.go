@@ -93,6 +93,9 @@ func Decode(stream []byte) (ckptID, ckptSeq uint64, secs []Section, err error) {
 		return 0, 0, nil, ErrBadChecksum
 	}
 	off := headerLen
+	if nsec > (len(body)-off)/5 { // each section costs at least its 5-byte frame
+		return 0, 0, nil, ErrTruncated
+	}
 	secs = make([]Section, 0, nsec)
 	for i := 0; i < nsec; i++ {
 		if off+5 > len(body) {

@@ -2,8 +2,11 @@ package ftl
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
+	"iosnap/internal/ckpt"
 	"iosnap/internal/faultinject"
 	"iosnap/internal/header"
 	"iosnap/internal/nand"
@@ -236,5 +239,24 @@ func TestCrashDuringCheckpointCycles(t *testing.T) {
 	}
 	if partialCycles == 0 {
 		t.Fatal("no cycle ever crashed mid-generation; the partial-checkpoint path went untested")
+	}
+}
+
+// TestCheckpointSectionCountsAreBounded: checkpoint chunks come back from an
+// image file wrapped in a checksum anyone can compute, so a section's counts
+// are claims. A count the section's bytes cannot back must fail the decode
+// before it sizes a loop or an allocation.
+func TestCheckpointSectionCountsAreBounded(t *testing.T) {
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	table := ckpt.Section{Kind: ckptSecSegTable, Data: u32(0)}
+	for name, secs := range map[string][]ckpt.Section{
+		"map claiming 2^62 entries":     {{Kind: ckptSecMap, Data: u64(1 << 62)}, table},
+		"GTD claiming 2^32-1 entries":   {{Kind: ckptSecGTD, Data: append(u32(32), u32(1<<32-1)...)}, table},
+		"table claiming 2^32-1 records": {{Kind: ckptSecMap, Data: u64(0)}, {Kind: ckptSecSegTable, Data: u32(1<<32 - 1)}},
+	} {
+		if _, err := decodeCheckpointSections(secs); !errors.Is(err, ckpt.ErrTruncated) {
+			t.Errorf("%s: got %v, want ErrTruncated", name, err)
+		}
 	}
 }

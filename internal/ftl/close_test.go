@@ -71,3 +71,77 @@ func TestCloseFailedCheckpointStillCloses(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseStartsNoBackgroundWork: the close-time checkpoint's chunks cross
+// a segment boundary with the pool at the cleaning reserve — exactly when a
+// head advance schedules a clean. Close used to leave that clean queued on a
+// scheduler nobody runs again.
+func TestCloseStartsNoBackgroundWork(t *testing.T) {
+	nc := testConfig().Nand
+	nc.PagesPerSegment, nc.Segments = 64, 16
+	cfg := DefaultConfig(nc)
+	cfg.GCWindow = 10 * sim.Millisecond
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := f.SectorSize()
+	rng := sim.NewRNG(1)
+	now := sim.Time(0)
+	for f.FreeSegments() > cfg.ReserveSegments {
+		lba := rng.Int63n(f.Sectors())
+		if now, err = f.Write(now, lba, sectorPattern(ss, lba, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now = f.Scheduler().Drain(now)
+	// Park the head two pages short of its segment's end, so the
+	// checkpoint's first chunks cross into a fresh segment.
+	for lba := int64(0); f.HeadIdx < nc.PagesPerSegment-2; lba++ {
+		if now, err = f.Write(now, lba, sectorPattern(ss, lba, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.CleaningActive() {
+		t.Fatal("setup not quiescent")
+	}
+	head := f.HeadSeg
+	if _, err := f.Close(now); err != nil {
+		t.Fatal(err)
+	}
+	if f.HeadSeg == head {
+		t.Fatal("checkpoint did not cross a segment boundary; nothing tested")
+	}
+	if f.CleaningActive() || f.Scheduler().Pending() != 0 {
+		t.Fatalf("Close left cleaning=%v pending=%d", f.CleaningActive(), f.Scheduler().Pending())
+	}
+}
+
+// TestCloseWithoutPayloadsProgramsNothing: a device that stores no payloads
+// can never read a checkpoint back, so Close must not spend programs (and
+// pinned pages) writing one.
+func TestCloseWithoutPayloadsProgramsNothing(t *testing.T) {
+	cfg := testConfig()
+	cfg.Nand.StoreData = false
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := f.Write(0, 5, sectorPattern(f.SectorSize(), 5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.Device().Stats().PagePrograms
+	if _, err := f.Close(now); err != nil {
+		t.Fatal(err)
+	}
+	if after := f.Device().Stats().PagePrograms; after != before {
+		t.Fatalf("Close programmed %d pages on a device that stores no payloads", after-before)
+	}
+	if st := f.Stats(); st.Checkpoints != 0 || st.CheckpointErrors != 0 {
+		t.Fatalf("Close on a fingerprint-mode device: %d checkpoints, %d errors", st.Checkpoints, st.CheckpointErrors)
+	}
+	if f.StartCheckpoint(now) {
+		t.Fatal("StartCheckpoint scheduled a checkpoint no recovery could read")
+	}
+}

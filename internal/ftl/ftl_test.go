@@ -3,6 +3,7 @@ package ftl
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"iosnap/internal/nand"
@@ -127,6 +128,22 @@ func TestIOErrors(t *testing.T) {
 	}
 	if _, err := f.Read(0, 0, make([]byte, 0)); !errors.Is(err, ErrBadLength) {
 		t.Fatalf("empty read: %v", err)
+	}
+	// lba+n wraps for an lba near MaxInt64; the range check must not add.
+	if _, err := f.Write(0, math.MaxInt64, make([]byte, ss)); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("write at MaxInt64: %v", err)
+	}
+	if _, err := f.Read(0, math.MaxInt64, make([]byte, ss)); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("read at MaxInt64: %v", err)
+	}
+	if _, err := f.Trim(0, math.MaxInt64-1, 2); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("trim ending at MaxInt64+1: %v", err)
+	}
+	if _, err := f.Trim(0, 1, math.MaxInt64); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("trim of MaxInt64 sectors: %v", err)
+	}
+	if f.MappedSectors() != 0 {
+		t.Fatalf("a refused request left %d translations", f.MappedSectors())
 	}
 }
 
@@ -339,6 +356,11 @@ func TestConfigValidation(t *testing.T) {
 	cfg.ReserveSegments = 0
 	if _, err := New(cfg, nil); err == nil {
 		t.Fatal("zero reserve accepted")
+	}
+	cfg = testConfig()
+	cfg.CheckpointInterval = -sim.Millisecond
+	if _, err := New(cfg, nil); err == nil {
+		t.Fatal("negative CheckpointInterval accepted")
 	}
 }
 

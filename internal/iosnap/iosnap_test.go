@@ -3,8 +3,10 @@ package iosnap
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
+	"iosnap/internal/blockdev"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/sim"
@@ -87,6 +89,51 @@ func TestIOErrors(t *testing.T) {
 	}
 	if _, _, err := f.CreateSnapshot(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("snapshot after close: %v", err)
+	}
+}
+
+// TestRangeCheckDoesNotWrap: lba+n wraps for an lba near MaxInt64, so a
+// range check that adds lets the request through — a translation outside
+// the device and a header carrying that LBA in the log. The check compares n
+// with the room above lba instead, on the device and through a view.
+func TestRangeCheckDoesNotWrap(t *testing.T) {
+	f := newTestFTL(t)
+	ss := f.SectorSize()
+	now, err := f.Write(0, 3, sectorPattern(ss, 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, now, err := f.CreateSnapshot(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vw, now, err := f.ActivateSync(now, snap.ID, ratelimit.WorkSleep{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := make([]byte, ss)
+	for name, dev := range map[string]blockdev.Device{"device": f, "view": vw} {
+		if _, err := dev.Write(now, math.MaxInt64, one); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("%s: write at MaxInt64: %v", name, err)
+		}
+		if _, err := dev.Read(now, math.MaxInt64, one); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("%s: read at MaxInt64: %v", name, err)
+		}
+		if _, err := dev.Read(now, f.Sectors()-1, make([]byte, 2*ss)); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("%s: read across the end: %v", name, err)
+		}
+	}
+	if _, err := f.Trim(now, math.MaxInt64-1, 2); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("trim ending at MaxInt64+1: %v", err)
+	}
+	if _, err := f.Trim(now, 1, math.MaxInt64); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("trim of MaxInt64 sectors: %v", err)
+	}
+	if f.MappedSectors() != 1 || vw.MappedSectors() != 1 {
+		t.Fatalf("refused requests left %d / %d translations, want 1 / 1", f.MappedSectors(), vw.MappedSectors())
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -164,6 +164,11 @@ func TestServiceStorm(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Close's checkpoint advances every shard's log head; that must not
+	// start a background clean nobody will ever run (and its token with it).
+	if g := svc.Governor(); g.InUse() != 0 {
+		t.Fatalf("Close left %d GC tokens held", g.InUse())
+	}
 	if err := svc.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second Close: got %v, want ErrClosed", err)
 	}

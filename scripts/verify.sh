@@ -23,6 +23,9 @@ go test ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== go vet -C bench ./..."
+go vet -C bench ./...
+
 echo "== go test -C bench ./..."
 go test -C bench ./...
 

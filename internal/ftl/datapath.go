@@ -1,8 +1,7 @@
 package ftl
 
 import (
-	"sort"
-
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -42,40 +41,19 @@ func (f *FTL) markValidRun(lo, hi int64) {
 		return
 	}
 	f.validity.SetRange(lo, hi)
-	f.AddValid(f.segOf(lo), delta)
+	f.AddValid(f.Dev.SegmentOf(nand.PageAddr(lo)), delta)
 }
 
-// markInvalidRuns invalidates the given physical pages, coalescing sorted
-// neighbours into ClearRange calls. Runs are split at segment boundaries so
-// each counter update stays within one segment.
+// markInvalidRuns invalidates the given physical pages, one ClearRange per
+// segment-contained run of neighbours.
 func (f *FTL) markInvalidRuns(prevs []uint64) {
-	if len(prevs) == 0 {
-		return
-	}
-	sorted := true
-	for i := 1; i < len(prevs); i++ {
-		if prevs[i] < prevs[i-1] {
-			sorted = false
-			break
-		}
-	}
-	if !sorted { // sequential overwrites displace already-ascending runs
-		sort.Slice(prevs, func(i, j int) bool { return prevs[i] < prevs[j] })
-	}
-	pps := int64(f.cfg.Nand.PagesPerSegment)
-	for i := 0; i < len(prevs); {
-		lo := int64(prevs[i])
-		hi := lo + 1
-		segEnd := (lo/pps + 1) * pps
-		j := i + 1
-		for j < len(prevs) && int64(prevs[j]) == hi && hi < segEnd {
-			hi++
-			j++
-		}
+	logcore.SortPages(prevs)
+	for len(prevs) > 0 {
+		var lo, hi int64
+		lo, hi, prevs = f.NextRun(prevs)
 		if delta := f.validity.CountRange(lo, hi); delta > 0 {
 			f.validity.ClearRange(lo, hi)
-			f.AddValid(f.segOf(lo), -delta)
+			f.AddValid(f.Dev.SegmentOf(nand.PageAddr(lo)), -delta)
 		}
-		i = j
 	}
 }

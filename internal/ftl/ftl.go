@@ -105,9 +105,6 @@ func (f *FTL) HeadAdvanced(now sim.Time) { f.maybeScheduleGC(now) }
 func (f *FTL) SegmentTracked(int, bool) {}
 func (f *FTL) SegmentReleased(int)      {}
 
-// segOf returns the segment holding physical page p.
-func (f *FTL) segOf(p int64) int { return int(p) / f.cfg.Nand.PagesPerSegment }
-
 // markValid sets a validity bit and keeps the per-segment counts exact. All
 // validity transitions must go through markValid/markInvalid (or their run
 // forms in datapath.go).
@@ -116,7 +113,7 @@ func (f *FTL) markValid(p int64) {
 		return
 	}
 	f.validity.Set(p)
-	f.AddValid(f.segOf(p), 1)
+	f.AddValid(f.Dev.SegmentOf(nand.PageAddr(p)), 1)
 }
 
 // markInvalid clears a validity bit and keeps the per-segment counters exact.
@@ -125,5 +122,5 @@ func (f *FTL) markInvalid(p int64) {
 		return
 	}
 	f.validity.Clear(p)
-	f.AddValid(f.segOf(p), -1)
+	f.AddValid(f.Dev.SegmentOf(nand.PageAddr(p)), -1)
 }

@@ -13,9 +13,8 @@ package iosnap
 // the run — betray a snapshot's existence (Figure 7's spikes).
 
 import (
-	"sort"
-
 	"iosnap/internal/bitmap"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -55,37 +54,16 @@ func (f *FTL) RunCommitted(epoch uint64, set []nand.PageAddr, cleared []uint64) 
 	return sim.Duration(cows) * f.cfg.CoWPageCost
 }
 
-// clearViewRuns clears the given physical pages in epoch e, coalescing
-// sorted neighbours into ClearRange calls (split at segment boundaries so
-// the accounting hook stays within one merge cache). Returns CoW copies.
+// clearViewRuns clears the given physical pages in epoch e, one ClearRange
+// per segment-contained run of neighbours. Returns CoW copies.
 func (f *FTL) clearViewRuns(e bitmap.Epoch, prevs []uint64) int {
-	if len(prevs) == 0 {
-		return 0
-	}
-	sorted := true
-	for i := 1; i < len(prevs); i++ {
-		if prevs[i] < prevs[i-1] {
-			sorted = false
-			break
-		}
-	}
-	if !sorted { // sequential overwrites displace already-ascending runs
-		sort.Slice(prevs, func(i, j int) bool { return prevs[i] < prevs[j] })
-	}
-	pps := int64(f.cfg.Nand.PagesPerSegment)
+	logcore.SortPages(prevs)
 	cows := 0
-	for i := 0; i < len(prevs); {
-		lo := int64(prevs[i])
-		hi := lo + 1
-		segEnd := (lo/pps + 1) * pps
-		j := i + 1
-		for j < len(prevs) && int64(prevs[j]) == hi && hi < segEnd {
-			hi++
-			j++
-		}
+	for len(prevs) > 0 {
+		var lo, hi int64
+		lo, hi, prevs = f.NextRun(prevs)
 		cows += f.vstore.ClearRange(e, lo, hi)
 		f.acct.onViewClearRun(e, lo, hi)
-		i = j
 	}
 	return cows
 }

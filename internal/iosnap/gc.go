@@ -26,22 +26,10 @@ import (
 
 // mergeSegment computes the merged validity for one segment from scratch.
 // The hot paths read the incremental caches in gcacct.go instead; this stays
-// as the reference implementation for the accounting invariant check, the
-// victim-selection benchmark, and diagnostics.
-func (f *FTL) mergeSegment(seg int) (*bitmap.Bitmap, sim.Duration) {
+// as the reference the accounting cross-check compares against.
+func (f *FTL) mergeSegment(seg int) *bitmap.Bitmap {
 	pps := int64(f.cfg.Nand.PagesPerSegment)
-	lo, hi := int64(seg)*pps, int64(seg+1)*pps
-	epochs := f.vstore.Epochs()
-	merged := f.vstore.MergeRange(epochs, lo, hi)
-	// Host cost: one pass per live (non-deleted) epoch over the segment.
-	live := 0
-	for _, e := range epochs {
-		if !f.vstore.Deleted(e) {
-			live++
-		}
-	}
-	cost := sim.Duration(int64(live)) * sim.Duration(pps) * f.cfg.MergeCPUPerBlock
-	return merged, cost
+	return f.vstore.MergeRange(f.vstore.Epochs(), int64(seg)*pps, int64(seg+1)*pps)
 }
 
 // selectVictim picks the non-head segment with the best score under the
@@ -73,8 +61,7 @@ func (f *FTL) selectVictimScratch() (victim, mergedValid int) {
 		if seg == f.HeadSeg || seg == f.GCVictim {
 			continue
 		}
-		merged, _ := f.mergeSegment(seg)
-		mv := merged.Count()
+		mv := f.mergeSegment(seg).Count()
 		invalid := int(pps) - mv - f.PinnedInSeg(seg)
 		if invalid <= 0 {
 			continue

@@ -43,7 +43,7 @@ type segAcct struct {
 // gcAcct owns the per-segment caches.
 type gcAcct struct {
 	f        *FTL
-	bySeg    []*segAcct // indexed by segment; nil when not in usedSegs
+	bySeg    []*segAcct // indexed by segment; nil when not in UsedSegs
 	viewGen  uint64     // advanced when the set of view-backing epochs changes
 	freshGen uint64     // generation as of the last complete refreshAll
 }
@@ -62,7 +62,7 @@ func (a *gcAcct) curGen() uint64 { return a.f.vstore.Gen() + a.viewGen }
 // epoch set changing).
 func (a *gcAcct) bumpViewGen() { a.viewGen++ }
 
-// track registers a segment that just entered usedSegs. freshEmpty marks a
+// track registers a segment that just entered UsedSegs. freshEmpty marks a
 // just-erased segment entering service as log head: no live epoch holds a
 // bit there, so its cache starts exact (all-zero) with no rebuild charge.
 // Recovery passes false — caches start stale and the first selection
@@ -79,7 +79,7 @@ func (a *gcAcct) track(seg int, freshEmpty bool) {
 	a.f.SetValid(seg, 0) // a stale cache ignored the flips since it went stale
 }
 
-// untrack drops a segment that left usedSegs (erased back to the pool, or
+// untrack drops a segment that left UsedSegs (erased back to the pool, or
 // retired).
 func (a *gcAcct) untrack(seg int) { a.bySeg[seg] = nil }
 

@@ -27,7 +27,7 @@ import (
 //     live snapshot's epoch exists in the validity store, parent/child
 //     links are mutual, and each snapshot's epoch reaches its parent's
 //     epoch by walking the epoch-parent chain;
-//  4. usedSegs and freeSegs partition the non-retired segments with no
+//  4. UsedSegs and FreeSegs partition the non-retired segments with no
 //     duplicates, free segments hold no programmed pages and no presence
 //     summary, and the log head lives in a used segment;
 //  5. retired segments are fully out of service: in neither pool, never the
@@ -161,11 +161,8 @@ func (f *FTL) checkCheckpointPins() error {
 // checkGCAccounting cross-checks the incremental merged-validity accounting
 // (gcacct.go) against a from-scratch recompute:
 //
-//   - the tracked-segment set equals the usedSegs set, with insertion stamps
-//     strictly increasing in usedSegs order (the tie-break that makes heap
-//     selection reproduce the old oldest-first scan);
-//   - the greedy heap contains exactly the tracked entries, with correct
-//     back-pointers and the heap property intact;
+//   - the engine's victim heap is sound (logcore.CheckVictimHeap) and the
+//     cached segments are exactly the UsedSegs set;
 //   - every FRESH entry's cached merged and frozen bitmaps match a scratch
 //     merge over the live epochs (split by view membership), and its valid
 //     counter matches the merged popcount. Stale entries (generation behind)
@@ -179,12 +176,22 @@ func (f *FTL) checkGCAccounting() error {
 	if err := f.CheckVictimHeap(); err != nil {
 		return err
 	}
+	tracked := 0
 	for s, e := range a.bySeg {
-		if (e != nil) != f.SegInUse(s) {
-			return fmt.Errorf("invariant: gcacct cache for segment %d present=%v, in use=%v", s, e != nil, f.SegInUse(s))
+		if e == nil {
+			continue
 		}
-		if e != nil && e.seg != s {
+		tracked++
+		if e.seg != s {
 			return fmt.Errorf("invariant: gcacct entry for segment %d carries seg %d", s, e.seg)
+		}
+	}
+	if tracked != len(f.UsedSegs) {
+		return fmt.Errorf("invariant: gcacct tracks %d segments, UsedSegs has %d", tracked, len(f.UsedSegs))
+	}
+	for _, s := range f.UsedSegs {
+		if a.bySeg[s] == nil {
+			return fmt.Errorf("invariant: used segment %d untracked by gcacct", s)
 		}
 	}
 
@@ -474,10 +481,10 @@ func CompareRecovered(a, b *FTL) error {
 		return fmt.Errorf("compare: log head %d/%d vs %d/%d", a.HeadSeg, a.HeadIdx, b.HeadSeg, b.HeadIdx)
 	}
 	if fmt.Sprint(a.UsedSegs) != fmt.Sprint(b.UsedSegs) {
-		return fmt.Errorf("compare: usedSegs %v vs %v", a.UsedSegs, b.UsedSegs)
+		return fmt.Errorf("compare: UsedSegs %v vs %v", a.UsedSegs, b.UsedSegs)
 	}
 	if fmt.Sprint(a.FreeSegs) != fmt.Sprint(b.FreeSegs) {
-		return fmt.Errorf("compare: freeSegs %v vs %v", a.FreeSegs, b.FreeSegs)
+		return fmt.Errorf("compare: FreeSegs %v vs %v", a.FreeSegs, b.FreeSegs)
 	}
 	for s := range a.SegLastSeq {
 		if a.SegLastSeq[s] != b.SegLastSeq[s] {

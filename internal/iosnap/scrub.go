@@ -7,7 +7,7 @@ import (
 )
 
 // The background scrubber walks the used segments oldest-first (the log
-// order of usedSegs), read-verifying every programmed page's OOB header and
+// order of UsedSegs), read-verifying every programmed page's OOB header and
 // rescuing + retiring any segment found (or already marked) suspect. Each
 // pass is a single sim.Task: it finishes after one walk rather than
 // rescheduling itself forever, so Scheduler.Drain terminates; the next pass

@@ -237,9 +237,6 @@ func (l *Log) StartCheckpoint(now sim.Time) bool {
 	return true
 }
 
-// CheckpointActive reports whether a checkpoint is being written.
-func (l *Log) CheckpointActive() bool { return l.ckptActive }
-
 // ckptTask programs a serialized generation's chunks under the WorkSleep
 // budget. The streams were captured at scheduling time, so foreground
 // writes that land between quanta carry seq > ckptSeq and are replayed on

@@ -289,7 +289,7 @@ func (l *Log) FinishClean(now sim.Time, victim int) (sim.Time, error) {
 		l.retireSegment(victim)
 		return done, nil
 	}
-	l.unuse(victim)
+	l.UsedSegs = without(l.UsedSegs, victim)
 	l.FreeSegs = append(l.FreeSegs, victim)
 	l.untrack(victim)
 	return done, nil

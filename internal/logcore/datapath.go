@@ -20,6 +20,7 @@ package logcore
 
 import (
 	"fmt"
+	"slices"
 
 	"iosnap/internal/ftlmap"
 	"iosnap/internal/header"
@@ -334,6 +335,30 @@ func (l *Log) TrimActive(now sim.Time, epoch uint64, lba int64, n int64) (sim.Ti
 	l.policy.RunCommitted(epoch, nil, l.ws.prevs)
 	l.stats.Trims += n
 	return t.Add(sim.Duration(span) * l.cfg.MapCPUCost), nil
+}
+
+// SortPages orders a list of physical pages a policy is about to invalidate
+// for NextRun. Sequential overwrites displace already-ascending runs, so the
+// sort is usually skipped.
+func SortPages(pages []uint64) {
+	if !slices.IsSorted(pages) {
+		slices.Sort(pages)
+	}
+}
+
+// NextRun splits the first run off pages (ascending, non-empty): the longest
+// prefix of consecutive pages inside one segment, so each validity kernel
+// call and counter update stays within one segment. It returns the run
+// [lo, hi) and the pages after it.
+func (l *Log) NextRun(pages []uint64) (lo, hi int64, rest []uint64) {
+	pps := int64(l.cfg.Nand.PagesPerSegment)
+	lo = int64(pages[0])
+	hi = lo + 1
+	n := 1
+	for segEnd := (lo/pps + 1) * pps; n < len(pages) && int64(pages[n]) == hi && hi < segEnd; n++ {
+		hi++
+	}
+	return lo, hi, pages[n:]
 }
 
 // lookupScratch returns the reusable LookupRange buffers, grown to n and

@@ -2,6 +2,7 @@ package logcore
 
 import (
 	"errors"
+	"slices"
 
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
@@ -101,14 +102,12 @@ func (l *Log) SealHead() {
 	l.nextHead()
 }
 
-// unuse removes seg from the used list.
-func (l *Log) unuse(seg int) {
-	for i, s := range l.UsedSegs {
-		if s == seg {
-			l.UsedSegs = append(l.UsedSegs[:i], l.UsedSegs[i+1:]...)
-			return
-		}
+// without returns segs with seg removed, order kept.
+func without(segs []int, seg int) []int {
+	if i := slices.Index(segs, seg); i >= 0 {
+		return slices.Delete(segs, i, i+1)
 	}
+	return segs
 }
 
 // retireSegment removes a fully-rescued segment from service: the device
@@ -116,12 +115,7 @@ func (l *Log) unuse(seg int) {
 // good. Callers must have moved every block the policy still needs off it.
 func (l *Log) retireSegment(seg int) {
 	l.Dev.Retire(seg)
-	l.unuse(seg)
-	for i, s := range l.FreeSegs {
-		if s == seg {
-			l.FreeSegs = append(l.FreeSegs[:i], l.FreeSegs[i+1:]...)
-			break
-		}
-	}
+	l.UsedSegs = without(l.UsedSegs, seg)
+	l.FreeSegs = without(l.FreeSegs, seg)
 	l.untrack(seg)
 }

@@ -16,6 +16,7 @@ package logcore
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
@@ -249,14 +250,14 @@ type GCGate interface {
 // (RunCommitted) is the finest grain.
 type Policy interface {
 	// CleanOnce synchronously cleans the best victim: the forced path a
-	// writer takes when the free pool is at its floor (allocPageReserve).
+	// writer takes when the free pool is at its floor (AllocPageReserve).
 	// It returns ErrDeviceFull when nothing is reclaimable.
 	CleanOnce(now sim.Time, forced bool) (sim.Time, error)
 	// ScheduleClean starts a paced background clean of seg, which the caller
 	// (the policy's own victim selection, or ForceClean) has validated.
 	ScheduleClean(now sim.Time, seg int)
 	// HeadAdvanced runs after a writer moved the head onto a fresh segment
-	// (allocPageReserve): the policy schedules its background work. The
+	// (AllocPageReserve): the policy schedules its background work. The
 	// periodic checkpoint is the core's and follows it.
 	HeadAdvanced(now sim.Time)
 	// SegmentTracked reports that seg entered the used list: fresh when it
@@ -392,14 +393,7 @@ func (l *Log) MappedSectors() int { return l.ActiveMap.Len() }
 func (l *Log) UsedSegments() []int { return append([]int(nil), l.UsedSegs...) }
 
 // SegInUse reports whether seg is currently in the used list.
-func (l *Log) SegInUse(seg int) bool {
-	for _, s := range l.UsedSegs {
-		if s == seg {
-			return true
-		}
-	}
-	return false
-}
+func (l *Log) SegInUse(seg int) bool { return slices.Contains(l.UsedSegs, seg) }
 
 // Closed reports whether Close has run.
 func (l *Log) Closed() bool { return l.closed }

@@ -20,28 +20,32 @@ func (l *Log) markSuspect(seg int) {
 	l.stats.MediaFailures++
 }
 
+// retried runs one device operation under the retry policy; a failure that
+// proves permanent marks segment blame suspect.
+func (l *Log) retried(now sim.Time, blame int, op func(at sim.Time) (sim.Time, error)) (sim.Time, error) {
+	done, retries, err := l.cfg.Retry.Do(now, op)
+	l.stats.Retries += retries
+	if err != nil && retry.MediaFailure(err) {
+		l.markSuspect(blame)
+	}
+	return done, err
+}
+
 func (l *Log) devReadPage(now sim.Time, addr nand.PageAddr) (data, oob []byte, done sim.Time, err error) {
-	done, retries, err := l.cfg.Retry.Do(now, func(at sim.Time) (sim.Time, error) {
+	done, err = l.retried(now, l.Dev.SegmentOf(addr), func(at sim.Time) (sim.Time, error) {
 		var e error
 		data, oob, at, e = l.Dev.ReadPage(at, addr)
 		return at, e
 	})
-	l.stats.Retries += retries
-	if err != nil && retry.MediaFailure(err) {
-		l.markSuspect(l.Dev.SegmentOf(addr))
-	}
 	return data, oob, done, err
 }
 
+// DevProgramPage programs one page (a note, a translation page, a
+// checkpoint chunk; every page on the reference path).
 func (l *Log) DevProgramPage(now sim.Time, addr nand.PageAddr, data, oob []byte) (sim.Time, error) {
-	done, retries, err := l.cfg.Retry.Do(now, func(at sim.Time) (sim.Time, error) {
+	return l.retried(now, l.Dev.SegmentOf(addr), func(at sim.Time) (sim.Time, error) {
 		return l.Dev.ProgramPage(at, addr, data, oob)
 	})
-	l.stats.Retries += retries
-	if err != nil && retry.MediaFailure(err) {
-		l.markSuspect(l.Dev.SegmentOf(addr))
-	}
-	return done, err
 }
 
 // devCopyPage attributes a permanent copy failure to the source segment:
@@ -49,37 +53,25 @@ func (l *Log) DevProgramPage(now sim.Time, addr nand.PageAddr, data, oob []byte)
 // drives the rescue machinery toward the data most at risk. (A permanent
 // destination failure resurfaces as a program failure on the head.)
 func (l *Log) devCopyPage(now sim.Time, from, to nand.PageAddr) (sim.Time, error) {
-	done, retries, err := l.cfg.Retry.Do(now, func(at sim.Time) (sim.Time, error) {
+	return l.retried(now, l.Dev.SegmentOf(from), func(at sim.Time) (sim.Time, error) {
 		return l.Dev.CopyPage(at, from, to)
 	})
-	l.stats.Retries += retries
-	if err != nil && retry.MediaFailure(err) {
-		l.markSuspect(l.Dev.SegmentOf(from))
-	}
-	return done, err
 }
 
 func (l *Log) devEraseSegment(now sim.Time, seg int) (sim.Time, error) {
-	done, retries, err := l.cfg.Retry.Do(now, func(at sim.Time) (sim.Time, error) {
+	return l.retried(now, seg, func(at sim.Time) (sim.Time, error) {
 		return l.Dev.EraseSegment(at, seg)
 	})
-	l.stats.Retries += retries
-	if err != nil && retry.MediaFailure(err) {
-		l.markSuspect(seg)
-	}
-	return done, err
 }
 
+// DevScanSegmentOOB reads every OOB header of seg in one device operation
+// (recovery, activation and export scans, scrub read-verification).
 func (l *Log) DevScanSegmentOOB(now sim.Time, seg int) (oobs [][]byte, done sim.Time, err error) {
-	done, retries, err := l.cfg.Retry.Do(now, func(at sim.Time) (sim.Time, error) {
+	done, err = l.retried(now, seg, func(at sim.Time) (sim.Time, error) {
 		var e error
 		oobs, at, e = l.Dev.ScanSegmentOOB(at, seg)
 		return at, e
 	})
-	l.stats.Retries += retries
-	if err != nil && retry.MediaFailure(err) {
-		l.markSuspect(seg)
-	}
 	return oobs, done, err
 }
 

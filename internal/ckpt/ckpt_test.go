@@ -128,3 +128,22 @@ func TestWriterReader(t *testing.T) {
 		t.Fatal("overread not detected")
 	}
 }
+
+func TestReaderCountBoundsByRemainingBytes(t *testing.T) {
+	var w Writer
+	w.U32(3)
+	for i := 0; i < 3; i++ {
+		w.U64(uint64(i))
+	}
+	r := Reader{B: w.B}
+	if n := r.Count(uint64(r.U32()), 8); n != 3 || r.Err() != nil {
+		t.Fatalf("honest count: got %d, err %v", n, r.Err())
+	}
+	for _, claim := range []uint64{4, 1 << 32, 1 << 62} {
+		r := Reader{B: w.B}
+		r.U32()
+		if n := r.Count(claim, 8); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
+			t.Fatalf("count %d over 24 bytes: got %d, err %v", claim, n, r.Err())
+		}
+	}
+}

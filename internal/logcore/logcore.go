@@ -265,7 +265,7 @@ type Policy interface {
 	// found it holding data (RebuildGeometry).
 	SegmentTracked(seg int, fresh bool)
 	// SegmentReleased reports that seg left the used list, erased back to
-	// the pool or retired (finishClean, retireSegment).
+	// the pool or retired (FinishClean, retirement).
 	SegmentReleased(seg int)
 	// RunCommitted flips validity for one committed run of the data path
 	// (WriteRun, once per programmed chunk; TrimActive, once): the
@@ -275,8 +275,8 @@ type Policy interface {
 	// time the flips cost, charged once at the end of a write.
 	RunCommitted(epoch uint64, set []nand.PageAddr, cleared []uint64) sim.Duration
 	// SerializeCheckpoint captures the policy's whole recoverable state at
-	// one instant as chunk jobs (startCheckpoint, ckptTask, writeCheckpoint).
-	// The identity it returns doubles as the replay cut-off: l.Seq now.
+	// one instant as chunk jobs (StartCheckpoint, ckptTask, the close-time
+	// write). The identity it returns doubles as the replay cut-off: Seq now.
 	SerializeCheckpoint() (id uint64, jobs []ChunkJob, err error)
 }
 

@@ -179,6 +179,88 @@ func BenchmarkActivation(b *testing.B) {
 	}
 }
 
+// BenchmarkCleanAfterSnapshotHistory measures what a forced clean costs per
+// moved block on devices that differ only in how many snapshots have come
+// and gone: N create → activate → deactivate → delete cycles, then the same
+// four live snapshots. Every cycle leaves two dead epochs in the validity
+// store; the cleaner's per-block fix-up walks the live ones, so ns/moved-block
+// must be flat in N (it grew with N while the fix-up enumerated every epoch
+// ever created). Printed, not gated: wall clock on a shared runner is noise.
+func BenchmarkCleanAfterSnapshotHistory(b *testing.B) {
+	for _, cycles := range []int{0, 100, 400} {
+		b.Run("cycles-"+strconv.Itoa(cycles), func(b *testing.B) {
+			nc := benchNand()
+			nc.PagesPerSegment = 256
+			nc.Segments = 64
+			cfg := iosnap.DefaultConfig(nc)
+			cfg.GCWindow = 10 * sim.Millisecond
+			f, err := iosnap.New(cfg, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, nc.SectorSize)
+			rng := sim.NewRNG(1)
+			space := f.Sectors() / 3
+			now := sim.Time(0)
+			write := func(n int) {
+				for i := 0; i < n; i++ {
+					f.Scheduler().RunUntil(now)
+					if now, err = f.Write(now, rng.Int63n(space), buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			write(2 * int(space))
+			for c := 0; c < cycles; c++ {
+				write(64)
+				snap, d, err := f.CreateSnapshot(now)
+				if err != nil {
+					b.Fatal(err)
+				}
+				view, d, err := f.ActivateSync(d, snap.ID, ratelimit.WorkSleep{}, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if d, err = view.Deactivate(d); err != nil {
+					b.Fatal(err)
+				}
+				if now, err = f.DeleteSnapshot(d, snap.ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for s := 0; s < 4; s++ {
+				write(256)
+				if _, now, err = f.CreateSnapshot(now); err != nil {
+					b.Fatal(err)
+				}
+			}
+			now = f.Scheduler().Drain(now)
+
+			var moved int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, seg := range append([]int(nil), f.UsedSegs...) {
+					if seg == f.HeadSeg || !f.SegInUse(seg) {
+						continue
+					}
+					before := f.Stats().GCCopied
+					if err := f.ForceClean(now, seg); err != nil {
+						b.Fatal(err)
+					}
+					now = f.Scheduler().Drain(now)
+					moved += f.Stats().GCCopied - before
+				}
+			}
+			b.StopTimer()
+			if moved == 0 {
+				b.Fatal("forced cleans moved nothing")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/moved-block")
+			b.ReportMetric(float64(moved)/float64(b.N), "moved-blocks/op")
+		})
+	}
+}
+
 // ---- Ablation benches (design choices from DESIGN.md §5). ----
 
 // BenchmarkAblationBitmapCoW compares the paper's CoW validity maps with

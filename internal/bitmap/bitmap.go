@@ -112,6 +112,28 @@ func (b *Bitmap) Test(i int64) bool {
 	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
+// NextSet returns the index of the first set bit at or after i, and false
+// when there is none: for i, ok := b.NextSet(0); ok; i, ok = b.NextSet(i + 1)
+// visits the set bits in ascending order at a word per 64 clear ones.
+func (b *Bitmap) NextSet(i int64) (int64, bool) {
+	if i < 0 {
+		i = 0
+	}
+	if i >= b.n {
+		return 0, false
+	}
+	w := i / wordBits
+	if rest := b.words[w] >> uint(i%wordBits); rest != 0 {
+		return i + int64(bits.TrailingZeros64(rest)), true
+	}
+	for w++; w < int64(len(b.words)); w++ {
+		if b.words[w] != 0 {
+			return w*wordBits + int64(bits.TrailingZeros64(b.words[w])), true
+		}
+	}
+	return 0, false
+}
+
 // Or merges other into b (bitwise OR). The bitmaps must be the same length.
 func (b *Bitmap) Or(other *Bitmap) {
 	if b.n != other.n {

@@ -3,6 +3,7 @@ package bitmap
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -39,6 +40,9 @@ type Store struct {
 	nBits       int64
 	bitsPerPage int64
 	epochs      map[Epoch]*epochMap
+	live        []Epoch     // the non-deleted epochs, ascending
+	liveMaps    []*epochMap // their maps, index for index
+	holding     []int       // Repoint's scratch: indices into liveMaps
 
 	cowCopies  int64 // total bitmap pages copied (Figure 7b's counter)
 	livePages  int64 // privately owned pages across live epochs
@@ -100,6 +104,9 @@ func (s *Store) CreateEpoch(e, parent Epoch) error {
 		p.children = append(p.children, em)
 	}
 	s.epochs[e] = em
+	i, _ := slices.BinarySearch(s.live, e)
+	s.live = slices.Insert(s.live, i, e)
+	s.liveMaps = slices.Insert(s.liveMaps, i, em)
 	s.gen++
 	return nil
 }
@@ -113,7 +120,12 @@ func (s *Store) DeleteEpoch(e Epoch) error {
 	if !ok {
 		return fmt.Errorf("bitmap: epoch %d does not exist", e)
 	}
-	em.deleted = true
+	if !em.deleted {
+		em.deleted = true
+		i, _ := slices.BinarySearch(s.live, e)
+		s.live = slices.Delete(s.live, i, i+1)
+		s.liveMaps = slices.Delete(s.liveMaps, i, i+1)
+	}
 	s.gen++
 	return nil
 }
@@ -136,7 +148,16 @@ func (s *Store) Exists(e Epoch) bool {
 	return ok
 }
 
-// Epochs returns the registered epoch numbers (unspecified order).
+// LiveEpochs returns the non-deleted epochs in ascending order: the set the
+// cleaner merges over and re-points, whose size follows the live snapshots
+// and views, not the number of epochs ever created. The slice is the store's
+// own, valid until the next CreateEpoch or DeleteEpoch; callers must not
+// modify it.
+func (s *Store) LiveEpochs() []Epoch { return s.live }
+
+// Epochs returns every registered epoch number, deleted ones included, in
+// unspecified order (the checkpoint and the invariant checker walk history;
+// nothing on a hot path should).
 func (s *Store) Epochs() []Epoch {
 	out := make([]Epoch, 0, len(s.epochs))
 	for e := range s.epochs {
@@ -194,7 +215,10 @@ func (s *Store) PageIndices(e Epoch) []int64 {
 // Test reports bit i as seen by epoch e.
 func (s *Store) Test(e Epoch, i int64) bool {
 	s.checkBit(i)
-	em := s.get(e)
+	return s.test(s.get(e), i)
+}
+
+func (s *Store) test(em *epochMap, i int64) bool {
 	pg, _ := em.findPage(i / s.bitsPerPage)
 	if pg == nil {
 		return false
@@ -253,7 +277,10 @@ func (s *Store) pushDown(em *epochMap, pageIdx int64) {
 // modification of inherited state. It reports whether a CoW copy occurred.
 func (s *Store) Set(e Epoch, i int64) (cow bool) {
 	s.checkBit(i)
-	em := s.get(e)
+	return s.set(s.get(e), i)
+}
+
+func (s *Store) set(em *epochMap, i int64) (cow bool) {
 	s.pushDown(em, i/s.bitsPerPage)
 	pg, copied := s.ownPage(em, i/s.bitsPerPage)
 	off := i % s.bitsPerPage
@@ -264,7 +291,10 @@ func (s *Store) Set(e Epoch, i int64) (cow bool) {
 // Clear clears bit i in epoch e, with the same CoW behaviour as Set.
 func (s *Store) Clear(e Epoch, i int64) (cow bool) {
 	s.checkBit(i)
-	em := s.get(e)
+	return s.clear(s.get(e), i)
+}
+
+func (s *Store) clear(em *epochMap, i int64) (cow bool) {
 	pageIdx := i / s.bitsPerPage
 	// Clearing a bit that is already 0 everywhere on the chain needs no page.
 	pg, owned := em.findPage(pageIdx)
@@ -281,6 +311,31 @@ func (s *Store) Clear(e Epoch, i int64) (cow bool) {
 	off := i % s.bitsPerPage
 	pg.words[off/wordBits] &^= 1 << uint(off%wordBits)
 	return copied
+}
+
+// Repoint moves one block's validity from bit old to bit dst in every live
+// epoch that holds it — the segment cleaner's fix-up for a block it copied
+// forward (paper §5.4.3) — and returns those epochs, ascending, appended to
+// holders[:0]. It is Test, then Clear and Set, per live epoch, without an
+// epoch lookup apiece: its cost follows the live epochs, not the history.
+// The holders are found before anything is flipped and flipped in ascending
+// order, which fixes which epochs pay the CoW push-down copies.
+func (s *Store) Repoint(old, dst int64, holders []Epoch) []Epoch {
+	s.checkBit(old)
+	s.checkBit(dst)
+	s.holding = s.holding[:0]
+	for i, em := range s.liveMaps {
+		if s.test(em, old) {
+			s.holding = append(s.holding, i)
+		}
+	}
+	holders = holders[:0]
+	for _, i := range s.holding {
+		s.clear(s.liveMaps[i], old)
+		s.set(s.liveMaps[i], dst)
+		holders = append(holders, s.live[i])
+	}
+	return holders
 }
 
 // SetRange sets bits [lo, hi) in epoch e with at most one CoW copy per
@@ -385,27 +440,44 @@ func (s *Store) OrRangeInto(epochs []Epoch, lo, hi int64, out *Bitmap) {
 	if out.n != hi-lo {
 		panic(fmt.Sprintf("bitmap: OrRangeInto buffer length %d != range %d", out.n, hi-lo))
 	}
-	wordAligned := lo%wordBits == 0
 	for _, e := range epochs {
-		em := s.get(e)
-		if em.deleted {
+		if em := s.get(e); !em.deleted {
+			s.orEpoch(em, lo, hi, out)
+		}
+	}
+}
+
+// ReadRangeInto overwrites out, which must have length hi-lo, with bits
+// [lo, hi) exactly as epoch e sees them — Test over the range, a CoW page's
+// words at a time. Like Test and unlike the merges it answers for a deleted
+// epoch too: a snapshot's own bits stay the oracle of what it holds whatever
+// became of the epoch since.
+func (s *Store) ReadRangeInto(e Epoch, lo, hi int64, out *Bitmap) {
+	if lo < 0 || hi > s.nBits || out.n != hi-lo {
+		panic(fmt.Sprintf("bitmap: ReadRangeInto [%d,%d) of [0,%d) into %d bits", lo, hi, s.nBits, out.n))
+	}
+	out.Reset()
+	s.orEpoch(s.get(e), lo, hi, out)
+}
+
+// orEpoch ORs epoch em's bits [lo, hi) into out: whole words when the range
+// starts on a word boundary (every segment of a geometry with 64 | pages per
+// segment), bit by bit otherwise.
+func (s *Store) orEpoch(em *epochMap, lo, hi int64, out *Bitmap) {
+	if lo%wordBits == 0 {
+		s.mergeWords(em, out, lo, hi)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		pg, _ := em.findPage(i / s.bitsPerPage)
+		if pg == nil {
+			// Skip the rest of this page's span within the range.
+			i = (i/s.bitsPerPage+1)*s.bitsPerPage - 1
 			continue
 		}
-		if wordAligned {
-			s.mergeWords(em, out, lo, hi)
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			pg, _ := em.findPage(i / s.bitsPerPage)
-			if pg == nil {
-				// Skip the rest of this page's span within the range.
-				i = (i/s.bitsPerPage+1)*s.bitsPerPage - 1
-				continue
-			}
-			off := i % s.bitsPerPage
-			if pg.words[off/wordBits]&(1<<uint(off%wordBits)) != 0 {
-				out.Set(i - lo)
-			}
+		off := i % s.bitsPerPage
+		if pg.words[off/wordBits]&(1<<uint(off%wordBits)) != 0 {
+			out.Set(i - lo)
 		}
 	}
 }

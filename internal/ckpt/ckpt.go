@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 )
 
 // Section is one typed region of a checkpoint stream. Kind is
@@ -174,6 +175,16 @@ func (w *Writer) U8(v uint8)   { w.B = append(w.B, v) }
 func (w *Writer) U32(v uint32) { w.B = binary.LittleEndian.AppendUint32(w.B, v) }
 func (w *Writer) U64(v uint64) { w.B = binary.LittleEndian.AppendUint64(w.B, v) }
 func (w *Writer) Bool(v bool)  { w.U8(map[bool]uint8{false: 0, true: 1}[v]) }
+
+// U64s appends every element of vs as U64 would, growing the buffer at most
+// once (a validity stream is bitmap pages of 512 words each).
+func (w *Writer) U64s(vs []uint64) {
+	w.B = slices.Grow(w.B, 8*len(vs))
+	for _, v := range vs {
+		w.B = binary.LittleEndian.AppendUint64(w.B, v)
+	}
+}
+
 func (w *Writer) Bytes(p []byte) {
 	w.U32(uint32(len(p)))
 	w.B = append(w.B, p...)

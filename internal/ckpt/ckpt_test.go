@@ -129,6 +129,26 @@ func TestWriterReader(t *testing.T) {
 	}
 }
 
+// TestWriterU64sIsALoopOfU64: the bulk append writes the bytes a U64 per
+// element writes, after whatever the buffer already holds, and an empty
+// slice writes nothing.
+func TestWriterU64sIsALoopOfU64(t *testing.T) {
+	words := []uint64{0, 1, 1 << 63, 0xDEADBEEFCAFEF00D, ^uint64(0)}
+	var bulk, loop Writer
+	for _, w := range []*Writer{&bulk, &loop} {
+		w.U8(9) // an odd offset: nothing may assume alignment
+	}
+	bulk.U64s(words)
+	bulk.U64s(nil)
+	bulk.U64s(words[:1])
+	for _, v := range append(append([]uint64(nil), words...), words[0]) {
+		loop.U64(v)
+	}
+	if !bytes.Equal(bulk.B, loop.B) {
+		t.Fatalf("U64s wrote %x, a loop of U64 %x", bulk.B, loop.B)
+	}
+}
+
 func TestReaderCountBoundsByRemainingBytes(t *testing.T) {
 	var w Writer
 	w.U32(3)

@@ -93,7 +93,7 @@ func TestCrashRuleBricksDeviceUntilDisarm(t *testing.T) {
 	if _, _, _, err := d.ReadPage(0, d.Addr(0, 0)); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash read: got %v, want ErrCrashed", err)
 	}
-	if _, _, err := d.ScanSegmentOOB(0, 0); !errors.Is(err, ErrCrashed) {
+	if _, _, err := d.ScanSegmentOOB(0, 0, nil); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash scan: got %v, want ErrCrashed", err)
 	}
 	payload := make([]byte, d.Config().SectorSize)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"iosnap/internal/bitmap"
 	"iosnap/internal/ftlmap"
@@ -115,16 +114,29 @@ func (vw *View) Deactivate(now sim.Time) (sim.Time, error) {
 	return done, nil
 }
 
-// actEntry is one candidate translation found during the activation scan.
-type actEntry struct {
+// actCand is one candidate translation found by the activation scan: a data
+// page valid in the snapshot's epoch.
+type actCand struct {
+	lba  uint64
 	addr nand.PageAddr
 	seq  uint64
 }
+
+// candRange is the run of Activation.cands one scanned segment contributed.
+type candRange struct{ lo, hi int }
 
 // Activation is an in-progress (or finished) snapshot activation. It runs
 // as a background task on the FTL's scheduler so its log-scan traffic
 // contends with — and can be rate-limited away from — foreground I/O
 // (paper §5.6, Figure 9).
+//
+// The scan is driven by the snapshot epoch's validity bits: per segment it
+// reads the epoch's words once, decodes only the headers of the pages they
+// name and appends them to cands. Scan order is address order (scanList
+// ascends, and so do the pages of a segment), which is what lets the cleaner
+// find the candidate of a block it moves by address (onBlockMoved) with no
+// per-page index. When the scan ends, finishScan turns cands into the sorted,
+// duplicate-free entry list the bottom-up map build wants.
 type Activation struct {
 	f        *FTL
 	snap     *Snapshot
@@ -132,13 +144,21 @@ type Activation struct {
 	epoch    bitmap.Epoch
 	budget   *ratelimit.Budget
 
-	scanList    []int               // segments to scan, in order
-	scanPos     map[int]int         // segment -> index in scanList
-	segCursor   int                 // next index into scanList
-	entries     map[uint64]actEntry // lba -> current best
-	reconIdx    int                 // reconstruction progress
+	scanList  []int          // segments to scan, ascending
+	segCursor int            // next index into scanList
+	valid     *bitmap.Bitmap // the snapshot epoch's bits of the segment being scanned
+
+	// Scan phase. A candidate keeps the address it was scanned at for as long
+	// as the scan runs, so each scanned[i] stays sorted by address; where the
+	// cleaner has since taken the block is in moved, applied by finishScan.
+	cands   []actCand             // in discovery order
+	scanned []candRange           // scanned[i]: the candidates of scanList[i]
+	moved   map[nand.PageAddr]int // current address -> index in cands, for blocks moved since discovery
+
+	// Reconstruction phase: the final translations, ascending by LBA.
 	sorted      []ftlmap.Entry
 	sortedBuilt bool
+	reconIdx    int
 
 	done        bool
 	completedAt sim.Time
@@ -247,7 +267,7 @@ func (f *FTL) beginActivation(now sim.Time, id SnapshotID, limit ratelimit.WorkS
 		writable: writable,
 		epoch:    newEpoch,
 		budget:   ratelimit.NewBudget(limit),
-		entries:  make(map[uint64]actEntry),
+		valid:    bitmap.New(int64(f.cfg.Nand.PagesPerSegment)),
 	}
 	if f.cfg.SelectiveScan {
 		lineage := make(map[bitmap.Epoch]bool)
@@ -261,10 +281,14 @@ func (f *FTL) beginActivation(now sim.Time, id SnapshotID, limit ratelimit.WorkS
 			act.scanList[i] = i
 		}
 	}
-	act.scanPos = make(map[int]int, len(act.scanList))
-	for i, seg := range act.scanList {
-		act.scanPos[seg] = i
+	// Every candidate the scan will find is a page valid in the snapshot's
+	// epoch in one of these segments: size the slice once instead of growing
+	// it by doubling under the scan.
+	n, pps := 0, int64(f.cfg.Nand.PagesPerSegment)
+	for _, seg := range act.scanList {
+		n += f.vstore.CountValid(snap.Epoch, int64(seg)*pps, int64(seg+1)*pps)
 	}
+	act.cands = make([]actCand, 0, n)
 	f.activations = append(f.activations, act)
 	f.stats.SnapshotActivations++
 	return act, done, nil
@@ -295,7 +319,13 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 			}
 			now = done
 			a.ScanTime += done.Sub(start)
-			for idx, oob := range oobs {
+			// The snapshot's validity map is the oracle: a page is part of
+			// the snapshot iff its bit is set in the frozen epoch.
+			base := f.Dev.Addr(seg, 0)
+			f.vstore.ReadRangeInto(a.snap.Epoch, int64(base), int64(base)+a.valid.Len(), a.valid)
+			lo := len(a.cands)
+			for idx, ok := a.valid.NextSet(0); ok; idx, ok = a.valid.NextSet(idx + 1) {
+				oob := oobs[idx]
 				if oob == nil {
 					continue
 				}
@@ -310,16 +340,9 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 				if h.Type != header.TypeData {
 					continue
 				}
-				addr := f.Dev.Addr(seg, idx)
-				// The snapshot's validity map is the oracle: a page is part
-				// of the snapshot iff its bit is set in the frozen epoch.
-				if !f.vstore.Test(a.snap.Epoch, int64(addr)) {
-					continue
-				}
-				if cur, ok := a.entries[h.LBA]; !ok || h.Seq > cur.seq {
-					a.entries[h.LBA] = actEntry{addr: addr, seq: h.Seq}
-				}
+				a.cands = append(a.cands, actCand{lba: h.LBA, addr: base + nand.PageAddr(idx), seq: h.Seq})
 			}
+			a.scanned = append(a.scanned, candRange{lo, len(a.cands)})
 			if sleep, exhausted := a.budget.Charge(done.Sub(start)); exhausted {
 				return now.Add(sleep), false
 			}
@@ -329,16 +352,11 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 		}
 	}
 
-	// Scan finished: sort entries once for bottom-up map construction.
-	// (This runs on the quantum after the last segment, since the budget
-	// may have exhausted exactly on that scan.)
+	// Scan finished: sort and fold the candidates once for bottom-up map
+	// construction. (This runs on the quantum after the last segment, since
+	// the budget may have exhausted exactly on that scan.)
 	if !a.sortedBuilt {
-		a.sorted = make([]ftlmap.Entry, 0, len(a.entries))
-		for lba, e := range a.entries {
-			a.sorted = append(a.sorted, ftlmap.Entry{Key: lba, Val: uint64(e.addr)})
-		}
-		sortEntries(a.sorted)
-		a.sortedBuilt = true
+		a.finishScan()
 	}
 
 	// Phase 2: reconstruction, charged per entry and also rate-limited.
@@ -373,12 +391,93 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 	return now, true
 }
 
+// finishScan ends the scan phase: it applies the cleaner's re-points, orders
+// the candidates by LBA and keeps one translation per LBA.
+func (a *Activation) finishScan() {
+	for addr, i := range a.moved {
+		a.cands[i].addr = addr
+	}
+	a.sorted = foldCands(sortCands(a.cands))
+	a.sortedBuilt = true
+	a.cands, a.scanned, a.moved, a.valid = nil, nil, nil, nil
+}
+
+// sortCands orders candidates by LBA, stably — equal LBAs keep discovery
+// order, which foldCands' tie rule needs. It is an LSD radix sort on 11-bit
+// digits whose passes stop at the highest set bit of any LBA (two passes up
+// to 4 Mi sectors); the result is cands or a buffer of the same size.
+func sortCands(cands []actCand) []actCand {
+	const digitBits = 11
+	const digitMask = 1<<digitBits - 1
+	var anyLBA uint64
+	for i := range cands {
+		anyLBA |= cands[i].lba
+	}
+	if len(cands) < 2 || anyLBA == 0 {
+		return cands
+	}
+	src, dst := cands, make([]actCand, len(cands))
+	for shift := uint(0); anyLBA>>shift != 0; shift += digitBits {
+		var next [1 << digitBits]int // per digit: how many, then where the next one goes
+		for i := range src {
+			next[src[i].lba>>shift&digitMask]++
+		}
+		at := 0
+		for d, n := range next {
+			next[d] = at
+			at += n
+		}
+		for i := range src {
+			d := src[i].lba >> shift & digitMask
+			dst[next[d]] = src[i]
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// foldCands turns LBA-sorted candidates into map entries, one per LBA: the
+// candidate with the highest sequence number, the first discovered among
+// equals. Within one epoch an LBA has one valid page, so an LBA has several
+// candidates only when the cleaner carried its block across the scan
+// frontier and the scan met it a second time.
+func foldCands(cands []actCand) []ftlmap.Entry {
+	out := make([]ftlmap.Entry, 0, len(cands))
+	for i := 0; i < len(cands); {
+		best := cands[i]
+		for i++; i < len(cands) && cands[i].lba == best.lba; i++ {
+			if cands[i].seq > best.seq {
+				best = cands[i]
+			}
+		}
+		out = append(out, ftlmap.Entry{Key: best.lba, Val: uint64(best.addr)})
+	}
+	return out
+}
+
 func (a *Activation) fail(now sim.Time, err error) (sim.Time, bool) {
+	if derr := a.abort(now, err); derr != nil {
+		a.err = errors.Join(err, derr)
+	}
+	return now, true
+}
+
+// abort ends an unfinished activation with err: its remaining quanta become
+// no-ops, its partial state is dropped, and the epoch allocated for the
+// would-be view is deleted. That epoch inherits every bit of the snapshot's;
+// left live it would keep the snapshot's blocks merged-valid after the
+// snapshot itself is deleted, and a checkpoint would persist it as live.
+func (a *Activation) abort(now sim.Time, err error) error {
 	a.err = err
 	a.done = true
 	a.completedAt = now
 	a.f.dropActivation(a)
-	return now, true
+	a.cands, a.scanned, a.moved, a.valid, a.sorted = nil, nil, nil, nil, nil
+	if a.f.vstore.Exists(a.epoch) && !a.f.vstore.Deleted(a.epoch) {
+		return a.f.vstore.DeleteEpoch(a.epoch)
+	}
+	return nil
 }
 
 func (f *FTL) dropActivation(a *Activation) {
@@ -390,10 +489,21 @@ func (f *FTL) dropActivation(a *Activation) {
 	}
 }
 
-// onBlockMoved keeps in-flight activations consistent when the cleaner
-// moves a block out from under the scan: an entry already collected is
-// re-pointed, and a block that jumped from an unscanned segment into an
-// already-scanned one is inserted directly.
+// onBlockMoved keeps an in-flight activation consistent when the cleaner
+// moves a block of its snapshot out from under it. Which candidate, if any,
+// sits at the old address is a question the scan's own order answers, with
+// no index kept per scanned page:
+//
+//   - a block that has moved before (or jumped in, below) is in moved under
+//     its current address;
+//   - any other block of a scanned segment has sat where the scan found it,
+//     and the segment's candidates are sorted by that address: binary search;
+//   - a block that jumped from a segment the scan has yet to visit into one
+//     it will not visit (any more) would be missed, so it is appended here.
+//
+// A block of a segment still to be scanned that stays in such a segment needs
+// nothing: the scan meets it at its new home. Once the scan has ended the
+// translations are final and sorted by LBA, and the lookup is by LBA again.
 func (a *Activation) onBlockMoved(old, new nand.PageAddr, h header.Header) {
 	if a.done || h.Type != header.TypeData {
 		return
@@ -401,41 +511,48 @@ func (a *Activation) onBlockMoved(old, new nand.PageAddr, h header.Header) {
 	if !a.f.vstore.Test(a.snap.Epoch, int64(new)) {
 		return
 	}
-	if cur, ok := a.entries[h.LBA]; ok && cur.addr == old {
-		cur.addr = new
-		a.entries[h.LBA] = cur
-		a.fixSorted(h.LBA, new)
+	if a.sortedBuilt {
+		i, ok := slices.BinarySearchFunc(a.sorted, h.LBA, func(e ftlmap.Entry, lba uint64) int {
+			return cmp.Compare(e.Key, lba)
+		})
+		if ok && a.sorted[i].Val == uint64(old) {
+			a.sorted[i].Val = uint64(new)
+		}
 		return
 	}
-	// A block that jumped from a not-yet-scanned segment into one the scan
-	// will never (or no longer) visit must be inserted directly.
-	if !a.scanWillVisit(a.f.Dev.SegmentOf(old)) {
-		return // already scanned: the entry existed and was handled above
+	i, known := a.moved[old]
+	if known {
+		delete(a.moved, old)
+	} else if i, known = a.scannedAt(old); !known {
+		if !a.scanWillVisit(a.f.Dev.SegmentOf(old)) || a.scanWillVisit(a.f.Dev.SegmentOf(new)) {
+			return
+		}
+		i = len(a.cands)
+		a.cands = append(a.cands, actCand{lba: h.LBA, addr: new, seq: h.Seq})
 	}
-	if a.scanWillVisit(a.f.Dev.SegmentOf(new)) {
-		return // the scan will pick it up at its new home
+	if a.moved == nil {
+		a.moved = make(map[nand.PageAddr]int)
 	}
-	if cur, ok := a.entries[h.LBA]; !ok || h.Seq > cur.seq {
-		a.entries[h.LBA] = actEntry{addr: new, seq: h.Seq}
-		a.fixSorted(h.LBA, new)
-	}
+	a.moved[new] = i
 }
 
 // scanWillVisit reports whether the scan has yet to visit segment seg.
 func (a *Activation) scanWillVisit(seg int) bool {
-	pos, inList := a.scanPos[seg]
-	return inList && pos >= a.segCursor
+	pos, listed := slices.BinarySearch(a.scanList, seg)
+	return listed && pos >= a.segCursor
 }
 
-// fixSorted patches the already-sorted slice during phase 2 (rare).
-func (a *Activation) fixSorted(lba uint64, addr nand.PageAddr) {
-	if !a.sortedBuilt {
-		return
+// scannedAt returns the index of the candidate the scan found at addr.
+func (a *Activation) scannedAt(addr nand.PageAddr) (int, bool) {
+	pos, listed := slices.BinarySearch(a.scanList, a.f.Dev.SegmentOf(addr))
+	if !listed || pos >= len(a.scanned) {
+		return 0, false
 	}
-	i := sort.Search(len(a.sorted), func(i int) bool { return a.sorted[i].Key >= lba })
-	if i < len(a.sorted) && a.sorted[i].Key == lba {
-		a.sorted[i].Val = uint64(addr)
-	}
+	r := a.scanned[pos]
+	i, ok := slices.BinarySearchFunc(a.cands[r.lo:r.hi], addr, func(c actCand, addr nand.PageAddr) int {
+		return cmp.Compare(c.addr, addr)
+	})
+	return r.lo + i, ok
 }
 
 // ErrCancelled is the terminal error of a cancelled activation.
@@ -449,25 +566,8 @@ func (a *Activation) Cancel(now sim.Time) error {
 	if a.done {
 		return a.err
 	}
-	a.err = ErrCancelled
-	a.done = true
-	a.completedAt = now
-	a.f.dropActivation(a)
-	if a.f.vstore.Exists(a.epoch) && !a.f.vstore.Deleted(a.epoch) {
-		if err := a.f.vstore.DeleteEpoch(a.epoch); err != nil {
-			return err
-		}
+	if err := a.abort(now, ErrCancelled); err != nil {
+		return err
 	}
-	a.entries = nil
-	a.sorted = nil
 	return ErrCancelled
-}
-
-// sortEntries orders map entries by key for a bottom-up map build. Keys
-// are unique (they come out of a map keyed by LBA), so any correct sort
-// yields the same order; slices.SortFunc does it without sort.Slice's
-// reflection-based swapper, which was a fifth of a snapshot-heavy server's
-// CPU.
-func sortEntries(entries []ftlmap.Entry) {
-	slices.SortFunc(entries, func(a, b ftlmap.Entry) int { return cmp.Compare(a.Key, b.Key) })
 }

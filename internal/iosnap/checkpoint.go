@@ -144,12 +144,42 @@ func (f *FTL) SerializeCheckpoint() (uint64, []logcore.ChunkJob, error) {
 		}
 	}
 
-	// Stream 3: per-epoch validity deltas, ascending (parents first: epoch
-	// numbers grow downward through the inheritance graph).
-	var vw ckpt.Writer
-	vw.U64(uint64(f.vstore.BitsPerPage()))
+	validData := f.encodeValidSection()
+
+	var jobs []logcore.ChunkJob
+	for _, st := range []struct {
+		typ  header.Type
+		kind uint8
+		data []byte
+	}{
+		{header.TypeCkptMap, mapKind, mapData},
+		{header.TypeCkptTree, ckptSecTree, tw.B},
+		{header.TypeCkptValid, ckptSecValid, validData},
+	} {
+		stream, err := f.StreamJobs(st.typ, ckptID, []ckpt.Section{{Kind: st.kind, Data: st.data}})
+		if err != nil {
+			return 0, nil, err
+		}
+		jobs = append(jobs, stream...)
+	}
+	return ckptID, jobs, nil
+}
+
+// encodeValidSection is stream 3: per-epoch validity deltas, ascending
+// (parents first: epoch numbers grow downward through the inheritance
+// graph). Every epoch ever created is in it, so the buffer is sized up front
+// from the page counts and the pages go in whole.
+func (f *FTL) encodeValidSection() []byte {
 	epochs := f.vstore.Epochs()
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+	const epochRec = 8 + 8 + 1 + 4 // epoch, parent, deleted, page count
+	pageRec := 8 + int(f.vstore.BitsPerPage()/8)
+	size := 8 + 4 + epochRec*len(epochs)
+	for _, e := range epochs {
+		size += pageRec * f.vstore.OwnedPages(e)
+	}
+	vw := ckpt.Writer{B: make([]byte, 0, size)}
+	vw.U64(uint64(f.vstore.BitsPerPage()))
 	vw.U32(uint32(len(epochs)))
 	for _, e := range epochs {
 		vw.U64(uint64(e))
@@ -163,29 +193,10 @@ func (f *FTL) SerializeCheckpoint() (uint64, []logcore.ChunkJob, error) {
 		vw.U32(uint32(len(pages)))
 		for _, pg := range pages {
 			vw.U64(uint64(pg.PageIdx))
-			for _, w := range pg.Words {
-				vw.U64(w)
-			}
+			vw.U64s(pg.Words)
 		}
 	}
-
-	var jobs []logcore.ChunkJob
-	for _, st := range []struct {
-		typ  header.Type
-		kind uint8
-		data []byte
-	}{
-		{header.TypeCkptMap, mapKind, mapData},
-		{header.TypeCkptTree, ckptSecTree, tw.B},
-		{header.TypeCkptValid, ckptSecValid, vw.B},
-	} {
-		stream, err := f.StreamJobs(st.typ, ckptID, []ckpt.Section{{Kind: st.kind, Data: st.data}})
-		if err != nil {
-			return 0, nil, err
-		}
-		jobs = append(jobs, stream...)
-	}
-	return ckptID, jobs, nil
+	return vw.B
 }
 
 // orPinsInto overlays the victim's pinned pages — checkpoint chunks and

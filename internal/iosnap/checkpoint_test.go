@@ -2,8 +2,11 @@ package iosnap
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"iosnap/internal/bitmap"
+	"iosnap/internal/ckpt"
 	"iosnap/internal/faultinject"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
@@ -528,5 +531,76 @@ func TestSnapshotsSurviveTailRecovery(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Skip("scenario left no live snapshots to verify")
+	}
+}
+
+// TestValidSectionEncodingUnchanged: the validity stream is written into a
+// buffer sized up front, a bitmap page at a time; its bytes must be the ones
+// the field-at-a-time encoder produced (old checkpoints and new decode alike),
+// and the size computed up front must be exact, or the buffer grows again.
+func TestValidSectionEncodingUnchanged(t *testing.T) {
+	for _, pageBits := range []int64{64, bitmap.DefaultBitsPerPage} {
+		cfg := ckptConfig()
+		cfg.BitmapPageBits = pageBits
+		f, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := driveScenario(t, f, 31, 400) // writes, snapshot creates and deletes
+		// A view still on its activation epoch and an activation in flight:
+		// both epochs are live in the store and dead in the stream.
+		snaps := f.Snapshots()
+		if len(snaps) == 0 {
+			t.Fatal("scenario left no snapshot to activate")
+		}
+		if _, s.now, err = f.ActivateSync(s.now, snaps[0].ID, noLimit, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, s.now, err = f.Activate(s.now, snaps[len(snaps)-1].ID, actLimit, false); err != nil {
+			t.Fatal(err)
+		}
+
+		var want ckpt.Writer
+		want.U64(uint64(f.vstore.BitsPerPage()))
+		epochs := f.vstore.Epochs()
+		slices.Sort(epochs)
+		want.U32(uint32(len(epochs)))
+		dead, pages := 0, 0
+		for _, e := range epochs {
+			want.U64(uint64(e))
+			if p, ok := f.epochParent[e]; ok {
+				want.U64(uint64(p))
+			} else {
+				want.U64(uint64(bitmap.NoParent))
+			}
+			if f.ckptEpochDies(e) {
+				dead++
+			}
+			want.Bool(f.vstore.Deleted(e) || f.ckptEpochDies(e))
+			owned := f.vstore.ExportEpoch(e)
+			want.U32(uint32(len(owned)))
+			for _, pg := range owned {
+				pages++
+				want.U64(uint64(pg.PageIdx))
+				for _, w := range pg.Words {
+					want.U64(w)
+				}
+			}
+		}
+		if dead != 2 || pages < 6 || len(epochs) < 6 {
+			t.Fatalf("page bits %d: degenerate stream: %d epochs, %d pages, %d normalized dead", pageBits, len(epochs), pages, dead)
+		}
+
+		got := f.encodeValidSection()
+		if !bytes.Equal(got, want.B) {
+			t.Fatalf("page bits %d: validity section is %d bytes, the field-at-a-time encoding %d (or they differ)", pageBits, len(got), len(want.B))
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("page bits %d: section sized for %d bytes, holds %d", pageBits, cap(got), len(got))
+		}
+		recs, err := decodeCkptValid([]ckpt.Section{{Kind: ckptSecValid, Data: got}}, pageBits)
+		if err != nil || len(recs) != len(epochs) {
+			t.Fatalf("page bits %d: decoded %d of %d epochs: %v", pageBits, len(recs), len(epochs), err)
+		}
 	}
 }

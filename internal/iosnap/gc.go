@@ -29,7 +29,7 @@ import (
 // as the reference the accounting cross-check compares against.
 func (f *FTL) mergeSegment(seg int) *bitmap.Bitmap {
 	pps := int64(f.cfg.Nand.PagesPerSegment)
-	return f.vstore.MergeRange(f.vstore.Epochs(), int64(seg)*pps, int64(seg+1)*pps)
+	return f.vstore.MergeRange(f.vstore.LiveEpochs(), int64(seg)*pps, int64(seg+1)*pps)
 }
 
 // selectVictim picks the non-head segment with the best score under the
@@ -257,36 +257,15 @@ func (f *FTL) blockMoved(victim int, old, dst nand.PageAddr, h header.Header, _ 
 	}
 
 	// Step 3: re-point every live epoch that saw the old block. In the
-	// worst case this flips bits in as many maps as there are epochs.
-	// Holders MUST be computed before any mutation: clearing an
-	// ancestor's bit first would make an inheriting descendant test
-	// false and silently lose the block.
-	var holders []bitmap.Epoch
-	for _, e := range f.vstore.Epochs() {
-		if !f.vstore.Deleted(e) && f.vstore.Test(e, int64(old)) {
-			holders = append(holders, e)
-		}
-	}
-	// Epochs() enumerates in map order; the clear/set order below decides
-	// which epochs pay CoW push-down copies, so fix it for reproducibility.
-	sort.Slice(holders, func(a, b int) bool { return holders[a] < holders[b] })
-	for _, e := range holders {
-		f.vstore.Clear(e, int64(old))
-		f.vstore.Set(e, int64(dst))
-	}
+	// worst case this flips bits in as many maps as there are live epochs.
+	f.holders = f.vstore.Repoint(int64(old), int64(dst), f.holders)
+	holders := f.holders
 	// Mirror the re-point in the incremental accounting: the holders are
 	// known exactly here, so both the merged and the frozen caches can be
 	// fixed without a rebuild.
 	frozenHolder := false
 	for _, e := range holders {
-		isView := false
-		for _, v := range f.views {
-			if v.epoch == e {
-				isView = true
-				break
-			}
-		}
-		if !isView {
+		if !f.backsView(e) {
 			frozenHolder = true
 			break
 		}
@@ -345,5 +324,5 @@ func (f *FTL) CountValidActive(lo, hi int64) int {
 // CountValidMerged counts merged-valid blocks in [lo, hi) physical pages
 // across all live epochs (experiment/diagnostic hook).
 func (f *FTL) CountValidMerged(lo, hi int64) int {
-	return f.vstore.MergeRange(f.vstore.Epochs(), lo, hi).Count()
+	return f.vstore.MergeRange(f.vstore.LiveEpochs(), lo, hi).Count()
 }

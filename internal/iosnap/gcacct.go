@@ -46,6 +46,8 @@ type gcAcct struct {
 	bySeg    []*segAcct // indexed by segment; nil when not in UsedSegs
 	viewGen  uint64     // advanced when the set of view-backing epochs changes
 	freshGen uint64     // generation as of the last complete refreshAll
+
+	frozenEps, viewEps []bitmap.Epoch // ensureFresh's split of the live epochs, reused
 }
 
 func newGCAcct(f *FTL) *gcAcct {
@@ -56,6 +58,17 @@ func newGCAcct(f *FTL) *gcAcct {
 // with the view generation (publish/deactivate): cached merges are exact
 // only while both stand still.
 func (a *gcAcct) curGen() uint64 { return a.f.vstore.Gen() + a.viewGen }
+
+// backsView reports whether epoch e absorbs the writes of a live view (the
+// active one included) — the class of live epoch foreground I/O can flip.
+func (f *FTL) backsView(e bitmap.Epoch) bool {
+	for _, v := range f.views {
+		if v.epoch == e {
+			return true
+		}
+	}
+	return false
+}
 
 // bumpViewGen invalidates the frozen/view epoch split (an epoch moved
 // between the "backs a view" and "frozen" classes without the store's
@@ -215,21 +228,15 @@ func (a *gcAcct) ensureFresh(seg int) sim.Duration {
 	f := a.f
 	pps := int64(f.cfg.Nand.PagesPerSegment)
 	lo, hi := int64(seg)*pps, int64(seg+1)*pps
-	isView := make(map[bitmap.Epoch]bool, len(f.views))
-	for _, v := range f.views {
-		isView[v.epoch] = true
-	}
-	var frozenEps, viewEps []bitmap.Epoch
-	for _, ep := range f.vstore.Epochs() {
-		if f.vstore.Deleted(ep) {
-			continue
-		}
-		if isView[ep] {
+	frozenEps, viewEps := a.frozenEps[:0], a.viewEps[:0]
+	for _, ep := range f.vstore.LiveEpochs() {
+		if f.backsView(ep) {
 			viewEps = append(viewEps, ep)
 		} else {
 			frozenEps = append(frozenEps, ep)
 		}
 	}
+	a.frozenEps, a.viewEps = frozenEps, viewEps
 	e.frozen = f.vstore.MergeRangeInto(frozenEps, lo, hi, e.frozen)
 	if e.merged == nil || e.merged.Len() != pps {
 		e.merged = e.frozen.Clone()

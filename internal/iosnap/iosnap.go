@@ -238,6 +238,8 @@ type FTL struct {
 
 	activations []*Activation // in-flight activations (cleaner keeps them consistent)
 	exports     []*Export     // in-flight snapshot exports (ditto)
+
+	holders []bitmap.Epoch // blockMoved's scratch: the live epochs holding the moved block
 }
 
 // newShell builds an FTL with its log wired to dev and nothing in it: New

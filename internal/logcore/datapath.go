@@ -33,17 +33,18 @@ import (
 // dataPathScratch holds the per-log reusable buffers of the batched data
 // path; the simulation is single-threaded, so one set suffices.
 type dataPathScratch struct {
-	addrs   []nand.PageAddr
-	datas   [][]byte
-	oobs    [][]byte
-	oobBuf  []byte   // flat backing store for oobs: header.Len bytes per page
-	rdatas  [][]byte // DevReadPages results, valid until its next call
-	roobs   [][]byte
-	entries []ftlmap.Entry
-	prevs   []uint64
-	vals    []uint64
-	found   []bool
-	secIdx  []int
+	addrs    []nand.PageAddr
+	datas    [][]byte
+	oobs     [][]byte
+	oobBuf   []byte   // flat backing store for oobs: header.Len bytes per page
+	rdatas   [][]byte // DevReadPages results, valid until its next call
+	roobs    [][]byte
+	scanOOBs [][]byte // DevScanSegmentOOB's result, valid until its next call
+	entries  []ftlmap.Entry
+	prevs    []uint64
+	vals     []uint64
+	found    []bool
+	secIdx   []int
 
 	mapMiss  []uint64        // translation-page fault lists (mappage.go)
 	mapAddrs []nand.PageAddr // their flash addresses for the batch read

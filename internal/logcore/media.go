@@ -65,13 +65,17 @@ func (l *Log) devEraseSegment(now sim.Time, seg int) (sim.Time, error) {
 }
 
 // DevScanSegmentOOB reads every OOB header of seg in one device operation
-// (recovery, activation and export scans, scrub read-verification).
+// (recovery, activation and export scans, scrub read-verification). The
+// returned slice is per-log scratch, valid until the next DevScanSegmentOOB.
 func (l *Log) DevScanSegmentOOB(now sim.Time, seg int) (oobs [][]byte, done sim.Time, err error) {
 	done, err = l.retried(now, seg, func(at sim.Time) (sim.Time, error) {
 		var e error
-		oobs, at, e = l.Dev.ScanSegmentOOB(at, seg)
+		oobs, at, e = l.Dev.ScanSegmentOOB(at, seg, l.ws.scanOOBs)
 		return at, e
 	})
+	if err == nil {
+		l.ws.scanOOBs = oobs
+	}
 	return oobs, done, err
 }
 

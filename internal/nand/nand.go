@@ -643,8 +643,10 @@ func (d *Device) IsProgrammed(addr PageAddr) bool {
 // ScanSegmentOOB performs a bulk header scan of one segment: it returns the
 // OOB bytes of every programmed page (indexed by page-in-segment; erased
 // pages yield nil) at a far lower cost than page reads. This is the
-// operation snapshot activation and crash recovery are built on.
-func (d *Device) ScanSegmentOOB(now sim.Time, seg int) (oobs [][]byte, done sim.Time, err error) {
+// operation snapshot activation and crash recovery are built on. The result
+// reuses buf when buf has the capacity (a scan per segment of a device-wide
+// sweep would otherwise allocate a segment's worth of slice headers each).
+func (d *Device) ScanSegmentOOB(now sim.Time, seg int, buf [][]byte) (oobs [][]byte, done sim.Time, err error) {
 	if seg < 0 || seg >= d.cfg.Segments {
 		return nil, now, fmt.Errorf("%w: segment %d", ErrBadAddress, seg)
 	}
@@ -654,12 +656,15 @@ func (d *Device) ScanSegmentOOB(now sim.Time, seg int) (oobs [][]byte, done sim.
 		}
 	}
 	s := &d.segs[seg]
-	oobs = make([][]byte, d.cfg.PagesPerSegment)
-	n := 0
+	if cap(buf) >= d.cfg.PagesPerSegment {
+		oobs = buf[:d.cfg.PagesPerSegment]
+		clear(oobs)
+	} else {
+		oobs = make([][]byte, d.cfg.PagesPerSegment)
+	}
 	for i := range s.pages {
 		if s.pages[i].state == pageProgrammed {
 			oobs[i] = s.pages[i].oob[:]
-			n++
 		}
 	}
 	d.stats.OOBScans++
@@ -669,7 +674,6 @@ func (d *Device) ScanSegmentOOB(now sim.Time, seg int) (oobs [][]byte, done sim.
 	}
 	ch := &d.channels[seg%d.cfg.Channels]
 	_, done = ch.Acquire(now, cost)
-	_ = n
 	return oobs, done, nil
 }
 

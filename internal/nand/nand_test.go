@@ -123,7 +123,7 @@ func TestBadAddress(t *testing.T) {
 	if _, err := d.ProgramPage(0, PageAddr(d.Config().TotalPages()), fill(512, 0), nil); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("got %v, want ErrBadAddress", err)
 	}
-	if _, _, err := d.ScanSegmentOOB(0, 99); !errors.Is(err, ErrBadAddress) {
+	if _, _, err := d.ScanSegmentOOB(0, 99, nil); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("scan: got %v, want ErrBadAddress", err)
 	}
 	if _, err := d.EraseSegment(0, -1); !errors.Is(err, ErrBadAddress) {
@@ -241,7 +241,7 @@ func TestScanSegmentOOB(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oobs, done, err := d.ScanSegmentOOB(0, 0)
+	oobs, done, err := d.ScanSegmentOOB(0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,11 @@ import (
 // source page's channel followed by a program on the destination's, with
 // both transfers crossing the shared buses, so copy-forward contends with
 // foreground I/O exactly like host-issued operations.
+//
+// Payload buffers are never shared between pages: the source's bytes are
+// copied into the destination's own buffer, rewritten in place as a program
+// does (a loaded page's buffer is a region of its image frame), so a slice
+// ReadPage returned for any other page is unaffected.
 func (d *Device) CopyPage(now sim.Time, from, to PageAddr) (sim.Time, error) {
 	_, src, err := d.check(from)
 	if err != nil {
@@ -53,7 +58,7 @@ func (d *Device) CopyPage(now sim.Time, from, to PageAddr) (sim.Time, error) {
 	dst.oob = src.oob
 	dst.fp = src.fp
 	if d.cfg.StoreData && src.data != nil {
-		dst.data = append([]byte(nil), src.data...)
+		dst.data = append(dst.data[:0], src.data...)
 	}
 	dstSeg.nextProg = toIdx + 1
 

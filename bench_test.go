@@ -9,8 +9,10 @@
 package main
 
 import (
+	"math"
 	"strconv"
 	"testing"
+	"time"
 
 	"iosnap/internal/bitmap"
 	"iosnap/internal/ftlmap"
@@ -185,13 +187,20 @@ func BenchmarkActivation(b *testing.B) {
 // four live snapshots. Every cycle leaves two dead epochs in the validity
 // store; the cleaner's per-block fix-up walks the live ones, so ns/moved-block
 // must be flat in N (it grew with N while the fix-up enumerated every epoch
-// ever created). Printed, not gated: wall clock on a shared runner is noise.
+// ever created). Then the device is closed and mounted back: the checkpoint
+// Close writes (ckpt-chunks) and the tail-bounded mount (recover-ns, the
+// fastest of five) must be flat in N too, since a checkpoint reaps the dead
+// epochs instead of serializing them. Printed, not gated: wall clock on a
+// shared runner is noise.
 func BenchmarkCleanAfterSnapshotHistory(b *testing.B) {
 	for _, cycles := range []int{0, 100, 400} {
 		b.Run("cycles-"+strconv.Itoa(cycles), func(b *testing.B) {
 			nc := benchNand()
 			nc.PagesPerSegment = 256
 			nc.Segments = 64
+			// Checkpoints need payloads; small sectors keep them to 8 MiB.
+			nc.SectorSize = 512
+			nc.StoreData = true
 			cfg := iosnap.DefaultConfig(nc)
 			cfg.GCWindow = 10 * sim.Millisecond
 			f, err := iosnap.New(cfg, nil)
@@ -257,6 +266,23 @@ func BenchmarkCleanAfterSnapshotHistory(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/moved-block")
 			b.ReportMetric(float64(moved)/float64(b.N), "moved-blocks/op")
+
+			if now, err = f.Close(now); err != nil {
+				b.Fatal(err)
+			}
+			fastest := time.Duration(math.MaxInt64)
+			for i := 0; i < 5; i++ {
+				t0 := time.Now()
+				r, _, err := iosnap.Recover(cfg, f.Device(), nil, now)
+				if took := time.Since(t0); took < fastest {
+					fastest = took
+				}
+				if err != nil || !r.Stats().RecoveryTailBounded {
+					b.Fatalf("remount: tail-bounded %v, %v", err == nil && r.Stats().RecoveryTailBounded, err)
+				}
+			}
+			b.ReportMetric(float64(f.Stats().CheckpointChunks), "ckpt-chunks")
+			b.ReportMetric(float64(fastest.Nanoseconds()), "recover-ns")
 		})
 	}
 }

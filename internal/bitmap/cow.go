@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -40,12 +41,13 @@ type Store struct {
 	nBits       int64
 	bitsPerPage int64
 	epochs      map[Epoch]*epochMap
-	live        []Epoch     // the non-deleted epochs, ascending
-	liveMaps    []*epochMap // their maps, index for index
-	holding     []int       // Repoint's scratch: indices into liveMaps
+	heirs       map[Epoch]Epoch // reaped epoch -> surviving heir (Resolve)
+	live        []Epoch         // the non-deleted epochs, ascending
+	liveMaps    []*epochMap     // their maps, index for index
+	holding     []int           // Repoint's scratch: indices into liveMaps
 
 	cowCopies  int64 // total bitmap pages copied (Figure 7b's counter)
-	livePages  int64 // privately owned pages across live epochs
+	livePages  int64 // privately owned pages across all registered epochs
 	totalPages int64 // ceil(nBits / bitsPerPage)
 	gen        uint64
 }
@@ -67,6 +69,7 @@ func NewStore(nBits int64, bitsPerPage int64) *Store {
 		nBits:       nBits,
 		bitsPerPage: bitsPerPage,
 		epochs:      make(map[Epoch]*epochMap),
+		heirs:       make(map[Epoch]Epoch),
 		totalPages:  (nBits + bitsPerPage - 1) / bitsPerPage,
 	}
 }
@@ -155,15 +158,151 @@ func (s *Store) Exists(e Epoch) bool {
 // modify it.
 func (s *Store) LiveEpochs() []Epoch { return s.live }
 
-// Epochs returns every registered epoch number, deleted ones included, in
-// unspecified order (the checkpoint and the invariant checker walk history;
-// nothing on a hot path should).
+// Epochs returns every registered epoch number, deleted ones included,
+// ascending (the checkpoint, the reaper and the invariant checker walk the
+// whole graph; nothing on a hot path should).
 func (s *Store) Epochs() []Epoch {
 	out := make([]Epoch, 0, len(s.epochs))
 	for e := range s.epochs {
 		out = append(out, e)
 	}
+	slices.Sort(out)
 	return out
+}
+
+// Parent returns the epoch e inherits from; ok is false for a root.
+func (s *Store) Parent(e Epoch) (parent Epoch, ok bool) {
+	if p := s.get(e).parent; p != nil {
+		return p.epoch, true
+	}
+	return NoParent, false
+}
+
+// Reaped is one epoch a Reap pass removed. Heir is the child that took over
+// its pages, or NoParent when the epoch was dropped with them.
+type Reaped struct {
+	Epoch, Heir Epoch
+}
+
+// Reap forgets the deleted epochs no live epoch needs, except those pinned
+// reports, and returns them in the order removed (descending):
+//
+//   - a deleted leaf is dropped with its pages;
+//   - a deleted epoch with one child is spliced out: the child adopts, by
+//     pointer, every page it does not own and still inherited from it, and
+//     inherits from the grandparent from then on;
+//   - a deleted epoch with two or more children stays.
+//
+// No live epoch's view changes, so Gen does not move and no page is copied
+// (the CoW counter stands). Epochs are visited children first — a parent's
+// number is below its children's — so one pass reaches the fixed point,
+// which is the same whatever order the epochs were deleted or reaped in: the
+// live epochs, the pinned ones and the deleted ones with two or more
+// surviving children, each inheriting from its nearest surviving ancestor.
+// The alias table (Resolve) is the same too.
+func (s *Store) Reap(pinned func(Epoch) bool) []Reaped {
+	out := s.reap(pinned)
+	if len(out) == 0 {
+		return nil
+	}
+	// Path compression: an alias naming an epoch reaped just now moves on
+	// to that epoch's heir, which survived this pass, or goes with it.
+	heirOf := make(map[Epoch]Epoch, len(out))
+	for _, r := range out {
+		heirOf[r.Epoch] = r.Heir
+	}
+	for e, h := range s.heirs {
+		if next, reaped := heirOf[h]; reaped {
+			if next == NoParent {
+				delete(s.heirs, e)
+			} else {
+				s.heirs[e] = next
+			}
+		}
+	}
+	for _, r := range out {
+		if r.Heir != NoParent {
+			s.heirs[r.Epoch] = r.Heir
+		}
+	}
+	return out
+}
+
+func (s *Store) reap(pinned func(Epoch) bool) []Reaped {
+	var out []Reaped
+	eps := s.Epochs()
+	for i := len(eps) - 1; i >= 0; i-- {
+		em := s.epochs[eps[i]]
+		if !em.deleted || len(em.children) > 1 || pinned(em.epoch) {
+			continue
+		}
+		r := Reaped{Epoch: em.epoch, Heir: NoParent}
+		var heir *epochMap
+		if len(em.children) == 1 {
+			heir = em.children[0]
+			r.Heir = heir.epoch
+			for idx, pg := range em.pages {
+				if _, owns := heir.pages[idx]; owns {
+					s.livePages--
+				} else {
+					heir.pages[idx] = pg
+				}
+			}
+			heir.parent = em.parent
+		} else {
+			s.livePages -= int64(len(em.pages))
+		}
+		if p := em.parent; p != nil {
+			i := slices.Index(p.children, em)
+			if heir != nil {
+				p.children[i] = heir
+			} else {
+				p.children = slices.Delete(p.children, i, i+1)
+			}
+		}
+		delete(s.epochs, em.epoch)
+		out = append(out, r)
+	}
+	return out
+}
+
+// Resolve maps an epoch number, as data pages on flash keep carrying it, to
+// the epoch that stands for it now: itself while registered, its heir once
+// spliced out (path-compressed: one lookup), and ok=false once it was
+// dropped or if it never existed.
+func (s *Store) Resolve(e Epoch) (Epoch, bool) {
+	if h, ok := s.heirs[e]; ok {
+		return h, true
+	}
+	_, ok := s.epochs[e]
+	return e, ok
+}
+
+// Aliases returns the alias table, ascending by reaped epoch: every epoch
+// spliced out so far whose heir still stands for it.
+func (s *Store) Aliases() []Reaped {
+	out := make([]Reaped, 0, len(s.heirs))
+	for e, h := range s.heirs {
+		out = append(out, Reaped{Epoch: e, Heir: h})
+	}
+	slices.SortFunc(out, func(a, b Reaped) int { return cmp.Compare(a.Epoch, b.Epoch) })
+	return out
+}
+
+// ImportAlias restores one alias table entry (the checkpoint-restore
+// inverse of Aliases): e must be unregistered and heir registered.
+func (s *Store) ImportAlias(e, heir Epoch) error {
+	if _, ok := s.epochs[e]; ok {
+		return fmt.Errorf("bitmap: alias for registered epoch %d", e)
+	}
+	if _, ok := s.epochs[heir]; !ok {
+		return fmt.Errorf("bitmap: alias %d names unknown heir %d", e, heir)
+	}
+	if _, dup := s.heirs[e]; dup {
+		return fmt.Errorf("bitmap: duplicate alias for epoch %d", e)
+	}
+	s.heirs[e] = heir
+	return nil
 }
 
 func (s *Store) get(e Epoch) *epochMap {

@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"slices"
 	"testing"
 
 	"iosnap/internal/sim"
@@ -202,11 +203,10 @@ func TestMemoryAccounting(t *testing.T) {
 
 func TestEpochsList(t *testing.T) {
 	s := newTestStore(t)
-	s.CreateEpoch(2, 1)
 	s.CreateEpoch(3, 1)
-	es := s.Epochs()
-	if len(es) != 3 {
-		t.Fatalf("Epochs len = %d", len(es))
+	s.CreateEpoch(2, 1)
+	if es := s.Epochs(); !slices.Equal(es, []Epoch{1, 2, 3}) {
+		t.Fatalf("Epochs = %v, want [1 2 3] whatever the creation order", es)
 	}
 	if !s.Exists(2) || s.Exists(42) {
 		t.Fatal("Exists wrong")
@@ -464,8 +464,8 @@ func TestPageIndicesSparse(t *testing.T) {
 	if got := s.PageIndices(1); len(got) != 0 {
 		t.Fatalf("fresh epoch observes pages %v, want none", got)
 	}
-	s.Set(1, 5)    // page 0
-	s.Set(1, 700)  // page 5
+	s.Set(1, 5)   // page 0
+	s.Set(1, 700) // page 5
 	if err := s.CreateEpoch(2, 1); err != nil {
 		t.Fatal(err)
 	}

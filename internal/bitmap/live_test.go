@@ -198,9 +198,7 @@ func TestRepointMatchesPerEpochFlips(t *testing.T) {
 			live := a.LiveEpochs()
 			switch op := rng.Intn(20); {
 			case op == 0 && len(a.Epochs()) < 40:
-				// Epochs comes in map order: unsorted, a seed would not reproduce.
 				epochs := a.Epochs()
-				slices.Sort(epochs)
 				parent := epochs[rng.Intn(len(epochs))]
 				both(func(s *Store) {
 					if err := s.CreateEpoch(next, parent); err != nil {

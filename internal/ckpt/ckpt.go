@@ -142,9 +142,10 @@ func Split(ckptID uint64, stream []byte, sectorSize int) ([][]byte, error) {
 
 // Join strips the per-chunk prefixes, verifying every chunk carries the
 // expected checkpoint ID, and returns the concatenated stream (with the
-// final chunk's padding still attached).
+// final chunk's padding still attached). The output is allocated once, at
+// its final size.
 func Join(ckptID uint64, chunks [][]byte) ([]byte, error) {
-	var out []byte
+	n := 0
 	for i, c := range chunks {
 		if len(c) <= ChunkPrefix {
 			return nil, fmt.Errorf("%w: chunk %d too short", ErrBadChunk, i)
@@ -152,10 +153,14 @@ func Join(ckptID uint64, chunks [][]byte) ([]byte, error) {
 		if id := binary.LittleEndian.Uint64(c); id != ckptID {
 			return nil, fmt.Errorf("%w: chunk %d has id %d, want %d", ErrBadChunk, i, id, ckptID)
 		}
-		out = append(out, c[ChunkPrefix:]...)
+		n += len(c) - ChunkPrefix
 	}
-	if len(out) == 0 {
+	if n == 0 {
 		return nil, ErrTruncated
+	}
+	out := make([]byte, 0, n)
+	for _, c := range chunks {
+		out = append(out, c[ChunkPrefix:]...)
 	}
 	return out, nil
 }

@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -86,6 +88,35 @@ func TestJoinRejectsForeignChunk(t *testing.T) {
 	chunks[1] = other[0]
 	if _, err := Join(1, chunks); !errors.Is(err, ErrBadChunk) {
 		t.Fatalf("Join = %v, want ErrBadChunk", err)
+	}
+}
+
+// TestJoinAllocatesOnce: Join's output is what appending every chunk's
+// payload yields, for chunk sets of any count and sizes, in one allocation.
+func TestJoinAllocatesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		id := rng.Uint64()
+		chunks := make([][]byte, 1+rng.Intn(40))
+		var want []byte
+		for i := range chunks {
+			c := binary.LittleEndian.AppendUint64(nil, id)
+			for n := 1 + rng.Intn(600); n > 0; n-- {
+				c = append(c, byte(rng.Intn(256)))
+			}
+			chunks[i] = c
+			want = append(want, c[ChunkPrefix:]...)
+		}
+		got, err := Join(id, chunks)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: Join of %d chunks differs from their appended payloads (%v)", trial, len(chunks), err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { Join(id, chunks) }); allocs != 1 {
+			t.Fatalf("trial %d: Join of %d chunks allocated %.0f times, want 1", trial, len(chunks), allocs)
+		}
+	}
+	if _, err := Join(1, nil); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Join of no chunks = %v, want ErrTruncated", err)
 	}
 }
 

@@ -239,12 +239,9 @@ func (f *FTL) beginActivation(now sim.Time, id SnapshotID, limit ratelimit.WorkS
 	if f.Closed() {
 		return nil, now, ErrClosed
 	}
-	snap, ok := f.tree.Lookup(id)
-	if !ok {
-		return nil, now, fmt.Errorf("%w: %d", ErrNoSuchSnapshot, id)
-	}
-	if snap.Deleted {
-		return nil, now, fmt.Errorf("%w: %d", ErrSnapshotDeleted, id)
+	snap, err := f.tree.find(id)
+	if err != nil {
+		return nil, now, err
 	}
 	// The durable note is written before any epoch state is created (same
 	// order as createSnapshotFrom): if the note program fails, nothing has

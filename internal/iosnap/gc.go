@@ -251,9 +251,12 @@ func (f *FTL) cleanSegment(now sim.Time, seg int) (sim.Time, error) {
 func (f *FTL) blockMoved(victim int, old, dst nand.PageAddr, h header.Header, _ bool) {
 	// Checkpoint chunks carry chunk geometry in the Epoch field, not an
 	// epoch, and translation pages are valid in no epoch: neither
-	// contributes to presence.
+	// contributes to presence. A reaped stamp counts for its heir: a later
+	// selective scan looks for the heir, not for an epoch it never heard of.
 	if !h.Type.IsCheckpoint() && h.Type != header.TypeMapPage {
-		f.presence.add(f.Dev.SegmentOf(dst), bitmap.Epoch(h.Epoch))
+		if e, ok := f.vstore.Resolve(bitmap.Epoch(h.Epoch)); ok {
+			f.presence.add(f.Dev.SegmentOf(dst), e)
+		}
 	}
 
 	// Step 3: re-point every live epoch that saw the old block. In the

@@ -2,6 +2,7 @@ package iosnap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"iosnap/internal/bitmap"
@@ -17,16 +18,20 @@ import (
 //
 //  1. every view's forward-map entry points at a programmed page whose OOB
 //     header is a data header carrying that LBA, stamped with an epoch in
-//     the view's lineage, with the view-epoch validity bit set; no two LBAs
-//     of one view share a physical page;
+//     the view's lineage (a reaped stamp through its heir), with the
+//     view-epoch validity bit set; no two LBAs of one view share a physical
+//     page;
 //  2. merged validity agrees with live OOB state: every page valid in any
 //     live epoch is programmed with a parseable header, its stamping epoch
-//     is summarized in the segment's presence map, and every active-valid
-//     data page is referenced by the active forward map;
+//     (or that epoch's heir) is summarized in the segment's presence map,
+//     and every active-valid data page is referenced by the active forward
+//     map;
 //  3. the snapshot tree and the epoch-parent chains are consistent: every
-//     live snapshot's epoch exists in the validity store, parent/child
-//     links are mutual, and each snapshot's epoch reaches its parent's
-//     epoch by walking the epoch-parent chain;
+//     epoch-parent edge runs from an epoch to an older one and matches the
+//     validity store's inheritance, every alias names a reaped epoch and an
+//     heir the store holds, every live snapshot's epoch exists in the
+//     validity store, parent/child links are mutual, and each snapshot's
+//     epoch reaches its parent's epoch by walking the epoch-parent chain;
 //  4. UsedSegs and FreeSegs partition the non-retired segments with no
 //     duplicates, free segments hold no programmed pages and no presence
 //     summary, and the log head lives in a used segment;
@@ -200,12 +205,9 @@ func (f *FTL) checkGCAccounting() error {
 	for _, v := range f.views {
 		isView[v.epoch] = true
 	}
-	var frozenEps, liveEps []bitmap.Epoch
-	for _, ep := range f.vstore.Epochs() {
-		if f.vstore.Deleted(ep) {
-			continue
-		}
-		liveEps = append(liveEps, ep)
+	liveEps := f.vstore.LiveEpochs()
+	var frozenEps []bitmap.Epoch
+	for _, ep := range liveEps {
 		if !isView[ep] {
 			frozenEps = append(frozenEps, ep)
 		}
@@ -277,7 +279,7 @@ func (f *FTL) checkViews() error {
 				ierr = fmt.Errorf("invariant: view %d: LBA %d -> page %d holds %v/%d", vi, lba, addr, h.Type, h.LBA)
 				return false
 			}
-			if !lineage[bitmap.Epoch(h.Epoch)] {
+			if e, ok := f.vstore.Resolve(bitmap.Epoch(h.Epoch)); !ok || !lineage[e] {
 				ierr = fmt.Errorf("invariant: view %d (epoch %d): LBA %d -> page %d stamped with foreign epoch %d", vi, v.epoch, lba, addr, h.Epoch)
 				return false
 			}
@@ -300,12 +302,7 @@ func (f *FTL) checkValidity() error {
 		activeRefs[int64(addr)] = true
 		return true
 	})
-	var live []bitmap.Epoch
-	for _, e := range f.vstore.Epochs() {
-		if !f.vstore.Deleted(e) {
-			live = append(live, e)
-		}
-	}
+	live := f.vstore.LiveEpochs()
 	// Validity bits live only in bitmap pages some live epoch observes; every
 	// other physical page reads invalid in all of them. Sweeping those pages
 	// instead of the raw page space keeps this check proportional to touched
@@ -352,8 +349,12 @@ func (f *FTL) checkValidity() error {
 			}
 			seg := int(p / pps)
 			if h.Type == header.TypeData {
-				if _, ok := f.presence.segs[seg][bitmap.Epoch(h.Epoch)]; !ok {
-					return fmt.Errorf("invariant: valid page %d (epoch %d) missing from segment %d presence summary", p, h.Epoch, seg)
+				e, ok := f.vstore.Resolve(bitmap.Epoch(h.Epoch))
+				if !ok {
+					return fmt.Errorf("invariant: valid page %d stamped with epoch %d, which left no heir", p, h.Epoch)
+				}
+				if _, ok := f.presence.segs[seg][e]; !ok {
+					return fmt.Errorf("invariant: valid page %d (epoch %d, now %d) missing from segment %d presence summary", p, h.Epoch, e, seg)
 				}
 				if f.vstore.Test(f.active.epoch, p) && !activeRefs[p] {
 					return fmt.Errorf("invariant: active-valid data page %d (LBA %d) unreferenced by the active map", p, h.LBA)
@@ -365,6 +366,22 @@ func (f *FTL) checkValidity() error {
 }
 
 func (f *FTL) checkTree() error {
+	for e, p := range f.epochParent {
+		if p >= e {
+			return fmt.Errorf("invariant: epoch %d has parent %d, not an older epoch", e, p)
+		}
+	}
+	for _, e := range f.vstore.Epochs() {
+		sp, ok := f.vstore.Parent(e)
+		if gp, has := f.epochParent[e]; ok != has || (ok && sp != gp) {
+			return fmt.Errorf("invariant: epoch %d inherits from %d (%v) in the validity store, %d (%v) in the epoch graph", e, sp, ok, gp, has)
+		}
+	}
+	for _, a := range f.vstore.Aliases() {
+		if f.vstore.Exists(a.Epoch) || !f.vstore.Exists(a.Heir) {
+			return fmt.Errorf("invariant: alias %d -> %d: the reaped epoch must be gone and its heir present", a.Epoch, a.Heir)
+		}
+	}
 	for _, id := range f.tree.IDs() {
 		s, _ := f.tree.Lookup(id)
 		if s.Deleted {
@@ -438,7 +455,7 @@ func (f *FTL) checkPools() error {
 		}
 		pps := int64(f.cfg.Nand.PagesPerSegment)
 		lo, hi := int64(s)*pps, int64(s+1)*pps
-		if n := f.vstore.MergeRange(f.vstore.Epochs(), lo, hi).Count(); n != 0 {
+		if n := f.vstore.MergeRange(f.vstore.LiveEpochs(), lo, hi).Count(); n != 0 {
 			return fmt.Errorf("invariant: retired segment %d holds %d merged-valid blocks (rescue incomplete)", s, n)
 		}
 		if f.presence.count(s) != 0 {
@@ -458,8 +475,9 @@ func (f *FTL) checkPools() error {
 // CompareRecovered checks that two independently recovered FTLs (typically
 // tail-bounded vs full-scan over copies of the same device image) agree on
 // all durable state: the active forward map, log geometry, the epoch graph
-// with its deletion marks, the snapshot tree, and per-page validity of
-// every data page in every live epoch.
+// with its deletion marks and the alias table of reaped epochs, the
+// snapshot tree and the next snapshot ID, and per-page validity of every
+// data page in every live epoch.
 //
 // Deliberately not compared: epoch presence summaries (a conservative
 // superset whose note-page entries differ between the live write path and
@@ -531,6 +549,12 @@ func CompareRecovered(a, b *FTL) error {
 			return fmt.Errorf("compare: epoch %d parent %d vs %d (present=%v)", e, p, bp, ok)
 		}
 	}
+	if aa, ba := a.vstore.Aliases(), b.vstore.Aliases(); !slices.Equal(aa, ba) {
+		return fmt.Errorf("compare: alias tables %v vs %v", aa, ba)
+	}
+	if a.tree.nextID != b.tree.nextID {
+		return fmt.Errorf("compare: next snapshot ID %d vs %d", a.tree.nextID, b.tree.nextID)
+	}
 
 	// Snapshot tree: same IDs; per ID the same epoch, deletion mark, parent.
 	aIDs := a.tree.IDs()
@@ -558,12 +582,7 @@ func CompareRecovered(a, b *FTL) error {
 	}
 
 	// Per-page validity of data pages, across every live epoch.
-	var live []bitmap.Epoch
-	for _, e := range aEps {
-		if !a.vstore.Deleted(e) {
-			live = append(live, e)
-		}
-	}
+	live := a.vstore.LiveEpochs()
 	for p := int64(0); p < a.cfg.Nand.TotalPages(); p++ {
 		oob, err := a.Dev.PageOOB(nand.PageAddr(p))
 		if err != nil {

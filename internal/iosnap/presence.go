@@ -7,8 +7,9 @@ import "iosnap/internal/bitmap"
 // scanning only those segments that have data corresponding to the
 // snapshot." The FTL records which epochs have ever written into each
 // segment (a tiny superset summary — never decremented until the segment is
-// erased), and a selective activation scans only segments whose summary
-// intersects the snapshot's lineage.
+// erased; a history reap renames a reaped epoch to its heir), and a
+// selective activation scans only segments whose summary intersects the
+// snapshot's lineage.
 //
 // Safety: the summary is monotone per segment lifetime, so a segment
 // omitted from the scan list provably holds no block of any lineage epoch
@@ -36,6 +37,22 @@ func (p *epochPresence) add(seg int, e bitmap.Epoch) {
 
 // clear resets a segment's summary (called on erase).
 func (p *epochPresence) clear(seg int) { p.segs[seg] = nil }
+
+// rename rewrites every summary after a reap: a reaped epoch gives way to
+// its heir, which now holds the blocks stamped with it, or leaves when it
+// was dropped with no descendant to hold any.
+func (p *epochPresence) rename(heirOf map[bitmap.Epoch]bitmap.Epoch) {
+	for _, m := range p.segs {
+		for e := range m {
+			if h, reaped := heirOf[e]; reaped {
+				delete(m, e)
+				if h != bitmap.NoParent {
+					m[h] = struct{}{}
+				}
+			}
+		}
+	}
+}
 
 // intersects reports whether segment seg may hold blocks of any epoch in
 // lineage.

@@ -1,0 +1,680 @@
+package iosnap
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+	"time"
+
+	"iosnap/internal/bitmap"
+	"iosnap/internal/ckpt"
+	"iosnap/internal/header"
+	"iosnap/internal/logcore"
+	"iosnap/internal/nand"
+	"iosnap/internal/sim"
+)
+
+// histRun drives an FTL and keeps the content model every snapshot must
+// read back: the active view's, and each live snapshot's as frozen.
+type histRun struct {
+	t      *testing.T
+	f      *FTL
+	now    sim.Time
+	ver    byte
+	active map[int64]byte
+	frozen map[SnapshotID]map[int64]byte
+}
+
+func newHistRun(t *testing.T, cfg Config) *histRun {
+	t.Helper()
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &histRun{t: t, f: f, active: map[int64]byte{}, frozen: map[SnapshotID]map[int64]byte{}}
+}
+
+// write overwrites lbas in the active view (vw nil) or in a writable view,
+// whose model m it updates.
+func (h *histRun) write(vw *View, m map[int64]byte, lbas ...int64) {
+	h.t.Helper()
+	h.ver++
+	for _, lba := range lbas {
+		h.f.Sched.RunUntil(h.now)
+		var err error
+		if vw == nil {
+			h.now, err = h.f.Write(h.now, lba, sectorPattern(h.f.SectorSize(), lba, h.ver))
+			h.active[lba] = h.ver
+		} else {
+			h.now, err = vw.Write(h.now, lba, sectorPattern(h.f.SectorSize(), lba, h.ver))
+			m[lba] = h.ver
+		}
+		if err != nil {
+			h.t.Fatal(err)
+		}
+	}
+}
+
+func span(lo, hi int64) []int64 {
+	var out []int64
+	for lba := lo; lba < hi; lba++ {
+		out = append(out, lba)
+	}
+	return out
+}
+
+func clone(m map[int64]byte) map[int64]byte {
+	out := make(map[int64]byte, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
+
+func (h *histRun) create() *Snapshot {
+	h.t.Helper()
+	s, now, err := h.f.CreateSnapshot(h.now)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.now = now
+	h.frozen[s.ID] = clone(h.active)
+	return s
+}
+
+// createFrom snapshots a writable view whose content model is m.
+func (h *histRun) createFrom(vw *View, m map[int64]byte) *Snapshot {
+	h.t.Helper()
+	s, now, err := vw.CreateSnapshot(h.now)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.now = now
+	h.frozen[s.ID] = clone(m)
+	return s
+}
+
+func (h *histRun) activate(id SnapshotID, writable bool) *View {
+	h.t.Helper()
+	vw, now, err := h.f.ActivateSync(h.now, id, noLimit, writable)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.now = now
+	return vw
+}
+
+func (h *histRun) deactivate(vw *View) {
+	h.t.Helper()
+	now, err := vw.Deactivate(h.now)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.now = now
+}
+
+func (h *histRun) del(id SnapshotID) {
+	h.t.Helper()
+	now, err := h.f.DeleteSnapshot(h.now, id)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.now = now
+	delete(h.frozen, id)
+}
+
+// checkpoint commits a background checkpoint, the reaper's trigger.
+func (h *histRun) checkpoint() {
+	h.t.Helper()
+	if !h.f.StartCheckpoint(h.now) {
+		h.t.Fatal("StartCheckpoint refused")
+	}
+	h.now = h.f.Sched.Drain(h.now)
+}
+
+// verify reads the active view and every live snapshot of f back against
+// the model, through a fresh activation each.
+func (h *histRun) verify(f *FTL, now sim.Time, when string) sim.Time {
+	h.t.Helper()
+	buf := make([]byte, f.SectorSize())
+	read := func(what string, rd func(sim.Time, int64, []byte) (sim.Time, error), m map[int64]byte) {
+		for lba, v := range m {
+			d, err := rd(now, lba, buf)
+			if err != nil {
+				h.t.Fatalf("%s: %s LBA %d: %v", when, what, lba, err)
+			}
+			now = d
+			if !bytes.Equal(buf, sectorPattern(f.SectorSize(), lba, v)) {
+				h.t.Fatalf("%s: %s LBA %d does not read back", when, what, lba)
+			}
+		}
+	}
+	read("active view", f.Read, h.active)
+	for id, m := range h.frozen {
+		vw, d, err := f.ActivateSync(now, id, noLimit, false)
+		if err != nil {
+			h.t.Fatalf("%s: activating snapshot %d: %v", when, id, err)
+		}
+		now = d
+		if vw.MappedSectors() != len(m) {
+			h.t.Fatalf("%s: snapshot %d maps %d sectors, froze %d", when, id, vw.MappedSectors(), len(m))
+		}
+		read("snapshot", vw.Read, m)
+		if now, err = vw.Deactivate(now); err != nil {
+			h.t.Fatal(err)
+		}
+	}
+	return now
+}
+
+// remount closes the FTL and mounts two copies of its image, tail-bounded
+// and by the full scan, checks they agree and hold, and returns them.
+func (h *histRun) remount() (tail, full *FTL, now sim.Time) {
+	h.t.Helper()
+	now, err := h.f.Close(h.now)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	devA, devB := duplicateDevice(h.t, h.f.Device())
+	tail, _, err = Recover(h.f.Config(), devA, nil, now)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	if !tail.Stats().RecoveryTailBounded {
+		h.t.Fatal("the closed device did not mount tail-bounded")
+	}
+	full, _, err = RecoverFullScan(h.f.Config(), devB, nil, now)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	if err := CompareRecovered(tail, full); err != nil {
+		h.t.Fatalf("tail-bounded and full-scan mounts differ: %v", err)
+	}
+	for _, r := range []*FTL{tail, full} {
+		if err := r.CheckInvariants(); err != nil {
+			h.t.Fatal(err)
+		}
+	}
+	return tail, full, now
+}
+
+// bounded asserts that what the FTL remembers of its history, and what a
+// checkpoint of it serializes, follows the live snapshots and views.
+func bounded(t *testing.T, f *FTL, when string) {
+	t.Helper()
+	limit := 2 * (len(f.Snapshots()) + len(f.views) + 1)
+	perEpoch := 8 + 8 + 1 + 4 + int(f.vstore.TotalPages())*(8+int(f.vstore.BitsPerPage()/8))
+	for what, n := range map[string]int{
+		"validity epochs":    len(f.vstore.Epochs()),
+		"epoch-parent edges": len(f.epochParent),
+		"snapshot records":   f.tree.Len(),
+	} {
+		if n > limit {
+			t.Fatalf("%s: %d %s, want at most %d for %d live snapshots and %d views",
+				when, n, what, limit, len(f.Snapshots()), len(f.views))
+		}
+	}
+	if n := len(f.encodeValidSection()); n > 12+limit*perEpoch {
+		t.Fatalf("%s: validity section of %d bytes, want at most %d", when, n, 12+limit*perEpoch)
+	}
+}
+
+// TestCheckpointReapsHistory: 400 create → activate → deactivate → delete
+// cycles leave 800 dead epochs behind; a checkpoint forgets them, and so do
+// both recovery paths, which agree on the result.
+func TestCheckpointReapsHistory(t *testing.T) {
+	cfg := testConfig()
+	// Every snapshot operation leaves a note that stays valid for good:
+	// 1 600 pages by the end.
+	cfg.Nand.PagesPerSegment, cfg.Nand.Segments = 64, 128
+	cfg = DefaultConfig(cfg.Nand)
+	cfg.GCWindow = 10 * sim.Millisecond
+	cfg.SelectiveScan = true
+	h := newHistRun(t, cfg)
+	rng := sim.NewRNG(4)
+	var kept []SnapshotID
+	for cycle := 0; cycle < 400; cycle++ {
+		lbas := make([]int64, 20)
+		for i := range lbas {
+			lbas[i] = rng.Int63n(300)
+		}
+		h.write(nil, nil, lbas...)
+		s := h.create()
+		h.deactivate(h.activate(s.ID, false))
+		if kept = append(kept, s.ID); len(kept) > 2 {
+			h.del(kept[0])
+			kept = kept[1:]
+		}
+	}
+	f := h.f
+	if n := len(f.vstore.Epochs()); n < 800 {
+		t.Fatalf("%d epochs before the checkpoint, want the whole history", n)
+	}
+	h.checkpoint()
+	bounded(t, f, "after the checkpoint")
+	reaped := int(f.epochCounter) - len(f.vstore.Epochs())
+	aliasBytes := 16 * len(f.vstore.Aliases())
+	if aliasBytes == 0 || aliasBytes > 16*reaped {
+		t.Fatalf("alias table of %d bytes for %d reaped epochs", aliasBytes, reaped)
+	}
+	t.Logf("reaped %d of %d epochs; alias table %d B (%.1f B per reaped epoch); validity section %d B",
+		reaped, f.epochCounter, aliasBytes, float64(aliasBytes)/float64(reaped), len(f.encodeValidSection()))
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	h.now = h.verify(f, h.now, "after the checkpoint")
+
+	tail, full, now := h.remount()
+	for _, r := range []*FTL{tail, full} {
+		bounded(t, r, "after remounting")
+		h.verify(r, now, "after remounting")
+	}
+}
+
+// TestReapCases: one shape of history per case, checked after a checkpoint
+// on the live FTL and after a tail-bounded and a full-scan mount.
+func TestReapCases(t *testing.T) {
+	cfg := ckptConfig()
+	cfg.SelectiveScan = true
+
+	t.Run("spliced-chain", func(t *testing.T) {
+		// S1 ← S2 ← S3 on the active lineage; deleting S2 splices its epoch
+		// into S3's, which adopts the blocks stamped with it.
+		h := newHistRun(t, cfg)
+		h.write(nil, nil, span(0, 40)...)
+		s1 := h.create()
+		h.write(nil, nil, span(10, 30)...)
+		s2 := h.create()
+		h.write(nil, nil, span(20, 50)...)
+		s3 := h.create()
+		h.write(nil, nil, span(0, 10)...)
+		h.del(s2.ID)
+		check := func(f *FTL, when string) {
+			t.Helper()
+			if _, ok := f.tree.Lookup(s2.ID); ok || f.vstore.Exists(s2.Epoch) {
+				t.Fatalf("%s: the deleted chain node is still there", when)
+			}
+			if e, ok := f.vstore.Resolve(s2.Epoch); !ok || e != s3.Epoch {
+				t.Fatalf("%s: epoch %d resolves to %d (%v), want its heir %d", when, s2.Epoch, e, ok, s3.Epoch)
+			}
+			r3, _ := f.tree.Lookup(s3.ID)
+			if r3.Parent == nil || r3.Parent.ID != s1.ID || f.epochParent[s3.Epoch] != s1.Epoch {
+				t.Fatalf("%s: snapshot 3 not re-parented to snapshot 1", when)
+			}
+		}
+		h.checkpoint()
+		check(h.f, "after the checkpoint")
+		h.now = h.verify(h.f, h.now, "after the checkpoint")
+		tail, full, now := h.remount()
+		for _, r := range []*FTL{tail, full} {
+			check(r, "after remounting")
+			h.verify(r, now, "after remounting")
+		}
+	})
+
+	t.Run("branching-stays", func(t *testing.T) {
+		// S1 has two live children — S2 from a writable view of it, S3 from
+		// the active lineage — so its deleted epoch and record stay.
+		h := newHistRun(t, cfg)
+		h.write(nil, nil, span(0, 40)...)
+		s1 := h.create()
+		vm := clone(h.active)
+		vw := h.activate(s1.ID, true)
+		h.write(vw, vm, span(5, 15)...)
+		s2 := h.createFrom(vw, vm)
+		h.deactivate(vw)
+		h.write(nil, nil, span(30, 60)...)
+		s3 := h.create()
+		h.del(s1.ID)
+		check := func(f *FTL, when string) {
+			t.Helper()
+			r1, ok := f.tree.Lookup(s1.ID)
+			if !ok || !r1.Deleted || !f.vstore.Exists(s1.Epoch) {
+				t.Fatalf("%s: the branching tombstone was reaped", when)
+			}
+			for _, id := range []SnapshotID{s2.ID, s3.ID} {
+				if r, _ := f.tree.Lookup(id); r.Parent != r1 {
+					t.Fatalf("%s: snapshot %d lost its parent", when, id)
+				}
+			}
+		}
+		h.checkpoint()
+		check(h.f, "after the checkpoint")
+		h.now = h.verify(h.f, h.now, "after the checkpoint")
+		tail, full, now := h.remount()
+		for _, r := range []*FTL{tail, full} {
+			check(r, "after remounting")
+			h.verify(r, now, "after remounting")
+		}
+	})
+
+	t.Run("view-parent-pinned", func(t *testing.T) {
+		// S2 is frozen from a writable view of S1; once that view is gone a
+		// read-only view of S2 is S2's epoch's only child. Deleting S2 under
+		// the open view leaves it pinned; closing the view frees it.
+		h := newHistRun(t, cfg)
+		h.write(nil, nil, span(0, 40)...)
+		s1 := h.create()
+		vm := clone(h.active)
+		vw := h.activate(s1.ID, true)
+		h.write(vw, vm, span(0, 20)...)
+		s2 := h.createFrom(vw, vm)
+		h.deactivate(vw)
+		view := h.activate(s2.ID, false)
+		want := h.frozen[s2.ID]
+		h.del(s2.ID)
+		h.checkpoint()
+		if r, ok := h.f.tree.Lookup(s2.ID); !ok || !r.Deleted || !h.f.vstore.Exists(s2.Epoch) {
+			t.Fatal("the open view's snapshot was reaped")
+		}
+		if err := h.f.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, h.f.SectorSize())
+		for lba, v := range want {
+			if _, err := view.Read(h.now, lba, buf); err != nil || !bytes.Equal(buf, sectorPattern(h.f.SectorSize(), lba, v)) {
+				t.Fatalf("the open view no longer reads LBA %d: %v", lba, err)
+			}
+		}
+		h.deactivate(view)
+		h.checkpoint()
+		gone := func(f *FTL, when string) {
+			t.Helper()
+			if _, ok := f.tree.Lookup(s2.ID); ok || f.vstore.Exists(s2.Epoch) {
+				t.Fatalf("%s: the unpinned snapshot was not reaped", when)
+			}
+		}
+		gone(h.f, "after the view closed")
+		tail, full, now := h.remount()
+		for _, r := range []*FTL{tail, full} {
+			gone(r, "after remounting")
+			h.verify(r, now, "after remounting")
+		}
+	})
+
+	t.Run("reaped-id-stays-deleted", func(t *testing.T) {
+		// S2, the highest ID, is frozen from a view and deleted: no record
+		// of it survives the checkpoint, yet its ID answers "deleted", before
+		// and after a restart, and is never handed out again.
+		h := newHistRun(t, cfg)
+		h.write(nil, nil, span(0, 30)...)
+		s1 := h.create()
+		vm := clone(h.active)
+		vw := h.activate(s1.ID, true)
+		h.write(vw, vm, span(0, 10)...)
+		s2 := h.createFrom(vw, vm)
+		h.deactivate(vw)
+		h.del(s2.ID)
+		h.checkpoint()
+		check := func(f *FTL, now sim.Time, when string) {
+			t.Helper()
+			if _, ok := f.tree.Lookup(s2.ID); ok {
+				t.Fatalf("%s: snapshot %d was not reaped", when, s2.ID)
+			}
+			_, err1 := f.DeleteSnapshot(now, s2.ID)
+			_, _, err2 := f.ActivateSync(now, s2.ID, noLimit, false)
+			_, _, err3 := f.BeginExport(now, ExportOpts{Snapshot: s2.ID})
+			_, _, err4 := f.BeginExport(now, ExportOpts{Snapshot: s1.ID, Base: s2.ID})
+			for i, err := range []error{err1, err2, err3, err4} {
+				if !errors.Is(err, ErrSnapshotDeleted) {
+					t.Fatalf("%s: call %d on the reaped ID: %v, want ErrSnapshotDeleted", when, i+1, err)
+				}
+			}
+			if _, err := f.DeleteSnapshot(now, 99); !errors.Is(err, ErrNoSuchSnapshot) {
+				t.Fatalf("%s: an ID never handed out: %v", when, err)
+			}
+		}
+		check(h.f, h.now, "after the checkpoint")
+		tail, full, now := h.remount()
+		for _, r := range []*FTL{tail, full} {
+			check(r, now, "after remounting")
+			s, _, err := r.CreateSnapshot(now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.ID != s2.ID+1 {
+				t.Fatalf("the next snapshot after remounting got ID %d, want %d", s.ID, s2.ID+1)
+			}
+		}
+	})
+}
+
+// TestReapedMountsMatchFullScan: a random mix of writes, snapshot creates
+// and deletes, writable and read-only views, snapshots of views and
+// background activations, under periodic checkpoints that reap whatever the
+// moment allows — pinned epochs, dying ones, history half-reaped. At every
+// crash point a tail-bounded mount and a full scan of the same image must
+// agree, hold their invariants and read every snapshot back.
+func TestReapedMountsMatchFullScan(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		cfg := tortureConfig()
+		cfg.CheckpointInterval = 300 * sim.Microsecond
+		cfg.SelectiveScan = seed%2 == 0
+		h := newHistRun(t, cfg)
+		rng := sim.NewRNG(seed)
+		var (
+			view   *View
+			vm     map[int64]byte
+			act    *Activation
+			tail   int
+			reaped bool
+		)
+		pick := func() SnapshotID {
+			ids := make([]SnapshotID, 0, len(h.frozen))
+			for _, s := range h.f.Snapshots() {
+				ids = append(ids, s.ID)
+			}
+			return ids[rng.Intn(len(ids))]
+		}
+		for step := 0; step < 900; step++ {
+			h.f.Sched.RunUntil(h.now)
+			if act != nil && act.Ready() {
+				vw, err := act.View()
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.deactivate(vw)
+				act = nil
+			}
+			live := len(h.f.Snapshots())
+			switch op := rng.Intn(20); {
+			case op < 8:
+				h.write(nil, nil, rng.Int63n(60))
+			case op < 10 && live < 5:
+				h.create()
+			case op < 12 && live > 1:
+				h.del(pick())
+			case op < 13 && view == nil && live > 0:
+				id := pick()
+				vm = clone(h.frozen[id])
+				view = h.activate(id, rng.Intn(2) == 0)
+			case op < 15 && view != nil && view.Writable():
+				h.write(view, vm, rng.Int63n(60))
+			case op < 16 && view != nil && view.Writable() && live < 5:
+				h.createFrom(view, vm)
+			case op < 17 && view != nil:
+				h.deactivate(view)
+				view = nil
+			case op < 18 && act == nil && live > 0:
+				var err error
+				if act, h.now, err = h.f.Activate(h.now, pick(), actLimit, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if step%150 != 149 {
+				continue
+			}
+			// Crash here: mount two copies of the image both ways.
+			devA, devB := duplicateDevice(t, h.f.Device())
+			a, nowA, err := Recover(cfg, devA, nil, h.now)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			b, _, err := RecoverFullScan(cfg, devB, nil, h.now)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if err := CompareRecovered(a, b); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			for _, r := range []*FTL{a, b} {
+				if err := r.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			}
+			if a.Stats().RecoveryTailBounded {
+				tail++
+			}
+			reaped = reaped || len(a.vstore.Aliases()) > 0
+			h.verify(a, nowA, "after a crash")
+		}
+		if err := h.f.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if tail == 0 || !reaped || h.f.Stats().Checkpoints < 5 {
+			t.Fatalf("seed %d: degenerate run: %d tail-bounded mounts, aliases %v, %d checkpoints", seed, tail, reaped, h.f.Stats().Checkpoints)
+		}
+	}
+}
+
+// TestFullHistoryCheckpointMountsAndReaps: a checkpoint that carries every
+// epoch ever created — what a device checkpointed before reaping existed
+// holds — still mounts tail-bounded, and the mount reaps it.
+func TestFullHistoryCheckpointMountsAndReaps(t *testing.T) {
+	h := newHistRun(t, ckptConfig())
+	var kept []SnapshotID
+	for cycle := 0; cycle < 30; cycle++ {
+		h.write(nil, nil, int64(cycle%7), int64(20+cycle%11))
+		s := h.create()
+		h.deactivate(h.activate(s.ID, false))
+		if kept = append(kept, s.ID); len(kept) > 2 {
+			h.del(kept[0])
+			kept = kept[1:]
+		}
+	}
+	f := h.f
+	history := len(f.vstore.Epochs())
+	// Pin every epoch, as if the reaper did not exist, for one checkpoint.
+	for _, e := range f.vstore.Epochs() {
+		f.exports = append(f.exports, &Export{snap: &Snapshot{Epoch: e}})
+	}
+	h.checkpoint()
+	f.exports = nil
+	chunks, _, ok := f.ReadAnchorChunks(h.now)
+	if !ok {
+		t.Fatal("no readable checkpoint")
+	}
+	var valid []logcore.AnchorChunk
+	for _, c := range chunks {
+		if c.Type == header.TypeCkptValid {
+			valid = append(valid, c)
+		}
+	}
+	_, secs, ok := logcore.AssembleStream(f.AnchorID, valid)
+	if !ok {
+		t.Fatal("validity stream does not assemble")
+	}
+	recs, err := decodeCkptValid(secs, f.vstore.BitsPerPage())
+	if err != nil || len(recs) != history || history < 60 {
+		t.Fatalf("the checkpoint holds %d of %d epochs (%v)", len(recs), history, err)
+	}
+
+	// Crash without Close: the full-history generation is what mounts.
+	devA, devB := duplicateDevice(t, f.Device())
+	tail, now, err := Recover(f.Config(), devA, nil, h.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tail.Stats().RecoveryTailBounded {
+		t.Fatal("a full-history checkpoint did not mount tail-bounded")
+	}
+	full, _, err := RecoverFullScan(f.Config(), devB, nil, h.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CompareRecovered(tail, full); err != nil {
+		t.Fatal(err)
+	}
+	if err := tail.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	bounded(t, tail, "after mounting a full-history checkpoint")
+	h.verify(tail, now, "after mounting a full-history checkpoint")
+}
+
+// TestTreeStreamWithoutAliasSection: the tree stream of a checkpoint written
+// before the alias section existed decodes to an empty table.
+func TestTreeStreamWithoutAliasSection(t *testing.T) {
+	var w ckpt.Writer
+	w.U64(3) // counter
+	w.U64(3) // active epoch
+	w.U32(0) // snapshots
+	w.U32(0) // segment table
+	st, err := decodeCkptTree([]ckpt.Section{{Kind: ckptSecTree, Data: w.B}})
+	if err != nil || st.nextID != 0 || st.aliases != nil {
+		t.Fatalf("decoded %+v, %v; want no next ID and no aliases", st, err)
+	}
+	var a ckpt.Writer
+	a.U64(9)
+	a.U32(1)
+	a.U64(4)
+	a.U64(7)
+	st, err = decodeCkptTree([]ckpt.Section{{Kind: ckptSecTree, Data: w.B}, {Kind: ckptSecAlias, Data: a.B}})
+	if err != nil || st.nextID != 9 || len(st.aliases) != 1 || st.aliases[0] != (bitmap.Reaped{Epoch: 4, Heir: 7}) {
+		t.Fatalf("decoded %+v, %v", st, err)
+	}
+}
+
+// buildOneSnapshot is the smallest device with history: some writes and
+// snapshot 1 freezing epoch 1.
+func buildOneSnapshot(t testing.TB) *FTL {
+	f, err := New(testConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := sim.Time(0)
+	for lba := int64(0); lba < 8; lba++ {
+		if now, err = f.Write(now, lba, sectorPattern(f.SectorSize(), lba, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err = f.CreateSnapshot(now); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// programAfterHead programs a page with header h at the head segment's next
+// free page, as a crafted or damaged log might hold one.
+func programAfterHead(t testing.TB, dev *nand.Device, seg int, h header.Header) {
+	addr := dev.Addr(seg, dev.NextFreeInSegment(seg))
+	if _, err := dev.ProgramPage(0, addr, make([]byte, dev.Config().SectorSize), h.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestActivateNoteCycleRefused: an activate note naming the epoch of the
+// very snapshot it activates would make that epoch its own parent; every
+// walk up the epoch graph then loops for ever. Both recovery paths must
+// refuse it, and promptly.
+func TestActivateNoteCycleRefused(t *testing.T) {
+	f := buildOneSnapshot(t)
+	programAfterHead(t, f.Dev, f.HeadSeg, header.Header{Type: header.TypeSnapActivate, LBA: 1, Epoch: 1, Seq: f.Seq + 10})
+	for name, mount := range map[string]func(Config, *nand.Device, *sim.Scheduler, sim.Time) (*FTL, sim.Time, error){
+		"Recover": Recover, "RecoverFullScan": RecoverFullScan,
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := mount(f.Config(), f.Dev, nil, 0)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("%s mounted a log whose epoch 1 is its own parent", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still running after 5 s: the epoch graph has a cycle", name)
+		}
+	}
+}

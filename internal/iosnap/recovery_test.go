@@ -116,6 +116,13 @@ func TestRecoverSnapshotTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Recovery reaps the history it rebuilt; the crashed FTL, reaped the
+	// same way, is the tree it must have found.
+	records := s.f.Tree().Len()
+	s.f.reap()
+	if s.f.Tree().Len() >= records {
+		t.Fatalf("scenario deleted nothing reapable: %d records before reaping, %d after", records, s.f.Tree().Len())
+	}
 	if r.Tree().Len() != s.f.Tree().Len() {
 		t.Fatalf("tree size %d, want %d", r.Tree().Len(), s.f.Tree().Len())
 	}
@@ -242,6 +249,7 @@ func TestDoubleCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second recovery: %v", err)
 	}
+	s.f.reap() // both recoveries reaped the history they rebuilt
 	if r2.Tree().Len() != s.f.Tree().Len() {
 		t.Fatalf("tree lost across double crash: %d vs %d", r2.Tree().Len(), s.f.Tree().Len())
 	}

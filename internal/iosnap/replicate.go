@@ -155,21 +155,14 @@ func (f *FTL) BeginExport(now sim.Time, opt ExportOpts) (*Export, sim.Time, erro
 	if !f.cfg.Nand.StoreData {
 		return nil, now, fmt.Errorf("%w: device retains no payloads (fingerprint mode)", ErrBadExport)
 	}
-	snap, ok := f.tree.Lookup(opt.Snapshot)
-	if !ok {
-		return nil, now, fmt.Errorf("%w: %d", ErrNoSuchSnapshot, opt.Snapshot)
-	}
-	if snap.Deleted {
-		return nil, now, fmt.Errorf("%w: %d", ErrSnapshotDeleted, opt.Snapshot)
+	snap, err := f.tree.find(opt.Snapshot)
+	if err != nil {
+		return nil, now, err
 	}
 	var base *Snapshot
 	if opt.Base != 0 {
-		base, ok = f.tree.Lookup(opt.Base)
-		if !ok {
-			return nil, now, fmt.Errorf("%w: base %d", ErrNoSuchSnapshot, opt.Base)
-		}
-		if base.Deleted {
-			return nil, now, fmt.Errorf("%w: base %d", ErrSnapshotDeleted, opt.Base)
+		if base, err = f.tree.find(opt.Base); err != nil {
+			return nil, now, fmt.Errorf("export base: %w", err)
 		}
 	}
 	x := &Export{

@@ -2,6 +2,7 @@ package iosnap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"iosnap/internal/bitmap"
@@ -50,14 +51,16 @@ func (s *Snapshot) Depth() int {
 	return d
 }
 
-// Tree is the snapshot tree: all snapshots ever created on the device,
-// including deleted ones (kept as tombstones until their blocks are fully
-// reclaimed — mirrors the paper's marked-deleted semantics).
+// Tree is the snapshot tree: the live snapshots plus the deleted ones whose
+// epochs the history reaper (reap.go) has not forgotten yet — tombstones
+// that still branch, or that a view or a job still reads. A reaped
+// snapshot's record leaves the tree and its children move up to the nearest
+// surviving ancestor. IDs ascend and are never reused, so an ID below
+// nextID with no record is a deleted snapshot.
 type Tree struct {
 	byID    map[SnapshotID]*Snapshot
 	byEpoch map[bitmap.Epoch]*Snapshot
 	nextID  SnapshotID
-	nodes   int64 // in-memory node estimate for stats
 }
 
 // NewTree returns an empty snapshot tree.
@@ -81,7 +84,21 @@ func (t *Tree) ByEpoch(e bitmap.Epoch) (*Snapshot, bool) {
 	return s, ok
 }
 
-// Len returns the number of snapshots (including deleted tombstones).
+// find returns the live snapshot id names, or ErrSnapshotDeleted for a
+// deleted one (tombstoned or already reaped), or ErrNoSuchSnapshot.
+func (t *Tree) find(id SnapshotID) (*Snapshot, error) {
+	s, ok := t.byID[id]
+	switch {
+	case ok && !s.Deleted:
+		return s, nil
+	case ok || (id > 0 && id < t.nextID):
+		return nil, fmt.Errorf("%w: %d", ErrSnapshotDeleted, id)
+	}
+	return nil, fmt.Errorf("%w: %d", ErrNoSuchSnapshot, id)
+}
+
+// Len returns the number of snapshot records: the live snapshots and the
+// deleted ones not reaped yet.
 func (t *Tree) Len() int { return len(t.byID) }
 
 // Live returns the number of non-deleted snapshots.
@@ -115,7 +132,21 @@ func (t *Tree) add(s *Snapshot) {
 	if s.ID >= t.nextID {
 		t.nextID = s.ID + 1
 	}
-	t.nodes++
+}
+
+// remove drops a reaped snapshot's record; its children move up to its
+// parent, their nearest surviving ancestor.
+func (t *Tree) remove(s *Snapshot) {
+	delete(t.byID, s.ID)
+	delete(t.byEpoch, s.Epoch)
+	if p := s.Parent; p != nil {
+		p.Children = slices.DeleteFunc(p.Children, func(c *Snapshot) bool { return c == s })
+		p.Children = append(p.Children, s.Children...)
+	}
+	for _, c := range s.Children {
+		c.Parent = s.Parent
+	}
+	s.Children = nil
 }
 
 // CreateSnapshot snapshots the active device: the current epoch is frozen
@@ -175,12 +206,9 @@ func (f *FTL) DeleteSnapshot(now sim.Time, id SnapshotID) (sim.Time, error) {
 	if f.Closed() {
 		return now, ErrClosed
 	}
-	snap, ok := f.tree.Lookup(id)
-	if !ok {
-		return now, fmt.Errorf("%w: %d", ErrNoSuchSnapshot, id)
-	}
-	if snap.Deleted {
-		return now, fmt.Errorf("%w: %d", ErrSnapshotDeleted, id)
+	snap, err := f.tree.find(id)
+	if err != nil {
+		return now, err
 	}
 	_, done, err := f.writeNote(now, header.TypeSnapDelete, id, snap.Epoch)
 	if err != nil {
@@ -191,9 +219,11 @@ func (f *FTL) DeleteSnapshot(now sim.Time, id SnapshotID) (sim.Time, error) {
 		return now, fmt.Errorf("iosnap: deleting epoch %d: %w", snap.Epoch, err)
 	}
 	// The create note stays on the log (one 4 KB block per snapshot ever
-	// created — the paper's "insignificant" fixed metadata): recovery
-	// replays the full note history to reproduce epoch numbering, so even
-	// tombstoned snapshots keep their create note.
+	// created — the paper's "insignificant" fixed metadata): the full scan
+	// replays the whole note history to reproduce epoch numbering, so even
+	// reaped snapshots keep their create note. The epoch and the record are
+	// forgotten at the next checkpoint (reap.go), not here: deleting stays
+	// one note, and no CoW counter moves.
 	f.stats.SnapshotDeletes++
 	return done, nil
 }

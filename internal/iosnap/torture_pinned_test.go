@@ -85,7 +85,7 @@ func TestTorturePinnedOracles(t *testing.T) {
 		// recovery or fallback); a bounded map's GTD checkpoints.
 		{"ckpt-churn/seed77", ckptEvery(tortureConfig(), 1*sim.Millisecond),
 			TortureOptions{Seed: 77, Steps: 1200, SnapshotChurn: true},
-			"steps=1200 opErrors=132 crashes=0 recoveries=0 checks=13 repls=0 gcErrors=0 torn=0 fired=0/09612b07b5ecb5a5 digest=ae4349916a3f48cc gcRuns=237 gcCopied=3053 ckpts=16 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
+			"steps=1200 opErrors=72 crashes=0 recoveries=0 checks=13 repls=0 gcErrors=0 torn=0 fired=0/09612b07b5ecb5a5 digest=1a09ec0b53412397 gcRuns=211 gcCopied=2968 ckpts=23 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
 		{"ckpt-crash/seed4242", ckptEvery(tortureConfig(), 500*sim.Microsecond),
 			TortureOptions{Seed: 4242, Steps: 1500, ActivationLimit: actLimit,
 				Plan: faultinject.CrashAtChunk(header.TypeCkptMap, 1),
@@ -95,11 +95,11 @@ func TestTorturePinnedOracles(t *testing.T) {
 					}
 					return faultinject.CrashAtChunk(chunkTypes[cycle%len(chunkTypes)], 1+int64(cycle%2))
 				}},
-			"steps=1500 opErrors=0 crashes=4 recoveries=4 checks=20 repls=0 gcErrors=0 torn=0 fired=4/1e78786fcfa79481 digest=38207533195cdb23 gcRuns=233 gcCopied=2666 ckpts=29 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
+			"steps=1500 opErrors=0 crashes=4 recoveries=4 checks=20 repls=0 gcErrors=0 torn=0 fired=4/fbdbb5fb10ef4f91 digest=ba3d2ac92358e0ee gcRuns=209 gcCopied=2632 ckpts=28 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
 		{"map-thrash-ckpt-crash/seed9", ckptEvery(mapThrashConfig(), 1*sim.Millisecond),
 			TortureOptions{Seed: 9, Steps: 900, Space: mapThrashSpace, MapThrash: true,
 				Plan: mapCrashPlan(400)},
-			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=1/f9ba64633700b236 digest=60767d5572d1a2c0 gcRuns=92 gcCopied=846 ckpts=18 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=468"},
+			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=1/14ddb4b87bb7793d digest=0c98935b3708ae92 gcRuns=93 gcCopied=952 ckpts=18 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=480"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,13 +18,18 @@ import (
 // allocation from a number the stream has not paid for.
 
 // decodeAnySection runs every section decoder the recovery path has over one
-// section body.
+// section body; the alias section is decoded behind an empty tree section,
+// the only place it is read.
 func decodeAnySection(kind uint8, data []byte) {
 	secs := []ckpt.Section{{Kind: kind, Data: data}}
 	decodeCkptMapStream(secs)
 	decodeCkptTree(secs)
+	decodeCkptTree(append([]ckpt.Section{emptyTreeSection}, secs...))
 	decodeCkptValid(secs, 64)
 }
+
+// emptyTreeSection is a tree section with no snapshots and no segments.
+var emptyTreeSection = ckpt.Section{Kind: ckptSecTree, Data: make([]byte, 8+8+4+4)}
 
 // seal turns arbitrary bytes into a stream ckpt.Decode accepts as framed:
 // magic, version, total length and checksum are made right, everything else
@@ -106,7 +111,7 @@ func FuzzCheckpointSections(f *testing.F) {
 	for _, s := range secs {
 		f.Add(s.Kind, s.Data)
 	}
-	for kind := uint8(ckptSecMap); kind <= ckptSecGTD; kind++ {
+	for kind := uint8(ckptSecMap); kind <= ckptSecAlias; kind++ {
 		f.Add(kind, hostileCount)
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
@@ -145,7 +150,7 @@ func FuzzCheckpointSections(f *testing.F) {
 // fuzzer: a checksum-valid checkpoint whose map section claims 2^62 entries
 // used to panic in makeslice (and 2^33 would have asked for 128 GiB).
 func TestCheckpointSectionCountsAreBounded(t *testing.T) {
-	for kind := uint8(ckptSecMap); kind <= ckptSecGTD; kind++ {
+	for kind := uint8(ckptSecMap); kind <= ckptSecAlias; kind++ {
 		stream := ckpt.Encode(9, 9, []ckpt.Section{{Kind: kind, Data: hostileCount}})
 		_, _, secs, err := ckpt.Decode(stream)
 		if err != nil {
@@ -160,6 +165,11 @@ func TestCheckpointSectionCountsAreBounded(t *testing.T) {
 		if _, err := decodeCkptValid(secs, 64); err == nil {
 			t.Fatalf("kind %d: validity decoder accepted a hostile section", kind)
 		}
+	}
+	// The alias section's count, behind a valid tree section.
+	alias := ckpt.Section{Kind: ckptSecAlias, Data: binary.LittleEndian.AppendUint32(make([]byte, 8), 1<<32-1)}
+	if _, err := decodeCkptTree([]ckpt.Section{emptyTreeSection, alias}); err == nil {
+		t.Fatal("an alias section claiming 2^32-1 entries in 12 bytes decoded")
 	}
 	// The chunk codec's own count: a sealed stream claiming 2^32-1 sections.
 	body := make([]byte, 29)

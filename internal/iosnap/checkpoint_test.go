@@ -2,7 +2,6 @@ package iosnap
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"iosnap/internal/bitmap"
@@ -563,7 +562,6 @@ func TestValidSectionEncodingUnchanged(t *testing.T) {
 		var want ckpt.Writer
 		want.U64(uint64(f.vstore.BitsPerPage()))
 		epochs := f.vstore.Epochs()
-		slices.Sort(epochs)
 		want.U32(uint32(len(epochs)))
 		dead, pages := 0, 0
 		for _, e := range epochs {

@@ -91,6 +91,73 @@ func TestSelectVictimMatchesScratch(t *testing.T) {
 	}
 }
 
+// TestSelectVictimMatchesScratchWithPins is the same bar with pinned pages
+// in play: a one-page map cache keeps translation pages flowing to flash
+// and checkpoints taken mid-churn pin their chunks, so segments differ in
+// pinned count while victims are compared. The greedy heap must order them
+// by valid + pinned pages — what the scratch reference subtracts — and
+// CheckInvariants recounts every segment's pins against the heap's.
+func TestSelectVictimMatchesScratchWithPins(t *testing.T) {
+	const space = 180 // three translation pages or more, for a one-page cache
+	for _, policy := range []VictimPolicy{VictimGreedy, VictimCostBenefit} {
+		cfg := testConfig()
+		cfg.VictimPolicy = policy
+		cfg.MapCachePages = 1
+		f, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := f.SectorSize()
+		now := sim.Time(0)
+		rng := sim.NewRNG(uint64(policy) + 5)
+		churn := func(round, writes int) {
+			for i := 0; i < writes; i++ {
+				lba := rng.Int63n(space)
+				done, err := f.Write(now, lba, sectorPattern(ss, lba, byte(round+1)))
+				if err != nil {
+					t.Fatalf("policy %v round %d write lba %d: %v", policy, round, lba, err)
+				}
+				now = done
+				f.Sched.RunUntil(now)
+			}
+		}
+		sawPins := 0
+		for round := 0; round < 10; round++ {
+			churn(round, 120)
+			if round%3 == 1 {
+				f.StartCheckpoint(now)
+			}
+			churn(round, 40) // some of it lands while the checkpoint programs
+			now = f.Sched.Drain(now)
+			pinnedSegs := 0
+			for _, seg := range f.UsedSegs {
+				if f.PinnedInSeg(seg) > 0 {
+					pinnedSegs++
+				}
+			}
+			if len(f.CkptPins) > 0 && len(f.MapPins) > 0 && pinnedSegs > 1 {
+				sawPins++
+			}
+			gotSeg, _ := f.selectVictim()
+			gotValid := 0
+			if gotSeg >= 0 {
+				gotValid = f.ValidCount(gotSeg)
+			}
+			wantSeg, wantValid := f.selectVictimScratch()
+			if gotSeg != wantSeg || gotValid != wantValid {
+				t.Fatalf("policy %v round %d: incremental selection (%d, %d) != scratch (%d, %d)",
+					policy, round, gotSeg, gotValid, wantSeg, wantValid)
+			}
+			if err := f.CheckInvariants(); err != nil {
+				t.Fatalf("policy %v round %d: %v", policy, round, err)
+			}
+		}
+		if sawPins < 5 {
+			t.Fatalf("policy %v: pins spread over segments in only %d of 10 comparisons", policy, sawPins)
+		}
+	}
+}
+
 // TestSelectVictimNeverFullyValid pins the zero-merged-invalid fix: a
 // segment with nothing reclaimable must never be chosen, even when other
 // segments make "any invalid exists" true.

@@ -1,31 +1,44 @@
 package logcore
 
-import "fmt"
+import (
+	"fmt"
+
+	"iosnap/internal/nand"
+)
 
 // Victim selection. The policy decides what "valid" means and keeps each
-// segment's count current (AddValid / SetValid); the log tracks segments as
-// they enter and leave UsedSegs and picks the victim from the counts alone —
-// O(log S) for the greedy policy (a min-valid heap), O(S) for cost-benefit
-// (its age term drifts with every write, so no static heap key can order
-// it) — with no bitmap walks either way.
+// segment's count current (AddValid / SetValid); the log keeps each
+// segment's pinned-page count (checkpoint chunks and translation pages,
+// adjusted by the pin helpers in checkpoint.go and mappage.go), tracks
+// segments as they enter and leave UsedSegs and picks the victim from the
+// counts alone — O(log S) for the greedy policy (a min-heap on valid +
+// pinned, i.e. a max-heap on reclaimable pages), O(S) for cost-benefit (its
+// age term drifts with every write, so no static heap key can order it) —
+// with no bitmap or pin-set walks either way.
 //
 // Determinism: a linear scan of UsedSegs oldest-first that keeps the first
 // strict maximum is the reference order. The heap reproduces it by breaking
-// valid-count ties on a monotone tracking stamp: segments are tracked in the
-// order they enter UsedSegs and removals never reorder survivors, so stamp
-// order always equals UsedSegs order.
+// ties on a monotone tracking stamp: segments are tracked in the order they
+// enter UsedSegs and removals never reorder survivors, so stamp order always
+// equals UsedSegs order.
 
-// victimHeap is a min-heap of the tracked segments by (valid, stamp).
+// victimHeap is a min-heap of the tracked segments by (valid+pinned, stamp).
 type victimHeap struct {
-	valid []int    // per segment: pages the policy counts valid
-	stamp []uint64 // per segment: tracking order, 0 = untracked
-	pos   []int    // per tracked segment: its index in heap
-	heap  []int
-	next  uint64
+	valid  []int    // per segment: pages the policy counts valid
+	pinned []int    // per segment: pinned pages (CkptPins + MapPins)
+	stamp  []uint64 // per segment: tracking order, 0 = untracked
+	pos    []int    // per tracked segment: its index in heap
+	heap   []int
+	next   uint64
 }
 
 func newVictimHeap(segments int) victimHeap {
-	return victimHeap{valid: make([]int, segments), stamp: make([]uint64, segments), pos: make([]int, segments)}
+	return victimHeap{
+		valid:  make([]int, segments),
+		pinned: make([]int, segments),
+		stamp:  make([]uint64, segments),
+		pos:    make([]int, segments),
+	}
 }
 
 // ValidCount returns the number of seg's pages the policy counts valid.
@@ -38,6 +51,27 @@ func (l *Log) AddValid(seg, delta int) { l.SetValid(seg, l.victims.valid[seg]+de
 func (l *Log) SetValid(seg, n int) {
 	h := &l.victims
 	h.valid[seg] = n
+	h.keyChanged(seg)
+}
+
+// PinnedInSeg counts pinned pages (checkpoint chunks and live
+// GTD-referenced translation pages) in seg. Victim scoring must treat them
+// as live: a segment full of pinned pages has zero valid bits yet cleaning
+// it reclaims nothing — picking it anyway would let the emergency-clean loop
+// churn forever moving pins from segment to segment.
+func (l *Log) PinnedInSeg(seg int) int { return l.victims.pinned[seg] }
+
+// addPinned adjusts the pinned-page count of the segment holding a.
+func (l *Log) addPinned(a nand.PageAddr, delta int) {
+	h := &l.victims
+	seg := l.Dev.SegmentOf(a)
+	h.pinned[seg] += delta
+	h.keyChanged(seg)
+}
+
+// keyChanged restores the heap around seg after its valid or pinned count
+// moved (untracked segments are not in the heap).
+func (h *victimHeap) keyChanged(seg int) {
 	if h.stamp[seg] != 0 {
 		h.fix(h.pos[seg])
 	}
@@ -79,7 +113,7 @@ func (l *Log) BestVictim() int {
 		if seg == l.HeadSeg || seg == l.GCVictim {
 			return 0
 		}
-		return l.cfg.Nand.PagesPerSegment - h.valid[seg] - l.PinnedInSeg(seg)
+		return l.cfg.Nand.PagesPerSegment - h.valid[seg] - h.pinned[seg]
 	}
 	best := -1
 	if l.cfg.VictimPolicy == VictimCostBenefit {
@@ -114,8 +148,8 @@ func (l *Log) BestVictim() int {
 
 func (h *victimHeap) less(i, j int) bool {
 	a, b := h.heap[i], h.heap[j]
-	if h.valid[a] != h.valid[b] {
-		return h.valid[a] < h.valid[b]
+	if ka, kb := h.valid[a]+h.pinned[a], h.valid[b]+h.pinned[b]; ka != kb {
+		return ka < kb
 	}
 	return h.stamp[a] < h.stamp[b]
 }
@@ -167,12 +201,35 @@ func (h *victimHeap) fix(i int) {
 }
 
 // CheckVictimHeap audits the selection structure (the invariant checker's
-// share of it): exactly the used segments are tracked, stamps strictly
+// share of it): every segment's pinned count equals a recount of CkptPins
+// and MapPins, exactly the used segments are tracked, stamps strictly
 // increase in UsedSegs order — the tie-break that makes heap selection
 // reproduce the oldest-first scan — and the heap holds exactly the tracked
 // segments with correct back-pointers and the heap property intact.
 func (l *Log) CheckVictimHeap() error {
 	h := &l.victims
+	// The recount is keyed by the segments pins name, and the total catches
+	// a count left on a segment that holds none (no per-segment allocation on
+	// a TB-class geometry).
+	recount := make(map[int]int)
+	for a := range l.CkptPins {
+		recount[l.Dev.SegmentOf(a)]++
+	}
+	for a := range l.MapPins {
+		recount[l.Dev.SegmentOf(a)]++
+	}
+	for s, n := range recount {
+		if h.pinned[s] != n {
+			return fmt.Errorf("invariant: segment %d pinned count %d, pin sets hold %d", s, h.pinned[s], n)
+		}
+	}
+	total := 0
+	for _, n := range h.pinned {
+		total += n
+	}
+	if want := len(l.CkptPins) + len(l.MapPins); total != want {
+		return fmt.Errorf("invariant: pinned counts sum to %d, pin sets hold %d", total, want)
+	}
 	if len(h.heap) != len(l.UsedSegs) {
 		return fmt.Errorf("invariant: victim heap has %d entries for %d used segments", len(h.heap), len(l.UsedSegs))
 	}

@@ -181,8 +181,8 @@ func TestCLIMapCacheStats(t *testing.T) {
 	if err := runCtl(t, img, "init", "-megabytes", "8"); err != nil {
 		t.Fatal(err)
 	}
-	// One sector per translation page (256 slots at 4K sectors) over the
-	// image's 5 pages, mounted with a 2-page cache: faults, evictions,
+	// Five sectors 256 LBAs apart span three translation pages (512 slots
+	// at 4K sectors), mounted with a 2-page cache: faults, evictions,
 	// flushes.
 	for lba := int64(0); lba < 5*256; lba += 256 {
 		if err := run([]string{"-image", img, "-mapcache", "2", "write",

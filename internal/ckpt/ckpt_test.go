@@ -120,6 +120,47 @@ func TestJoinAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestSealSingleIsEncode: framing a body in place gives Encode's bytes for
+// the same one-section stream, DecodeSingle returns that section, and
+// neither allocates. DecodeSingle refuses any other section count and a
+// section that does not reach the checksum.
+func TestSealSingleIsEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 12, 300} {
+		body := make([]byte, n)
+		rng.Read(body)
+		want := Encode(7, 99, []Section{{Kind: 4, Data: body}})
+		b := make([]byte, len(want)+16)
+		copy(b[SingleBody:], body)
+		if got := SealSingle(b, 7, 99, 4, n); got != len(want) || !bytes.Equal(b[:got], want) {
+			t.Fatalf("body %d: SealSingle wrote %x, Encode %x", n, b[:got], want)
+		}
+		id, seq, sec, err := DecodeSingle(b)
+		if err != nil || id != 7 || seq != 99 || sec.Kind != 4 || !bytes.Equal(sec.Data, body) {
+			t.Fatalf("body %d: DecodeSingle = (%d, %d, %d, %x, %v)", n, id, seq, sec.Kind, sec.Data, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			SealSingle(b, 7, 99, 4, n)
+			DecodeSingle(b)
+		}); allocs != 0 {
+			t.Fatalf("body %d: seal + decode allocated %.0f times", n, allocs)
+		}
+	}
+	for _, secs := range [][]Section{nil, {{Kind: 1}, {Kind: 2}}} {
+		if _, _, _, err := DecodeSingle(Encode(1, 1, secs)); err == nil {
+			t.Fatalf("DecodeSingle accepted %d sections", len(secs))
+		}
+	}
+	// A section frame claiming less than the body holds.
+	b := make([]byte, 64)
+	n := SealSingle(b, 1, 1, 4, 8)
+	binary.LittleEndian.PutUint32(b[SingleBody-4:], 4)
+	binary.LittleEndian.PutUint64(b[n-checksumLen:], checksum(b[:n-checksumLen]))
+	if _, _, _, err := DecodeSingle(b); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("DecodeSingle of a short section frame = %v, want ErrTruncated", err)
+	}
+}
+
 func TestSplitTinySector(t *testing.T) {
 	if _, err := Split(1, []byte{1}, ChunkPrefix); err == nil {
 		t.Fatal("Split accepted sector with no payload room")

@@ -1,0 +1,261 @@
+package iosnap
+
+import (
+	"bytes"
+	"testing"
+
+	"iosnap/internal/ckpt"
+	"iosnap/internal/header"
+	"iosnap/internal/logcore"
+	"iosnap/internal/mapcache"
+	"iosnap/internal/nand"
+	"iosnap/internal/sim"
+)
+
+// Translation entries are 4-byte page addresses, 64 per page at 512-byte
+// sectors. Images written when they were 8 bytes wide hold translation
+// pages of 32 slots (section kind 1) and checkpoints whose GTD section says
+// 32 slots per page: such an image mounts through the full scan once, and
+// its next checkpoint is in the current format.
+
+// pagedFormatConfig is the torture geometry with a two-page map cache.
+func pagedFormatConfig() Config {
+	cfg := tortureConfig()
+	cfg.MapCachePages = 2
+	return cfg
+}
+
+// writePagedModel writes a seeded mix over 200 LBAs — four translation
+// pages through a two-page cache — and returns each LBA's last version.
+func writePagedModel(t *testing.T, f *FTL) (map[int64]byte, sim.Time) {
+	t.Helper()
+	model := make(map[int64]byte)
+	rng := sim.NewRNG(17)
+	now := sim.Time(0)
+	for i := 0; i < 300; i++ {
+		lba := rng.Int63n(200)
+		v := byte(i%250 + 1)
+		done, err := f.Write(now, lba, sectorPattern(f.SectorSize(), lba, v))
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		model[lba] = v
+		now = f.Sched.Drain(done)
+	}
+	return model, now
+}
+
+// checkPagedModel reads every LBA of the model back and audits invariants.
+func checkPagedModel(t *testing.T, f *FTL, now sim.Time, model map[int64]byte) {
+	t.Helper()
+	buf := make([]byte, f.SectorSize())
+	for lba := int64(0); lba < 200; lba++ {
+		if _, err := f.Read(now, lba, buf); err != nil {
+			t.Fatalf("read lba %d: %v", lba, err)
+		}
+		want := make([]byte, f.SectorSize())
+		if v, ok := model[lba]; ok {
+			want = sectorPattern(f.SectorSize(), lba, v)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("lba %d reads back wrong", lba)
+		}
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteMapStream replaces the closed device's anchored map stream,
+// programming the new chunks into a free segment. With eightByte it writes
+// what a build with 8-byte translation entries wrote for the same map: every
+// translation page re-encoded as 32 eight-byte slots under section kind 1,
+// programmed beside the chunks, and a GTD section naming them with 32 slots
+// per page. Without, it re-programs the stream as it is (the control: the
+// rewrite itself must not cost the tail-bounded mount).
+func rewriteMapStream(t *testing.T, f *FTL, now sim.Time, eightByte bool) {
+	t.Helper()
+	dev := f.Device()
+	ss := f.SectorSize()
+	anchor := dev.Anchor()
+	chunks, _, ok := f.ReadAnchorChunks(now)
+	if !ok {
+		t.Fatal("closed device has no readable checkpoint")
+	}
+	var kept []nand.PageAddr
+	var mapChunks []logcore.AnchorChunk
+	for _, c := range chunks {
+		if c.Type == header.TypeCkptMap {
+			mapChunks = append(mapChunks, c)
+		} else {
+			kept = append(kept, c.Addr)
+		}
+	}
+	ckptSeq, secs, ok := logcore.AssembleStream(anchor.ID, mapChunks)
+	if !ok || len(secs) != 1 || secs[0].Kind != ckptSecGTD {
+		t.Fatal("anchored map stream is not one GTD section")
+	}
+
+	seg, seq := f.FreeSegs[0], f.Seq
+	program := func(data []byte, h header.Header) nand.PageAddr {
+		seq++
+		h.Seq = seq
+		addr := dev.Addr(seg, dev.NextFreeInSegment(seg))
+		if _, err := dev.ProgramPage(now, addr, data, h.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		return addr
+	}
+	gtd := secs[0]
+	if eightByte {
+		const slotsPer = 32
+		pages := make(map[uint64][]uint64)
+		var order []uint64
+		f.ActiveMap.All(func(lba, addr uint64) bool {
+			idx := lba / slotsPer
+			if pages[idx] == nil {
+				pages[idx] = make([]uint64, slotsPer)
+				for i := range pages[idx] {
+					pages[idx][i] = ^uint64(0)
+				}
+				order = append(order, idx)
+			}
+			pages[idx][lba%slotsPer] = addr
+			return true
+		})
+		var w ckpt.Writer
+		w.U32(slotsPer)
+		w.U32(uint32(len(order)))
+		for _, idx := range order {
+			var body ckpt.Writer
+			body.U64(idx)
+			body.U32(slotsPer)
+			body.U64s(pages[idx])
+			payload := make([]byte, ss)
+			copy(payload, ckpt.Encode(idx, seq+1, []ckpt.Section{{Kind: 1, Data: body.B}}))
+			live := 0
+			for _, v := range pages[idx] {
+				if v != ^uint64(0) {
+					live++
+				}
+			}
+			w.U64(idx)
+			w.U64(uint64(program(payload, header.Header{Type: header.TypeMapPage, LBA: idx})))
+			w.U32(uint32(live))
+		}
+		gtd = ckpt.Section{Kind: ckptSecGTD, Data: w.B}
+	}
+	split, err := ckpt.Split(anchor.ID, ckpt.Encode(anchor.ID, ckptSeq, []ckpt.Section{gtd}), ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range split {
+		kept = append(kept, program(c, header.Header{Type: header.TypeCkptMap, LBA: uint64(i), Epoch: uint64(len(split))}))
+	}
+	dev.SetAnchor(&nand.Anchor{ID: anchor.ID, Addrs: kept})
+}
+
+// TestMapFaultEvictFlushAllocatesNothing: with a one-page cache, every
+// write to the other of two translation pages faults it in (one charged
+// batch read, decoded into the slot array of the page evicted before),
+// evicts the dirty page it displaces and flushes that through the log head
+// (encoded into the log's own sector buffer). In steady state the whole
+// write, that cycle included, allocates nothing. Steady state means a
+// device past its first pass, whose pages own their payload buffers, and a
+// head segment long enough that no new segment is tracked while measuring.
+func TestMapFaultEvictFlushAllocatesNothing(t *testing.T) {
+	nc := testConfig().Nand
+	nc.PagesPerSegment, nc.Segments = 256, 8
+	cfg := DefaultConfig(nc)
+	cfg.MapCachePages = 1
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := f.SectorSize()
+	dev := f.Device()
+	for seg := 0; seg < nc.Segments; seg++ {
+		if dev.ProgrammedInSegment(seg) != 0 {
+			t.Fatalf("segment %d programmed before the first write", seg)
+		}
+		for i := 0; i < nc.PagesPerSegment; i++ {
+			if _, err := dev.ProgramPage(0, dev.Addr(seg, i), make([]byte, ss), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := dev.EraseSegment(0, seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := int64(mapcache.SlotsFor(ss))
+	lbas := [2]int64{0, k}
+	data := [2][]byte{sectorPattern(ss, 0, 1), sectorPattern(ss, k, 1)}
+	now := sim.Time(0)
+	for i := 0; i < 4; i++ { // both pages on flash, one resident
+		if now, err = f.Write(now, lbas[i%2], data[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := f.Stats()
+	i := 0
+	// 4 + 2 × 51 page programs: all inside the head segment.
+	allocs := testing.AllocsPerRun(50, func() {
+		if now, err = f.Write(now, lbas[i%2], data[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	st := f.Stats()
+	if cycles := int64(i); st.MapCacheMisses-before.MapCacheMisses != cycles ||
+		st.MapCacheEvictions-before.MapCacheEvictions != cycles || st.MapPagesFlushed-before.MapPagesFlushed != cycles {
+		t.Fatalf("%d writes: %d faults, %d evictions, %d flushes; want one each per write", cycles,
+			st.MapCacheMisses-before.MapCacheMisses, st.MapCacheEvictions-before.MapCacheEvictions,
+			st.MapPagesFlushed-before.MapPagesFlushed)
+	}
+	if allocs != 0 {
+		t.Fatalf("a fault -> evict -> flush write allocated %.1f times", allocs)
+	}
+}
+
+// TestEightByteCheckpointMountsByFullScan is the old-image path: the GTD
+// refuses the mount's tail-bounded path, the full scan rebuilds every
+// sector from data headers, and the checkpoint written at Close mounts
+// tail-bounded.
+func TestEightByteCheckpointMountsByFullScan(t *testing.T) {
+	for _, eightByte := range []bool{false, true} {
+		cfg := pagedFormatConfig()
+		f, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, now := writePagedModel(t, f)
+		if now, err = f.Close(now); err != nil {
+			t.Fatal(err)
+		}
+		rewriteMapStream(t, f, now, eightByte)
+
+		r, now, err := Recover(cfg, f.Device(), nil, now)
+		if err != nil {
+			t.Fatalf("eightByte=%v: %v", eightByte, err)
+		}
+		wantFallbacks := int64(0)
+		if eightByte {
+			wantFallbacks = 1
+		}
+		if st := r.Stats(); st.RecoveryTailBounded == eightByte || st.RecoveryFallbacks != wantFallbacks {
+			t.Fatalf("eightByte=%v: tail-bounded %v with %d fallbacks", eightByte, st.RecoveryTailBounded, st.RecoveryFallbacks)
+		}
+		checkPagedModel(t, r, now, model)
+		if now, err = r.Close(now); err != nil {
+			t.Fatal(err)
+		}
+		r2, now, err := Recover(cfg, r.Device(), nil, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r2.Stats(); !st.RecoveryTailBounded || st.RecoveryFallbacks != 0 {
+			t.Fatalf("eightByte=%v: remount after Close: tail-bounded %v with %d fallbacks", eightByte, st.RecoveryTailBounded, st.RecoveryFallbacks)
+		}
+		checkPagedModel(t, r2, now, model)
+	}
+}

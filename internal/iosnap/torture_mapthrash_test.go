@@ -16,7 +16,7 @@ import (
 // head, forced cleans copy-forwarding map pages, reads faulting pages back
 // in) lands on a cache that is permanently full.
 
-// mapThrashConfig: 512B sectors (32 map slots per translation page), a
+// mapThrashConfig: 512B sectors (64 map slots per translation page), a
 // 2-page cache, and enough segments that map write-back traffic does not
 // starve the data path.
 func mapThrashConfig() Config {
@@ -30,7 +30,7 @@ func mapThrashConfig() Config {
 	return cfg
 }
 
-// mapThrashSpace spans ~13 translation pages — more than six times the
+// mapThrashSpace spans ~7 translation pages — more than three times the
 // 2-page cache, so faults and evictions never stop.
 const mapThrashSpace = 400
 
@@ -62,7 +62,7 @@ func TestTortureMapThrash(t *testing.T) {
 }
 
 // mapCrashPlan cuts power on the Nth NAND read. With a 2-page cache over a
-// 13-page working set, reads are dominated by translation-page faults, so
+// 7-page working set, reads are dominated by translation-page faults, so
 // the crash lands mid-thrash — likely with dirty pages in the cache whose
 // write-back never happened. Recovery must rebuild the on-flash map anyway.
 func mapCrashPlan(after int64) *faultinject.Plan {
@@ -128,7 +128,7 @@ func TestTortureMapThrashDeterministic(t *testing.T) {
 // TestTortureTBClassGeometry is the acceptance run: a 1 TB device (4K
 // pages, 1024 pages/segment, 256Ki lazily-materialized segments) whose full
 // in-RAM map would dwarf the FTL's RAM budget. The paged map mounts it,
-// sustains the MapThrash storm over a working set spanning ~100 translation
+// sustains the MapThrash storm over a working set spanning ~50 translation
 // pages with a 4-page cache, and the resident map RAM — asserted via the
 // resident-bytes stat — stays at or below 1/8 of the full in-RAM map.
 func TestTortureTBClassGeometry(t *testing.T) {

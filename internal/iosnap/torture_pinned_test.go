@@ -70,7 +70,7 @@ func TestTorturePinnedOracles(t *testing.T) {
 			"steps=900 opErrors=0 crashes=0 recoveries=0 checks=10 repls=0 gcErrors=0 torn=0 fired=0/09612b07b5ecb5a5 digest=0237a181211d8f2c gcRuns=156 gcCopied=2396 ckpts=0 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
 		{"map-thrash/seed23", mapThrashConfig(), TortureOptions{Seed: 23, Steps: 600, Space: mapThrashSpace,
 			MapThrash: true, Plan: replChurnPlan(11)},
-			"steps=600 opErrors=0 crashes=0 recoveries=0 checks=7 repls=0 gcErrors=0 torn=0 fired=12/8d7cfc33620df769 digest=95407a89ecc378db gcRuns=62 gcCopied=714 ckpts=0 retries=12 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=389"},
+			"steps=600 opErrors=0 crashes=0 recoveries=0 checks=7 repls=0 gcErrors=0 torn=0 fired=11/5286ca7771d96587 digest=9de409041c55af62 gcRuns=57 gcCopied=662 ckpts=0 retries=11 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=325"},
 		{"map-thrash-crash/seed9", mapThrashConfig(), TortureOptions{Seed: 9, Steps: 900, Space: mapThrashSpace,
 			MapThrash: true, Plan: mapCrashPlan(400),
 			Replan: func(cycle int) *faultinject.Plan {
@@ -79,7 +79,7 @@ func TestTorturePinnedOracles(t *testing.T) {
 				}
 				return nil
 			}},
-			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=18/8b5ecaf57e5d2c9a digest=3867cf88a73524bb gcRuns=83 gcCopied=904 ckpts=0 retries=17 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=480"},
+			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=16/31db231a200dfb99 digest=85238b38e83d8a13 gcRuns=93 gcCopied=1095 ckpts=0 retries=15 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=392"},
 		// Periodic checkpoints: generations committed, superseded and stamped
 		// stale by cleaning; crashes right after a chunk lands (tail-bounded
 		// recovery or fallback); a bounded map's GTD checkpoints.
@@ -99,7 +99,7 @@ func TestTorturePinnedOracles(t *testing.T) {
 		{"map-thrash-ckpt-crash/seed9", ckptEvery(mapThrashConfig(), 1*sim.Millisecond),
 			TortureOptions{Seed: 9, Steps: 900, Space: mapThrashSpace, MapThrash: true,
 				Plan: mapCrashPlan(400)},
-			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=1/14ddb4b87bb7793d digest=0c98935b3708ae92 gcRuns=93 gcCopied=952 ckpts=18 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=480"},
+			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=1/7f27fe7b755ba98d digest=78cf28737a3ef13d gcRuns=89 gcCopied=1008 ckpts=17 retries=0 mediaFailures=0 retired=0 fallbacks=1 mapFlushed=378"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -48,6 +48,8 @@ type dataPathScratch struct {
 
 	mapMiss  []uint64        // translation-page fault lists (mappage.go)
 	mapAddrs []nand.PageAddr // their flash addresses for the batch read
+	mapPage  []byte          // flushMapPage's encoded sector
+	mapOOB   [header.Len]byte
 }
 
 // Read implements blockdev.Device on the device's own map. Unmapped sectors

@@ -1,0 +1,44 @@
+package logcore
+
+import (
+	"testing"
+
+	"iosnap/internal/nand"
+)
+
+// TestValidatePagedGeometry: translation entries are 4-byte page addresses
+// with 0xFFFFFFFF as the empty slot, so paged mode needs fewer than
+// 2^32 − 1 pages. The TB-class geometry the repository runs (2^28 pages)
+// and the largest servable one are accepted, the first unservable one is
+// refused, and tree mode takes any size.
+func TestValidatePagedGeometry(t *testing.T) {
+	geometry := func(pps, segments int) Config {
+		nc := nand.DefaultConfig()
+		nc.SectorSize = 4096
+		nc.PagesPerSegment = pps
+		nc.Segments = segments
+		nc.StoreData = true
+		cfg := DefaultConfig(nc)
+		cfg.MapCachePages = 4
+		return cfg
+	}
+	for _, tc := range []struct {
+		name          string
+		pps, segments int
+		ok            bool
+	}{
+		{"TB-class (2^28 pages)", 1024, 1 << 18, true},
+		{"2^32-2 pages", 2, 1<<31 - 1, true},
+		{"2^32-1 pages", 255, 16843009, false},
+		{"2^32 pages", 1024, 1 << 22, false},
+	} {
+		cfg := geometry(tc.pps, tc.segments)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s, paged: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		cfg.MapCachePages = 0
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s, tree: Validate = %v", tc.name, err)
+		}
+	}
+}

@@ -30,7 +30,7 @@ const (
 	// 16-sector read then lands on exactly one programmed page, so the
 	// in-RAM baseline pays one NAND read per op and a translation-page
 	// miss shows up as the one extra read it really is. The span covers
-	// 4096 translation pages (256 slots each at 4K sectors) while host
+	// 2048 translation pages (512 slots each at 4K sectors) while host
 	// RAM holds only 64K payloads.
 	mapBenchSpan   = int64(1) << 20
 	mapBenchStride = int64(16)
@@ -92,8 +92,9 @@ func mapCacheVariant(t *testing.T, cachePages int) (hitRate, meanLatUs float64) 
 }
 
 // Variants: the in-RAM baseline plus three cache sizes. The hot set spans
-// ~410 translation pages of the span's 4096, so 128 thrashes, 512 holds
-// the hot set, and 2048 adds cold headroom.
+// ~205 translation pages of the span's 2048, so 128 thrashes, 512 holds
+// the hot set with cold headroom, and 2048 holds the whole span — every
+// lookup hits, at the in-RAM map's latency.
 func TestMapCacheSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four 100k-op runs on a TB-class geometry; skipped in -short")
@@ -106,9 +107,9 @@ func TestMapCacheSweep(t *testing.T) {
 		pages    int
 		hit, lat string
 	}{
-		{128, "0.2832", "48.64"},
-		{512, "0.9460", "30.16"},
-		{2048, "0.9685", "30.12"},
+		{128, "0.5579", "40.91"},
+		{512, "0.9566", "29.86"},
+		{2048, "1.0000", "28.43"},
 	} {
 		hit, lat := mapCacheVariant(t, want.pages)
 		if got := fmt.Sprintf("%.4f", hit); got != want.hit {

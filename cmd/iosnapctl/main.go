@@ -90,7 +90,7 @@ func run(args []string) error {
 	image := global.String("image", "", "device image path (required unless -remote)")
 	remote := global.String("remote", "", "iosnapd address (host:port); verbs run against the server instead of an image")
 	mapCache := global.Int("mapcache", 0,
-		"translation-page cache size in pages (0 = in-RAM map, <0 = unbounded paged)")
+		"translation-page cache size in pages (0 = in-RAM map)")
 	if err := global.Parse(args); err != nil {
 		return err
 	}

@@ -242,6 +242,26 @@ func TestCLIMapCacheStats(t *testing.T) {
 	}
 }
 
+// TestCLINegativeMapCacheRefused: the map is a tree or a bounded paged map;
+// a negative -mapcache is refused by the configuration check and the
+// process exits non-zero.
+func TestCLINegativeMapCacheRefused(t *testing.T) {
+	img := filepath.Join(t.TempDir(), "dev.img")
+	if err := runCtl(t, img, "init", "-megabytes", "8"); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-image", img, "-mapcache", "-1", "stats"})
+	if err == nil || !strings.Contains(err.Error(), "MapCachePages -1") {
+		t.Fatalf("-mapcache -1 stats: got %v, want the MapCachePages refusal", err)
+	}
+	if testing.Short() {
+		return
+	}
+	if code := execCtl(t, "-image", img, "-mapcache", "-1", "stats"); code == 0 {
+		t.Fatal("-mapcache -1 stats exited 0")
+	}
+}
+
 // TestCLICheck exercises the invariant checker verb on a populated image.
 func TestCLICheck(t *testing.T) {
 	dir := t.TempDir()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"iosnap/internal/header"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/sim"
@@ -89,7 +90,7 @@ func (t *gcTask) Run(now sim.Time) (sim.Time, bool) {
 // chargeMerge charges the validity examination of one clean: a single pass
 // over the victim's bitmap.
 func (f *FTL) chargeMerge(now sim.Time) sim.Time {
-	cost := sim.Duration(f.cfg.Nand.PagesPerSegment) * f.cfg.MergeCPUPerBlock
+	cost := sim.Duration(f.cfg.Nand.PagesPerSegment) * logcore.MergeCPUPerBlock
 	f.stats.GCMergeTime += cost
 	return now.Add(cost)
 }

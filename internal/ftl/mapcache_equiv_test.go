@@ -7,12 +7,17 @@ import (
 	"iosnap/internal/sim"
 )
 
-// Paged-map equivalence. Cache-unbounded paged mode (MapCachePages < 0) is
-// contractually lockstep bit-exact with the in-RAM tree: every translation
-// page stays resident, the GTD stays empty, nothing is written to flash.
-// Bounded mode trades that for RAM — it adds charged fault reads and
-// write-back programs to the timeline, so the contract weakens to content
-// equivalence plus a crash-safe on-flash map.
+// Paged-map equivalence. A paged map whose cache holds the whole map is
+// lockstep bit-exact with the in-RAM tree as long as nothing checkpoints:
+// every translation page stays resident, the GTD stays empty, nothing is
+// written to flash. A cache smaller than the working set trades that for
+// RAM — it adds charged fault reads and write-back programs to the timeline,
+// so the contract weakens to content equivalence plus a crash-safe on-flash
+// map.
+
+// wholeMapPages is a residency limit no test geometry reaches: no page is
+// ever evicted or flushed.
+const wholeMapPages = 1 << 20
 
 func pagedEquivConfig(pages int) Config {
 	cfg := equivConfig(false)
@@ -28,12 +33,12 @@ func TestPagedMapEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			paged, err := New(pagedEquivConfig(-1), nil)
+			paged, err := New(pagedEquivConfig(wholeMapPages), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if paged.ActiveMap.Paged() == nil {
-				t.Fatal("MapCachePages=-1 did not produce a paged map")
+				t.Fatal("MapCachePages > 0 did not produce a paged map")
 			}
 			ss := tree.SectorSize()
 			ops := genEquivOps(seed, tree.cfg.UserSectors, 300, 256)
@@ -75,7 +80,7 @@ func TestPagedMapEquivalence(t *testing.T) {
 
 			ts, ps := tree.Stats(), paged.Stats()
 			if ps.MapPagesFlushed != 0 || ps.MapCacheEvictions != 0 {
-				t.Fatalf("unbounded paged map touched flash: %+v", ps)
+				t.Fatalf("paged map larger than the device touched flash: %+v", ps)
 			}
 			// Host RAM layout and the cache's hit counters are the sanctioned
 			// divergences; everything else must match bit for bit.

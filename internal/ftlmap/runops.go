@@ -7,12 +7,12 @@
 // resolves a run with a single descent plus a next-pointer walk, and
 // DeleteRange splices a key interval out of the chain and prunes emptied
 // nodes. LeafSpan reports how many leaves a run touches, which is what the
-// FTLs charge MapCPUCost against (see DESIGN.md §10).
+// FTLs charge logcore's per-descent map cost against (see DESIGN.md §10).
 package ftlmap
 
 // RunSpan is the modeled descent count for a run of n consecutive keys: one
 // root-to-leaf descent plus one next-pointer hop per additional leaf of a
-// maximally-packed tree. The FTLs charge MapCPUCost against this instead of
+// maximally-packed tree. The FTLs charge the map cost against this instead of
 // the live tree's LeafSpan because the model must be shape-independent:
 // bulk-loaded and organically-grown trees spread the same keys over
 // different leaf counts, and the batched/reference data paths must charge

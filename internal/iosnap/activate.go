@@ -302,7 +302,7 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 
 	// Phase 1: scan the relevant log segments' headers, batched per quantum.
 	if a.segCursor < segs {
-		batch := f.cfg.ActivationBatch
+		batch := activationBatch
 		if a.budget.Config().Enabled() {
 			batch = 1
 		}
@@ -363,7 +363,7 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 		if n > reconChunk {
 			n = reconChunk
 		}
-		cost := sim.Duration(n) * f.cfg.ReconstructCPUPerEntry
+		cost := sim.Duration(n) * reconstructCPUPerEntry
 		now = now.Add(cost)
 		a.ReconTime += cost
 		a.reconIdx += n

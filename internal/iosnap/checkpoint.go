@@ -241,8 +241,8 @@ func (f *FTL) orPinsInto(victim int, merged *bitmap.Bitmap) {
 // allocation, and a decoder stops at the reader's first error.
 
 // decodeCkptMapStream decodes the map stream in either layout: the full
-// mapping list (tree / cache-unbounded checkpoints, ckptSecMap) or the
-// global translation directory (bounded-paged checkpoints, ckptSecGTD).
+// mapping list (tree checkpoints, ckptSecMap) or the global translation
+// directory (paged checkpoints, ckptSecGTD).
 // gtd is non-nil exactly when the stream held a directory.
 func decodeCkptMapStream(secs []ckpt.Section) (entries []ftlmap.Entry, gtd []mapcache.GTDEnt, slotsPer int, err error) {
 	for _, s := range secs {

@@ -71,23 +71,15 @@ func TestCloseFailedCheckpointConsumesTime(t *testing.T) {
 	}
 }
 
-// countingGate is a GCGate that counts the tokens outstanding.
-type countingGate struct{ held int }
-
-func (g *countingGate) TryAcquire() bool { g.held++; return true }
-func (g *countingGate) Release()         { g.held-- }
-
 // closeLeakFTL builds the reproduction geometry — 16 segments of 64 512-byte
-// pages behind a counting gate — and overwrites at random until the pool is
-// down to the cleaning reserve.
-func closeLeakFTL(t *testing.T, seed uint64) (*FTL, *countingGate, sim.Time) {
+// pages — and overwrites at random until the pool is down to the cleaning
+// reserve.
+func closeLeakFTL(t *testing.T, seed uint64) (*FTL, sim.Time) {
 	t.Helper()
 	nc := testConfig().Nand
 	nc.PagesPerSegment, nc.Segments = 64, 16
 	cfg := DefaultConfig(nc)
 	cfg.GCWindow = 10 * sim.Millisecond
-	gate := &countingGate{}
-	cfg.GCGate = gate
 	f, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -100,16 +92,16 @@ func closeLeakFTL(t *testing.T, seed uint64) (*FTL, *countingGate, sim.Time) {
 			t.Fatal(err)
 		}
 	}
-	return f, gate, now
+	return f, now
 }
 
 // TestCloseStartsNoBackgroundWork: the close-time checkpoint's chunks cross
 // a segment boundary, and a head advance with the pool at the reserve is
-// exactly when a clean is scheduled. Close used to leave that clean (and its
-// gate token) queued on a scheduler nobody runs again.
+// exactly when a clean is scheduled. Close used to leave that clean queued
+// on a scheduler nobody runs again.
 func TestCloseStartsNoBackgroundWork(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		f, gate, now := closeLeakFTL(t, seed)
+		f, now := closeLeakFTL(t, seed)
 		now = f.Scheduler().Drain(now)
 		// Park the head two pages short of its segment's end, so the
 		// checkpoint's first chunks cross into a fresh segment.
@@ -119,8 +111,8 @@ func TestCloseStartsNoBackgroundWork(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if f.CleaningActive() || gate.held != 0 {
-			t.Fatalf("seed %d: setup not quiescent: cleaning=%v tokens=%d", seed, f.CleaningActive(), gate.held)
+		if f.CleaningActive() {
+			t.Fatalf("seed %d: setup not quiescent: a clean is in flight", seed)
 		}
 		head := f.HeadSeg
 		if _, err := f.Close(now); err != nil {
@@ -129,35 +121,32 @@ func TestCloseStartsNoBackgroundWork(t *testing.T) {
 		if f.HeadSeg == head {
 			t.Fatalf("seed %d: checkpoint did not cross a segment boundary; nothing tested", seed)
 		}
-		if gate.held != 0 || f.CleaningActive() || f.ScrubActive() || f.Scheduler().Pending() != 0 {
-			t.Fatalf("seed %d: Close left tokens=%d cleaning=%v scrubbing=%v pending=%d",
-				seed, gate.held, f.CleaningActive(), f.ScrubActive(), f.Scheduler().Pending())
+		if f.CleaningActive() || f.ScrubActive() || f.Scheduler().Pending() != 0 {
+			t.Fatalf("seed %d: Close left cleaning=%v scrubbing=%v pending=%d",
+				seed, f.CleaningActive(), f.ScrubActive(), f.Scheduler().Pending())
 		}
 	}
 }
 
 // TestCloseCancelsCleanInFlight: a paced clean that is mid-victim when Close
-// arrives hands its token back at once, and its task — should anyone still
-// run the scheduler — finds the log closed and does nothing.
+// arrives ends at once, and its task — should anyone still run the
+// scheduler — finds the log closed and does nothing.
 func TestCloseCancelsCleanInFlight(t *testing.T) {
-	f, gate, now := closeLeakFTL(t, 3)
-	if !f.CleaningActive() || gate.held != 1 {
-		t.Fatalf("setup: want a clean in flight holding one token, got cleaning=%v tokens=%d", f.CleaningActive(), gate.held)
+	f, now := closeLeakFTL(t, 3)
+	if !f.CleaningActive() {
+		t.Fatal("setup: want a clean in flight")
 	}
 	now, err := f.Close(now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gate.held != 0 || f.CleaningActive() {
-		t.Fatalf("Close left tokens=%d cleaning=%v", gate.held, f.CleaningActive())
+	if f.CleaningActive() {
+		t.Fatal("Close left a clean in flight")
 	}
 	before := f.Device().Stats()
 	f.Scheduler().Drain(now)
 	if after := f.Device().Stats(); after != before {
 		t.Fatalf("cancelled clean still touched the device: %+v -> %+v", before, after)
-	}
-	if gate.held != 0 {
-		t.Fatalf("cancelled clean's task moved the gate to %d", gate.held)
 	}
 	f2, _, err := Recover(f.Config(), f.Device(), nil, now)
 	if err != nil {

@@ -2,6 +2,7 @@ package iosnap
 
 import (
 	"iosnap/internal/bitmap"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -249,7 +250,7 @@ func (a *gcAcct) ensureFresh(seg int) sim.Duration {
 	f.stats.GCCacheRebuilds++
 	f.stats.GCCacheRebuildPages += pps
 	live := int64(len(frozenEps) + len(viewEps))
-	return sim.Duration(live) * sim.Duration(pps) * f.cfg.MergeCPUPerBlock
+	return sim.Duration(live) * sim.Duration(pps) * logcore.MergeCPUPerBlock
 }
 
 // refreshAll brings every used segment's cache up to the current generation

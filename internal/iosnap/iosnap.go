@@ -80,9 +80,6 @@ const (
 	VictimCostBenefit = logcore.VictimCostBenefit
 )
 
-// GCGate is the cross-FTL admission gate for background cleaning.
-type GCGate = logcore.GCGate
-
 // Config parameterizes the snapshot-capable FTL: the log engine's knobs
 // plus the snapshot machinery's.
 type Config struct {
@@ -98,17 +95,9 @@ type Config struct {
 	// CoWPageCost is the host cost of copying one validity-bitmap page when
 	// a write mutates a page frozen by a snapshot (Figure 7's spikes).
 	CoWPageCost sim.Duration
-	// ReconstructCPUPerEntry is the host cost per translation when building
-	// a forward map during activation or recovery.
-	ReconstructCPUPerEntry sim.Duration
 	// BitmapPageBits is the CoW granularity of validity maps in bits
 	// (default: one 4 KB page = 32768 blocks).
 	BitmapPageBits int64
-
-	// ActivationBatch is how many segment scans an *unthrottled* activation
-	// keeps in flight per quantum; larger batches saturate the device and
-	// hurt foreground latency more (Figure 9a).
-	ActivationBatch int
 
 	// SelectiveScan enables the paper's §7 activation optimization: scan
 	// only the segments whose epoch-presence summary intersects the
@@ -124,25 +113,26 @@ type Config struct {
 	// activation rate-limiting) so foreground latency is preserved. The
 	// zero value scrubs unthrottled.
 	ScrubLimit ratelimit.WorkSleep
-
-	// GCGate, when non-nil, arbitrates *background* cleaning across FTL
-	// instances that share a budget (the sharded front-end's global GC
-	// governor): a cleaner task starts only when the gate grants a token,
-	// returned when the task ends, and a denied acquisition simply defers
-	// cleaning to the next head advance. Forced synchronous cleans bypass
-	// the gate. nil (the default) leaves scheduling ungated.
-	GCGate GCGate
 }
+
+const (
+	// reconstructCPUPerEntry is the host cost per translation when building
+	// a forward map during activation or recovery.
+	reconstructCPUPerEntry = 150 * sim.Nanosecond
+
+	// activationBatch is how many segment scans an *unthrottled* activation
+	// keeps in flight per quantum; larger batches saturate the device and
+	// hurt foreground latency more (Figure 9a).
+	activationBatch = 8
+)
 
 // DefaultConfig is the engine's defaults with the snapshot knobs added.
 func DefaultConfig(nc nand.Config) Config {
 	return Config{
-		Config:                 logcore.DefaultConfig(nc),
-		GCPolicy:               GCSnapshotAware,
-		CoWPageCost:            100 * sim.Microsecond,
-		ReconstructCPUPerEntry: 150 * sim.Nanosecond,
-		BitmapPageBits:         bitmap.DefaultBitsPerPage,
-		ActivationBatch:        8,
+		Config:         logcore.DefaultConfig(nc),
+		GCPolicy:       GCSnapshotAware,
+		CoWPageCost:    100 * sim.Microsecond,
+		BitmapPageBits: bitmap.DefaultBitsPerPage,
 	}
 }
 
@@ -153,9 +143,6 @@ func (c Config) Validate() error {
 	}
 	if c.BitmapPageBits != 0 && (c.BitmapPageBits < 64 || c.BitmapPageBits%64 != 0) {
 		return fmt.Errorf("iosnap: BitmapPageBits %d must be a positive multiple of 64", c.BitmapPageBits)
-	}
-	if c.ActivationBatch < 1 {
-		return fmt.Errorf("iosnap: ActivationBatch %d must be at least 1", c.ActivationBatch)
 	}
 	if c.ScrubInterval < 0 {
 		return fmt.Errorf("iosnap: ScrubInterval must not be negative")
@@ -253,7 +240,6 @@ func newShell(cfg Config, dev *nand.Device, sched *sim.Scheduler) *FTL {
 		presence:    newEpochPresence(cfg.Nand.Segments),
 	}
 	f.Log.Init(cfg.Config, dev, sched, f, &f.stats.Stats)
-	f.Gate = cfg.GCGate
 	f.acct = newGCAcct(f)
 	return f
 }

@@ -7,11 +7,16 @@ import (
 	"iosnap/internal/sim"
 )
 
-// The cache-unbounded paged map is contractually lockstep bit-exact with
-// the in-RAM tree: every page is resident, the GTD stays empty, nothing is
-// ever written to flash, so virtual times, Stats, and the device image
-// must all match. Host RAM layout (MapMemory/MapMemoryResident) and the
-// cache's own hit counters are the only sanctioned divergences.
+// A paged map whose cache holds the whole map is lockstep bit-exact with the
+// in-RAM tree as long as nothing checkpoints: every page is resident, the
+// GTD stays empty, nothing is ever written to flash, so virtual times,
+// Stats, and the device image must all match. Host RAM layout
+// (MapMemory/MapMemoryResident) and the cache's own hit counters are the
+// only sanctioned divergences.
+
+// wholeMapPages is a residency limit no test geometry reaches: no page is
+// ever evicted or flushed.
+const wholeMapPages = 1 << 20
 
 func pagedEquivConfig(pages int) Config {
 	cfg := equivConfig(false)
@@ -27,12 +32,12 @@ func TestPagedMapEquivalenceWithSnapshots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			paged, err := New(pagedEquivConfig(-1), nil)
+			paged, err := New(pagedEquivConfig(wholeMapPages), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if paged.ActiveMap.Paged() == nil {
-				t.Fatal("MapCachePages=-1 did not produce a paged map")
+				t.Fatal("MapCachePages > 0 did not produce a paged map")
 			}
 			ss := tree.SectorSize()
 			ops := genEquivOps(seed, tree.cfg.UserSectors, 250, 256)
@@ -96,7 +101,7 @@ func TestPagedMapEquivalenceWithSnapshots(t *testing.T) {
 
 			ts, ps := tree.Stats(), paged.Stats()
 			if ps.MapPagesFlushed != 0 || ps.MapCacheEvictions != 0 {
-				t.Fatalf("unbounded paged map touched flash: %+v", ps)
+				t.Fatalf("paged map larger than the device touched flash: %+v", ps)
 			}
 			// Host RAM layout and the cache's hit counters are the sanctioned
 			// divergences; everything else must match bit for bit.

@@ -599,7 +599,7 @@ func (f *FTL) finishRecovery(now sim.Time, scan *logcore.Scan, records int) (*FT
 	if err := f.RebuildGeometry(scan); err != nil {
 		return nil, now, err
 	}
-	now = now.Add(sim.Duration(records) * f.cfg.ReconstructCPUPerEntry)
+	now = now.Add(sim.Duration(records) * reconstructCPUPerEntry)
 	f.maybeScheduleGC(now)
 	return f, now, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"iosnap/internal/faultinject"
 	"iosnap/internal/ratelimit"
+	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 	"iosnap/internal/xport"
 )
@@ -419,7 +420,7 @@ func (t *tortureRun) replicate() error {
 			return fmt.Errorf("torture: creating replica device: %w", err)
 		}
 		t.dst = dst
-		t.repl = &Replicator{Src: t.f, Dst: dst, Policy: t.cfg.Retry}
+		t.repl = &Replicator{Src: t.f, Dst: dst, Policy: retry.Default()}
 	}
 	id := t.pickSnap()
 	base := SnapshotID(0)

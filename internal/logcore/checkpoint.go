@@ -8,7 +8,6 @@ import (
 	"iosnap/internal/header"
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
-	"iosnap/internal/ratelimit"
 	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
@@ -156,11 +155,11 @@ func (l *Log) ckptFailed(landed []nand.PageAddr, err error) {
 	l.stats.CheckpointLastErr = err.Error()
 }
 
-// serialize flushes a bounded map's dirty translation pages — the GTD a
+// serialize flushes a paged map's dirty translation pages — the GTD a
 // checkpoint serializes must reference current copies — and captures the
 // policy's state.
 func (l *Log) serialize(now sim.Time) (sim.Time, uint64, []ChunkJob, error) {
-	if c := l.boundedMap(); c != nil {
+	if c := l.ActiveMap.Paged(); c != nil {
 		var err error
 		if now, err = l.flushAllMapPages(now, c); err != nil {
 			return now, 0, nil, err
@@ -212,9 +211,9 @@ func (l *Log) StartCheckpoint(now sim.Time) bool {
 	if l.ckptActive || l.closed || !l.cfg.Nand.StoreData {
 		return false
 	}
-	task := &ckptTask{l: l, budget: ratelimit.NewBudget(l.cfg.CheckpointLimit)}
-	if l.boundedMap() != nil {
-		// A bounded paged map must flush every dirty translation page before
+	task := &ckptTask{l: l}
+	if l.ActiveMap.Paged() != nil {
+		// A paged map must flush every dirty translation page before
 		// serializing, and flushing programs through the log head — which
 		// cannot happen here: this fires from the head-advance path,
 		// possibly mid-program under SequentialProg. Defer both the flush
@@ -233,8 +232,8 @@ func (l *Log) StartCheckpoint(now sim.Time) bool {
 	return true
 }
 
-// ckptTask programs a serialized generation's chunks under the WorkSleep
-// budget. The streams were captured at scheduling time, so foreground
+// ckptTask programs a serialized generation's chunks, GCChunk per quantum.
+// The streams were captured at scheduling time, so foreground
 // writes that land between quanta carry seq > ckptSeq and are replayed on
 // top at recovery — the checkpoint stays consistent without stalling
 // writers.
@@ -243,14 +242,13 @@ type ckptTask struct {
 	id      uint64
 	jobs    []ChunkJob
 	next    int
-	pending bool // bounded-paged mode: flush + serialize on first run
-	budget  *ratelimit.Budget
+	pending bool // paged mode: flush + serialize on first run
 }
 
 // Name implements sim.Task.
 func (t *ckptTask) Name() string { return fmt.Sprintf("checkpoint(%d)", t.id) }
 
-// Run implements sim.Task: one budgeted batch of chunk programs.
+// Run implements sim.Task: one batch of chunk programs.
 func (t *ckptTask) Run(now sim.Time) (sim.Time, bool) {
 	l := t.l
 	if l.closed {
@@ -268,7 +266,6 @@ func (t *ckptTask) Run(now sim.Time) (sim.Time, bool) {
 		}
 		t.pending = false
 	}
-	start := now
 	for programmed := 0; t.next < len(t.jobs) && programmed < l.cfg.GCChunk; programmed++ {
 		addr, done, err := l.programCkptChunk(now, t.jobs[t.next])
 		if err != nil {
@@ -280,9 +277,6 @@ func (t *ckptTask) Run(now sim.Time) (sim.Time, bool) {
 		now = done
 	}
 	if t.next < len(t.jobs) {
-		if sleep, exhausted := t.budget.Charge(now.Sub(start)); exhausted {
-			return now.Add(sleep), false
-		}
 		return now, false
 	}
 	l.commitCheckpoint(now, t.id, l.CkptInflight)
@@ -298,15 +292,14 @@ func (t *ckptTask) finish() (sim.Time, bool) {
 
 // ---- The sections every checkpoint carries. ----
 
-// EncodeMapSection serializes the device's forward map. Tree and
-// cache-unbounded maps serialize the full mapping list — count, then count ×
-// (lba, addr), byte-identical between the two (the unbounded equivalence
-// contract). A bounded paged map serializes only the global translation
-// directory (gtd = true): every dirty translation page was flushed before
-// this point, so the directory's flash copies are current.
+// EncodeMapSection serializes the device's forward map. A tree serializes
+// the full mapping list — count, then count × (lba, addr). A paged map
+// serializes only the global translation directory (gtd = true): every dirty
+// translation page was flushed before this point, so the directory's flash
+// copies are current.
 func (l *Log) EncodeMapSection() (data []byte, gtd bool, err error) {
 	var w ckpt.Writer
-	if c := l.boundedMap(); c != nil {
+	if c := l.ActiveMap.Paged(); c != nil {
 		if dirty := c.DirtyPages(); len(dirty) != 0 {
 			return nil, true, fmt.Errorf("logcore: checkpoint with %d unflushed translation pages", len(dirty))
 		}
@@ -345,7 +338,7 @@ func DecodeMapSection(data []byte) ([]ftlmap.Entry, error) {
 	return entries, nil
 }
 
-// DecodeGTDSection parses a bounded-paged checkpoint's translation
+// DecodeGTDSection parses a paged checkpoint's translation
 // directory and the translation-page geometry it was written under.
 func DecodeGTDSection(data []byte) (gtd []mapcache.GTDEnt, slotsPer int, err error) {
 	r := ckpt.Reader{B: data}

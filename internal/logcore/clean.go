@@ -52,21 +52,9 @@ func VictimScore(policy VictimPolicy, invalid, valid int, curSeq, segSeq uint64)
 func (l *Log) CleaningActive() bool { return l.gcActive }
 
 // AdmitClean reports whether a background clean should start now: none is
-// running, the log is open, the pool is at or below ReserveSegments, and the
-// Gate (if any) grants a token. A caller that then finds no victim hands the
-// token back with EndClean; a denied shard simply retries on its next head
-// advance.
+// running, the log is open, and the pool is at or below ReserveSegments.
 func (l *Log) AdmitClean() bool {
-	if l.gcActive || l.closed || len(l.FreeSegs) > l.cfg.ReserveSegments {
-		return false
-	}
-	if l.Gate != nil {
-		if !l.Gate.TryAcquire() {
-			return false
-		}
-		l.gateHeld = true
-	}
-	return true
+	return !l.gcActive && !l.closed && len(l.FreeSegs) <= l.cfg.ReserveSegments
 }
 
 // CleanPacer spreads a clean the policy estimates at est pages over
@@ -82,16 +70,11 @@ func (l *Log) BeginClean(now sim.Time, victim int, task sim.Task) {
 	l.Sched.Schedule(now, task)
 }
 
-// EndClean releases the background-clean slot — finished, aborted, cancelled
-// by Close, or admitted without a victim — and returns the Gate token if
-// this clean took one.
+// EndClean releases the background-clean slot — finished, aborted or
+// cancelled by Close.
 func (l *Log) EndClean() {
 	l.gcActive = false
 	l.GCVictim = -1
-	if l.gateHeld {
-		l.gateHeld = false
-		l.Gate.Release()
-	}
 }
 
 // AbortClean ends a background clean on a device error, recording it.

@@ -1,7 +1,7 @@
 package logcore
 
 // The foreground data path, built around batches. A multi-sector request is
-// one *run*: the forward map is charged one MapCPUCost per leaf the run spans
+// one *run*: the forward map is charged one mapCPUCost per leaf the run spans
 // in a maximally-packed tree (ftlmap.RunSpan) instead of one per sector,
 // translations move through the run operations (InsertRun / LookupRange /
 // DeleteRange), the policy flips validity once per programmed chunk
@@ -9,7 +9,7 @@ package logcore
 //
 // Config.ReferenceDataPath selects the historical per-sector algorithms —
 // per-key map operations, per-page device calls — on the *same* virtual-time
-// skeleton: the same MapCPUCost charge, the same chunk boundaries, the same
+// skeleton: the same mapCPUCost charge, the same chunk boundaries, the same
 // submit times, and the same Stats increments. The two paths must therefore
 // produce bit-identical device state, Stats, and completion times on any
 // fault-free workload; the equivalence tests enforce exactly that.
@@ -94,9 +94,9 @@ func (l *Log) ReadRun(m *mapcache.Map, now sim.Time, lba int64, buf []byte) (com
 	}
 	span := ftlmap.RunSpan(n)
 	l.stats.BatchDescents += int64(span)
-	t := now.Add(sim.Duration(span) * l.cfg.MapCPUCost)
+	t := now.Add(sim.Duration(span) * mapCPUCost)
 	// Paged map: fault the run's translation pages in (charged) before the
-	// map is consulted. Tree and unbounded-paged maps pass through untimed.
+	// map is consulted. A tree passes through untimed.
 	if t, err = l.mapEnsure(t, m, uint64(lba), n); err != nil {
 		return 0, t, err
 	}
@@ -180,7 +180,7 @@ func (l *Log) WriteRun(m *mapcache.Map, epoch uint64, now sim.Time, lba int64, d
 	}
 	span := ftlmap.RunSpan(n)
 	l.stats.BatchDescents += int64(span)
-	at := now.Add(sim.Duration(span) * l.cfg.MapCPUCost)
+	at := now.Add(sim.Duration(span) * mapCPUCost)
 	if at, err = l.mapEnsure(at, m, uint64(lba), n); err != nil {
 		return 0, at, err
 	}
@@ -305,7 +305,7 @@ func (l *Log) commitRun(m *mapcache.Map, epoch, lba0 uint64, addrs []nand.PageAd
 // TrimActive drops the run's translations from the device's own map and has
 // the policy invalidate the backing pages in epoch (under ioSnap they stay
 // live in any snapshot that captured them). Like the other run operations it
-// charges one MapCPUCost per touched leaf.
+// charges one mapCPUCost per touched leaf.
 func (l *Log) TrimActive(now sim.Time, epoch uint64, lba int64, n int64) (sim.Time, error) {
 	// A closed device refuses trims with ErrClosed even if it was frozen
 	// when it closed — closed beats frozen, matching Read and Write.
@@ -337,7 +337,7 @@ func (l *Log) TrimActive(now sim.Time, epoch uint64, lba int64, n int64) (sim.Ti
 	}
 	l.policy.RunCommitted(epoch, nil, l.ws.prevs)
 	l.stats.Trims += n
-	return t.Add(sim.Duration(span) * l.cfg.MapCPUCost), nil
+	return t.Add(sim.Duration(span) * mapCPUCost), nil
 }
 
 // SortPages orders a list of physical pages a policy is about to invalidate

@@ -20,8 +20,6 @@ import (
 
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
-	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
@@ -63,25 +61,16 @@ type Config struct {
 	// the relative age of the blocks").
 	VictimPolicy VictimPolicy
 
-	// MapCPUCost models the host CPU cost of one forward-map descent. A
-	// multi-sector request is charged once per *leaf* its run spans in a
-	// maximally-packed tree (ftlmap.RunSpan), not once per sector — the
-	// batched data path's cost model (DESIGN.md §10).
-	MapCPUCost sim.Duration
-
 	// MapCachePages selects the forward map's memory layout (DESIGN.md
-	// §13). 0 (the default) keeps the in-RAM B+tree. Non-zero switches to
-	// the flash-resident paged map: translation pages of
+	// §13). 0 (the default) keeps the in-RAM B+tree. A positive value
+	// switches to the flash-resident paged map: translation pages of
 	// mapcache.SlotsFor(SectorSize) 4-byte slots each (64 at 512-byte
 	// sectors, 512 at 4K; the device must have fewer than 2^32 − 1 pages),
-	// a RAM-pinned global translation directory, and a CLOCK cache of
-	// resident pages. A positive value bounds the cache to that many
-	// resident translation pages — dirty pages write back through the log
-	// head on eviction and the map's host footprint becomes O(cache + GTD)
-	// instead of O(map) — and requires a data-storing device
-	// (Nand.StoreData). A negative value runs the paged layout
-	// cache-unbounded: nothing is ever written to flash, which keeps it
-	// lockstep bit-exact with the tree.
+	// a RAM-pinned global translation directory, and a CLOCK cache bounded
+	// to that many resident translation pages. Dirty pages write back
+	// through the log head on eviction, so the map's host footprint is
+	// O(cache + GTD) instead of O(map), and the device must store data
+	// (Nand.StoreData).
 	MapCachePages int
 
 	// ReferenceDataPath selects the per-sector reference implementation of
@@ -91,17 +80,6 @@ type Config struct {
 	// workloads both ways and demand identical device state, Stats, and
 	// completion times.
 	ReferenceDataPath bool
-
-	// MergeCPUPerBlock models the cleaner's host CPU cost to determine one
-	// block's validity. The vanilla FTL consults a single bitmap; the
-	// snapshot FTL pays this per epoch merged (Table 4's "validity merge").
-	MergeCPUPerBlock sim.Duration
-
-	// Retry bounds per-NAND-operation retries of transient media errors.
-	// Errors that persist past the budget are permanent: the segment is
-	// marked suspect and the cleaner retires it. The zero value disables
-	// retrying.
-	Retry retry.Policy
 
 	// RescueReserve is the number of free segments the write path must leave
 	// untouched: headroom that keeps the cleaner and segment rescue able to
@@ -117,11 +95,21 @@ type Config struct {
 	// are only written when the NAND stores payloads (Nand.StoreData) —
 	// without payloads one can never be read back.
 	CheckpointInterval sim.Duration
-
-	// CheckpointLimit paces the background checkpoint task's chunk programs
-	// (work/sleep). The zero value is unlimited.
-	CheckpointLimit ratelimit.WorkSleep
 }
+
+// Host CPU costs the engine charges in virtual time.
+const (
+	// mapCPUCost is one forward-map descent. A multi-sector request is
+	// charged once per *leaf* its run spans in a maximally-packed tree
+	// (ftlmap.RunSpan), not once per sector — the batched data path's cost
+	// model (DESIGN.md §10).
+	mapCPUCost = 300 * sim.Nanosecond
+
+	// MergeCPUPerBlock is the cleaner's cost to determine one block's
+	// validity. The vanilla FTL consults a single bitmap; the snapshot FTL
+	// pays this per epoch merged (Table 4's "validity merge").
+	MergeCPUPerBlock = 15 * sim.Nanosecond
+)
 
 // DefaultConfig returns a config over the given NAND geometry with the
 // calibrated defaults used throughout the experiments.
@@ -136,15 +124,12 @@ func DefaultConfig(nc nand.Config) Config {
 		user = maxUser
 	}
 	return Config{
-		Nand:             nc,
-		UserSectors:      user,
-		ReserveSegments:  reserve,
-		GCWindow:         10 * sim.Second,
-		GCChunk:          32,
-		MapCPUCost:       300 * sim.Nanosecond,
-		MergeCPUPerBlock: 15 * sim.Nanosecond,
-		Retry:            retry.Default(),
-		RescueReserve:    2,
+		Nand:            nc,
+		UserSectors:     user,
+		ReserveSegments: reserve,
+		GCWindow:        10 * sim.Second,
+		GCChunk:         32,
+		RescueReserve:   2,
 	}
 }
 
@@ -177,6 +162,9 @@ func (c Config) Validate() error {
 	}
 	if c.CheckpointInterval < 0 {
 		return fmt.Errorf("logcore: CheckpointInterval must not be negative")
+	}
+	if c.MapCachePages < 0 {
+		return fmt.Errorf("logcore: MapCachePages %d must not be negative", c.MapCachePages)
 	}
 	if c.MapCachePages > 0 && !c.Nand.StoreData {
 		return fmt.Errorf("logcore: MapCachePages %d requires a data-storing device (translation pages live on flash)", c.MapCachePages)
@@ -241,16 +229,6 @@ type Stats struct {
 	RecoveryHeaderPages int64 // header pages recovery scanned
 }
 
-// GCGate is a cross-FTL admission gate for background cleaning. TryAcquire
-// reports whether a new background clean may start; every successful
-// acquisition is matched by exactly one Release when the clean finishes,
-// aborts, or is cancelled by Close. Implementations must be safe for
-// concurrent use when FTLs run on separate goroutines (service mode).
-type GCGate interface {
-	TryAcquire() bool
-	Release()
-}
-
 // Policy is what an FTL supplies to the log it embeds. No method is called
 // per sector or from the read path; one call per programmed chunk
 // (RunCommitted) is the finest grain.
@@ -297,11 +275,6 @@ type Log struct {
 
 	Dev   *nand.Device
 	Sched *sim.Scheduler
-	// Gate, when non-nil, arbitrates background cleaning across FTLs that
-	// share a budget (AdmitClean). Forced synchronous cleans bypass it —
-	// they are how a writer makes progress and must never wait on another
-	// shard's budget.
-	Gate GCGate
 
 	// ActiveMap is the device's own forward map (ioSnap's active view). It
 	// is the map checkpoints serialize and translation-page pins refer to;
@@ -317,7 +290,6 @@ type Log struct {
 
 	victims  victimHeap // victim.go
 	gcActive bool
-	gateHeld bool // the running background clean holds a Gate token
 	GCVictim int  // segment a background clean currently owns (-1 = none)
 	degraded bool // out of space: writes shed until cleaning frees space
 	closed   bool
@@ -460,9 +432,8 @@ func (l *Log) CheckIO(lba int64, n int) error {
 // The log is marked closed before the checkpoint is written: its chunks
 // advance the head, and a head advance must not queue cleaning, scrubbing or
 // another checkpoint on a scheduler nobody will run again. A background
-// clean still in flight is cancelled — its Gate token goes back and its task
-// finds the log closed — leaving the victim as consistent as after any
-// aborted clean.
+// clean still in flight is cancelled — its task finds the log closed —
+// leaving the victim as consistent as after any aborted clean.
 func (l *Log) Close(now sim.Time) (sim.Time, error) {
 	if l.closed {
 		return now, ErrClosed

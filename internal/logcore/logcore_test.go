@@ -1,6 +1,7 @@
 package logcore
 
 import (
+	"strings"
 	"testing"
 
 	"iosnap/internal/nand"
@@ -40,5 +41,17 @@ func TestValidatePagedGeometry(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s, tree: Validate = %v", tc.name, err)
 		}
+	}
+}
+
+// TestValidateRefusesNegativeMapCache: the map is a tree (0) or a paged map
+// bounded to a positive number of resident pages; there is no third layout.
+func TestValidateRefusesNegativeMapCache(t *testing.T) {
+	nc := nand.DefaultConfig()
+	nc.StoreData = true
+	cfg := DefaultConfig(nc)
+	cfg.MapCachePages = -1
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "MapCachePages -1") {
+		t.Fatalf("Validate with MapCachePages -1 = %v, want a refusal naming it", err)
 	}
 }

@@ -23,22 +23,17 @@ import (
 
 // newActiveMap builds the device's forward map per the configured
 // layout: the legacy in-RAM tree, or the paged translation-page cache
-// (bounded when MapCachePages > 0, unbounded — and therefore lockstep
-// bit-exact with the tree — when negative).
+// bounded to MapCachePages resident pages.
 func (l *Log) newActiveMap() *mapcache.Map {
 	if l.cfg.MapCachePages == 0 {
 		return mapcache.NewTree()
 	}
-	limit := l.cfg.MapCachePages
-	if limit < 0 {
-		limit = 0 // the cache's spelling of unbounded
-	}
-	return mapcache.NewPaged(mapcache.SlotsFor(l.cfg.Nand.SectorSize), limit, l.newMapFault())
+	return mapcache.NewPaged(mapcache.SlotsFor(l.cfg.Nand.SectorSize), l.cfg.MapCachePages, l.newMapFault())
 }
 
 // RecoverMap builds the device's forward map from recovery output: the
 // translations found (a full scan's winners or a full-map checkpoint's list,
-// in any order) plus, in bounded-paged mode, an optional GTD from a paged
+// in any order) plus, in paged mode, an optional GTD from a paged
 // checkpoint. GTD pages stay on flash and fault in lazily; entries become
 // resident dirty pages (the cache may start over-limit — the first
 // foreground op shrinks it).
@@ -62,15 +57,6 @@ func (l *Log) RecoverMap(entries []ftlmap.Entry, gtd []mapcache.GTDEnt) *mapcach
 	return l.ActiveMap
 }
 
-// boundedMap returns the device map's cache when it is paged and bounded —
-// the only layout with translation pages on flash — or nil.
-func (l *Log) boundedMap() *mapcache.Cache {
-	if c := l.ActiveMap.Paged(); c != nil && c.Bounded() {
-		return c
-	}
-	return nil
-}
-
 // newMapFault serves host-side translation-page faults (invariant walks,
 // background decodes): an untimed payload read straight off the device.
 // Foreground faults never come here — they go through mapEnsure's charged
@@ -84,8 +70,7 @@ func (l *Log) newMapFault() mapcache.FaultFunc {
 // mapEnsure makes the translation pages covering [lba, lba+n) resident in
 // m before a foreground operation, charging the fault reads to the
 // operation's timeline, then evicts back down to the residency limit.
-// Tree-mode and unbounded maps pass through untouched (no GTD entries ⇒
-// no misses ⇒ no added virtual time).
+// Tree-mode maps pass through untouched.
 func (l *Log) mapEnsure(now sim.Time, m *mapcache.Map, lba uint64, n int) (sim.Time, error) {
 	c := m.Paged()
 	if c == nil {
@@ -95,9 +80,6 @@ func (l *Log) mapEnsure(now sim.Time, m *mapcache.Map, lba uint64, n int) (sim.T
 	now, err := l.mapFill(now, c, l.ws.mapMiss)
 	if err != nil {
 		return now, err
-	}
-	if !c.Bounded() {
-		return now, nil
 	}
 	return l.mapShrink(now, c, c.PageOf(lba), c.PageOf(lba+uint64(n)-1))
 }
@@ -115,9 +97,6 @@ func (l *Log) mapEnsureRange(now sim.Time, m *mapcache.Map, lo, hi uint64) (sim.
 	now, err := l.mapFill(now, c, l.ws.mapMiss)
 	if err != nil {
 		return now, err
-	}
-	if !c.Bounded() {
-		return now, nil
 	}
 	return l.mapShrink(now, c, loIdx, hiIdx)
 }

@@ -7,9 +7,13 @@ import (
 )
 
 // The media-failure boundary: every NAND operation goes through a wrapper
-// that retries transient errors under the configured policy and, when a
-// failure proves permanent, marks the affected segment suspect so the cleaner
-// (or ioSnap's scrubber) rescues its data and retires it.
+// that retries transient errors under mediaRetry and, when a failure proves
+// permanent, marks the affected segment suspect so the cleaner (or ioSnap's
+// scrubber) rescues its data and retires it.
+
+// mediaRetry bounds per-NAND-operation retries of transient media errors.
+// Errors that persist past its budget are permanent.
+var mediaRetry = retry.Default()
 
 // markSuspect records a permanent media failure against seg.
 func (l *Log) markSuspect(seg int) {
@@ -23,7 +27,7 @@ func (l *Log) markSuspect(seg int) {
 // retried runs one device operation under the retry policy; a failure that
 // proves permanent marks segment blame suspect.
 func (l *Log) retried(now sim.Time, blame int, op func(at sim.Time) (sim.Time, error)) (sim.Time, error) {
-	done, retries, err := l.cfg.Retry.Do(now, op)
+	done, retries, err := mediaRetry.Do(now, op)
 	l.stats.Retries += retries
 	if err != nil && retry.MediaFailure(err) {
 		l.markSuspect(blame)
@@ -98,7 +102,7 @@ func (l *Log) devProgramPages(now sim.Time, addrs []nand.PageAddr, datas, oobs [
 		if e == nil {
 			return n, done, nil
 		}
-		d2, retries, e2 := l.cfg.Retry.DoFrom(at, 1, e, func(t sim.Time) (sim.Time, error) {
+		d2, retries, e2 := mediaRetry.DoFrom(at, 1, e, func(t sim.Time) (sim.Time, error) {
 			return l.Dev.ProgramPage(t, addrs[n], datas[n], oobs[n])
 		})
 		l.stats.Retries += retries
@@ -138,7 +142,7 @@ func (l *Log) DevReadPages(now sim.Time, addrs []nand.PageAddr) (datas, oobs [][
 			return datas, oobs, n, done, nil
 		}
 		var data, oob []byte
-		d2, retries, e2 := l.cfg.Retry.DoFrom(at, 1, e, func(t sim.Time) (sim.Time, error) {
+		d2, retries, e2 := mediaRetry.DoFrom(at, 1, e, func(t sim.Time) (sim.Time, error) {
 			var e3 error
 			data, oob, t, e3 = l.Dev.ReadPage(t, addrs[n])
 			return t, e3
@@ -175,7 +179,7 @@ func (l *Log) devCopyPages(now sim.Time, froms, tos []nand.PageAddr) (n int, don
 		if e == nil {
 			return n, done, nil
 		}
-		d2, retries, e2 := l.cfg.Retry.DoFrom(at, 1, e, func(t sim.Time) (sim.Time, error) {
+		d2, retries, e2 := mediaRetry.DoFrom(at, 1, e, func(t sim.Time) (sim.Time, error) {
 			return l.Dev.CopyPage(t, froms[n], tos[n])
 		})
 		l.stats.Retries += retries

@@ -13,10 +13,10 @@
 // Map is the FTL-facing handle. It has two modes behind one API:
 //
 //   - tree mode wraps the plain in-RAM ftlmap.Tree (the legacy layout);
-//   - paged mode runs the translation-page cache. With no residency limit
-//     ("cache-unbounded") every page stays resident and nothing is ever
-//     written to flash, which is what makes unbounded paged mode lockstep
-//     bit-exact with tree mode — it is purely a host memory layout change.
+//   - paged mode runs the translation-page cache, bounded to a residency
+//     limit of at least one page. While the whole map fits the limit no
+//     page is ever evicted, so nothing is written to flash until the owner
+//     checkpoints.
 //
 // A slot is a 4-byte page address, in RAM and on flash: every shard
 // geometry has fewer than 2^32 − 1 pages (logcore refuses paged mode on
@@ -176,7 +176,7 @@ type Cache struct {
 	slotsPer int
 	shift    uint
 	mask     uint64
-	limit    int // >0: residency bound in pages; <=0: unbounded
+	limit    int // residency bound in pages (>= 1)
 
 	pages map[uint64]*tpage
 	ring  []*tpage
@@ -190,12 +190,15 @@ type Cache struct {
 }
 
 // NewCache creates a paged map with slotsPer slots per translation page
-// (a power of two, from SlotsFor) and a residency limit in pages
-// (<=0 = unbounded). fault serves host-side page faults; it may be nil
-// only if the map is never populated from flash.
+// (a power of two, from SlotsFor) and a residency limit of at least one
+// page. fault serves host-side page faults; it may be nil only if the map
+// is never populated from flash.
 func NewCache(slotsPer, limit int, fault FaultFunc) *Cache {
 	if slotsPer <= 0 || slotsPer&(slotsPer-1) != 0 {
 		panic(fmt.Sprintf("mapcache: slots per page %d not a power of two", slotsPer))
+	}
+	if limit < 1 {
+		panic(fmt.Sprintf("mapcache: residency limit %d below one page", limit))
 	}
 	shift := uint(0)
 	for 1<<shift != slotsPer {
@@ -219,10 +222,7 @@ func (c *Cache) SetFault(fault FaultFunc) { c.fault = fault }
 // SlotsPerPage returns K.
 func (c *Cache) SlotsPerPage() int { return c.slotsPer }
 
-// Bounded reports whether a residency limit is in force.
-func (c *Cache) Bounded() bool { return c.limit > 0 }
-
-// Limit returns the residency limit in pages (<=0 = unbounded).
+// Limit returns the residency limit in pages.
 func (c *Cache) Limit() int { return c.limit }
 
 // Resident returns the number of resident translation pages.
@@ -905,7 +905,7 @@ func (m *Map) MemoryBytes() int64 {
 }
 
 // ResidentBytes returns the actual host RAM held by the map. In tree mode
-// (and unbounded paged mode) it equals MemoryBytes.
+// it equals MemoryBytes.
 func (m *Map) ResidentBytes() int64 {
 	if m.c != nil {
 		return m.c.ResidentBytes()

@@ -148,7 +148,7 @@ func TestInsertRefusesWideValue(t *testing.T) {
 		func(m *Map) { m.Insert(5, uint64(Unmapped)) },
 		func(m *Map) { m.InsertRun([]ftlmap.Entry{{Key: 5, Val: 1 << 40}}, nil) },
 	} {
-		m := NewPaged(SlotsFor(512), 0, nil)
+		m := NewPaged(SlotsFor(512), 1, nil)
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -261,13 +261,31 @@ func opMix(t *testing.T, m *Map, seed uint64, space uint64, steps int) {
 	}
 }
 
+// TestUnboundedPagedMatchesTree: a cache whose limit covers every page of
+// the key space (4096 keys / 32 slots = 128 pages) never faults and agrees
+// with the tree operation for operation.
 func TestUnboundedPagedMatchesTree(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		m := NewPaged(32, 0, nil)
+		m := NewPaged(32, 4096/32, nil)
 		opMix(t, m, seed, 4096, 3000)
 		if c := m.Paged(); c.Stats().Misses != 0 {
-			t.Fatalf("unbounded cache faulted %d pages", c.Stats().Misses)
+			t.Fatalf("whole-map cache faulted %d pages", c.Stats().Misses)
 		}
+	}
+}
+
+// TestNewCacheRefusesLimitBelowOne: the cache is always bounded; a limit
+// below one page is a caller bug, not an unbounded mode.
+func TestNewCacheRefusesLimitBelowOne(t *testing.T) {
+	for _, limit := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewCache with limit %d did not panic", limit)
+				}
+			}()
+			NewCache(32, limit, nil)
+		}()
 	}
 }
 
@@ -291,7 +309,7 @@ func (fs *flashSim) fault(idx, addr uint64) ([]byte, error) {
 // trim evicts down to the residency limit the way the FTL glue does:
 // CLOCK victim, flush if dirty, drop.
 func (fs *flashSim) trim(c *Cache) {
-	for c.Bounded() && c.Resident() > c.Limit() {
+	for c.Resident() > c.Limit() {
 		idx, ok := c.ClockVictim(nil)
 		if !ok {
 			fs.t.Fatal("no evictable page while over limit")

@@ -30,9 +30,9 @@ type Policy struct {
 	Backoff sim.Duration
 }
 
-// Default is the policy both FTLs adopt via their DefaultConfig: three
-// attempts with a 100µs initial backoff, enough to clear any
-// faultinject.KindTransient episode with Times ≤ 2.
+// Default is the policy the log engine under both FTLs retries every NAND
+// operation with: three attempts with a 100µs initial backoff, enough to
+// clear any faultinject.KindTransient episode with Times ≤ 2.
 func Default() Policy {
 	return Policy{MaxAttempts: 3, Backoff: 100 * sim.Microsecond}
 }

@@ -55,7 +55,6 @@ func TestShardScalingVirtualMakespan(t *testing.T) {
 			Base:          scalingBase(),
 			Shards:        shards,
 			StripeSectors: 16,
-			GCConcurrency: (shards + 3) / 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +96,7 @@ func TestShardScalingVirtualMakespan(t *testing.T) {
 	for _, want := range []struct {
 		shards int
 		ns     sim.Time
-	}{{1, 62870560}, {4, 21063120}, {16, 11681820}} {
+	}{{1, 62870560}, {4, 21346880}, {16, 11354440}} {
 		got[want.shards] = makespan(want.shards)
 		if got[want.shards] != want.ns {
 			t.Errorf("%d shards: virtual makespan %d ns, want %d", want.shards, got[want.shards], want.ns)

@@ -38,7 +38,6 @@ var ErrClosed = errors.New("shard: closed")
 // every clock to the common freeze instant.
 type Service struct {
 	cfg    Config
-	gov    *Governor
 	shards []serviceShard
 	// closed is written with every shard locked and read with at least one
 	// locked.
@@ -76,14 +75,9 @@ func newService(cfg Config, devs []*nand.Device) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{cfg: cfg, shards: make([]serviceShard, cfg.Shards)}
-	var gate iosnap.GCGate
-	if cfg.GCConcurrency > 0 {
-		s.gov = NewGovernor(cfg.GCConcurrency)
-		gate = s.gov
-	}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sc := cfg.shardConfig(i, gate)
+		sc := cfg.shardConfig(i)
 		var err error
 		if devs == nil {
 			sh.f, err = iosnap.New(sc, nil)
@@ -157,9 +151,6 @@ func (s *Service) SectorSize() int { return s.cfg.Base.Nand.SectorSize }
 
 // Sectors returns the advertised capacity of the whole logical device.
 func (s *Service) Sectors() int64 { return s.cfg.Base.UserSectors }
-
-// Governor returns the global GC governor, or nil when GCConcurrency is 0.
-func (s *Service) Governor() *Governor { return s.gov }
 
 // advance moves the shard's clock to an op's completion time.
 func (sh *serviceShard) advance(done sim.Time) {

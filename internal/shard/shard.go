@@ -28,12 +28,6 @@
 //     The barrier holds every shard's lock, so no op is half-executed when
 //     it freezes.
 //
-//   - Background cleaning draws from a global budget: a Governor token
-//     gate (iosnap.Config.GCGate) caps how many shards clean concurrently,
-//     so a device-wide dip of the free pool cannot turn into N
-//     simultaneous cleaners saturating every channel. Forced synchronous
-//     cleans bypass the gate.
-//
 //   - The rescue reserve is a global budget distributed across shards:
 //     Config.Base.RescueReserve segments total, round-robin, so sharding
 //     does not multiply the held-back space.
@@ -41,7 +35,6 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"iosnap/internal/iosnap"
 	"iosnap/internal/nand"
@@ -63,10 +56,6 @@ type Config struct {
 	// (shard i owns one big range), which keeps per-shard locality but
 	// serializes sequential streams on one shard.
 	StripeSectors int64
-
-	// GCConcurrency caps how many shards may run *background* cleaning at
-	// once (the global GC budget). 0 = unlimited (no gate installed).
-	GCConcurrency int
 }
 
 // DefaultConfig mirrors iosnap.DefaultConfig over the given geometry with
@@ -98,19 +87,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("shard: UserSectors %d not divisible by stripe %d x %d shards",
 			c.Base.UserSectors, c.StripeSectors, c.Shards)
 	}
-	if c.GCConcurrency < 0 {
-		return fmt.Errorf("shard: GCConcurrency %d must not be negative", c.GCConcurrency)
-	}
 	return nil
 }
 
 // shardConfig derives shard i's iosnap configuration: an equal slice of
 // the segments, channels, and advertised capacity, with the reserve
 // budgets distributed so the device-wide totals match Base.
-func (c Config) shardConfig(i int, gate iosnap.GCGate) iosnap.Config {
+func (c Config) shardConfig(i int) iosnap.Config {
 	sc := c.Base
 	if c.Shards == 1 {
-		sc.GCGate = gate
 		return sc
 	}
 	sc.Nand.Segments = c.Base.Nand.Segments / c.Shards
@@ -125,7 +110,6 @@ func (c Config) shardConfig(i int, gate iosnap.GCGate) iosnap.Config {
 		sc.ReserveSegments = 1
 	}
 	sc.RescueReserve = distribute(c.Base.RescueReserve, c.Shards, i)
-	sc.GCGate = gate
 	return sc
 }
 
@@ -201,57 +185,4 @@ func (c *Config) extents(lba, n int64, out []extent) []extent {
 		off += take
 	}
 	return out
-}
-
-// Governor is the global background-GC budget: a token gate shared by
-// every shard's cleaner (installed as iosnap.Config.GCGate). It is safe
-// for concurrent use.
-type Governor struct {
-	mu       sync.Mutex
-	capacity int
-	inUse    int
-	denied   int64
-	granted  int64
-}
-
-// NewGovernor returns a governor admitting at most capacity concurrent
-// background cleans; capacity <= 0 admits everything (counting only).
-func NewGovernor(capacity int) *Governor {
-	return &Governor{capacity: capacity}
-}
-
-// TryAcquire implements iosnap.GCGate.
-func (g *Governor) TryAcquire() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.capacity > 0 && g.inUse >= g.capacity {
-		g.denied++
-		return false
-	}
-	g.inUse++
-	g.granted++
-	return true
-}
-
-// Release implements iosnap.GCGate.
-func (g *Governor) Release() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.inUse > 0 {
-		g.inUse--
-	}
-}
-
-// InUse returns how many cleans currently hold a token.
-func (g *Governor) InUse() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inUse
-}
-
-// Counts returns how many acquisitions were granted and denied.
-func (g *Governor) Counts() (granted, denied int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.granted, g.denied
 }

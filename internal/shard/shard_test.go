@@ -29,7 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{"sectors not divisible", func(c *Config) { c.Base.UserSectors = 770 }, "not divisible"},
 		{"stripe misaligned", func(c *Config) { c.StripeSectors = 7 }, "stripe"},
 		{"negative stripe", func(c *Config) { c.StripeSectors = -1 }, "negative"},
-		{"negative gc", func(c *Config) { c.GCConcurrency = -1 }, "GCConcurrency"},
 	} {
 		cfg := multiConfig(4, 32)
 		tc.mut(&cfg)
@@ -279,84 +278,6 @@ func TestSnapshotIDsStayAligned(t *testing.T) {
 				t.Fatalf("shard %d entry %d diverges", i, j)
 			}
 		}
-	}
-}
-
-func TestGovernorTokenGate(t *testing.T) {
-	g := NewGovernor(2)
-	if !g.TryAcquire() || !g.TryAcquire() {
-		t.Fatal("governor denied within capacity")
-	}
-	if g.TryAcquire() {
-		t.Fatal("governor admitted past capacity")
-	}
-	g.Release()
-	if !g.TryAcquire() {
-		t.Fatal("released token not reusable")
-	}
-	granted, denied := g.Counts()
-	if granted != 3 || denied != 1 {
-		t.Fatalf("counts granted=%d denied=%d", granted, denied)
-	}
-	if g.InUse() != 2 {
-		t.Fatalf("InUse = %d", g.InUse())
-	}
-	// Unbounded governor only counts.
-	u := NewGovernor(0)
-	for i := 0; i < 10; i++ {
-		if !u.TryAcquire() {
-			t.Fatal("unbounded governor denied")
-		}
-	}
-}
-
-// drainBackground runs every shard's scheduler dry, with no caller in
-// flight: a token check before it would count a clean that is still running
-// and holds its token legitimately.
-func drainBackground(svc *Service) {
-	for i := range svc.shards {
-		sh := &svc.shards[i]
-		sh.advance(sh.f.Scheduler().Drain(sh.vnow))
-	}
-}
-
-// TestGovernedCleaning: heavy overwrite churn across 4 shards with a
-// global GC budget of 1 still cleans (granted tokens, completed runs) and
-// never leaks a token.
-func TestGovernedCleaning(t *testing.T) {
-	cfg := multiConfig(4, 32)
-	cfg.GCConcurrency = 1
-	svc, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	ss := svc.SectorSize()
-	for round := 0; round < 20; round++ {
-		for lba := int64(0); lba+128 <= svc.Sectors(); lba += 128 {
-			if err := svc.Write(lba, runPattern(ss, lba, 128, byte(round+1))); err != nil {
-				t.Fatalf("round %d lba %d: %v", round, lba, err)
-			}
-		}
-	}
-	drainBackground(svc)
-	var gcRuns int64
-	stats, _ := svc.ShardStats()
-	for _, st := range stats {
-		gcRuns += st.GCRuns
-	}
-	if gcRuns == 0 {
-		t.Fatal("churn workload never cleaned")
-	}
-	granted, _ := svc.Governor().Counts()
-	if granted == 0 {
-		t.Fatal("governed cleaning never acquired a token")
-	}
-	if svc.Governor().InUse() != 0 {
-		t.Fatalf("token leaked: InUse = %d", svc.Governor().InUse())
-	}
-	if err := svc.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

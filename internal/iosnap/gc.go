@@ -6,7 +6,6 @@ import (
 
 	"iosnap/internal/bitmap"
 	"iosnap/internal/header"
-	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/sim"
@@ -24,14 +23,6 @@ import (
 //     translation referenced the moved block;
 //  5. erase the victim.
 
-// mergeSegment computes the merged validity for one segment from scratch.
-// The hot paths read the incremental caches in gcacct.go instead; this stays
-// as the reference the accounting cross-check compares against.
-func (f *FTL) mergeSegment(seg int) *bitmap.Bitmap {
-	pps := int64(f.cfg.Nand.PagesPerSegment)
-	return f.vstore.MergeRange(f.vstore.LiveEpochs(), int64(seg)*pps, int64(seg+1)*pps)
-}
-
 // selectVictim picks the non-head segment with the best score under the
 // *merged* view (the only correct notion of invalid once snapshots exist),
 // returning the victim (-1 for none) and the merge CPU charged for bringing
@@ -48,35 +39,8 @@ func (f *FTL) selectVictim() (victim int, cost sim.Duration) {
 	return f.BestVictim(), cost
 }
 
-// selectVictimScratch re-derives the victim by a full re-merge of every
-// used segment — the pre-incremental algorithm. Kept (uncharged) as the
-// reference the accounting cross-check and BenchmarkVictimSelect compare
-// against.
-func (f *FTL) selectVictimScratch() (victim, mergedValid int) {
-	pps := int64(f.cfg.Nand.PagesPerSegment)
-	best := -1
-	bestScore := -1.0
-	bestMerged := 0
-	for _, seg := range f.UsedSegs {
-		if seg == f.HeadSeg || seg == f.GCVictim {
-			continue
-		}
-		mv := f.mergeSegment(seg).Count()
-		invalid := int(pps) - mv - f.PinnedInSeg(seg)
-		if invalid <= 0 {
-			continue
-		}
-		score := logcore.VictimScore(f.cfg.VictimPolicy, invalid, mv, f.Seq, f.SegLastSeq[seg])
-		if score > bestScore {
-			best, bestScore, bestMerged = seg, score, mv
-		}
-	}
-	return best, bestMerged
-}
-
 // maybeScheduleGC starts background cleaning when the pool is low and the
-// log admits one (logcore.AdmitClean: none running, and the GCGate's token
-// when a gate is configured).
+// log admits one (logcore.AdmitClean).
 func (f *FTL) maybeScheduleGC(now sim.Time) {
 	if !f.AdmitClean() {
 		return

@@ -1,0 +1,177 @@
+package iosnap
+
+import (
+	"fmt"
+	"slices"
+
+	"iosnap/internal/bitmap"
+	"iosnap/internal/header"
+	"iosnap/internal/logcore"
+	"iosnap/internal/nand"
+)
+
+// Reference implementations the tests compare the production paths against.
+
+// mergeSegment computes the merged validity for one segment from scratch.
+// The hot paths read the incremental caches in gcacct.go instead; this stays
+// as the reference the accounting cross-check compares against.
+func (f *FTL) mergeSegment(seg int) *bitmap.Bitmap {
+	pps := int64(f.cfg.Nand.PagesPerSegment)
+	return f.vstore.MergeRange(f.vstore.LiveEpochs(), int64(seg)*pps, int64(seg+1)*pps)
+}
+
+// selectVictimScratch re-derives the victim by a full re-merge of every
+// used segment — the pre-incremental algorithm. Kept (uncharged) as the
+// reference the accounting cross-check and BenchmarkVictimSelect compare
+// against.
+func (f *FTL) selectVictimScratch() (victim, mergedValid int) {
+	pps := int64(f.cfg.Nand.PagesPerSegment)
+	best := -1
+	bestScore := -1.0
+	bestMerged := 0
+	for _, seg := range f.UsedSegs {
+		if seg == f.HeadSeg || seg == f.GCVictim {
+			continue
+		}
+		mv := f.mergeSegment(seg).Count()
+		invalid := int(pps) - mv - f.PinnedInSeg(seg)
+		if invalid <= 0 {
+			continue
+		}
+		score := logcore.VictimScore(f.cfg.VictimPolicy, invalid, mv, f.Seq, f.SegLastSeq[seg])
+		if score > bestScore {
+			best, bestScore, bestMerged = seg, score, mv
+		}
+	}
+	return best, bestMerged
+}
+
+// CompareRecovered checks that two independently recovered FTLs (typically
+// tail-bounded vs full-scan over copies of the same device image) agree on
+// all durable state: the active forward map, log geometry, the epoch graph
+// with its deletion marks and the alias table of reaped epochs, the
+// snapshot tree and the next snapshot ID, and per-page validity of every
+// data page in every live epoch.
+//
+// Deliberately not compared: epoch presence summaries (a conservative
+// superset whose note-page entries differ between the live write path and
+// scan reconstruction), snapshot note addresses and creation times, and
+// validity bits of non-data pages (the full scan parks all surviving note
+// bits in the final active epoch, while checkpoints preserve the historical
+// epoch each note landed in — both keep the notes alive for the cleaner).
+func CompareRecovered(a, b *FTL) error {
+	if a.active.epoch != b.active.epoch {
+		return fmt.Errorf("compare: active epoch %d vs %d", a.active.epoch, b.active.epoch)
+	}
+	if a.epochCounter != b.epochCounter {
+		return fmt.Errorf("compare: epoch counter %d vs %d", a.epochCounter, b.epochCounter)
+	}
+	if a.Seq != b.Seq {
+		return fmt.Errorf("compare: sequence number %d vs %d", a.Seq, b.Seq)
+	}
+	if a.HeadSeg != b.HeadSeg || a.HeadIdx != b.HeadIdx {
+		return fmt.Errorf("compare: log head %d/%d vs %d/%d", a.HeadSeg, a.HeadIdx, b.HeadSeg, b.HeadIdx)
+	}
+	if fmt.Sprint(a.UsedSegs) != fmt.Sprint(b.UsedSegs) {
+		return fmt.Errorf("compare: UsedSegs %v vs %v", a.UsedSegs, b.UsedSegs)
+	}
+	if fmt.Sprint(a.FreeSegs) != fmt.Sprint(b.FreeSegs) {
+		return fmt.Errorf("compare: FreeSegs %v vs %v", a.FreeSegs, b.FreeSegs)
+	}
+	for s := range a.SegLastSeq {
+		if a.SegLastSeq[s] != b.SegLastSeq[s] {
+			return fmt.Errorf("compare: segment %d last seq %d vs %d", s, a.SegLastSeq[s], b.SegLastSeq[s])
+		}
+	}
+
+	// Active forward map, entry for entry.
+	if a.active.fmap.Len() != b.active.fmap.Len() {
+		return fmt.Errorf("compare: forward map %d entries vs %d", a.active.fmap.Len(), b.active.fmap.Len())
+	}
+	var merr error
+	a.active.fmap.All(func(lba, addr uint64) bool {
+		got, ok := b.active.fmap.Lookup(lba)
+		if !ok || got != addr {
+			merr = fmt.Errorf("compare: LBA %d -> %d vs %d (present=%v)", lba, addr, got, ok)
+			return false
+		}
+		return true
+	})
+	if merr != nil {
+		return merr
+	}
+
+	// Epoch graph: same epochs, same tombstones, same parent links.
+	aEps := a.vstore.Epochs()
+	bEps := b.vstore.Epochs()
+	if len(aEps) != len(bEps) {
+		return fmt.Errorf("compare: %d epochs vs %d", len(aEps), len(bEps))
+	}
+	for _, e := range aEps {
+		if !b.vstore.Exists(e) {
+			return fmt.Errorf("compare: epoch %d missing from second store", e)
+		}
+		if a.vstore.Deleted(e) != b.vstore.Deleted(e) {
+			return fmt.Errorf("compare: epoch %d deleted=%v vs %v", e, a.vstore.Deleted(e), b.vstore.Deleted(e))
+		}
+	}
+	if len(a.epochParent) != len(b.epochParent) {
+		return fmt.Errorf("compare: epoch-parent graph %d edges vs %d", len(a.epochParent), len(b.epochParent))
+	}
+	for e, p := range a.epochParent {
+		if bp, ok := b.epochParent[e]; !ok || bp != p {
+			return fmt.Errorf("compare: epoch %d parent %d vs %d (present=%v)", e, p, bp, ok)
+		}
+	}
+	if aa, ba := a.vstore.Aliases(), b.vstore.Aliases(); !slices.Equal(aa, ba) {
+		return fmt.Errorf("compare: alias tables %v vs %v", aa, ba)
+	}
+	if a.tree.nextID != b.tree.nextID {
+		return fmt.Errorf("compare: next snapshot ID %d vs %d", a.tree.nextID, b.tree.nextID)
+	}
+
+	// Snapshot tree: same IDs; per ID the same epoch, deletion mark, parent.
+	aIDs := a.tree.IDs()
+	bIDs := b.tree.IDs()
+	if fmt.Sprint(aIDs) != fmt.Sprint(bIDs) {
+		return fmt.Errorf("compare: snapshot IDs %v vs %v", aIDs, bIDs)
+	}
+	for _, id := range aIDs {
+		sa, _ := a.tree.Lookup(id)
+		sb, _ := b.tree.Lookup(id)
+		if sa.Epoch != sb.Epoch || sa.Deleted != sb.Deleted {
+			return fmt.Errorf("compare: snapshot %d (epoch %d, deleted=%v) vs (epoch %d, deleted=%v)",
+				id, sa.Epoch, sa.Deleted, sb.Epoch, sb.Deleted)
+		}
+		pa, pb := SnapshotID(0), SnapshotID(0)
+		if sa.Parent != nil {
+			pa = sa.Parent.ID
+		}
+		if sb.Parent != nil {
+			pb = sb.Parent.ID
+		}
+		if pa != pb {
+			return fmt.Errorf("compare: snapshot %d parent %d vs %d", id, pa, pb)
+		}
+	}
+
+	// Per-page validity of data pages, across every live epoch.
+	live := a.vstore.LiveEpochs()
+	for p := int64(0); p < a.cfg.Nand.TotalPages(); p++ {
+		oob, err := a.Dev.PageOOB(nand.PageAddr(p))
+		if err != nil {
+			continue // unprogrammed
+		}
+		h, err := header.Unmarshal(oob)
+		if err != nil || h.Type != header.TypeData {
+			continue
+		}
+		for _, e := range live {
+			if a.vstore.Test(e, p) != b.vstore.Test(e, p) {
+				return fmt.Errorf("compare: data page %d (LBA %d) validity in epoch %d: %v vs %v",
+					p, h.LBA, e, a.vstore.Test(e, p), b.vstore.Test(e, p))
+			}
+		}
+	}
+	return nil
+}

@@ -42,9 +42,9 @@ import (
 // (Retryable reports true); the second reports protocol misuse that no
 // retry fixes.
 var (
-	ErrTruncated   = errors.New("xport: truncated stream")
-	ErrBadChecksum = errors.New("xport: frame checksum mismatch")
-	ErrBadStream   = errors.New("xport: malformed stream")
+	ErrTruncated    = errors.New("xport: truncated stream")
+	ErrBadChecksum  = errors.New("xport: frame checksum mismatch")
+	ErrBadStream    = errors.New("xport: malformed stream")
 	ErrHashMismatch = errors.New("xport: chunk hash mismatch")
 
 	ErrBadManifest   = errors.New("xport: malformed manifest")
@@ -159,20 +159,15 @@ const xportVersion = 1
 // Encode frames the manifest as a standalone self-checking blob (magic,
 // version, length, body, FNV-64a), suitable for a stream frame or a file.
 func (m *Manifest) Encode() []byte {
-	body := m.encodeBody()
-	b := make([]byte, 0, 4+1+4+len(body)+8)
-	b = append(b, manifestMagic[:]...)
-	b = append(b, xportVersion)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
-	b = append(b, body...)
-	h := fnv.New64a()
-	h.Write(b)
-	return binary.LittleEndian.AppendUint64(b, h.Sum64())
+	return seal(nil, manifestMagic, xportVersion, m.encodeBody())
 }
 
-// DecodeManifest validates framing, checksum, and ordering invariants.
+// DecodeManifest validates framing, checksum, ordering invariants, and
+// that every LBA lies inside the image and no sector is both written and
+// deleted. Every count is proven against the bytes that remain
+// (ckpt.Reader.Count) before it sizes an allocation or a loop.
 func DecodeManifest(b []byte) (*Manifest, error) {
-	body, err := unframe(b, manifestMagic, ErrBadManifest)
+	body, err := openVersioned(b, manifestMagic, ErrBadManifest)
 	if err != nil {
 		return nil, err
 	}
@@ -184,21 +179,13 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 		SectorSize: int(r.U32()),
 		Sectors:    int64(r.U64()),
 	}
-	nw := int(r.U32())
-	if nw < 0 || nw > len(body) {
-		return nil, fmt.Errorf("%w: %d writes", ErrBadManifest, nw)
+	m.Writes = make([]Entry, r.Count(uint64(r.U32()), 16))
+	for i := range m.Writes {
+		m.Writes[i] = Entry{LBA: r.U64(), Hash: r.U64()}
 	}
-	m.Writes = make([]Entry, 0, nw)
-	for i := 0; i < nw; i++ {
-		m.Writes = append(m.Writes, Entry{LBA: r.U64(), Hash: r.U64()})
-	}
-	nd := int(r.U32())
-	if nd < 0 || nd > len(body) {
-		return nil, fmt.Errorf("%w: %d deletes", ErrBadManifest, nd)
-	}
-	m.Deletes = make([]uint64, 0, nd)
-	for i := 0; i < nd; i++ {
-		m.Deletes = append(m.Deletes, r.U64())
+	m.Deletes = make([]uint64, r.Count(uint64(r.U32()), 8))
+	for i := range m.Deletes {
+		m.Deletes[i] = r.U64()
 	}
 	if r.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadManifest, r.Err())
@@ -216,32 +203,72 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("%w: deletes not strictly ascending at %d", ErrBadManifest, i)
 		}
 	}
+	if n := len(m.Writes); n > 0 && m.Writes[n-1].LBA >= uint64(m.Sectors) {
+		return nil, fmt.Errorf("%w: write at LBA %d of %d sectors", ErrBadManifest, m.Writes[n-1].LBA, m.Sectors)
+	}
+	if n := len(m.Deletes); n > 0 && m.Deletes[n-1] >= uint64(m.Sectors) {
+		return nil, fmt.Errorf("%w: delete at LBA %d of %d sectors", ErrBadManifest, m.Deletes[n-1], m.Sectors)
+	}
+	for _, lba := range m.Deletes {
+		if _, written := m.Find(lba); written {
+			return nil, fmt.Errorf("%w: LBA %d both written and deleted", ErrBadManifest, lba)
+		}
+	}
 	return m, nil
 }
 
-// unframe validates a magic+version+length+checksum envelope and returns
-// the body. badErr classifies structural violations.
-func unframe(b []byte, magic [4]byte, badErr error) ([]byte, error) {
-	if len(b) < 4+1+4+8 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(b))
+// The envelope every self-contained unit travels in — manifest, journal,
+// stream frame: [4-byte magic][tag][u32 n][n-byte body][FNV-64a of
+// everything before]. The tag is the format version of a manifest or a
+// journal and the type of a frame.
+const envHead, envTail = 4 + 1 + 4, 8
+
+// seal appends body to dst in an envelope.
+func seal(dst []byte, magic [4]byte, tag byte, body []byte) []byte {
+	start := len(dst)
+	dst = append(dst, magic[:]...)
+	dst = append(dst, tag)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	dst = append(dst, body...)
+	h := fnv.New64a()
+	h.Write(dst[start:])
+	return binary.LittleEndian.AppendUint64(dst, h.Sum64())
+}
+
+// open validates the envelope at the front of b and returns its tag, its
+// body, and its size. Missing bytes are ErrTruncated, a checksum mismatch
+// ErrBadChecksum, and a foreign magic badErr.
+func open(b []byte, magic [4]byte, badErr error) (tag byte, body []byte, size int, err error) {
+	if len(b) < envHead+envTail {
+		return 0, nil, 0, fmt.Errorf("%w: %d bytes", ErrTruncated, len(b))
 	}
 	if [4]byte(b[:4]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", badErr)
+		return 0, nil, 0, fmt.Errorf("%w: bad magic", badErr)
 	}
-	if b[4] != xportVersion {
-		return nil, fmt.Errorf("%w: version %d", badErr, b[4])
+	n := binary.LittleEndian.Uint32(b[5:])
+	if uint64(n) > uint64(len(b)-envHead-envTail) {
+		return 0, nil, 0, fmt.Errorf("%w: body %d of %d bytes", ErrTruncated, n, len(b))
 	}
-	n := int(binary.LittleEndian.Uint32(b[5:]))
-	if n < 0 || 9+n+8 > len(b) {
-		return nil, fmt.Errorf("%w: body %d of %d bytes", ErrTruncated, n, len(b))
-	}
-	sum := binary.LittleEndian.Uint64(b[9+n:])
+	end := envHead + int(n)
 	h := fnv.New64a()
-	h.Write(b[:9+n])
-	if h.Sum64() != sum {
-		return nil, ErrBadChecksum
+	h.Write(b[:end])
+	if h.Sum64() != binary.LittleEndian.Uint64(b[end:]) {
+		return 0, nil, 0, ErrBadChecksum
 	}
-	return b[9 : 9+n], nil
+	return b[4], b[envHead:end], end + envTail, nil
+}
+
+// openVersioned opens a standalone manifest or journal: one envelope of the
+// current format version.
+func openVersioned(b []byte, magic [4]byte, badErr error) ([]byte, error) {
+	ver, body, _, err := open(b, magic, badErr)
+	if err != nil {
+		return nil, err
+	}
+	if ver != xportVersion {
+		return nil, fmt.Errorf("%w: version %d", badErr, ver)
+	}
+	return body, nil
 }
 
 // Frame types. A stream is a manifest frame, then chunk frames in any
@@ -268,18 +295,6 @@ type Frame struct {
 	Chunks uint64
 }
 
-// appendFrame wraps a payload in the frame envelope.
-func appendFrame(dst []byte, typ byte, payload []byte) []byte {
-	start := len(dst)
-	dst = append(dst, frameMagic[:]...)
-	dst = append(dst, typ)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	h := fnv.New64a()
-	h.Write(dst[start:])
-	return binary.LittleEndian.AppendUint64(dst, h.Sum64())
-}
-
 // StreamWriter assembles a transfer stream: manifest first, chunks as the
 // sender reads them, end frame on Close.
 type StreamWriter struct {
@@ -291,7 +306,7 @@ type StreamWriter struct {
 // NewStreamWriter starts a stream for m, writing its manifest frame.
 func NewStreamWriter(m *Manifest) *StreamWriter {
 	w := &StreamWriter{id: m.ID()}
-	w.b = appendFrame(w.b, FrameManifest, m.Encode())
+	w.b = seal(w.b, frameMagic, FrameManifest, m.Encode())
 	return w
 }
 
@@ -301,7 +316,7 @@ func (w *StreamWriter) AddChunk(lba uint64, data []byte) {
 	p.U64(w.id)
 	p.U64(lba)
 	p.Bytes(data)
-	w.b = appendFrame(w.b, FrameChunk, p.B)
+	w.b = seal(w.b, frameMagic, FrameChunk, p.B)
 	w.chunks++
 }
 
@@ -310,7 +325,7 @@ func (w *StreamWriter) Close() []byte {
 	var p ckpt.Writer
 	p.U64(w.id)
 	p.U64(w.chunks)
-	return appendFrame(w.b, FrameEnd, p.B)
+	return seal(w.b, frameMagic, FrameEnd, p.B)
 }
 
 // Scanner iterates the frames of a stream, validating each frame's
@@ -331,26 +346,11 @@ func (s *Scanner) More() bool { return s.off < len(s.b) }
 
 // Next decodes the frame at the cursor.
 func (s *Scanner) Next() (Frame, error) {
-	rest := s.b[s.off:]
-	if len(rest) < 4+1+4+8 {
-		return Frame{}, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(rest))
+	typ, payload, size, err := open(s.b[s.off:], frameMagic, ErrBadStream)
+	if err != nil {
+		return Frame{}, fmt.Errorf("frame at offset %d: %w", s.off, err)
 	}
-	if [4]byte(rest[:4]) != frameMagic {
-		return Frame{}, fmt.Errorf("%w: bad frame magic at offset %d", ErrBadStream, s.off)
-	}
-	typ := rest[4]
-	n := int(binary.LittleEndian.Uint32(rest[5:]))
-	if n < 0 || 9+n+8 > len(rest) {
-		return Frame{}, fmt.Errorf("%w: frame body %d of %d bytes", ErrTruncated, n, len(rest))
-	}
-	sum := binary.LittleEndian.Uint64(rest[9+n:])
-	h := fnv.New64a()
-	h.Write(rest[:9+n])
-	if h.Sum64() != sum {
-		return Frame{}, fmt.Errorf("%w: frame at offset %d", ErrBadChecksum, s.off)
-	}
-	payload := rest[9 : 9+n]
-	s.off += 9 + n + 8
+	s.off += size
 
 	f := Frame{Type: typ}
 	switch typ {
@@ -461,21 +461,14 @@ func (j *Journal) Encode() []byte {
 	for _, lba := range lbas {
 		w.U64(lba)
 	}
-	b := make([]byte, 0, 4+1+4+len(w.B)+8)
-	b = append(b, journalMagic[:]...)
-	b = append(b, xportVersion)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(w.B)))
-	b = append(b, w.B...)
-	h := fnv.New64a()
-	h.Write(b)
-	return binary.LittleEndian.AppendUint64(b, h.Sum64())
+	return seal(nil, journalMagic, xportVersion, w.B)
 }
 
 // DecodeJournal validates framing and checksum and rebuilds the journal.
 // A damaged journal is ErrBadJournal-class: the receiver restarts the
 // transfer from scratch rather than trusting it.
 func DecodeJournal(b []byte) (*Journal, error) {
-	body, err := unframe(b, journalMagic, ErrBadJournal)
+	body, err := openVersioned(b, journalMagic, ErrBadJournal)
 	if err != nil {
 		if errors.Is(err, ErrTruncated) || errors.Is(err, ErrBadChecksum) {
 			return nil, fmt.Errorf("%w: %v", ErrBadJournal, err)
@@ -489,10 +482,7 @@ func DecodeJournal(b []byte) (*Journal, error) {
 		DeletesDone: r.Bool(),
 		applied:     make(map[uint64]struct{}),
 	}
-	n := int(r.U32())
-	if n < 0 || n > len(body) {
-		return nil, fmt.Errorf("%w: %d applied entries", ErrBadJournal, n)
-	}
+	n := r.Count(uint64(r.U32()), 8)
 	for i := 0; i < n; i++ {
 		j.applied[r.U64()] = struct{}{}
 	}

@@ -1,7 +1,9 @@
 package xport
 
 import (
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -297,5 +299,74 @@ func TestEmptyManifestStream(t *testing.T) {
 	}
 	if s.More() {
 		t.Fatal("trailing bytes after end frame")
+	}
+}
+
+// TestEncodingsPinned: manifests, streams and journals are a wire and file
+// format — existing streams and sidecars must keep decoding — so the bytes
+// the encoders produce are pinned by length and FNV-64a.
+func TestEncodingsPinned(t *testing.T) {
+	delta := testManifest()
+	delta.BaseID, delta.BaseSnapID, delta.Deletes = 42, 6, []uint64{1, 2, 99}
+	j := NewJournal(delta.ID())
+	j.MarkApplied(77)
+	j.MarkApplied(3)
+	j.DeletesDone = true
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		n    int
+		sum  uint64
+	}{
+		{"manifest", delta.Encode(), 133, 0x589bf2ad2fa43c03},
+		{"stream", buildStream(testManifest()), 462, 0x47c2a5b6416671ef},
+		{"empty stream", NewStreamWriter(&Manifest{SnapID: 1, SectorSize: 64, Sectors: 16}).Close(), 111, 0x9695e96725ecd3c5},
+		{"journal", j.Encode(), 47, 0xac193fb2f9483ac2},
+	} {
+		if len(tc.b) != tc.n || HashChunk(tc.b) != tc.sum {
+			t.Errorf("%s: %d bytes, FNV-64a %#x; pinned %d bytes, %#x", tc.name, len(tc.b), HashChunk(tc.b), tc.n, tc.sum)
+		}
+	}
+}
+
+// TestManifestCountsArePaidFor: a 1 MiB manifest claiming 2^20 writes (16
+// MiB of them) is refused before anything is sized from the claim — the
+// decoder allocates less than twice the manifest's own size.
+func TestManifestCountsArePaidFor(t *testing.T) {
+	body := make([]byte, 1<<20)
+	binary.LittleEndian.PutUint32(body[24:], 64)    // SectorSize
+	binary.LittleEndian.PutUint64(body[28:], 128)   // Sectors
+	binary.LittleEndian.PutUint32(body[36:], 1<<20) // writes claimed
+	enc := seal(nil, manifestMagic, xportVersion, body)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeManifest(enc)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadManifest) {
+		t.Fatalf("got %v, want ErrBadManifest", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*uint64(len(enc)) {
+		t.Fatalf("decoding a %d-byte manifest allocated %d bytes", len(enc), got)
+	}
+}
+
+// TestManifestRefusesImpossibleImages: an LBA outside the image, or one
+// both written and deleted, describes no image a receiver can apply and
+// then verify.
+func TestManifestRefusesImpossibleImages(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mangle func(*Manifest)
+	}{
+		{"write past the end", func(m *Manifest) { m.Writes[2].LBA = uint64(m.Sectors) }},
+		{"delete past the end", func(m *Manifest) { m.Deletes = []uint64{5, 1 << 40} }},
+		{"written and deleted", func(m *Manifest) { m.Deletes = []uint64{5, 10} }},
+	} {
+		m := testManifest()
+		m.BaseID = 42
+		tc.mangle(m)
+		if _, err := DecodeManifest(m.Encode()); !errors.Is(err, ErrBadManifest) {
+			t.Errorf("%s: got %v, want ErrBadManifest", tc.name, err)
+		}
 	}
 }

@@ -11,19 +11,9 @@ import (
 // is what a committed run owes the one validity bitmap.
 
 // RunCommitted implements logcore.Policy: the freshly programmed pages
-// become valid and the displaced translations invalid — word-at-a-time, or
-// bit by guarded bit on the reference path. The flips cost no modeled host
-// time.
+// become valid and the displaced translations invalid, word-at-a-time. The
+// flips cost no modeled host time.
 func (f *FTL) RunCommitted(_ uint64, set []nand.PageAddr, cleared []uint64) sim.Duration {
-	if f.cfg.ReferenceDataPath {
-		for _, prev := range cleared {
-			f.markInvalid(int64(prev))
-		}
-		for _, a := range set {
-			f.markValid(int64(a))
-		}
-		return 0
-	}
 	if len(set) > 0 {
 		f.markValidRun(int64(set[0]), int64(set[0])+int64(len(set)))
 	}

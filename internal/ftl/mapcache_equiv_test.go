@@ -20,7 +20,7 @@ import (
 const wholeMapPages = 1 << 20
 
 func pagedEquivConfig(pages int) Config {
-	cfg := equivConfig(false)
+	cfg := equivConfig()
 	cfg.MapCachePages = pages
 	return cfg
 }

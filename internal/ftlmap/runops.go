@@ -15,8 +15,8 @@ package ftlmap
 // maximally-packed tree. The FTLs charge the map cost against this instead of
 // the live tree's LeafSpan because the model must be shape-independent:
 // bulk-loaded and organically-grown trees spread the same keys over
-// different leaf counts, and the batched/reference data paths must charge
-// identical virtual time for the same request.
+// different leaf counts, and a request must charge the same virtual time
+// whichever shape the map has grown into.
 func RunSpan(n int) int {
 	if n <= 0 {
 		return 1

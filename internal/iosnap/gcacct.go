@@ -122,26 +122,6 @@ func (a *gcAcct) onViewSet(p int64) {
 	}
 }
 
-// onViewClear records that view epoch ve cleared validity bit p (overwrite
-// of a previous translation, or trim). The post-clear merged bit is the
-// frozen cache ORed with the remaining views' bits.
-func (a *gcAcct) onViewClear(ve bitmap.Epoch, p int64) {
-	e, rel := a.entryFor(p)
-	if e == nil || !e.merged.Test(rel) {
-		return
-	}
-	if e.frozen.Test(rel) {
-		return
-	}
-	for _, v := range a.f.views {
-		if v.epoch != ve && a.f.vstore.Test(v.epoch, p) {
-			return
-		}
-	}
-	e.merged.Clear(rel)
-	a.f.AddValid(e.seg, -1)
-}
-
 // onViewSetRun is onViewSet over one segment-contained physical run: the
 // merged cache absorbs the range word-at-a-time and the heap fixes once,
 // recording exactly the transitions per-bit calls would have.
@@ -158,10 +138,11 @@ func (a *gcAcct) onViewSetRun(lo, hi int64) {
 	}
 }
 
-// onViewClearRun is onViewClear over one segment-contained run. The
-// per-bit holder checks (frozen cache, other live views) cannot be
-// batched — they depend on each bit's cross-epoch state — but the heap
-// fixes once for the whole run.
+// onViewClearRun records that view epoch ve cleared validity over one
+// segment-contained run (overwrites of previous translations, or a trim). A
+// bit's post-clear merged value is the frozen cache ORed with the remaining
+// views' bits. Those holder checks cannot be batched — they depend on each
+// bit's cross-epoch state — but the heap fixes once for the whole run.
 func (a *gcAcct) onViewClearRun(ve bitmap.Epoch, lo, hi int64) {
 	e, rel := a.entryFor(lo)
 	if e == nil {

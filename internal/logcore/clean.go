@@ -119,15 +119,12 @@ type MovedFunc func(victim int, old, dst nand.PageAddr, h header.Header, pinned 
 // referenced the block.
 //
 // The quantum is planned first (destination allocation and header decode are
-// host-side) and then issued as one devCopyPages call per head segment.
-// Copies within one quantum were always pipelined — submitted together at
-// the quantum's start and serialized by the device's per-channel queues — so
-// the batch submission is virtual-time identical to the per-page reference
-// loop (nand.CopyPages is exactly sequential-equivalent).
+// host-side) and then issued as one devCopyForward call per head segment. The
+// copies of a quantum are pipelined like a cleaner thread's batch of
+// copyback commands: submitted together at the quantum's start and
+// serialized by the device's per-channel queues (nand.CopyPages is exactly
+// sequential-equivalent).
 func (l *Log) CopyForward(now sim.Time, victim int, order []int, cursor, max int, moved MovedFunc) (int, sim.Time, error) {
-	if l.cfg.ReferenceDataPath {
-		return l.copyForwardRef(now, victim, order, cursor, max, moved)
-	}
 	copied := 0
 	maxDone := now
 	pps := l.cfg.Nand.PagesPerSegment
@@ -158,7 +155,7 @@ func (l *Log) CopyForward(now sim.Time, victim int, order []int, cursor, max int
 				}
 			}
 		}
-		n, d, copyErr := l.devCopyPages(now, froms, tos)
+		n, d, copyErr := l.devCopyForward(now, froms, tos)
 		if d > maxDone {
 			maxDone = d
 		}
@@ -170,7 +167,7 @@ func (l *Log) CopyForward(now sim.Time, victim int, order []int, cursor, max int
 			// Hand back the destinations that were planned but never
 			// attempted, then the failing page's own (which may have landed
 			// after all — UngetPage checks). The cursor resumes just past
-			// the failing entry in order, exactly as the per-page loop would.
+			// the failing entry in order.
 			unattempted := len(tos) - n - 1
 			l.HeadIdx -= unattempted
 			l.UngetPage(tos[n])
@@ -179,33 +176,6 @@ func (l *Log) CopyForward(now sim.Time, victim int, order []int, cursor, max int
 		if planErr != nil {
 			return cursor, maxDone, planErr
 		}
-	}
-	return cursor, maxDone, nil
-}
-
-// copyForwardRef is the per-page reference implementation of CopyForward,
-// kept for the batched-vs-reference equivalence tests.
-func (l *Log) copyForwardRef(now sim.Time, victim int, order []int, cursor, max int, moved MovedFunc) (int, sim.Time, error) {
-	// Copies within one quantum are pipelined: all are submitted at the
-	// quantum's start and the device's per-channel queues serialize them,
-	// exactly like a cleaner thread issuing a batch of copyback commands.
-	maxDone := now
-	for copied := 0; cursor < len(order) && copied < max; copied++ {
-		old := l.Dev.Addr(victim, order[cursor])
-		cursor++
-		dst, h, err := l.planCopy(old)
-		if err != nil {
-			return cursor, maxDone, err
-		}
-		done, err := l.devCopyPage(now, old, dst)
-		if err != nil {
-			l.UngetPage(dst)
-			return cursor, maxDone, fmt.Errorf("logcore: copy-forward: %w", err)
-		}
-		if done > maxDone {
-			maxDone = done
-		}
-		l.blockMoved(victim, old, dst, h, moved)
 	}
 	return cursor, maxDone, nil
 }

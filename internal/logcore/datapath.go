@@ -6,17 +6,14 @@ package logcore
 // translations move through the run operations (InsertRun / LookupRange /
 // DeleteRange), the policy flips validity once per programmed chunk
 // (Policy.RunCommitted), and the NAND sees one batch call per log-head chunk.
+// Each batch operation is checked against its per-element equivalent in its
+// own package (ftlmap's per-key map operations, nand's per-page calls,
+// bitmap's per-bit flips); the whole path is pinned by the seeded runs in
+// both FTLs' datapath_equiv_test.go.
 //
-// Config.ReferenceDataPath selects the historical per-sector algorithms —
-// per-key map operations, per-page device calls — on the *same* virtual-time
-// skeleton: the same mapCPUCost charge, the same chunk boundaries, the same
-// submit times, and the same Stats increments. The two paths must therefore
-// produce bit-identical device state, Stats, and completion times on any
-// fault-free workload; the equivalence tests enforce exactly that.
-//
-// Partial failure is accounted honestly in both: when the device fails
-// mid-run, the sectors that completed stay committed (map, validity, stats)
-// and the returned time reflects the work actually consumed.
+// Partial failure is accounted honestly: when the device fails mid-run, the
+// sectors that completed stay committed (map, validity, stats) and the
+// returned time reflects the work actually consumed.
 
 import (
 	"fmt"
@@ -105,26 +102,15 @@ func (l *Log) ReadRun(m *mapcache.Map, now sim.Time, lba int64, buf []byte) (com
 	// Resolve the run's translations; unmapped sectors read as zeros.
 	addrs := l.ws.addrs[:0]
 	secIdx := l.ws.secIdx[:0]
-	if l.cfg.ReferenceDataPath {
-		for i := 0; i < n; i++ {
-			if a, ok := m.Lookup(uint64(lba) + uint64(i)); ok {
-				addrs = append(addrs, nand.PageAddr(a))
-				secIdx = append(secIdx, i)
-			} else {
-				clear(buf[i*ss : (i+1)*ss])
-			}
-		}
-	} else {
-		vals, found := l.lookupScratch(n)
-		m.LookupRange(uint64(lba), vals, found)
-		for i := 0; i < n; i++ {
-			if found[i] {
-				addrs = append(addrs, nand.PageAddr(vals[i]))
-				secIdx = append(secIdx, i)
-				found[i] = false // leave the scratch all-false for reuse
-			} else {
-				clear(buf[i*ss : (i+1)*ss])
-			}
+	vals, found := l.lookupScratch(n)
+	m.LookupRange(uint64(lba), vals, found)
+	for i := 0; i < n; i++ {
+		if found[i] {
+			addrs = append(addrs, nand.PageAddr(vals[i]))
+			secIdx = append(secIdx, i)
+			found[i] = false // leave the scratch all-false for reuse
+		} else {
+			clear(buf[i*ss : (i+1)*ss])
 		}
 	}
 	l.ws.addrs, l.ws.secIdx = addrs, secIdx
@@ -134,19 +120,6 @@ func (l *Log) ReadRun(m *mapcache.Map, now sim.Time, lba int64, buf []byte) (com
 	l.stats.BatchPages += int64(len(addrs))
 	l.stats.BatchNandCalls++
 
-	if l.cfg.ReferenceDataPath {
-		for j, a := range addrs {
-			data, _, d, err := l.devReadPage(t, a)
-			if err != nil {
-				return secIdx[j], done, fmt.Errorf("logcore: reading LBA %d: %w", lba+int64(secIdx[j]), err)
-			}
-			copy(buf[secIdx[j]*ss:(secIdx[j]+1)*ss], data) // nil data (fingerprint mode) leaves buf as-is
-			if d > done {
-				done = d
-			}
-		}
-		return n, done, nil
-	}
 	datas, _, k, d, err := l.DevReadPages(t, addrs)
 	for j := 0; j < k; j++ {
 		copy(buf[secIdx[j]*ss:(secIdx[j]+1)*ss], datas[j])
@@ -213,17 +186,12 @@ func (l *Log) WriteRun(m *mapcache.Map, epoch uint64, now sim.Time, lba int64, d
 		}
 		seqBase := l.Seq
 		datas, oobs := l.ws.datas[:0], l.ws.oobs[:0]
-		if need := chunk * header.Len; !l.cfg.ReferenceDataPath && cap(l.ws.oobBuf) < need {
+		if need := chunk * header.Len; cap(l.ws.oobBuf) < need {
 			l.ws.oobBuf = make([]byte, need)
 		}
 		for j := 0; j < chunk; j++ {
 			datas = append(datas, data[(written+j)*ss:(written+j+1)*ss])
 			h := header.Header{Type: header.TypeData, LBA: uint64(lba) + uint64(written+j), Epoch: epoch, Seq: seqBase + uint64(j) + 1}
-			if l.cfg.ReferenceDataPath {
-				// Historical host-cost profile: one fresh header buffer per page.
-				oobs = append(oobs, h.Marshal())
-				continue
-			}
 			oob := l.ws.oobBuf[j*header.Len : (j+1)*header.Len]
 			h.MarshalInto(oob)
 			oobs = append(oobs, oob)
@@ -233,23 +201,7 @@ func (l *Log) WriteRun(m *mapcache.Map, epoch uint64, now sim.Time, lba int64, d
 		l.stats.BatchPages += int64(chunk)
 		l.stats.BatchNandCalls++
 
-		var k int
-		var d sim.Time
-		if l.cfg.ReferenceDataPath {
-			d = at
-			for k = 0; k < chunk; k++ {
-				pd, e := l.DevProgramPage(at, addrs[k], datas[k], oobs[k])
-				if pd > d {
-					d = pd
-				}
-				if e != nil {
-					err = e
-					break
-				}
-			}
-		} else {
-			k, d, err = l.devProgramPages(at, addrs, datas, oobs)
-		}
+		k, d, err := l.devProgramPages(at, addrs, datas, oobs)
 		if d > done {
 			done = d
 		}
@@ -259,8 +211,8 @@ func (l *Log) WriteRun(m *mapcache.Map, epoch uint64, now sim.Time, lba int64, d
 		if err != nil {
 			// Pages past the failing one were never attempted: they hand
 			// back their sequence numbers and log-head slots. The failing
-			// page keeps its consumed seq (as the per-sector path always
-			// did) and is reclaimed by UngetPage unless it landed after all.
+			// page keeps its consumed seq and is reclaimed by UngetPage
+			// unless it landed after all.
 			l.Seq -= uint64(chunk - k - 1)
 			l.HeadIdx -= chunk - k - 1
 			l.UngetPage(addrs[k])
@@ -283,22 +235,14 @@ func (l *Log) commitRun(m *mapcache.Map, epoch, lba0 uint64, addrs []nand.PageAd
 		return 0
 	}
 	l.ws.prevs = l.ws.prevs[:0]
-	if l.cfg.ReferenceDataPath {
-		for j, a := range addrs {
-			if prev, existed := m.Insert(lba0+uint64(j), uint64(a)); existed {
-				l.ws.prevs = append(l.ws.prevs, prev)
-			}
-		}
-	} else {
-		entries := l.ws.entries[:0]
-		for j, a := range addrs {
-			entries = append(entries, ftlmap.Entry{Key: lba0 + uint64(j), Val: uint64(a)})
-		}
-		l.ws.entries = entries
-		m.InsertRun(entries, func(_ int, prev uint64) {
-			l.ws.prevs = append(l.ws.prevs, prev)
-		})
+	entries := l.ws.entries[:0]
+	for j, a := range addrs {
+		entries = append(entries, ftlmap.Entry{Key: lba0 + uint64(j), Val: uint64(a)})
 	}
+	l.ws.entries = entries
+	m.InsertRun(entries, func(_ int, prev uint64) {
+		l.ws.prevs = append(l.ws.prevs, prev)
+	})
 	return l.policy.RunCommitted(epoch, addrs, l.ws.prevs)
 }
 
@@ -324,17 +268,9 @@ func (l *Log) TrimActive(now sim.Time, epoch uint64, lba int64, n int64) (sim.Ti
 		return t, err
 	}
 	l.ws.prevs = l.ws.prevs[:0]
-	if l.cfg.ReferenceDataPath {
-		for i := int64(0); i < n; i++ {
-			if prev, existed := l.ActiveMap.Delete(uint64(lba + i)); existed {
-				l.ws.prevs = append(l.ws.prevs, prev)
-			}
-		}
-	} else {
-		l.ActiveMap.DeleteRange(uint64(lba), uint64(lba)+uint64(n), func(_, prev uint64) {
-			l.ws.prevs = append(l.ws.prevs, prev)
-		})
-	}
+	l.ActiveMap.DeleteRange(uint64(lba), uint64(lba)+uint64(n), func(_, prev uint64) {
+		l.ws.prevs = append(l.ws.prevs, prev)
+	})
 	l.policy.RunCommitted(epoch, nil, l.ws.prevs)
 	l.stats.Trims += n
 	return t.Add(sim.Duration(span) * mapCPUCost), nil

@@ -73,14 +73,6 @@ type Config struct {
 	// (Nand.StoreData).
 	MapCachePages int
 
-	// ReferenceDataPath selects the per-sector reference implementation of
-	// the data path and the cleaner's copy loop: per-key map operations,
-	// per-bit validity flips, per-page device calls, on the exact
-	// virtual-time skeleton the batched path uses. The equivalence tests run
-	// workloads both ways and demand identical device state, Stats, and
-	// completion times.
-	ReferenceDataPath bool
-
 	// RescueReserve is the number of free segments the write path must leave
 	// untouched: headroom that keeps the cleaner and segment rescue able to
 	// make progress even when users have filled the device. Writes that
@@ -211,9 +203,7 @@ type Stats struct {
 
 	TornPagesSkipped int64 // unparseable headers dropped during recovery and activation scans
 
-	// Batched data-path accounting. The reference path reports the same
-	// numbers — what the batched path would have submitted — so the two
-	// paths' Stats stay comparable field for field.
+	// Batched data-path accounting.
 	BatchDescents  int64 // leaf descents charged for run operations
 	BatchPages     int64 // pages submitted through batch NAND entry points
 	BatchNandCalls int64 // batch NAND calls issued (one per run chunk)

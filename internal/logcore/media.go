@@ -35,30 +35,11 @@ func (l *Log) retried(now sim.Time, blame int, op func(at sim.Time) (sim.Time, e
 	return done, err
 }
 
-func (l *Log) devReadPage(now sim.Time, addr nand.PageAddr) (data, oob []byte, done sim.Time, err error) {
-	done, err = l.retried(now, l.Dev.SegmentOf(addr), func(at sim.Time) (sim.Time, error) {
-		var e error
-		data, oob, at, e = l.Dev.ReadPage(at, addr)
-		return at, e
-	})
-	return data, oob, done, err
-}
-
-// DevProgramPage programs one page (a note, a translation page, a
-// checkpoint chunk; every page on the reference path).
+// DevProgramPage programs one page: a note, a translation page or a
+// checkpoint chunk.
 func (l *Log) DevProgramPage(now sim.Time, addr nand.PageAddr, data, oob []byte) (sim.Time, error) {
 	return l.retried(now, l.Dev.SegmentOf(addr), func(at sim.Time) (sim.Time, error) {
 		return l.Dev.ProgramPage(at, addr, data, oob)
-	})
-}
-
-// devCopyPage attributes a permanent copy failure to the source segment:
-// that is the segment the cleaner is moving data off, and suspecting it
-// drives the rescue machinery toward the data most at risk. (A permanent
-// destination failure resurfaces as a program failure on the head.)
-func (l *Log) devCopyPage(now sim.Time, from, to nand.PageAddr) (sim.Time, error) {
-	return l.retried(now, l.Dev.SegmentOf(from), func(at sim.Time) (sim.Time, error) {
-		return l.Dev.CopyPage(at, from, to)
 	})
 }
 
@@ -165,9 +146,12 @@ func (l *Log) DevReadPages(now sim.Time, addrs []nand.PageAddr) (datas, oobs [][
 	return datas, oobs, n, done, nil
 }
 
-// devCopyPages is the cleaner's batched copy-forward boundary. Failure
-// attribution matches devCopyPage: the source segment is suspected.
-func (l *Log) devCopyPages(now sim.Time, froms, tos []nand.PageAddr) (n int, done sim.Time, err error) {
+// devCopyForward is the cleaner's batched copy-forward boundary. A permanent
+// copy failure is attributed to the source segment: that is the segment the
+// cleaner is moving data off, and suspecting it drives the rescue machinery
+// toward the data most at risk. (A permanent destination failure resurfaces
+// as a program failure on the head.)
+func (l *Log) devCopyForward(now sim.Time, froms, tos []nand.PageAddr) (n int, done sim.Time, err error) {
 	done = now
 	at := now
 	for n < len(froms) {

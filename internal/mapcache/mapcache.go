@@ -656,27 +656,6 @@ func (c *Cache) InsertRun(entries []ftlmap.Entry, onPrev func(i int, prev uint64
 	}
 }
 
-// Delete removes lba's mapping, returning it.
-func (c *Cache) Delete(lba uint64) (uint64, bool) {
-	idx := lba >> c.shift
-	if c.pages[idx] == nil {
-		if _, onFlash := c.gtd[idx]; !onFlash {
-			return 0, false
-		}
-	}
-	tp := c.peek(idx)
-	s := lba & c.mask
-	prev := tp.slots[s]
-	if prev == Unmapped {
-		return 0, false
-	}
-	tp.slots[s] = Unmapped
-	tp.live--
-	c.size--
-	tp.dirty = true
-	return uint64(prev), true
-}
-
 // DeleteRange removes every mapping in [lo, hi), calling onDel in
 // ascending key order, and returns the count. Only translation pages that
 // exist are visited, so a trim over a huge hole costs nothing.
@@ -861,14 +840,6 @@ func (m *Map) InsertRun(entries []ftlmap.Entry, onPrev func(i int, prev uint64))
 		return
 	}
 	m.tree.InsertRun(entries, onPrev)
-}
-
-// Delete removes lba's mapping.
-func (m *Map) Delete(lba uint64) (uint64, bool) {
-	if m.c != nil {
-		return m.c.Delete(lba)
-	}
-	return m.tree.Delete(lba)
 }
 
 // DeleteRange removes [lo, hi), calling onDel ascending (tree contract).

@@ -201,8 +201,9 @@ func opMix(t *testing.T, m *Map, seed uint64, space uint64, steps int) {
 					t.Fatalf("step %d: InsertRun prev %d: %x vs %x", step, i, prevs1[i], prevs2[i])
 				}
 			}
-		case 5: // delete
-			v1, ok1 := m.Delete(lba)
+		case 5: // single delete
+			var v1 uint64
+			ok1 := m.DeleteRange(lba, lba+1, func(_, v uint64) { v1 = v }) == 1
 			v2, ok2 := ref.Delete(lba)
 			if v1 != v2 || ok1 != ok2 {
 				t.Fatalf("step %d: Delete(%d) -> (%d,%v), ref (%d,%v)", step, lba, v1, ok1, v2, ok2)
@@ -359,7 +360,8 @@ func TestBoundedCacheMatchesTree(t *testing.T) {
 					t.Fatalf("seed %d step %d: Insert mismatch", seed, step)
 				}
 			case 3:
-				v1, ok1 := m.Delete(lba)
+				var v1 uint64
+				ok1 := m.DeleteRange(lba, lba+1, func(_, v uint64) { v1 = v }) == 1
 				v2, ok2 := ref.Delete(lba)
 				if v1 != v2 || ok1 != ok2 {
 					t.Fatalf("seed %d step %d: Delete mismatch", seed, step)

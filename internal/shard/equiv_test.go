@@ -14,9 +14,9 @@ import (
 // With one shard the front-end must be a pure pass-through: the same seeded
 // op mix driven through a Service{Shards:1} and through a bare iosnap.FTL
 // must agree bit-for-bit — per-op errors, payloads and completion times,
-// Stats, device Stats, and the full device image. This is the same lockstep
-// discipline the batched-vs-reference data-path equivalence test enforces,
-// lifted to the sharded front-end.
+// Stats, device Stats, and the full device image. This is the lockstep
+// discipline the tree-vs-paged map equivalence tests enforce, lifted to the
+// sharded front-end.
 
 func equivBase() iosnap.Config {
 	nc := nand.DefaultConfig()

@@ -1,0 +1,342 @@
+package logcore
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+
+	"iosnap/internal/bitmap"
+	"iosnap/internal/header"
+	"iosnap/internal/nand"
+	"iosnap/internal/sim"
+)
+
+// flatPolicy is the smallest Policy the engine runs under: one flat validity
+// bitmap, a greedy synchronous cleaner, no background work and a checkpoint
+// with nothing in it. It records every run RunCommitted sees so tests can
+// check what the engine hands a policy.
+type flatPolicy struct {
+	Log
+	stats Stats
+	valid *bitmap.Bitmap
+	runs  [][]nand.PageAddr
+}
+
+func newFlat(t *testing.T) *flatPolicy {
+	t.Helper()
+	nc := nand.DefaultConfig()
+	nc.SectorSize = 512
+	nc.PagesPerSegment = 8
+	nc.Segments = 8
+	nc.Channels = 2
+	nc.StoreData = true
+	nc.ReadLatency = 2 * sim.Microsecond
+	nc.ProgramLatency = 4 * sim.Microsecond
+	nc.EraseLatency = 50 * sim.Microsecond
+	cfg := DefaultConfig(nc)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	p := &flatPolicy{valid: bitmap.New(nc.TotalPages())}
+	p.Init(cfg, nand.New(nc), sim.NewScheduler(), p, &p.stats)
+	p.Format()
+	return p
+}
+
+func (p *flatPolicy) flip(page int64, valid bool) {
+	if p.valid.Test(page) == valid {
+		return
+	}
+	delta := 1
+	if valid {
+		p.valid.Set(page)
+	} else {
+		p.valid.Clear(page)
+		delta = -1
+	}
+	p.AddValid(p.Dev.SegmentOf(nand.PageAddr(page)), delta)
+}
+
+func (p *flatPolicy) RunCommitted(_ uint64, set []nand.PageAddr, cleared []uint64) sim.Duration {
+	if len(set) > 0 {
+		p.runs = append(p.runs, slices.Clone(set))
+	}
+	for _, a := range set {
+		p.flip(int64(a), true)
+	}
+	for _, c := range cleared {
+		p.flip(int64(c), false)
+	}
+	return 0
+}
+
+// moved is the cleaner's fix-up: the translation and the validity bit follow
+// the page.
+func (p *flatPolicy) moved(_ int, old, dst nand.PageAddr, h header.Header, _ bool) {
+	p.ActiveMap.Insert(h.LBA, uint64(dst))
+	p.flip(int64(old), false)
+	p.flip(int64(dst), true)
+}
+
+func (p *flatPolicy) CleanOnce(now sim.Time, forced bool) (sim.Time, error) {
+	victim := p.BestVictim()
+	if victim < 0 {
+		return now, ErrDeviceFull
+	}
+	start := now
+	var order []int
+	for i := 0; i < p.cfg.Nand.PagesPerSegment; i++ {
+		if p.valid.Test(int64(p.Dev.Addr(victim, i))) {
+			order = append(order, i)
+		}
+	}
+	for cursor := 0; cursor < len(order); {
+		var err error
+		if cursor, now, err = p.CopyForward(now, victim, order, cursor, len(order), p.moved); err != nil {
+			return now, err
+		}
+	}
+	now, err := p.FinishClean(now, victim)
+	if err != nil {
+		return now, err
+	}
+	if forced {
+		p.stats.GCForced++
+	}
+	p.CleanDone(now, start)
+	return now, nil
+}
+
+func (p *flatPolicy) ScheduleClean(sim.Time, int)                      {}
+func (p *flatPolicy) HeadAdvanced(sim.Time)                            {}
+func (p *flatPolicy) SegmentTracked(int, bool)                         {}
+func (p *flatPolicy) SegmentReleased(int)                              {}
+func (p *flatPolicy) SerializeCheckpoint() (uint64, []ChunkJob, error) { return p.Seq, nil, nil }
+
+// sectors returns n sectors of 512 bytes, each filled with its LBA xor tag.
+func sectors(lba int64, n int, tag byte) []byte {
+	b := make([]byte, 0, n*512)
+	for i := 0; i < n; i++ {
+		b = append(b, bytes.Repeat([]byte{byte(lba+int64(i)) ^ tag}, 512)...)
+	}
+	return b
+}
+
+// mustWrite appends a run for the device's own map at epoch 0.
+func (p *flatPolicy) mustWrite(t *testing.T, now sim.Time, lba int64, n int, tag byte) sim.Time {
+	t.Helper()
+	done, err := p.WriteActive(now, 0, lba, sectors(lba, n, tag))
+	if err != nil {
+		t.Fatalf("write %d+%d: %v", lba, n, err)
+	}
+	return done
+}
+
+// TestCopyForwardPermanentFailureMidBatch: a permanent copy failure on the
+// fourth page of a six-page batch returns the cursor just past the failing
+// entry, hands back exactly the destinations that were never attempted,
+// fixes up exactly the pages that landed, and a second call from the
+// returned cursor finishes the victim.
+func TestCopyForwardPermanentFailureMidBatch(t *testing.T) {
+	p := newFlat(t)
+	now := p.mustWrite(t, 0, 0, 8, 1) // fills segment 0
+	victim := p.HeadSeg
+	now = p.mustWrite(t, now, 8, 2, 1) // the head moves on: 6 pages of room left
+	head, headIdx := p.HeadSeg, p.HeadIdx
+	if head == victim || headIdx != 2 {
+		t.Fatalf("setup: head %d/%d, victim %d", head, headIdx, victim)
+	}
+	failing := p.Dev.Addr(victim, 3)
+	p.Dev.SetFaultHook(nand.FaultFunc(func(op nand.Op, a nand.PageAddr) error {
+		if op == nand.OpCopy && a == failing {
+			return nand.ErrDeviceFailed
+		}
+		return nil
+	}))
+	var landed []string
+	moved := func(v int, old, dst nand.PageAddr, h header.Header, pinned bool) {
+		landed = append(landed, fmt.Sprintf("%d->%d", old, dst))
+		p.moved(v, old, dst, h, pinned)
+	}
+	order := []int{0, 1, 2, 3, 4, 5, 6, 7}
+
+	cursor, _, err := p.CopyForward(now, victim, order, 0, len(order), moved)
+	if !errors.Is(err, nand.ErrDeviceFailed) {
+		t.Fatalf("CopyForward error = %v, want the injected failure", err)
+	}
+	if cursor != 4 {
+		t.Fatalf("cursor = %d, want 4 (just past the failing entry)", cursor)
+	}
+	if p.HeadSeg != head || p.HeadIdx != headIdx+3 {
+		t.Fatalf("head at %d/%d, want %d/%d: only the 3 landed pages keep their slots", p.HeadSeg, p.HeadIdx, head, headIdx+3)
+	}
+	var want []string
+	for i := 0; i < 3; i++ {
+		want = append(want, fmt.Sprintf("%d->%d", p.Dev.Addr(victim, i), p.Dev.Addr(head, headIdx+i)))
+	}
+	if !slices.Equal(landed, want) {
+		t.Fatalf("moved fired for %v, want %v", landed, want)
+	}
+	if st := p.Stats(); st.GCCopied != 3 || st.MediaFailures != 1 {
+		t.Fatalf("GCCopied %d, MediaFailures %d: want 3 and 1", st.GCCopied, st.MediaFailures)
+	}
+	if p.Dev.SegmentHealth(victim) != nand.Suspect {
+		t.Fatal("a permanent copy failure did not suspect the source segment")
+	}
+
+	landed = nil
+	cursor, _, err = p.CopyForward(now, victim, order, cursor, len(order), moved)
+	if err != nil || cursor != len(order) || len(landed) != 4 {
+		t.Fatalf("second call: cursor %d, %d moved, err %v; want %d, 4, nil", cursor, len(landed), err, len(order))
+	}
+	if got := p.ValidCount(victim); got != 1 {
+		t.Fatalf("victim keeps %d valid pages, want 1 (the page that failed)", got)
+	}
+}
+
+// TestReadChunkPayloadsSkipsFailedPage: with skipFailed a permanently failing
+// page leaves exactly its payload nil and the batch resumes past it; without,
+// the failure disqualifies the whole read.
+func TestReadChunkPayloadsSkipsFailedPage(t *testing.T) {
+	p := newFlat(t)
+	now := p.mustWrite(t, 0, 0, 8, 3)
+	addrs := make([]nand.PageAddr, 8)
+	for lba := range addrs {
+		a, ok := p.ActiveMap.Lookup(uint64(lba))
+		if !ok {
+			t.Fatalf("LBA %d unmapped", lba)
+		}
+		addrs[lba] = nand.PageAddr(a)
+	}
+	p.Dev.SetFaultHook(nand.FaultFunc(func(op nand.Op, a nand.PageAddr) error {
+		if op == nand.OpRead && a == addrs[5] {
+			return nand.ErrDeviceFailed
+		}
+		return nil
+	}))
+	payloads, _, ok := p.ReadChunkPayloads(now, addrs, true)
+	if !ok {
+		t.Fatal("skipFailed read reported ok=false")
+	}
+	for i, got := range payloads {
+		if want := sectors(int64(i), 1, 3); (i == 5) != (got == nil) || (got != nil && !bytes.Equal(got, want)) {
+			t.Fatalf("payload %d: got %d bytes, want nil only at 5 and the programmed bytes elsewhere", i, len(got))
+		}
+	}
+	if _, _, ok := p.ReadChunkPayloads(now, addrs, false); ok {
+		t.Fatal("a failing chunk without skipFailed reported ok=true")
+	}
+}
+
+// TestWriteRunAcrossSegmentBoundary: a run that overflows the head segment
+// lands as one batch NAND call per segment chunk, the policy sees one
+// contiguous set per chunk, and each segment records the newest sequence
+// number it holds.
+func TestWriteRunAcrossSegmentBoundary(t *testing.T) {
+	p := newFlat(t)
+	now := p.mustWrite(t, 0, 0, 3, 1)
+	first := p.HeadSeg
+	calls, seq := p.Stats().BatchNandCalls, p.Seq
+	p.runs = nil
+	p.mustWrite(t, now, 10, 12, 2) // 5 pages fill the head segment, 7 open the next
+	if got := p.Stats().BatchNandCalls - calls; got != 2 {
+		t.Fatalf("%d batch NAND calls, want 2 (one per segment chunk)", got)
+	}
+	second := p.HeadSeg
+	if len(p.runs) != 2 || len(p.runs[0]) != 5 || len(p.runs[1]) != 7 {
+		t.Fatalf("RunCommitted sets %v, want 5 then 7 pages", p.runs)
+	}
+	for i, run := range p.runs {
+		seg := []int{first, second}[i]
+		for j, a := range run {
+			if p.Dev.SegmentOf(a) != seg || (j > 0 && a != run[j-1]+1) {
+				t.Fatalf("set %d is not one contiguous run in segment %d: %v", i, seg, run)
+			}
+		}
+	}
+	if p.SegLastSeq[first] != seq+5 || p.SegLastSeq[second] != seq+12 {
+		t.Fatalf("SegLastSeq = %d, %d; want %d, %d", p.SegLastSeq[first], p.SegLastSeq[second], seq+5, seq+12)
+	}
+}
+
+// TestReadRunOverHoles: unmapped sectors read as zeros, and the LookupRange
+// scratch comes back all-false, so a fully unmapped read right after a mapped
+// one reads zeros rather than a stale translation.
+func TestReadRunOverHoles(t *testing.T) {
+	p := newFlat(t)
+	now := p.mustWrite(t, 0, 1, 1, 4)
+	now = p.mustWrite(t, now, 3, 1, 4)
+	buf := bytes.Repeat([]byte{0xff}, 4*512)
+	_, now, err := p.ReadRun(p.ActiveMap, now, 0, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		want := make([]byte, 512)
+		if i%2 == 1 {
+			want = sectors(int64(i), 1, 4)
+		}
+		if !bytes.Equal(buf[i*512:(i+1)*512], want) {
+			t.Fatalf("sector %d: wrong contents", i)
+		}
+	}
+	if slices.Contains(p.ws.found, true) {
+		t.Fatalf("LookupRange scratch left set: %v", p.ws.found)
+	}
+	calls := p.Stats().BatchNandCalls
+	buf = bytes.Repeat([]byte{0xff}, 4*512)
+	if _, _, err := p.ReadRun(p.ActiveMap, now, 4, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, 4*512)) || p.Stats().BatchNandCalls != calls {
+		t.Fatal("a fully unmapped read returned data or touched the device")
+	}
+}
+
+// TestForcedCleaningUnderChurn: overwrite churn on a device this small runs
+// the writer-forced cleaner many times; every sector still reads its newest
+// version, the victim heap stays consistent, and the per-segment valid counts
+// match the bitmap.
+func TestForcedCleaningUnderChurn(t *testing.T) {
+	p := newFlat(t)
+	rng := sim.NewRNG(5)
+	last := make(map[int64]byte)
+	now := sim.Time(0)
+	for step := 0; step < 400; step++ {
+		n := 1 + rng.Intn(4)
+		lba := rng.Int63n(p.Sectors() - int64(n) + 1)
+		tag := byte(step)
+		now = p.mustWrite(t, now, lba, n, tag)
+		for i := int64(0); i < int64(n); i++ {
+			last[lba+i] = tag
+		}
+	}
+	if p.Stats().GCForced == 0 {
+		t.Fatal("churn never forced a clean")
+	}
+	buf := make([]byte, 512)
+	for lba, tag := range last {
+		if _, _, err := p.ReadRun(p.ActiveMap, now, lba, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, sectors(lba, 1, tag)) {
+			t.Fatalf("LBA %d lost its newest version", lba)
+		}
+	}
+	if err := p.CheckVictimHeap(); err != nil {
+		t.Fatal(err)
+	}
+	for seg := 0; seg < p.cfg.Nand.Segments; seg++ {
+		count := 0
+		for i := 0; i < p.cfg.Nand.PagesPerSegment; i++ {
+			if p.valid.Test(int64(p.Dev.Addr(seg, i))) {
+				count++
+			}
+		}
+		if p.SegInUse(seg) && p.ValidCount(seg) != count {
+			t.Fatalf("segment %d: ValidCount %d, bitmap %d", seg, p.ValidCount(seg), count)
+		}
+	}
+}

@@ -165,7 +165,7 @@ func remoteStats(c *srv.Client) error {
 	fmt.Printf("trims:              %d\n", trims)
 	fmt.Printf("gc runs:            %d\n", gcRuns)
 	// Per-shard virtual clocks: the skew between the fastest and slowest
-	// shard is the load imbalance the striping left behind.
+	// shard is the load imbalance the partitioning left behind.
 	if len(st.PerShardVirtual) > 0 {
 		min, max := st.PerShardVirtual[0], st.PerShardVirtual[0]
 		fmt.Printf("shard clocks:      ")

@@ -25,7 +25,7 @@ func startTestServer(t *testing.T) (addr string, shutdown func()) {
 	base.UserSectors = 768
 	base.GCWindow = 10 * sim.Millisecond
 	base.BitmapPageBits = 64
-	svc, err := shard.NewService(shard.Config{Base: base, Shards: 2, StripeSectors: 16})
+	svc, err := shard.NewService(shard.Config{Base: base, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

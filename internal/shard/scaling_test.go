@@ -51,11 +51,7 @@ func TestShardScalingVirtualMakespan(t *testing.T) {
 		run     = 16
 	)
 	makespan := func(shards int) sim.Time {
-		svc, err := NewService(Config{
-			Base:          scalingBase(),
-			Shards:        shards,
-			StripeSectors: 16,
-		})
+		svc, err := NewService(Config{Base: scalingBase(), Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +92,7 @@ func TestShardScalingVirtualMakespan(t *testing.T) {
 	for _, want := range []struct {
 		shards int
 		ns     sim.Time
-	}{{1, 62870560}, {4, 21346880}, {16, 11354440}} {
+	}{{1, 62870560}, {4, 19601380}, {16, 11283340}} {
 		got[want.shards] = makespan(want.shards)
 		if got[want.shards] != want.ns {
 			t.Errorf("%d shards: virtual makespan %d ns, want %d", want.shards, got[want.shards], want.ns)

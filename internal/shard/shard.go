@@ -3,8 +3,9 @@
 // the device's parallelism so independent requests proceed in parallel
 // instead of serializing behind one translation layer).
 //
-// The logical device is statically partitioned into N shards. Each shard
-// owns a disjoint slice of everything that today serializes requests: its
+// The logical device is statically partitioned into N shards, shard i owning
+// the i-th contiguous 1/N of the LBA space (LFTL's split). Each shard owns a
+// disjoint slice of everything that would otherwise serialize requests: its
 // own forward map, CoW validity store, snapshot tree, GC accounting, log
 // head, and NAND (an equal share of the segments and channels). A request
 // is split at shard boundaries and the pieces proceed independently; two
@@ -37,7 +38,6 @@ import (
 	"fmt"
 
 	"iosnap/internal/iosnap"
-	"iosnap/internal/nand"
 )
 
 // Config parameterizes the sharded front-end.
@@ -49,23 +49,6 @@ type Config struct {
 
 	// Shards is the number of LBA-space partitions (>= 1).
 	Shards int
-
-	// StripeSectors selects striped partitioning: consecutive
-	// StripeSectors-sector stripes rotate across shards, so sequential
-	// streams fan out over every shard. 0 selects contiguous partitioning
-	// (shard i owns one big range), which keeps per-shard locality but
-	// serializes sequential streams on one shard.
-	StripeSectors int64
-}
-
-// DefaultConfig mirrors iosnap.DefaultConfig over the given geometry with
-// striped partitioning sized to one segment's worth of sectors.
-func DefaultConfig(nc nand.Config, shards int) Config {
-	return Config{
-		Base:          iosnap.DefaultConfig(nc),
-		Shards:        shards,
-		StripeSectors: int64(nc.PagesPerSegment),
-	}
 }
 
 // Validate checks shard-level consistency (per-shard configs are validated
@@ -79,13 +62,6 @@ func (c Config) Validate() error {
 	}
 	if c.Base.UserSectors%int64(c.Shards) != 0 {
 		return fmt.Errorf("shard: UserSectors %d not divisible by %d shards", c.Base.UserSectors, c.Shards)
-	}
-	if c.StripeSectors < 0 {
-		return fmt.Errorf("shard: StripeSectors %d must not be negative", c.StripeSectors)
-	}
-	if c.StripeSectors > 0 && c.Base.UserSectors%(c.StripeSectors*int64(c.Shards)) != 0 {
-		return fmt.Errorf("shard: UserSectors %d not divisible by stripe %d x %d shards",
-			c.Base.UserSectors, c.StripeSectors, c.Shards)
 	}
 	return nil
 }
@@ -141,44 +117,17 @@ func (c *Config) checkIO(lba, n int64) error {
 	return nil
 }
 
-// extents splits the global run [lba, lba+n) into shard-local pieces in
-// ascending global-LBA order. The split respects both partitioning
-// schemes; with one shard it returns a single identity piece.
+// extents splits the global run [lba, lba+n) into shard-local pieces. Shard
+// i owns the i-th contiguous UserSectors/Shards sectors, so the pieces sit
+// on consecutive, ascending shards and tile the request in order.
 func (c *Config) extents(lba, n int64, out []extent) []extent {
 	out = out[:0]
-	if c.Shards == 1 {
-		return append(out, extent{shard: 0, lba: lba, n: n})
-	}
-	off := int64(0)
-	if c.StripeSectors > 0 {
-		s := c.StripeSectors
-		for n > 0 {
-			si := lba / s
-			within := lba % s
-			take := s - within
-			if take > n {
-				take = n
-			}
-			out = append(out, extent{
-				shard: int(si % int64(c.Shards)),
-				lba:   (si/int64(c.Shards))*s + within,
-				n:     take,
-				off:   off,
-			})
-			lba += take
-			n -= take
-			off += take
-		}
-		return out
-	}
 	per := c.Base.UserSectors / int64(c.Shards)
+	off := int64(0)
 	for n > 0 {
 		sh := lba / per
 		local := lba % per
-		take := per - local
-		if take > n {
-			take = n
-		}
+		take := min(per-local, n)
 		out = append(out, extent{shard: int(sh), lba: local, n: take, off: off})
 		lba += take
 		n -= take

@@ -10,10 +10,10 @@ import (
 	"iosnap/internal/iosnap"
 )
 
-// multiBase is a 4-shard-friendly base: 768 user sectors leave each shard
-// two spare segments for cleaning headroom.
-func multiConfig(shards int, stripe int64) Config {
-	cfg := Config{Base: equivBase(), Shards: shards, StripeSectors: stripe}
+// multiConfig is a 4-shard-friendly config: 768 user sectors leave each
+// shard two spare segments for cleaning headroom.
+func multiConfig(shards int) Config {
+	cfg := Config{Base: equivBase(), Shards: shards}
 	cfg.Base.UserSectors = 768
 	return cfg
 }
@@ -27,65 +27,67 @@ func TestConfigValidate(t *testing.T) {
 		{"zero shards", func(c *Config) { c.Shards = 0 }, "at least 1"},
 		{"segments not divisible", func(c *Config) { c.Shards = 5 }, "not divisible"},
 		{"sectors not divisible", func(c *Config) { c.Base.UserSectors = 770 }, "not divisible"},
-		{"stripe misaligned", func(c *Config) { c.StripeSectors = 7 }, "stripe"},
-		{"negative stripe", func(c *Config) { c.StripeSectors = -1 }, "negative"},
 	} {
-		cfg := multiConfig(4, 32)
+		cfg := multiConfig(4)
 		tc.mut(&cfg)
 		err := cfg.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
-	if err := multiConfig(4, 32).Validate(); err != nil {
+	if err := multiConfig(4).Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 }
 
-// TestExtentsPartitioning checks both partitioning schemes are bijections
-// from the global LBA space onto per-shard spaces, split pieces are in
-// ascending global order, and buffer offsets tile the request exactly.
+// TestExtentsPartitioning checks the partitioning is a bijection from the
+// global LBA space onto the per-shard spaces, and that every run splits into
+// pieces on consecutive, ascending shards whose buffer offsets tile the
+// request exactly — the property that lets an op lock one ascending range
+// of shards.
 func TestExtentsPartitioning(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		stripe int64
-	}{{"contiguous", 0}, {"striped", 32}} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := multiConfig(4, tc.stripe)
-			per := cfg.Base.UserSectors / int64(cfg.Shards)
-			seen := make(map[[2]int64]int64)
-			for lba := int64(0); lba < cfg.Base.UserSectors; lba++ {
-				exts := cfg.extents(lba, 1, nil)
-				if len(exts) != 1 || exts[0].n != 1 || exts[0].off != 0 {
-					t.Fatalf("lba %d: single-sector split wrong: %+v", lba, exts)
-				}
-				e := exts[0]
-				if e.shard < 0 || e.shard >= cfg.Shards || e.lba < 0 || e.lba >= per {
-					t.Fatalf("lba %d: out-of-range piece %+v", lba, e)
-				}
-				key := [2]int64{int64(e.shard), e.lba}
-				if prev, dup := seen[key]; dup {
-					t.Fatalf("lba %d and %d both map to shard %d local %d", prev, lba, e.shard, e.lba)
-				}
-				seen[key] = lba
+	t.Run("contiguous", func(t *testing.T) {
+		cfg := multiConfig(4)
+		per := cfg.Base.UserSectors / int64(cfg.Shards)
+		seen := make(map[[2]int64]int64)
+		for lba := int64(0); lba < cfg.Base.UserSectors; lba++ {
+			exts := cfg.extents(lba, 1, nil)
+			if len(exts) != 1 || exts[0].n != 1 || exts[0].off != 0 {
+				t.Fatalf("lba %d: single-sector split wrong: %+v", lba, exts)
 			}
-			if int64(len(seen)) != cfg.Base.UserSectors {
-				t.Fatalf("mapping not onto: %d of %d", len(seen), cfg.Base.UserSectors)
+			e := exts[0]
+			if e.shard < 0 || e.shard >= cfg.Shards || e.lba < 0 || e.lba >= per {
+				t.Fatalf("lba %d: out-of-range piece %+v", lba, e)
 			}
-			// A long run must tile: offsets consecutive, total length n.
-			exts := cfg.extents(10, 300, nil)
-			var off int64
-			for _, e := range exts {
-				if e.off != off {
-					t.Fatalf("offset gap: %+v at expected %d", e, off)
+			key := [2]int64{int64(e.shard), e.lba}
+			if prev, dup := seen[key]; dup {
+				t.Fatalf("lba %d and %d both map to shard %d local %d", prev, lba, e.shard, e.lba)
+			}
+			seen[key] = lba
+		}
+		if int64(len(seen)) != cfg.Base.UserSectors {
+			t.Fatalf("mapping not onto: %d of %d", len(seen), cfg.Base.UserSectors)
+		}
+		var exts []extent
+		for lba := int64(0); lba < cfg.Base.UserSectors; lba++ {
+			for n := int64(1); lba+n <= cfg.Base.UserSectors; n++ {
+				exts = cfg.extents(lba, n, exts)
+				var off int64
+				for i, e := range exts {
+					if i > 0 && e.shard != exts[i-1].shard+1 {
+						t.Fatalf("run %d+%d: shards not consecutive and ascending: %+v", lba, n, exts)
+					}
+					if e.off != off || e.lba < 0 || e.lba+e.n > per {
+						t.Fatalf("run %d+%d: piece %+v does not tile at offset %d", lba, n, e, off)
+					}
+					off += e.n
 				}
-				off += e.n
+				if off != n {
+					t.Fatalf("run %d+%d: pieces cover %d sectors", lba, n, off)
+				}
 			}
-			if off != 300 {
-				t.Fatalf("pieces cover %d of 300 sectors", off)
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestDistributeConservesBudget(t *testing.T) {
@@ -104,64 +106,58 @@ func TestDistributeConservesBudget(t *testing.T) {
 // virtual time in them deterministic.
 
 func TestShardedWriteReadTrimRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		stripe int64
-	}{{"contiguous", 0}, {"striped", 32}} {
-		t.Run(tc.name, func(t *testing.T) {
-			svc, err := NewService(multiConfig(4, tc.stripe))
-			if err != nil {
-				t.Fatal(err)
+	t.Run("contiguous", func(t *testing.T) {
+		svc, err := NewService(multiConfig(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := svc.SectorSize()
+		// Runs of 100 sectors deliberately straddle shard boundaries.
+		if len(svc.cfg.extents(100, 100, nil)) < 2 {
+			t.Fatal("workload never crosses a shard boundary")
+		}
+		for lba := int64(0); lba+100 <= svc.Sectors(); lba += 100 {
+			if err := svc.Write(lba, runPattern(ss, lba, 100, 1)); err != nil {
+				t.Fatalf("write lba %d: %v", lba, err)
 			}
-			ss := svc.SectorSize()
-			// Runs of 100 sectors deliberately straddle both stripe and
-			// contiguous shard boundaries.
-			if len(svc.cfg.extents(100, 100, nil)) < 2 {
-				t.Fatal("workload never crosses a shard boundary")
+		}
+		buf := make([]byte, 100*ss)
+		for lba := int64(0); lba+100 <= svc.Sectors(); lba += 100 {
+			if err := svc.Read(lba, buf); err != nil {
+				t.Fatalf("read lba %d: %v", lba, err)
 			}
-			for lba := int64(0); lba+100 <= svc.Sectors(); lba += 100 {
-				if err := svc.Write(lba, runPattern(ss, lba, 100, 1)); err != nil {
-					t.Fatalf("write lba %d: %v", lba, err)
-				}
+			if string(buf) != string(runPattern(ss, lba, 100, 1)) {
+				t.Fatalf("payload mismatch at lba %d", lba)
 			}
-			buf := make([]byte, 100*ss)
-			for lba := int64(0); lba+100 <= svc.Sectors(); lba += 100 {
-				if err := svc.Read(lba, buf); err != nil {
-					t.Fatalf("read lba %d: %v", lba, err)
-				}
-				if string(buf) != string(runPattern(ss, lba, 100, 1)) {
-					t.Fatalf("payload mismatch at lba %d", lba)
-				}
+		}
+		stats, _ := svc.ShardStats()
+		for i, st := range stats {
+			if st.UserWrites == 0 {
+				t.Fatalf("shard %d received no writes", i)
 			}
-			stats, _ := svc.ShardStats()
-			for i, st := range stats {
-				if st.UserWrites == 0 {
-					t.Fatalf("shard %d received no writes", i)
-				}
+		}
+		// Trim a boundary-straddling run; it must read back as zeros.
+		if err := svc.Trim(150, 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Read(150, buf); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range buf {
+			if c != 0 {
+				t.Fatalf("trimmed sector not zero at byte %d", i)
 			}
-			// Trim a boundary-straddling run; it must read back as zeros.
-			if err := svc.Trim(150, 100); err != nil {
-				t.Fatal(err)
-			}
-			if err := svc.Read(150, buf); err != nil {
-				t.Fatal(err)
-			}
-			for i, c := range buf {
-				if c != 0 {
-					t.Fatalf("trimmed sector not zero at byte %d", i)
-				}
-			}
-			if err := svc.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if err := svc.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := svc.Close(); !errors.Is(err, ErrClosed) {
-				t.Fatalf("second Close: got %v, want ErrClosed", err)
-			}
-		})
-	}
+		}
+		if err := svc.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Close(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("second Close: got %v, want ErrClosed", err)
+		}
+	})
 }
 
 // TestSnapshotBarrier: a multi-shard snapshot is one consistent image —
@@ -169,18 +165,23 @@ func TestShardedWriteReadTrimRoundTrip(t *testing.T) {
 // shard's clock or in-flight NAND work, readable across shard boundaries
 // after the active view moves on.
 func TestSnapshotBarrier(t *testing.T) {
-	svc, err := NewService(multiConfig(4, 32))
+	svc, err := NewService(multiConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	ss := svc.SectorSize()
-	if err := svc.Write(0, runPattern(ss, 0, 256, 1)); err != nil {
+	// The image straddles the boundary between shards 0 and 1.
+	const lba, n = 128, 128
+	if exts := svc.cfg.extents(lba, n, nil); len(exts) != 2 {
+		t.Fatalf("image spans %d shards, want 2", len(exts))
+	}
+	if err := svc.Write(lba, runPattern(ss, lba, n, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// An extra write leaves one shard's clock ahead of the others': the
 	// barrier must wait for it.
-	if err := svc.Write(0, runPattern(ss, 0, 8, 1)); err != nil {
+	if err := svc.Write(lba, runPattern(ss, lba, 8, 1)); err != nil {
 		t.Fatal(err)
 	}
 	_, before := svc.ShardStats()
@@ -210,18 +211,18 @@ func TestSnapshotBarrier(t *testing.T) {
 	}
 	// Diverge the active view, then read the old data through the
 	// composed activation.
-	if err := svc.Write(0, runPattern(ss, 0, 256, 2)); err != nil {
+	if err := svc.Write(lba, runPattern(ss, lba, n, 2)); err != nil {
 		t.Fatal(err)
 	}
 	view, err := svc.ActivateSync(id, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 256*ss)
-	if err := view.Read(0, buf); err != nil {
+	buf := make([]byte, n*ss)
+	if err := view.Read(lba, buf); err != nil {
 		t.Fatal(err)
 	}
-	if string(buf) != string(runPattern(ss, 0, 256, 1)) {
+	if string(buf) != string(runPattern(ss, lba, n, 1)) {
 		t.Fatal("snapshot view does not show the frozen image")
 	}
 	if err := view.Deactivate(); err != nil {
@@ -244,7 +245,7 @@ func TestSnapshotBarrier(t *testing.T) {
 // TestSnapshotIDsStayAligned: creates and deletes interleaved with writes
 // keep every shard's ID sequence identical.
 func TestSnapshotIDsStayAligned(t *testing.T) {
-	svc, err := NewService(multiConfig(4, 32))
+	svc, err := NewService(multiConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,21 +287,18 @@ func TestSnapshotIDsStayAligned(t *testing.T) {
 // then split 2^63 sectors into pieces until the process ran out of memory
 // — over the wire, one trim frame.
 func TestHugeRunRejected(t *testing.T) {
-	for _, stripe := range []int64{0, 32} {
-		cfg := multiConfig(4, stripe)
-		svc, err := NewService(cfg)
-		if err != nil {
-			t.Fatal(err)
+	svc, err := NewService(multiConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, n := range []int64{math.MaxInt64, math.MaxInt64 - 1, svc.Sectors()} {
+		if err := svc.Trim(1, n); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("Service.Trim(1, %d) = %v, want out of range", n, err)
 		}
-		for _, n := range []int64{math.MaxInt64, math.MaxInt64 - 1, svc.Sectors()} {
-			if err := svc.Trim(1, n); err == nil || !strings.Contains(err.Error(), "out of range") {
-				t.Fatalf("stripe %d: Service.Trim(1, %d) = %v, want out of range", stripe, n, err)
-			}
-		}
-		if err := svc.Trim(1, svc.Sectors()-1); err != nil {
-			t.Fatalf("stripe %d: trim to the last sector: %v", stripe, err)
-		}
-		svc.Close()
+	}
+	if err := svc.Trim(1, svc.Sectors()-1); err != nil {
+		t.Fatalf("trim to the last sector: %v", err)
 	}
 }
 
@@ -308,7 +306,7 @@ func TestHugeRunRejected(t *testing.T) {
 // through the service costs no allocation above the FTL's own — no
 // closure, no reply channel, the extent list on the stack.
 func TestServiceSingleExtentAllocatesNothing(t *testing.T) {
-	cfg := multiConfig(4, 32)
+	cfg := multiConfig(4)
 	// What the layers below allocate is not this test's business: the
 	// measured writes stay inside one segment (no seal, no cleaner) and the
 	// device model keeps no payloads (no buffer per first-programmed page).

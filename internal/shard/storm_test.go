@@ -14,11 +14,11 @@ import (
 // several client goroutines hammer reads, writes, and trims while another
 // churns the snapshot lifecycle (create barrier, activate, view reads,
 // deactivate, delete) across all shards. Each client owns a disjoint LBA
-// region — which still spans every shard, because the space is striped —
-// so it can verify its own read-after-write content exactly even though
-// the global interleaving is nondeterministic.
+// region, so it can verify its own read-after-write content exactly even
+// though the global interleaving is nondeterministic; some regions straddle
+// a shard boundary, so their clients' runs contend for two shards' locks.
 func TestServiceStorm(t *testing.T) {
-	cfg := multiConfig(4, 32)
+	cfg := multiConfig(4)
 	// Snapshots pin overwritten epochs until deleted, so the storm needs
 	// real over-provisioning headroom: double the segments, same
 	// advertised capacity.
@@ -32,6 +32,15 @@ func TestServiceStorm(t *testing.T) {
 	const clients = 6
 	const opsPerClient = 120
 	region := svc.Sectors() / clients
+	straddles := 0
+	for c := int64(0); c < clients; c++ {
+		if len(svc.cfg.extents(c*region, region, nil)) > 1 {
+			straddles++
+		}
+	}
+	if straddles == 0 {
+		t.Fatal("no client region straddles a shard boundary")
+	}
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients+1)
@@ -174,98 +183,92 @@ func TestServiceStorm(t *testing.T) {
 // shard it touches before executing, and the create barrier locks them all,
 // so every snapshot must show each write entirely or not at all.
 func TestServiceSnapshotAtomicity(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		stripe int64
-	}{{"contiguous", 0}, {"striped", 16}} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := multiConfig(4, tc.stripe)
-			cfg.Base.Nand.Segments = 64 // snapshots pin overwritten epochs until deleted
-			svc, err := NewService(cfg)
-			if err != nil {
+	t.Run("contiguous", func(t *testing.T) {
+		cfg := multiConfig(4)
+		cfg.Base.Nand.Segments = 64 // snapshots pin overwritten epochs until deleted
+		svc, err := NewService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		ss := svc.SectorSize()
+		per := svc.Sectors() / 4
+		// One run across each shard boundary, one inside a shard.
+		const n = 40
+		lbas := []int64{per - n/2, 2*per - n/2, 3*per - n/2, 2*per + n}
+		for _, lba := range lbas {
+			if err := svc.Write(lba, runPattern(ss, lba, n, 1)); err != nil {
 				t.Fatal(err)
 			}
-			defer svc.Close()
-			ss := svc.SectorSize()
-			per := svc.Sectors() / 4
-			// One run across each contiguous shard boundary (under striping
-			// every one of them spans three stripes), one inside a shard.
-			const n = 40
-			lbas := []int64{per - n/2, 2*per - n/2, 3*per - n/2, 2*per + n}
-			for _, lba := range lbas {
-				if err := svc.Write(lba, runPattern(ss, lba, n, 1)); err != nil {
-					t.Fatal(err)
-				}
-			}
+		}
 
-			const rounds = 80
-			var wg sync.WaitGroup
-			var writing atomic.Int32
-			for _, lba := range lbas {
-				wg.Add(1)
-				writing.Add(1)
-				go func(lba int64) {
-					defer wg.Done()
-					defer writing.Add(-1)
-					for r := 0; r < rounds; r++ {
-						if err := svc.Write(lba, runPattern(ss, lba, n, byte(2+r))); err != nil {
-							t.Errorf("write lba %d round %d: %v", lba, r, err)
-							return
-						}
-					}
-				}(lba)
-			}
+		const rounds = 80
+		var wg sync.WaitGroup
+		var writing atomic.Int32
+		for _, lba := range lbas {
 			wg.Add(1)
-			go func() {
+			writing.Add(1)
+			go func(lba int64) {
 				defer wg.Done()
-				buf := make([]byte, n*ss)
-				for snaps := 0; snaps < 8 || writing.Load() > 0; snaps++ {
-					id, err := svc.CreateSnapshot()
-					if err != nil {
-						t.Errorf("create: %v", err)
-						return
-					}
-					view, err := svc.ActivateSync(id, false)
-					if err != nil {
-						t.Errorf("activate %d: %v", id, err)
-						return
-					}
-					for _, lba := range lbas {
-						if err := view.Read(lba, buf); err != nil {
-							t.Errorf("view read: %v", err)
-							return
-						}
-						// The version is whatever the first sector carries; the
-						// whole run must carry the same one.
-						ver := buf[0] ^ byte(lba) ^ byte(lba>>8)
-						if string(buf) != string(runPattern(ss, lba, n, ver)) {
-							t.Errorf("snapshot %d holds a torn write at lba %d (first sector at version %d)", id, lba, ver)
-							return
-						}
-					}
-					if err := view.Deactivate(); err != nil {
-						t.Errorf("deactivate %d: %v", id, err)
-						return
-					}
-					if err := svc.DeleteSnapshot(id); err != nil {
-						t.Errorf("delete %d: %v", id, err)
+				defer writing.Add(-1)
+				for r := 0; r < rounds; r++ {
+					if err := svc.Write(lba, runPattern(ss, lba, n, byte(2+r))); err != nil {
+						t.Errorf("write lba %d round %d: %v", lba, r, err)
 						return
 					}
 				}
-			}()
-			wg.Wait()
-			if err := svc.CheckInvariants(); err != nil {
-				t.Fatal(err)
+			}(lba)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, n*ss)
+			for snaps := 0; snaps < 8 || writing.Load() > 0; snaps++ {
+				id, err := svc.CreateSnapshot()
+				if err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+				view, err := svc.ActivateSync(id, false)
+				if err != nil {
+					t.Errorf("activate %d: %v", id, err)
+					return
+				}
+				for _, lba := range lbas {
+					if err := view.Read(lba, buf); err != nil {
+						t.Errorf("view read: %v", err)
+						return
+					}
+					// The version is whatever the first sector carries; the
+					// whole run must carry the same one.
+					ver := buf[0] ^ byte(lba) ^ byte(lba>>8)
+					if string(buf) != string(runPattern(ss, lba, n, ver)) {
+						t.Errorf("snapshot %d holds a torn write at lba %d (first sector at version %d)", id, lba, ver)
+						return
+					}
+				}
+				if err := view.Deactivate(); err != nil {
+					t.Errorf("deactivate %d: %v", id, err)
+					return
+				}
+				if err := svc.DeleteSnapshot(id); err != nil {
+					t.Errorf("delete %d: %v", id, err)
+					return
+				}
 			}
-		})
-	}
+		}()
+		wg.Wait()
+		if err := svc.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestServiceCloseRacesOps: Close is a barrier racing in-flight callers of
 // every kind. Each of them ends with ErrClosed and nothing else, nobody
 // deadlocks (the test would time out), and Close itself succeeds.
 func TestServiceCloseRacesOps(t *testing.T) {
-	cfg := multiConfig(4, 16)
+	cfg := multiConfig(4)
 	cfg.Base.Nand.Segments = 64
 	svc, err := NewService(cfg)
 	if err != nil {

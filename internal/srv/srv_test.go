@@ -33,7 +33,7 @@ func testShardConfig(shards int) shard.Config {
 	base.GCWindow = 10 * sim.Millisecond
 	base.BitmapPageBits = 64
 	base.CoWPageCost = 10 * sim.Microsecond
-	return shard.Config{Base: base, Shards: shards, StripeSectors: 16}
+	return shard.Config{Base: base, Shards: shards}
 }
 
 // startServer brings up a service and a server on a loopback listener and

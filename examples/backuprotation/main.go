@@ -25,7 +25,7 @@ func main() {
 	nc := nand.DefaultConfig()
 	nc.SectorSize = 4096
 	nc.PagesPerSegment = 512
-	nc.Segments = 256 // 512 MB raw
+	nc.Segments = 256   // 512 MB raw
 	nc.StoreData = true // replication ships real payloads, not fingerprints
 
 	dev, err := iosnap.New(iosnap.DefaultConfig(nc), nil)

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, tests, and the race detector, for the
-# repository's module and for the benchmark's own (bench/ is a nested
-# module, so ./... does not reach it), then the refactoring oracle: every
-# experiment's CSV, regenerated, against the committed results/.
+# Tier-1 verification: gofmt over every tracked Go file, then build, vet,
+# tests, and the race detector, for the repository's module and for the
+# benchmark's own (bench/ is a nested module, so ./... does not reach it),
+# then the refactoring oracle: every experiment's CSV, regenerated, against
+# the committed results/.
 # Run from the repository root (or anywhere inside it).
 set -eu
 
@@ -10,6 +11,16 @@ cd "$(dirname "$0")/.."
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+echo "== gofmt -l"
+# git ls-files, not ., so build and benchmark outputs (.bench_build/) are
+# never walked.
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$unformatted" ]; then
+    echo "verify: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== go build ./..."
 go build ./...

@@ -18,8 +18,15 @@ import (
 // number of goroutines.
 type Client struct {
 	conn   net.Conn
-	br     *bufio.Reader // the reader goroutine's
 	window int
+
+	// Read side, the reader goroutine's alone (the handshake's before it
+	// starts). Responses land in arena and are parsed where they land:
+	// arena[:next] is parsed, and the payloads in it belong to their
+	// callers and are never written again; arena[next:] is received but not
+	// yet parsed.
+	arena []byte
+	next  int
 
 	// Write side. Frames accumulate in bw and flush when a caller is about
 	// to block (Wait, or do stalling on a full window), so a burst of
@@ -56,7 +63,13 @@ func DialOpts(addr string, o DialOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, connBuf), bw: bufio.NewWriterSize(conn, connBuf)}
+	return newClient(conn, o)
+}
+
+// newClient completes the handshake on an open connection, which it closes
+// if the handshake fails.
+func newClient(conn net.Conn, o DialOptions) (*Client, error) {
+	c := &Client{conn: conn, bw: bufio.NewWriterSize(conn, connBuf)}
 	want := o.Window
 	if want <= 0 {
 		want = defaultWindow
@@ -81,16 +94,19 @@ func (c *Client) handshake(wantWindow int) error {
 	if _, err := c.conn.Write(hello[:]); err != nil {
 		return err
 	}
-	var ack [13]byte // [u32 len][u8 status][u32 version][u32 window]
-	if _, err := io.ReadFull(c.br, ack[:5]); err != nil {
+	// The acknowledgement is [u32 len][u8 status][u32 version][u32 window];
+	// its first five bytes tell whether the peer sent one.
+	if err := c.fill(5); err != nil {
 		return err
 	}
-	if n, status := be32(ack[:]), ack[4]; n != 9 || status != statusOK {
+	if n, status := be32(c.arena[c.next:]), c.arena[c.next+4]; n != 9 || status != statusOK {
 		return fmt.Errorf("srv: peer refused the hello (%d-byte answer, status %d)", n, status)
 	}
-	if _, err := io.ReadFull(c.br, ack[5:]); err != nil {
+	if err := c.fill(13); err != nil {
 		return err
 	}
+	ack := c.arena[c.next : c.next+13]
+	c.next += len(ack)
 	if v := be32(ack[5:]); v != protoVersion2 {
 		return fmt.Errorf("srv: server negotiated unknown protocol version %d", v)
 	}
@@ -129,7 +145,7 @@ type Call struct {
 	c      *Client
 	done   chan struct{}
 	status byte
-	body   []byte // pooled response payload (nil after release)
+	body   []byte // response payload, the caller's once done is closed
 	err    error
 }
 
@@ -137,9 +153,9 @@ type Call struct {
 func (cl *Call) Done() <-chan struct{} { return cl.done }
 
 // Wait flushes any buffered requests, blocks for the response, and
-// returns the payload or the in-band error. The payload is the response
-// buffer; it stays valid until release is called (the typed wrappers
-// handle that).
+// returns the payload or the in-band error. The payload is the caller's:
+// it stays valid, and unchanged, as long as the caller holds it, and an
+// append to it never reaches another response. An empty payload is nil.
 func (cl *Call) Wait() ([]byte, error) {
 	select {
 	case <-cl.done:
@@ -160,17 +176,9 @@ func (cl *Call) Wait() ([]byte, error) {
 	}
 }
 
-// release recycles the response buffer. Only wrappers that do not hand
-// the payload to the caller may use it.
-func (cl *Call) release() {
-	putBuf(cl.body)
-	cl.body = nil
-}
-
-// waitDiscard waits and releases the response, keeping only the error.
+// waitDiscard waits and keeps only the error.
 func (cl *Call) waitDiscard() error {
 	_, err := cl.Wait()
-	cl.release()
 	return err
 }
 
@@ -241,26 +249,77 @@ func (c *Client) send(tag uint32, op byte, a args, payload []byte) error {
 	return err
 }
 
-// recv reads one response frame: the fixed [len][tag][status] prefix is
-// parsed where it lies in br, and only the payload is copied, into a pooled
-// buffer of its own size class that the caller owns.
+// arenaSize is the capacity of one receive arena: four socket reads.
+const arenaSize = 4 * connBuf
+
+// fill makes at least n received, unparsed bytes available at arena[next:],
+// reading at most connBuf per syscall. When they would run past the arena's
+// end, a fresh arena takes over with the unparsed tail — less than one frame
+// — and the old one is left to the payloads already handed out of it.
+func (c *Client) fill(n int) error {
+	for len(c.arena)-c.next < n {
+		if c.next+n > cap(c.arena) {
+			fresh := make([]byte, len(c.arena)-c.next, arenaSize)
+			copy(fresh, c.arena[c.next:])
+			c.arena, c.next = fresh, 0
+		}
+		end := min(len(c.arena)+connBuf, cap(c.arena))
+		m, err := c.conn.Read(c.arena[len(c.arena):end])
+		c.arena = c.arena[:len(c.arena)+m]
+		if err != nil && len(c.arena)-c.next < n {
+			return err
+		}
+	}
+	return nil
+}
+
+// recv parses one response frame where it landed in the arena. A payload
+// of up to connBuf bytes goes to the caller as a window of the arena with
+// no spare capacity, which nothing writes again; a larger one gets
+// recvLarge's allocation of its own.
 func (c *Client) recv() (tag uint32, status byte, payload []byte, err error) {
-	p, err := c.br.Peek(respHdr)
-	if err != nil {
+	if err := c.fill(respHdr); err != nil {
 		return 0, 0, nil, err
 	}
-	n := int(be32(p)) - (respHdr - 4)
-	if n < 0 || n > maxFrame {
-		return 0, 0, nil, fmt.Errorf("srv: malformed response frame (%d bytes)", be32(p))
+	h := c.arena[c.next:]
+	size := be32(h)
+	if size < respHdr-4 || size > maxFrame {
+		return 0, 0, nil, fmt.Errorf("srv: malformed response frame (%d bytes)", size)
 	}
-	tag, status = be32(p[4:]), p[respHdr-1]
-	c.br.Discard(respHdr)
-	payload = getBuf(n)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		putBuf(payload)
+	tag, status = be32(h[4:]), h[respHdr-1]
+	n := int(size) - (respHdr - 4)
+	if n > connBuf {
+		payload, err = c.recvLarge(n)
+		return tag, status, payload, err
+	}
+	if err := c.fill(respHdr + n); err != nil {
 		return 0, 0, nil, err
+	}
+	start := c.next + respHdr
+	c.next = start + n
+	if n > 0 {
+		payload = c.arena[start:c.next:c.next]
 	}
 	return tag, status, payload, nil
+}
+
+// recvLarge reads the n-byte payload of the frame at the parse cursor into
+// one exact allocation. What the arena already holds of the frame is copied
+// in; if that is not all of it, the arena rewinds to the frame's start —
+// nothing at or past the cursor was ever handed out — and the rest comes
+// straight from the socket.
+func (c *Client) recvLarge(n int) ([]byte, error) {
+	payload := make([]byte, n)
+	got := copy(payload, c.arena[c.next+respHdr:])
+	if got == n {
+		c.next += respHdr + n
+		return payload, nil
+	}
+	c.arena = c.arena[:c.next]
+	if _, err := io.ReadFull(c.conn, payload[got:]); err != nil {
+		return nil, err
+	}
+	return payload, nil
 }
 
 // flush pushes buffered request frames onto the wire.
@@ -274,8 +333,8 @@ func (c *Client) flush() {
 }
 
 // reader demuxes response frames to their tags until the connection dies,
-// then fails every outstanding call. The buffered reader matters: the
-// server batches responses, so one syscall here drains many frames.
+// then fails every outstanding call. The arena matters: the server batches
+// responses, so one syscall here drains many frames.
 func (c *Client) reader() {
 	for {
 		tag, status, payload, err := c.recv()
@@ -290,7 +349,6 @@ func (c *Client) reader() {
 		}
 		c.pmu.Unlock()
 		if cl == nil {
-			putBuf(payload)
 			c.fail(fmt.Errorf("srv: response for unknown tag %d", tag))
 			return
 		}
@@ -362,7 +420,8 @@ func (c *Client) Flush() { c.flush() }
 // Ping checks liveness.
 func (c *Client) Ping() error { return c.GoPing().waitDiscard() }
 
-// Read returns n sectors starting at lba from the live image.
+// Read returns n sectors starting at lba from the live image. The data is
+// the caller's, valid for as long as the caller holds it.
 func (c *Client) Read(lba int64, n int) ([]byte, error) {
 	return c.GoRead(lba, n).Wait()
 }
@@ -380,18 +439,14 @@ func (c *Client) Trim(lba, n int64) error {
 // SnapCreate takes a consistent snapshot across all shards and returns
 // its ID.
 func (c *Client) SnapCreate() (uint64, error) {
-	cl := c.GoSnapCreate()
-	b, err := cl.Wait()
+	b, err := c.GoSnapCreate().Wait()
 	if err != nil {
 		return 0, err
 	}
 	if len(b) != 8 {
-		cl.release()
 		return 0, fmt.Errorf("srv: snap-create response %d bytes, want 8", len(b))
 	}
-	id := be64(b)
-	cl.release()
-	return id, nil
+	return be64(b), nil
 }
 
 // SnapDelete tombstones a snapshot.
@@ -400,23 +455,21 @@ func (c *Client) SnapDelete(id uint64) error {
 }
 
 // SnapRead returns n sectors starting at lba from snapshot id's frozen
-// image.
+// image. The data is the caller's, valid for as long as the caller holds
+// it.
 func (c *Client) SnapRead(id uint64, lba int64, n int) ([]byte, error) {
 	return c.GoSnapRead(id, lba, n).Wait()
 }
 
 // Stats fetches the server's aggregate statistics.
 func (c *Client) Stats() (ServerStats, error) {
-	cl := c.do(opStats, args{}, nil)
-	b, err := cl.Wait()
+	b, err := c.do(opStats, args{}, nil).Wait()
 	if err != nil {
 		return ServerStats{}, err
 	}
 	var st ServerStats
-	uerr := json.Unmarshal(b, &st)
-	cl.release()
-	if uerr != nil {
-		return ServerStats{}, fmt.Errorf("srv: stats decode: %w", uerr)
+	if err := json.Unmarshal(b, &st); err != nil {
+		return ServerStats{}, fmt.Errorf("srv: stats decode: %w", err)
 	}
 	return st, nil
 }

@@ -99,18 +99,21 @@ const respHdr = 9
 // spends 4 tag bytes + 1 status byte of its payload.
 const maxBody = maxFrame - 5
 
-// connBuf is the size of the buffered reader and writer on each end of a
-// connection: a deep pipeline delivers many frames per TCP segment, and one
-// syscall should move them all.
+// connBuf is the size of the buffered writer on each end of a connection,
+// of the server's buffered reader, and the most the client's receive arena
+// takes in per read: a deep pipeline delivers many frames per TCP segment,
+// and one syscall should move them all. A response payload of at most
+// connBuf bytes reaches the client's caller where it landed.
 const connBuf = 64 << 10
 
 // --- pooled frame buffers ---------------------------------------------------
 //
-// Frame and payload buffers are pooled in power-of-two size classes; getBuf
-// returns a slice of exactly the requested length, putBuf recycles any
-// buffer whose capacity is exactly a class size (so a slice that grew
-// elsewhere, or a sub-slice handed to a caller, is simply left for the GC
-// rather than poisoning a class). A pool entry is the pointer to the
+// The server's frame and payload buffers are pooled in power-of-two size
+// classes. The client keeps no pool: a read's payload is its caller's for
+// good, so nothing would come back to it. getBuf returns a slice of exactly
+// the requested length, putBuf recycles any buffer whose capacity is
+// exactly a class size (so a slice that grew elsewhere is simply left for
+// the GC rather than poisoning a class). A pool entry is the pointer to the
 // buffer's first byte — its class implies the length — so neither
 // direction allocates a slice header.
 

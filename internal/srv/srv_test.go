@@ -38,7 +38,7 @@ func testShardConfig(shards int) shard.Config {
 
 // startServer brings up a service and a server on a loopback listener and
 // returns the dial address plus the channel Serve's result lands on.
-func startServer(t *testing.T, svc *shard.Service) (*Server, string, chan error) {
+func startServer(t testing.TB, svc *shard.Service) (*Server, string, chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

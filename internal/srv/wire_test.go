@@ -615,7 +615,6 @@ func stormConn(addr string, ci, depth, ops int, region int64, ss int, n *stormCo
 			}
 			snaps = append(snaps, be64(b))
 		}
-		sl.call.release()
 		return nil
 	}
 	drain := func() error {

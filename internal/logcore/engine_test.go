@@ -24,7 +24,10 @@ type flatPolicy struct {
 	runs  [][]nand.PageAddr
 }
 
-func newFlat(t *testing.T) *flatPolicy {
+func newFlat(t *testing.T) *flatPolicy { return newFlatWith(t, func(*Config) {}) }
+
+// newFlatWith is newFlat with tweak applied to the default configuration.
+func newFlatWith(t *testing.T, tweak func(*Config)) *flatPolicy {
 	t.Helper()
 	nc := nand.DefaultConfig()
 	nc.SectorSize = 512
@@ -36,6 +39,7 @@ func newFlat(t *testing.T) *flatPolicy {
 	nc.ProgramLatency = 4 * sim.Microsecond
 	nc.EraseLatency = 50 * sim.Microsecond
 	cfg := DefaultConfig(nc)
+	tweak(&cfg)
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -338,5 +342,62 @@ func TestForcedCleaningUnderChurn(t *testing.T) {
 		if p.SegInUse(seg) && p.ValidCount(seg) != count {
 			t.Fatalf("segment %d: ValidCount %d, bitmap %d", seg, p.ValidCount(seg), count)
 		}
+	}
+}
+
+// TestOutOfSpaceDegradesAndRecovers: with every page outside the rescue
+// reserve advertised and written, no used segment holds anything to
+// reclaim, so the forced cleaner finds no victim. The next write is shed
+// with ErrOutOfSpace — counted, Degraded set, log head and free pool
+// untouched, the old data still read — and once a trim frees a segment's
+// worth the next write succeeds and clears Degraded. The free pool never
+// drops below the reserve.
+func TestOutOfSpaceDegradesAndRecovers(t *testing.T) {
+	p := newFlatWith(t, func(c *Config) {
+		c.UserSectors = int64(c.Nand.Segments-c.RescueReserve) * int64(c.Nand.PagesPerSegment)
+	})
+	pps, reserve := p.cfg.Nand.PagesPerSegment, p.cfg.RescueReserve
+	pool := func(when string) {
+		t.Helper()
+		if len(p.FreeSegs) < reserve {
+			t.Fatalf("%s: %d free segments, below the reserve of %d", when, len(p.FreeSegs), reserve)
+		}
+	}
+	now := sim.Time(0)
+	for lba := int64(0); lba < p.Sectors(); lba += int64(pps) {
+		now = p.mustWrite(t, now, lba, pps, 1)
+		pool("filling")
+	}
+	if p.HeadIdx != pps || len(p.FreeSegs) != reserve || p.BestVictim() >= 0 {
+		t.Fatalf("setup: head index %d, %d free, victim %d; want a full head, the reserve free and no victim", p.HeadIdx, len(p.FreeSegs), p.BestVictim())
+	}
+	head, headIdx, free := p.HeadSeg, p.HeadIdx, slices.Clone(p.FreeSegs)
+
+	if _, err := p.WriteActive(now, 0, 0, sectors(0, 1, 2)); !errors.Is(err, ErrOutOfSpace) {
+		t.Fatalf("write with nothing reclaimable: %v, want ErrOutOfSpace", err)
+	}
+	if st := p.Stats(); st.OutOfSpaceWrites != 1 || !st.Degraded {
+		t.Fatalf("after the shed write: OutOfSpaceWrites %d, Degraded %v; want 1 and true", st.OutOfSpaceWrites, st.Degraded)
+	}
+	if p.HeadSeg != head || p.HeadIdx != headIdx || !slices.Equal(p.FreeSegs, free) {
+		t.Fatalf("the shed write moved the head to %d/%d and the pool to %v (was %d/%d, %v)", p.HeadSeg, p.HeadIdx, p.FreeSegs, head, headIdx, free)
+	}
+	pool("degraded")
+	buf := make([]byte, 512)
+	if _, _, err := p.ReadRun(p.ActiveMap, now, 0, buf); err != nil || !bytes.Equal(buf, sectors(0, 1, 1)) {
+		t.Fatalf("read while degraded: %v, or not the data written before", err)
+	}
+
+	now, err := p.TrimActive(now, 0, 0, int64(pps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now = p.mustWrite(t, now, 0, 1, 3)
+	if st := p.Stats(); st.Degraded || st.OutOfSpaceWrites != 1 {
+		t.Fatalf("after a trim freed a segment: Degraded %v, OutOfSpaceWrites %d; want false and 1", st.Degraded, st.OutOfSpaceWrites)
+	}
+	pool("recovered")
+	if _, _, err := p.ReadRun(p.ActiveMap, now, 0, buf); err != nil || !bytes.Equal(buf, sectors(0, 1, 3)) {
+		t.Fatalf("read of the write after recovery: %v, or not its data", err)
 	}
 }

@@ -128,6 +128,59 @@ func TestCloseStartsNoBackgroundWork(t *testing.T) {
 	}
 }
 
+// TestCloseSupersedesCheckpointInFlight: Close with a background checkpoint
+// in flight used to skip its own, so the next mount was a full scan. Now the
+// background generation is abandoned — the chunks it landed lose their pins
+// — and Close writes the synchronous checkpoint: one commit, anchored at the
+// sequence number Close found, and a tail-bounded remount. Both the task that
+// is only queued and the task one quantum in are covered.
+func TestCloseSupersedesCheckpointInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		quantum bool // run the task's first quantum before Close
+	}{{"queued", false}, {"mid-task", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.GCChunk = 2
+			f, err := New(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := driveScenario(t, f, 17, 300)
+			if !f.StartCheckpoint(s.now) {
+				t.Fatal("setup: StartCheckpoint scheduled nothing")
+			}
+			if tc.quantum {
+				f.Sched.RunUntil(s.now)
+			}
+			if landed := len(f.CkptInflight); tc.quantum != (landed > 0) || f.Sched.Pending() == 0 {
+				t.Fatalf("setup: %d chunks landed, %d tasks pending before Close", landed, f.Sched.Pending())
+			}
+			seq := f.Seq
+			done, err := f.Close(s.now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := f.Stats(); st.Checkpoints != 1 {
+				t.Fatalf("Close committed %d checkpoints, want 1", st.Checkpoints)
+			}
+			if f.AnchorID != seq {
+				t.Fatalf("anchor names generation %d, want %d (Seq at close)", f.AnchorID, seq)
+			}
+			if err := f.CheckInvariants(); err != nil {
+				t.Fatalf("after Close: %v", err)
+			}
+			r, _, err := Recover(f.Config(), f.Device(), nil, done)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := r.Stats(); !st.RecoveryTailBounded || st.RecoveryFallbacks != 0 {
+				t.Fatalf("remount: tail-bounded %v, %d fallbacks; want a tail-bounded mount", st.RecoveryTailBounded, st.RecoveryFallbacks)
+			}
+		})
+	}
+}
+
 // TestCloseCancelsCleanInFlight: a paced clean that is mid-victim when Close
 // arrives ends at once, and its task — should anyone still run the
 // scheduler — finds the log closed and does nothing.

@@ -252,11 +252,9 @@ func (t *ckptTask) Name() string { return fmt.Sprintf("checkpoint(%d)", t.id) }
 func (t *ckptTask) Run(now sim.Time) (sim.Time, bool) {
 	l := t.l
 	if l.closed {
-		// Close wrote its own synchronous checkpoint, superseding this one.
-		for _, a := range l.CkptInflight {
-			l.unpinChunk(a)
-		}
-		return t.finish()
+		// Close dropped this generation's pins and wrote its own synchronous
+		// checkpoint, superseding this one.
+		return 0, true
 	}
 	if t.pending {
 		var err error

@@ -1,4 +1,4 @@
-// Package ckpt is the chunk codec shared by both FTLs' checkpoints.
+// Package ckpt is the chunk codec of ioSnap's checkpoints.
 //
 // A checkpoint is an opaque byte stream of typed sections, framed with a
 // magic, a version, the checkpoint's identity (ID + the log sequence number
@@ -219,14 +219,6 @@ func Join(ckptID uint64, chunks [][]byte) ([]byte, error) {
 		out = append(out, c[ChunkPrefix:]...)
 	}
 	return out, nil
-}
-
-// ChunkID reads the generation tag off a raw chunk.
-func ChunkID(chunk []byte) (uint64, bool) {
-	if len(chunk) < ChunkPrefix {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(chunk), true
 }
 
 // Writer accumulates little-endian fields for a section body.

@@ -19,9 +19,8 @@ func roundTrip(t *testing.T, id, seq uint64, secs []Section, sectorSize int) []S
 		if len(c) != sectorSize {
 			t.Fatalf("chunk size %d, want %d", len(c), sectorSize)
 		}
-		got, ok := ChunkID(c)
-		if !ok || got != id {
-			t.Fatalf("ChunkID = %d,%v want %d", got, ok, id)
+		if got := binary.LittleEndian.Uint64(c); got != id {
+			t.Fatalf("chunk prefix = %d, want %d", got, id)
 		}
 	}
 	joined, err := Join(id, chunks)

@@ -341,26 +341,25 @@ func TestWriteLatencyReasonable(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: New refuses an inconsistent config, and one that
+// asks the vanilla FTL for a paged map or periodic checkpoints.
 func TestConfigValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.UserSectors = cfg.Nand.TotalPages() // no over-provisioning
-	if _, err := New(cfg, nil); err == nil {
-		t.Fatal("config without over-provisioning accepted")
-	}
-	cfg = testConfig()
-	cfg.GCChunk = 0
-	if _, err := New(cfg, nil); err == nil {
-		t.Fatal("zero GCChunk accepted")
-	}
-	cfg = testConfig()
-	cfg.ReserveSegments = 0
-	if _, err := New(cfg, nil); err == nil {
-		t.Fatal("zero reserve accepted")
-	}
-	cfg = testConfig()
-	cfg.CheckpointInterval = -sim.Millisecond
-	if _, err := New(cfg, nil); err == nil {
-		t.Fatal("negative CheckpointInterval accepted")
+	for _, tc := range []struct {
+		name  string
+		tweak func(*Config)
+	}{
+		{"no over-provisioning", func(c *Config) { c.UserSectors = c.Nand.TotalPages() }},
+		{"zero GCChunk", func(c *Config) { c.GCChunk = 0 }},
+		{"zero reserve", func(c *Config) { c.ReserveSegments = 0 }},
+		{"negative CheckpointInterval", func(c *Config) { c.CheckpointInterval = -sim.Millisecond }},
+		{"paged map", func(c *Config) { c.MapCachePages = 2 }},
+		{"periodic checkpoints", func(c *Config) { c.CheckpointInterval = sim.Millisecond }},
+	} {
+		cfg := testConfig()
+		tc.tweak(&cfg)
+		if _, err := New(cfg, nil); err == nil {
+			t.Errorf("%s: config accepted", tc.name)
+		}
 	}
 }
 

@@ -267,57 +267,3 @@ func TestOutOfSpaceDegradation(t *testing.T) {
 		t.Fatal("degraded flag stuck after recovery")
 	}
 }
-
-// TestRetiredSegmentSurvivesRecovery: retirement must hold across a
-// crash/recover cycle, the retired segment staying out of both pools while
-// all data remains readable.
-func TestRetiredSegmentSurvivesRecovery(t *testing.T) {
-	f := newTestFTL(t)
-	ss := f.SectorSize()
-	now := sim.Time(0)
-	var err error
-	for lba := int64(0); lba < 40; lba++ {
-		if now, err = f.Write(now, lba, sectorPattern(ss, lba, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	now = f.Sched.Drain(now)
-	victim := -1
-	for _, seg := range f.UsedSegments() {
-		if seg != f.HeadSeg {
-			victim = seg
-			break
-		}
-	}
-	f.Dev.MarkSuspect(victim)
-	if err := f.ForceClean(now, victim); err != nil {
-		t.Fatal(err)
-	}
-	now = f.Sched.Drain(now)
-	if f.Dev.SegmentHealth(victim) != nand.Retired {
-		t.Fatal("setup: victim not retired")
-	}
-
-	// Crash (no Close) and recover on the same device.
-	f2, now, err := Recover(f.cfg, f.Dev, nil, now)
-	if err != nil {
-		t.Fatalf("recovery with retired segment: %v", err)
-	}
-	for _, s := range append(f2.UsedSegments(), f2.FreeSegs...) {
-		if s == victim {
-			t.Fatal("retired segment re-pooled by recovery")
-		}
-	}
-	if f2.HeadSeg == victim {
-		t.Fatal("recovery resumed head on retired segment")
-	}
-	buf := make([]byte, ss)
-	for lba := int64(0); lba < 40; lba++ {
-		if _, err := f2.Read(now, lba, buf); err != nil {
-			t.Fatalf("LBA %d unreadable after recovery: %v", lba, err)
-		}
-		if !bytes.Equal(buf, sectorPattern(ss, lba, 1)) {
-			t.Fatalf("LBA %d content mismatch after recovery", lba)
-		}
-	}
-}

@@ -25,7 +25,7 @@ const (
 	TypeSnapDelete
 	TypeSnapActivate
 	TypeSnapDeactivate
-	TypeCheckpoint // vanilla-FTL checkpoint chunk (map + segment table)
+	TypeCheckpoint // single-stream checkpoint chunk; no FTL writes it, it keeps its number
 
 	// ioSnap checkpoint chunk streams: each section kind is its own chunk
 	// sequence, with chunk index in LBA and chunk total in Epoch (the same
@@ -44,9 +44,9 @@ const (
 	TypeMapPage
 )
 
-// IsCheckpoint reports whether t tags a checkpoint chunk of either FTL —
-// pages whose LBA/Epoch fields are chunk coordinates, which recovery
-// replay and the cleaner's presence/remap bookkeeping must skip.
+// IsCheckpoint reports whether t tags a checkpoint chunk — pages whose
+// LBA/Epoch fields are chunk coordinates, which recovery replay and the
+// cleaner's presence/remap bookkeeping must skip.
 func (t Type) IsCheckpoint() bool {
 	switch t {
 	case TypeCheckpoint, TypeCkptMap, TypeCkptTree, TypeCkptValid:

@@ -26,8 +26,9 @@ type AnchorChunk struct {
 }
 
 // ReadAnchorChunks reads every chunk the device anchor names, in anchor
-// order. ok=false means a chunk is gone, unreadable, or no longer a
-// checkpoint page: the generation cannot be trusted.
+// order, with one DevReadPages call (cell reads overlap across channels
+// instead of chaining). ok=false means a chunk is gone, unreadable, or no
+// longer a checkpoint page: the generation cannot be trusted.
 func (l *Log) ReadAnchorChunks(now sim.Time) (chunks []AnchorChunk, done sim.Time, ok bool) {
 	addrs := l.Dev.Anchor().Addrs
 	chunks = make([]AnchorChunk, 0, len(addrs))
@@ -43,36 +44,14 @@ func (l *Log) ReadAnchorChunks(now sim.Time) (chunks []AnchorChunk, done sim.Tim
 		}
 		chunks = append(chunks, AnchorChunk{Addr: addr, Idx: h.LBA, Total: h.Epoch, Type: h.Type})
 	}
-	payloads, now, ok := l.ReadChunkPayloads(now, addrs, false)
-	if !ok {
-		return nil, now, false
+	payloads, _, _, done, err := l.DevReadPages(now, addrs)
+	if err != nil {
+		return nil, done, false
 	}
 	for i := range chunks {
 		chunks[i].Payload = payloads[i]
 	}
-	return chunks, now, true
-}
-
-// ReadChunkPayloads fetches chunk payloads with one DevReadPages call (cell
-// reads overlap across channels instead of chaining). With skipFailed a
-// permanently failing chunk is left nil (it disqualifies only its
-// generation) and the batch resumes just past it; without, the first
-// failure reports ok=false.
-func (l *Log) ReadChunkPayloads(now sim.Time, addrs []nand.PageAddr, skipFailed bool) (payloads [][]byte, done sim.Time, ok bool) {
-	payloads = make([][]byte, len(addrs))
-	for base := 0; base < len(addrs); base++ {
-		ds, _, k, d, err := l.DevReadPages(now, addrs[base:])
-		now = d
-		copy(payloads[base:], ds[:k])
-		base += k
-		if err == nil {
-			break
-		}
-		if !skipFailed {
-			return nil, now, false
-		}
-	}
-	return payloads, now, true
+	return chunks, done, true
 }
 
 // AssembleStream proves a group of chunks is one complete stream — indices

@@ -367,61 +367,6 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationEpochSegregation measures epoch intermixing (mean
-// epoch-runs per segment; lower = better co-location) with and without the
-// §5.4.2 segregation policy.
-func BenchmarkAblationEpochSegregation(b *testing.B) {
-	for _, segregate := range []bool{false, true} {
-		name := "mixed"
-		if segregate {
-			name = "segregated"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				nc := benchNand()
-				nc.PagesPerSegment = 256
-				nc.Segments = 64
-				cfg := iosnap.DefaultConfig(nc)
-				cfg.EpochSegregation = segregate
-				f, err := iosnap.New(cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				now := sim.Time(0)
-				rng := sim.NewRNG(5)
-				buf := make([]byte, 4096)
-				space := f.Sectors() / 4
-				for s := 0; s < 4; s++ {
-					for w := 0; w < int(space)/2; w++ {
-						f.Scheduler().RunUntil(now)
-						d, err := f.Write(now, rng.Int63n(space), buf)
-						if err != nil {
-							b.Fatal(err)
-						}
-						now = d
-					}
-					if s < 3 {
-						_, d, err := f.CreateSnapshot(now)
-						if err != nil {
-							b.Fatal(err)
-						}
-						now = d
-					}
-				}
-				f.Scheduler().Drain(now)
-				total, nseg := 0, 0
-				for seg := 0; seg < nc.Segments; seg++ {
-					if f.Device().ProgrammedInSegment(seg) > 0 {
-						total += f.SegmentEpochRuns(seg)
-						nseg++
-					}
-				}
-				b.ReportMetric(float64(total)/float64(nseg), "epoch-runs/segment")
-			}
-		})
-	}
-}
-
 // BenchmarkMergeRange measures the cleaner's validity merge (the Table 4
 // overhead) across epoch counts.
 func BenchmarkMergeRange(b *testing.B) {
@@ -444,55 +389,6 @@ func BenchmarkMergeRange(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.MergeRange(all, 0, 1024)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationVictimPolicy compares the cleaner's greedy and
-// cost-benefit segment selection under a hot/cold workload, reporting
-// write amplification and peak wear. In this simulator's regimes the two
-// policies score close on write amplification (hot segments decay to
-// fully-invalid before cleaning, so greedy is near-optimal); the bench
-// exists to quantify that, not to declare a winner.
-func BenchmarkAblationVictimPolicy(b *testing.B) {
-	for _, policy := range []iosnap.VictimPolicy{iosnap.VictimGreedy, iosnap.VictimCostBenefit} {
-		b.Run(policy.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				nc := benchNand()
-				nc.PagesPerSegment = 256
-				nc.Segments = 96
-				cfg := iosnap.DefaultConfig(nc)
-				cfg.VictimPolicy = policy
-				cfg.GCWindow = 10 * sim.Millisecond
-				f, err := iosnap.New(cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf := make([]byte, 4096)
-				now := sim.Time(0)
-				// Interleaved hot/cold arrivals (90% of writes to 10% of the
-				// space) mix lifetimes within segments — the regime where
-				// cost-benefit's age weighting pays off (LFS's classic case).
-				rng := sim.NewRNG(uint64(policy) + 1)
-				space := f.Sectors() * 19 / 20
-				hotSpan := space / 10
-				for w := 0; w < int(f.Sectors())*4; w++ {
-					lba := hotSpan + rng.Int63n(space-hotSpan) // cold
-					if rng.Intn(10) != 0 {
-						lba = rng.Int63n(hotSpan) // hot
-					}
-					f.Scheduler().RunUntil(now)
-					d, err := f.Write(now, lba, buf)
-					if err != nil {
-						b.Fatal(err)
-					}
-					now = d
-				}
-				f.Scheduler().Drain(now)
-				b.ReportMetric(f.Stats().WriteAmplify, "write-amp")
-				_, maxE, _ := f.Device().WearStats()
-				b.ReportMetric(float64(maxE), "max-erases")
 			}
 		})
 	}

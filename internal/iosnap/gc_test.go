@@ -179,63 +179,3 @@ func TestMergeTimeGrowsWithSnapshots(t *testing.T) {
 		t.Fatalf("per-clean merge time with 2 snapshots (%v) not above zero snapshots (%v)", m2, m0)
 	}
 }
-
-func TestEpochSegregationReducesIntermix(t *testing.T) {
-	run := func(segregate bool) float64 {
-		cfg := testConfig()
-		cfg.EpochSegregation = segregate
-		f, err := New(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := f.SectorSize()
-		now := sim.Time(0)
-		rng := sim.NewRNG(33)
-		// Interleave writes and snapshots so victims hold several epochs.
-		for s := 0; s < 4; s++ {
-			for i := 0; i < 45; i++ {
-				f.Sched.RunUntil(now)
-				lba := rng.Int63n(90)
-				d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(s*50+i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				now = d
-			}
-			if s < 3 {
-				_, d, err := f.CreateSnapshot(now)
-				if err != nil {
-					t.Fatal(err)
-				}
-				now = d
-			}
-		}
-		for i := 0; i < 400; i++ {
-			f.Sched.RunUntil(now)
-			lba := rng.Int63n(90)
-			d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			now = d
-		}
-		f.Sched.Drain(now)
-		// Average epoch-run count across used segments.
-		total, n := 0, 0
-		for seg := 0; seg < cfg.Nand.Segments; seg++ {
-			if f.Dev.ProgrammedInSegment(seg) > 0 {
-				total += f.SegmentEpochRuns(seg)
-				n++
-			}
-		}
-		if n == 0 {
-			t.Fatal("no used segments")
-		}
-		return float64(total) / float64(n)
-	}
-	mixed := run(false)
-	grouped := run(true)
-	if grouped > mixed {
-		t.Fatalf("epoch segregation increased intermix: %.2f runs vs %.2f", grouped, mixed)
-	}
-}

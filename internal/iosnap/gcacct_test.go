@@ -49,112 +49,102 @@ func churnVictimState(t *testing.T, f *FTL) sim.Time {
 // TestSelectVictimMatchesScratch pins the tentpole's correctness bar: the
 // heap/counter-based selection must choose the same victim, with the same
 // merged-valid estimate, as a from-scratch merge over every used segment —
-// under both victim policies and with snapshot churn in the history.
+// with snapshot churn in the history.
 func TestSelectVictimMatchesScratch(t *testing.T) {
-	for _, policy := range []VictimPolicy{VictimGreedy, VictimCostBenefit} {
-		cfg := testConfig()
-		cfg.VictimPolicy = policy
-		f, err := New(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
+	f := newTestFTL(t)
+	now := churnVictimState(t, f)
+	for i := 0; i < 4; i++ {
+		gotSeg, _ := f.selectVictim()
+		gotValid := 0
+		if gotSeg >= 0 {
+			gotValid = f.ValidCount(gotSeg) // the clean's work estimate
 		}
-		now := churnVictimState(t, f)
-		for i := 0; i < 4; i++ {
-			gotSeg, _ := f.selectVictim()
-			gotValid := 0
-			if gotSeg >= 0 {
-				gotValid = f.ValidCount(gotSeg) // the clean's work estimate
+		wantSeg, wantValid := f.selectVictimScratch()
+		if gotSeg != wantSeg || gotValid != wantValid {
+			t.Fatalf("pass %d: incremental selection (%d, %d) != scratch (%d, %d)",
+				i, gotSeg, gotValid, wantSeg, wantValid)
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatalf("pass %d: %v", i, err)
+		}
+		// Mutate between passes: more overwrites, another snapshot flip.
+		for lba := int64(0); lba < 20; lba++ {
+			done, werr := f.Write(now, lba, sectorPattern(f.SectorSize(), lba, byte(40+i)))
+			if werr != nil {
+				t.Fatalf("pass %d write: %v", i, werr)
 			}
-			wantSeg, wantValid := f.selectVictimScratch()
-			if gotSeg != wantSeg || gotValid != wantValid {
-				t.Fatalf("policy %v pass %d: incremental selection (%d, %d) != scratch (%d, %d)",
-					policy, i, gotSeg, gotValid, wantSeg, wantValid)
-			}
-			if err := f.CheckInvariants(); err != nil {
-				t.Fatalf("policy %v pass %d: %v", policy, i, err)
-			}
-			// Mutate between passes: more overwrites, another snapshot flip.
-			for lba := int64(0); lba < 20; lba++ {
-				done, werr := f.Write(now, lba, sectorPattern(f.SectorSize(), lba, byte(40+i)))
-				if werr != nil {
-					t.Fatalf("policy %v pass %d write: %v", policy, i, werr)
-				}
+			now = done
+		}
+		if i == 1 {
+			if _, done, serr := f.CreateSnapshot(now); serr == nil {
 				now = done
 			}
-			if i == 1 {
-				if _, done, serr := f.CreateSnapshot(now); serr == nil {
-					now = done
-				}
-			}
-			now = f.Sched.Drain(now)
 		}
+		now = f.Sched.Drain(now)
 	}
 }
 
 // TestSelectVictimMatchesScratchWithPins is the same bar with pinned pages
 // in play: a one-page map cache keeps translation pages flowing to flash
 // and checkpoints taken mid-churn pin their chunks, so segments differ in
-// pinned count while victims are compared. The greedy heap must order them
-// by valid + pinned pages — what the scratch reference subtracts — and
+// pinned count while victims are compared. The heap must order them by
+// valid + pinned pages — what the scratch reference subtracts — and
 // CheckInvariants recounts every segment's pins against the heap's.
 func TestSelectVictimMatchesScratchWithPins(t *testing.T) {
 	const space = 180 // three translation pages or more, for a one-page cache
-	for _, policy := range []VictimPolicy{VictimGreedy, VictimCostBenefit} {
-		cfg := testConfig()
-		cfg.VictimPolicy = policy
-		cfg.MapCachePages = 1
-		f, err := New(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
+	cfg := testConfig()
+	cfg.MapCachePages = 1
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := f.SectorSize()
+	now := sim.Time(0)
+	rng := sim.NewRNG(5)
+	churn := func(round, writes int) {
+		for i := 0; i < writes; i++ {
+			lba := rng.Int63n(space)
+			done, err := f.Write(now, lba, sectorPattern(ss, lba, byte(round+1)))
+			if err != nil {
+				t.Fatalf("round %d write lba %d: %v", round, lba, err)
+			}
+			now = done
+			f.Sched.RunUntil(now)
 		}
-		ss := f.SectorSize()
-		now := sim.Time(0)
-		rng := sim.NewRNG(uint64(policy) + 5)
-		churn := func(round, writes int) {
-			for i := 0; i < writes; i++ {
-				lba := rng.Int63n(space)
-				done, err := f.Write(now, lba, sectorPattern(ss, lba, byte(round+1)))
-				if err != nil {
-					t.Fatalf("policy %v round %d write lba %d: %v", policy, round, lba, err)
-				}
-				now = done
-				f.Sched.RunUntil(now)
-			}
+	}
+	sawPins := 0
+	for round := 0; round < 10; round++ {
+		churn(round, 120)
+		if round%3 == 1 {
+			f.StartCheckpoint(now)
 		}
-		sawPins := 0
-		for round := 0; round < 10; round++ {
-			churn(round, 120)
-			if round%3 == 1 {
-				f.StartCheckpoint(now)
-			}
-			churn(round, 40) // some of it lands while the checkpoint programs
-			now = f.Sched.Drain(now)
-			pinnedSegs := 0
-			for _, seg := range f.UsedSegs {
-				if f.PinnedInSeg(seg) > 0 {
-					pinnedSegs++
-				}
-			}
-			if len(f.CkptPins) > 0 && len(f.MapPins) > 0 && pinnedSegs > 1 {
-				sawPins++
-			}
-			gotSeg, _ := f.selectVictim()
-			gotValid := 0
-			if gotSeg >= 0 {
-				gotValid = f.ValidCount(gotSeg)
-			}
-			wantSeg, wantValid := f.selectVictimScratch()
-			if gotSeg != wantSeg || gotValid != wantValid {
-				t.Fatalf("policy %v round %d: incremental selection (%d, %d) != scratch (%d, %d)",
-					policy, round, gotSeg, gotValid, wantSeg, wantValid)
-			}
-			if err := f.CheckInvariants(); err != nil {
-				t.Fatalf("policy %v round %d: %v", policy, round, err)
+		churn(round, 40) // some of it lands while the checkpoint programs
+		now = f.Sched.Drain(now)
+		pinnedSegs := 0
+		for _, seg := range f.UsedSegs {
+			if f.PinnedInSeg(seg) > 0 {
+				pinnedSegs++
 			}
 		}
-		if sawPins < 5 {
-			t.Fatalf("policy %v: pins spread over segments in only %d of 10 comparisons", policy, sawPins)
+		if len(f.CkptPins) > 0 && len(f.MapPins) > 0 && pinnedSegs > 1 {
+			sawPins++
 		}
+		gotSeg, _ := f.selectVictim()
+		gotValid := 0
+		if gotSeg >= 0 {
+			gotValid = f.ValidCount(gotSeg)
+		}
+		wantSeg, wantValid := f.selectVictimScratch()
+		if gotSeg != wantSeg || gotValid != wantValid {
+			t.Fatalf("round %d: incremental selection (%d, %d) != scratch (%d, %d)",
+				round, gotSeg, gotValid, wantSeg, wantValid)
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if sawPins < 5 {
+		t.Fatalf("pins spread over segments in only %d of 10 comparisons", sawPins)
 	}
 }
 
@@ -162,22 +152,15 @@ func TestSelectVictimMatchesScratchWithPins(t *testing.T) {
 // segment with nothing reclaimable must never be chosen, even when other
 // segments make "any invalid exists" true.
 func TestSelectVictimNeverFullyValid(t *testing.T) {
-	for _, policy := range []VictimPolicy{VictimGreedy, VictimCostBenefit} {
-		cfg := testConfig()
-		cfg.VictimPolicy = policy
-		f, err := New(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		churnVictimState(t, f)
-		victim, _ := f.selectVictim()
-		if victim < 0 {
-			continue
-		}
-		pps := f.cfg.Nand.PagesPerSegment
-		if mergedValid := f.ValidCount(victim); mergedValid >= pps {
-			t.Fatalf("policy %v: victim %d is fully merged-valid (%d/%d)", policy, victim, mergedValid, pps)
-		}
+	f := newTestFTL(t)
+	churnVictimState(t, f)
+	victim, _ := f.selectVictim()
+	if victim < 0 {
+		t.Fatal("setup: churn left no victim")
+	}
+	pps := f.cfg.Nand.PagesPerSegment
+	if mergedValid := f.ValidCount(victim); mergedValid >= pps {
+		t.Fatalf("victim %d is fully merged-valid (%d/%d)", victim, mergedValid, pps)
 	}
 }
 

@@ -71,15 +71,6 @@ func (p GCPolicy) String() string {
 	return "vanilla-estimate"
 }
 
-// VictimPolicy selects the cleaner's segment-choice heuristic; under ioSnap
-// "invalid" means invalid in the merged view of every live epoch.
-type VictimPolicy = logcore.VictimPolicy
-
-const (
-	VictimGreedy      = logcore.VictimGreedy
-	VictimCostBenefit = logcore.VictimCostBenefit
-)
-
 // Config parameterizes the snapshot-capable FTL: the log engine's knobs
 // plus the snapshot machinery's.
 type Config struct {
@@ -87,10 +78,6 @@ type Config struct {
 
 	// GCPolicy selects the pacing estimate (Figure 10's ablation).
 	GCPolicy GCPolicy
-	// EpochSegregation makes the cleaner copy a victim's blocks grouped by
-	// epoch, minimizing intermix in the destination segment (§5.4.2's
-	// policy sketch; an ablation in this repo).
-	EpochSegregation bool
 
 	// CoWPageCost is the host cost of copying one validity-bitmap page when
 	// a write mutates a page frozen by a snapshot (Figure 7's spikes).

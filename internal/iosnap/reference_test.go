@@ -6,7 +6,6 @@ import (
 
 	"iosnap/internal/bitmap"
 	"iosnap/internal/header"
-	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 )
 
@@ -21,26 +20,20 @@ func (f *FTL) mergeSegment(seg int) *bitmap.Bitmap {
 }
 
 // selectVictimScratch re-derives the victim by a full re-merge of every
-// used segment — the pre-incremental algorithm. Kept (uncharged) as the
-// reference the accounting cross-check and BenchmarkVictimSelect compare
+// used segment — the pre-incremental algorithm: an oldest-first scan that
+// keeps the first strict maximum of reclaimable pages. Kept (uncharged) as
+// the reference the accounting cross-check and BenchmarkVictimSelect compare
 // against.
 func (f *FTL) selectVictimScratch() (victim, mergedValid int) {
-	pps := int64(f.cfg.Nand.PagesPerSegment)
-	best := -1
-	bestScore := -1.0
-	bestMerged := 0
+	pps := f.cfg.Nand.PagesPerSegment
+	best, bestInvalid, bestMerged := -1, 0, 0
 	for _, seg := range f.UsedSegs {
 		if seg == f.HeadSeg || seg == f.GCVictim {
 			continue
 		}
 		mv := f.mergeSegment(seg).Count()
-		invalid := int(pps) - mv - f.PinnedInSeg(seg)
-		if invalid <= 0 {
-			continue
-		}
-		score := logcore.VictimScore(f.cfg.VictimPolicy, invalid, mv, f.Seq, f.SegLastSeq[seg])
-		if score > bestScore {
-			best, bestScore, bestMerged = seg, score, mv
+		if invalid := pps - mv - f.PinnedInSeg(seg); invalid > bestInvalid {
+			best, bestInvalid, bestMerged = seg, invalid, mv
 		}
 	}
 	return best, bestMerged

@@ -6,15 +6,15 @@ import (
 	"iosnap/internal/nand"
 )
 
-// Victim selection. The policy decides what "valid" means and keeps each
-// segment's count current (AddValid / SetValid); the log keeps each
-// segment's pinned-page count (checkpoint chunks and translation pages,
-// adjusted by the pin helpers in checkpoint.go and mappage.go), tracks
-// segments as they enter and leave UsedSegs and picks the victim from the
-// counts alone — O(log S) for the greedy policy (a min-heap on valid +
-// pinned, i.e. a max-heap on reclaimable pages), O(S) for cost-benefit (its
-// age term drifts with every write, so no static heap key can order it) —
-// with no bitmap or pin-set walks either way.
+// Victim selection is greedy: the most reclaimable pages win (§5.2.3 names
+// invalid data as the first criterion). The policy decides what "valid"
+// means and keeps each segment's count current (AddValid / SetValid); the
+// log keeps each segment's pinned-page count (checkpoint chunks and
+// translation pages, adjusted by the pin helpers in checkpoint.go and
+// mappage.go), tracks segments as they enter and leave UsedSegs and picks
+// the victim from the counts alone in O(log S) — a min-heap on valid +
+// pinned, i.e. a max-heap on reclaimable pages — with no bitmap or pin-set
+// walk.
 //
 // Determinism: a linear scan of UsedSegs oldest-first that keeps the first
 // strict maximum is the reference order. The heap reproduces it by breaking
@@ -98,42 +98,22 @@ func (l *Log) untrack(seg int) {
 	l.policy.SegmentReleased(seg)
 }
 
-// BestVictim picks the cleaning victim per the configured policy, or -1 when
-// no candidate exists. The log head and a segment a background clean is
-// mid-way through are never picked (a forced clean stealing the latter would
-// erase it twice and corrupt the free pool), and neither is a segment with
-// nothing to reclaim once pinned pages count as live: cleaning it burns an
-// erase for no space and, picked repeatedly, would wedge the emergency-clean
-// loop shuffling pins from segment to segment.
+// BestVictim picks the cleaning victim — the segment with the most
+// reclaimable pages, the older one on a tie — or -1 when no candidate
+// exists. The log head and a segment a background clean is mid-way through
+// are never picked (a forced clean stealing the latter would erase it twice
+// and corrupt the free pool), and neither is a segment with nothing to
+// reclaim once pinned pages count as live: cleaning it burns an erase for no
+// space and, picked repeatedly, would wedge the emergency-clean loop
+// shuffling pins from segment to segment. Ineligible segments at the heap
+// top are parked aside during the search and pushed back after it.
 func (l *Log) BestVictim() int {
 	h := &l.victims
-	// reclaimable is how many pages cleaning seg would free (none for a
-	// segment that may not be picked).
-	reclaimable := func(seg int) int {
-		if seg == l.HeadSeg || seg == l.GCVictim {
-			return 0
-		}
-		return l.cfg.Nand.PagesPerSegment - h.valid[seg] - h.pinned[seg]
-	}
 	best := -1
-	if l.cfg.VictimPolicy == VictimCostBenefit {
-		bestScore := -1.0
-		for _, seg := range l.UsedSegs {
-			invalid := reclaimable(seg)
-			if invalid <= 0 {
-				continue
-			}
-			if score := VictimScore(VictimCostBenefit, invalid, h.valid[seg], l.Seq, l.SegLastSeq[seg]); score > bestScore {
-				best, bestScore = seg, score
-			}
-		}
-		return best
-	}
-	// Greedy: the heap top, ineligible segments parked aside during the
-	// search and pushed back after it.
 	var parked []int
 	for len(h.heap) > 0 && best < 0 {
-		if top := h.heap[0]; reclaimable(top) > 0 {
+		top := h.heap[0]
+		if top != l.HeadSeg && top != l.GCVictim && h.valid[top]+h.pinned[top] < l.cfg.Nand.PagesPerSegment {
 			best = top
 		} else {
 			h.remove(0)

@@ -473,8 +473,8 @@ func TestCleanerFixUpCostsLiveEpochsNotHistory(t *testing.T) {
 	dst := f.Dev.Addr(free, 0)
 	victim := f.Dev.SegmentOf(old)
 	allocs := testing.AllocsPerRun(100, func() {
-		f.blockMoved(victim, old, dst, h, false)
-		f.blockMoved(free, dst, old, h, false)
+		f.blockMoved(victim, old, dst, h)
+		f.blockMoved(free, dst, old, h)
 	})
 	if len(f.holders) < 2 {
 		t.Fatalf("the moved block had %d holders, want the active epoch and a snapshot", len(f.holders))

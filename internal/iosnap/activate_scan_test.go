@@ -138,8 +138,8 @@ func checkViewAgainstDevice(t *testing.T, f *FTL, vw *View, frozen map[int64]byt
 }
 
 // actBranches counts, from outside, which paths of onBlockMoved an in-flight
-// activation has been through: it looks at the activation's state after
-// every foreground step.
+// scan has been through: it looks at the scan's state after every foreground
+// step.
 type actBranches struct {
 	repointed int // a candidate of a scanned segment is in moved: found by address
 	jumped    int // cands holds more than the scanned ranges cover: appended by the cleaner
@@ -150,7 +150,9 @@ type actBranches struct {
 	gcCopied  int64 // the cleaner's copy count at the last look at the scan state
 }
 
-func (b *actBranches) observe(a *Activation) {
+func (b *actBranches) observe(a *Activation) { b.observeScan(a.scan) }
+
+func (b *actBranches) observeScan(a *scan) {
 	if a.done {
 		return
 	}
@@ -330,7 +332,7 @@ func TestActivationScanFaultLeaksNoEpoch(t *testing.T) {
 	if !errors.Is(err, nand.ErrDeviceFailed) {
 		t.Fatalf("activation over a failing scan: %v, want the injected device failure", err)
 	}
-	if len(f.activations) != 0 {
+	if len(f.scans) != 0 {
 		t.Fatal("failed activation still registered as in flight")
 	}
 	if got := len(f.vstore.LiveEpochs()); got != liveBefore {

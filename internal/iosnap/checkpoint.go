@@ -99,8 +99,8 @@ func (f *FTL) ckptEpochDies(e bitmap.Epoch) bool {
 			return true
 		}
 	}
-	for _, a := range f.activations {
-		if a.epoch == e {
+	for _, s := range f.scans {
+		if s.viewEpoch == e {
 			return true
 		}
 	}

@@ -1,10 +1,12 @@
 package iosnap
 
 import (
+	"errors"
 	"testing"
 
 	"iosnap/internal/faultinject"
 	"iosnap/internal/nand"
+	"iosnap/internal/ratelimit"
 	"iosnap/internal/sim"
 )
 
@@ -207,5 +209,60 @@ func TestCloseCancelsCleanInFlight(t *testing.T) {
 	}
 	if err := f2.CheckInvariants(); err != nil {
 		t.Fatalf("device inconsistent after a clean cancelled by Close: %v", err)
+	}
+}
+
+// TestCloseEndsBackgroundScans: a rate-limited activation and export still
+// scanning when Close arrives used to go on scanning the closed device on
+// their next quanta, and the activation published a view. Now their next
+// quantum ends them with ErrClosed: draining the scheduler touches the
+// device no more, publishes no view and drops the activation's epoch.
+func TestCloseEndsBackgroundScans(t *testing.T) {
+	f := newTestFTL(t)
+	now := sim.Time(0)
+	var err error
+	for lba := int64(0); lba < 64; lba++ {
+		if now, err = f.Write(now, lba, sectorPattern(f.SectorSize(), lba, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, now, err := f.CreateSnapshot(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One segment scan per work period, then a long sleep.
+	limit := ratelimit.WorkSleep{
+		Work:  sim.Duration(f.Config().Nand.PagesPerSegment) * f.Config().Nand.OOBScanPerPage,
+		Sleep: sim.Millisecond,
+	}
+	act, now, err := f.Activate(now, snap.ID, limit, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, now, err := f.BeginExport(now, ExportOpts{Snapshot: snap.ID, Limit: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Sched.Schedule(now, x)
+	f.Sched.RunUntil(now)
+	if act.Ready() || x.Done() {
+		t.Fatal("setup: a scan finished before Close")
+	}
+	if now, err = f.Close(now); err != nil {
+		t.Fatal(err)
+	}
+	before, views := f.Device().Stats(), len(f.views)
+	f.Sched.Drain(now)
+	if after := f.Device().Stats(); after != before {
+		t.Fatalf("scans went on after Close: %+v -> %+v", before, after)
+	}
+	if len(f.views) != views {
+		t.Fatalf("an activation published a view after Close: %d -> %d views", views, len(f.views))
+	}
+	if !errors.Is(act.Err(), ErrClosed) || !errors.Is(x.Err(), ErrClosed) {
+		t.Fatalf("activation ended with %v, export with %v; want ErrClosed", act.Err(), x.Err())
+	}
+	if !f.vstore.Deleted(act.viewEpoch) {
+		t.Fatal("the activation's epoch outlived it")
 	}
 }

@@ -225,11 +225,8 @@ func (f *FTL) blockMoved(victim int, old, dst nand.PageAddr, h header.Header) {
 		}
 	}
 	// Keep in-flight activations and exports coherent.
-	for _, a := range f.activations {
-		a.onBlockMoved(old, dst, h)
-	}
-	for _, x := range f.exports {
-		x.onBlockMoved(old, dst, h)
+	for _, s := range f.scans {
+		s.onBlockMoved(old, dst, h)
 	}
 	if f.Dev.SegmentHealth(victim) != nand.Healthy {
 		f.stats.RescuedPages++

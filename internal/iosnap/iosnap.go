@@ -108,8 +108,8 @@ const (
 	reconstructCPUPerEntry = 150 * sim.Nanosecond
 
 	// activationBatch is how many segment scans an *unthrottled* activation
-	// keeps in flight per quantum; larger batches saturate the device and
-	// hurt foreground latency more (Figure 9a).
+	// or export keeps in flight per quantum; larger batches saturate the
+	// device and hurt foreground latency more (Figure 9a).
 	activationBatch = 8
 )
 
@@ -210,8 +210,7 @@ type FTL struct {
 	scrubActive bool
 	lastScrub   sim.Time // completion time of the last scrub pass
 
-	activations []*Activation // in-flight activations (cleaner keeps them consistent)
-	exports     []*Export     // in-flight snapshot exports (ditto)
+	scans []*scan // in-flight activations and exports (the cleaner keeps them consistent)
 
 	holders []bitmap.Epoch // blockMoved's scratch: the live epochs holding the moved block
 }

@@ -46,13 +46,10 @@ func (f *FTL) reapPinned() []bitmap.Epoch {
 			pins = append(pins, v.parent.Epoch)
 		}
 	}
-	for _, a := range f.activations {
-		pins = append(pins, a.epoch, a.snap.Epoch)
-	}
-	for _, x := range f.exports {
-		pins = append(pins, x.snap.Epoch)
-		if x.base != nil {
-			pins = append(pins, x.base.Epoch)
+	for _, s := range f.scans {
+		pins = append(pins, s.epochs...)
+		if s.viewEpoch != 0 {
+			pins = append(pins, s.viewEpoch)
 		}
 	}
 	return pins

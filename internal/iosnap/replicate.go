@@ -3,11 +3,11 @@ package iosnap
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
-	"iosnap/internal/bitmap"
 	"iosnap/internal/blockdev"
-	"iosnap/internal/header"
+	"iosnap/internal/ftlmap"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/retry"
@@ -34,12 +34,11 @@ import (
 // through inheritance.
 //
 // Export runs as an incremental job while foreground I/O continues — the
-// only global stall is the freeze that created the snapshot. Each step
-// claims the device for one segment header scan or one batched chunk read
-// ("gated per segment", the ubiblk stall-and-unlock idiom), and between
-// steps the cleaner is free to move blocks: exports register on f.exports
-// and gcFixup re-points their collected entries exactly as it re-points
-// in-flight activations.
+// only global stall is the freeze that created the snapshot. It is
+// activation's log scan reading two epochs instead of one, so it takes the
+// scan's quanta, rate limit and cleaner re-points; after the scan each
+// quantum claims the device for one batched chunk read, and between quanta
+// the cleaner is free to move blocks.
 
 // ErrBadExport reports an export that cannot be produced at all (the
 // device retains no payloads to ship).
@@ -85,40 +84,25 @@ type ExportOpts struct {
 // step posts to the device as a batch.
 const exportChunk = 256
 
-// expEntry is one page of the export's ship set.
-type expEntry struct {
-	addr nand.PageAddr
-	seq  uint64
-}
-
-// Export is an in-progress (or finished) snapshot export. It implements
-// sim.Task, so it can run on the scheduler while foreground I/O continues,
-// or be pumped synchronously via ExportSync.
+// Export is an in-progress (or finished) snapshot export: the log scan over
+// the target's epoch and the base's, then batched reads of the pages to ship
+// and the stream's assembly. It implements sim.Task, so it can run on the
+// scheduler while foreground I/O continues, or be pumped synchronously via
+// ExportSync.
 type Export struct {
-	f      *FTL
-	snap   *Snapshot
-	base   *Snapshot // nil = full image
-	opt    ExportOpts
-	budget *ratelimit.Budget
+	*scan
+	snap *Snapshot
+	base *Snapshot // nil = full image
+	opt  ExportOpts
 
-	scanList  []int
-	scanPos   map[int]int
-	segCursor int
-	writes    map[uint64]expEntry // lba -> page valid in target, not in base
-	baseOnly  map[uint64]struct{} // lbas of pages valid in base, not in target
+	deletes []uint64          // LBAs the base holds and the target does not, ascending
+	readIdx int               // entries of sorted read so far
+	entries []xport.Entry     // manifest writes, ascending lba
+	chunks  map[uint64][]byte // shipped payload copies
+	deduped int64
 
-	sortedLBAs []uint64 // read-phase order (built once after the scan)
-	sorted     bool
-	readIdx    int
-	entries    []xport.Entry     // manifest writes, ascending lba
-	chunks     map[uint64][]byte // shipped payload copies
-	deduped    int64
-
-	done        bool
-	err         error
-	completedAt sim.Time
-	manifest    *xport.Manifest
-	stream      []byte
+	manifest *xport.Manifest
+	stream   []byte
 }
 
 // Name implements sim.Task.
@@ -126,12 +110,6 @@ func (x *Export) Name() string { return fmt.Sprintf("export(snap %d)", x.snap.ID
 
 // Done reports whether the export finished (successfully or not).
 func (x *Export) Done() bool { return x.done }
-
-// Err returns the terminal error, if any.
-func (x *Export) Err() error { return x.err }
-
-// CompletedAt returns the virtual time the export finished.
-func (x *Export) CompletedAt() sim.Time { return x.completedAt }
 
 // Result returns the manifest and assembled transfer stream once Done.
 func (x *Export) Result() (*xport.Manifest, []byte, error) {
@@ -159,52 +137,16 @@ func (f *FTL) BeginExport(now sim.Time, opt ExportOpts) (*Export, sim.Time, erro
 	if err != nil {
 		return nil, now, err
 	}
+	snaps := []*Snapshot{snap}
 	var base *Snapshot
 	if opt.Base != 0 {
 		if base, err = f.tree.find(opt.Base); err != nil {
 			return nil, now, fmt.Errorf("export base: %w", err)
 		}
+		snaps = append(snaps, base)
 	}
-	x := &Export{
-		f:        f,
-		snap:     snap,
-		base:     base,
-		opt:      opt,
-		budget:   ratelimit.NewBudget(opt.Limit),
-		writes:   make(map[uint64]expEntry),
-		baseOnly: make(map[uint64]struct{}),
-		chunks:   make(map[uint64][]byte),
-	}
-	if f.cfg.SelectiveScan {
-		lineage := make(map[bitmap.Epoch]bool)
-		for _, e := range snap.Lineage() {
-			lineage[e] = true
-		}
-		if base != nil {
-			for _, e := range base.Lineage() {
-				lineage[e] = true
-			}
-		}
-		x.scanList = f.presence.segmentsFor(lineage)
-	} else {
-		x.scanList = make([]int, f.cfg.Nand.Segments)
-		for i := range x.scanList {
-			x.scanList[i] = i
-		}
-	}
-	x.scanPos = make(map[int]int, len(x.scanList))
-	for i, seg := range x.scanList {
-		x.scanPos[seg] = i
-	}
-	f.exports = append(f.exports, x)
+	x := &Export{scan: f.beginScan(opt.Limit, snaps...), snap: snap, base: base, opt: opt, chunks: make(map[uint64][]byte)}
 	return x, now, nil
-}
-
-// inDiff classifies a data page against the export's two epoch maps.
-func (x *Export) inDiff(addr nand.PageAddr) (target, baseSide bool) {
-	inTgt := x.f.vstore.Test(x.snap.Epoch, int64(addr))
-	inBase := x.base != nil && x.f.vstore.Test(x.base.Epoch, int64(addr))
-	return inTgt && !inBase, inBase && !inTgt
 }
 
 // invalidated reports whether a snapshot the export depends on was deleted
@@ -214,8 +156,42 @@ func (x *Export) invalidated() bool {
 	return x.snap.Deleted || (x.base != nil && x.base.Deleted)
 }
 
-// Run implements sim.Task: one rate-limited step — a segment header scan
-// while scanning, then one batched chunk read, then stream assembly.
+// classify turns the scan's LBA-sorted candidates into the export's writes,
+// testing each page at its current address: per LBA, the page only the
+// target holds is written; an LBA with no such page but one only the base
+// holds was trimmed, a delete. A page the scan met twice (the cleaner carried
+// it across the scan frontier) counts once, at the address of the first
+// meeting: the cleaner keeps that one current, as foldCands relies on.
+func (x *Export) classify(cands []actCand) []ftlmap.Entry {
+	vs := x.f.vstore
+	var writes []ftlmap.Entry
+	for lo, hi := 0, 0; lo < len(cands); lo = hi {
+		write, trimmed := -1, false
+		for hi = lo; hi < len(cands) && cands[hi].lba == cands[lo].lba; hi++ {
+			c := cands[hi]
+			if slices.ContainsFunc(cands[lo:hi], func(d actCand) bool { return d.seq == c.seq }) {
+				continue
+			}
+			inTgt := vs.Test(x.snap.Epoch, int64(c.addr))
+			inBase := x.base != nil && vs.Test(x.base.Epoch, int64(c.addr))
+			switch {
+			case inTgt && !inBase:
+				write = hi
+			case inBase && !inTgt:
+				trimmed = true
+			}
+		}
+		if write >= 0 {
+			writes = append(writes, ftlmap.Entry{Key: cands[write].lba, Val: uint64(cands[write].addr)})
+		} else if trimmed {
+			x.deletes = append(x.deletes, cands[lo].lba)
+		}
+	}
+	return writes
+}
+
+// Run implements sim.Task: one rate-limited quantum — segment scans while
+// scanning, then one batched chunk read, then stream assembly.
 func (x *Export) Run(now sim.Time) (sim.Time, bool) {
 	if x.done {
 		return 0, true
@@ -224,75 +200,30 @@ func (x *Export) Run(now sim.Time) (sim.Time, bool) {
 	if x.invalidated() {
 		return x.fail(now, fmt.Errorf("%w: snapshot deleted mid-export", ErrExportAborted))
 	}
-
-	// Phase 1: resolve the diff's LBAs by scanning segment headers, one
-	// segment per step (the per-segment gate: the device is claimed for one
-	// scan, then foreground I/O runs again).
-	if x.segCursor < len(x.scanList) {
-		seg := x.scanList[x.segCursor]
-		x.segCursor++
-		start := now
-		oobs, done, err := f.DevScanSegmentOOB(now, seg)
-		if err != nil {
-			return x.fail(now, fmt.Errorf("iosnap: export scan of segment %d: %w", seg, err))
-		}
-		now = done
-		for idx, oob := range oobs {
-			if oob == nil {
-				continue
-			}
-			h, err := header.Unmarshal(oob)
-			if err != nil {
-				f.stats.TornPagesSkipped++
-				continue
-			}
-			if h.Type != header.TypeData {
-				continue
-			}
-			addr := f.Dev.Addr(seg, idx)
-			tgt, bas := x.inDiff(addr)
-			if tgt {
-				if cur, ok := x.writes[h.LBA]; !ok || h.Seq > cur.seq {
-					x.writes[h.LBA] = expEntry{addr: addr, seq: h.Seq}
-				}
-			} else if bas {
-				x.baseOnly[h.LBA] = struct{}{}
-			}
-		}
-		if sleep, exhausted := x.budget.Charge(now.Sub(start)); exhausted {
-			return now.Add(sleep), false
-		}
+	now, yield, err := x.step(now)
+	if err != nil {
+		return x.fail(now, err)
+	}
+	if yield {
 		return now, false
 	}
-
-	// Scan finished: fix the read order once.
-	if !x.sorted {
-		x.sortedLBAs = make([]uint64, 0, len(x.writes))
-		for lba := range x.writes {
-			x.sortedLBAs = append(x.sortedLBAs, lba)
-		}
-		sort.Slice(x.sortedLBAs, func(a, b int) bool { return x.sortedLBAs[a] < x.sortedLBAs[b] })
-		x.sorted = true
+	if !x.sortedBuilt {
+		x.finishScan(x.classify)
 	}
 
-	// Phase 2: read, hash, and (unless the receiver already has the
-	// content) retain one batch of pages. Addresses are looked up at
-	// submission time — the cleaner may have moved pages since the scan,
-	// and gcFixup keeps x.writes current.
-	if x.readIdx < len(x.sortedLBAs) {
+	// Read, hash, and (unless the receiver already has the content) retain
+	// one batch of pages. The cleaner keeps the addresses in sorted current.
+	if x.readIdx < len(x.sorted) {
 		start := now
-		lbas := x.sortedLBAs[x.readIdx:]
-		if len(lbas) > exportChunk {
-			lbas = lbas[:exportChunk]
-		}
-		addrs := make([]nand.PageAddr, len(lbas))
-		for i, lba := range lbas {
-			addrs[i] = x.writes[lba].addr
+		batch := x.sorted[x.readIdx:min(x.readIdx+exportChunk, len(x.sorted))]
+		addrs := make([]nand.PageAddr, len(batch))
+		for i, e := range batch {
+			addrs[i] = nand.PageAddr(e.Val)
 		}
 		datas, _, k, done, err := f.DevReadPages(now, addrs)
 		now = done
 		for i := 0; i < k; i++ {
-			lba := lbas[i]
+			lba := batch[i].Key
 			hash := xport.HashChunk(datas[i])
 			x.entries = append(x.entries, xport.Entry{LBA: lba, Hash: hash})
 			if x.opt.Have != nil && x.opt.Have(lba, hash) {
@@ -302,36 +233,26 @@ func (x *Export) Run(now sim.Time) (sim.Time, bool) {
 			}
 		}
 		if err != nil {
-			failed := lbas[len(lbas)-1]
-			if k < len(lbas) {
-				failed = lbas[k]
-			}
+			failed := batch[min(k, len(batch)-1)].Key
 			return x.fail(now, fmt.Errorf("iosnap: export read of LBA %d: %w", failed, err))
 		}
 		x.readIdx += k
 		if sleep, exhausted := x.budget.Charge(now.Sub(start)); exhausted {
 			return now.Add(sleep), false
 		}
-		if x.readIdx < len(x.sortedLBAs) {
+		if x.readIdx < len(x.sorted) {
 			return now, false
 		}
 	}
 
-	// Phase 3: assemble manifest and stream (host-side only).
-	deletes := make([]uint64, 0, len(x.baseOnly))
-	for lba := range x.baseOnly {
-		if _, rewritten := x.writes[lba]; !rewritten {
-			deletes = append(deletes, lba)
-		}
-	}
-	sort.Slice(deletes, func(a, b int) bool { return deletes[a] < deletes[b] })
+	// Assemble manifest and stream (host-side only).
 	m := &xport.Manifest{
 		SnapID:     uint64(x.snap.ID),
 		BaseID:     x.opt.BaseManifestID,
 		SectorSize: f.cfg.Nand.SectorSize,
 		Sectors:    f.cfg.UserSectors,
 		Writes:     x.entries,
-		Deletes:    deletes,
+		Deletes:    x.deletes,
 	}
 	if x.base != nil {
 		m.BaseSnapID = uint64(x.base.ID)
@@ -348,17 +269,7 @@ func (x *Export) Run(now sim.Time) (sim.Time, bool) {
 	x.stream = w.Close()
 	f.stats.ExportChunks += shipped
 	f.stats.ExportDedupHits += x.deduped
-	x.done = true
-	x.completedAt = now
-	f.dropExport(x)
-	return now, true
-}
-
-func (x *Export) fail(now sim.Time, err error) (sim.Time, bool) {
-	x.err = err
-	x.done = true
-	x.completedAt = now
-	x.f.dropExport(x)
+	x.end(now, nil)
 	return now, true
 }
 
@@ -367,51 +278,8 @@ func (x *Export) Cancel(now sim.Time) error {
 	if x.done {
 		return x.err
 	}
-	x.fail(now, ErrExportAborted)
+	x.end(now, ErrExportAborted)
 	return nil
-}
-
-func (f *FTL) dropExport(x *Export) {
-	for i, e := range f.exports {
-		if e == x {
-			f.exports = append(f.exports[:i], f.exports[i+1:]...)
-			return
-		}
-	}
-}
-
-// onBlockMoved keeps an in-flight export consistent when the cleaner moves
-// a block: a collected entry is re-pointed, and a block that jumps from an
-// unscanned segment into an already-scanned one is classified directly
-// (the same protocol as Activation.onBlockMoved).
-func (x *Export) onBlockMoved(old, new nand.PageAddr, h header.Header) {
-	if x.done || h.Type != header.TypeData {
-		return
-	}
-	if cur, ok := x.writes[h.LBA]; ok && cur.addr == old {
-		cur.addr = new
-		x.writes[h.LBA] = cur
-		return
-	}
-	if !x.scanWillVisit(x.f.Dev.SegmentOf(old)) {
-		return // already scanned: handled above if it was ours
-	}
-	if x.scanWillVisit(x.f.Dev.SegmentOf(new)) {
-		return // the scan will classify it at its new home
-	}
-	tgt, bas := x.inDiff(new)
-	if tgt {
-		if cur, ok := x.writes[h.LBA]; !ok || h.Seq > cur.seq {
-			x.writes[h.LBA] = expEntry{addr: new, seq: h.Seq}
-		}
-	} else if bas {
-		x.baseOnly[h.LBA] = struct{}{}
-	}
-}
-
-func (x *Export) scanWillVisit(seg int) bool {
-	pos, inList := x.scanPos[seg]
-	return inList && pos >= x.segCursor
 }
 
 // ExportSync runs an export to completion, returning the manifest and the
@@ -422,16 +290,7 @@ func (f *FTL) ExportSync(now sim.Time, opt ExportOpts) (*xport.Manifest, []byte,
 	if err != nil {
 		return nil, nil, now, err
 	}
-	for !x.done {
-		next, fin := x.Run(t)
-		if fin {
-			break
-		}
-		if next < t {
-			next = t
-		}
-		t = next
-	}
+	t = runToEnd(x, t)
 	if x.err != nil {
 		return nil, nil, t, x.err
 	}

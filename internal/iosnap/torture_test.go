@@ -455,7 +455,7 @@ func TestCancelRacingBlockMove(t *testing.T) {
 	if _, err := act.View(); err == nil {
 		t.Fatal("cancelled activation produced a view")
 	}
-	if f.vstore.Exists(act.epoch) && !f.vstore.Deleted(act.epoch) {
+	if f.vstore.Exists(act.viewEpoch) && !f.vstore.Deleted(act.viewEpoch) {
 		t.Fatal("cancelled activation's epoch still live")
 	}
 	if err := f.CheckInvariants(); err != nil {

@@ -28,9 +28,8 @@
 //
 // A connection may keep up to -window requests in flight (the wire
 // protocol and its ordering contract: internal/srv/proto.go). Activated
-// snapshot views are cached server-side and expire after -viewttl idle;
-// -viewttl -1ns disables the cache. Measure throughput with the benchmark
-// (bench/README.md).
+// snapshot views are cached server-side and expire after -viewttl idle.
+// Measure throughput with the benchmark (bench/README.md).
 package main
 
 import (
@@ -78,7 +77,7 @@ func run(args []string) error {
 	fs.IntVar(&opt.megabytes, "megabytes", 64, "per-shard raw size in MiB (first start only)")
 	fs.IntVar(&opt.sector, "sector", 4096, "sector size in bytes (first start only)")
 	fs.IntVar(&opt.window, "window", 0, "max in-flight pipelined requests per connection (0 = default)")
-	fs.DurationVar(&opt.viewTTL, "viewttl", 0, "idle TTL for cached snapshot views (0 = default, negative disables)")
+	fs.DurationVar(&opt.viewTTL, "viewttl", 0, "idle TTL for cached snapshot views (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -87,6 +86,9 @@ func run(args []string) error {
 	}
 	if opt.shards < 1 {
 		return fmt.Errorf("iosnapd: -shards %d must be at least 1", opt.shards)
+	}
+	if opt.viewTTL < 0 {
+		return fmt.Errorf("iosnapd: -viewttl %v must not be negative", opt.viewTTL)
 	}
 
 	// Forward SIGINT/SIGTERM to the same graceful path the shutdown op

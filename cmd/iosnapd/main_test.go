@@ -210,4 +210,7 @@ func TestDaemonFlagErrors(t *testing.T) {
 	if err := run([]string{"-image", "x", "-shards", "0"}); err == nil {
 		t.Fatal("zero shards accepted")
 	}
+	if err := run([]string{"-image", "x", "-viewttl", "-1ns"}); err == nil || !strings.Contains(err.Error(), "-viewttl") {
+		t.Fatalf("negative -viewttl: %v, want a usage error", err)
+	}
 }

@@ -55,9 +55,8 @@ type Server struct {
 	// defaultWindow. Set before Serve.
 	Window int
 	// ViewTTL is how long an idle activated snapshot view stays cached
-	// before the janitor deactivates it. Zero means defaultViewTTL; a
-	// negative value disables caching entirely (every snap-read activates
-	// and deactivates). Set before Serve.
+	// before the janitor deactivates it. Zero or negative means
+	// defaultViewTTL. Set before Serve.
 	ViewTTL time.Duration
 
 	views *viewCache
@@ -100,15 +99,13 @@ func (s *Server) window() int {
 // goroutines must not race it.
 func (s *Server) Serve() error {
 	ttl := s.ViewTTL
-	if ttl == 0 {
+	if ttl <= 0 {
 		ttl = defaultViewTTL
 	}
-	if ttl > 0 {
-		s.views = newViewCache(s.svc, ttl)
-		jstop := make(chan struct{})
-		defer close(jstop)
-		go s.janitor(jstop)
-	}
+	s.views = newViewCache(s.svc, ttl)
+	jstop := make(chan struct{})
+	defer close(jstop)
+	go s.janitor(jstop)
 	for {
 		c, err := s.ln.Accept()
 		if err != nil {
@@ -123,9 +120,7 @@ func (s *Server) Serve() error {
 			}
 			s.mu.Unlock()
 			s.wg.Wait()
-			if s.views != nil {
-				s.views.drain()
-			}
+			s.views.drain()
 			if stopping {
 				return nil
 			}
@@ -457,10 +452,10 @@ func (c *conn) read(tag uint32, op byte, body []byte, flush bool) error {
 		return fmt.Errorf("srv: %s of %d sectors out of range", name, n)
 	}
 	var view *shard.ServiceView
-	var release func() error
+	var release func()
 	if op == opSnapRead {
 		var err error
-		if view, release, err = s.acquireView(iosnap.SnapshotID(be64(body))); err != nil {
+		if view, release, err = s.views.acquire(iosnap.SnapshotID(be64(body))); err != nil {
 			return err
 		}
 	}
@@ -487,15 +482,12 @@ func (c *conn) read(tag uint32, op byte, body []byte, flush bool) error {
 
 // fill reads dst from the live image or, when view is non-nil, from the
 // snapshot, whose reference it then releases.
-func (s *Server) fill(view *shard.ServiceView, release func() error, lba int64, dst []byte) error {
+func (s *Server) fill(view *shard.ServiceView, release func(), lba int64, dst []byte) error {
 	if view == nil {
 		return s.svc.Read(lba, dst)
 	}
-	err := view.Read(lba, dst)
-	if rerr := release(); err == nil {
-		err = rerr
-	}
-	return err
+	defer release()
+	return view.Read(lba, dst)
 }
 
 // dispatch executes one op other than the reads and shutdown and returns
@@ -535,9 +527,7 @@ func (s *Server) dispatch(op byte, body []byte) ([]byte, error) {
 		id := iosnap.SnapshotID(be64(body))
 		// Drop the cached activation first: the delete must not observe it,
 		// and the snapshot's blocks must actually become reclaimable.
-		if s.views != nil {
-			s.views.invalidate(id)
-		}
+		s.views.invalidate(id)
 		return nil, s.svc.DeleteSnapshot(id)
 
 	case opStats:
@@ -551,30 +541,11 @@ func (s *Server) dispatch(op byte, body []byte) ([]byte, error) {
 			PerShard:        sum.PerShard,
 			PerShardVirtual: sum.Virtual,
 		}
-		if s.views != nil {
-			st.ViewCacheHits, st.ViewCacheMisses, st.ViewCacheExpiries,
-				st.ViewCacheInvalidations, st.ViewCacheLive = s.views.counters()
-		}
+		st.ViewCacheHits, st.ViewCacheMisses, st.ViewCacheExpiries,
+			st.ViewCacheInvalidations, st.ViewCacheLive = s.views.counters()
 		return json.Marshal(st)
 
 	default:
 		return nil, fmt.Errorf("srv: unknown op %d", op)
 	}
-}
-
-// acquireView resolves a snapshot view either through the cache or, when
-// caching is disabled, by a one-shot activate whose release deactivates.
-func (s *Server) acquireView(id iosnap.SnapshotID) (*shard.ServiceView, func() error, error) {
-	if s.views != nil {
-		view, release, err := s.views.acquire(id)
-		if err != nil {
-			return nil, nil, err
-		}
-		return view, func() error { release(); return nil }, nil
-	}
-	view, err := s.svc.ActivateSync(id, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return view, view.Deactivate, nil
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // Every settable Config field is a knob some caller may turn and every test
-// matrix has to cover. This guard pins the list: adding or removing a knob
-// fails it until the list below moves in the same commit. Embedded fields
-// (iosnap.Config's logcore.Config) count where they are declared.
+// matrix has to cover, and so is every exported field of the socket server.
+// This guard pins the lists: adding or removing a knob fails it until the
+// list below moves in the same commit. Embedded fields (iosnap.Config's
+// logcore.Config) count where they are declared.
 
 var knobsPinned = map[string][]string{
 	"internal/logcore": {"Nand", "UserSectors", "ReserveSegments", "GCWindow", "GCChunk", "MapCachePages", "RescueReserve", "CheckpointInterval"},
@@ -21,9 +22,12 @@ var knobsPinned = map[string][]string{
 	"internal/shard":   {"Base", "Shards"},
 }
 
-// configKnobs lists the exported, named fields of the Config struct declared
-// in the non-test files of dir, in declaration order.
-func configKnobs(t *testing.T, dir string) []string {
+// serverKnobsPinned lists srv.Server's settable fields.
+var serverKnobsPinned = []string{"Window", "ViewTTL"}
+
+// structKnobs lists the exported, named fields of the struct typ declared in
+// the non-test files of dir, in declaration order.
+func structKnobs(t *testing.T, dir, typ string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
@@ -37,7 +41,7 @@ func configKnobs(t *testing.T, dir string) []string {
 		for _, file := range p.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != "Config" {
+				if !ok || ts.Name.Name != typ {
 					return true
 				}
 				st, ok := ts.Type.(*ast.StructType)
@@ -56,7 +60,7 @@ func configKnobs(t *testing.T, dir string) []string {
 		}
 	}
 	if knobs == nil {
-		t.Fatalf("%s declares no Config struct", dir)
+		t.Fatalf("%s declares no %s struct", dir, typ)
 	}
 	return knobs
 }
@@ -64,11 +68,14 @@ func configKnobs(t *testing.T, dir string) []string {
 func TestConfigKnobsPinned(t *testing.T) {
 	total := 0
 	for dir, want := range knobsPinned {
-		got := configKnobs(t, dir)
+		got := structKnobs(t, dir, "Config")
 		total += len(got)
 		if !slices.Equal(got, want) {
 			t.Errorf("%s Config knobs moved:\n got: %s\nwant: %s", dir, strings.Join(got, " "), strings.Join(want, " "))
 		}
 	}
-	t.Logf("%d settable Config fields", total)
+	if got := structKnobs(t, "internal/srv", "Server"); !slices.Equal(got, serverKnobsPinned) {
+		t.Errorf("srv.Server knobs moved:\n got: %s\nwant: %s", strings.Join(got, " "), strings.Join(serverKnobsPinned, " "))
+	}
+	t.Logf("%d settable Config fields, %d settable Server fields", total, len(serverKnobsPinned))
 }

@@ -198,7 +198,7 @@ type Stats struct {
 	OutOfSpaceWrites int64 // writes shed with ErrOutOfSpace
 	Degraded         bool  // write path currently shedding load, refreshed by Stats()
 
-	TornPagesSkipped int64 // unparseable headers dropped during recovery and activation scans
+	TornPagesSkipped int64 // unparseable headers dropped during recovery and log scans
 
 	// Batched data-path accounting.
 	BatchDescents  int64 // leaf descents charged for run operations

@@ -239,6 +239,16 @@ func lbaCountFlags(fs *flag.FlagSet) (lba *int64, count *int64) {
 	return
 }
 
+// sectorCount checks a -count against the device's sectors before a
+// buffer is sized from it, so a bad count is a usage error rather than a
+// panic or an allocation as large as the flag.
+func sectorCount(count, sectors int64) (int, error) {
+	if count < 1 || count > sectors {
+		return 0, fmt.Errorf("usage: -count %d is outside [1, %d]", count, sectors)
+	}
+	return int(count), nil
+}
+
 func cmdWrite(f *iosnap.FTL, now sim.Time, args []string) error {
 	fs := flag.NewFlagSet("write", flag.ContinueOnError)
 	lba, count := lbaCountFlags(fs)
@@ -246,8 +256,11 @@ func cmdWrite(f *iosnap.FTL, now sim.Time, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ss := f.SectorSize()
-	buf := make([]byte, int(*count)*ss)
+	n, err := sectorCount(*count, f.Sectors())
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, n*f.SectorSize())
 	copy(buf, *text)
 	done, err := f.Write(now, *lba, buf)
 	if err != nil {
@@ -274,7 +287,11 @@ func cmdRead(f *iosnap.FTL, now sim.Time, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	buf := make([]byte, int(*count)*f.SectorSize())
+	n, err := sectorCount(*count, f.Sectors())
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, n*f.SectorSize())
 	if _, err := f.Read(now, *lba, buf); err != nil {
 		return err
 	}
@@ -346,13 +363,17 @@ func cmdSnapRead(f *iosnap.FTL, now sim.Time, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	n, err := sectorCount(*count, f.Sectors())
+	if err != nil {
+		return err
+	}
 	view, done, err := f.ActivateSync(now, iosnap.SnapshotID(*id), ratelimit.WorkSleep{}, false)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("activated snapshot %d in %v (virtual): %d translations, %d B map\n",
 		*id, done.Sub(now), view.MappedSectors(), view.MapMemory())
-	buf := make([]byte, int(*count)*f.SectorSize())
+	buf := make([]byte, n*f.SectorSize())
 	if _, err := view.Read(done, *lba, buf); err != nil {
 		return err
 	}

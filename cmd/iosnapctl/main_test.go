@@ -370,6 +370,26 @@ func TestCLIErrors(t *testing.T) {
 	if err := runCtl(t, bad, "stats"); err == nil {
 		t.Fatal("corrupt image accepted")
 	}
+	// A -count outside [1, device sectors] is refused before a buffer is
+	// sized from it.
+	if err := runCtl(t, img, "init", "-megabytes", "8"); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCtl(t, img, "snap-create"); err != nil {
+		t.Fatal(err)
+	}
+	for _, verb := range [][]string{
+		{"write", "-lba", "0", "-text", "x"},
+		{"read", "-lba", "0"},
+		{"snap-read", "-id", "1", "-lba", "0"},
+	} {
+		for _, count := range []string{"-3", "9223372036854775807"} {
+			err := runCtl(t, img, append(verb, "-count", count)...)
+			if err == nil || !strings.Contains(err.Error(), "-count") {
+				t.Errorf("%s -count %s: %v", verb[0], count, err)
+			}
+		}
+	}
 }
 
 func TestCLIInitOverwritesAtomically(t *testing.T) {

@@ -63,15 +63,15 @@ func runRemote(addr, cmd string, args []string) error {
 	}
 }
 
-// remoteSectorSize derives the sector size from the server's stats — the
-// remote verbs need it to size payloads the way the local verbs use
-// f.SectorSize().
-func remoteSectorSize(c *srv.Client) (int, error) {
+// remoteGeometry reads the sector size and count from the server's stats:
+// the remote verbs size payloads and check -count with them the way the
+// local verbs use f.SectorSize() and f.Sectors().
+func remoteGeometry(c *srv.Client) (ss int, sectors int64, err error) {
 	st, err := c.Stats()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return st.SectorSize, nil
+	return st.SectorSize, st.Sectors, nil
 }
 
 func remoteWrite(c *srv.Client, args []string) error {
@@ -81,11 +81,15 @@ func remoteWrite(c *srv.Client, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ss, err := remoteSectorSize(c)
+	ss, sectors, err := remoteGeometry(c)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, int(*count)*ss)
+	n, err := sectorCount(*count, sectors)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, n*ss)
 	copy(buf, *text)
 	if err := c.Write(*lba, buf); err != nil {
 		return err
@@ -100,11 +104,15 @@ func remoteRead(c *srv.Client, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ss, err := remoteSectorSize(c)
+	ss, sectors, err := remoteGeometry(c)
 	if err != nil {
 		return err
 	}
-	buf, err := c.Read(*lba, int(*count))
+	n, err := sectorCount(*count, sectors)
+	if err != nil {
+		return err
+	}
+	buf, err := c.Read(*lba, n)
 	if err != nil {
 		return err
 	}
@@ -132,11 +140,15 @@ func remoteSnapRead(c *srv.Client, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ss, err := remoteSectorSize(c)
+	ss, sectors, err := remoteGeometry(c)
 	if err != nil {
 		return err
 	}
-	buf, err := c.SnapRead(*id, *lba, int(*count))
+	n, err := sectorCount(*count, sectors)
+	if err != nil {
+		return err
+	}
+	buf, err := c.SnapRead(*id, *lba, n)
 	if err != nil {
 		return err
 	}

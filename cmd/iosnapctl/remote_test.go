@@ -82,6 +82,18 @@ func TestCLIRemoteVerbs(t *testing.T) {
 	if !strings.Contains(out, "shards:             2") || !strings.Contains(out, "snapshots (live):   1") {
 		t.Fatalf("stats output:\n%s", out)
 	}
+	for _, verb := range [][]string{
+		{"write", "-lba", "0", "-text", "x"},
+		{"read", "-lba", "0"},
+		{"snap-read", "-id", "1", "-lba", "0"},
+	} {
+		for _, count := range []string{"-3", "9223372036854775807"} {
+			err := remote(append(verb, "-count", count)...)
+			if err == nil || !strings.Contains(err.Error(), "-count") {
+				t.Errorf("remote %s -count %s: %v", verb[0], count, err)
+			}
+		}
+	}
 	if err := remote("trim", "-lba", "0", "-count", "1"); err != nil {
 		t.Fatalf("trim: %v", err)
 	}

@@ -215,10 +215,6 @@ func NewCache(slotsPer, limit int, fault FaultFunc) *Cache {
 	}
 }
 
-// SetFault installs the host-side fault handler (recovery wires it after
-// the device handle exists).
-func (c *Cache) SetFault(fault FaultFunc) { c.fault = fault }
-
 // SlotsPerPage returns K.
 func (c *Cache) SlotsPerPage() int { return c.slotsPer }
 

@@ -179,18 +179,6 @@ func (m *Mem) Crash() {
 	}
 }
 
-// ReadFileDirect returns the volatile content of name without going
-// through a handle (test convenience).
-func (m *Mem) ReadFileDirect(name string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f := m.files[name]
-	if f == nil {
-		return nil, false
-	}
-	return append([]byte(nil), f.data...), true
-}
-
 // Exists reports whether name is present in the volatile namespace.
 func (m *Mem) Exists(name string) bool {
 	m.mu.Lock()

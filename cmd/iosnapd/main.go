@@ -176,7 +176,8 @@ func serve(opt options, sig <-chan os.Signal, started func(net.Addr)) error {
 func ensureImages(opt options) error {
 	present := 0
 	for i := 0; i < opt.shards; i++ {
-		if _, err := fsys.Open(shardPath(opt.image, i)); err == nil {
+		if f, err := fsys.Open(shardPath(opt.image, i)); err == nil {
+			f.Close()
 			present++
 		} else if !vfs.IsNotExist(err) {
 			return err

@@ -203,6 +203,66 @@ func TestDaemonCrashAfterShutdownIsDurable(t *testing.T) {
 	c.Close()
 }
 
+// countingFS counts the files a FileSystem hands out and the closes of
+// them.
+type countingFS struct {
+	vfs.FileSystem
+	opened, closed int
+}
+
+func (c *countingFS) counted(f vfs.File, err error) (vfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	c.opened++
+	return &countedFile{File: f, fs: c}, nil
+}
+
+func (c *countingFS) Create(name string) (vfs.File, error) {
+	return c.counted(c.FileSystem.Create(name))
+}
+func (c *countingFS) Open(name string) (vfs.File, error) { return c.counted(c.FileSystem.Open(name)) }
+
+type countedFile struct {
+	vfs.File
+	fs *countingFS
+}
+
+func (f *countedFile) Close() error {
+	f.fs.closed++
+	return f.File.Close()
+}
+
+// TestDaemonClosesEveryFile: a start and a graceful shutdown close every
+// file they open, the check for existing images included, whether the
+// start formats the images or mounts them.
+func TestDaemonClosesEveryFile(t *testing.T) {
+	cfs := &countingFS{FileSystem: vfs.NewMem()}
+	old := fsys
+	fsys = cfs
+	defer func() { fsys = old }()
+
+	opt := testOpts("count/dev.img")
+	for _, start := range []string{"formatting", "mounting"} {
+		cfs.opened, cfs.closed = 0, 0
+		addr, done := startDaemon(t, opt, nil)
+		c, err := srv.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if cfs.opened != cfs.closed {
+			t.Errorf("%s start: %d files opened, %d closed", start, cfs.opened, cfs.closed)
+		}
+	}
+}
+
 func TestDaemonFlagErrors(t *testing.T) {
 	if err := run([]string{}); err == nil {
 		t.Fatal("missing -image accepted")

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -281,4 +282,65 @@ func TestMemReadEOF(t *testing.T) {
 		t.Fatalf("ReadAll = %d bytes, %v", len(b), err)
 	}
 	r.Close()
+}
+
+// TestMemReadAt: a handle reads by offset like a real file — io.EOF with
+// whatever part lies before the end, an error on a closed handle — and a
+// handle opened before a Crash reads only the durable prefix after it.
+func TestMemReadAt(t *testing.T) {
+	m := NewMem()
+	w, _ := m.Create("f")
+	w.Write([]byte("hello world"))
+	w.Sync()
+	m.SyncDir(".")
+	w.Write([]byte(", unsynced"))
+	w.Close()
+	open := func() File {
+		t.Helper()
+		r, err := m.Open("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	live := open()
+	closed := open()
+	closed.Close()
+	crashed := open()
+	for _, tc := range []struct {
+		name  string
+		h     File
+		crash bool
+		off   int64
+		n     int
+		want  string
+		err   string // "" for nil, "EOF", or a substring of another error
+	}{
+		{"inside", live, false, 2, 4, "llo ", ""},
+		{"to the end", live, false, 15, 6, "synced", ""},
+		{"across the end", live, false, 16, 8, "ynced", "EOF"},
+		{"at the end", live, false, 21, 4, "", "EOF"},
+		{"past the end", live, false, 30, 4, "", "EOF"},
+		{"closed handle", closed, false, 0, 4, "", "closed file"},
+		{"after Crash", crashed, true, 8, 8, "rld", "EOF"},
+	} {
+		if tc.crash {
+			m.Crash()
+		}
+		buf := make([]byte, tc.n)
+		n, err := tc.h.ReadAt(buf, tc.off)
+		got := string(buf[:n])
+		var errOK bool
+		switch tc.err {
+		case "":
+			errOK = err == nil
+		case "EOF":
+			errOK = err == io.EOF
+		default:
+			errOK = err != nil && err != io.EOF && strings.Contains(err.Error(), tc.err)
+		}
+		if got != tc.want || !errOK {
+			t.Errorf("%s: ReadAt(%d bytes at %d) = %q, %v; want %q, %s", tc.name, tc.n, tc.off, got, err, tc.want, tc.err)
+		}
+	}
 }

@@ -159,7 +159,7 @@ func TestImagePersistenceAcrossProcesses(t *testing.T) {
 	}
 
 	// "New process": load + recover.
-	dev2, err := nand.LoadImage(&img)
+	dev2, err := nand.LoadImage(bytes.NewReader(img.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestImageRoundTrip(t *testing.T) {
 	if err := d.SaveImage(&buf); err != nil {
 		t.Fatalf("SaveImage: %v", err)
 	}
-	d2, err := LoadImage(&buf)
+	d2, err := LoadImage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("LoadImage: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestImageFingerprintMode(t *testing.T) {
 	if err := d.SaveImage(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := LoadImage(&buf)
+	d2, err := LoadImage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestImageHealthAndWearPersist(t *testing.T) {
 	if err := d.SaveImage(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := LoadImage(&buf)
+	d2, err := LoadImage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestImageAnchorPersists(t *testing.T) {
 	if err := d.SaveImage(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := LoadImage(&buf)
+	d2, err := LoadImage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestImageAnchorPersists(t *testing.T) {
 	if err := d2.SaveImage(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d3, err := LoadImage(&buf)
+	d3, err := LoadImage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestImageStatsPreserved(t *testing.T) {
 	if err := d.SaveImage(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := LoadImage(&buf)
+	d2, err := LoadImage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,9 @@ var ErrClosed = errors.New("shard: closed")
 // Activation, deactivation and snapshot delete touch every shard but need
 // no atomicity with the barrier: they fan out one goroutine per shard, each
 // under its own shard's lock, so the shards' scans overlap instead of
-// running back to back on the caller.
+// running back to back on the caller. Close fans out the same way under
+// the barrier it holds, and building a service creates or recovers each
+// shard on a goroutine of its own.
 //
 // Virtual time. Each shard keeps its own clock vnow: ops execute at vnow,
 // which then advances to the op's completion. The clocks decouple — that
@@ -75,20 +77,39 @@ func newService(cfg Config, devs []*nand.Device) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{cfg: cfg, shards: make([]serviceShard, cfg.Shards)}
-	for i := range s.shards {
-		sh := &s.shards[i]
+	for _, err := range s.eachShard(func(i int, sh *serviceShard) (err error) {
 		sc := cfg.shardConfig(i)
-		var err error
 		if devs == nil {
 			sh.f, err = iosnap.New(sc, nil)
 		} else {
 			sh.f, sh.vnow, err = iosnap.Recover(sc, devs[i], nil, 0)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		return nil
+	}) {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// eachShard runs fn once per shard, each on its own goroutine, and returns
+// their errors in shard order. fn takes whatever lock it needs.
+func (s *Service) eachShard(fn func(i int, sh *serviceShard) error) []error {
+	errs := make([]error, len(s.shards))
+	var wg sync.WaitGroup
+	for i := range s.shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i, &s.shards[i])
+		}(i)
+	}
+	wg.Wait()
+	return errs
 }
 
 // ConfigForDevices derives the service configuration whose per-shard split
@@ -281,26 +302,17 @@ func (s *Service) CreateSnapshot() (iosnap.SnapshotID, error) {
 // shard's lock, and returns the lowest-numbered shard's error. The shards'
 // work overlaps; nothing orders it against a barrier as a whole.
 func (s *Service) fanOut(op func(i int, f *iosnap.FTL, now sim.Time) (sim.Time, error)) error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			if s.closed {
-				errs[i] = ErrClosed
-				return
-			}
-			sh.f.Scheduler().RunUntil(sh.vnow)
-			done, err := op(i, sh.f, sh.vnow)
-			sh.advance(done)
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
+	errs := s.eachShard(func(i int, sh *serviceShard) error {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if s.closed {
+			return ErrClosed
+		}
+		sh.f.Scheduler().RunUntil(sh.vnow)
+		done, err := op(i, sh.f, sh.vnow)
+		sh.advance(done)
+		return err
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -420,9 +432,13 @@ func (s *Service) CheckInvariants() error {
 	return errors.Join(errs...)
 }
 
-// Close waits out in-flight ops (it is a barrier), drains each shard's
-// scheduler, and closes each FTL at its final clock. Further calls on the
-// service return ErrClosed.
+// Close waits out in-flight ops (it is a barrier), then drains each
+// shard's scheduler and closes its FTL at its final clock, the shards side
+// by side. A shard whose close fails leaves the others closed, and the
+// errors come back in shard order. As for one FTL, a final checkpoint that
+// does not commit is no error (the shard's CheckpointErrors counts it, and
+// its next mount is a full scan). Further calls on the service return
+// ErrClosed.
 func (s *Service) Close() error {
 	s.barrier()
 	defer s.release()
@@ -430,15 +446,13 @@ func (s *Service) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
-	var errs []error
-	for i := range s.shards {
-		sh := &s.shards[i]
+	return errors.Join(s.eachShard(func(i int, sh *serviceShard) error {
 		sh.advance(sh.f.Scheduler().Drain(sh.vnow))
 		d, err := sh.f.Close(sh.vnow)
 		sh.advance(d)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
-	}
-	return errors.Join(errs...)
+		return nil
+	})...)
 }

@@ -1,13 +1,16 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"iosnap/internal/iosnap"
+	"iosnap/internal/nand"
 )
 
 // multiConfig is a 4-shard-friendly config: 768 user sectors leave each
@@ -154,6 +157,7 @@ func TestShardedWriteReadTrimRoundTrip(t *testing.T) {
 		if err := svc.Close(); err != nil {
 			t.Fatal(err)
 		}
+		t.Log(err)
 		if err := svc.Close(); !errors.Is(err, ErrClosed) {
 			t.Fatalf("second Close: got %v, want ErrClosed", err)
 		}
@@ -326,5 +330,115 @@ func TestServiceSingleExtentAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { svc.Write(5, buf) }); n != 0 {
 		t.Errorf("one-sector Service.Write allocates %v times", n)
+	}
+}
+
+// TestServiceCloseShardsIndependently: the shards close side by side, and
+// one whose checkpoint programs all fail does not disturb the others. As
+// for one FTL (the Shards=1 equivalence pins it), a final checkpoint that
+// does not commit is no Close error: the failed shard's CheckpointErrors
+// names it. Every other shard's device remounts tail-bounded from its final
+// checkpoint, the failed one by a full scan, and a second Close is
+// ErrClosed.
+func TestServiceCloseShardsIndependently(t *testing.T) {
+	const bad = 2
+	cfg := multiConfig(4)
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := svc.SectorSize()
+	want := make([]byte, 16*ss)
+	for i := range want {
+		want[i] = byte(i / ss)
+	}
+	for lba := int64(0); lba < svc.Sectors(); lba += 128 {
+		if err := svc.Write(lba, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	devs := make([]*nand.Device, len(svc.shards))
+	for i := range devs {
+		devs[i] = svc.shards[i].f.Device()
+	}
+	devs[bad].SetFaultHook(nand.FaultFunc(func(op nand.Op, _ nand.PageAddr) error {
+		if op == nand.OpProgram {
+			return nand.ErrDeviceFailed
+		}
+		return nil
+	}))
+
+	if err := svc.Close(); err != nil {
+		t.Fatalf("Close = %v; a failed final checkpoint is not a close error", err)
+	}
+	for i, st := range svc.Summary().PerShard {
+		if failed := st.CheckpointErrors != 0; failed != (i == bad) {
+			t.Errorf("shard %d: %d checkpoint errors (%q)", i, st.CheckpointErrors, st.CheckpointLastErr)
+		}
+	}
+	if err := svc.Close(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("second Close = %v, want ErrClosed", err)
+	}
+
+	devs[bad].SetFaultHook(nil)
+	again, err := NewServiceFrom(cfg, devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range again.Summary().PerShard {
+		if st.RecoveryTailBounded != (i != bad) {
+			t.Errorf("shard %d: tail-bounded remount %v", i, st.RecoveryTailBounded)
+		}
+	}
+	got := make([]byte, len(want))
+	for lba := int64(0); lba < again.Sectors(); lba += 128 {
+		if err := again.Read(lba, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("lba %d after remount: %v", lba, err)
+		}
+	}
+	if err := again.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServiceShardErrorsInShardOrder: mount and close run the shards side
+// by side, and whichever finishes first, the errors come back in shard
+// order.
+func TestServiceShardErrorsInShardOrder(t *testing.T) {
+	cfg := multiConfig(4)
+	for run := 0; run < 20; run++ {
+		svc, err := NewService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs := make([]*nand.Device, len(svc.shards))
+		for i := range devs {
+			devs[i] = svc.shards[i].f.Device()
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{3, 1} {
+			devs[i].SetFaultHook(nand.FaultFunc(func(nand.Op, nand.PageAddr) error { return nand.ErrDeviceFailed }))
+		}
+		if _, err := NewServiceFrom(cfg, devs); err == nil || !strings.HasPrefix(err.Error(), "shard 1:") {
+			t.Fatalf("run %d: mounting with shards 1 and 3 failing = %v, want shard 1's error", run, err)
+		}
+
+		for _, d := range devs {
+			d.SetFaultHook(nil)
+		}
+		if svc, err = NewServiceFrom(cfg, devs); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{3, 1} { // closed underneath the service
+			if _, err := svc.shards[i].f.Close(svc.shards[i].vnow); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = svc.Close()
+		if msg := fmt.Sprint(err); !strings.HasPrefix(msg, "shard 1:") || !strings.Contains(msg, "\nshard 3:") {
+			t.Fatalf("run %d: closing with shards 1 and 3 already closed = %v, want both, shard 1 first", run, err)
+		}
 	}
 }

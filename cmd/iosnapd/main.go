@@ -172,16 +172,23 @@ func serve(opt options, sig <-chan os.Signal, started func(net.Addr)) error {
 
 // ensureImages initializes the per-shard images on first start. All
 // present → mount; none present → format; a mix is refused (half a device
-// is not a device).
+// is not a device), and so is an image past the last shard, which a start
+// with fewer -shards than the images were made with would leave stale.
 func ensureImages(opt options) error {
 	present := 0
-	for i := 0; i < opt.shards; i++ {
-		if f, err := fsys.Open(shardPath(opt.image, i)); err == nil {
-			f.Close()
-			present++
-		} else if !vfs.IsNotExist(err) {
-			return err
+	for i := 0; i <= opt.shards; i++ {
+		f, err := fsys.Open(shardPath(opt.image, i))
+		if err != nil {
+			if !vfs.IsNotExist(err) {
+				return err
+			}
+			continue
 		}
+		f.Close()
+		if i == opt.shards {
+			return fmt.Errorf("iosnapd: %s exists — the device has more than %d shards; refusing a partial device (wrong -shards)", shardPath(opt.image, i), opt.shards)
+		}
+		present++
 	}
 	if present == opt.shards {
 		return nil

@@ -151,6 +151,24 @@ func TestDaemonRefusesPartialDevice(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesFewerShards: images made with 4 shards are refused by a
+// start with -shards 2, which would serve half the device and leave the
+// other half's images stale; the error names the first image left out.
+func TestDaemonRefusesFewerShards(t *testing.T) {
+	old := fsys
+	fsys = vfs.NewMem()
+	defer func() { fsys = old }()
+	opt := testOpts("dev.img")
+	opt.shards = 4
+	if err := ensureImages(opt); err != nil {
+		t.Fatal(err)
+	}
+	opt.shards = 2
+	if err := ensureImages(opt); err == nil || !strings.Contains(err.Error(), shardPath(opt.image, 2)+" exists") {
+		t.Fatalf("4 shard images started with -shards 2: %v, want an error naming %s", err, shardPath(opt.image, 2))
+	}
+}
+
 // TestDaemonCrashAfterShutdownIsDurable runs the whole lifecycle against
 // the in-memory filesystem, power-fails it after the daemon exits, and
 // remounts: the atomic fsynced save must leave loadable images holding the

@@ -15,7 +15,7 @@ import (
 //
 // Payload buffers are never shared between pages: the source's bytes are
 // copied into the destination's own buffer, rewritten in place as a program
-// does (a loaded page's buffer is a region of its image frame), so a slice
+// does (a loaded page's buffer is a region of its image), so a slice
 // ReadPage returned for any other page is unaffected.
 func (d *Device) CopyPage(now sim.Time, from, to PageAddr) (sim.Time, error) {
 	_, src, err := d.check(from)
@@ -93,7 +93,8 @@ func (d *Device) PageOOB(addr PageAddr) ([]byte, error) {
 // table uses it to interpret translation pages in host-side contexts (GC
 // fix-up, invariant walks, tail replay) where the timed read either
 // happened elsewhere or is deliberately not part of the foreground charge.
-// The returned slice aliases device memory and must not be modified.
+// The returned slice aliases device memory and must not be modified; like
+// ReadPage's, it is valid only while the device is reachable.
 func (d *Device) PageData(addr PageAddr) ([]byte, error) {
 	if !d.cfg.StoreData {
 		return nil, fmt.Errorf("nand: PageData on a fingerprint-mode device")

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -23,18 +25,20 @@ import (
 // totals. Both directions spread the segment frames over a small worker
 // pool (inOrder). SaveImage's workers each stage a whole frame and
 // checksum it while the caller writes finished frames, in segment order,
-// to any io.Writer. LoadImage walks the frame headers through an
-// io.ReaderAt, and its workers read, verify and decode frames by offset
-// while the caller installs them in image order; a frame's buffer then
-// holds the loaded pages' payloads. At most framesPerWorker frames per
-// worker are in flight, so extra heap is O(workers × segment), never
-// O(device) — which is what lets a TB-class geometry persist through an
-// ordinary file handle. Untouched segments (never programmed, never erased,
-// healthy) are not framed at all, so a sparse huge device images in
-// O(touched) bytes. Every frame carries a CRC32 and the end frame carries
-// segment/page counts: a truncated, torn, or bit-flipped image fails
-// loudly, with the error of its earliest bad frame whatever order the
-// workers finish in, and no partial device is ever returned.
+// to any io.Writer. LoadImage takes the image whole — mapped private to
+// the process when it is a file on Linux, read once otherwise — and walks
+// its frame headers while the workers verify and decode frames where they
+// lie and the caller installs them in image order; the image then holds
+// the loaded pages' payloads. At most framesPerWorker frames per worker
+// are in flight, so a save adds O(workers × segment) of heap and a load
+// nothing beyond the image, never O(device) — which is what lets a
+// TB-class geometry persist through an ordinary file handle. Untouched
+// segments (never programmed, never erased, healthy) are not framed at
+// all, so a sparse huge device images in O(touched) bytes. Every frame
+// carries a CRC32 and the end frame carries segment/page counts: a
+// truncated, torn, or bit-flipped image fails loudly, with the error of
+// its earliest bad frame whatever order the workers finish in, and no
+// partial device is ever returned.
 //
 // This is format version 4, the only one read or written; a stream that
 // does not open with its magic is refused as corrupt.
@@ -307,82 +311,139 @@ func stageSegment(buf []byte, i int, s *segment) ([]byte, int) {
 	return sealFrame(buf), programmed
 }
 
-// frameAt reads the header of the frame at off: its type and its payload
-// length, which may be at most limit. io.EOF comes back only when off is
-// the end of the image, a clean frame boundary; a short header is
-// corruption (truncated image).
-func frameAt(r io.ReaderAt, off, limit int64) (typ byte, n int64, err error) {
-	var hdr [frameHeaderLen]byte
-	if got, err := r.ReadAt(hdr[:], off); got < len(hdr) {
-		if got == 0 && err == io.EOF {
-			return 0, 0, io.EOF // the caller decides whether an end was expected here
-		}
-		return 0, 0, fmt.Errorf("%w: truncated frame header at byte %d: %v", ErrImageCorrupt, off, err)
-	}
-	n = int64(binary.BigEndian.Uint32(hdr[1:]))
-	if n > limit {
-		return 0, 0, fmt.Errorf("%w: frame at byte %d claims %d payload bytes, at most %d fit", ErrImageCorrupt, off, n, limit)
-	}
-	return hdr[0], n, nil
+// frame is one frame of an image held in memory: where it starts, its
+// type, its payload and the CRC32 stored after it.
+type frame struct {
+	off  int
+	typ  byte
+	body []byte
+	crc  uint32
 }
 
-// readFrame reads the n-byte payload of the frame of type typ at off into
-// a buffer of its own, checks its CRC32, and returns the payload.
-func readFrame(r io.ReaderAt, typ byte, off, n int64) ([]byte, error) {
-	buf := make([]byte, n+frameCRCLen)
-	if got, err := r.ReadAt(buf, off+frameHeaderLen); int64(got) < n+frameCRCLen {
-		return nil, fmt.Errorf("%w: frame at byte %d truncated: %v", ErrImageCorrupt, off, err)
+// frameAt slices out the frame at off of img, whose payload may be at most
+// limit bytes, and returns it with the offset of the frame after it; its
+// checksum is left to verify. io.EOF comes back only when off is the end
+// of the image, a clean frame boundary; a frame cut short is corruption
+// (truncated image).
+func frameAt(img []byte, off int, limit int64) (frame, int, error) {
+	rest := img[off:]
+	if len(rest) == 0 {
+		return frame{}, off, io.EOF // the caller decides whether an end was expected here
 	}
-	body := buf[:n:n]
-	crc := crc32.Update(crc32.ChecksumIEEE([]byte{typ}), crc32.IEEETable, body)
-	if stored := binary.BigEndian.Uint32(buf[n:]); stored != crc {
-		return nil, fmt.Errorf("%w: frame at byte %d checksum %#x, want %#x", ErrImageCorrupt, off, stored, crc)
+	if len(rest) < frameHeaderLen {
+		return frame{}, off, fmt.Errorf("%w: truncated frame header at byte %d", ErrImageCorrupt, off)
 	}
-	return body, nil
+	n := int64(binary.BigEndian.Uint32(rest[1:]))
+	if n > limit {
+		return frame{}, off, fmt.Errorf("%w: frame at byte %d claims %d payload bytes, at most %d fit", ErrImageCorrupt, off, n, limit)
+	}
+	if int64(len(rest)) < frameHeaderLen+n+frameCRCLen {
+		return frame{}, off, fmt.Errorf("%w: frame at byte %d truncated", ErrImageCorrupt, off)
+	}
+	end := frameHeaderLen + int(n)
+	f := frame{off: off, typ: rest[0], body: rest[frameHeaderLen:end:end], crc: binary.BigEndian.Uint32(rest[end:])}
+	return f, off + end + frameCRCLen, nil
+}
+
+// verify checks the frame's CRC32 over its type byte and payload.
+func (f *frame) verify() error {
+	if crc := crc32.Update(crc32.ChecksumIEEE([]byte{f.typ}), crc32.IEEETable, f.body); crc != f.crc {
+		return fmt.Errorf("%w: frame at byte %d checksum %#x, want %#x", ErrImageCorrupt, f.off, f.crc, crc)
+	}
+	return nil
 }
 
 // LoadImage reconstructs a device previously serialized with SaveImage,
-// reading it by offset: *os.File, *bytes.Reader and vfs.File all serve. On
+// reading r to its end. On Linux an *os.File at its first byte is not read
+// but mapped, private to this process: loaded pages are then windows into
+// the mapping, and the first program or copy into one makes the kernel
+// copy that page of the mapping, so no write through the device reaches
+// the file. The device owns the mapping, which is unmapped once the device
+// is unreachable. Any other source — a bytes.Reader, a vfs file, a file
+// the kernel will not map — is read once, into a buffer of its exact size
+// when it reports one, and loaded pages are windows into that buffer. On
 // any error — a missing magic, truncation, bit damage, duplicate or
 // out-of-range indices, a geometry no image can carry — no device is
 // returned: a partially-reconstructed device must never reach recovery.
-func LoadImage(r io.ReaderAt) (*Device, error) {
-	var magic [len(imageMagic)]byte
-	if n, err := r.ReadAt(magic[:], 0); n < len(magic) && err != nil && err != io.EOF {
+func LoadImage(r io.Reader) (*Device, error) {
+	if f, ok := r.(*os.File); ok {
+		if img := mapImage(f); img != nil {
+			d, err := decodeImage(img)
+			if err != nil {
+				unmapImage(img)
+				return nil, err
+			}
+			d.image = &imageMapping{img}
+			runtime.SetFinalizer(d.image, func(m *imageMapping) { unmapImage(m.b) })
+			return d, nil
+		}
+	}
+	img, err := readImage(r)
+	if err != nil {
 		return nil, fmt.Errorf("nand: reading image: %w", err)
 	}
-	if string(magic[:]) != imageMagic {
+	return decodeImage(img)
+}
+
+// readImage reads r to its end in one buffer, sized up front from what r
+// reports — Len, as bytes.Reader and the vfs fake's files have, or Stat,
+// as a file has — so that it is allocated once.
+func readImage(r io.Reader) ([]byte, error) {
+	size := 0
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = r.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	}
+	// ReadFrom wants MinRead bytes free before each read, the one that
+	// finds the end included.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// imageMapping owns the mapping a loaded device's pages are windows into.
+// Only the device refers to it, so its finalizer unmaps the image once the
+// device is unreachable.
+type imageMapping struct{ b []byte }
+
+// decodeImage builds the device the whole image img describes. Loaded
+// pages' payloads stay where img holds them.
+func decodeImage(img []byte) (*Device, error) {
+	if !bytes.HasPrefix(img, []byte(imageMagic)) {
 		return nil, fmt.Errorf("%w: stream does not open with the image magic", ErrImageCorrupt)
 	}
-	d, off, err := loadHeader(r, int64(len(imageMagic)))
+	d, off, err := loadHeader(img, len(imageMagic))
 	if err != nil {
 		return nil, err
 	}
-	if err := loadSegments(r, off, d); err != nil {
+	if err := loadSegments(img, off, d); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// loadHeader reads the header frame at off and builds the empty device it
-// describes; it returns the offset of the frame after it.
-func loadHeader(r io.ReaderAt, off int64) (*Device, int64, error) {
-	typ, n, err := frameAt(r, off, maxFramePayload)
+// loadHeader decodes the header frame at off and builds the empty device
+// it describes; it returns the offset of the frame after it.
+func loadHeader(img []byte, off int) (*Device, int, error) {
+	f, next, err := frameAt(img, off, maxFramePayload)
 	if err == io.EOF {
-		return nil, 0, fmt.Errorf("%w: image ends before the header frame", ErrImageCorrupt)
+		return nil, 0, fmt.Errorf("%w: image ends at byte %d before the header frame", ErrImageCorrupt, off)
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	body, err := readFrame(r, typ, off, n)
-	if err != nil {
+	if err := f.verify(); err != nil {
 		return nil, 0, err
 	}
-	if typ != frameHeader {
-		return nil, 0, fmt.Errorf("%w: first frame type %d, want header", ErrImageCorrupt, typ)
+	if f.typ != frameHeader {
+		return nil, 0, fmt.Errorf("%w: first frame type %d, want header", ErrImageCorrupt, f.typ)
 	}
 	var hdr imageHeader
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&hdr); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(f.body)).Decode(&hdr); err != nil {
 		return nil, 0, fmt.Errorf("nand: decoding image header: %w", err)
 	}
 	if hdr.Version != imageVersion {
@@ -399,51 +460,49 @@ func loadHeader(r io.ReaderAt, off int64) (*Device, int64, error) {
 	if hdr.HasAnchor {
 		d.anchor = hdr.Anchor.clone()
 	}
-	return d, off + frameHeaderLen + n + frameCRCLen, nil
+	return d, next, nil
 }
 
-// loadJob is one segment frame on its way in: where it lies, and what a
-// worker made of it.
+// loadJob is one segment frame on its way in, and what a worker made of
+// it.
 type loadJob struct {
-	off, n int64 // the frame's offset and payload length
-	seg    segment
-	idx    int
-	pages  int
-	err    error
+	frame
+	seg   segment
+	idx   int
+	pages int
+	err   error
 }
 
 // loadSegments applies the segment frames from off on and checks the end
-// frame. Workers read, verify and decode the frames; this goroutine walks
-// their headers and installs decoded segments in image order, so the
-// error reported is the earliest bad frame's.
-func loadSegments(r io.ReaderAt, off int64, d *Device) error {
+// frame. This goroutine walks the frame headers; workers verify and decode
+// each frame where it lies, and this goroutine installs the decoded
+// segments in image order, so the error reported is the earliest bad
+// frame's.
+func loadSegments(img []byte, off int, d *Device) error {
 	limit := maxSegFrame(d.cfg)
 	seen := make(map[int]bool)
 	var segFrames, pagesTotal uint64
-	var lastTyp byte
-	var lastN int64
+	var last frame
 	err := inOrder(func(j *loadJob) (bool, error) {
-		typ, n, err := frameAt(r, off, limit)
+		f, next, err := frameAt(img, off, limit)
 		if err == io.EOF {
-			return false, fmt.Errorf("%w: image ends without an end frame", ErrImageCorrupt)
+			return false, fmt.Errorf("%w: image ends at byte %d without an end frame", ErrImageCorrupt, off)
 		}
 		if err != nil {
 			return false, err
 		}
-		if typ != frameSeg {
-			lastTyp, lastN = typ, n
+		if f.typ != frameSeg {
+			last = f
 			return false, nil
 		}
-		j.off, j.n = off, n
-		off += frameHeaderLen + n + frameCRCLen
+		j.frame, off = f, next
 		return true, nil
 	}, func(j *loadJob) {
 		j.seg = segment{}
-		body, err := readFrame(r, frameSeg, j.off, j.n)
-		if err == nil {
-			j.idx, j.pages, err = decodeSegmentFrame(d.cfg, body, &j.seg)
+		j.err = j.verify()
+		if j.err == nil {
+			j.idx, j.pages, j.err = decodeSegmentFrame(d.cfg, j.body, &j.seg)
 		}
-		j.err = err
 	}, func(j *loadJob) error {
 		if j.err != nil {
 			return j.err
@@ -461,25 +520,23 @@ func loadSegments(r io.ReaderAt, off int64, d *Device) error {
 		return err
 	}
 
-	body, err := readFrame(r, lastTyp, off, lastN)
-	if err != nil {
+	if err := last.verify(); err != nil {
 		return err
 	}
-	if lastTyp != frameEnd {
-		return fmt.Errorf("%w: unexpected frame type %d", ErrImageCorrupt, lastTyp)
+	if last.typ != frameEnd {
+		return fmt.Errorf("%w: unexpected frame type %d", ErrImageCorrupt, last.typ)
 	}
-	if len(body) != 16 {
-		return fmt.Errorf("%w: end frame is %d bytes, want 16", ErrImageCorrupt, len(body))
+	if len(last.body) != 16 {
+		return fmt.Errorf("%w: end frame is %d bytes, want 16", ErrImageCorrupt, len(last.body))
 	}
-	if got := binary.BigEndian.Uint64(body[0:8]); got != segFrames {
+	if got := binary.BigEndian.Uint64(last.body[0:8]); got != segFrames {
 		return fmt.Errorf("%w: end frame promises %d segments, image carries %d", ErrImageCorrupt, got, segFrames)
 	}
-	if got := binary.BigEndian.Uint64(body[8:16]); got != pagesTotal {
+	if got := binary.BigEndian.Uint64(last.body[8:16]); got != pagesTotal {
 		return fmt.Errorf("%w: end frame promises %d pages, image carries %d", ErrImageCorrupt, got, pagesTotal)
 	}
 	// Nothing may follow the end frame.
-	var b [1]byte
-	if n, err := r.ReadAt(b[:], off+frameHeaderLen+lastN+frameCRCLen); n != 0 || err != io.EOF {
+	if end := last.off + frameHeaderLen + len(last.body) + frameCRCLen; end != len(img) {
 		return fmt.Errorf("%w: data after the end frame", ErrImageCorrupt)
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -80,10 +81,12 @@ func TestImageFingerprintModeStream(t *testing.T) {
 	}
 }
 
-// TestLoadImageTruncatedPrefix: every proper prefix of an image
-// must fail cleanly — no partial device, no panic — whether the cut lands
-// mid-magic, mid-frame-header, mid-payload, mid-CRC, or between frames
-// (missing end frame).
+// TestLoadImageTruncatedPrefix: every proper prefix of an image must fail
+// cleanly — no partial device, no panic, ErrImageCorrupt naming the frame
+// the cut lands in — whether the cut lands mid-magic, mid-frame-header,
+// mid-payload, mid-CRC, or between frames (missing end frame), from memory
+// and from a file. The empty prefix through a file is an empty file, which
+// the kernel refuses to map.
 func TestLoadImageTruncatedPrefix(t *testing.T) {
 	d := seededDevice(t, testConfig(), 3)
 	var buf bytes.Buffer
@@ -91,6 +94,7 @@ func TestLoadImageTruncatedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
+	starts := frameStarts(t, img)
 	// Exhaustive over short prefixes, sampled over the rest (the image is a
 	// few KB; step keeps the test fast while still hitting every region).
 	step := 1
@@ -98,23 +102,21 @@ func TestLoadImageTruncatedPrefix(t *testing.T) {
 		step = len(img) / 4096
 	}
 	defer checkNoGoroutineLeak(t, runtime.NumGoroutine())
-	for cut := 0; cut < len(img); cut += step {
-		dev, err := LoadImage(bytes.NewReader(img[:cut]))
-		if err == nil {
-			t.Fatalf("prefix of %d/%d bytes loaded successfully", cut, len(img))
+	for _, src := range imageSources(t) {
+		for cut := 0; cut < len(img); cut += step {
+			dev, err := src.load(img[:cut])
+			wantCorruptAt(t, fmt.Sprintf("%s: prefix of %d/%d bytes", src.name, cut, len(img)), dev, err, frameOf(starts, cut))
 		}
-		if dev != nil {
-			t.Fatalf("prefix of %d bytes returned a partial device alongside error %v", cut, err)
+		// And the full image still loads, last from this source.
+		if _, err := src.load(img); err != nil {
+			t.Fatalf("%s: full image: %v", src.name, err)
 		}
-	}
-	// And the full image still loads.
-	if _, err := LoadImage(bytes.NewReader(img)); err != nil {
-		t.Fatalf("full image: %v", err)
 	}
 }
 
 // TestLoadImageBitDamage: a flipped byte anywhere after the magic must be
-// caught (CRC on every frame), and trailing garbage is rejected.
+// caught (CRC on every frame) and reported as the frame it lies in, and
+// trailing garbage is rejected, from memory and from a file.
 func TestLoadImageBitDamage(t *testing.T) {
 	d := seededDevice(t, testConfig(), 5)
 	var buf bytes.Buffer
@@ -122,21 +124,24 @@ func TestLoadImageBitDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
+	starts := frameStarts(t, img)
 	step := 1
 	if len(img) > 2048 {
 		step = len(img) / 2048
 	}
 	defer checkNoGoroutineLeak(t, runtime.NumGoroutine())
-	for pos := len(imageMagic); pos < len(img); pos += step {
-		damaged := append([]byte(nil), img...)
-		damaged[pos] ^= 0x40
-		if dev, err := LoadImage(bytes.NewReader(damaged)); err == nil || dev != nil {
-			t.Fatalf("bit flip at %d/%d: LoadImage = %v, %v", pos, len(img), dev, err)
+	sources := imageSources(t)
+	for _, src := range sources {
+		for pos := len(imageMagic); pos < len(img); pos += step {
+			damaged := append([]byte(nil), img...)
+			damaged[pos] ^= 0x40
+			dev, err := src.load(damaged)
+			wantCorruptAt(t, fmt.Sprintf("%s: bit flip at %d/%d", src.name, pos, len(img)), dev, err, frameOf(starts, pos))
 		}
-	}
-	trailing := append(append([]byte(nil), img...), 0xAB, 0xCD)
-	if _, err := LoadImage(bytes.NewReader(trailing)); err == nil {
-		t.Fatal("trailing garbage accepted")
+		trailing := append(append([]byte(nil), img...), 0xAB, 0xCD)
+		if dev, err := src.load(trailing); !errors.Is(err, ErrImageCorrupt) || dev != nil {
+			t.Fatalf("%s: trailing garbage: LoadImage = %v, %v", src.name, dev, err)
+		}
 	}
 
 	// Two damaged segment frames side by side, so both are in flight at
@@ -159,11 +164,49 @@ func TestLoadImageBitDamage(t *testing.T) {
 		damaged = append(damaged, f...)
 	}
 	want := fmt.Sprintf("frame at byte %d checksum", first)
-	for i := 0; i < 50; i++ {
-		dev, err := LoadImage(bytes.NewReader(damaged))
-		if dev != nil || err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("load %d of an image with two damaged frames: %v, %v; want no device and %q", i, dev, err, want)
+	for _, src := range sources {
+		for i := 0; i < 50; i++ {
+			dev, err := src.load(damaged)
+			if dev != nil || err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: load %d of an image with two damaged frames: %v, %v; want no device and %q", src.name, i, dev, err, want)
+			}
 		}
+	}
+}
+
+// frameStarts returns the offset of each of img's frames, and its length.
+func frameStarts(t *testing.T, img []byte) []int {
+	t.Helper()
+	starts := []int{len(imageMagic)}
+	for _, f := range splitFrames(t, img) {
+		starts = append(starts, starts[len(starts)-1]+len(f))
+	}
+	return starts
+}
+
+// frameOf returns the offset of the frame byte pos lies in, given the frame
+// offsets of the whole image; pos before the first frame lies in the magic.
+func frameOf(starts []int, pos int) int {
+	at := pos
+	for _, s := range starts {
+		if s <= pos {
+			at = s
+		}
+	}
+	return at
+}
+
+// wantCorruptAt fails t unless a load returned no device and
+// ErrImageCorrupt naming the frame at byte at, or, for an offset inside the
+// magic, the missing magic.
+func wantCorruptAt(t *testing.T, what string, dev *Device, err error, at int) {
+	t.Helper()
+	want := fmt.Sprintf(`at byte %d\b`, at)
+	if at < len(imageMagic) {
+		want = "image magic"
+	}
+	if dev != nil || !errors.Is(err, ErrImageCorrupt) || !regexp.MustCompile(want).MatchString(err.Error()) {
+		t.Fatalf("%s: LoadImage = %v, %v; want no device and ErrImageCorrupt matching %q", what, dev, err, want)
 	}
 }
 
@@ -450,9 +493,10 @@ func TestImageTBClassAllocationBounds(t *testing.T) {
 	if alloc := int64(ms2.TotalAlloc - ms1.TotalAlloc); alloc > budget {
 		t.Fatalf("LoadImage of a 1 TiB image allocated %d bytes, budget %d (O(segment) violated)", alloc, budget)
 	}
-	// Object count, not bytes: a loaded page's payload is a region of its
-	// frame's buffer, so the count follows frames (buffer, page array, a
-	// share of the seen-map) plus the header's constant, never the 3072 pages.
+	// Object count, not bytes: a loaded page's payload is a region of the
+	// image, read once, so the count follows frames (page array, a share of
+	// the seen-map) plus the image and the header's constant, never the 3072
+	// pages.
 	if mallocs := ms2.Mallocs - ms1.Mallocs; mallocs > 4*touched+512 {
 		t.Fatalf("LoadImage made %d allocations for %d segment frames (one per page?)", mallocs, touched)
 	}
@@ -576,7 +620,7 @@ func TestLoadImageBoundsSegmentFrames(t *testing.T) {
 }
 
 // TestLoadedPagesOwnTheirBuffers: a loaded page's payload is a region of
-// its segment frame's buffer. Erasing and reprogramming a loaded segment,
+// its segment frame in the image. Erasing and reprogramming a loaded segment,
 // copying into and out of loaded pages and reprogramming a page rewrite
 // that page's bytes and no others: the loaded device ends in the same state
 // as the device it was saved from after the same operations, and a slice

@@ -289,6 +289,8 @@ type Device struct {
 	anchor *Anchor // newest committed checkpoint; nil = none
 
 	hook FaultHook // nil = no fault injection
+
+	image *imageMapping // the mapped image loaded pages are windows into; nil if none
 }
 
 // Anchor is the device's checkpoint anchor: the identity and chunk
@@ -562,7 +564,9 @@ func (d *Device) ProgramPage(now sim.Time, addr PageAddr, data, oob []byte) (sim
 
 // ReadPage reads the programmed page at addr. The returned payload is nil in
 // fingerprint mode; oob is always the stored header bytes. The returned
-// slices alias device memory and must not be modified.
+// slices alias device memory and must not be modified. The payload of a
+// loaded page may be a window into the device's mapped image, valid only
+// while the device is reachable.
 func (d *Device) ReadPage(now sim.Time, addr PageAddr) (data, oob []byte, done sim.Time, err error) {
 	if d.hook != nil {
 		if err := d.hook.BeforeOp(OpRead, addr); err != nil {

@@ -237,25 +237,12 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ReadAt reads what the file holds at off, as a concurrent reader sees it
-// now: after a Crash that is the durable prefix.
-func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
+// Len reports how many bytes are left to read, as bytes.Reader's does, so
+// that a reader can size its buffer once.
+func (h *memHandle) Len() int {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
-	if h.closed {
-		return 0, fmt.Errorf("vfs: read of closed file %s", h.name)
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("vfs: read of %s at negative offset %d", h.name, off)
-	}
-	if off >= int64(len(h.f.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, h.f.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return max(len(h.f.data)-h.off, 0)
 }
 
 func (h *memHandle) Sync() error {

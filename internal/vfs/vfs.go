@@ -32,12 +32,10 @@ import (
 	"path/filepath"
 )
 
-// File is an open file: sequential reads and writes, reads by offset
-// (which may run side by side), and Sync, which makes the bytes written so
-// far durable.
+// File is an open file: sequential reads and writes, and Sync, which makes
+// the bytes written so far durable.
 type File interface {
 	io.Reader
-	io.ReaderAt
 	io.Writer
 	io.Closer
 	// Sync flushes written data to stable storage.

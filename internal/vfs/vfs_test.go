@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -284,10 +283,10 @@ func TestMemReadEOF(t *testing.T) {
 	r.Close()
 }
 
-// TestMemReadAt: a handle reads by offset like a real file — io.EOF with
-// whatever part lies before the end, an error on a closed handle — and a
-// handle opened before a Crash reads only the durable prefix after it.
-func TestMemReadAt(t *testing.T) {
+// TestMemLen: a handle's Len is what its reads have still to return —
+// the whole file when opened, less after each read, none at the end — and,
+// once a Crash has cut the file to its durable prefix, what is left of that.
+func TestMemLen(t *testing.T) {
 	m := NewMem()
 	w, _ := m.Create("f")
 	w.Write([]byte("hello world"))
@@ -295,52 +294,24 @@ func TestMemReadAt(t *testing.T) {
 	m.SyncDir(".")
 	w.Write([]byte(", unsynced"))
 	w.Close()
-	open := func() File {
+	r, err := m.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type lener interface{ Len() int }
+	check := func(what string, want int) {
 		t.Helper()
-		r, err := m.Open("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	live := open()
-	closed := open()
-	closed.Close()
-	crashed := open()
-	for _, tc := range []struct {
-		name  string
-		h     File
-		crash bool
-		off   int64
-		n     int
-		want  string
-		err   string // "" for nil, "EOF", or a substring of another error
-	}{
-		{"inside", live, false, 2, 4, "llo ", ""},
-		{"to the end", live, false, 15, 6, "synced", ""},
-		{"across the end", live, false, 16, 8, "ynced", "EOF"},
-		{"at the end", live, false, 21, 4, "", "EOF"},
-		{"past the end", live, false, 30, 4, "", "EOF"},
-		{"closed handle", closed, false, 0, 4, "", "closed file"},
-		{"after Crash", crashed, true, 8, 8, "rld", "EOF"},
-	} {
-		if tc.crash {
-			m.Crash()
-		}
-		buf := make([]byte, tc.n)
-		n, err := tc.h.ReadAt(buf, tc.off)
-		got := string(buf[:n])
-		var errOK bool
-		switch tc.err {
-		case "":
-			errOK = err == nil
-		case "EOF":
-			errOK = err == io.EOF
-		default:
-			errOK = err != nil && err != io.EOF && strings.Contains(err.Error(), tc.err)
-		}
-		if got != tc.want || !errOK {
-			t.Errorf("%s: ReadAt(%d bytes at %d) = %q, %v; want %q, %s", tc.name, tc.n, tc.off, got, err, tc.want, tc.err)
+		if got := r.(lener).Len(); got != want {
+			t.Errorf("%s: Len = %d, want %d", what, got, want)
 		}
 	}
+	check("opened", 21)
+	r.Read(make([]byte, 4))
+	check("after a 4-byte read", 17)
+	m.Crash()
+	check("after Crash", 7)
+	if b, err := io.ReadAll(r); string(b) != "o world" || err != nil {
+		t.Errorf("ReadAll after Crash = %q, %v", b, err)
+	}
+	check("at the end", 0)
 }

@@ -2,7 +2,9 @@
 # End-to-end smoke test of the storage-service front-end: build iosnapd
 # and iosnapctl, start a real daemon on loopback, drive writes and
 # snapshots over the wire, shut down gracefully, then restart and verify
-# the data and the snapshot survived the image round-trip.
+# the data and the snapshot survived the image round-trip; write into the
+# remounted devices, shut down and restart once more to verify those
+# writes and both snapshots.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -64,11 +66,28 @@ for i in 0 1; do
 done
 [ ! -e "$IMG.shard0.tmp" ] || { echo "temp file left behind" >&2; exit 1; }
 
-echo "== second start: remount and verify"
+echo "== second start: remount and verify, then write into the mapped images"
 start_daemon
 $CTL read -lba 0 | grep "smoke v2"
 $CTL read -lba 4097 | grep "far sector"
 $CTL snap-read -id 1 -lba 0 | grep "smoke v1"
+$CTL write -lba 0 -text "smoke v3"
+$CTL write -lba 4097 -text "far sector v2"
+$CTL snap-create | grep "created snapshot 2"
+
+# The shutdown saves devices whose pages are windows into the very image
+# files the save renames over.
+$CTL shutdown
+wait_daemon
+
+echo "== third start: the writes into the mapped images survived"
+start_daemon
+$CTL read -lba 0 | grep "smoke v3"
+$CTL read -lba 4097 | grep "far sector v2"
+$CTL snap-read -id 1 -lba 0 | grep "smoke v1"
+$CTL snap-read -id 1 -lba 4097 | grep '"far sector"'   # not v2
+$CTL snap-read -id 2 -lba 0 | grep "smoke v3"
+$CTL snap-read -id 2 -lba 4097 | grep "far sector v2"
 
 $CTL shutdown
 wait_daemon

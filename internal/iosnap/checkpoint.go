@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"iosnap/internal/bitmap"
-	"iosnap/internal/ckpt"
+	"iosnap/internal/codec"
 	"iosnap/internal/ftlmap"
 	"iosnap/internal/header"
 	"iosnap/internal/logcore"
@@ -28,20 +28,20 @@ import (
 //
 // Serialization starts with a history reap (reap.go), so the tree and
 // validity streams hold the live epochs and snapshots plus the deleted ones
-// that still branch or are still read — not every epoch ever created. A
-// stream without the alias section (an older checkpoint) has an empty table
-// and mounts all the same; recovery reaps what it loaded.
+// that still branch or are still read — not every epoch ever created;
+// recovery reaps what it loaded all the same.
 //
-// Each of the three streams is framed and checksummed by the shared codec
-// (internal/ckpt) and split into sector-sized chunks; a chunk's OOB header
-// carries its stream type, its index (LBA field), and the stream's total
-// chunk count (Epoch field). The device anchor — updated atomically only at
-// commit, like a checkpoint pack — names every chunk of the committed
-// generation, and those pages are pinned so the cleaner copies them forward
-// instead of reclaiming them. ckptID = ckptSeq = f.Seq at serialization:
-// recovery bulk-loads the checkpoint and replays only records newer than
-// the cut-off, falling back to the full scan whenever anything about the
-// generation cannot be proven intact.
+// Each of the three streams is a sequence of frames of the shared codec
+// (internal/codec; each section one frame, typed by its kind) split into
+// sector-sized chunks; a chunk's OOB header carries its stream type, its
+// index (LBA field), and the stream's total chunk count (Epoch field). The
+// device anchor — updated atomically only at commit, like a checkpoint pack
+// — names every chunk of the committed generation, and those pages are
+// pinned so the cleaner copies them forward instead of reclaiming them. The
+// checkpoint ID is f.Seq at serialization and is the cut-off: recovery
+// bulk-loads the checkpoint and replays only records newer than it, falling
+// back to the full scan whenever anything about the generation cannot be
+// proven intact.
 //
 // Epochs that provably die at crash recovery — the epoch of an in-flight
 // activation, or a view epoch still on its activation note — are serialized
@@ -49,13 +49,14 @@ import (
 // recovery reproduces the same epoch liveness the full scan derives from
 // the note history.
 
-// Section kinds inside the three ioSnap checkpoint streams.
+// Section kinds inside the three ioSnap checkpoint streams: each section is
+// one codec frame of its kind's type.
 const (
-	ckptSecMap   = 1 // active map: count, then count × (lba, addr)
-	ckptSecTree  = 2 // counter, active epoch, snapshots, segment table
-	ckptSecValid = 3 // per-epoch parent/deleted/owned validity pages
-	ckptSecGTD   = 4 // bounded-paged map: the global translation directory
-	ckptSecAlias = 5 // tree stream: next snapshot ID, then count × (reaped epoch, heir)
+	ckptSecMap   = codec.CkptMap   // active map: count, then count × (lba, addr)
+	ckptSecTree  = codec.CkptTree  // counter, active epoch, snapshots, segment table
+	ckptSecValid = codec.CkptValid // per-epoch parent/deleted/owned validity pages
+	ckptSecGTD   = codec.CkptGTD   // bounded-paged map: the global translation directory
+	ckptSecAlias = codec.CkptAlias // tree stream: next snapshot ID, then count × (reaped epoch, heir)
 )
 
 // ckptSnapRec is one serialized snapshot-tree node.
@@ -120,14 +121,14 @@ func (f *FTL) SerializeCheckpoint() (uint64, []logcore.ChunkJob, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	mapKind := uint8(ckptSecMap)
+	mapKind := ckptSecMap
 	if gtd {
 		mapKind = ckptSecGTD
 	}
 
 	// Stream 2: epoch counter, active epoch, snapshot tree, segment table;
 	// then, in its own section, the next snapshot ID and the alias table.
-	var tw ckpt.Writer
+	var tw codec.Writer
 	tw.U64(uint64(f.epochCounter))
 	tw.U64(uint64(f.active.epoch))
 	ids := f.tree.IDs()
@@ -157,7 +158,7 @@ func (f *FTL) SerializeCheckpoint() (uint64, []logcore.ChunkJob, error) {
 			tw.U64(uint64(e))
 		}
 	}
-	var aw ckpt.Writer
+	var aw codec.Writer
 	aw.U64(uint64(f.tree.nextID))
 	aliases := f.vstore.Aliases()
 	aw.U32(uint32(len(aliases)))
@@ -169,11 +170,11 @@ func (f *FTL) SerializeCheckpoint() (uint64, []logcore.ChunkJob, error) {
 	var jobs []logcore.ChunkJob
 	for _, st := range []struct {
 		typ  header.Type
-		secs []ckpt.Section
+		secs []logcore.Section
 	}{
-		{header.TypeCkptMap, []ckpt.Section{{Kind: mapKind, Data: mapData}}},
-		{header.TypeCkptTree, []ckpt.Section{{Kind: ckptSecTree, Data: tw.B}, {Kind: ckptSecAlias, Data: aw.B}}},
-		{header.TypeCkptValid, []ckpt.Section{{Kind: ckptSecValid, Data: f.encodeValidSection()}}},
+		{header.TypeCkptMap, []logcore.Section{{Kind: mapKind, Data: mapData}}},
+		{header.TypeCkptTree, []logcore.Section{{Kind: ckptSecTree, Data: tw.B}, {Kind: ckptSecAlias, Data: aw.B}}},
+		{header.TypeCkptValid, []logcore.Section{{Kind: ckptSecValid, Data: f.encodeValidSection()}}},
 	} {
 		stream, err := f.StreamJobs(st.typ, ckptID, st.secs)
 		if err != nil {
@@ -196,7 +197,7 @@ func (f *FTL) encodeValidSection() []byte {
 	for _, e := range epochs {
 		size += pageRec * f.vstore.OwnedPages(e)
 	}
-	vw := ckpt.Writer{B: make([]byte, 0, size)}
+	vw := codec.Writer{B: make([]byte, 0, size)}
 	vw.U64(uint64(f.vstore.BitsPerPage()))
 	vw.U32(uint32(len(epochs)))
 	for _, e := range epochs {
@@ -244,7 +245,7 @@ func (f *FTL) orPinsInto(victim int, merged *bitmap.Bitmap) {
 // mapping list (tree checkpoints, ckptSecMap) or the global translation
 // directory (paged checkpoints, ckptSecGTD).
 // gtd is non-nil exactly when the stream held a directory.
-func decodeCkptMapStream(secs []ckpt.Section) (entries []ftlmap.Entry, gtd []mapcache.GTDEnt, slotsPer int, err error) {
+func decodeCkptMapStream(secs []logcore.Section) (entries []ftlmap.Entry, gtd []mapcache.GTDEnt, slotsPer int, err error) {
 	for _, s := range secs {
 		switch s.Kind {
 		case ckptSecMap:
@@ -258,14 +259,14 @@ func decodeCkptMapStream(secs []ckpt.Section) (entries []ftlmap.Entry, gtd []map
 	return nil, nil, 0, fmt.Errorf("iosnap: checkpoint map section missing")
 }
 
-// decodeCkptTree decodes the tree stream: the tree section, and the alias
-// section when there is one.
-func decodeCkptTree(secs []ckpt.Section) (*ckptTreeState, error) {
-	ti := slices.IndexFunc(secs, func(s ckpt.Section) bool { return s.Kind == ckptSecTree })
+// decodeCkptTree decodes the tree stream: the tree section and the alias
+// section.
+func decodeCkptTree(secs []logcore.Section) (*ckptTreeState, error) {
+	ti := slices.IndexFunc(secs, func(s logcore.Section) bool { return s.Kind == ckptSecTree })
 	if ti < 0 {
 		return nil, fmt.Errorf("iosnap: checkpoint tree section missing")
 	}
-	r := ckpt.Reader{B: secs[ti].Data}
+	r := codec.Reader{B: secs[ti].Data}
 	st := &ckptTreeState{
 		counter: bitmap.Epoch(r.U64()),
 		active:  bitmap.Epoch(r.U64()),
@@ -290,25 +291,27 @@ func decodeCkptTree(secs []ckpt.Section) (*ckptTreeState, error) {
 	if r.Err() != nil {
 		return nil, fmt.Errorf("iosnap: checkpoint tree section: %w", r.Err())
 	}
-	if ai := slices.IndexFunc(secs, func(s ckpt.Section) bool { return s.Kind == ckptSecAlias }); ai >= 0 {
-		r := ckpt.Reader{B: secs[ai].Data}
-		st.nextID = SnapshotID(r.U64())
-		for i, n := 0, r.Count(uint64(r.U32()), 16); i < n; i++ {
-			st.aliases = append(st.aliases, bitmap.Reaped{Epoch: bitmap.Epoch(r.U64()), Heir: bitmap.Epoch(r.U64())})
-		}
-		if r.Err() != nil {
-			return nil, fmt.Errorf("iosnap: checkpoint alias section: %w", r.Err())
-		}
+	ai := slices.IndexFunc(secs, func(s logcore.Section) bool { return s.Kind == ckptSecAlias })
+	if ai < 0 {
+		return nil, fmt.Errorf("iosnap: checkpoint alias section missing")
+	}
+	r = codec.Reader{B: secs[ai].Data}
+	st.nextID = SnapshotID(r.U64())
+	for i, n := 0, r.Count(uint64(r.U32()), 16); i < n; i++ {
+		st.aliases = append(st.aliases, bitmap.Reaped{Epoch: bitmap.Epoch(r.U64()), Heir: bitmap.Epoch(r.U64())})
+	}
+	if r.Err() != nil {
+		return nil, fmt.Errorf("iosnap: checkpoint alias section: %w", r.Err())
 	}
 	return st, nil
 }
 
-func decodeCkptValid(secs []ckpt.Section, bitsPerPage int64) ([]ckptEpochRec, error) {
+func decodeCkptValid(secs []logcore.Section, bitsPerPage int64) ([]ckptEpochRec, error) {
 	for _, s := range secs {
 		if s.Kind != ckptSecValid {
 			continue
 		}
-		r := ckpt.Reader{B: s.Data}
+		r := codec.Reader{B: s.Data}
 		if got := int64(r.U64()); got != bitsPerPage {
 			return nil, fmt.Errorf("iosnap: checkpoint bitmap granularity %d, store uses %d", got, bitsPerPage)
 		}

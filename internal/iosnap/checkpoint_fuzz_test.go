@@ -2,11 +2,10 @@ package iosnap
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"runtime"
 	"testing"
 
-	"iosnap/internal/ckpt"
+	"iosnap/internal/codec"
 	"iosnap/internal/header"
 	"iosnap/internal/logcore"
 	"iosnap/internal/sim"
@@ -20,35 +19,44 @@ import (
 // decodeAnySection runs every section decoder the recovery path has over one
 // section body; the alias section is decoded behind an empty tree section,
 // the only place it is read.
-func decodeAnySection(kind uint8, data []byte) {
-	secs := []ckpt.Section{{Kind: kind, Data: data}}
+func decodeAnySection(kind byte, data []byte) {
+	secs := []logcore.Section{{Kind: kind, Data: data}}
 	decodeCkptMapStream(secs)
 	decodeCkptTree(secs)
-	decodeCkptTree(append([]ckpt.Section{emptyTreeSection}, secs...))
+	decodeCkptTree(append([]logcore.Section{emptyTreeSection}, secs...))
 	decodeCkptValid(secs, 64)
 }
 
 // emptyTreeSection is a tree section with no snapshots and no segments.
-var emptyTreeSection = ckpt.Section{Kind: ckptSecTree, Data: make([]byte, 8+8+4+4)}
+var emptyTreeSection = logcore.Section{Kind: ckptSecTree, Data: make([]byte, 8+8+4+4)}
 
-// seal turns arbitrary bytes into a stream ckpt.Decode accepts as framed:
-// magic, version, total length and checksum are made right, everything else
-// (identity, section count, section frames) stays the fuzzer's.
-func seal(body []byte) []byte {
-	b := append([]byte(nil), body...)
-	for len(b) < 29 {
-		b = append(b, 0)
+// sectionsOf cuts arbitrary bytes into sections — a kind byte, a u32
+// length, then up to that many bytes — so the fuzzer controls every
+// section of a stream while the codec's checksums hold. recordsOf is the
+// inverse, for seeds.
+func sectionsOf(data []byte) []logcore.Section {
+	var secs []logcore.Section
+	for len(data) >= 5 {
+		n := min(int(binary.LittleEndian.Uint32(data[1:])), len(data)-5)
+		secs = append(secs, logcore.Section{Kind: data[0], Data: data[5 : 5+n]})
+		data = data[5+n:]
 	}
-	copy(b, "iCkp\x01")
-	binary.LittleEndian.PutUint32(b[21:], uint32(len(b)+8))
-	h := fnv.New64a()
-	h.Write(b)
-	return binary.LittleEndian.AppendUint64(b, h.Sum64())
+	return secs
+}
+
+func recordsOf(secs []logcore.Section) []byte {
+	var b []byte
+	for _, s := range secs {
+		b = append(b, s.Kind)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Data)))
+		b = append(b, s.Data...)
+	}
+	return b
 }
 
 // checkpointSeeds returns, for a tree map and a bounded paged map, the
-// sealed streams of one real checkpoint and every section body in them.
-func checkpointSeeds(t testing.TB) (streams [][]byte, secs []ckpt.Section) {
+// sections of each stream of one real checkpoint.
+func checkpointSeeds(t testing.TB) (streams [][]logcore.Section) {
 	for _, pages := range []int{0, 2} {
 		cfg := testConfig()
 		cfg.BitmapPageBits = 64
@@ -81,38 +89,33 @@ func checkpointSeeds(t testing.TB) (streams [][]byte, secs []ckpt.Section) {
 			byType[c.Type] = append(byType[c.Type], c)
 		}
 		for _, group := range byType {
-			var payloads [][]byte
-			for _, c := range group {
-				payloads = append(payloads, c.Payload)
+			secs, ok := logcore.AssembleStream(f.AnchorID, group)
+			if !ok {
+				t.Fatal("anchored stream does not assemble")
 			}
-			stream, err := ckpt.Join(f.AnchorID, payloads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _, ss, err := ckpt.Decode(stream)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streams = append(streams, stream)
-			secs = append(secs, ss...)
+			streams = append(streams, secs)
 		}
 	}
-	return streams, secs
+	return streams
 }
 
 // hostileCount is a map section claiming 2^62 entries in 8 bytes.
 var hostileCount = binary.LittleEndian.AppendUint64(nil, 1<<62)
 
 func FuzzCheckpointSections(f *testing.F) {
-	streams, secs := checkpointSeeds(f)
-	for _, s := range streams {
-		f.Add(uint8(0), s)
+	streams := checkpointSeeds(f)
+	for _, secs := range streams {
+		f.Add(uint8(0), recordsOf(secs))
+		for _, s := range secs {
+			f.Add(s.Kind, s.Data)
+		}
 	}
-	for _, s := range secs {
-		f.Add(s.Kind, s.Data)
-	}
-	for kind := uint8(ckptSecMap); kind <= ckptSecAlias; kind++ {
+	for kind := ckptSecMap; kind <= ckptSecValid; kind++ {
 		f.Add(kind, hostileCount)
+	}
+	ftl, err := New(testConfig(), nil)
+	if err != nil {
+		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		var before, after runtime.MemStats
@@ -120,18 +123,20 @@ func FuzzCheckpointSections(f *testing.F) {
 		if kind == 0 {
 			// A whole stream: through the chunk codec, then every decoder
 			// over whatever sections it frames.
-			chunks, err := ckpt.Split(7, seal(data), 512)
+			jobs, err := ftl.StreamJobs(header.TypeCkptMap, 7, sectionsOf(data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, err := ckpt.Join(7, chunks)
-			if err != nil {
-				t.Fatal(err)
+			group := make([]logcore.AnchorChunk, len(jobs))
+			for i, j := range jobs {
+				group[i] = logcore.AnchorChunk{Idx: uint64(j.Idx), Total: uint64(j.Total), Type: j.Type, Payload: j.Data}
 			}
-			if _, _, secs, err := ckpt.Decode(stream); err == nil {
-				for _, s := range secs {
-					decodeAnySection(s.Kind, s.Data)
-				}
+			secs, ok := logcore.AssembleStream(7, group)
+			if !ok {
+				t.Fatal("a framed stream does not assemble")
+			}
+			for _, s := range secs {
+				decodeAnySection(s.Kind, s.Data)
 			}
 		} else {
 			decodeAnySection(kind, data)
@@ -150,12 +155,8 @@ func FuzzCheckpointSections(f *testing.F) {
 // fuzzer: a checksum-valid checkpoint whose map section claims 2^62 entries
 // used to panic in makeslice (and 2^33 would have asked for 128 GiB).
 func TestCheckpointSectionCountsAreBounded(t *testing.T) {
-	for kind := uint8(ckptSecMap); kind <= ckptSecAlias; kind++ {
-		stream := ckpt.Encode(9, 9, []ckpt.Section{{Kind: kind, Data: hostileCount}})
-		_, _, secs, err := ckpt.Decode(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for kind := ckptSecMap; kind <= ckptSecValid; kind++ {
+		secs := []logcore.Section{{Kind: kind, Data: hostileCount}}
 		if _, _, _, err := decodeCkptMapStream(secs); err == nil && (kind == ckptSecMap || kind == ckptSecGTD) {
 			t.Fatalf("kind %d: a map section claiming 2^62 entries decoded", kind)
 		}
@@ -167,14 +168,20 @@ func TestCheckpointSectionCountsAreBounded(t *testing.T) {
 		}
 	}
 	// The alias section's count, behind a valid tree section.
-	alias := ckpt.Section{Kind: ckptSecAlias, Data: binary.LittleEndian.AppendUint32(make([]byte, 8), 1<<32-1)}
-	if _, err := decodeCkptTree([]ckpt.Section{emptyTreeSection, alias}); err == nil {
+	alias := logcore.Section{Kind: ckptSecAlias, Data: binary.LittleEndian.AppendUint32(make([]byte, 8), 1<<32-1)}
+	if _, err := decodeCkptTree([]logcore.Section{emptyTreeSection, alias}); err == nil {
 		t.Fatal("an alias section claiming 2^32-1 entries in 12 bytes decoded")
 	}
-	// The chunk codec's own count: a sealed stream claiming 2^32-1 sections.
-	body := make([]byte, 29)
-	binary.LittleEndian.PutUint32(body[25:], 1<<32-1)
-	if _, _, _, err := ckpt.Decode(seal(body)); err == nil {
-		t.Fatal("a stream claiming 2^32-1 sections in 37 bytes decoded")
+	// The stream's own count: a one-chunk stream of generation 9 claiming
+	// 2^32-1 sections.
+	var w codec.Writer
+	w.U64(9) // the chunk's generation prefix
+	g := w.Begin(codec.CkptGeneration)
+	w.U64(9)
+	w.U32(1<<32 - 1)
+	w.End(g)
+	chunk := append(w.B, make([]byte, 64)...)
+	if _, ok := logcore.AssembleStream(9, []logcore.AnchorChunk{{Total: 1, Payload: chunk}}); ok {
+		t.Fatal("a stream claiming 2^32-1 sections in one chunk assembled")
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"testing"
 
 	"iosnap/internal/bitmap"
-	"iosnap/internal/ckpt"
+	"iosnap/internal/codec"
 	"iosnap/internal/faultinject"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -535,8 +536,8 @@ func TestSnapshotsSurviveTailRecovery(t *testing.T) {
 
 // TestValidSectionEncodingUnchanged: the validity stream is written into a
 // buffer sized up front, a bitmap page at a time; its bytes must be the ones
-// the field-at-a-time encoder produced (old checkpoints and new decode alike),
-// and the size computed up front must be exact, or the buffer grows again.
+// a field-at-a-time encoder produces, and the size computed up front must be
+// exact, or the buffer grows again.
 func TestValidSectionEncodingUnchanged(t *testing.T) {
 	for _, pageBits := range []int64{64, bitmap.DefaultBitsPerPage} {
 		cfg := ckptConfig()
@@ -559,7 +560,7 @@ func TestValidSectionEncodingUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		var want ckpt.Writer
+		var want codec.Writer
 		want.U64(uint64(f.vstore.BitsPerPage()))
 		epochs := f.vstore.Epochs()
 		want.U32(uint32(len(epochs)))
@@ -596,7 +597,7 @@ func TestValidSectionEncodingUnchanged(t *testing.T) {
 		if cap(got) != len(got) {
 			t.Fatalf("page bits %d: section sized for %d bytes, holds %d", pageBits, cap(got), len(got))
 		}
-		recs, err := decodeCkptValid([]ckpt.Section{{Kind: ckptSecValid, Data: got}}, pageBits)
+		recs, err := decodeCkptValid([]logcore.Section{{Kind: ckptSecValid, Data: got}}, pageBits)
 		if err != nil || len(recs) != len(epochs) {
 			t.Fatalf("page bits %d: decoded %d of %d epochs: %v", pageBits, len(recs), len(epochs), err)
 		}

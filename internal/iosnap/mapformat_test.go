@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"iosnap/internal/ckpt"
+	"iosnap/internal/codec"
 	"iosnap/internal/header"
 	"iosnap/internal/logcore"
 	"iosnap/internal/mapcache"
@@ -13,10 +13,9 @@ import (
 )
 
 // Translation entries are 4-byte page addresses, 64 per page at 512-byte
-// sectors. Images written when they were 8 bytes wide hold translation
-// pages of 32 slots (section kind 1) and checkpoints whose GTD section says
-// 32 slots per page: such an image mounts through the full scan once, and
-// its next checkpoint is in the current format.
+// sectors. A checkpoint whose GTD section names another geometry — 32
+// eight-byte slots per page, as entries once were — mounts through the full
+// scan once, and its next checkpoint is in the current geometry.
 
 // pagedFormatConfig is the torture geometry with a two-page map cache.
 func pagedFormatConfig() Config {
@@ -68,11 +67,11 @@ func checkPagedModel(t *testing.T, f *FTL, now sim.Time, model map[int64]byte) {
 
 // rewriteMapStream replaces the closed device's anchored map stream,
 // programming the new chunks into a free segment. With eightByte it writes
-// what a build with 8-byte translation entries wrote for the same map: every
-// translation page re-encoded as 32 eight-byte slots under section kind 1,
-// programmed beside the chunks, and a GTD section naming them with 32 slots
-// per page. Without, it re-programs the stream as it is (the control: the
-// rewrite itself must not cost the tail-bounded mount).
+// the same map with 8-byte translation entries: every translation page
+// re-encoded as 32 eight-byte slots, programmed beside the chunks, and a GTD
+// section naming them with 32 slots per page. Without, it re-programs the
+// stream as it is (the control: the rewrite itself must not cost the
+// tail-bounded mount).
 func rewriteMapStream(t *testing.T, f *FTL, now sim.Time, eightByte bool) {
 	t.Helper()
 	dev := f.Device()
@@ -91,7 +90,7 @@ func rewriteMapStream(t *testing.T, f *FTL, now sim.Time, eightByte bool) {
 			kept = append(kept, c.Addr)
 		}
 	}
-	ckptSeq, secs, ok := logcore.AssembleStream(anchor.ID, mapChunks)
+	secs, ok := logcore.AssembleStream(anchor.ID, mapChunks)
 	if !ok || len(secs) != 1 || secs[0].Kind != ckptSecGTD {
 		t.Fatal("anchored map stream is not one GTD section")
 	}
@@ -123,16 +122,17 @@ func rewriteMapStream(t *testing.T, f *FTL, now sim.Time, eightByte bool) {
 			pages[idx][lba%slotsPer] = addr
 			return true
 		})
-		var w ckpt.Writer
+		var w codec.Writer
 		w.U32(slotsPer)
 		w.U32(uint32(len(order)))
 		for _, idx := range order {
-			var body ckpt.Writer
-			body.U64(idx)
-			body.U32(slotsPer)
-			body.U64s(pages[idx])
-			payload := make([]byte, ss)
-			copy(payload, ckpt.Encode(idx, seq+1, []ckpt.Section{{Kind: 1, Data: body.B}}))
+			page := codec.Writer{B: make([]byte, 0, ss)}
+			start := page.Begin(codec.MapPage)
+			page.U64(idx)
+			page.U32(slotsPer)
+			page.U64s(pages[idx])
+			page.End(start)
+			payload := append(page.B, make([]byte, ss-len(page.B))...)
 			live := 0
 			for _, v := range pages[idx] {
 				if v != ^uint64(0) {
@@ -143,14 +143,14 @@ func rewriteMapStream(t *testing.T, f *FTL, now sim.Time, eightByte bool) {
 			w.U64(uint64(program(payload, header.Header{Type: header.TypeMapPage, LBA: idx})))
 			w.U32(uint32(live))
 		}
-		gtd = ckpt.Section{Kind: ckptSecGTD, Data: w.B}
+		gtd = logcore.Section{Kind: ckptSecGTD, Data: w.B}
 	}
-	split, err := ckpt.Split(anchor.ID, ckpt.Encode(anchor.ID, ckptSeq, []ckpt.Section{gtd}), ss)
+	jobs, err := f.StreamJobs(header.TypeCkptMap, anchor.ID, []logcore.Section{gtd})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range split {
-		kept = append(kept, program(c, header.Header{Type: header.TypeCkptMap, LBA: uint64(i), Epoch: uint64(len(split))}))
+	for _, j := range jobs {
+		kept = append(kept, program(j.Data, header.Header{Type: j.Type, LBA: uint64(j.Idx), Epoch: uint64(j.Total)}))
 	}
 	dev.SetAnchor(&nand.Anchor{ID: anchor.ID, Addrs: kept})
 }

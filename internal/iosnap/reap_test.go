@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"iosnap/internal/bitmap"
-	"iosnap/internal/ckpt"
+	"iosnap/internal/codec"
 	"iosnap/internal/header"
 	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
@@ -538,8 +538,8 @@ func TestReapedMountsMatchFullScan(t *testing.T) {
 }
 
 // TestFullHistoryCheckpointMountsAndReaps: a checkpoint that carries every
-// epoch ever created — what a device checkpointed before reaping existed
-// holds — still mounts tail-bounded, and the mount reaps it.
+// epoch ever created — what a checkpoint taken while every epoch is still
+// read holds — still mounts tail-bounded, and the mount reaps it.
 func TestFullHistoryCheckpointMountsAndReaps(t *testing.T) {
 	h := newHistRun(t, ckptConfig())
 	var kept []SnapshotID
@@ -570,7 +570,7 @@ func TestFullHistoryCheckpointMountsAndReaps(t *testing.T) {
 			valid = append(valid, c)
 		}
 	}
-	_, secs, ok := logcore.AssembleStream(f.AnchorID, valid)
+	secs, ok := logcore.AssembleStream(f.AnchorID, valid)
 	if !ok {
 		t.Fatal("validity stream does not assemble")
 	}
@@ -602,24 +602,25 @@ func TestFullHistoryCheckpointMountsAndReaps(t *testing.T) {
 	h.verify(tail, now, "after mounting a full-history checkpoint")
 }
 
-// TestTreeStreamWithoutAliasSection: the tree stream of a checkpoint written
-// before the alias section existed decodes to an empty table.
+// TestTreeStreamWithoutAliasSection: a tree stream is a tree section and an
+// alias section; one without the alias section — as checkpoints were
+// written before it existed — is refused, so its mount falls back to the
+// full scan.
 func TestTreeStreamWithoutAliasSection(t *testing.T) {
-	var w ckpt.Writer
+	var w codec.Writer
 	w.U64(3) // counter
 	w.U64(3) // active epoch
 	w.U32(0) // snapshots
 	w.U32(0) // segment table
-	st, err := decodeCkptTree([]ckpt.Section{{Kind: ckptSecTree, Data: w.B}})
-	if err != nil || st.nextID != 0 || st.aliases != nil {
-		t.Fatalf("decoded %+v, %v; want no next ID and no aliases", st, err)
+	if st, err := decodeCkptTree([]logcore.Section{{Kind: ckptSecTree, Data: w.B}}); err == nil {
+		t.Fatalf("decoded %+v from a tree stream without its alias section", st)
 	}
-	var a ckpt.Writer
+	var a codec.Writer
 	a.U64(9)
 	a.U32(1)
 	a.U64(4)
 	a.U64(7)
-	st, err = decodeCkptTree([]ckpt.Section{{Kind: ckptSecTree, Data: w.B}, {Kind: ckptSecAlias, Data: a.B}})
+	st, err := decodeCkptTree([]logcore.Section{{Kind: ckptSecTree, Data: w.B}, {Kind: ckptSecAlias, Data: a.B}})
 	if err != nil || st.nextID != 9 || len(st.aliases) != 1 || st.aliases[0] != (bitmap.Reaped{Epoch: 4, Heir: 7}) {
 		t.Fatalf("decoded %+v, %v", st, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"iosnap/internal/codec"
 	"iosnap/internal/sim"
 	"iosnap/internal/xport"
 )
@@ -58,66 +59,48 @@ func receiveSeeds(tb testing.TB) (full, delta []byte, base *xport.Manifest) {
 	return full, delta, base
 }
 
-// The xport envelope: [4-byte magic][tag][u32 n][n-byte body][FNV-64a of
-// everything before].
-const envHead, envTail = 9, 8
-
-// sealEnv appends body to dst in an envelope with a correct length and
-// checksum.
-func sealEnv(dst []byte, magic string, tag byte, body []byte) []byte {
-	start := len(dst)
-	dst = append(dst, magic...)
-	dst = append(dst, tag)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = append(dst, body...)
-	h := fnv.New64a()
-	h.Write(dst[start:])
-	return binary.LittleEndian.AppendUint64(dst, h.Sum64())
+// openFrame reads the codec frame at the front of b leniently — a length
+// past the end is clamped, the checksum is ignored — and returns its type,
+// a copy of its payload and the bytes after it.
+func openFrame(b []byte) (typ byte, payload, rest []byte) {
+	if len(b) > 0 {
+		typ = b[0]
+	}
+	if len(b) < codec.HeadLen {
+		return typ, nil, nil
+	}
+	n := min(uint64(binary.LittleEndian.Uint32(b[1:])), uint64(len(b)-codec.HeadLen))
+	payload = append([]byte(nil), b[codec.HeadLen:codec.HeadLen+n]...)
+	return typ, payload, b[min(uint64(len(b)), codec.HeadLen+n+codec.TailLen):]
 }
 
-// openEnv reads the envelope at the front of b leniently — a length past
-// the end is clamped, magic and checksum are ignored — and returns its tag,
-// a copy of its body and the bytes after it.
-func openEnv(b []byte) (tag byte, body, rest []byte) {
-	if len(b) > 4 {
-		tag = b[4]
-	}
-	if len(b) < envHead {
-		return tag, nil, nil
-	}
-	n := min(uint64(binary.LittleEndian.Uint32(b[5:])), uint64(len(b)-envHead))
-	body = append([]byte(nil), b[envHead:envHead+n]...)
-	return tag, body, b[min(uint64(len(b)), envHead+n+envTail):]
-}
-
-// resealStream turns arbitrary bytes into a stream whose envelopes are all
-// well formed: each frame, and the manifest inside a manifest frame, gets
-// its magic, a length that fits and its checksum, and every chunk and end
-// frame is re-tagged with the ID of the manifest before it. Frame types,
-// manifest versions and every body byte stay the fuzzer's, so its mutations
+// resealStream turns arbitrary bytes into a stream whose frames are all
+// well formed: each gets a length that fits and its checksum, and every
+// chunk and end frame is re-tagged with the ID of the manifest before it.
+// Frame types and every payload byte stay the fuzzer's, so its mutations
 // reach the decoders and the receiver instead of dying at a checksum.
 func resealStream(data []byte) []byte {
-	var out []byte
+	var out codec.Writer
 	var id uint64
 	for len(data) > 0 {
 		var typ byte
-		var body []byte
-		typ, body, data = openEnv(data)
+		var payload []byte
+		typ, payload, data = openFrame(data)
 		switch typ {
 		case xport.FrameManifest:
-			ver, mbody, _ := openEnv(body)
-			body = sealEnv(nil, "iXmf", ver, mbody)
-			if m, err := xport.DecodeManifest(body); err == nil {
+			var m codec.Writer
+			m.Frame(typ, payload)
+			if m, err := xport.DecodeManifest(m.B); err == nil {
 				id = m.ID()
 			}
 		case xport.FrameChunk, xport.FrameEnd:
-			if len(body) >= 8 {
-				binary.LittleEndian.PutUint64(body, id)
+			if len(payload) >= 8 {
+				binary.LittleEndian.PutUint64(payload, id)
 			}
 		}
-		out = sealEnv(out, "iXfr", typ, body)
+		out.Frame(typ, payload)
 	}
-	return out
+	return out.B
 }
 
 // rewriteDelta re-encodes a delta stream after mut changed its manifest,
@@ -168,7 +151,9 @@ func hostileManifestStream(size int) []byte {
 	binary.LittleEndian.PutUint32(body[24:], 512)          // SectorSize
 	binary.LittleEndian.PutUint64(body[28:], 64)           // Sectors
 	binary.LittleEndian.PutUint32(body[36:], uint32(size)) // writes claimed
-	return sealEnv(nil, "iXfr", xport.FrameManifest, sealEnv(nil, "iXmf", 1, body))
+	var w codec.Writer
+	w.Frame(xport.FrameManifest, body)
+	return w.B
 }
 
 func FuzzReceiveStream(f *testing.F) {
@@ -217,8 +202,9 @@ func FuzzReceiveStream(f *testing.F) {
 }
 
 // TestReceiveSeedStreamsPinned: the seed streams are real exports, and the
-// transport's bytes are a wire format — the export of a fixed history must
-// encode to the same bytes release after release.
+// transport's bytes are a wire format — the export of a fixed history
+// encodes to the same bytes until the format changes by design, and a
+// receiver refuses the old format rather than reading it.
 func TestReceiveSeedStreamsPinned(t *testing.T) {
 	full, delta, _ := receiveSeeds(t)
 	for _, tc := range []struct {
@@ -227,8 +213,8 @@ func TestReceiveSeedStreamsPinned(t *testing.T) {
 		n    int
 		sum  uint64
 	}{
-		{"full", full, 13671, 0x51acb82efeb980d},
-		{"delta", delta, 1822, 0xf9b5ba8613e8c609},
+		{"full", full, 13446, 0x619ef4faf185bf02},
+		{"delta", delta, 1765, 0xee6a63e9eea5e74c},
 	} {
 		if len(tc.b) != tc.n || xport.HashChunk(tc.b) != tc.sum {
 			t.Errorf("%s stream: %d bytes, FNV-64a %#x; pinned %d bytes, %#x", tc.name, len(tc.b), xport.HashChunk(tc.b), tc.n, tc.sum)

@@ -84,7 +84,7 @@ func TestReplicationCostFullVsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := (cost{len(m.Writes), len(stream), dst.Scheduler().Drain(t2).Sub(now)}), (cost{590, 333461, 4541570}); got != want {
+	if got, want := (cost{len(m.Writes), len(stream), dst.Scheduler().Drain(t2).Sub(now)}), (cost{590, 328708, 4541570}); got != want {
 		t.Errorf("full: %+v, want %+v", got, want)
 	}
 
@@ -118,7 +118,7 @@ func TestReplicationCostFullVsIncremental(t *testing.T) {
 	if !m.IsDelta() {
 		t.Fatal("incremental export shipped a full image")
 	}
-	if got, want := (cost{len(m.Writes), len(stream), dst.Scheduler().Drain(t2).Sub(t0)}), (cost{60, 34091, 1567800}); got != want {
+	if got, want := (cost{len(m.Writes), len(stream), dst.Scheduler().Drain(t2).Sub(t0)}), (cost{60, 33578, 1567800}); got != want {
 		t.Errorf("incremental: %+v, want %+v", got, want)
 	}
 }

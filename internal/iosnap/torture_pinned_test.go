@@ -70,7 +70,7 @@ func TestTorturePinnedOracles(t *testing.T) {
 			"steps=900 opErrors=0 crashes=0 recoveries=0 checks=10 repls=0 gcErrors=0 torn=0 fired=0/09612b07b5ecb5a5 digest=0237a181211d8f2c gcRuns=156 gcCopied=2396 ckpts=0 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
 		{"map-thrash/seed23", mapThrashConfig(), TortureOptions{Seed: 23, Steps: 600, Space: mapThrashSpace,
 			MapThrash: true, Plan: replChurnPlan(11)},
-			"steps=600 opErrors=0 crashes=0 recoveries=0 checks=7 repls=0 gcErrors=0 torn=0 fired=11/5286ca7771d96587 digest=9de409041c55af62 gcRuns=57 gcCopied=662 ckpts=0 retries=11 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=325"},
+			"steps=600 opErrors=0 crashes=0 recoveries=0 checks=7 repls=0 gcErrors=0 torn=0 fired=11/5286ca7771d96587 digest=de0d496a9d63ccec gcRuns=57 gcCopied=662 ckpts=0 retries=11 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=325"},
 		{"map-thrash-crash/seed9", mapThrashConfig(), TortureOptions{Seed: 9, Steps: 900, Space: mapThrashSpace,
 			MapThrash: true, Plan: mapCrashPlan(400),
 			Replan: func(cycle int) *faultinject.Plan {
@@ -79,13 +79,13 @@ func TestTorturePinnedOracles(t *testing.T) {
 				}
 				return nil
 			}},
-			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=16/31db231a200dfb99 digest=85238b38e83d8a13 gcRuns=93 gcCopied=1095 ckpts=0 retries=15 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=392"},
+			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=16/31db231a200dfb99 digest=d3e656a94c001a44 gcRuns=93 gcCopied=1095 ckpts=0 retries=15 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=392"},
 		// Periodic checkpoints: generations committed, superseded and stamped
 		// stale by cleaning; crashes right after a chunk lands (tail-bounded
 		// recovery or fallback); a bounded map's GTD checkpoints.
 		{"ckpt-churn/seed77", ckptEvery(tortureConfig(), 1*sim.Millisecond),
 			TortureOptions{Seed: 77, Steps: 1200, SnapshotChurn: true},
-			"steps=1200 opErrors=72 crashes=0 recoveries=0 checks=13 repls=0 gcErrors=0 torn=0 fired=0/09612b07b5ecb5a5 digest=1a09ec0b53412397 gcRuns=211 gcCopied=2968 ckpts=23 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
+			"steps=1200 opErrors=72 crashes=0 recoveries=0 checks=13 repls=0 gcErrors=0 torn=0 fired=0/09612b07b5ecb5a5 digest=84266fe10cabd5c7 gcRuns=211 gcCopied=2968 ckpts=23 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
 		{"ckpt-crash/seed4242", ckptEvery(tortureConfig(), 500*sim.Microsecond),
 			TortureOptions{Seed: 4242, Steps: 1500, ActivationLimit: actLimit,
 				Plan: faultinject.CrashAtChunk(header.TypeCkptMap, 1),
@@ -95,11 +95,11 @@ func TestTorturePinnedOracles(t *testing.T) {
 					}
 					return faultinject.CrashAtChunk(chunkTypes[cycle%len(chunkTypes)], 1+int64(cycle%2))
 				}},
-			"steps=1500 opErrors=0 crashes=4 recoveries=4 checks=20 repls=0 gcErrors=0 torn=0 fired=4/fbdbb5fb10ef4f91 digest=ba3d2ac92358e0ee gcRuns=209 gcCopied=2632 ckpts=28 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
+			"steps=1500 opErrors=0 crashes=4 recoveries=4 checks=20 repls=0 gcErrors=0 torn=0 fired=4/fbdbb5fb10ef4f91 digest=ecc565ecbf431f48 gcRuns=209 gcCopied=2637 ckpts=29 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
 		{"map-thrash-ckpt-crash/seed9", ckptEvery(mapThrashConfig(), 1*sim.Millisecond),
 			TortureOptions{Seed: 9, Steps: 900, Space: mapThrashSpace, MapThrash: true,
 				Plan: mapCrashPlan(400)},
-			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=1/7f27fe7b755ba98d digest=78cf28737a3ef13d gcRuns=89 gcCopied=1008 ckpts=17 retries=0 mediaFailures=0 retired=0 fallbacks=1 mapFlushed=378"},
+			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=1/7f27fe7b755ba98d digest=bfc9518055ed7420 gcRuns=92 gcCopied=1067 ckpts=17 retries=0 mediaFailures=0 retired=0 fallbacks=1 mapFlushed=393"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"iosnap/internal/bitmap"
-	"iosnap/internal/ckpt"
 	"iosnap/internal/header"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
@@ -23,7 +22,7 @@ type flatPolicy struct {
 	stats Stats
 	valid *bitmap.Bitmap
 	runs  [][]nand.PageAddr
-	secs  []ckpt.Section // the checkpoint's one stream, if any
+	secs  []Section // the checkpoint's one stream, if any
 }
 
 func newFlat(t *testing.T) *flatPolicy { return newFlatWith(t, func(*Config) {}) }
@@ -214,7 +213,7 @@ func TestCopyForwardPermanentFailureMidBatch(t *testing.T) {
 // one anchored chunk makes the whole generation untrusted (ok=false).
 func TestReadAnchorChunks(t *testing.T) {
 	p := newFlat(t)
-	p.secs = []ckpt.Section{{Kind: 1, Data: bytes.Repeat([]byte{7}, 1500)}, {Kind: 2, Data: []byte("table")}}
+	p.secs = []Section{{Kind: 1, Data: bytes.Repeat([]byte{7}, 1500)}, {Kind: 2, Data: []byte("table")}}
 	now := p.mustWrite(t, 0, 0, 4, 3)
 	now, err := p.writeCheckpoint(now)
 	if err != nil {
@@ -233,9 +232,9 @@ func TestReadAnchorChunks(t *testing.T) {
 			t.Fatalf("chunk %d: %+v", i, c)
 		}
 	}
-	seq, secs, ok := AssembleStream(p.AnchorID, chunks)
-	if !ok || seq != p.AnchorID || !sectionsEqual(secs, p.secs) {
-		t.Fatalf("AssembleStream: ok %v, seq %d (anchor %d), sections equal %v", ok, seq, p.AnchorID, sectionsEqual(secs, p.secs))
+	secs, ok := AssembleStream(p.AnchorID, chunks)
+	if !ok || !sectionsEqual(secs, p.secs) {
+		t.Fatalf("AssembleStream: ok %v, sections equal %v", ok, sectionsEqual(secs, p.secs))
 	}
 
 	p.Dev.SetFaultHook(nand.FaultFunc(func(op nand.Op, a nand.PageAddr) error {
@@ -249,8 +248,8 @@ func TestReadAnchorChunks(t *testing.T) {
 	}
 }
 
-func sectionsEqual(a, b []ckpt.Section) bool {
-	return slices.EqualFunc(a, b, func(x, y ckpt.Section) bool { return x.Kind == y.Kind && bytes.Equal(x.Data, y.Data) })
+func sectionsEqual(a, b []Section) bool {
+	return slices.EqualFunc(a, b, func(x, y Section) bool { return x.Kind == y.Kind && bytes.Equal(x.Data, y.Data) })
 }
 
 // TestAssembleStream: only a complete stream — indices 0..Total-1, one copy
@@ -259,7 +258,7 @@ func sectionsEqual(a, b []ckpt.Section) bool {
 func TestAssembleStream(t *testing.T) {
 	p := newFlat(t)
 	const id = 42
-	want := []ckpt.Section{{Kind: 1, Data: bytes.Repeat([]byte{9}, 1200)}, {Kind: 3, Data: []byte("tail")}}
+	want := []Section{{Kind: 1, Data: bytes.Repeat([]byte{9}, 1200)}, {Kind: 3, Data: []byte("tail")}}
 	jobs, err := p.StreamJobs(header.TypeCheckpoint, id, want)
 	if err != nil {
 		t.Fatal(err)
@@ -297,12 +296,12 @@ func TestAssembleStream(t *testing.T) {
 		{"flipped-payload-byte", id, func(c []AnchorChunk) []AnchorChunk { c[1].Payload[100] ^= 1; return c }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			seq, secs, ok := AssembleStream(tc.id, tc.mutate(stream()))
+			secs, ok := AssembleStream(tc.id, tc.mutate(stream()))
 			if ok != tc.ok {
 				t.Fatalf("ok %v, want %v", ok, tc.ok)
 			}
-			if ok && (seq != id || !sectionsEqual(secs, want)) {
-				t.Fatalf("seq %d, sections equal %v; want %d and true", seq, sectionsEqual(secs, want), id)
+			if ok && !sectionsEqual(secs, want) {
+				t.Fatal("sections differ from those written")
 			}
 		})
 	}

@@ -188,7 +188,7 @@ func (l *Log) flushMapPage(now sim.Time, c *mapcache.Cache, idx uint64) (sim.Tim
 	if len(l.ws.mapPage) != l.cfg.Nand.SectorSize {
 		l.ws.mapPage = make([]byte, l.cfg.Nand.SectorSize)
 	}
-	mapcache.EncodePage(l.ws.mapPage, idx, l.Seq, c.Slots(idx))
+	mapcache.EncodePage(l.ws.mapPage, idx, c.Slots(idx))
 	h.MarshalInto(l.ws.mapOOB[:])
 	done, err := l.DevProgramPage(now, addr, l.ws.mapPage, l.ws.mapOOB[:])
 	if err != nil {

@@ -34,7 +34,7 @@ import (
 	"fmt"
 	"sort"
 
-	"iosnap/internal/ckpt"
+	"iosnap/internal/codec"
 	"iosnap/internal/ftlmap"
 )
 
@@ -79,61 +79,51 @@ func SlotsFor(sectorSize int) int {
 	return k
 }
 
-// pageOverhead is the codec framing around the slot array: the ckpt
-// stream header, section frame and checksum, and the idx/count fields of
-// the section body.
-const pageOverhead = ckpt.SingleBody + pageHead + 8
+// pageOverhead is the codec frame around the slot array plus the page's
+// idx and count fields.
+const pageOverhead = codec.Overhead + pageHead
 
-// pageHead is the section body's idx and count fields.
+// pageHead is the page's idx and count fields.
 const pageHead = 8 + 4
-
-// secSlots32 is the ckpt section kind of a translation page's slot array:
-// [u64 idx][u32 n][n × u32 page address]. Kind 1, the 8-byte slots pages
-// were once written with, is refused (an image that holds them mounts
-// through the full scan).
-const secSlots32 = 2
 
 // EncodePage encodes one translation page for programming into dst, a
 // sector-sized buffer the caller owns and may reuse once the page is
-// programmed: a ckpt stream (ID = page index) holding the dense slot array,
-// zero-padded to the end of dst. seq is the log sequence number the page is
-// written under. It allocates nothing.
-func EncodePage(dst []byte, idx, seq uint64, slots []uint32) {
-	n := pageHead + 4*len(slots)
-	if ckpt.SingleBody+n+8 > len(dst) {
+// programmed: one codec.MapPage frame of [u64 idx][u32 n][n × u32 page
+// address], sealed in place and zero-padded to the end of dst. It
+// allocates nothing.
+func EncodePage(dst []byte, idx uint64, slots []uint32) {
+	if pageOverhead+4*len(slots) > len(dst) {
 		panic(fmt.Sprintf("mapcache: %d-slot translation page exceeds sector %d", len(slots), len(dst)))
 	}
-	b := dst[ckpt.SingleBody:]
-	binary.LittleEndian.PutUint64(b, idx)
-	binary.LittleEndian.PutUint32(b[8:], uint32(len(slots)))
-	for i, s := range slots {
-		binary.LittleEndian.PutUint32(b[pageHead+4*i:], s)
+	w := codec.Writer{B: dst[:0]}
+	start := w.Begin(codec.MapPage)
+	w.U64(idx)
+	w.U32(uint32(len(slots)))
+	for _, s := range slots {
+		w.U32(s)
 	}
-	clear(dst[ckpt.SealSingle(dst, idx, seq, secSlots32, n):])
+	w.End(start)
+	clear(dst[len(w.B):])
 }
 
 // DecodePage decodes a translation page payload into dst's backing array
 // (growing it only if it is too short) and returns the page index and the
-// slots. The codec's explicit length makes the sector padding harmless;
-// anything else — another section kind, a body longer or shorter than its
-// count, an index that disagrees with the stream ID — is an error.
+// slots. The frame's explicit length makes the sector padding harmless;
+// anything else — another frame type, a body longer or shorter than its
+// count — is an error.
 func DecodePage(payload []byte, dst []uint32) (idx uint64, slots []uint32, err error) {
-	id, _, sec, err := ckpt.DecodeSingle(payload)
+	typ, b, _, err := codec.Open(payload, len(payload))
 	if err != nil {
 		return 0, nil, err
 	}
-	if sec.Kind != secSlots32 {
-		return 0, nil, fmt.Errorf("mapcache: translation page section kind %d, want %d", sec.Kind, secSlots32)
+	if typ != codec.MapPage {
+		return 0, nil, fmt.Errorf("mapcache: translation page frame type %d, want %d", typ, codec.MapPage)
 	}
-	b := sec.Data
 	if len(b) < pageHead {
 		return 0, nil, fmt.Errorf("mapcache: translation page body %d bytes", len(b))
 	}
 	idx = binary.LittleEndian.Uint64(b)
 	n := binary.LittleEndian.Uint32(b[8:])
-	if idx != id {
-		return 0, nil, fmt.Errorf("mapcache: translation page id %d / body idx %d mismatch", id, idx)
-	}
 	if n == 0 || uint64(len(b)-pageHead) != 4*uint64(n) {
 		return 0, nil, fmt.Errorf("mapcache: translation page %d slot count %d for %d bytes", idx, n, len(b)-pageHead)
 	}

@@ -3,9 +3,10 @@ package mapcache
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
-	"iosnap/internal/ckpt"
+	"iosnap/internal/codec"
 	"iosnap/internal/ftlmap"
 	"iosnap/internal/sim"
 )
@@ -32,9 +33,9 @@ func TestPageCodecRoundTrip(t *testing.T) {
 	slots[k-1] = Unmapped - 1
 	payload := make([]byte, sector)
 	for i := range payload {
-		payload[i] = 0xEE // EncodePage must zero what the stream leaves
+		payload[i] = 0xEE // EncodePage must zero what the frame leaves
 	}
-	EncodePage(payload, 7, 42, slots)
+	EncodePage(payload, 7, slots)
 	idx, got, err := DecodePage(payload, nil)
 	if err != nil {
 		t.Fatalf("DecodePage: %v", err)
@@ -47,7 +48,7 @@ func TestPageCodecRoundTrip(t *testing.T) {
 			t.Fatalf("slot %d: %d, want %d", i, got[i], slots[i])
 		}
 	}
-	if end := ckpt.SingleBody + pageHead + 4*k + 8; !bytes.Equal(payload[end:], make([]byte, sector-end)) {
+	if end := pageOverhead + 4*k; !bytes.Equal(payload[end:], make([]byte, sector-end)) {
 		t.Fatal("sector padding not zeroed")
 	}
 	payload[10] ^= 0xFF
@@ -56,40 +57,68 @@ func TestPageCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// oldKindPage encodes a translation page the way 8-byte slots were
-// written: section kind 1, [u64 idx][u32 n][n × u64].
-func oldKindPage(idx uint64, slots []uint64, sector int) []byte {
-	var w ckpt.Writer
+// eightBytePage frames a translation page of 8-byte slots, [u64 idx][u32
+// n][n × u64], as a frame of type typ in a sector.
+func eightBytePage(typ byte, idx uint64, slots []uint64, sector int) []byte {
+	w := codec.Writer{B: make([]byte, 0, sector)}
+	start := w.Begin(typ)
 	w.U64(idx)
 	w.U32(uint32(len(slots)))
 	w.U64s(slots)
-	out := make([]byte, sector)
-	copy(out, ckpt.Encode(idx, 1, []ckpt.Section{{Kind: 1, Data: w.B}}))
-	return out
+	w.End(start)
+	return append(w.B, make([]byte, sector-len(w.B))...)
 }
 
-// TestDecodePageRefusesOldKind: a well-formed page of 8-byte slots is an
-// error, never a misparse — whatever its slot count.
+// retiredPage is a page of 8-byte slots in the encoding translation pages
+// had before they were codec frames: a one-section checkpoint stream —
+// magic, version, ID, sequence, length, section count, the section's kind
+// and length, the body, FNV-64a.
+func retiredPage(idx uint64, slots []uint64, sector int) []byte {
+	var body codec.Writer
+	body.U64(idx)
+	body.U32(uint32(len(slots)))
+	body.U64s(slots)
+	b := append([]byte("iCkp"), 1)
+	b = binary.LittleEndian.AppendUint64(b, idx)
+	b = binary.LittleEndian.AppendUint64(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, uint32(29+5+len(body.B)+8))
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = append(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(body.B)))
+	b = append(b, body.B...)
+	h := fnv.New64a()
+	h.Write(b)
+	b = binary.LittleEndian.AppendUint64(b, h.Sum64())
+	return append(b, make([]byte, sector-len(b))...)
+}
+
+// TestDecodePageRefusesOldKind: a page of 8-byte slots is an error, never a
+// misparse — whatever its slot count, framed as a translation page or as
+// another frame type, or in the encoding pages had before the codec.
 func TestDecodePageRefusesOldKind(t *testing.T) {
 	for _, n := range []int{32, 64} {
 		slots := make([]uint64, n)
 		for i := range slots {
 			slots[i] = uint64(i)
 		}
-		if _, _, err := DecodePage(oldKindPage(3, slots, 1024), nil); err == nil {
-			t.Fatalf("%d-slot page of the old kind decoded", n)
+		for name, page := range map[string][]byte{
+			"page frame":    eightBytePage(codec.MapPage, 3, slots, 1024),
+			"foreign frame": eightBytePage(codec.CkptMap, 3, slots, 1024),
+			"retired":       retiredPage(3, slots, 1024),
+		} {
+			if _, _, err := DecodePage(page, nil); err == nil {
+				t.Fatalf("%d-slot %s page decoded", n, name)
+			}
 		}
 	}
 }
 
 // FuzzDecodePage: translation pages come back from flash, and flash comes
 // back from an image file. No payload may panic the decoder; one it
-// accepts is a current-kind page that EncodePage writes back byte for byte
-// (up to the sector padding after the stream), so nothing else decodes.
+// accepts is a translation-page frame that EncodePage writes back byte for
+// byte (up to the sector padding after the frame), so nothing else decodes.
 // An input is either a raw payload or, so the fuzzer gets past the
-// checksum, a section of the given kind framed as a one-section stream
-// whose ID is the body's first eight bytes — the page index a real page
-// carries there.
+// checksum, a payload sealed as a frame of the given type.
 func FuzzDecodePage(f *testing.F) {
 	const sector = 512
 	k := SlotsFor(sector)
@@ -100,41 +129,36 @@ func FuzzDecodePage(f *testing.F) {
 	var pages [][]byte
 	for _, slots := range [][]uint32{full, empty} {
 		p := make([]byte, sector)
-		EncodePage(p, 5, 9, slots)
+		EncodePage(p, 5, slots)
 		pages = append(pages, p)
 	}
-	pages = append(pages, oldKindPage(5, make([]uint64, 32), sector))
+	pages = append(pages, eightBytePage(codec.MapPage, 5, make([]uint64, 32), sector), retiredPage(5, make([]uint64, 32), sector))
 	for i, p := range pages {
 		f.Add(false, uint8(0), p)
-		_, _, sec, err := ckpt.DecodeSingle(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(true, sec.Kind, sec.Data)
-		if i == 0 {
-			f.Add(true, uint8(1), sec.Data) // a 4-byte body under the old kind
+		if typ, body, _, err := codec.Open(p, sector); err == nil {
+			f.Add(true, typ, body)
+			if i == 0 {
+				f.Add(true, uint8(codec.CkptMap), body) // a page body under a foreign type
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, sealed bool, kind uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, sealed bool, typ uint8, data []byte) {
 		payload := data
 		if sealed {
-			var id uint64
-			if len(data) >= 8 {
-				id = binary.LittleEndian.Uint64(data)
-			}
-			payload = ckpt.Encode(id, 1, []ckpt.Section{{Kind: kind, Data: data}})
+			var w codec.Writer
+			w.Frame(typ, data)
+			payload = w.B
 		}
 		idx, slots, err := DecodePage(payload, nil)
 		if err != nil {
 			return
 		}
-		_, seq, sec, err := ckpt.DecodeSingle(payload)
-		if err != nil || sec.Kind != secSlots32 {
-			t.Fatalf("DecodePage accepted a stream of kind %d (%v)", sec.Kind, err)
+		got, _, n, err := codec.Open(payload, len(payload))
+		if err != nil || got != codec.MapPage {
+			t.Fatalf("DecodePage accepted a frame of type %d (%v)", got, err)
 		}
-		n := ckpt.SingleBody + len(sec.Data) + 8 // the stream, checksum included
 		again := make([]byte, len(payload))
-		EncodePage(again, idx, seq, slots)
+		EncodePage(again, idx, slots)
 		if !bytes.Equal(again[:n], payload[:n]) {
 			t.Fatalf("page %d with %d slots re-encodes differently:\n got %x\nwant %x", idx, len(slots), again[:n], payload[:n])
 		}
@@ -328,7 +352,7 @@ func (fs *flashSim) trim(c *Cache) {
 		case dirty:
 			fs.next++
 			fs.store[fs.next] = make([]byte, fs.sector)
-			EncodePage(fs.store[fs.next], idx, 0, c.Slots(idx))
+			EncodePage(fs.store[fs.next], idx, c.Slots(idx))
 			if prev, had := c.MarkFlushed(idx, fs.next); had {
 				delete(fs.store, prev)
 			}

@@ -20,13 +20,10 @@ func pinnedImageDevice(t testing.TB, cfg Config, seed int64) *Device {
 	return d
 }
 
-// TestImageBytesPinned pins the v4 encoding itself. StateDigest hashes device
+// TestImageBytesPinned pins the v5 encoding itself. StateDigest hashes device
 // state, not bytes, so a codec change that still round-trips passes every
-// other image test; these constants were computed before the image codec was
-// rewritten to stream and must never move. Equal bytes are also the
-// compatibility argument: an image written by either codec is one the other
-// wrote too. (gob numbers types per process in first-use order, so no test
-// in this package may gob-encode a type outside imageHeader's tree.)
+// other image test; these constants move only with a new format version,
+// whose loader refuses the old one rather than reading it.
 //
 // The "many segments" row images a device with more touched segments than
 // the codec keeps frames in flight, every frame kind among them, so frames
@@ -40,9 +37,9 @@ func TestImageBytesPinned(t *testing.T) {
 		minFrames int // touched segments the device must carry, every kind among them
 		want      string
 	}{
-		{"data", testConfig(), 0, "32616651b88af89c194c1af1037002472541ee5ffc5862ff43b998c854be374a"},
-		{"fingerprint", fp, 0, "81ae45e27e367cbaf63d59ffb47a93dbcc6e3fe752fcb8227410c82af979264d"},
-		{"many segments", manySegmentsConfig(), 32, "9cf956bef8eef13a5344fd832fa791a0fda46199ed696998d55951900f573ab9"},
+		{"data", testConfig(), 0, "6ff1159d3f7326d054009375e417a29fc7f27c8e545c1f2ff14e536d7796d4dd"},
+		{"fingerprint", fp, 0, "f4ee1a9e7c7508bd4fc595c436e632aa4408cfe7abc0e0e3d8ebf451914268c5"},
+		{"many segments", manySegmentsConfig(), 32, "6455b837186ce6588f6824db4f273026cc79b2ec3c2a30cadb3e63a0cb821a6e"},
 	} {
 		d := pinnedImageDevice(t, tc.cfg, 41)
 		if kinds := segmentKinds(d); tc.minFrames > 0 && (kinds["touched"] < tc.minFrames || len(kinds) != 6) {

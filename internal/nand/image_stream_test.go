@@ -3,10 +3,8 @@ package nand
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -16,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"iosnap/internal/codec"
 	"iosnap/internal/vfs"
 )
 
@@ -116,7 +115,10 @@ func TestLoadImageTruncatedPrefix(t *testing.T) {
 
 // TestLoadImageBitDamage: a flipped byte anywhere after the magic must be
 // caught (CRC on every frame) and reported as the frame it lies in, and
-// trailing garbage is rejected, from memory and from a file.
+// trailing garbage is rejected, from memory and from a file. So is a header
+// frame re-sealed around a payload that does not decode — cut short, one
+// byte too long, or of another format version: its CRC holds, its content
+// does not.
 func TestLoadImageBitDamage(t *testing.T) {
 	d := seededDevice(t, testConfig(), 5)
 	var buf bytes.Buffer
@@ -143,6 +145,24 @@ func TestLoadImageBitDamage(t *testing.T) {
 			t.Fatalf("%s: trailing garbage: LoadImage = %v, %v", src.name, dev, err)
 		}
 	}
+	imgFrames := splitFrames(t, img)
+	hdr := imgFrames[0][codec.HeadLen : len(imgFrames[0])-codec.TailLen]
+	oldVersion := append([]byte(nil), hdr...)
+	binary.LittleEndian.PutUint32(oldVersion, imageVersion-1)
+	for name, payload := range map[string][]byte{
+		"short header":     hdr[:len(hdr)-3],
+		"long header":      append(append([]byte(nil), hdr...), 0),
+		"version 4 header": oldVersion,
+	} {
+		resealed := appendFrame([]byte(imageMagic), codec.ImageHeader, payload)
+		for _, f := range imgFrames[1:] {
+			resealed = append(resealed, f...)
+		}
+		for _, src := range sources {
+			dev, err := src.load(resealed)
+			wantCorruptAt(t, fmt.Sprintf("%s: %s", src.name, name), dev, err, len(imageMagic))
+		}
+	}
 
 	// Two damaged segment frames side by side, so both are in flight at
 	// once: whichever a worker rejects first, the load reports the earlier.
@@ -163,7 +183,7 @@ func TestLoadImageBitDamage(t *testing.T) {
 		}
 		damaged = append(damaged, f...)
 	}
-	want := fmt.Sprintf("frame at byte %d checksum", first)
+	want := fmt.Sprintf("frame at byte %d: %v", first, codec.ErrBadChecksum)
 	for _, src := range sources {
 		for i := 0; i < 50; i++ {
 			dev, err := src.load(damaged)
@@ -283,16 +303,12 @@ func splitFrames(t *testing.T, img []byte) [][]byte {
 	rest := img[len(imageMagic):]
 	var frames [][]byte
 	for len(rest) > 0 {
-		if len(rest) < 9 {
-			t.Fatalf("trailing %d bytes are not a frame", len(rest))
+		_, _, n, err := codec.Cut(rest, codec.MaxPayload)
+		if err != nil {
+			t.Fatalf("%d bytes left are not a frame: %v", len(rest), err)
 		}
-		n := int(uint32(rest[1])<<24 | uint32(rest[2])<<16 | uint32(rest[3])<<8 | uint32(rest[4]))
-		total := 5 + n + 4
-		if len(rest) < total {
-			t.Fatalf("frame wants %d bytes, %d remain", total, len(rest))
-		}
-		frames = append(frames, rest[:total])
-		rest = rest[total:]
+		frames = append(frames, rest[:n])
+		rest = rest[n:]
 	}
 	return frames
 }
@@ -531,24 +547,20 @@ func checkNoGoroutineLeak(t *testing.T, before int) {
 	}
 }
 
-// appendFrame appends one well-formed frame, CRC included, to img: an
-// encoder independent of the writer, for images the writer never emits.
+// appendFrame appends one well-formed frame, CRC included, to img.
 func appendFrame(img []byte, typ byte, body []byte) []byte {
-	img = append(img, typ)
-	img = binary.BigEndian.AppendUint32(img, uint32(len(body)))
-	img = append(img, body...)
-	return binary.BigEndian.AppendUint32(img, crc32.Update(crc32.ChecksumIEEE([]byte{typ}), crc32.IEEETable, body))
+	w := codec.Writer{B: img}
+	w.Frame(typ, body)
+	return w.B
 }
 
 // craftedImage opens an image with the magic and a header frame for cfg,
 // checksummed like a real one whatever cfg holds.
 func craftedImage(t *testing.T, cfg Config) []byte {
 	t.Helper()
-	var hdr bytes.Buffer
-	if err := gob.NewEncoder(&hdr).Encode(imageHeader{Version: imageVersion, Cfg: cfg}); err != nil {
-		t.Fatal(err)
-	}
-	return appendFrame([]byte(imageMagic), frameHeader, hdr.Bytes())
+	w := codec.Writer{B: []byte(imageMagic)}
+	appendHeader(&w, cfg, Stats{}, nil)
+	return w.B
 }
 
 // TestLoadImageRejectsImpossibleGeometry: a header whose geometry no image
@@ -570,11 +582,11 @@ func TestLoadImageRejectsImpossibleGeometry(t *testing.T) {
 	if name := os.Getenv(env); name != "" {
 		cfg := testConfig()
 		cases[name](&cfg)
-		seg := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1}
+		seg := []byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0}
 		seg = append(seg, make([]byte, pageRecLen)...)
 		var end [16]byte
-		end[7], end[15] = 1, 1
-		img := appendFrame(appendFrame(craftedImage(t, cfg), frameSeg, seg), frameEnd, end[:])
+		end[0], end[8] = 1, 1
+		img := appendFrame(appendFrame(craftedImage(t, cfg), codec.ImageSegment, seg), codec.ImageEnd, end[:])
 		if d, err := LoadImage(bytes.NewReader(img)); !errors.Is(err, ErrImageCorrupt) || d != nil {
 			t.Fatalf("%s: LoadImage = %v, %v; want no device and ErrImageCorrupt", name, d, err)
 		}
@@ -605,8 +617,8 @@ func TestSaveImageRefusesUnloadableGeometry(t *testing.T) {
 // sized from it, so a corrupt length cannot allocate up to maxFramePayload.
 func TestLoadImageBoundsSegmentFrames(t *testing.T) {
 	img := craftedImage(t, testConfig())
-	img = append(img, frameSeg)
-	img = binary.BigEndian.AppendUint32(img, maxFramePayload) // and no payload follows
+	img = append(img, codec.ImageSegment)
+	img = binary.LittleEndian.AppendUint32(img, maxFramePayload) // and no payload follows
 	var ms1, ms2 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
 	d, err := LoadImage(bytes.NewReader(img))

@@ -2,9 +2,11 @@ package nand
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
+	"reflect"
 	"testing"
+
+	"iosnap/internal/codec"
 )
 
 func TestImageRoundTrip(t *testing.T) {
@@ -174,21 +176,59 @@ func TestImageAnchorPersists(t *testing.T) {
 }
 
 // TestLoadImageGarbage: a stream that does not open with the image magic is
-// refused as corrupt — text, nothing at all, and an image in the retired
-// gob format (a gob stream of the header, which is how such a file began).
+// refused as corrupt — text, nothing at all, and an image of the retired
+// version 4, whose frames are the same shape but whose magic is not.
 func TestLoadImageGarbage(t *testing.T) {
-	var gobImage bytes.Buffer
-	if err := gob.NewEncoder(&gobImage).Encode(imageHeader{Version: 3, Cfg: testConfig()}); err != nil {
+	var img bytes.Buffer
+	if err := seededDevice(t, testConfig(), 1).SaveImage(&img); err != nil {
 		t.Fatal(err)
 	}
+	v4 := append([]byte("ioSnapImg4\n"), img.Bytes()[len(imageMagic):]...)
 	for name, img := range map[string][]byte{
-		"text":      []byte("not an image"),
-		"empty":     nil,
-		"gob image": gobImage.Bytes(),
+		"text":     []byte("not an image"),
+		"empty":    nil,
+		"v4 image": v4,
 	} {
 		if d, err := LoadImage(bytes.NewReader(img)); !errors.Is(err, ErrImageCorrupt) || d != nil {
 			t.Errorf("%s: LoadImage = %v, %v; want no device and ErrImageCorrupt", name, d, err)
 		}
+	}
+}
+
+// TestImageHeaderCarriesEveryField: the header is written field by field,
+// so a Config or Stats field the encoder forgets would load as zero. Every
+// field set to a distinct value must come back, with the anchor.
+func TestImageHeaderCarriesEveryField(t *testing.T) {
+	var cfg Config
+	var st Stats
+	n := 0
+	for _, v := range []reflect.Value{reflect.ValueOf(&cfg).Elem(), reflect.ValueOf(&st).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			n++
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(int64(100 + n))
+			case reflect.Uint64:
+				f.SetUint(uint64(100 + n))
+			case reflect.Float64:
+				f.SetFloat(float64(n) / 64)
+			case reflect.Bool:
+				f.SetBool(true)
+			default:
+				t.Fatalf("%s.%s is a %v, which the header does not carry", v.Type(), v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	anchor := &Anchor{ID: 7, Addrs: []PageAddr{3, 1 << 40}}
+	var w codec.Writer
+	appendHeader(&w, cfg, st, anchor)
+	_, payload, _, err := codec.Open(w.B, codec.MaxPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotCfg, gotSt, gotAnchor, err := decodeHeader(payload)
+	if err != nil || gotCfg != cfg || gotSt != st || !reflect.DeepEqual(gotAnchor, anchor) {
+		t.Fatalf("header round trip: %+v %+v %+v (%v), want %+v %+v %+v", gotCfg, gotSt, gotAnchor, err, cfg, st, anchor)
 	}
 }
 

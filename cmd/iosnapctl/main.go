@@ -173,11 +173,10 @@ func cmdInit(image string, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	nc := nand.DefaultConfig()
-	nc.SectorSize = *sector
-	nc.PagesPerSegment = (1 << 20) / *sector // 1 MiB segments
-	nc.Segments = *megabytes
-	nc.StoreData = true // the CLI reads data back across invocations
+	nc, err := nand.MiBSegments(*megabytes, *sector)
+	if err != nil {
+		return err
+	}
 	f, err := iosnap.New(iosnap.DefaultConfig(nc), nil)
 	if err != nil {
 		return err

@@ -392,6 +392,18 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLIInitRefusesZeroSector: init with -sector 0 is an error naming the
+// flag, not a divide by zero while formatting, and writes no image.
+func TestCLIInitRefusesZeroSector(t *testing.T) {
+	img := filepath.Join(t.TempDir(), "dev.img")
+	if err := runCtl(t, img, "init", "-sector", "0"); err == nil || !strings.Contains(err.Error(), "-sector 0") {
+		t.Fatalf("init -sector 0: %v, want an error naming the flag", err)
+	}
+	if _, err := os.Stat(img); !os.IsNotExist(err) {
+		t.Fatalf("init -sector 0 left an image behind (%v)", err)
+	}
+}
+
 func TestCLIInitOverwritesAtomically(t *testing.T) {
 	dir := t.TempDir()
 	img := filepath.Join(dir, "dev.img")

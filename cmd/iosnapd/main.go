@@ -196,11 +196,10 @@ func ensureImages(opt options) error {
 	if present != 0 {
 		return fmt.Errorf("iosnapd: %d of %d shard images exist — refusing a partial device (wrong -shards, or delete the strays)", present, opt.shards)
 	}
-	nc := nand.DefaultConfig()
-	nc.SectorSize = opt.sector
-	nc.PagesPerSegment = (1 << 20) / opt.sector // 1 MiB segments
-	nc.Segments = opt.megabytes
-	nc.StoreData = true
+	nc, err := nand.MiBSegments(opt.megabytes, opt.sector)
+	if err != nil {
+		return fmt.Errorf("iosnapd: %w", err)
+	}
 	for i := 0; i < opt.shards; i++ {
 		f, err := iosnap.New(iosnap.DefaultConfig(nc), nil)
 		if err != nil {

@@ -281,6 +281,15 @@ func TestDaemonClosesEveryFile(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesZeroSector: a first start with -sector 0 is an error
+// naming the flag, not a divide by zero while formatting.
+func TestDaemonRefusesZeroSector(t *testing.T) {
+	img := filepath.Join(t.TempDir(), "dev.img")
+	if err := run([]string{"-image", img, "-sector", "0"}); err == nil || !strings.Contains(err.Error(), "-sector 0") {
+		t.Fatalf("-sector 0: %v, want an error naming the flag", err)
+	}
+}
+
 func TestDaemonFlagErrors(t *testing.T) {
 	if err := run([]string{}); err == nil {
 		t.Fatal("missing -image accepted")

@@ -212,6 +212,22 @@ func DefaultConfig() Config {
 	}
 }
 
+// MiBSegments is the device the commands format from their -megabytes and
+// -sector flags: DefaultConfig with megabytes segments of 1 MiB, pages of
+// sector bytes, payloads stored. A sector that is not positive or does not
+// fit a segment is an error naming the flag.
+func MiBSegments(megabytes, sector int) (Config, error) {
+	if sector <= 0 || sector > 1<<20 {
+		return Config{}, fmt.Errorf("-sector %d: want a positive size of at most a 1 MiB segment", sector)
+	}
+	c := DefaultConfig()
+	c.SectorSize = sector
+	c.PagesPerSegment = (1 << 20) / sector
+	c.Segments = megabytes
+	c.StoreData = true
+	return c, nil
+}
+
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
 	switch {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"iosnap/internal/header"
+	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
 
@@ -221,6 +223,74 @@ func TestRecoveredDeviceKeepsWorking(t *testing.T) {
 		}
 		if !bytes.Equal(buf, sectorPattern(ss, lba, v)) {
 			t.Fatalf("LBA %d wrong in post-recovery snapshot", lba)
+		}
+	}
+}
+
+// TestMountWithNoFreeSegment: a cleaner whose copies took the last free
+// segment leaves the pool empty until it erases its victim, and a crash or
+// a Close can land in between. Such a device — here every page after the
+// newest programmed one holds a copy of a data page, header and all, as the
+// cleaner's copies do — failed to mount with ErrDeviceFull, though the live
+// log would clean on its next write. It mounts, by the checkpoint and by
+// the full scan, reads back, and its next writes clean before they program.
+func TestMountWithNoFreeSegment(t *testing.T) {
+	cfg := testConfig()
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := f.SectorSize()
+	now := sim.Time(0)
+	for lba := int64(0); lba < 40; lba++ {
+		if now, err = f.Write(now, lba, sectorPattern(ss, lba, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now, err = f.Close(now); err != nil {
+		t.Fatal(err)
+	}
+	dev := f.Device()
+	var data []nand.PageAddr
+	for a := nand.PageAddr(0); int64(a) < cfg.Nand.TotalPages(); a++ {
+		if oob, err := dev.PageOOB(a); err == nil {
+			if h, err := header.Unmarshal(oob); err == nil && h.Type == header.TypeData {
+				data = append(data, a)
+			}
+		}
+	}
+	k := 0
+	for seg := 0; seg < cfg.Nand.Segments; seg++ {
+		for i := dev.NextFreeInSegment(seg); i < cfg.Nand.PagesPerSegment; i++ {
+			if now, err = dev.CopyPage(now, data[k%len(data)], dev.Addr(seg, i)); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}
+	}
+	for _, full := range []bool{false, true} {
+		devA, _ := duplicateDevice(t, dev)
+		recover := Recover
+		if full {
+			recover = RecoverFullScan
+		}
+		r, now, err := recover(cfg, devA, nil, now)
+		if err != nil {
+			t.Fatalf("full scan %v: mounting a device with no free segment: %v", full, err)
+		}
+		buf := make([]byte, ss)
+		for i := 0; i < 200; i++ {
+			lba := int64(i % 40)
+			if _, err := r.Read(now, lba, buf); err != nil || !bytes.Equal(buf, sectorPattern(ss, lba, byte(1+i/40))) {
+				t.Fatalf("full scan %v: write %d: LBA %d reads back wrong (%v)", full, i, lba, err)
+			}
+			if now, err = r.Write(now, lba, sectorPattern(ss, lba, byte(2+i/40))); err != nil {
+				t.Fatalf("full scan %v: write %d after the mount: %v", full, i, err)
+			}
+			now = r.Scheduler().Drain(now)
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

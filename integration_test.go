@@ -9,6 +9,7 @@ import (
 	"iosnap/internal/ftl"
 	"iosnap/internal/harness"
 	"iosnap/internal/iosnap"
+	"iosnap/internal/model"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/sim"
@@ -38,14 +39,6 @@ func integNand() nand.Config {
 	return nc
 }
 
-func pat(ss int, lba int64, v byte) []byte {
-	b := make([]byte, ss)
-	for i := range b {
-		b[i] = byte(lba) ^ v ^ byte(i>>3)
-	}
-	return b
-}
-
 // TestFullLifecycle drives the whole stack: workload-driven writes, periodic
 // snapshots, background cleaning, a crash, two-pass recovery, and activation
 // of every surviving snapshot — verifying content at each step.
@@ -61,20 +54,19 @@ func TestFullLifecycle(t *testing.T) {
 	ss := f.SectorSize()
 	now := sim.Time(0)
 	rng := sim.NewRNG(77)
-	model := make(map[int64]byte)
-	snapModels := make(map[iosnap.SnapshotID]map[int64]byte)
+	m := model.New[iosnap.SnapshotID]()
 
 	const space = 200
 	for phase := 0; phase < 6; phase++ {
 		for i := 0; i < 150; i++ {
 			f.Scheduler().RunUntil(now)
 			lba := rng.Int63n(space)
-			v := byte(phase*40 + i%40 + 1)
-			d, err := f.Write(now, lba, pat(ss, lba, v))
+			v := uint64(phase*150 + i + 1)
+			d, err := f.Write(now, lba, model.Sectors(ss, lba, 1, v))
 			if err != nil {
 				t.Fatalf("phase %d write %d: %v", phase, i, err)
 			}
-			model[lba] = v
+			m.Active.Write(lba, v)
 			now = d
 		}
 		snap, d, err := f.CreateSnapshot(now)
@@ -82,11 +74,7 @@ func TestFullLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		now = d
-		frozen := make(map[int64]byte, len(model))
-		for k, v := range model {
-			frozen[k] = v
-		}
-		snapModels[snap.ID] = frozen
+		m.Freeze(snap.ID, m.Active)
 		// Keep at most 2 live snapshots; delete the oldest beyond that.
 		live := f.Snapshots()
 		if len(live) > 2 {
@@ -94,7 +82,7 @@ func TestFullLifecycle(t *testing.T) {
 			if now, err = f.DeleteSnapshot(now, victim); err != nil {
 				t.Fatal(err)
 			}
-			delete(snapModels, victim)
+			m.Delete(victim)
 		}
 	}
 	now = f.Scheduler().Drain(now)
@@ -107,30 +95,26 @@ func TestFullLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	buf := make([]byte, ss)
-	for lba, v := range model {
-		if _, err := rec.Read(now, lba, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, pat(ss, lba, v)) {
-			t.Fatalf("active LBA %d wrong after crash", lba)
-		}
+	if err := m.Active.Verify(ss, model.At(rec.Read, now)); err != nil {
+		t.Fatalf("active image after crash: %v", err)
 	}
-	for id, frozen := range snapModels {
-		view, d, err := rec.ActivateSync(now, id, ratelimit.WorkSleep{}, false)
+	verifySnapshots(t, rec, m, now)
+}
+
+// verifySnapshots activates every snapshot of m on f and reads its frozen
+// image back.
+func verifySnapshots(t *testing.T, f *iosnap.FTL, m *model.Model[iosnap.SnapshotID], now sim.Time) {
+	t.Helper()
+	for _, id := range m.IDs() {
+		view, d, err := f.ActivateSync(now, id, ratelimit.WorkSleep{}, false)
 		if err != nil {
-			t.Fatalf("activating %d post-crash: %v", id, err)
+			t.Fatalf("activating snapshot %d: %v", id, err)
 		}
 		now = d
-		for lba, v := range frozen {
-			if _, err := view.Read(now, lba, buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf, pat(ss, lba, v)) {
-				t.Fatalf("snapshot %d LBA %d wrong after crash", id, lba)
-			}
+		if err := m.Snapshot(id).Verify(f.SectorSize(), model.At(view.Read, now)); err != nil {
+			t.Fatalf("snapshot %d: %v", id, err)
 		}
-		if _, err := view.Deactivate(now); err != nil {
+		if now, err = view.Deactivate(now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,12 +130,12 @@ func TestImagePersistenceAcrossProcesses(t *testing.T) {
 	}
 	ss := f.SectorSize()
 	now := sim.Time(0)
-	now, _ = f.Write(now, 3, pat(ss, 3, 1))
+	now, _ = f.Write(now, 3, model.Sectors(ss, 3, 1, 1))
 	snap, now, err := f.CreateSnapshot(now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	now, _ = f.Write(now, 3, pat(ss, 3, 2))
+	now, _ = f.Write(now, 3, model.Sectors(ss, 3, 1, 2))
 
 	var img bytes.Buffer
 	if err := f.Device().SaveImage(&img); err != nil {
@@ -171,7 +155,7 @@ func TestImagePersistenceAcrossProcesses(t *testing.T) {
 	if _, err := f2.Read(now2, 3, buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf, pat(ss, 3, 2)) {
+	if !bytes.Equal(buf, model.Sectors(ss, 3, 1, 2)) {
 		t.Fatal("active state lost through image")
 	}
 	view, now2, err := f2.ActivateSync(now2, snap.ID, ratelimit.WorkSleep{}, false)
@@ -181,7 +165,7 @@ func TestImagePersistenceAcrossProcesses(t *testing.T) {
 	if _, err := view.Read(now2, 3, buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf, pat(ss, 3, 1)) {
+	if !bytes.Equal(buf, model.Sectors(ss, 3, 1, 1)) {
 		t.Fatal("snapshot state lost through image")
 	}
 }
@@ -285,7 +269,7 @@ func TestVanillaAndIoSnapAgreeWithoutSnapshots(t *testing.T) {
 	}
 	for i := 0; i < 1200; i++ {
 		lba := rng.Int63n(space)
-		data := pat(ss, lba, byte(i))
+		data := model.Sectors(ss, lba, 1, uint64(i+1))
 		vf.Scheduler().RunUntil(vNow)
 		sf.Scheduler().RunUntil(sNow)
 		d1, err := vf.Write(vNow, lba, data)
@@ -315,9 +299,10 @@ func TestVanillaAndIoSnapAgreeWithoutSnapshots(t *testing.T) {
 	}
 }
 
-// TestVerifiedWorkloadOverIoSnap runs stamped writes followed by verified
-// reads across heavy cleaning on ioSnap with snapshots present — end-to-end
-// data-integrity of the whole stack under churn.
+// TestVerifiedWorkloadOverIoSnap runs random write passes with snapshots
+// between them, then random reads, across heavy cleaning on ioSnap, checking
+// every read and the live snapshot against the content model: end-to-end
+// data integrity of the whole stack under churn.
 func TestVerifiedWorkloadOverIoSnap(t *testing.T) {
 	nc := integNand()
 	nc.Segments = 32
@@ -327,40 +312,58 @@ func TestVerifiedWorkloadOverIoSnap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := workload.NewVerifier()
+	ss := f.SectorSize()
+	m := model.New[iosnap.SnapshotID]()
 	region := int64(120)
-	// Several stamped write passes with snapshots between them.
+	now := sim.Time(0)
+	ver := uint64(0)
 	for pass := 0; pass < 4; pass++ {
-		spec := workload.Spec{
-			Kind: workload.Write, Pattern: workload.Random,
-			BlockSize: 512, Threads: 1, QueueDepth: 1,
-			MaxOps: 400, Seed: uint64(pass + 1), RangeHi: region,
+		rng := sim.NewRNG(uint64(pass + 1))
+		for i := 0; i < 400; i++ {
+			f.Scheduler().RunUntil(now)
+			lba := rng.Int63n(region)
+			ver++
+			if now, err = f.Write(now, lba, model.Sectors(ss, lba, 1, ver)); err != nil {
+				t.Fatalf("pass %d write %d: %v", pass, i, err)
+			}
+			m.Active.Write(lba, ver)
 		}
-		if _, _, err := workload.Run(f, 0, spec, workload.Options{Scheduler: f.Scheduler(), Verify: v}); err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if _, _, err := f.CreateSnapshot(0); err != nil {
+		snap, d, err := f.CreateSnapshot(now)
+		if err != nil {
 			t.Fatalf("pass %d snapshot: %v", pass, err)
 		}
+		now = d
+		m.Freeze(snap.ID, m.Active)
 		if f.Tree().Live() > 1 {
-			oldest := f.Snapshots()[0]
-			if _, err := f.DeleteSnapshot(0, oldest.ID); err != nil {
+			oldest := f.Snapshots()[0].ID
+			if now, err = f.DeleteSnapshot(now, oldest); err != nil {
 				t.Fatal(err)
 			}
+			m.Delete(oldest)
 		}
 	}
 	if f.Stats().GCRuns == 0 {
 		t.Fatal("no cleaning; integrity test is weak")
 	}
-	rspec := workload.Spec{
-		Kind: workload.Read, Pattern: workload.Random,
-		BlockSize: 512, Threads: 1, QueueDepth: 1,
-		MaxOps: 1500, Seed: 99, RangeHi: region,
+	rng := sim.NewRNG(99)
+	buf := make([]byte, ss)
+	verified := 0
+	for i := 0; i < 1500; i++ {
+		f.Scheduler().RunUntil(now)
+		lba := rng.Int63n(region)
+		if now, err = f.Read(now, lba, buf); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		v := m.Active.Version(lba)
+		if !model.Check(buf, lba, v) {
+			t.Fatalf("read %d: LBA %d does not hold version %d", i, lba, v)
+		}
+		if v != 0 {
+			verified++
+		}
 	}
-	if _, _, err := workload.Run(f, 0, rspec, workload.Options{Scheduler: f.Scheduler(), Verify: v}); err != nil {
-		t.Fatalf("verified reads: %v", err)
+	if verified < 1000 {
+		t.Fatalf("only %d sectors verified", verified)
 	}
-	if v.Checked < 1000 {
-		t.Fatalf("only %d sectors verified", v.Checked)
-	}
+	verifySnapshots(t, f, m, now)
 }

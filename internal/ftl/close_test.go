@@ -1,11 +1,11 @@
 package ftl
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
 	"iosnap/internal/faultinject"
+	"iosnap/internal/model"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -41,7 +41,7 @@ func TestCheckpointProgramsNothing(t *testing.T) {
 // to commit.
 func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	f := newTestFTL(t)
-	model, now := fillAndChurn(t, f, 150, 30, 35)
+	im, now := fillAndChurn(t, f, 150, 30, 35)
 	ss := f.SectorSize()
 	oldHead := f.HeadSeg
 	plan := faultinject.NewPlan(0, faultinject.Rule{
@@ -68,11 +68,11 @@ func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 		t.Fatal("head not sealed off the failing segment")
 	}
 	// Still writable, and a retried checkpoint commits.
-	d, err := f.Write(now, 2, sectorPattern(ss, 2, 88))
+	d, err := f.Write(now, 2, model.Sectors(ss, 2, 1, 1000))
 	if err != nil {
 		t.Fatalf("write after sealed head: %v", err)
 	}
-	model[2] = 88
+	im.Write(2, 1000)
 	now = d
 	if !f.StartCheckpoint(now) {
 		t.Fatal("retry StartCheckpoint refused")
@@ -81,14 +81,8 @@ func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	if f.Stats().Checkpoints != 2 {
 		t.Fatalf("retried checkpoint did not commit: %+v", f.Stats())
 	}
-	buf := make([]byte, ss)
-	for lba, v := range model {
-		if _, err := f.Read(now, lba, buf); err != nil {
-			t.Fatalf("read LBA %d: %v", lba, err)
-		}
-		if !bytes.Equal(buf, sectorPattern(ss, lba, v)) {
-			t.Fatalf("LBA %d wrong after the sealed head", lba)
-		}
+	if err := im.Verify(ss, model.At(f.Read, now)); err != nil {
+		t.Fatalf("after the sealed head: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"iosnap/internal/model"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -183,46 +184,40 @@ func TestTrim(t *testing.T) {
 	}
 }
 
-// fillAndChurn writes enough churn to force segment cleaning, maintaining a
-// model of expected contents. It returns the model and the final time.
-func fillAndChurn(t *testing.T, f *FTL, writes int, space int64, seed uint64) (map[int64]byte, sim.Time) {
+// fillAndChurn writes enough churn to force segment cleaning. It returns
+// the image written and the final time.
+func fillAndChurn(t *testing.T, f *FTL, writes int, space int64, seed uint64) (*model.Image, sim.Time) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
-	model := make(map[int64]byte)
+	im := model.NewImage()
 	ss := f.SectorSize()
 	now := sim.Time(0)
 	for i := 0; i < writes; i++ {
 		f.Scheduler().RunUntil(now)
 		lba := rng.Int63n(space)
-		version := byte(i)
-		d, err := f.Write(now, lba, sectorPattern(ss, lba, version))
+		v := uint64(i + 1)
+		d, err := f.Write(now, lba, model.Sectors(ss, lba, 1, v))
 		if err != nil {
 			t.Fatalf("write %d (lba %d): %v", i, lba, err)
 		}
-		model[lba] = version
+		im.Write(lba, v)
 		now = d
 	}
 	now = f.Scheduler().Drain(now)
-	return model, now
+	return im, now
 }
 
 func TestGCPreservesData(t *testing.T) {
 	f := newTestFTL(t)
 	// 16 segs × 16 pages = 256 physical; user = 208. Write 1000 sectors over
 	// 100 LBAs: heavy churn, many cleanings.
-	model, now := fillAndChurn(t, f, 1000, 100, 42)
+	im, now := fillAndChurn(t, f, 1000, 100, 42)
 	st := f.Stats()
 	if st.GCRuns == 0 {
 		t.Fatal("churn did not trigger any cleaning")
 	}
-	buf := make([]byte, f.SectorSize())
-	for lba, version := range model {
-		if _, err := f.Read(now, lba, buf); err != nil {
-			t.Fatalf("Read(%d): %v", lba, err)
-		}
-		if !bytes.Equal(buf, sectorPattern(f.SectorSize(), lba, version)) {
-			t.Fatalf("LBA %d corrupted after cleaning", lba)
-		}
+	if err := im.Verify(f.SectorSize(), model.At(f.Read, now)); err != nil {
+		t.Fatalf("after cleaning: %v", err)
 	}
 	if st.WriteAmplify <= 1.0 {
 		t.Fatalf("write amplification %v not > 1 after cleaning", st.WriteAmplify)

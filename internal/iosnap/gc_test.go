@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"iosnap/internal/model"
 	"iosnap/internal/sim"
 )
 
@@ -12,31 +13,28 @@ func TestSnapshottedDataSurvivesHeavyCleaning(t *testing.T) {
 	ss := f.SectorSize()
 	now := sim.Time(0)
 	rng := sim.NewRNG(100)
-	model := make(map[int64]byte)
+	active := model.NewImage()
 	for i := 0; i < 100; i++ {
 		f.Sched.RunUntil(now)
 		lba := rng.Int63n(60)
-		v := byte(i + 1)
-		d, err := f.Write(now, lba, sectorPattern(ss, lba, v))
+		v := uint64(i + 1)
+		d, err := f.Write(now, lba, model.Sectors(ss, lba, 1, v))
 		if err != nil {
 			t.Fatal(err)
 		}
-		model[lba] = v
+		active.Write(lba, v)
 		now = d
 	}
 	snap, now, err := f.CreateSnapshot(now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := make(map[int64]byte, len(model))
-	for k, v := range model {
-		frozen[k] = v
-	}
+	frozen := active.Fork()
 	// Heavy churn: many segment cleanings move snapshot blocks repeatedly.
 	for i := 0; i < 600; i++ {
 		f.Sched.RunUntil(now)
 		lba := rng.Int63n(60)
-		d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i)))
+		d, err := f.Write(now, lba, model.Sectors(ss, lba, 1, uint64(1000+i)))
 		if err != nil {
 			t.Fatalf("churn write %d: %v", i, err)
 		}
@@ -50,15 +48,7 @@ func TestSnapshottedDataSurvivesHeavyCleaning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, ss)
-	for lba, v := range frozen {
-		if _, err := view.Read(now, lba, buf); err != nil {
-			t.Fatalf("snapshot read %d: %v", lba, err)
-		}
-		if !bytes.Equal(buf, sectorPattern(ss, lba, v)) {
-			t.Fatalf("snapshot LBA %d corrupted by cleaning", lba)
-		}
-	}
+	verifyImage(t, "snapshot after cleaning", frozen, ss, view.Read, now)
 }
 
 func TestGCCopiesMoreWithSnapshots(t *testing.T) {

@@ -1,13 +1,13 @@
 package iosnap
 
 import (
-	"bytes"
 	"testing"
 
 	"iosnap/internal/codec"
 	"iosnap/internal/header"
 	"iosnap/internal/logcore"
 	"iosnap/internal/mapcache"
+	"iosnap/internal/model"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -25,38 +25,35 @@ func pagedFormatConfig() Config {
 }
 
 // writePagedModel writes a seeded mix over 200 LBAs — four translation
-// pages through a two-page cache — and returns each LBA's last version.
-func writePagedModel(t *testing.T, f *FTL) (map[int64]byte, sim.Time) {
+// pages through a two-page cache — and returns the image written.
+func writePagedModel(t *testing.T, f *FTL) (*model.Image, sim.Time) {
 	t.Helper()
-	model := make(map[int64]byte)
+	im := model.NewImage()
 	rng := sim.NewRNG(17)
 	now := sim.Time(0)
 	for i := 0; i < 300; i++ {
 		lba := rng.Int63n(200)
-		v := byte(i%250 + 1)
-		done, err := f.Write(now, lba, sectorPattern(f.SectorSize(), lba, v))
+		v := uint64(i + 1)
+		done, err := f.Write(now, lba, model.Sectors(f.SectorSize(), lba, 1, v))
 		if err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		model[lba] = v
+		im.Write(lba, v)
 		now = f.Sched.Drain(done)
 	}
-	return model, now
+	return im, now
 }
 
-// checkPagedModel reads every LBA of the model back and audits invariants.
-func checkPagedModel(t *testing.T, f *FTL, now sim.Time, model map[int64]byte) {
+// checkPagedModel reads every LBA back, unwritten ones as zeros, and audits
+// invariants.
+func checkPagedModel(t *testing.T, f *FTL, now sim.Time, im *model.Image) {
 	t.Helper()
 	buf := make([]byte, f.SectorSize())
 	for lba := int64(0); lba < 200; lba++ {
 		if _, err := f.Read(now, lba, buf); err != nil {
 			t.Fatalf("read lba %d: %v", lba, err)
 		}
-		want := make([]byte, f.SectorSize())
-		if v, ok := model[lba]; ok {
-			want = sectorPattern(f.SectorSize(), lba, v)
-		}
-		if !bytes.Equal(buf, want) {
+		if !model.Check(buf, lba, im.Version(lba)) {
 			t.Fatalf("lba %d reads back wrong", lba)
 		}
 	}
@@ -228,7 +225,7 @@ func TestEightByteCheckpointMountsByFullScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, now := writePagedModel(t, f)
+		im, now := writePagedModel(t, f)
 		if now, err = f.Close(now); err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +242,7 @@ func TestEightByteCheckpointMountsByFullScan(t *testing.T) {
 		if st := r.Stats(); st.RecoveryTailBounded == eightByte || st.RecoveryFallbacks != wantFallbacks {
 			t.Fatalf("eightByte=%v: tail-bounded %v with %d fallbacks", eightByte, st.RecoveryTailBounded, st.RecoveryFallbacks)
 		}
-		checkPagedModel(t, r, now, model)
+		checkPagedModel(t, r, now, im)
 		if now, err = r.Close(now); err != nil {
 			t.Fatal(err)
 		}
@@ -256,6 +253,6 @@ func TestEightByteCheckpointMountsByFullScan(t *testing.T) {
 		if st := r2.Stats(); !st.RecoveryTailBounded || st.RecoveryFallbacks != 0 {
 			t.Fatalf("eightByte=%v: remount after Close: tail-bounded %v with %d fallbacks", eightByte, st.RecoveryTailBounded, st.RecoveryFallbacks)
 		}
-		checkPagedModel(t, r2, now, model)
+		checkPagedModel(t, r2, now, im)
 	}
 }

@@ -2,11 +2,10 @@ package iosnap
 
 import (
 	"bytes"
-	"maps"
-	"slices"
 	"testing"
 
 	"iosnap/internal/bitmap"
+	"iosnap/internal/model"
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/sim"
 	"iosnap/internal/xport"
@@ -17,25 +16,25 @@ import (
 // not hold with the same content is written, every sector the base holds and
 // the target does not is deleted. A full export (base nil) writes the whole
 // target image.
-func bruteForceExport(f *FTL, target, base *Snapshot, baseManifestID uint64, tgtModel, baseModel map[int64]byte) (*xport.Manifest, []byte) {
+func bruteForceExport(f *FTL, target, base *Snapshot, baseManifestID uint64, tgtModel, baseModel *model.Image) (*xport.Manifest, []byte) {
 	ss := f.SectorSize()
 	m := &xport.Manifest{SnapID: uint64(target.ID), SectorSize: ss, Sectors: f.Sectors()}
 	if base != nil {
 		m.BaseSnapID, m.BaseID = uint64(base.ID), baseManifestID
 	}
 	var shipped [][]byte
-	for _, lba := range sortedKeys(tgtModel) {
-		v := tgtModel[lba]
-		if old, ok := baseModel[lba]; base != nil && ok && old == v {
+	for _, lba := range tgtModel.LBAs() {
+		v := tgtModel.Version(lba)
+		if base != nil && baseModel.Version(lba) == v {
 			continue
 		}
-		data := sectorPattern(ss, lba, v)
+		data := model.Sectors(ss, lba, 1, v)
 		m.Writes = append(m.Writes, xport.Entry{LBA: uint64(lba), Hash: xport.HashChunk(data)})
 		shipped = append(shipped, data)
 	}
 	if base != nil {
-		for _, lba := range sortedKeys(baseModel) {
-			if _, ok := tgtModel[lba]; !ok {
+		for _, lba := range baseModel.LBAs() {
+			if tgtModel.Version(lba) == 0 {
 				m.Deletes = append(m.Deletes, uint64(lba))
 			}
 		}
@@ -45,15 +44,6 @@ func bruteForceExport(f *FTL, target, base *Snapshot, baseManifestID uint64, tgt
 		w.AddChunk(e.LBA, shipped[i])
 	}
 	return m, w.Close()
-}
-
-func sortedKeys(m map[int64]byte) []int64 {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // epochMoves counts the blocks of one frozen epoch the cleaner carried away
@@ -138,43 +128,44 @@ func TestExportMatchesBruteForce(t *testing.T) {
 					ss := f.SectorSize()
 					space := f.Sectors() / 4 // two snapshots and the churn pin the rest
 					rng := sim.NewRNG(seed*1000 + uint64(pps))
-					model := make(map[int64]byte)
+					active := model.NewImage()
 					now := sim.Time(0)
-					write := func(v byte) {
+					write := func(v uint64) {
 						t.Helper()
 						f.Sched.RunUntil(now)
 						lba := rng.Int63n(space)
-						d, err := f.Write(now, lba, sectorPattern(ss, lba, v))
+						d, err := f.Write(now, lba, model.Sectors(ss, lba, 1, v))
 						if err != nil {
 							t.Fatalf("pps %d seed %d: write: %v", pps, seed, err)
 						}
-						model[lba], now = v, d
+						active.Write(lba, v)
+						now = d
 					}
-					freeze := func() (*Snapshot, map[int64]byte) {
+					freeze := func() (*Snapshot, *model.Image) {
 						t.Helper()
 						snap, d, err := f.CreateSnapshot(now)
 						if err != nil {
 							t.Fatal(err)
 						}
 						now = d
-						return snap, maps.Clone(model)
+						return snap, active.Fork()
 					}
 					// Age the log past its first wrap, freeze the base, overwrite a
 					// share of it with versions the base never held, trim a few
 					// sectors, and freeze the target.
 					for i := 0; i < 20*pps; i++ {
-						write(byte(1 + i%100))
+						write(uint64(1 + i%100))
 					}
 					base, baseModel := freeze()
 					for i := 0; i < 4*pps; i++ {
-						write(byte(101 + i%50))
+						write(uint64(101 + i%50))
 					}
 					for i := 0; i < 4; i++ {
 						lba := rng.Int63n(space)
 						if now, err = f.Trim(now, lba, 1); err != nil {
 							t.Fatal(err)
 						}
-						delete(model, lba)
+						active.Trim(lba)
 					}
 					target, tgtModel := freeze()
 
@@ -202,7 +193,7 @@ func TestExportMatchesBruteForce(t *testing.T) {
 						if i > 400*pps {
 							t.Fatalf("pps %d seed %d: export never finished", pps, seed)
 						}
-						write(byte(201 + i%50))
+						write(uint64(201 + i%50))
 						seen.observeScan(x.scan)
 						mv.observe(x)
 					}

@@ -1,10 +1,10 @@
 package iosnap
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
+	"iosnap/internal/model"
 	"iosnap/internal/sim"
 )
 
@@ -23,36 +23,28 @@ func TestExportStorm(t *testing.T) {
 			now := sim.Time(0)
 			rng := sim.NewRNG(uint64(100 + p))
 
-			// Three generations of churn, each frozen with its model.
-			var (
-				snaps  []SnapshotID
-				models []map[int64][]byte
-			)
-			model := make(map[int64][]byte)
+			// Three generations of churn, each frozen in the model.
+			m := model.New[SnapshotID]()
 			for g := 0; g < 3; g++ {
 				for i := 0; i < 40; i++ {
 					lba := rng.Int63n(64)
-					pat := sectorPattern(ss, lba, byte(10*g+i%10+1))
+					v := uint64(40*g + i + 1)
 					f.Sched.RunUntil(now)
-					d, err := f.Write(now, lba, pat)
+					d, err := f.Write(now, lba, model.Sectors(ss, lba, 1, v))
 					if err != nil {
 						t.Fatalf("gen %d write: %v", g, err)
 					}
 					now = d
-					model[lba] = pat
+					m.Active.Write(lba, v)
 				}
 				snap, d, err := f.CreateSnapshot(now)
 				if err != nil {
 					t.Fatal(err)
 				}
 				now = d
-				snaps = append(snaps, snap.ID)
-				frozen := make(map[int64][]byte, len(model))
-				for k, v := range model {
-					frozen[k] = v
-				}
-				models = append(models, frozen)
+				m.Freeze(snap.ID, m.Active)
 			}
+			snaps := m.IDs()
 
 			// All three exports in flight at once, pumped round-robin with
 			// a foreground write squeezed between every round.
@@ -82,7 +74,7 @@ func TestExportStorm(t *testing.T) {
 				}
 				lba := rng.Int63n(64)
 				f.Sched.RunUntil(now)
-				d, err := f.Write(now, lba, sectorPattern(ss, lba, 99))
+				d, err := f.Write(now, lba, model.Sectors(ss, lba, 1, 1000))
 				if err != nil {
 					t.Fatalf("storm write: %v", err)
 				}
@@ -91,7 +83,7 @@ func TestExportStorm(t *testing.T) {
 
 			// Each stream restores its own frozen generation exactly.
 			for i, x := range exports {
-				m, stream, err := x.Result()
+				man, stream, err := x.Result()
 				if err != nil {
 					t.Fatalf("export %d: %v", i, err)
 				}
@@ -101,20 +93,12 @@ func TestExportStorm(t *testing.T) {
 					t.Fatalf("receive %d: %v", i, err)
 				}
 				d2 = dst.Scheduler().Drain(d2)
-				if bad, _, err := VerifyReplica(dst, d2, m); err != nil {
+				if bad, _, err := VerifyReplica(dst, d2, man); err != nil {
 					t.Fatalf("verify %d: %v", i, err)
 				} else if len(bad) > 0 {
 					t.Fatalf("replica %d diverges at %d sectors", i, len(bad))
 				}
-				buf := make([]byte, ss)
-				for lba, want := range models[i] {
-					if _, err := dst.Read(d2, lba, buf); err != nil {
-						t.Fatalf("replica %d read LBA %d: %v", i, lba, err)
-					}
-					if !bytes.Equal(buf, want) {
-						t.Fatalf("replica %d: LBA %d not the frozen generation", i, lba)
-					}
-				}
+				verifyImage(t, fmt.Sprintf("replica %d", i), m.Snapshot(snaps[i]), ss, dst.Read, d2)
 			}
 		})
 	}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"iosnap/internal/model"
 )
 
 // TestServiceStorm is the race-detector torture test for service mode:
@@ -52,7 +54,7 @@ func TestServiceStorm(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + c)))
 			base := int64(c) * region
 			buf := make([]byte, 64*ss)
-			ver := make(map[int64]byte)
+			im := model.NewImage()
 			for op := 0; op < opsPerClient; op++ {
 				n := int64(1 + rng.Intn(64))
 				lba := base + rng.Int63n(region-n+1)
@@ -63,47 +65,37 @@ func TestServiceStorm(t *testing.T) {
 						return
 					}
 					for s := lba; s < lba+n; s++ {
-						ver[s] = 0
+						im.Trim(s)
 					}
 				default:
-					v := byte(1 + rng.Intn(200))
-					if err := svc.Write(lba, runPattern(ss, lba, int(n), v)); err != nil {
+					v := uint64(op + 1)
+					want := model.Sectors(ss, lba, int(n), v)
+					if err := svc.Write(lba, want); err != nil {
 						errCh <- fmt.Errorf("client %d write: %w", c, err)
 						return
 					}
 					for s := lba; s < lba+n; s++ {
-						ver[s] = v
+						im.Write(s, v)
 					}
 					if err := svc.Read(lba, buf[:n*int64(ss)]); err != nil {
 						errCh <- fmt.Errorf("client %d read: %w", c, err)
 						return
 					}
-					want := runPattern(ss, lba, int(n), v)
 					if string(buf[:n*int64(ss)]) != string(want) {
 						errCh <- fmt.Errorf("client %d: read-after-write mismatch at lba %d", c, lba)
 						return
 					}
 				}
 			}
-			// Final sweep: every sector in the region matches its last
-			// recorded version (zero = trimmed or never written).
+			// Final sweep: every sector in the region holds its last
+			// version; a trimmed or never-written one reads zeros.
 			one := make([]byte, ss)
 			for s := base; s < base+region; s++ {
-				v, ok := ver[s]
-				if !ok {
-					continue
-				}
 				if err := svc.Read(s, one); err != nil {
 					errCh <- fmt.Errorf("client %d sweep read: %w", c, err)
 					return
 				}
-				var want []byte
-				if v == 0 {
-					want = make([]byte, ss)
-				} else {
-					want = runPattern(ss, s, 1, v)
-				}
-				if string(one) != string(want) {
+				if !model.Check(one, s, im.Version(s)) {
 					errCh <- fmt.Errorf("client %d: sweep mismatch at lba %d", c, s)
 					return
 				}

@@ -105,10 +105,6 @@ type Options struct {
 	// Scheduler, when non-nil, is drained up to each submission time so
 	// background tasks interleave realistically.
 	Scheduler *sim.Scheduler
-	// Verify, when non-nil, stamps every written sector and validates every
-	// read of a previously written sector (requires a payload-retaining
-	// device; see Verifier).
-	Verify *Verifier
 }
 
 // Result summarizes a run.
@@ -254,21 +250,8 @@ func Run(dev blockdev.Device, start sim.Time, spec Spec, opts Options) (Result, 
 		var done sim.Time
 		var err error
 		if spec.Kind == Read {
-			if opts.Verify != nil {
-				for i := range buf {
-					buf[i] = 0
-				}
-			}
 			done, err = dev.Read(now, lba, buf)
-			if err == nil && opts.Verify != nil {
-				if verr := opts.Verify.onRead(buf, lba, ss); verr != nil {
-					return res, end, verr
-				}
-			}
 		} else {
-			if opts.Verify != nil {
-				opts.Verify.onWrite(buf, lba, ss, uint64(res.Ops)+1)
-			}
 			done, err = dev.Write(now, lba, buf)
 		}
 		if err != nil {

@@ -170,9 +170,9 @@ func TestSelectVictimNeverFullyValid(t *testing.T) {
 func TestTortureSnapshotChurn(t *testing.T) {
 	for _, seed := range []uint64{2, 13, 77} {
 		rep, err := Torture(tortureConfig(), TortureOptions{
-			Seed:          seed,
-			Steps:         900,
-			SnapshotChurn: true,
+			Seed:  seed,
+			Steps: 900,
+			Mix:   MixSnapshotChurn,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v (%s)", seed, err, rep)
@@ -192,9 +192,9 @@ func TestTortureSnapshotChurn(t *testing.T) {
 func TestTortureSnapshotChurnDeterministic(t *testing.T) {
 	run := func() Stats {
 		rep, err := Torture(tortureConfig(), TortureOptions{
-			Seed:          13,
-			Steps:         900,
-			SnapshotChurn: true,
+			Seed:  13,
+			Steps: 900,
+			Mix:   MixSnapshotChurn,
 		})
 		if err != nil {
 			t.Fatalf("%v (%s)", err, rep)

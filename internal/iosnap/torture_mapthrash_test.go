@@ -37,7 +37,7 @@ const mapThrashSpace = 400
 func TestTortureMapThrash(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 1234} {
 		rep, err := Torture(mapThrashConfig(), TortureOptions{
-			Seed: seed, Steps: 900, Space: mapThrashSpace, MapThrash: true,
+			Seed: seed, Steps: 900, Space: mapThrashSpace, Mix: MixMapThrash,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v (%s)", seed, err, rep)
@@ -77,7 +77,7 @@ func mapCrashPlan(after int64) *faultinject.Plan {
 // the model ever seeing wrong content.
 func TestTortureMapThrashCrashes(t *testing.T) {
 	rep, err := Torture(mapThrashConfig(), TortureOptions{
-		Seed: 9, Steps: 900, Space: mapThrashSpace, MapThrash: true,
+		Seed: 9, Steps: 900, Space: mapThrashSpace, Mix: MixMapThrash,
 		Plan: mapCrashPlan(400),
 		Replan: func(cycle int) *faultinject.Plan {
 			if cycle == 1 {
@@ -108,7 +108,7 @@ func TestTortureMapThrashCrashes(t *testing.T) {
 func TestTortureMapThrashDeterministic(t *testing.T) {
 	run := func() string {
 		rep, err := Torture(mapThrashConfig(), TortureOptions{
-			Seed: 23, Steps: 600, Space: mapThrashSpace, MapThrash: true,
+			Seed: 23, Steps: 600, Space: mapThrashSpace, Mix: MixMapThrash,
 			Plan: replChurnPlan(11),
 		})
 		if err != nil {
@@ -142,7 +142,7 @@ func TestTortureTBClassGeometry(t *testing.T) {
 	cfg.MapCachePages = 4
 
 	rep, err := Torture(cfg, TortureOptions{
-		Seed: 5, Steps: 400, Space: 25600, CheckEvery: 200, MapThrash: true,
+		Seed: 5, Steps: 400, Space: 25600, CheckEvery: 200, Mix: MixMapThrash,
 	})
 	if err != nil {
 		t.Fatalf("%v (%s)", err, rep)

@@ -182,7 +182,7 @@ func replChurnPlan(seed uint64) *faultinject.Plan {
 // frozen model inside the harness.
 func TestTortureExportChurn(t *testing.T) {
 	rep, err := Torture(tortureConfig(), TortureOptions{
-		Seed: 42, Steps: 700, ExportChurn: true, Plan: replChurnPlan(11),
+		Seed: 42, Steps: 700, Mix: MixExportChurn, Plan: replChurnPlan(11),
 	})
 	if err != nil {
 		t.Fatalf("%v (%s)", err, rep)
@@ -206,7 +206,7 @@ func TestTortureExportChurnCrashes(t *testing.T) {
 	var done bool
 	for seed := uint64(1); seed <= 8 && !done; seed++ {
 		rep, err := Torture(tortureConfig(), TortureOptions{
-			Seed: seed, Steps: 700, ExportChurn: true,
+			Seed: seed, Steps: 700, Mix: MixExportChurn,
 			Plan: faultinject.CrashAtScan(3),
 			Replan: func(cycle int) *faultinject.Plan {
 				if cycle == 1 {
@@ -233,7 +233,7 @@ func TestTortureExportChurnCrashes(t *testing.T) {
 func TestTortureExportChurnDeterministic(t *testing.T) {
 	run := func() string {
 		rep, err := Torture(tortureConfig(), TortureOptions{
-			Seed: 42, Steps: 500, ExportChurn: true, Plan: replChurnPlan(11),
+			Seed: 42, Steps: 500, Mix: MixExportChurn, Plan: replChurnPlan(11),
 		})
 		if err != nil {
 			t.Fatalf("%v (%s)", err, rep)
@@ -687,9 +687,9 @@ func TestTortureCheckpointChurn(t *testing.T) {
 	cfg := tortureConfig()
 	cfg.CheckpointInterval = 1 * sim.Millisecond
 	rep, err := Torture(cfg, TortureOptions{
-		Seed:          77,
-		Steps:         1200,
-		SnapshotChurn: true,
+		Seed:  77,
+		Steps: 1200,
+		Mix:   MixSnapshotChurn,
 	})
 	if err != nil {
 		t.Fatalf("%v (%s)", err, rep)

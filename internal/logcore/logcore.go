@@ -158,6 +158,10 @@ func (c Config) Validate() error {
 	if c.MapCachePages > 0 && !c.Nand.StoreData {
 		return fmt.Errorf("logcore: MapCachePages %d requires a data-storing device (translation pages live on flash)", c.MapCachePages)
 	}
+	if c.MapCachePages > 0 && c.Nand.SectorSize < mapcache.MinSectorSize {
+		return fmt.Errorf("logcore: MapCachePages %d: a translation page needs %d-byte sectors, not %d",
+			c.MapCachePages, mapcache.MinSectorSize, c.Nand.SectorSize)
+	}
 	if c.MapCachePages != 0 && c.Nand.TotalPages() >= int64(mapcache.Unmapped) {
 		return fmt.Errorf("logcore: paged map on %d pages: translation entries are 4-byte page addresses (fewer than %d pages)",
 			c.Nand.TotalPages(), int64(mapcache.Unmapped))

@@ -13,9 +13,9 @@ import (
 // and the largest servable one are accepted, the first unservable one is
 // refused, and tree mode takes any size.
 func TestValidatePagedGeometry(t *testing.T) {
-	geometry := func(pps, segments int) Config {
+	geometry := func(sector, pps, segments int) Config {
 		nc := nand.DefaultConfig()
-		nc.SectorSize = 4096
+		nc.SectorSize = sector
 		nc.PagesPerSegment = pps
 		nc.Segments = segments
 		nc.StoreData = true
@@ -24,16 +24,20 @@ func TestValidatePagedGeometry(t *testing.T) {
 		return cfg
 	}
 	for _, tc := range []struct {
-		name          string
-		pps, segments int
-		ok            bool
+		name                  string
+		sector, pps, segments int
+		ok                    bool
 	}{
-		{"TB-class (2^28 pages)", 1024, 1 << 18, true},
-		{"2^32-2 pages", 2, 1<<31 - 1, true},
-		{"2^32-1 pages", 255, 16843009, false},
-		{"2^32 pages", 1024, 1 << 22, false},
+		{"TB-class (2^28 pages)", 4096, 1024, 1 << 18, true},
+		{"2^32-2 pages", 4096, 2, 1<<31 - 1, true},
+		{"2^32-1 pages", 4096, 255, 16843009, false},
+		{"2^32 pages", 4096, 1024, 1 << 22, false},
+		// A translation page of one slot is 25 bytes.
+		{"16-byte sectors", 16, 64, 64, false},
+		{"24-byte sectors", 24, 64, 64, false},
+		{"25-byte sectors", 25, 64, 64, true},
 	} {
-		cfg := geometry(tc.pps, tc.segments)
+		cfg := geometry(tc.sector, tc.pps, tc.segments)
 		if err := cfg.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s, paged: Validate = %v, want ok=%v", tc.name, err, tc.ok)
 		}

@@ -69,15 +69,18 @@ type CacheStats struct {
 // largest power of two whose encoded page (codec framing + 4 bytes per
 // slot) fits one sector. 512-byte sectors give 64 slots; 4K gives 512.
 func SlotsFor(sectorSize int) int {
+	if sectorSize < MinSectorSize {
+		panic(fmt.Sprintf("mapcache: sector size %d too small for a translation page", sectorSize))
+	}
 	k := 1
 	for 2*k*4+pageOverhead <= sectorSize {
 		k *= 2
 	}
-	if k*4+pageOverhead > sectorSize {
-		panic(fmt.Sprintf("mapcache: sector size %d too small for a translation page", sectorSize))
-	}
 	return k
 }
+
+// MinSectorSize is the smallest sector a translation page fits: one slot.
+const MinSectorSize = 4 + pageOverhead
 
 // pageOverhead is the codec frame around the slot array plus the page's
 // idx and count fields.

@@ -46,8 +46,8 @@ func newFlatWith(t *testing.T, tweak func(*Config)) *flatPolicy {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := &flatPolicy{valid: bitmap.New(nc.TotalPages())}
-	p.Init(cfg, nand.New(nc), sim.NewScheduler(), p, &p.stats)
+	p := &flatPolicy{valid: bitmap.New(cfg.Nand.TotalPages())}
+	p.Init(cfg, nand.New(cfg.Nand), sim.NewScheduler(), p, &p.stats)
 	p.Format()
 	return p
 }

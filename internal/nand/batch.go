@@ -162,24 +162,16 @@ func (d *Device) ProgramPages(now sim.Time, addrs []PageAddr, datas, oobs [][]by
 	return len(addrs), done, nil
 }
 
-// ReadPages reads len(addrs) programmed pages in one batch submitted at
-// now. Cell reads overlap across channels; each page's transfer then
-// claims the read bus in submission order (one monotone pass — the batch's
-// bus charge). datas[i]/oobs[i] alias device memory like ReadPage's return
-// values (datas[i] is nil in fingerprint mode) and must not be modified.
-// On the first failing page the batch stops, returning the pages read so
-// far, their completion time, and the failing page's error.
-func (d *Device) ReadPages(now sim.Time, addrs []PageAddr) (datas, oobs [][]byte, n int, done sim.Time, err error) {
-	datas = make([][]byte, 0, len(addrs))
-	oobs = make([][]byte, 0, len(addrs))
-	n, done, err = d.ReadPagesInto(now, addrs, &datas, &oobs)
-	return datas, oobs, n, done, err
-}
-
-// ReadPagesInto is ReadPages appending into caller-owned result scratch,
-// one entry per completed page. The data path issues one call per chunk,
-// so allocating fresh result slices on every call would dominate the
-// batched read's host cost; FTLs pass reusable per-FTL scratch instead.
+// ReadPagesInto reads len(addrs) programmed pages in one batch submitted at
+// now, appending each page's payload and OOB to *datas and *oobs —
+// caller-owned result scratch, so the data path's one call per chunk
+// allocates nothing. Cell reads overlap across channels; each page's
+// transfer then claims the read bus in submission order (one monotone pass
+// — the batch's bus charge). The appended slices alias device memory like
+// ReadPage's return values (a payload is nil in fingerprint mode) and must
+// not be modified. On the first failing page the batch stops, returning how
+// many pages were read, their completion time, and the failing page's
+// error.
 func (d *Device) ReadPagesInto(now sim.Time, addrs []PageAddr, datas, oobs *[][]byte) (n int, done sim.Time, err error) {
 	done = now
 	for i, addr := range addrs {

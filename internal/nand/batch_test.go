@@ -102,7 +102,8 @@ func TestReadPagesMatchesSequential(t *testing.T) {
 		perm = append(perm, addrs[(i*7)%n])
 	}
 	now := sim.Time(5_000_000)
-	datas, _, k, batchDone, err := batch.ReadPages(now, perm)
+	var datas, oobs [][]byte
+	k, batchDone, err := batch.ReadPagesInto(now, perm, &datas, &oobs)
 	if err != nil || k != n {
 		t.Fatalf("batch read: k=%d err=%v", k, err)
 	}
@@ -219,7 +220,8 @@ func TestReadPagesFirstErrorContract(t *testing.T) {
 	}
 	// Page 4 is erased: the batch must stop there with 4 pages read.
 	addrs := []PageAddr{0, 1, 2, 3, 4, 5}
-	datas, oobs, k, _, err := d.ReadPages(0, addrs)
+	var datas, oobs [][]byte
+	k, _, err := d.ReadPagesInto(0, addrs, &datas, &oobs)
 	if !errors.Is(err, ErrReadErased) || k != 4 {
 		t.Fatalf("k=%d err=%v", k, err)
 	}

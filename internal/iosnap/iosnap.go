@@ -31,7 +31,6 @@ import (
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
@@ -302,40 +301,28 @@ func (f *FTL) SegmentReleased(seg int) {
 
 // writeNote appends a snapshot note (one metadata block, the paper's 4 KB
 // per snapshot operation) and returns its address. Notes are marked valid
-// in the active epoch so the cleaner preserves them for crash recovery.
+// in the active epoch so the cleaner preserves them for crash recovery. A
+// note ages its segment like data (AppendRun sets SegLastSeq), so the
+// checkpoint segment table agrees with what a scan of the segment reports.
 func (f *FTL) writeNote(now sim.Time, typ header.Type, id SnapshotID, epoch bitmap.Epoch) (nand.PageAddr, sim.Time, error) {
-	var (
-		addr nand.PageAddr
-		err  error
-	)
+	reserve := f.cfg.DataReserve()
 	if typ == header.TypeSnapDelete || typ == header.TypeSnapDeactivate {
 		// Space-FREEING notes dip below the rescue reserve: deleting a
 		// snapshot is how a degraded device recovers, so it must not be
 		// refused for the very space it is about to release.
-		addr, now, err = f.AllocPageReserve(now, 1)
-	} else {
-		addr, now, err = f.AllocPage(now)
+		reserve = 1
 	}
-	if err != nil {
-		return 0, now, err
+	addrs, _, at, done, err := f.AppendRun(now, reserve, 1, func(int) (header.Header, []byte) {
+		return header.Header{Type: typ, LBA: uint64(id), Epoch: uint64(epoch)}, make([]byte, f.cfg.Nand.SectorSize)
+	})
+	switch {
+	case len(addrs) == 0:
+		return 0, at, err
+	case err != nil:
+		return 0, at, fmt.Errorf("iosnap: writing %v note: %w", typ, err)
 	}
-	f.Seq++
-	h := header.Header{Type: typ, LBA: uint64(id), Epoch: uint64(epoch), Seq: f.Seq}
-	payload := make([]byte, f.cfg.Nand.SectorSize)
-	done, err := f.DevProgramPage(now, addr, payload, h.Marshal())
-	if err != nil {
-		f.UngetPage(addr)
-		if retry.MediaFailure(err) {
-			f.SealHead()
-		}
-		return 0, now, fmt.Errorf("iosnap: writing %v note: %w", typ, err)
-	}
-	// Notes age their segment exactly like data: without this the checkpoint
-	// segment table's per-segment max sequence (taken from SegLastSeq) would
-	// undercount a note-tailed segment and recovery's staleness check would
-	// diverge from what a scan of the same segment reports.
+	addr := addrs[0]
 	seg := f.Dev.SegmentOf(addr)
-	f.SegLastSeq[seg] = f.Seq
 	f.vstore.Set(f.active.epoch, int64(addr))
 	f.acct.onViewSet(int64(addr))
 	f.presence.add(seg, f.active.epoch)

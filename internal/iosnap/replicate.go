@@ -694,7 +694,7 @@ func (r *Replicator) Replicate(now sim.Time, snap, base SnapshotID) (*xport.Mani
 	now = done
 
 	attempt := 0
-	done, retries, err := r.Policy.DoRetryable(now, xport.Retryable, func(at sim.Time) (sim.Time, error) {
+	done, retries, err := r.Policy.Do(now, xport.Retryable, func(at sim.Time) (sim.Time, error) {
 		attempt++
 		wire := stream
 		if r.Mangle != nil {

@@ -10,7 +10,6 @@ import (
 	"iosnap/internal/header"
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
@@ -172,26 +171,19 @@ func join(id uint64, chunks [][]byte) ([]byte, error) {
 }
 
 // programCkptChunk appends one chunk at the log head and pins it against
-// the cleaner. A failed program rolls back the allocation and seals the head
-// on permanent media failure, like every other program path.
+// the cleaner.
 func (l *Log) programCkptChunk(now sim.Time, job ChunkJob) (nand.PageAddr, sim.Time, error) {
-	addr, now, err := l.AllocPage(now)
-	if err != nil {
-		return 0, now, fmt.Errorf("logcore: allocating checkpoint page: %w", err)
+	addrs, _, at, done, err := l.AppendRun(now, l.cfg.DataReserve(), 1, func(int) (header.Header, []byte) {
+		return header.Header{Type: job.Type, LBA: uint64(job.Idx), Epoch: uint64(job.Total)}, job.Data
+	})
+	switch {
+	case len(addrs) == 0:
+		return 0, at, fmt.Errorf("logcore: allocating checkpoint page: %w", err)
+	case err != nil:
+		return 0, at, fmt.Errorf("logcore: writing %v chunk %d: %w", job.Type, job.Idx, err)
 	}
-	l.Seq++
-	h := header.Header{Type: job.Type, LBA: uint64(job.Idx), Epoch: uint64(job.Total), Seq: l.Seq}
-	done, err := l.DevProgramPage(now, addr, job.Data, h.Marshal())
-	if err != nil {
-		l.UngetPage(addr)
-		if retry.MediaFailure(err) {
-			l.SealHead()
-		}
-		return 0, now, fmt.Errorf("logcore: writing %v chunk %d: %w", job.Type, job.Idx, err)
-	}
-	l.SegLastSeq[l.Dev.SegmentOf(addr)] = l.Seq
-	l.pinChunk(addr)
-	return addr, done, nil
+	l.pinChunk(addrs[0])
+	return addrs[0], done, nil
 }
 
 // commitCheckpoint atomically publishes a fully-programmed generation: the

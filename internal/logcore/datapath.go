@@ -23,12 +23,17 @@ import (
 	"iosnap/internal/header"
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
 // dataPathScratch holds the per-log reusable buffers of the batched data
-// path; the simulation is single-threaded, so one set suffices.
+// path; the simulation is single-threaded, so one set suffices. addrs,
+// datas, oobs and oobBuf are AppendRun's run, and addrs ReadRun's lookups
+// too. No append nests inside another's use of them: an append or a read
+// fills them only after its allocation or map faults — the only steps that
+// can run a clean or flush a translation page — have returned, and nothing
+// from there to the end of its use (encoding, the device calls, the head
+// seal, WriteRun's commitRun) appends.
 type dataPathScratch struct {
 	addrs    []nand.PageAddr
 	datas    [][]byte
@@ -46,7 +51,6 @@ type dataPathScratch struct {
 	mapMiss  []uint64        // translation-page fault lists (mappage.go)
 	mapAddrs []nand.PageAddr // their flash addresses for the batch read
 	mapPage  []byte          // flushMapPage's encoded sector
-	mapOOB   [header.Len]byte
 }
 
 // Read implements blockdev.Device on the device's own map. Unmapped sectors
@@ -136,9 +140,11 @@ func (l *Log) ReadRun(m *mapcache.Map, now sim.Time, lba int64, buf []byte) (com
 // WriteRun appends a run to the log on behalf of m, the device's map or a
 // writable view's: the run lands in per-segment chunks at the head under
 // headers stamped with epoch, m absorbs it with one descent per touched
-// leaf, and the policy flips validity per chunk. The host time those flips
-// cost (ioSnap's CoW page copies) is charged in aggregate at the end of the
-// run.
+// leaf, and the policy flips validity per chunk. Each chunk is one
+// AppendRun, so head advancement — forced cleaning, degradation, background
+// scheduling — behaves exactly as for a single page. The host time the
+// flips cost (ioSnap's CoW page copies) is charged in aggregate at the end
+// of the run.
 func (l *Log) WriteRun(m *mapcache.Map, epoch uint64, now sim.Time, lba int64, data []byte) (completed int, done sim.Time, err error) {
 	if l.frozen {
 		return 0, now, ErrFrozen
@@ -162,66 +168,23 @@ func (l *Log) WriteRun(m *mapcache.Map, epoch uint64, now sim.Time, lba int64, d
 	var flipCost sim.Duration
 	var firstErr error
 	for written < n && firstErr == nil {
-		// The first page of each chunk goes through AllocPage so head
-		// advancement (forced cleaning, degradation, background-task
-		// scheduling) behaves exactly as it does for a single page; the
-		// rest of the chunk fills the head segment contiguously.
-		addr0, at2, err := l.AllocPage(at)
-		if err != nil {
+		lba0 := uint64(lba) + uint64(written)
+		addrs, k, at2, d, err := l.AppendRun(at, l.cfg.DataReserve(), n-written, func(j int) (header.Header, []byte) {
+			i := written + j
+			return header.Header{Type: header.TypeData, LBA: lba0 + uint64(j), Epoch: epoch}, data[i*ss : (i+1)*ss]
+		})
+		if len(addrs) == 0 {
 			firstErr = err
 			break
 		}
 		at = at2
-		if at > done {
-			done = at
-		}
-		chunk := n - written
-		if room := l.cfg.Nand.PagesPerSegment - l.HeadIdx + 1; chunk > room {
-			chunk = room
-		}
-		addrs := append(l.ws.addrs[:0], addr0)
-		for j := 1; j < chunk; j++ {
-			addrs = append(addrs, l.Dev.Addr(l.HeadSeg, l.HeadIdx))
-			l.HeadIdx++
-		}
-		seqBase := l.Seq
-		datas, oobs := l.ws.datas[:0], l.ws.oobs[:0]
-		if need := chunk * header.Len; cap(l.ws.oobBuf) < need {
-			l.ws.oobBuf = make([]byte, need)
-		}
-		for j := 0; j < chunk; j++ {
-			datas = append(datas, data[(written+j)*ss:(written+j+1)*ss])
-			h := header.Header{Type: header.TypeData, LBA: uint64(lba) + uint64(written+j), Epoch: epoch, Seq: seqBase + uint64(j) + 1}
-			oob := l.ws.oobBuf[j*header.Len : (j+1)*header.Len]
-			h.MarshalInto(oob)
-			oobs = append(oobs, oob)
-		}
-		l.Seq += uint64(chunk)
-		l.ws.addrs, l.ws.datas, l.ws.oobs = addrs, datas, oobs
-		l.stats.BatchPages += int64(chunk)
+		done = max(done, d)
+		l.stats.BatchPages += int64(len(addrs))
 		l.stats.BatchNandCalls++
-
-		k, d, err := l.devProgramPages(at, addrs, datas, oobs)
-		if d > done {
-			done = d
-		}
-		if k > 0 {
-			l.SegLastSeq[l.Dev.SegmentOf(addrs[0])] = seqBase + uint64(k)
-		}
 		if err != nil {
-			// Pages past the failing one were never attempted: they hand
-			// back their sequence numbers and log-head slots. The failing
-			// page keeps its consumed seq and is reclaimed by UngetPage
-			// unless it landed after all.
-			l.Seq -= uint64(chunk - k - 1)
-			l.HeadIdx -= chunk - k - 1
-			l.UngetPage(addrs[k])
-			if retry.MediaFailure(err) {
-				l.SealHead() // move future appends off the failing segment
-			}
 			firstErr = fmt.Errorf("logcore: programming LBA %d: %w", lba+int64(written+k), err)
 		}
-		flipCost += l.commitRun(m, epoch, uint64(lba)+uint64(written), addrs[:k])
+		flipCost += l.commitRun(m, epoch, lba0, addrs[:k])
 		written += k
 	}
 	return written, done.Add(flipCost), firstErr

@@ -122,9 +122,9 @@ func DefaultConfig(nc nand.Config) Config {
 	}
 }
 
-// dataReserve is the free-pool floor for ordinary allocation. At least one
+// DataReserve is the free-pool floor for ordinary appends. At least one
 // segment must always stay free for the cleaner's copy destination.
-func (c Config) dataReserve() int {
+func (c Config) DataReserve() int {
 	if c.RescueReserve < 1 {
 		return 1
 	}
@@ -225,14 +225,14 @@ type Stats struct {
 // (RunCommitted) is the finest grain.
 type Policy interface {
 	// CleanOnce synchronously cleans the best victim: the forced path a
-	// writer takes when the free pool is at its floor (AllocPageReserve).
+	// writer takes when the free pool is at its floor (AppendRun).
 	// It returns ErrDeviceFull when nothing is reclaimable.
 	CleanOnce(now sim.Time, forced bool) (sim.Time, error)
 	// ScheduleClean starts a paced background clean of seg, which the caller
 	// (the policy's own victim selection, or ForceClean) has validated.
 	ScheduleClean(now sim.Time, seg int)
 	// HeadAdvanced runs after a writer moved the head onto a fresh segment
-	// (AllocPageReserve): the policy schedules its background work. The
+	// (AppendRun): the policy schedules its background work. The
 	// periodic checkpoint is the core's and follows it.
 	HeadAdvanced(now sim.Time)
 	// SegmentTracked reports that seg entered the used list: fresh when it

@@ -9,7 +9,6 @@ import (
 	"iosnap/internal/header"
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
@@ -177,32 +176,25 @@ func (l *Log) mapShrink(now sim.Time, c *mapcache.Cache, keepLo, keepHi uint64) 
 // epoch 0 — translation pages are valid in no epoch; the pin in
 // MapPins is their only cleaning protection).
 func (l *Log) flushMapPage(now sim.Time, c *mapcache.Cache, idx uint64) (sim.Time, error) {
-	addr, now, err := l.AllocPage(now)
-	if err != nil {
-		return now, fmt.Errorf("logcore: allocating translation page: %w", err)
-	}
-	l.Seq++
-	h := header.Header{Type: header.TypeMapPage, LBA: idx, Epoch: 0, Seq: l.Seq}
-	// The device copies payload and header on program, so both buffers are
-	// the log's to reuse for the next flush.
-	if len(l.ws.mapPage) != l.cfg.Nand.SectorSize {
-		l.ws.mapPage = make([]byte, l.cfg.Nand.SectorSize)
-	}
-	mapcache.EncodePage(l.ws.mapPage, idx, c.Slots(idx))
-	h.MarshalInto(l.ws.mapOOB[:])
-	done, err := l.DevProgramPage(now, addr, l.ws.mapPage, l.ws.mapOOB[:])
-	if err != nil {
-		l.UngetPage(addr)
-		if retry.MediaFailure(err) {
-			l.SealHead()
+	addrs, _, at, done, err := l.AppendRun(now, l.cfg.DataReserve(), 1, func(int) (header.Header, []byte) {
+		// The device copies the payload on program, so the buffer is the
+		// log's to reuse for the next flush.
+		if len(l.ws.mapPage) != l.cfg.Nand.SectorSize {
+			l.ws.mapPage = make([]byte, l.cfg.Nand.SectorSize)
 		}
-		return now, fmt.Errorf("logcore: writing translation page %d: %w", idx, err)
+		mapcache.EncodePage(l.ws.mapPage, idx, c.Slots(idx))
+		return header.Header{Type: header.TypeMapPage, LBA: idx}, l.ws.mapPage
+	})
+	switch {
+	case len(addrs) == 0:
+		return at, fmt.Errorf("logcore: allocating translation page: %w", err)
+	case err != nil:
+		return at, fmt.Errorf("logcore: writing translation page %d: %w", idx, err)
 	}
-	l.SegLastSeq[l.Dev.SegmentOf(addr)] = l.Seq
-	if prev, had := c.MarkFlushed(idx, uint64(addr)); had {
+	if prev, had := c.MarkFlushed(idx, uint64(addrs[0])); had {
 		l.unpinMapPage(nand.PageAddr(prev))
 	}
-	l.pinMapPage(addr, idx)
+	l.pinMapPage(addrs[0], idx)
 	c.NoteFlushed(1)
 	return done, nil
 }

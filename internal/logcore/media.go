@@ -6,10 +6,12 @@ import (
 	"iosnap/internal/sim"
 )
 
-// The media-failure boundary: every NAND operation goes through a wrapper
-// that retries transient errors under mediaRetry and, when a failure proves
-// permanent, marks the affected segment suspect so the cleaner (or ioSnap's
-// scrubber) rescues its data and retires it.
+// The media-failure boundary: every NAND operation retries transient errors
+// under mediaRetry and, when a failure proves permanent, marks the affected
+// segment suspect so the cleaner (or ioSnap's scrubber) rescues its data and
+// retires it. Page programs, reads and copies are batch device calls under
+// one continuation loop (batched); erases and OOB scans are whole-segment
+// operations under retried.
 
 // mediaRetry bounds per-NAND-operation retries of transient media errors.
 // Errors that persist past its budget are permanent.
@@ -24,23 +26,15 @@ func (l *Log) markSuspect(seg int) {
 	l.stats.MediaFailures++
 }
 
-// retried runs one device operation under the retry policy; a failure that
+// retried runs one segment operation under the retry policy; a failure that
 // proves permanent marks segment blame suspect.
 func (l *Log) retried(now sim.Time, blame int, op func(at sim.Time) (sim.Time, error)) (sim.Time, error) {
-	done, retries, err := mediaRetry.Do(now, op)
+	done, retries, err := mediaRetry.Do(now, retry.Transient, op)
 	l.stats.Retries += retries
 	if err != nil && retry.MediaFailure(err) {
 		l.markSuspect(blame)
 	}
 	return done, err
-}
-
-// DevProgramPage programs one page: a note, a translation page or a
-// checkpoint chunk.
-func (l *Log) DevProgramPage(now sim.Time, addr nand.PageAddr, data, oob []byte) (sim.Time, error) {
-	return l.retried(now, l.Dev.SegmentOf(addr), func(at sim.Time) (sim.Time, error) {
-		return l.Dev.ProgramPage(at, addr, data, oob)
-	})
 }
 
 func (l *Log) devEraseSegment(now sim.Time, seg int) (sim.Time, error) {
@@ -64,120 +58,53 @@ func (l *Log) DevScanSegmentOOB(now sim.Time, seg int) (oobs [][]byte, done sim.
 	return oobs, done, err
 }
 
-// devProgramPages is the batched data path's program boundary: one device
-// call for the whole run. The batch call counts as each page's first
-// attempt; when a page fails transiently, it alone re-enters the policy's
-// backoff schedule (retry.DoFrom) and, once it lands, the remainder of the
-// batch resumes at the recovered page's completion time. Returns how many
-// pages landed, the completion time of the landed pages, and the first
+// batched runs a run of pages through one batch device call: call(at, lo,
+// hi) submits pages [lo, hi) at at and returns how many landed, their
+// completion time and the failing page's error. The batch call counts as
+// each page's first attempt; when a page fails transiently, it alone
+// re-enters the policy's backoff schedule (retry.DoFrom) as a one-page call
+// and, once it lands, the rest of the run resumes at its completion time. A
+// failure that proves permanent marks the segment of blame[i] suspect —
+// the destination of a program, the page of a read, the source of a copy.
+// Returns how many pages landed, their completion time, and the first
 // unrecovered error.
-func (l *Log) devProgramPages(now sim.Time, addrs []nand.PageAddr, datas, oobs [][]byte) (n int, done sim.Time, err error) {
+func (l *Log) batched(now sim.Time, blame []nand.PageAddr, call func(at sim.Time, lo, hi int) (int, sim.Time, error)) (n int, done sim.Time, err error) {
 	done = now
 	at := now
-	for n < len(addrs) {
-		k, d, e := l.Dev.ProgramPages(at, addrs[n:], datas[n:], oobs[n:])
+	for n < len(blame) {
+		k, d, e := call(at, n, len(blame))
 		n += k
-		if d > done {
-			done = d
-		}
+		done = max(done, d)
 		if e == nil {
-			return n, done, nil
+			break
 		}
-		d2, retries, e2 := mediaRetry.DoFrom(at, 1, e, func(t sim.Time) (sim.Time, error) {
-			return l.Dev.ProgramPage(t, addrs[n], datas[n], oobs[n])
+		d, retries, e := mediaRetry.DoFrom(at, 1, e, func(t sim.Time) (sim.Time, error) {
+			_, d, e := call(t, n, n+1)
+			return d, e
 		})
 		l.stats.Retries += retries
-		if d2 > done {
-			done = d2
-		}
-		if e2 != nil {
-			if retry.MediaFailure(e2) {
-				l.markSuspect(l.Dev.SegmentOf(addrs[n]))
+		done = max(done, d)
+		if e != nil {
+			if retry.MediaFailure(e) {
+				l.markSuspect(l.Dev.SegmentOf(blame[n]))
 			}
-			return n, done, e2
+			return n, done, e
 		}
 		n++
-		at = d2
+		at = d
 	}
 	return n, done, nil
 }
 
-// DevReadPages is the batched read boundary, with the same per-page retry
-// continuation as devProgramPages. Returned slices alias device memory and
-// per-FTL scratch: they are valid until the next DevReadPages call, so
-// callers that loop must copy out what they keep (slice headers suffice —
-// the device page memory itself is stable).
+// DevReadPages reads a run of pages under batched. Returned slices alias
+// device memory and per-log scratch: they are valid until the next
+// DevReadPages call, so callers that loop must copy out what they keep
+// (slice headers suffice — the device page memory itself is stable).
 func (l *Log) DevReadPages(now sim.Time, addrs []nand.PageAddr) (datas, oobs [][]byte, n int, done sim.Time, err error) {
-	done = now
-	at := now
-	datas = l.ws.rdatas[:0]
-	oobs = l.ws.roobs[:0]
-	defer func() { l.ws.rdatas, l.ws.roobs = datas, oobs }()
-	for n < len(addrs) {
-		k, d, e := l.Dev.ReadPagesInto(at, addrs[n:], &datas, &oobs)
-		n += k
-		if d > done {
-			done = d
-		}
-		if e == nil {
-			return datas, oobs, n, done, nil
-		}
-		var data, oob []byte
-		d2, retries, e2 := mediaRetry.DoFrom(at, 1, e, func(t sim.Time) (sim.Time, error) {
-			var e3 error
-			data, oob, t, e3 = l.Dev.ReadPage(t, addrs[n])
-			return t, e3
-		})
-		l.stats.Retries += retries
-		if d2 > done {
-			done = d2
-		}
-		if e2 != nil {
-			if retry.MediaFailure(e2) {
-				l.markSuspect(l.Dev.SegmentOf(addrs[n]))
-			}
-			return datas, oobs, n, done, e2
-		}
-		datas = append(datas, data)
-		oobs = append(oobs, oob)
-		n++
-		at = d2
-	}
-	return datas, oobs, n, done, nil
-}
-
-// devCopyForward is the cleaner's batched copy-forward boundary. A permanent
-// copy failure is attributed to the source segment: that is the segment the
-// cleaner is moving data off, and suspecting it drives the rescue machinery
-// toward the data most at risk. (A permanent destination failure resurfaces
-// as a program failure on the head.)
-func (l *Log) devCopyForward(now sim.Time, froms, tos []nand.PageAddr) (n int, done sim.Time, err error) {
-	done = now
-	at := now
-	for n < len(froms) {
-		k, d, e := l.Dev.CopyPages(at, froms[n:], tos[n:])
-		n += k
-		if d > done {
-			done = d
-		}
-		if e == nil {
-			return n, done, nil
-		}
-		d2, retries, e2 := mediaRetry.DoFrom(at, 1, e, func(t sim.Time) (sim.Time, error) {
-			return l.Dev.CopyPage(t, froms[n], tos[n])
-		})
-		l.stats.Retries += retries
-		if d2 > done {
-			done = d2
-		}
-		if e2 != nil {
-			if retry.MediaFailure(e2) {
-				l.markSuspect(l.Dev.SegmentOf(froms[n]))
-			}
-			return n, done, e2
-		}
-		n++
-		at = d2
-	}
-	return n, done, nil
+	datas, oobs = l.ws.rdatas[:0], l.ws.roobs[:0]
+	n, done, err = l.batched(now, addrs, func(at sim.Time, lo, hi int) (int, sim.Time, error) {
+		return l.Dev.ReadPagesInto(at, addrs[lo:hi], &datas, &oobs)
+	})
+	l.ws.rdatas, l.ws.roobs = datas, oobs
+	return datas, oobs, n, done, err
 }

@@ -59,43 +59,33 @@ func MediaFailure(err error) bool {
 		errors.Is(err, nand.ErrCorruptData)
 }
 
-// Do runs op, retrying transient failures within the policy's budget. op
-// receives the virtual submit time of its attempt and returns its
+// Do runs op, retrying the failures retryable accepts within the policy's
+// budget. op receives the virtual submit time of its attempt and returns its
 // completion time. Do returns the final attempt's completion time, the
 // number of retries performed (0 when the first attempt decided), and the
-// final error.
-func (p Policy) Do(now sim.Time, op func(sim.Time) (sim.Time, error)) (done sim.Time, retries int64, err error) {
-	done, err = op(now)
-	if err == nil {
-		return done, 0, nil
-	}
-	return p.DoFrom(now, 1, err, op)
-}
-
-// DoFrom continues a retry schedule whose first `attempted` attempts
-// already ran elsewhere — the batched data path's case, where a multi-page
-// device call counts as each page's first attempt and only the failing
-// page re-enters the per-page loop. lastErr is the most recent attempt's
-// error, observed at virtual time now; DoFrom performs the remaining
-// attempts with the backoff schedule continuing where Do's would be (the
-// delay before attempt k+1 is Backoff·2^(k-1)). retries counts only the
-// attempts DoFrom itself performs, so a caller adding them to a stats
-// counter matches Do's accounting exactly: total attempts - 1.
-func (p Policy) DoFrom(now sim.Time, attempted int, lastErr error, op func(sim.Time) (sim.Time, error)) (done sim.Time, retries int64, err error) {
-	return p.doFrom(now, attempted, lastErr, Transient, op)
-}
-
-// DoRetryable is Do with a caller-supplied retryability classifier, for
-// retry loops above the NAND layer — the snapshot transport re-drives a
+// final error. The log engine passes Transient; retry loops above the NAND
+// layer pass their own classifier — the snapshot transport re-drives a
 // transfer on stream-level errors (truncation, a bit-flipped frame, a chunk
-// hash mismatch) that the media-oriented Transient check knows nothing
-// about. The backoff schedule and accounting match Do exactly.
-func (p Policy) DoRetryable(now sim.Time, retryable func(error) bool, op func(sim.Time) (sim.Time, error)) (done sim.Time, retries int64, err error) {
+// hash mismatch) that the media check knows nothing about.
+func (p Policy) Do(now sim.Time, retryable func(error) bool, op func(sim.Time) (sim.Time, error)) (done sim.Time, retries int64, err error) {
 	done, err = op(now)
 	if err == nil {
 		return done, 0, nil
 	}
 	return p.doFrom(now, 1, err, retryable, op)
+}
+
+// DoFrom continues a Transient retry schedule whose first `attempted`
+// attempts already ran elsewhere — the batched data path's case, where a
+// multi-page device call counts as each page's first attempt and only the
+// failing page re-enters the per-page loop. lastErr is the most recent
+// attempt's error, observed at virtual time now; DoFrom performs the
+// remaining attempts with the backoff schedule continuing where Do's would
+// be (the delay before attempt k+1 is Backoff·2^(k-1)). retries counts only
+// the attempts DoFrom itself performs, so a caller adding them to a stats
+// counter matches Do's accounting exactly: total attempts - 1.
+func (p Policy) DoFrom(now sim.Time, attempted int, lastErr error, op func(sim.Time) (sim.Time, error)) (done sim.Time, retries int64, err error) {
+	return p.doFrom(now, attempted, lastErr, Transient, op)
 }
 
 func (p Policy) doFrom(now sim.Time, attempted int, lastErr error, retryable func(error) bool, op func(sim.Time) (sim.Time, error)) (done sim.Time, retries int64, err error) {

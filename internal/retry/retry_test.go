@@ -13,7 +13,7 @@ func TestDoSucceedsAfterTransients(t *testing.T) {
 	p := Policy{MaxAttempts: 3, Backoff: 100 * sim.Microsecond}
 	attempts := 0
 	var submits []sim.Time
-	done, retries, err := p.Do(0, func(at sim.Time) (sim.Time, error) {
+	done, retries, err := p.Do(0, Transient, func(at sim.Time) (sim.Time, error) {
 		attempts++
 		submits = append(submits, at)
 		if attempts < 3 {
@@ -39,7 +39,7 @@ func TestDoSucceedsAfterTransients(t *testing.T) {
 func TestDoGivesUpAfterBudget(t *testing.T) {
 	p := Policy{MaxAttempts: 2, Backoff: sim.Microsecond}
 	attempts := 0
-	_, retries, err := p.Do(0, func(at sim.Time) (sim.Time, error) {
+	_, retries, err := p.Do(0, Transient, func(at sim.Time) (sim.Time, error) {
 		attempts++
 		return at, nand.ErrTransient
 	})
@@ -52,7 +52,7 @@ func TestDoDoesNotRetryPermanentErrors(t *testing.T) {
 	p := Default()
 	for _, perm := range []error{nand.ErrDeviceFailed, nand.ErrWornOut, nand.ErrNotErased} {
 		attempts := 0
-		_, retries, err := p.Do(0, func(at sim.Time) (sim.Time, error) {
+		_, retries, err := p.Do(0, Transient, func(at sim.Time) (sim.Time, error) {
 			attempts++
 			return at, perm
 		})
@@ -65,7 +65,7 @@ func TestDoDoesNotRetryPermanentErrors(t *testing.T) {
 func TestZeroValuePolicySingleAttempt(t *testing.T) {
 	var p Policy
 	attempts := 0
-	_, retries, err := p.Do(0, func(at sim.Time) (sim.Time, error) {
+	_, retries, err := p.Do(0, Transient, func(at sim.Time) (sim.Time, error) {
 		attempts++
 		return at, nand.ErrTransient
 	})
@@ -108,7 +108,7 @@ func TestDoFromContinuesSchedule(t *testing.T) {
 		}
 		now := sim.Time(1000)
 		if !split {
-			_, retries, err = p.Do(now, op)
+			_, retries, err = p.Do(now, Transient, op)
 			return times, retries, err
 		}
 		_, firstErr := op(now)
@@ -153,7 +153,7 @@ func TestDoRetryableCustomClassifier(t *testing.T) {
 
 	p := Policy{MaxAttempts: 3, Backoff: time100()}
 	calls := 0
-	_, retries, err := p.DoRetryable(0, retryable, func(at sim.Time) (sim.Time, error) {
+	_, retries, err := p.Do(0, retryable, func(at sim.Time) (sim.Time, error) {
 		calls++
 		if calls < 3 {
 			return at, errFrame
@@ -165,7 +165,7 @@ func TestDoRetryableCustomClassifier(t *testing.T) {
 	}
 
 	calls = 0
-	_, retries, err = p.DoRetryable(0, retryable, func(at sim.Time) (sim.Time, error) {
+	_, retries, err = p.Do(0, retryable, func(at sim.Time) (sim.Time, error) {
 		calls++
 		return at, errFatal
 	})

@@ -54,7 +54,7 @@ var (
 
 // Retryable reports whether err is stream-shape damage — truncation, a
 // checksum or content-hash mismatch, garbled framing — that a bounded
-// re-send (retry.Policy.DoRetryable) may repair. Protocol errors (wrong
+// re-send (retry.Policy.Do with Retryable) may repair. Protocol errors (wrong
 // base, unknown LBA, malformed manifest) are not retryable: the same bytes
 // would fail the same way.
 func Retryable(err error) bool {

@@ -74,8 +74,9 @@ import (
 	"iosnap/internal/xport"
 )
 
-// fsys is the filesystem every sidecar and image write goes through.
-// Tests swap in a faulting or in-memory implementation.
+// fsys is the filesystem every image and sidecar access goes through: the
+// image load, the image and sidecar writes, the transfer stream read and the
+// journal removal. Tests swap in a faulting or in-memory implementation.
 var fsys vfs.FileSystem = vfs.OS{}
 
 func main() {
@@ -190,7 +191,7 @@ func cmdInit(image string, args []string) error {
 }
 
 func load(image string, mapCachePages int) (*nand.Device, *iosnap.FTL, error) {
-	rd, err := os.Open(image)
+	rd, err := fsys.Open(image)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -484,7 +485,7 @@ func cmdImport(image string, dev *nand.Device, f *iosnap.FTL, now sim.Time, args
 	if *in == "" {
 		return fmt.Errorf("import: -in is required")
 	}
-	stream, err := os.ReadFile(*in)
+	stream, err := vfs.ReadFile(fsys, *in)
 	if err != nil {
 		return err
 	}
@@ -512,7 +513,7 @@ func cmdImport(image string, dev *nand.Device, f *iosnap.FTL, now sim.Time, args
 	if err := writeFileAtomic(genPath(image), rec.Manifest.Encode()); err != nil {
 		return err
 	}
-	os.Remove(journalPath(image))
+	fsys.Remove(journalPath(image))
 	fmt.Printf("imported %s: applied %d, skipped %d (already durable), deduped %d, resumed=%v\n",
 		*in, rec.Applied, rec.Skipped, rec.Deduped, rec.Resumed)
 	return nil
@@ -557,7 +558,7 @@ func cmdReplicate(f *iosnap.FTL, now sim.Time, args []string) error {
 	if err := writeFileAtomic(genPath(*dst), m.Encode()); err != nil {
 		return err
 	}
-	os.Remove(journalPath(*dst))
+	fsys.Remove(journalPath(*dst))
 	st := f.Stats()
 	kind := "full"
 	if m.IsDelta() {

@@ -161,3 +161,41 @@ func TestCLICorruptSidecarFailsLoudly(t *testing.T) {
 		t.Fatalf("verify: %v", err)
 	}
 }
+
+// TestCLIRunsOnMemFilesystem: with fsys an in-memory filesystem, a source
+// image takes a write and a snapshot and exports it, and a replica imports
+// the stream. Every image, stream and sidecar access goes through fsys: the
+// directory the paths name stays empty on disk, and the committed import
+// leaves its generation manifest and no journal in the Mem replica.
+func TestCLIRunsOnMemFilesystem(t *testing.T) {
+	mem := vfs.NewMem()
+	old := fsys
+	fsys = mem
+	defer func() { fsys = old }()
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.img")
+	dst := filepath.Join(dir, "dst.img")
+	stream := filepath.Join(dir, "stream.bin")
+	for _, step := range [][]string{
+		{src, "init", "-megabytes", "8"},
+		{src, "write", "-lba", "3", "-text", "v1"},
+		{src, "snap-create"},
+		{src, "export", "-id", "1", "-out", stream},
+		{dst, "init", "-megabytes", "8"},
+		{dst, "import", "-in", stream},
+		{dst, "verify"},
+	} {
+		if err := runCtl(t, step[0], step[1:]...); err != nil {
+			t.Fatalf("%s on %s: %v", step[1], filepath.Base(step[0]), err)
+		}
+	}
+	if mem.Exists(journalPath(dst)) {
+		t.Error("the committed import left its journal in the replica")
+	}
+	if !mem.Exists(genPath(dst)) {
+		t.Error("the committed import wrote no generation manifest")
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("the run touched disk: %d entries in %s (%v)", len(ents), dir, err)
+	}
+}

@@ -599,6 +599,57 @@ func (s *Store) ReadRangeInto(e Epoch, lo, hi int64, out *Bitmap) {
 	s.orEpoch(s.get(e), lo, hi, out)
 }
 
+// XorRangeInto overwrites out, which must have length hi-lo, with the bits
+// [lo, hi) valid in exactly one of epochs a and b, and reports whether any
+// is. A bitmap page both epochs resolve to the same copy of — inherited from
+// a common ancestor, or absent from both chains — contributes nothing and
+// its words are not read. Like ReadRangeInto it answers for deleted epochs.
+func (s *Store) XorRangeInto(a, b Epoch, lo, hi int64, out *Bitmap) bool {
+	if lo < 0 || hi > s.nBits || out.n != hi-lo {
+		panic(fmt.Sprintf("bitmap: XorRangeInto [%d,%d) of [0,%d) into %d bits", lo, hi, s.nBits, out.n))
+	}
+	out.Reset()
+	ema, emb := s.get(a), s.get(b)
+	var seen uint64 // nonzero once a bit is set
+	for pageIdx := lo / s.bitsPerPage; pageIdx*s.bitsPerPage < hi; pageIdx++ {
+		pa, _ := ema.findPage(pageIdx)
+		pb, _ := emb.findPage(pageIdx)
+		if pa == pb {
+			continue
+		}
+		pageStart := pageIdx * s.bitsPerPage
+		from, to := max(lo, pageStart), min(hi, pageStart+s.bitsPerPage)
+		word := func(bit int64) uint64 { // the page words' XOR holding bit
+			var w uint64
+			if pa != nil {
+				w = pa.words[(bit-pageStart)/wordBits]
+			}
+			if pb != nil {
+				w ^= pb.words[(bit-pageStart)/wordBits]
+			}
+			return w
+		}
+		if lo%wordBits != 0 {
+			for i := from; i < to; i++ {
+				if word(i)&(1<<uint(i%wordBits)) != 0 {
+					out.Set(i - lo)
+					seen = 1
+				}
+			}
+			continue
+		}
+		for bit := from; bit < to; bit += wordBits {
+			w := word(bit)
+			if rem := to - bit; rem < wordBits {
+				w &= (1 << uint(rem)) - 1 // clip a partial trailing word
+			}
+			out.words[(bit-lo)/wordBits] = w
+			seen |= w
+		}
+	}
+	return seen != 0
+}
+
 // orEpoch ORs epoch em's bits [lo, hi) into out: whole words when the range
 // starts on a word boundary (every segment of a geometry with 64 | pages per
 // segment), bit by bit otherwise.

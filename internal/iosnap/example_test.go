@@ -410,21 +410,21 @@ func Example_backupRotation() {
 	// minute 2:  7.8 MB written, snapshot 2 taken (2 live, free segments 14)
 	//           replicated as delta: 277 sectors shipped (0 deduped, 0 deletes), 1.1 MB over wire in 28.71ms virtual
 	// minute 3:  7.8 MB written, snapshot 3 taken (3 live, free segments 6)
-	//           replicated as delta: 278 sectors shipped (0 deduped, 0 deletes), 1.1 MB over wire in 23.17ms virtual
+	//           replicated as delta: 278 sectors shipped (0 deduped, 0 deletes), 1.1 MB over wire in 22.71ms virtual
 	// minute 4:  4.1 MB written, snapshot 4 taken (4 live, free segments 3)
-	//           replicated as delta: 191 sectors shipped (0 deduped, 0 deletes), 0.7 MB over wire in 16.67ms virtual
+	//           replicated as delta: 191 sectors shipped (0 deduped, 0 deletes), 0.7 MB over wire in 16.21ms virtual
 	//           rotated out snapshot 1 (archived)
 	// minute 5:  1.7 MB written, snapshot 5 taken (4 live, free segments 3)
-	//           replicated as delta: 127 sectors shipped (0 deduped, 0 deletes), 0.5 MB over wire in 11.92ms virtual
+	//           replicated as delta: 127 sectors shipped (0 deduped, 0 deletes), 0.5 MB over wire in 11.07ms virtual
 	//           rotated out snapshot 2 (archived)
 	// minute 6:  1.9 MB written, snapshot 6 taken (4 live, free segments 3)
-	//           replicated as delta: 115 sectors shipped (0 deduped, 0 deletes), 0.4 MB over wire in 11.04ms virtual
+	//           replicated as delta: 115 sectors shipped (0 deduped, 0 deletes), 0.4 MB over wire in 10.35ms virtual
 	//           rotated out snapshot 3 (archived)
 	// minute 7:  2.0 MB written, snapshot 7 taken (4 live, free segments 3)
-	//           replicated as delta: 118 sectors shipped (0 deduped, 0 deletes), 0.5 MB over wire in 11.26ms virtual
+	//           replicated as delta: 118 sectors shipped (0 deduped, 0 deletes), 0.5 MB over wire in 10.72ms virtual
 	//           rotated out snapshot 4 (archived)
 	// minute 8:  2.0 MB written, snapshot 8 taken (4 live, free segments 3)
-	//           replicated as delta: 126 sectors shipped (0 deduped, 0 deletes), 0.5 MB over wire in 11.85ms virtual
+	//           replicated as delta: 126 sectors shipped (0 deduped, 0 deletes), 0.5 MB over wire in 11.39ms virtual
 	//           rotated out snapshot 5 (archived)
 	//
 	// final: 3 live snapshots, 5 deleted; cleaner ran 9 times, write amplification 1.01, validity CoW pages 8

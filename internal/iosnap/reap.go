@@ -47,7 +47,10 @@ func (f *FTL) reapPinned() []bitmap.Epoch {
 		}
 	}
 	for _, s := range f.scans {
-		pins = append(pins, s.epochs...)
+		pins = append(pins, s.epoch)
+		if s.based {
+			pins = append(pins, s.baseEpoch)
+		}
 		if s.viewEpoch != 0 {
 			pins = append(pins, s.viewEpoch)
 		}

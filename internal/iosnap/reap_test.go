@@ -516,7 +516,7 @@ func TestFullHistoryCheckpointMountsAndReaps(t *testing.T) {
 	history := len(f.vstore.Epochs())
 	// Pin every epoch, as if the reaper did not exist, for one checkpoint.
 	for _, e := range f.vstore.Epochs() {
-		f.scans = append(f.scans, &scan{f: f, epochs: []bitmap.Epoch{e}})
+		f.scans = append(f.scans, &scan{f: f, epoch: e})
 	}
 	h.checkpoint()
 	f.scans = nil

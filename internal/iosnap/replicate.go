@@ -3,11 +3,9 @@ package iosnap
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"iosnap/internal/blockdev"
-	"iosnap/internal/ftlmap"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/retry"
@@ -35,10 +33,11 @@ import (
 //
 // Export runs as an incremental job while foreground I/O continues — the
 // only global stall is the freeze that created the snapshot. It is
-// activation's log scan reading two epochs instead of one, so it takes the
-// scan's quanta, rate limit and cleaner re-points; after the scan each
-// quantum claims the device for one batched chunk read, and between quanta
-// the cleaner is free to move blocks.
+// activation's log scan, driven for a delta by the pages valid in exactly
+// one of the two epochs, so it takes the scan's quanta, rate limit, cleaner
+// re-points and classification; after the scan each quantum claims the
+// device for one batched chunk read, and between quanta the cleaner is free
+// to move blocks.
 
 // ErrBadExport reports an export that cannot be produced at all (the
 // device retains no payloads to ship).
@@ -95,7 +94,6 @@ type Export struct {
 	base *Snapshot // nil = full image
 	opt  ExportOpts
 
-	deletes []uint64          // LBAs the base holds and the target does not, ascending
 	readIdx int               // entries of sorted read so far
 	entries []xport.Entry     // manifest writes, ascending lba
 	chunks  map[uint64][]byte // shipped payload copies
@@ -137,15 +135,15 @@ func (f *FTL) BeginExport(now sim.Time, opt ExportOpts) (*Export, sim.Time, erro
 	if err != nil {
 		return nil, now, err
 	}
-	snaps := []*Snapshot{snap}
-	var base *Snapshot
-	if opt.Base != 0 {
-		if base, err = f.tree.find(opt.Base); err != nil {
-			return nil, now, fmt.Errorf("export base: %w", err)
-		}
-		snaps = append(snaps, base)
+	x := &Export{snap: snap, opt: opt, chunks: make(map[uint64][]byte)}
+	if opt.Base == 0 {
+		x.scan = f.beginScan(opt.Limit, snap.Epoch, 0, false, snap)
+		return x, now, nil
 	}
-	x := &Export{scan: f.beginScan(opt.Limit, snaps...), snap: snap, base: base, opt: opt, chunks: make(map[uint64][]byte)}
+	if x.base, err = f.tree.find(opt.Base); err != nil {
+		return nil, now, fmt.Errorf("export base: %w", err)
+	}
+	x.scan = f.beginScan(opt.Limit, snap.Epoch, x.base.Epoch, true, snap, x.base)
 	return x, now, nil
 }
 
@@ -154,40 +152,6 @@ func (f *FTL) BeginExport(now sim.Time, opt ExportOpts) (*Export, sim.Time, erro
 // diff can no longer be trusted).
 func (x *Export) invalidated() bool {
 	return x.snap.Deleted || (x.base != nil && x.base.Deleted)
-}
-
-// classify turns the scan's LBA-sorted candidates into the export's writes,
-// testing each page at its current address: per LBA, the page only the
-// target holds is written; an LBA with no such page but one only the base
-// holds was trimmed, a delete. A page the scan met twice (the cleaner carried
-// it across the scan frontier) counts once, at the address of the first
-// meeting: the cleaner keeps that one current, as foldCands relies on.
-func (x *Export) classify(cands []actCand) []ftlmap.Entry {
-	vs := x.f.vstore
-	var writes []ftlmap.Entry
-	for lo, hi := 0, 0; lo < len(cands); lo = hi {
-		write, trimmed := -1, false
-		for hi = lo; hi < len(cands) && cands[hi].lba == cands[lo].lba; hi++ {
-			c := cands[hi]
-			if slices.ContainsFunc(cands[lo:hi], func(d actCand) bool { return d.seq == c.seq }) {
-				continue
-			}
-			inTgt := vs.Test(x.snap.Epoch, int64(c.addr))
-			inBase := x.base != nil && vs.Test(x.base.Epoch, int64(c.addr))
-			switch {
-			case inTgt && !inBase:
-				write = hi
-			case inBase && !inTgt:
-				trimmed = true
-			}
-		}
-		if write >= 0 {
-			writes = append(writes, ftlmap.Entry{Key: cands[write].lba, Val: uint64(cands[write].addr)})
-		} else if trimmed {
-			x.deletes = append(x.deletes, cands[lo].lba)
-		}
-	}
-	return writes
 }
 
 // Run implements sim.Task: one rate-limited quantum — segment scans while

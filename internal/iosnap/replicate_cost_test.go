@@ -118,7 +118,7 @@ func TestReplicationCostFullVsIncremental(t *testing.T) {
 	if !m.IsDelta() {
 		t.Fatal("incremental export shipped a full image")
 	}
-	if got, want := (cost{len(m.Writes), len(stream), dst.Scheduler().Drain(t2).Sub(t0)}), (cost{60, 33578, 1567800}); got != want {
+	if got, want := (cost{len(m.Writes), len(stream), dst.Scheduler().Drain(t2).Sub(t0)}), (cost{60, 33578, 387000}); got != want {
 		t.Errorf("incremental: %+v, want %+v", got, want)
 	}
 }

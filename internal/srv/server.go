@@ -28,6 +28,9 @@ type ServerStats struct {
 	// PerShardVirtual is each shard's virtual clock at the stats barrier:
 	// the skew between entries is the load imbalance across shards.
 	PerShardVirtual []sim.Time
+	// ShardLockWait is each shard's mutex wait, wall time from asking for
+	// the lock to holding it: p50, p99 and max since the service started.
+	ShardLockWait []shard.LockWait
 	// Snapshot-view cache counters (see viewCache).
 	ViewCacheHits          int64
 	ViewCacheMisses        int64
@@ -540,6 +543,7 @@ func (s *Server) dispatch(op byte, body []byte) ([]byte, error) {
 			MappedSectors:   sum.MappedSectors,
 			PerShard:        sum.PerShard,
 			PerShardVirtual: sum.Virtual,
+			ShardLockWait:   sum.LockWait,
 		}
 		st.ViewCacheHits, st.ViewCacheMisses, st.ViewCacheExpiries,
 			st.ViewCacheInvalidations, st.ViewCacheLive = s.views.counters()

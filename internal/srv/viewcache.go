@@ -21,7 +21,12 @@ import (
 //
 //   - acquire either joins an existing entry (ref++), waits on an
 //     activation already in flight (single-flight: concurrent first reads
-//     of the same snapshot trigger one activation), or starts one.
+//     of the same snapshot trigger one activation), or starts one. A new
+//     activation builds from a base when it can: the ready, undoomed entry
+//     with the highest snapshot ID, whose map the cleaner keeps current, so
+//     it scans only the delta between the two. The activation holds a ref
+//     on its base until it ends, so invalidate, sweep and drain defer the
+//     base's deactivation past it; that ref does not stamp the idle clock.
 //   - release drops the ref and stamps the idle clock. A doomed entry
 //     (invalidated or expired while readers were inside) deactivates on
 //     the last release.
@@ -39,6 +44,8 @@ type viewCache struct {
 	svc *shard.Service
 	ttl time.Duration
 	now func() time.Time // hookable for expiry tests
+	// activate is svc.ActivateFrom, hookable to hold an activation in flight.
+	activate func(iosnap.SnapshotID, *shard.ServiceView) (*shard.ServiceView, error)
 
 	mu      sync.Mutex
 	entries map[iosnap.SnapshotID]*cachedView
@@ -61,10 +68,11 @@ type cachedView struct {
 
 func newViewCache(svc *shard.Service, ttl time.Duration) *viewCache {
 	return &viewCache{
-		svc:     svc,
-		ttl:     ttl,
-		now:     time.Now,
-		entries: make(map[iosnap.SnapshotID]*cachedView),
+		svc:      svc,
+		ttl:      ttl,
+		now:      time.Now,
+		activate: svc.ActivateFrom,
+		entries:  make(map[iosnap.SnapshotID]*cachedView),
 	}
 }
 
@@ -82,14 +90,29 @@ func (vc *viewCache) acquire(id iosnap.SnapshotID) (*shard.ServiceView, func(), 
 			// Activation failed; the starter already removed the entry.
 			return nil, nil, e.err
 		}
-		return e.view, func() { vc.release(id, e) }, nil
+		return e.view, func() { vc.unref(e, true) }, nil
 	}
 	e := &cachedView{ready: make(chan struct{}), refs: 1, lastUsed: vc.now()}
 	vc.entries[id] = e
 	vc.misses++
+	var base *cachedView
+	var baseID iosnap.SnapshotID
+	for bid, b := range vc.entries {
+		if b.view != nil && !b.doomed && (base == nil || bid > baseID) {
+			base, baseID = b, bid
+		}
+	}
+	var baseView *shard.ServiceView
+	if base != nil {
+		base.refs++
+		baseView = base.view
+	}
 	vc.mu.Unlock()
 
-	view, err := vc.svc.ActivateSync(id, false)
+	view, err := vc.activate(id, baseView)
+	if base != nil {
+		vc.unref(base, false)
+	}
 	vc.mu.Lock()
 	e.view, e.err = view, err
 	if err != nil && vc.entries[id] == e {
@@ -100,15 +123,18 @@ func (vc *viewCache) acquire(id iosnap.SnapshotID) (*shard.ServiceView, func(), 
 	if err != nil {
 		return nil, nil, err
 	}
-	return view, func() { vc.release(id, e) }, nil
+	return view, func() { vc.unref(e, true) }, nil
 }
 
-// release drops one reference. The last release of a doomed entry
-// deactivates the view.
-func (vc *viewCache) release(id iosnap.SnapshotID, e *cachedView) {
+// unref drops one reference, a reader's (read: stamp the idle clock) or a
+// based activation's. The last release of a doomed entry deactivates the
+// view.
+func (vc *viewCache) unref(e *cachedView, read bool) {
 	vc.mu.Lock()
 	e.refs--
-	e.lastUsed = vc.now()
+	if read {
+		e.lastUsed = vc.now()
+	}
 	deactivate := e.refs == 0 && e.doomed && e.view != nil
 	vc.mu.Unlock()
 	if deactivate {

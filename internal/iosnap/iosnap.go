@@ -273,7 +273,20 @@ func (f *FTL) Stats() Stats {
 // Write implements blockdev.Device on the active view. A mid-run device
 // failure leaves the completed sectors committed and counted.
 func (f *FTL) Write(now sim.Time, lba int64, data []byte) (sim.Time, error) {
-	return f.WriteActive(now, uint64(f.active.epoch), lba, data)
+	done, err := f.WriteActive(now, uint64(f.active.epoch), lba, data)
+	if err != nil {
+		err = f.whyFull(err)
+	}
+	return done, err
+}
+
+// whyFull adds the snapshot side to an out-of-space error: the live
+// snapshots and views whose blocks the cleaner may not take.
+func (f *FTL) whyFull(err error) error {
+	if errors.Is(err, ErrOutOfSpace) {
+		return fmt.Errorf("%w; %d live snapshots, %d views", err, f.tree.Live(), len(f.views)-1)
+	}
+	return err
 }
 
 // Trim drops active-view translations for the run. The pages remain live in
@@ -317,7 +330,7 @@ func (f *FTL) writeNote(now sim.Time, typ header.Type, id SnapshotID, epoch bitm
 	})
 	switch {
 	case len(addrs) == 0:
-		return 0, at, err
+		return 0, at, f.whyFull(err)
 	case err != nil:
 		return 0, at, fmt.Errorf("iosnap: writing %v note: %w", typ, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"sort"
+	"strings"
 	"testing"
 
 	"iosnap/internal/faultinject"
@@ -278,6 +279,9 @@ func TestOutOfSpaceDegradationWithSnapshot(t *testing.T) {
 	for lba := third; lba < f.Sectors(); lba++ {
 		_, werr := f.Write(now, lba, sectorPattern(ss, lba, 1))
 		if errors.Is(werr, ErrOutOfSpace) {
+			if !strings.HasSuffix(werr.Error(), "; 1 live snapshots, 0 views") || !strings.Contains(werr.Error(), "free segments") {
+				t.Fatalf("the out-of-space error does not say why: %v", werr)
+			}
 			sawShed = true
 			break
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"iosnap/internal/bitmap"
@@ -438,8 +439,15 @@ func TestOutOfSpaceDegradesAndRecovers(t *testing.T) {
 	}
 	head, headIdx, free := p.HeadSeg, p.HeadIdx, slices.Clone(p.FreeSegs)
 
-	if _, err := p.WriteActive(now, 0, 0, model.Sectors(512, 0, 1, 2)); !errors.Is(err, ErrOutOfSpace) {
+	_, err := p.WriteActive(now, 0, 0, model.Sectors(512, 0, 1, 2))
+	if !errors.Is(err, ErrOutOfSpace) {
 		t.Fatalf("write with nothing reclaimable: %v, want ErrOutOfSpace", err)
+	}
+	// The error says why: the pool at the reserve, the best victim full.
+	why := fmt.Sprintf(": %d free segments, reserve %d; best victim segment %d holds %d valid and 0 pinned of %d pages",
+		reserve, p.cfg.DataReserve(), p.victims.heap[0], pps, pps)
+	if !strings.HasSuffix(err.Error(), why) {
+		t.Fatalf("out-of-space error %q does not end in %q", err, why)
 	}
 	if st := p.Stats(); st.OutOfSpaceWrites != 1 || !st.Degraded {
 		t.Fatalf("after the shed write: OutOfSpaceWrites %d, Degraded %v; want 1 and true", st.OutOfSpaceWrites, st.Degraded)
@@ -453,7 +461,7 @@ func TestOutOfSpaceDegradesAndRecovers(t *testing.T) {
 		t.Fatalf("read while degraded: %v, or not the data written before", err)
 	}
 
-	now, err := p.TrimActive(now, 0, 0, int64(pps))
+	now, err = p.TrimActive(now, 0, 0, int64(pps))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package logcore
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 
 	"iosnap/internal/header"
@@ -89,7 +90,7 @@ func (l *Log) allocPage(now sim.Time, reserve int) (nand.PageAddr, sim.Time, err
 				if errors.Is(err, ErrDeviceFull) {
 					l.degraded = true
 					l.stats.OutOfSpaceWrites++
-					return 0, now, ErrOutOfSpace
+					return 0, now, l.outOfSpace(reserve)
 				}
 				return 0, now, err
 			}
@@ -102,6 +103,19 @@ func (l *Log) allocPage(now sim.Time, reserve int) (nand.PageAddr, sim.Time, err
 	addr := l.Dev.Addr(l.HeadSeg, l.HeadIdx)
 	l.HeadIdx++
 	return addr, now, nil
+}
+
+// outOfSpace is ErrOutOfSpace with what explains it: the free pool against
+// the reserve the append keeps, and the segment the cleaner ranks first,
+// which holds nothing it can reclaim.
+func (l *Log) outOfSpace(reserve int) error {
+	victim := "no segment in use"
+	if h := &l.victims; len(h.heap) > 0 {
+		seg := h.heap[0]
+		victim = fmt.Sprintf("best victim segment %d holds %d valid and %d pinned of %d pages",
+			seg, h.valid[seg], h.pinned[seg], l.cfg.Nand.PagesPerSegment)
+	}
+	return fmt.Errorf("%w: %d free segments, reserve %d; %s", ErrOutOfSpace, len(l.FreeSegs), reserve, victim)
 }
 
 // allocPageGC is the cleaner's allocation: it never forces a nested clean.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -39,7 +40,7 @@ func latBucket(d Duration) int {
 	if d < 1 {
 		d = 1
 	}
-	exp := 63 - leadingZeros64(uint64(d))
+	exp := 63 - bits.LeadingZeros64(uint64(d))
 	// 8 linear sub-buckets inside each power of two.
 	var sub int
 	if exp >= 3 {
@@ -50,18 +51,6 @@ func latBucket(d Duration) int {
 		b = nLatBuckets - 1
 	}
 	return b
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // bucketUpper returns a representative latency for bucket b (its upper edge).

@@ -192,6 +192,14 @@ func remoteStats(c *srv.Client) error {
 		}
 		fmt.Printf("\nshard skew:         %v (max-min)\n", sim.Duration(max-min))
 	}
+	// Wall time requests waited for each shard's mutex.
+	if len(st.ShardLockWait) > 0 {
+		fmt.Printf("shard lock waits:  ")
+		for _, w := range st.ShardLockWait {
+			fmt.Printf(" %v/%v/%v", w.P50, w.P99, w.Max)
+		}
+		fmt.Printf(" (p50/p99/max)\n")
+	}
 	lookups := st.ViewCacheHits + st.ViewCacheMisses
 	if lookups > 0 {
 		fmt.Printf("view cache:         %d lookups, %.1f%% hit, %d live, %d expired, %d invalidated\n",

@@ -747,6 +747,46 @@ func (s *Store) CountValid(e Epoch, lo, hi int64) int {
 	return n
 }
 
+// CountSpans returns, for every span of span bits from bit 0 up (the last
+// one cut at Len), the number of bits epoch e holds in it: counts[i] is
+// CountValid(e, i*span, (i+1)*span). It is one pass over the CoW pages: a
+// page absent from e's chain costs one lookup and is not read, and the
+// others are popcounted a whole word at a time. Like ReadRangeInto it
+// answers for a deleted epoch too.
+func (s *Store) CountSpans(e Epoch, span int64) []int {
+	if span <= 0 {
+		panic(fmt.Sprintf("bitmap: CountSpans span %d", span))
+	}
+	counts := make([]int, (s.nBits+span-1)/span)
+	em := s.get(e)
+	for pageIdx := int64(0); pageIdx < s.totalPages; pageIdx++ {
+		pg, _ := em.findPage(pageIdx)
+		if pg == nil {
+			continue
+		}
+		bit := pageIdx * s.bitsPerPage
+		for _, w := range pg.words {
+			if rem := s.nBits - bit; rem < wordBits {
+				w &= 1<<uint(max(rem, 0)) - 1 // no span holds bits past Len
+			}
+			// Bit 0 of w is bit at; a word straddling a span edge is split.
+			for at := bit; w != 0; {
+				i := at / span
+				n := (i+1)*span - at
+				if n >= wordBits {
+					counts[i] += bits.OnesCount64(w)
+					break
+				}
+				counts[i] += bits.OnesCount64(w & (1<<uint(n) - 1))
+				w >>= uint(n)
+				at += n
+			}
+			bit += wordBits
+		}
+	}
+	return counts
+}
+
 // OwnedPage is one privately owned CoW page of an epoch's validity map:
 // the unit of the epoch's delta against its parent, and what a checkpoint
 // serializes per epoch.

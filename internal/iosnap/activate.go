@@ -174,41 +174,32 @@ type scan struct {
 }
 
 // beginScan registers a scan of the pages valid in epoch or, when based, of
-// those valid in exactly one of epoch and base: of every segment, or with
-// SelectiveScan of the segments holding data of an epoch in the lineages of
-// the snapshots in reach. A based scan lists only the segments where the two
-// epochs differ, so a segment the delta misses costs no OOB scan at all.
-func (f *FTL) beginScan(limit ratelimit.WorkSleep, epoch, base bitmap.Epoch, based bool, reach ...*Snapshot) *scan {
+// those valid in exactly one of epoch and base. A full scan lists every
+// segment, or with SelectiveScan only the segments where epoch holds a bit
+// (the paper's §7 "only those segments that have data corresponding to the
+// snapshot"); a based scan lists only the segments where the two epochs
+// differ. Either way a segment left out costs no OOB scan at all.
+func (f *FTL) beginScan(limit ratelimit.WorkSleep, epoch, base bitmap.Epoch, based bool) *scan {
 	s := &scan{f: f, epoch: epoch, baseEpoch: base, based: based, budget: ratelimit.NewBudget(limit), valid: bitmap.New(int64(f.cfg.Nand.PagesPerSegment))}
-	var segs []int
-	if f.cfg.SelectiveScan {
-		lineage := make(map[bitmap.Epoch]bool)
-		for _, snap := range reach {
-			for _, e := range snap.Lineage() {
-				lineage[e] = true
-			}
-		}
-		segs = f.presence.segmentsFor(lineage)
-	} else {
-		segs = make([]int, f.cfg.Nand.Segments)
-		for i := range segs {
-			segs[i] = i
-		}
-	}
-	// Every candidate the scan will find is a page it reads in one of these
-	// segments: size the slice once instead of growing it by doubling under
+	// Every candidate the scan will find is a page it reads in a listed
+	// segment: size the slice once instead of growing it by doubling under
 	// the scan.
 	n, pps := 0, int64(f.cfg.Nand.PagesPerSegment)
-	for _, seg := range segs {
-		lo, hi := int64(seg)*pps, int64(seg+1)*pps
-		if !based {
-			n += f.vstore.CountValid(epoch, lo, hi)
-		} else if f.vstore.XorRangeInto(epoch, base, lo, hi, s.valid) {
-			n += s.valid.Count()
-		} else {
-			continue
+	if based {
+		for seg := range f.cfg.Nand.Segments {
+			lo := int64(seg) * pps
+			if f.vstore.XorRangeInto(epoch, base, lo, lo+pps, s.valid) {
+				n += s.valid.Count()
+				s.scanList = append(s.scanList, seg)
+			}
 		}
-		s.scanList = append(s.scanList, seg)
+	} else {
+		for seg, c := range f.vstore.CountSpans(epoch, pps) {
+			if c > 0 || !f.cfg.SelectiveScan {
+				n += c
+				s.scanList = append(s.scanList, seg)
+			}
+		}
 	}
 	s.cands = make([]actCand, 0, n)
 	f.scans = append(f.scans, s)
@@ -466,12 +457,11 @@ func (f *FTL) beginActivation(now sim.Time, id SnapshotID, limit ratelimit.WorkS
 	if err := f.vstore.CreateEpoch(newEpoch, snap.Epoch); err != nil {
 		return nil, now, fmt.Errorf("iosnap: creating activation epoch: %w", err)
 	}
-	f.epochParent[newEpoch] = snap.Epoch
 	act := &Activation{snap: snap, base: base, writable: writable}
 	if base == nil {
-		act.scan = f.beginScan(limit, snap.Epoch, 0, false, snap)
+		act.scan = f.beginScan(limit, snap.Epoch, 0, false)
 	} else {
-		act.scan = f.beginScan(limit, snap.Epoch, base.v.epoch, true, snap, base.snap)
+		act.scan = f.beginScan(limit, snap.Epoch, base.v.epoch, true)
 	}
 	act.viewEpoch = newEpoch
 	f.stats.SnapshotActivations++

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"iosnap/internal/bitmap"
 	"iosnap/internal/blockdev"
 	"iosnap/internal/model"
 	"iosnap/internal/nand"
@@ -456,11 +457,15 @@ func TestLineageAndDepth(t *testing.T) {
 	s1, now, _ := f.CreateSnapshot(now)
 	s2, now, _ := f.CreateSnapshot(now)
 	s3, _, _ := f.CreateSnapshot(now)
-	if s1.Depth() != 0 || s2.Depth() != 1 || s3.Depth() != 2 {
-		t.Fatalf("depths = %d %d %d", s1.Depth(), s2.Depth(), s3.Depth())
+	if s1.Parent != nil || s2.Parent != s1 || s3.Parent != s2 {
+		t.Fatalf("snapshot parents = %v %v %v, want none, 1, 2", s1.Parent, s2.Parent, s3.Parent)
 	}
-	lin := s3.Lineage()
-	if len(lin) != 3 || lin[0] != s1.Epoch || lin[2] != s3.Epoch {
-		t.Fatalf("lineage = %v", lin)
+	// Each snapshot's epoch inherits from the one before it, back to the root.
+	var lin []bitmap.Epoch
+	for e, ok := s3.Epoch, true; ok; e, ok = f.vstore.Parent(e) {
+		lin = append(lin, e)
+	}
+	if len(lin) != 3 || lin[0] != s3.Epoch || lin[1] != s2.Epoch || lin[2] != s1.Epoch {
+		t.Fatalf("epoch lineage of snapshot 3 = %v", lin)
 	}
 }

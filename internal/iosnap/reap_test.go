@@ -170,9 +170,8 @@ func bounded(t *testing.T, f *FTL, when string) {
 	limit := 2 * (len(f.Snapshots()) + len(f.views) + 1)
 	perEpoch := 8 + 8 + 1 + 4 + int(f.vstore.TotalPages())*(8+int(f.vstore.BitsPerPage()/8))
 	for what, n := range map[string]int{
-		"validity epochs":    len(f.vstore.Epochs()),
-		"epoch-parent edges": len(f.epochParent),
-		"snapshot records":   f.tree.Len(),
+		"validity epochs":  len(f.vstore.Epochs()),
+		"snapshot records": f.tree.Len(),
 	} {
 		if n > limit {
 			t.Fatalf("%s: %d %s, want at most %d for %d live snapshots and %d views",
@@ -263,7 +262,7 @@ func TestReapCases(t *testing.T) {
 				t.Fatalf("%s: epoch %d resolves to %d (%v), want its heir %d", when, s2.Epoch, e, ok, s3.Epoch)
 			}
 			r3, _ := f.tree.Lookup(s3.ID)
-			if r3.Parent == nil || r3.Parent.ID != s1.ID || f.epochParent[s3.Epoch] != s1.Epoch {
+			if p, _ := f.vstore.Parent(s3.Epoch); r3.Parent == nil || r3.Parent.ID != s1.ID || p != s1.Epoch {
 				t.Fatalf("%s: snapshot 3 not re-parented to snapshot 1", when)
 			}
 		}

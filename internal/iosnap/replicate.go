@@ -137,13 +137,13 @@ func (f *FTL) BeginExport(now sim.Time, opt ExportOpts) (*Export, sim.Time, erro
 	}
 	x := &Export{snap: snap, opt: opt, chunks: make(map[uint64][]byte)}
 	if opt.Base == 0 {
-		x.scan = f.beginScan(opt.Limit, snap.Epoch, 0, false, snap)
+		x.scan = f.beginScan(opt.Limit, snap.Epoch, 0, false)
 		return x, now, nil
 	}
 	if x.base, err = f.tree.find(opt.Base); err != nil {
 		return nil, now, fmt.Errorf("export base: %w", err)
 	}
-	x.scan = f.beginScan(opt.Limit, snap.Epoch, x.base.Epoch, true, snap, x.base)
+	x.scan = f.beginScan(opt.Limit, snap.Epoch, x.base.Epoch, true)
 	return x, now, nil
 }
 

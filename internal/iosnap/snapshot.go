@@ -28,29 +28,6 @@ type Snapshot struct {
 	noteAddr nand.PageAddr // location of the snap-create note
 }
 
-// Lineage returns the epochs captured by this snapshot, oldest first:
-// the epochs of all ancestors plus its own.
-func (s *Snapshot) Lineage() []bitmap.Epoch {
-	var rev []bitmap.Epoch
-	for n := s; n != nil; n = n.Parent {
-		rev = append(rev, n.Epoch)
-	}
-	out := make([]bitmap.Epoch, len(rev))
-	for i, e := range rev {
-		out[len(rev)-1-i] = e
-	}
-	return out
-}
-
-// Depth returns how many ancestors the snapshot has.
-func (s *Snapshot) Depth() int {
-	d := 0
-	for n := s.Parent; n != nil; n = n.Parent {
-		d++
-	}
-	return d
-}
-
 // Tree is the snapshot tree: the live snapshots plus the deleted ones whose
 // epochs the history reaper (reap.go) has not forgotten yet — tombstones
 // that still branch, or that a view or a job still reads. A reaped
@@ -178,7 +155,6 @@ func (f *FTL) createSnapshotFrom(v *view, now sim.Time) (*Snapshot, sim.Time, er
 	if err := f.vstore.CreateEpoch(newEpoch, frozen); err != nil {
 		return nil, now, fmt.Errorf("iosnap: creating epoch %d: %w", newEpoch, err)
 	}
-	f.epochParent[newEpoch] = frozen
 
 	snap := &Snapshot{
 		ID:        id,

@@ -88,7 +88,7 @@ func runSelectiveScan(rc RunConfig) (*Report, error) {
 	return &Report{
 		ID:     "selectivescan",
 		Title:  "Selective activation scan (extension)",
-		Paper:  "beyond the paper: per-segment epoch-presence summaries make activation cost proportional to the snapshot's footprint, not the log size",
+		Paper:  "beyond the paper: listing only the segments where the snapshot's epoch holds a valid bit makes activation cost proportional to the snapshot's footprint, not the log size",
 		Tables: []Table{tbl},
 		Series: []Series{series},
 		Notes: []string{

@@ -46,7 +46,7 @@ const (
 
 // IsCheckpoint reports whether t tags a checkpoint chunk — pages whose
 // LBA/Epoch fields are chunk coordinates, which recovery replay and the
-// cleaner's presence/remap bookkeeping must skip.
+// cleaner's remap bookkeeping must skip.
 func (t Type) IsCheckpoint() bool {
 	switch t {
 	case TypeCheckpoint, TypeCkptMap, TypeCkptTree, TypeCkptValid:

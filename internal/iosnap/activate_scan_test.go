@@ -478,7 +478,6 @@ func TestCleanerFixUpCostsLiveEpochsNotHistory(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("the cleaner's per-block fix-up allocates %.1f times per two moves, want 0", allocs)
 	}
-	f.presence.clear(free)
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

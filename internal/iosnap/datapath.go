@@ -27,7 +27,6 @@ func (f *FTL) RunCommitted(epoch uint64, set []nand.PageAddr, cleared []uint64) 
 	e := bitmap.Epoch(epoch)
 	cows := 0
 	if len(set) > 0 {
-		f.presence.add(f.Dev.SegmentOf(set[0]), e)
 		lo, hi := int64(set[0]), int64(set[0])+int64(len(set))
 		cows += f.vstore.SetRange(e, lo, hi)
 		f.acct.onViewSetRun(lo, hi)

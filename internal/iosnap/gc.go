@@ -3,7 +3,6 @@ package iosnap
 import (
 	"fmt"
 
-	"iosnap/internal/bitmap"
 	"iosnap/internal/header"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
@@ -187,20 +186,10 @@ func (f *FTL) cleanSegment(now sim.Time, seg int) (sim.Time, error) {
 
 // blockMoved is the cleaner's fix-up for one block copied off victim
 // (logcore.MovedFunc). The log has already aged the destination segment and
-// moved a pinned page's pin; what is left is ioSnap's: the destination
-// inherits the block's epoch presence, every holding epoch's validity bit is
-// re-pointed (step 3), and every view's forward map entry follows (step 4).
+// moved a pinned page's pin; what is left is ioSnap's: every holding epoch's
+// validity bit is re-pointed (step 3), and every view's forward map entry
+// follows (step 4).
 func (f *FTL) blockMoved(victim int, old, dst nand.PageAddr, h header.Header) {
-	// Checkpoint chunks carry chunk geometry in the Epoch field, not an
-	// epoch, and translation pages are valid in no epoch: neither
-	// contributes to presence. A reaped stamp counts for its heir: a later
-	// selective scan looks for the heir, not for an epoch it never heard of.
-	if !h.Type.IsCheckpoint() && h.Type != header.TypeMapPage {
-		if e, ok := f.vstore.Resolve(bitmap.Epoch(h.Epoch)); ok {
-			f.presence.add(f.Dev.SegmentOf(dst), e)
-		}
-	}
-
 	// Step 3: re-point every live epoch that saw the old block. In the
 	// worst case this flips bits in as many maps as there are live epochs.
 	f.holders = f.vstore.Repoint(int64(old), int64(dst), f.holders)

@@ -22,9 +22,8 @@ import (
 //     advancing a generation stamp; a stale segment's cache is rebuilt
 //     word-at-a-time — one pass per live epoch over just that segment —
 //     at most once per epoch-set change;
-//   - victim selection reads the engine's counters (logcore.BestVictim: a
-//     heap for greedy, a counter scan for cost-benefit), so a decision with
-//     fresh caches costs no merging at all.
+//   - victim selection reads the engine's counters (logcore.BestVictim, a
+//     greedy heap), so a decision with fresh caches costs no merging at all.
 //
 // To keep view-epoch clears O(1), two bitmaps are cached per segment: the
 // full merge ("merged") and the merge over live epochs that do NOT back a

@@ -68,7 +68,7 @@ func TestPagedMapEquivalenceWithSnapshots(t *testing.T) {
 					ts, td, te = tree.CreateSnapshot(now)
 					ps, pd, pe = paged.CreateSnapshot(now)
 					if (ts == nil) != (ps == nil) {
-						t.Fatalf("op %d: snapshot presence mismatch", i)
+						t.Fatalf("op %d: one FTL snapshotted, the other did not", i)
 					}
 					if ts != nil {
 						if ts.ID != ps.ID {

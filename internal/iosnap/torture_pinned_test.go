@@ -85,7 +85,7 @@ func TestTorturePinnedOracles(t *testing.T) {
 		// recovery or fallback); a bounded map's GTD checkpoints.
 		{"ckpt-churn/seed77", ckptEvery(tortureConfig(), 1*sim.Millisecond),
 			TortureOptions{Seed: 77, Steps: 1200, Mix: MixSnapshotChurn},
-			"steps=1200 opErrors=72 crashes=0 recoveries=0 checks=13 repls=0 gcErrors=0 torn=0 fired=0/09612b07b5ecb5a5 digest=b8b53b2d7b01c30b gcRuns=211 gcCopied=2968 ckpts=23 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
+			"steps=1200 opErrors=36 crashes=0 recoveries=0 checks=13 repls=0 gcErrors=0 torn=0 fired=0/09612b07b5ecb5a5 digest=4b2b1be6fa174e0b gcRuns=231 gcCopied=3278 ckpts=23 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
 		{"ckpt-crash/seed4242", ckptEvery(tortureConfig(), 500*sim.Microsecond),
 			TortureOptions{Seed: 4242, Steps: 1500, ActivationLimit: actLimit,
 				Plan: faultinject.CrashAtChunk(header.TypeCkptMap, 1),
@@ -95,11 +95,11 @@ func TestTorturePinnedOracles(t *testing.T) {
 					}
 					return faultinject.CrashAtChunk(chunkTypes[cycle%len(chunkTypes)], 1+int64(cycle%2))
 				}},
-			"steps=1500 opErrors=0 crashes=4 recoveries=4 checks=20 repls=0 gcErrors=0 torn=0 fired=4/fbdbb5fb10ef4f91 digest=580895463dd1141a gcRuns=209 gcCopied=2637 ckpts=29 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
+			"steps=1500 opErrors=0 crashes=4 recoveries=4 checks=20 repls=0 gcErrors=0 torn=0 fired=4/fbdbb5fb10ef4f91 digest=9ae0b30b855f7fd9 gcRuns=210 gcCopied=2627 ckpts=29 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
 		{"map-thrash-ckpt-crash/seed9", ckptEvery(mapThrashConfig(), 1*sim.Millisecond),
 			TortureOptions{Seed: 9, Steps: 900, Space: mapThrashSpace, Mix: MixMapThrash,
 				Plan: mapCrashPlan(400)},
-			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=1/7f27fe7b755ba98d digest=ad48d019958ef820 gcRuns=92 gcCopied=1067 ckpts=17 retries=0 mediaFailures=0 retired=0 fallbacks=1 mapFlushed=393"},
+			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=1/940b61e260bc2703 digest=457970cc77eccda5 gcRuns=89 gcCopied=1012 ckpts=16 retries=0 mediaFailures=0 retired=0 fallbacks=1 mapFlushed=401"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

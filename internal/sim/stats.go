@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // LatencyRecorder accumulates per-operation latencies in a log-bucketed
@@ -217,19 +216,4 @@ func (b *BandwidthWindow) Points() []BWPoint {
 		b.flush()
 	}
 	return b.points
-}
-
-// Quantiles returns the q-quantiles (e.g., 0.5) of xs without modifying it.
-func Quantiles(xs []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(xs) == 0 {
-		return out
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	for i, q := range qs {
-		idx := int(q * float64(len(s)-1))
-		out[i] = s[idx]
-	}
-	return out
 }

@@ -123,18 +123,6 @@ func TestBandwidthWindow(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	q := Quantiles(xs, 0, 0.5, 1)
-	if q[0] != 1 || q[1] != 3 || q[2] != 5 {
-		t.Fatalf("Quantiles = %v", q)
-	}
-	// input must be unmodified
-	if xs[0] != 5 {
-		t.Fatal("Quantiles modified its input")
-	}
-}
-
 func TestBucketMapping(t *testing.T) {
 	// Every representative value must land in its own bucket's range.
 	for _, d := range []Duration{1, 2, 7, 8, 100, 4096, 1 << 20, 1 << 40} {

@@ -203,9 +203,9 @@ func TestDataPathEquivalence(t *testing.T) {
 		seed int64
 		want string
 	}{
-		{1, "userWrites=25151 gcRuns=985 gcCopied=4673 batchNandCalls=1049 ops=15d168735632474b reads=4fdd093f83a72d25 stats=7d61609725d98914 dev=de7a774bf29d7cc2 image=c809d50b56ceccc3"},
-		{7, "userWrites=20339 gcRuns=887 gcCopied=6824 batchNandCalls=889 ops=ed78dabe186a0104 reads=ad5a15c2540f6725 stats=e29f6db627a7edae dev=b6770a9008f316ac image=04314f3aa77d4f4c"},
-		{42, "userWrites=19377 gcRuns=691 gcCopied=2350 batchNandCalls=863 ops=895a4829c0aaf2e7 reads=f5f04b9ffca23125 stats=11a89e50d68a14c2 dev=1df78c13187f86ef image=2b2666225b46c7da"},
+		{1, "userWrites=25151 gcRuns=985 gcCopied=4673 batchNandCalls=1049 ops=15d168735632474b reads=4fdd093f83a72d25 stats=38b3fb8e856304ba dev=de7a774bf29d7cc2 image=c809d50b56ceccc3"},
+		{7, "userWrites=20339 gcRuns=887 gcCopied=6824 batchNandCalls=889 ops=ed78dabe186a0104 reads=ad5a15c2540f6725 stats=508a330e306eae2c dev=b6770a9008f316ac image=04314f3aa77d4f4c"},
+		{42, "userWrites=19377 gcRuns=691 gcCopied=2350 batchNandCalls=863 ops=895a4829c0aaf2e7 reads=f5f04b9ffca23125 stats=558ec03612492de8 dev=1df78c13187f86ef image=2b2666225b46c7da"},
 	} {
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			f, err := New(equivConfig(), nil)
@@ -222,7 +222,7 @@ func TestDataPathEquivalence(t *testing.T) {
 // TestReadEquivalenceWithHoles pins down the zero-fill path: unmapped
 // sectors inside a run read as zeros.
 func TestReadEquivalenceWithHoles(t *testing.T) {
-	const want = "userWrites=20 gcRuns=0 gcCopied=0 batchNandCalls=21 ops=d8ba1ef86e8eb64e reads=f107d55e7bc5e125 stats=a5ba70d67dce8c12 dev=c7568e7d054916d7 image=76a19d6152809593"
+	const want = "userWrites=20 gcRuns=0 gcCopied=0 batchNandCalls=21 ops=d8ba1ef86e8eb64e reads=f107d55e7bc5e125 stats=69982154c6fe7354 dev=c7568e7d054916d7 image=76a19d6152809593"
 	f, err := New(equivConfig(), nil)
 	if err != nil {
 		t.Fatal(err)

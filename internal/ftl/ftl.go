@@ -3,11 +3,12 @@
 // forward map, a validity bitmap, Remap-on-Write log appends and a greedy
 // paced segment cleaner.
 //
-// The log itself is internal/logcore, the engine package iosnap embeds too;
-// this package is the policy of a device with no snapshots at all — one flat
-// bitmap says which blocks are valid — and is the baseline ("Vanilla") column
-// of the paper's Tables 2 and 4 and Figure 10. The paper evaluates recovery
-// for ioSnap only (§5.5), so this FTL keeps no paged map, writes no
+// The log itself is internal/logcore, the engine package iosnap embeds too,
+// and so is the clean lifecycle; this package is the policy of a device with
+// no snapshots at all — one flat bitmap says which blocks are valid, and the
+// cleaner's plan re-tests it at copy time — and is the baseline ("Vanilla")
+// column of the paper's Tables 2 and 4 and Figure 10. The paper evaluates
+// recovery for ioSnap only (§5.5), so this FTL keeps no paged map, writes no
 // checkpoint and has no recovery path.
 package ftl
 
@@ -92,12 +93,10 @@ func (f *FTL) Trim(now sim.Time, lba int64, n int64) (sim.Time, error) {
 	return f.TrimActive(now, 0, lba, n)
 }
 
-// HeadAdvanced implements logcore.Policy: a writer moved the head onto a
-// fresh segment, the moment the cleaner is armed.
-func (f *FTL) HeadAdvanced(now sim.Time) { f.maybeScheduleGC(now) }
-
-// SegmentTracked and SegmentReleased implement logcore.Policy: the vanilla
-// FTL keeps nothing per segment beyond the log's valid count.
+// HeadAdvanced, SegmentTracked and SegmentReleased implement
+// logcore.Policy: the vanilla FTL has no background work of its own and
+// keeps nothing per segment beyond the log's valid count.
+func (f *FTL) HeadAdvanced(sim.Time)    {}
 func (f *FTL) SegmentTracked(int, bool) {}
 func (f *FTL) SegmentReleased(int)      {}
 

@@ -352,7 +352,7 @@ func TestActivationScanFaultLeaksNoEpoch(t *testing.T) {
 		}
 		data, notes := 0, 0
 		for p := int64(0); p < f.cfg.Nand.TotalPages(); p++ {
-			if f.CountValidMerged(p, p+1) == 0 {
+			if f.vstore.MergeRange(f.vstore.LiveEpochs(), p, p+1).Count() == 0 {
 				continue
 			}
 			oob, err := f.Dev.PageOOB(nand.PageAddr(p))

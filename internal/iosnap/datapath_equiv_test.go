@@ -222,9 +222,9 @@ func TestDataPathEquivalenceWithSnapshots(t *testing.T) {
 		seed int64
 		want string
 	}{
-		{3, "userWrites=6554 gcRuns=284 gcCopied=2961 batchNandCalls=329 cows=137 ops=a08552401f924168 reads=03d6258f1244b325 stats=35b2e6616ffd8504 dev=9d53d681a01ef7dd image=f6fe6d607d299ff1"},
-		{11, "userWrites=5040 gcRuns=206 gcCopied=2045 batchNandCalls=242 cows=100 ops=b5624afc5b1ffb90 reads=284887e48491f725 stats=dda91338043f6c7d dev=5c472b00c724f89a image=c1d2f732843b267a"},
-		{99, "userWrites=8747 gcRuns=326 gcCopied=1948 batchNandCalls=378 cows=108 ops=075a9ac791919768 reads=6a611a6b9380f325 stats=bead0e29a357ce26 dev=7a286c644eb99d2b image=c624aaeb5912776d"},
+		{3, "userWrites=6554 gcRuns=284 gcCopied=2961 batchNandCalls=329 cows=137 ops=a08552401f924168 reads=03d6258f1244b325 stats=25e3c82e90f26484 dev=9d53d681a01ef7dd image=f6fe6d607d299ff1"},
+		{11, "userWrites=5040 gcRuns=206 gcCopied=2045 batchNandCalls=242 cows=100 ops=b5624afc5b1ffb90 reads=284887e48491f725 stats=cd7a5fc6a4e8a3dd dev=5c472b00c724f89a image=c1d2f732843b267a"},
+		{99, "userWrites=8747 gcRuns=326 gcCopied=1948 batchNandCalls=378 cows=108 ops=075a9ac791919768 reads=6a611a6b9380f325 stats=655a426ae5954d16 dev=7a286c644eb99d2b image=c624aaeb5912776d"},
 	} {
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			f, err := New(equivConfig(), nil)
@@ -241,7 +241,7 @@ func TestDataPathEquivalenceWithSnapshots(t *testing.T) {
 // TestActivatedViewEquivalence drives reads and writes through an activated
 // snapshot view: the view must show the frozen image and take writes.
 func TestActivatedViewEquivalence(t *testing.T) {
-	const want = "userWrites=128 gcRuns=0 gcCopied=0 batchNandCalls=29 cows=3 ops=4081a28261f2b253 reads=8f2f337d8862b325 stats=4b240ea3c9df809b dev=e0575289813e787c image=793f9872d6490939"
+	const want = "userWrites=128 gcRuns=0 gcCopied=0 batchNandCalls=29 cows=3 ops=4081a28261f2b253 reads=8f2f337d8862b325 stats=9415bf03a1b70abb dev=e0575289813e787c image=793f9872d6490939"
 	f, err := New(equivConfig(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -127,8 +127,8 @@ func TestCountValidHooksAgree(t *testing.T) {
 		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 2))
 	}
 	total := f.cfg.Nand.TotalPages()
-	active := f.CountValidActive(0, total)
-	merged := f.CountValidMerged(0, total)
+	active := f.vstore.CountValid(f.active.epoch, 0, total)
+	merged := f.vstore.MergeRange(f.vstore.LiveEpochs(), 0, total).Count()
 	// Active: 16 data + note. Merged additionally sees the 8 overwritten
 	// originals pinned by the snapshot.
 	if merged <= active {

@@ -54,7 +54,7 @@ func TestSelectVictimMatchesScratch(t *testing.T) {
 	f := newTestFTL(t)
 	now := churnVictimState(t, f)
 	for i := 0; i < 4; i++ {
-		gotSeg, _ := f.selectVictim()
+		gotSeg, _ := f.PickVictim()
 		gotValid := 0
 		if gotSeg >= 0 {
 			gotValid = f.ValidCount(gotSeg) // the clean's work estimate
@@ -129,7 +129,7 @@ func TestSelectVictimMatchesScratchWithPins(t *testing.T) {
 		if len(f.CkptPins) > 0 && len(f.MapPins) > 0 && pinnedSegs > 1 {
 			sawPins++
 		}
-		gotSeg, _ := f.selectVictim()
+		gotSeg, _ := f.PickVictim()
 		gotValid := 0
 		if gotSeg >= 0 {
 			gotValid = f.ValidCount(gotSeg)
@@ -154,7 +154,7 @@ func TestSelectVictimMatchesScratchWithPins(t *testing.T) {
 func TestSelectVictimNeverFullyValid(t *testing.T) {
 	f := newTestFTL(t)
 	churnVictimState(t, f)
-	victim, _ := f.selectVictim()
+	victim, _ := f.PickVictim()
 	if victim < 0 {
 		t.Fatal("setup: churn left no victim")
 	}

@@ -146,8 +146,6 @@ type Stats struct {
 	SnapshotActivations int64
 	CoWPageCopies       int64 // validity bitmap pages copied (Figure 7b)
 
-	GCUnpacedQuanta int64 // cleaner quanta run unthrottled because the work estimate was exhausted
-
 	GCVictimSelects     int64 // victim-selection decisions taken
 	GCCacheHits         int64 // decisions served entirely from fresh merge caches
 	GCCacheRebuilds     int64 // per-segment merge caches rebuilt after an epoch-set change
@@ -292,11 +290,8 @@ func (f *FTL) Trim(now sim.Time, lba int64, n int64) (sim.Time, error) {
 }
 
 // HeadAdvanced implements logcore.Policy: a writer moved the head onto a
-// fresh segment, the moment background work is armed.
-func (f *FTL) HeadAdvanced(now sim.Time) {
-	f.maybeScheduleGC(now)
-	f.maybeScheduleScrub(now)
-}
+// fresh segment, the moment the scrubber is armed.
+func (f *FTL) HeadAdvanced(now sim.Time) { f.maybeScheduleScrub(now) }
 
 // SegmentTracked implements logcore.Policy.
 func (f *FTL) SegmentTracked(seg int, fresh bool) { f.acct.track(seg, fresh) }

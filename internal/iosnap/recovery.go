@@ -586,7 +586,7 @@ func (f *FTL) finishRecovery(now sim.Time, scan *logcore.Scan, records int) (*FT
 		return nil, now, err
 	}
 	now = now.Add(sim.Duration(records) * reconstructCPUPerEntry)
-	f.maybeScheduleGC(now)
+	f.MaybeClean(now)
 	return f, now, nil
 }
 

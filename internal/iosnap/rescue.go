@@ -7,8 +7,9 @@ import (
 )
 
 // rescueSegment synchronously moves everything worth keeping off seg and
-// retires it: the targeted form of CleanOnce, used by the scrubber when a
-// specific segment is dying.
+// retires it (logcore.CleanSegment), used by the scrubber when a specific
+// segment is dying. Unlike a background clean, the rescue waits for the
+// merge that brings seg's cache up to date.
 func (f *FTL) rescueSegment(now sim.Time, seg int) (sim.Time, error) {
 	if seg == f.HeadSeg {
 		return now, fmt.Errorf("iosnap: cannot rescue the log head segment %d", seg)
@@ -21,7 +22,7 @@ func (f *FTL) rescueSegment(now sim.Time, seg int) (sim.Time, error) {
 	}
 	cost := f.acct.ensureFresh(seg)
 	f.stats.GCMergeTime += cost
-	now, err := f.cleanSegment(now.Add(cost), seg)
+	now, err := f.CleanSegment(now.Add(cost), seg)
 	if err != nil {
 		return now, fmt.Errorf("iosnap: rescuing segment %d: %w", seg, err)
 	}

@@ -278,7 +278,7 @@ func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 		if seg == f.HeadSeg {
 			continue
 		}
-		if f.CountValidMerged(int64(seg)*pps, int64(seg+1)*pps) > 0 {
+		if f.vstore.MergeRange(f.vstore.LiveEpochs(), int64(seg)*pps, int64(seg+1)*pps).Count() > 0 {
 			victim = seg
 			break
 		}

@@ -10,67 +10,27 @@ import (
 	"iosnap/internal/sim"
 )
 
-// Cleaner mechanics both cleaners share. Which segment to clean, which of
-// its blocks are still needed and what a moved block's metadata owes are the
-// policy's (each FTL's gc.go); admission, the copy-forward batch, the erase
-// and the pools are here.
+// The clean lifecycle, one copy for both FTLs. What a clean decides — the
+// victim, the work estimate, the merge it waits for, which of the victim's
+// pages to copy and what a moved block owes — is the policy's (PickVictim,
+// PlanClean); admission, pacing, the copy-forward batch, abort, the erase and
+// the chaining onto the next victim are here.
 
-// CleaningActive reports whether a background clean (scheduled or forced by
-// ForceClean) is in flight.
-func (l *Log) CleaningActive() bool { return l.gcActive }
-
-// AdmitClean reports whether a background clean should start now: none is
-// running, the log is open, and the pool is at or below ReserveSegments.
-func (l *Log) AdmitClean() bool {
-	return !l.gcActive && !l.closed && len(l.FreeSegs) <= l.cfg.ReserveSegments
-}
-
-// CleanPacer spreads a clean the policy estimates at est pages over
-// GCWindow, in quanta of GCChunk pages.
-func (l *Log) CleanPacer(now sim.Time, est int) *ratelimit.Pacer {
-	return ratelimit.NewPacer(now, (est+l.cfg.GCChunk-1)/l.cfg.GCChunk, l.cfg.GCWindow)
-}
-
-// BeginClean marks victim as owned by a background clean and queues its task.
-func (l *Log) BeginClean(now sim.Time, victim int, task sim.Task) {
-	l.gcActive = true
-	l.GCVictim = victim
-	l.Sched.Schedule(now, task)
-}
-
-// EndClean releases the background-clean slot — finished, aborted or
-// cancelled by Close.
-func (l *Log) EndClean() {
-	l.gcActive = false
-	l.GCVictim = -1
-}
-
-// AbortClean ends a background clean on a device error, recording it.
-func (l *Log) AbortClean(err error) {
-	l.EndClean()
-	l.stats.GCErrors++
-	l.stats.GCLastErr = err.Error()
-}
-
-// ForceClean schedules a paced background clean of a specific segment — the
-// methodology of the paper's Table 4 / Figure 10, which forces the cleaner
-// onto the segment that was just written while foreground I/O continues. Use
-// CleaningActive to observe completion.
-func (l *Log) ForceClean(now sim.Time, seg int) error {
-	if l.closed {
-		return ErrClosed
-	}
-	if l.gcActive {
-		return fmt.Errorf("logcore: cleaner already active")
-	}
-	if seg < 0 || seg >= l.cfg.Nand.Segments || seg == l.HeadSeg {
-		return fmt.Errorf("logcore: segment %d not cleanable", seg)
-	}
-	if !l.SegInUse(seg) {
-		return fmt.Errorf("logcore: segment %d not in use", seg)
-	}
-	l.policy.ScheduleClean(now, seg)
-	return nil
+// CleanPlan is a policy's plan for cleaning one victim (Policy.PlanClean).
+type CleanPlan struct {
+	// Estimate is the number of pages the policy expects to copy: a
+	// background clean spreads ⌈Estimate/GCChunk⌉ quanta over GCWindow, and
+	// quanta past them run unpaced (GCUnpacedQuanta).
+	Estimate int
+	// Merge is the validity-merge CPU the clean waits for before its first
+	// copy; the engine books it into GCMergeTime.
+	Merge sim.Duration
+	// Next yields the victim page indices of the next quantum, at most max of
+	// them, in copy order (pinned pages included), and whether any remain
+	// after it.
+	Next func(max int) (order []int, more bool)
+	// Moved re-points whatever referenced each block the clean copies.
+	Moved MovedFunc
 }
 
 // MovedFunc is a policy's fix-up for one block the cleaner copied off victim
@@ -79,12 +39,180 @@ func (l *Log) ForceClean(now sim.Time, seg int) error {
 // no view — its pin has already followed it.
 type MovedFunc func(victim int, old, dst nand.PageAddr, h header.Header)
 
-// CopyForward moves up to max of the victim's pages order[cursor:] (page
-// indices the policy found worth keeping, pinned pages included) to the log
-// head and returns the new cursor and the completion time. For each page
-// that landed, the destination segment inherits the block's age, a pin
-// follows its page, and moved — the policy's fix-up — re-points whatever
-// referenced the block.
+// CleaningActive reports whether a background clean (started by MaybeClean
+// or ForceClean) is in flight.
+func (l *Log) CleaningActive() bool { return l.GCVictim >= 0 }
+
+// MaybeClean starts a background clean when none is running, the log is
+// open and the free pool is at or below ReserveSegments. The policy picks
+// the victim; when nothing is reclaimable no clean starts.
+func (l *Log) MaybeClean(now sim.Time) {
+	if l.CleaningActive() || l.closed || len(l.FreeSegs) > l.cfg.ReserveSegments {
+		return
+	}
+	seg, cost := l.policy.PickVictim()
+	l.stats.GCMergeTime += cost
+	if seg >= 0 {
+		l.startClean(now, seg)
+	}
+}
+
+// ForceClean starts a paced background clean of a specific segment — the
+// methodology of the paper's Table 4 / Figure 10, which forces the cleaner
+// onto the segment that was just written while foreground I/O continues. Use
+// CleaningActive to observe completion.
+func (l *Log) ForceClean(now sim.Time, seg int) error {
+	if l.closed {
+		return ErrClosed
+	}
+	if l.CleaningActive() {
+		return fmt.Errorf("logcore: cleaner already active")
+	}
+	if seg < 0 || seg >= l.cfg.Nand.Segments || seg == l.HeadSeg {
+		return fmt.Errorf("logcore: segment %d not cleanable", seg)
+	}
+	if !l.SegInUse(seg) {
+		return fmt.Errorf("logcore: segment %d not in use", seg)
+	}
+	l.startClean(now, seg)
+	return nil
+}
+
+// startClean plans the clean of seg, marks seg as owned by it and queues it.
+func (l *Log) startClean(now sim.Time, seg int) {
+	plan := l.policy.PlanClean(seg)
+	l.GCVictim = seg
+	l.Sched.Schedule(now, &cleanTask{
+		l:       l,
+		victim:  seg,
+		plan:    plan,
+		pacer:   ratelimit.NewPacer(now, (plan.Estimate+l.cfg.GCChunk-1)/l.cfg.GCChunk, l.cfg.GCWindow),
+		started: now,
+	})
+}
+
+// cleanTask is the background clean of one victim: a quantum of up to
+// GCChunk pages per run, paced over GCWindow.
+type cleanTask struct {
+	l       *Log
+	victim  int
+	plan    CleanPlan
+	pacer   *ratelimit.Pacer
+	started sim.Time
+	merged  bool
+}
+
+// Name implements sim.Task.
+func (t *cleanTask) Name() string { return fmt.Sprintf("clean(seg %d)", t.victim) }
+
+// Run implements sim.Task: one paced quantum of copy-forward, and the erase
+// after the last.
+func (t *cleanTask) Run(now sim.Time) (sim.Time, bool) {
+	l := t.l
+	if l.closed {
+		return 0, true // cancelled by Close, which released the slot
+	}
+	if !t.merged {
+		now = l.chargeMerge(now, t.plan.Merge)
+		t.merged = true
+	}
+	order, more := t.plan.Next(l.cfg.GCChunk)
+	now, err := l.copyForward(now, t.victim, order, t.plan.Moved)
+	if err != nil {
+		// Abort, but leave the victim cleanable: blocks already moved were
+		// re-pointed one by one, the failed destination was rolled back, and
+		// the victim stays in UsedSegs for a later clean to pick again.
+		l.abortClean(err)
+		return 0, true
+	}
+	if more {
+		next := t.pacer.Ready(now)
+		if _, overrun := t.pacer.Consumed(); overrun {
+			// The estimate was exhausted: this quantum (and the rest of the
+			// segment) runs unthrottled — the failure mode of a snapshot-
+			// unaware work estimate (Figure 10b).
+			l.stats.GCUnpacedQuanta++
+		}
+		return next, false
+	}
+	if now, err = l.finishClean(now, t.victim); err != nil {
+		// Erase failed: the victim stays in UsedSegs, consistent.
+		l.abortClean(err)
+		return 0, true
+	}
+	l.endClean()
+	l.cleanDone(now, t.started)
+	l.MaybeClean(now) // chain onto the next victim if the pool is still low
+	return 0, true
+}
+
+// endClean releases the background-clean slot — finished, aborted or
+// cancelled by Close.
+func (l *Log) endClean() { l.GCVictim = -1 }
+
+// abortClean ends a background clean on a device error, recording it.
+func (l *Log) abortClean(err error) {
+	l.endClean()
+	l.stats.GCErrors++
+	l.stats.GCLastErr = err.Error()
+}
+
+// forcedClean is the clean a writer at the pool's floor waits for
+// (allocPage): the policy's victim, copied in one unpaced go and erased. It
+// returns ErrDeviceFull when nothing is reclaimable.
+func (l *Log) forcedClean(now sim.Time) (sim.Time, error) {
+	seg, cost := l.policy.PickVictim()
+	l.stats.GCMergeTime += cost
+	now = now.Add(cost)
+	if seg < 0 {
+		return now, ErrDeviceFull
+	}
+	plan := l.policy.PlanClean(seg)
+	now = l.chargeMerge(now, plan.Merge)
+	start := now
+	now, err := l.clean(now, seg, plan)
+	if err != nil {
+		return now, err
+	}
+	l.stats.GCForced++
+	l.cleanDone(now, start)
+	return now, nil
+}
+
+// CleanSegment synchronously moves everything the policy keeps off seg and
+// erases it, or retires it when it is dying: ioSnap's rescue of a suspect
+// segment. The caller has checked that seg is in use, not the log head and
+// not a background clean's victim.
+func (l *Log) CleanSegment(now sim.Time, seg int) (sim.Time, error) {
+	plan := l.policy.PlanClean(seg)
+	return l.clean(l.chargeMerge(now, plan.Merge), seg, plan)
+}
+
+// clean copies every page plan keeps off seg unpaced, then erases or retires
+// seg.
+func (l *Log) clean(now sim.Time, seg int, plan CleanPlan) (sim.Time, error) {
+	for more := true; more; {
+		var order []int
+		order, more = plan.Next(l.cfg.Nand.PagesPerSegment)
+		var err error
+		if now, err = l.copyForward(now, seg, order, plan.Moved); err != nil {
+			return now, err
+		}
+	}
+	return l.finishClean(now, seg)
+}
+
+// chargeMerge books a clean's validity merge and returns when it is done.
+func (l *Log) chargeMerge(now sim.Time, cost sim.Duration) sim.Time {
+	l.stats.GCMergeTime += cost
+	return now.Add(cost)
+}
+
+// copyForward moves the victim's pages order (page indices the policy found
+// worth keeping, pinned pages included) to the log head and returns the
+// completion time. For each page that landed, the destination segment
+// inherits the block's age, a pin follows its page, and moved — the
+// policy's fix-up — re-points whatever referenced the block.
 //
 // The quantum is planned first (destination allocation and header decode are
 // host-side) and then issued as one batched CopyPages run per head segment.
@@ -95,22 +223,21 @@ type MovedFunc func(victim int, old, dst nand.PageAddr, h header.Header)
 // segment: that is the segment the cleaner is moving data off, and
 // suspecting it drives the rescue machinery toward the data most at risk (a
 // permanent destination failure resurfaces as a program failure on the
-// head).
-func (l *Log) CopyForward(now sim.Time, victim int, order []int, cursor, max int, moved MovedFunc) (int, sim.Time, error) {
-	copied := 0
+// head). On an error the destinations never attempted go back to the head.
+func (l *Log) copyForward(now sim.Time, victim int, order []int, moved MovedFunc) (sim.Time, error) {
 	maxDone := now
 	pps := l.cfg.Nand.PagesPerSegment
 	var (
 		froms, tos []nand.PageAddr
 		hs         []header.Header
 	)
-	for cursor < len(order) && copied < max {
+	for len(order) > 0 {
 		froms, tos, hs = froms[:0], tos[:0], hs[:0]
-		room := max - copied
+		room := len(order)
 		var planErr error
-		for len(froms) < room && cursor < len(order) {
-			old := l.Dev.Addr(victim, order[cursor])
-			cursor++
+		for len(froms) < room {
+			old := l.Dev.Addr(victim, order[0])
+			order = order[1:]
 			dst, h, err := l.planCopy(old)
 			if err != nil {
 				planErr = err
@@ -136,17 +263,15 @@ func (l *Log) CopyForward(now sim.Time, victim int, order []int, cursor, max int
 		for j := 0; j < n; j++ {
 			l.blockMoved(victim, froms[j], tos[j], hs[j], moved)
 		}
-		copied += n
 		if copyErr != nil {
-			// The destinations never attempted go back to the head; the
-			// cursor resumes just past the failing entry in order.
-			return cursor - l.handBack(tos, n), maxDone, fmt.Errorf("logcore: copy-forward: %w", copyErr)
+			l.handBack(tos, n)
+			return maxDone, fmt.Errorf("logcore: copy-forward: %w", copyErr)
 		}
 		if planErr != nil {
-			return cursor, maxDone, planErr
+			return maxDone, planErr
 		}
 	}
-	return cursor, maxDone, nil
+	return maxDone, nil
 }
 
 // planCopy allocates old's destination at the head and decodes its header.
@@ -190,12 +315,12 @@ func (l *Log) blockMoved(victim int, old, dst nand.PageAddr, h header.Header, mo
 	l.stats.GCCopied++
 }
 
-// FinishClean erases the victim and returns it to the free pool — or retires
+// finishClean erases the victim and returns it to the free pool — or retires
 // it. By this point every block the policy still needs has been copied off,
 // so a permanently failing or suspect victim can leave service without
 // losing a byte; returning it to the pool would just let the next writer
 // trip over the same dying segment.
-func (l *Log) FinishClean(now sim.Time, victim int) (sim.Time, error) {
+func (l *Log) finishClean(now sim.Time, victim int) (sim.Time, error) {
 	done, err := l.devEraseSegment(now, victim)
 	if err != nil {
 		if retry.MediaFailure(err) {
@@ -215,8 +340,8 @@ func (l *Log) FinishClean(now sim.Time, victim int) (sim.Time, error) {
 	return done, nil
 }
 
-// CleanDone records a completed clean that started at started.
-func (l *Log) CleanDone(now, started sim.Time) {
+// cleanDone records a completed clean that started at started.
+func (l *Log) cleanDone(now, started sim.Time) {
 	l.stats.GCRuns++
 	l.stats.GCTotalTime += now.Sub(started)
 	l.stats.GCLastAt = now

@@ -17,9 +17,12 @@ import (
 )
 
 // flatPolicy is the smallest Policy the engine runs under: one flat validity
-// bitmap, a greedy synchronous cleaner, no background work and a checkpoint
+// bitmap re-tested at copy time, the log's greedy victim, and a checkpoint
 // with nothing in it unless a test sets secs. It records every run
 // RunCommitted sees so tests can check what the engine hands a policy.
+// newFlatWith sets ReserveSegments to 1, below the writers' floor
+// (DataReserve), so no background clean starts unless a test raises it or
+// calls ForceClean.
 type flatPolicy struct {
 	Log
 	stats Stats
@@ -43,6 +46,7 @@ func newFlatWith(t *testing.T, tweak func(*Config)) *flatPolicy {
 	nc.ProgramLatency = 4 * sim.Microsecond
 	nc.EraseLatency = 50 * sim.Microsecond
 	cfg := DefaultConfig(nc)
+	cfg.ReserveSegments = 1
 	tweak(&cfg)
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -88,39 +92,29 @@ func (p *flatPolicy) moved(_ int, old, dst nand.PageAddr, h header.Header) {
 	p.flip(int64(dst), true)
 }
 
-func (p *flatPolicy) CleanOnce(now sim.Time, forced bool) (sim.Time, error) {
-	victim := p.BestVictim()
-	if victim < 0 {
-		return now, ErrDeviceFull
+func (p *flatPolicy) PickVictim() (int, sim.Duration) { return p.BestVictim(), 0 }
+
+// PlanClean walks the victim with a live cursor, as the vanilla FTL does: a
+// page a write invalidated since the clean was planned is not copied.
+func (p *flatPolicy) PlanClean(seg int) CleanPlan {
+	pps, cursor := p.cfg.Nand.PagesPerSegment, 0
+	return CleanPlan{
+		Estimate: p.ValidCount(seg),
+		Next: func(max int) (order []int, more bool) {
+			for ; cursor < pps && len(order) < max; cursor++ {
+				if p.valid.Test(int64(p.Dev.Addr(seg, cursor))) {
+					order = append(order, cursor)
+				}
+			}
+			return order, cursor < pps
+		},
+		Moved: p.moved,
 	}
-	start := now
-	var order []int
-	for i := 0; i < p.cfg.Nand.PagesPerSegment; i++ {
-		if p.valid.Test(int64(p.Dev.Addr(victim, i))) {
-			order = append(order, i)
-		}
-	}
-	for cursor := 0; cursor < len(order); {
-		var err error
-		if cursor, now, err = p.CopyForward(now, victim, order, cursor, len(order), p.moved); err != nil {
-			return now, err
-		}
-	}
-	now, err := p.FinishClean(now, victim)
-	if err != nil {
-		return now, err
-	}
-	if forced {
-		p.stats.GCForced++
-	}
-	p.CleanDone(now, start)
-	return now, nil
 }
 
-func (p *flatPolicy) ScheduleClean(sim.Time, int) {}
-func (p *flatPolicy) HeadAdvanced(sim.Time)       {}
-func (p *flatPolicy) SegmentTracked(int, bool)    {}
-func (p *flatPolicy) SegmentReleased(int)         {}
+func (p *flatPolicy) HeadAdvanced(sim.Time)    {}
+func (p *flatPolicy) SegmentTracked(int, bool) {}
+func (p *flatPolicy) SegmentReleased(int)      {}
 
 func (p *flatPolicy) SerializeCheckpoint() (uint64, []ChunkJob, error) {
 	if p.secs == nil {
@@ -142,10 +136,9 @@ func (p *flatPolicy) mustWrite(t *testing.T, now sim.Time, lba int64, n int, ver
 }
 
 // TestCopyForwardPermanentFailureMidBatch: a permanent copy failure on the
-// fourth page of a six-page batch returns the cursor just past the failing
-// entry, hands back exactly the destinations that were never attempted,
-// fixes up exactly the pages that landed, and a second call from the
-// returned cursor finishes the victim.
+// fourth page of a six-page batch hands back exactly the destinations that
+// were never attempted, fixes up exactly the pages that landed, and a second
+// call with the entries after the failing one finishes the victim.
 func TestCopyForwardPermanentFailureMidBatch(t *testing.T) {
 	p := newFlat(t)
 	now := p.mustWrite(t, 0, 0, 8, 1) // fills segment 0
@@ -169,12 +162,9 @@ func TestCopyForwardPermanentFailureMidBatch(t *testing.T) {
 	}
 	order := []int{0, 1, 2, 3, 4, 5, 6, 7}
 
-	cursor, _, err := p.CopyForward(now, victim, order, 0, len(order), moved)
+	_, err := p.copyForward(now, victim, order, moved)
 	if !errors.Is(err, nand.ErrDeviceFailed) {
-		t.Fatalf("CopyForward error = %v, want the injected failure", err)
-	}
-	if cursor != 4 {
-		t.Fatalf("cursor = %d, want 4 (just past the failing entry)", cursor)
+		t.Fatalf("copyForward error = %v, want the injected failure", err)
 	}
 	if p.HeadSeg != head || p.HeadIdx != headIdx+3 {
 		t.Fatalf("head at %d/%d, want %d/%d: only the 3 landed pages keep their slots", p.HeadSeg, p.HeadIdx, head, headIdx+3)
@@ -194,9 +184,8 @@ func TestCopyForwardPermanentFailureMidBatch(t *testing.T) {
 	}
 
 	landed = nil
-	cursor, _, err = p.CopyForward(now, victim, order, cursor, len(order), moved)
-	if err != nil || cursor != len(order) || len(landed) != 4 {
-		t.Fatalf("second call: cursor %d, %d moved, err %v; want %d, 4, nil", cursor, len(landed), err, len(order))
+	if _, err = p.copyForward(now, victim, order[4:], moved); err != nil || len(landed) != 4 {
+		t.Fatalf("second call: %d moved, err %v; want 4, nil", len(landed), err)
 	}
 	if got := p.ValidCount(victim); got != 1 {
 		t.Fatalf("victim keeps %d valid pages, want 1 (the page that failed)", got)
@@ -443,9 +432,8 @@ func TestOutOfSpaceDegradesAndRecovers(t *testing.T) {
 	if !errors.Is(err, ErrOutOfSpace) {
 		t.Fatalf("write with nothing reclaimable: %v, want ErrOutOfSpace", err)
 	}
-	// The error says why: the pool at the reserve, the best victim full.
-	why := fmt.Sprintf(": %d free segments, reserve %d; best victim segment %d holds %d valid and 0 pinned of %d pages",
-		reserve, p.cfg.DataReserve(), p.victims.heap[0], pps, pps)
+	// The error says why: the pool at the reserve, no victim, no clean.
+	why := fmt.Sprintf(": %d free segments, reserve %d; best victim none; in-flight clean none", reserve, p.cfg.DataReserve())
 	if !strings.HasSuffix(err.Error(), why) {
 		t.Fatalf("out-of-space error %q does not end in %q", err, why)
 	}

@@ -85,7 +85,7 @@ func (l *Log) allocPage(now sim.Time, reserve int) (nand.PageAddr, sim.Time, err
 		// continue, and the next write re-evaluates the pool from scratch.
 		for len(l.FreeSegs) <= reserve {
 			var err error
-			now, err = l.policy.CleanOnce(now, true)
+			now, err = l.forcedClean(now)
 			if err != nil {
 				if errors.Is(err, ErrDeviceFull) {
 					l.degraded = true
@@ -97,6 +97,7 @@ func (l *Log) allocPage(now sim.Time, reserve int) (nand.PageAddr, sim.Time, err
 		}
 		l.degraded = false
 		l.nextHead()
+		l.MaybeClean(now)
 		l.policy.HeadAdvanced(now)
 		l.maybeScheduleCheckpoint(now)
 	}
@@ -106,16 +107,20 @@ func (l *Log) allocPage(now sim.Time, reserve int) (nand.PageAddr, sim.Time, err
 }
 
 // outOfSpace is ErrOutOfSpace with what explains it: the free pool against
-// the reserve the append keeps, and the segment the cleaner ranks first,
-// which holds nothing it can reclaim.
+// the reserve the append keeps, the best victim (BestVictim, which skips the
+// head and the in-flight clean's victim) and the in-flight clean's victim.
 func (l *Log) outOfSpace(reserve int) error {
-	victim := "no segment in use"
-	if h := &l.victims; len(h.heap) > 0 {
-		seg := h.heap[0]
-		victim = fmt.Sprintf("best victim segment %d holds %d valid and %d pinned of %d pages",
-			seg, h.valid[seg], h.pinned[seg], l.cfg.Nand.PagesPerSegment)
+	return fmt.Errorf("%w: %d free segments, reserve %d; best victim %s; in-flight clean %s",
+		ErrOutOfSpace, len(l.FreeSegs), reserve, l.describeSeg(l.BestVictim()), l.describeSeg(l.GCVictim))
+}
+
+// describeSeg names seg and what it holds, or "none" for -1.
+func (l *Log) describeSeg(seg int) string {
+	if seg < 0 {
+		return "none"
 	}
-	return fmt.Errorf("%w: %d free segments, reserve %d; %s", ErrOutOfSpace, len(l.FreeSegs), reserve, victim)
+	return fmt.Sprintf("segment %d (%d valid and %d pinned of %d pages)",
+		seg, l.victims.valid[seg], l.victims.pinned[seg], l.cfg.Nand.PagesPerSegment)
 }
 
 // allocPageGC is the cleaner's allocation: it never forces a nested clean.

@@ -2,14 +2,14 @@
 // the Fusion-io Virtual Storage Layer as the paper describes it (§5.2) — a
 // Remap-on-Write log with a head and segment pools, the retrying media
 // boundary, the flash-resident paged forward map, the batched data path,
-// checkpoint transport, the recovery scan shell, and the cleaner's
-// copy-forward batch.
+// checkpoint transport, the recovery scan shell, and the clean lifecycle.
 //
 // It holds no opinion on what makes a block valid. internal/ftl (one flat
 // bitmap, an in-RAM map, no checkpoint) and internal/iosnap (per-epoch
 // copy-on-write bitmaps, snapshots) each embed a Log and keep only that
-// policy: how validity is stored, how the cleaner chooses what to copy, what
-// a checkpoint and a recovery carry beyond the map and the segment table.
+// policy: how validity is stored, which victim a clean takes and what it
+// copies (a CleanPlan), what a checkpoint and a recovery carry beyond the map
+// and the segment table.
 // The core reaches the policy through the Policy interface — never per
 // sector and never on the read path.
 package logcore
@@ -187,6 +187,8 @@ type Stats struct {
 	GCTotalTime sim.Duration // virtual time from victim selection to erase
 	GCLastAt    sim.Time     // completion time of the most recent clean
 
+	GCUnpacedQuanta int64 // cleaner quanta run unthrottled because the work estimate was exhausted
+
 	MapMemory         int64 // forward map bytes, as if fully resident (refreshed by Stats())
 	MapMemoryResident int64 // host RAM the map actually holds: resident pages + GTD (refreshed by Stats())
 	MapCacheHits      int64 // translation pages served from the cache (paged mode)
@@ -224,23 +226,25 @@ type Stats struct {
 // per sector or from the read path; one call per programmed chunk
 // (RunCommitted) is the finest grain.
 type Policy interface {
-	// CleanOnce synchronously cleans the best victim: the forced path a
-	// writer takes when the free pool is at its floor (AppendRun).
-	// It returns ErrDeviceFull when nothing is reclaimable.
-	CleanOnce(now sim.Time, forced bool) (sim.Time, error)
-	// ScheduleClean starts a paced background clean of seg, which the caller
-	// (the policy's own victim selection, or ForceClean) has validated.
-	ScheduleClean(now sim.Time, seg int)
+	// PickVictim chooses the segment the next clean takes, or -1 when
+	// nothing is reclaimable, and the merge CPU the choice cost (MaybeClean,
+	// and the forced clean of a writer at the pool's floor).
+	PickVictim() (seg int, cost sim.Duration)
+	// PlanClean plans the clean of seg, which the engine has validated or
+	// the policy picked (MaybeClean, ForceClean, the forced clean,
+	// CleanSegment).
+	PlanClean(seg int) CleanPlan
 	// HeadAdvanced runs after a writer moved the head onto a fresh segment
-	// (AppendRun): the policy schedules its background work. The
-	// periodic checkpoint is the core's and follows it.
+	// (AppendRun): the policy schedules its own background work. The
+	// background clean and the periodic checkpoint are the core's; the clean
+	// is started before it and the checkpoint after.
 	HeadAdvanced(now sim.Time)
 	// SegmentTracked reports that seg entered the used list: fresh when it
 	// was just taken, erased, from the free pool; not fresh when recovery
 	// found it holding data (RebuildGeometry).
 	SegmentTracked(seg int, fresh bool)
 	// SegmentReleased reports that seg left the used list, erased back to
-	// the pool or retired (FinishClean, retirement).
+	// the pool or retired (a finished clean, retirement).
 	SegmentReleased(seg int)
 	// RunCommitted flips validity for one committed run of the data path
 	// (WriteRun, once per programmed chunk; TrimActive, once): the
@@ -280,9 +284,8 @@ type Log struct {
 	SegLastSeq []uint64 // newest write sequence in each segment (checkpoint segment table)
 
 	victims  victimHeap // victim.go
-	gcActive bool
-	GCVictim int  // segment a background clean currently owns (-1 = none)
-	degraded bool // out of space: writes shed until cleaning frees space
+	GCVictim int        // segment a background clean currently owns (-1 = none)
+	degraded bool       // out of space: writes shed until cleaning frees space
 	closed   bool
 	frozen   bool // writes and trims refused, dirty map pages not evicted (ioSnap's Freeze)
 
@@ -432,9 +435,7 @@ func (l *Log) Close(now sim.Time) (sim.Time, error) {
 		return now, ErrClosed
 	}
 	l.closed = true
-	if l.gcActive {
-		l.EndClean()
-	}
+	l.endClean()
 	if l.ckptActive {
 		for _, a := range l.CkptInflight {
 			l.unpinChunk(a)

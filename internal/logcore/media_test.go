@@ -76,7 +76,7 @@ func TestMediaBoundary(t *testing.T) {
 				return mediaRun{target: p.Dev.Addr(0, k), blame: 0,
 					run: func(now sim.Time) (int, sim.Time, sim.Time, error) {
 						copied := p.Stats().GCCopied
-						_, done, err := p.CopyForward(now, 0, order, 0, len(order), p.moved)
+						done, err := p.copyForward(now, 0, order, p.moved)
 						return int(p.Stats().GCCopied - copied), now, done, err
 					}}
 			}},

@@ -25,9 +25,14 @@ var knobsPinned = map[string][]string{
 // serverKnobsPinned lists srv.Server's settable fields.
 var serverKnobsPinned = []string{"Window", "ViewTTL"}
 
-// structKnobs lists the exported, named fields of the struct typ declared in
-// the non-test files of dir, in declaration order.
-func structKnobs(t *testing.T, dir, typ string) []string {
+// policyMethodsPinned lists logcore.Policy's methods: the seam between the
+// log engine and the two FTLs. Growing it moves this list.
+var policyMethodsPinned = []string{"PickVictim", "PlanClean", "HeadAdvanced", "SegmentTracked", "SegmentReleased", "RunCommitted", "SerializeCheckpoint"}
+
+// declaredNames lists the exported, named fields of the struct typ, or the
+// methods of the interface typ, declared in the non-test files of dir, in
+// declaration order.
+func declaredNames(t *testing.T, dir, typ string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
@@ -44,11 +49,16 @@ func structKnobs(t *testing.T, dir, typ string) []string {
 				if !ok || ts.Name.Name != typ {
 					return true
 				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
+				var fields *ast.FieldList
+				switch tt := ts.Type.(type) {
+				case *ast.StructType:
+					fields = tt.Fields
+				case *ast.InterfaceType:
+					fields = tt.Methods
+				default:
 					return false
 				}
-				for _, field := range st.Fields.List {
+				for _, field := range fields.List {
 					for _, name := range field.Names {
 						if name.IsExported() {
 							knobs = append(knobs, name.Name)
@@ -60,7 +70,7 @@ func structKnobs(t *testing.T, dir, typ string) []string {
 		}
 	}
 	if knobs == nil {
-		t.Fatalf("%s declares no %s struct", dir, typ)
+		t.Fatalf("%s declares no %s", dir, typ)
 	}
 	return knobs
 }
@@ -68,14 +78,20 @@ func structKnobs(t *testing.T, dir, typ string) []string {
 func TestConfigKnobsPinned(t *testing.T) {
 	total := 0
 	for dir, want := range knobsPinned {
-		got := structKnobs(t, dir, "Config")
+		got := declaredNames(t, dir, "Config")
 		total += len(got)
 		if !slices.Equal(got, want) {
 			t.Errorf("%s Config knobs moved:\n got: %s\nwant: %s", dir, strings.Join(got, " "), strings.Join(want, " "))
 		}
 	}
-	if got := structKnobs(t, "internal/srv", "Server"); !slices.Equal(got, serverKnobsPinned) {
+	if got := declaredNames(t, "internal/srv", "Server"); !slices.Equal(got, serverKnobsPinned) {
 		t.Errorf("srv.Server knobs moved:\n got: %s\nwant: %s", strings.Join(got, " "), strings.Join(serverKnobsPinned, " "))
 	}
 	t.Logf("%d settable Config fields, %d settable Server fields", total, len(serverKnobsPinned))
+}
+
+func TestPolicyMethodsPinned(t *testing.T) {
+	if got := declaredNames(t, "internal/logcore", "Policy"); !slices.Equal(got, policyMethodsPinned) {
+		t.Errorf("logcore.Policy methods moved:\n got: %s\nwant: %s", strings.Join(got, " "), strings.Join(policyMethodsPinned, " "))
+	}
 }

@@ -249,6 +249,23 @@ func sectorCount(count, sectors int64) (int, error) {
 	return int(count), nil
 }
 
+// writePayload builds a write's payload from its flags: -text, zero-padded
+// to -count sectors of ss bytes. Text that does not fit is a usage error
+// naming -count, not a payload silently cut to the first sectors.
+func writePayload(text string, count, sectors int64, ss int) ([]byte, error) {
+	n, err := sectorCount(count, sectors)
+	if err != nil {
+		return nil, err
+	}
+	if room := n * ss; len(text) > room {
+		return nil, fmt.Errorf("usage: -text of %d bytes does not fit -count %d (%d B); use -count %d",
+			len(text), count, room, (len(text)+ss-1)/ss)
+	}
+	buf := make([]byte, n*ss)
+	copy(buf, text)
+	return buf, nil
+}
+
 func cmdWrite(f *iosnap.FTL, now sim.Time, args []string) error {
 	fs := flag.NewFlagSet("write", flag.ContinueOnError)
 	lba, count := lbaCountFlags(fs)
@@ -256,12 +273,10 @@ func cmdWrite(f *iosnap.FTL, now sim.Time, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, err := sectorCount(*count, f.Sectors())
+	buf, err := writePayload(*text, *count, f.Sectors(), f.SectorSize())
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, n*f.SectorSize())
-	copy(buf, *text)
 	done, err := f.Write(now, *lba, buf)
 	if err != nil {
 		return err

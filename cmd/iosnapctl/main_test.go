@@ -422,6 +422,38 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLIWriteRefusesTextPastCount: -text longer than -count sectors is a
+// usage error naming -count, and the LBA keeps what it held; text that
+// fills the sectors exactly is written whole.
+func TestCLIWriteRefusesTextPastCount(t *testing.T) {
+	img := filepath.Join(t.TempDir(), "dev.img")
+	if err := runCtl(t, img, "init", "-megabytes", "8", "-sector", "512"); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCtl(t, img, "write", "-lba", "3", "-text", "old"); err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", 2000)
+	for _, count := range []string{"1", "3"} {
+		err := runCtl(t, img, "write", "-lba", "3", "-text", long, "-count", count)
+		if err == nil || !strings.Contains(err.Error(), "-count") {
+			t.Fatalf("write of 2000 bytes with -count %s: %v, want a usage error naming -count", count, err)
+		}
+	}
+	out := captureStdout(t, func() error { return runCtl(t, img, "read", "-lba", "3") })
+	if !strings.Contains(out, `"old"`) {
+		t.Fatalf("a refused write changed LBA 3: %q", out)
+	}
+	exact := strings.Repeat("y", 1024)
+	if err := runCtl(t, img, "write", "-lba", "3", "-text", exact, "-count", "2"); err != nil {
+		t.Fatalf("write of exactly -count sectors: %v", err)
+	}
+	out = captureStdout(t, func() error { return runCtl(t, img, "read", "-lba", "3", "-count", "2") })
+	if strings.Count(out, strings.Repeat("y", 512)) != 2 {
+		t.Fatalf("a full two-sector write read back as %q", out)
+	}
+}
+
 // TestCLIInitRefusesZeroSector: init with -sector 0 is an error naming the
 // flag, not a divide by zero while formatting, and writes no image.
 func TestCLIInitRefusesZeroSector(t *testing.T) {

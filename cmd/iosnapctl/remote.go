@@ -85,12 +85,10 @@ func remoteWrite(c *srv.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	n, err := sectorCount(*count, sectors)
+	buf, err := writePayload(*text, *count, sectors, ss)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, n*ss)
-	copy(buf, *text)
 	if err := c.Write(*lba, buf); err != nil {
 		return err
 	}

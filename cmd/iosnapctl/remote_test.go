@@ -94,6 +94,15 @@ func TestCLIRemoteVerbs(t *testing.T) {
 			}
 		}
 	}
+	// Text past -count sectors is refused before anything is sent: LBA 0
+	// keeps gen2.
+	if err := remote("write", "-lba", "0", "-text", strings.Repeat("z", 2000)); err == nil || !strings.Contains(err.Error(), "-count") {
+		t.Fatalf("remote write of 2000 bytes into one sector: %v, want a usage error naming -count", err)
+	}
+	out = captureStdout(t, func() error { return remote("read", "-lba", "0") })
+	if !strings.Contains(out, `"gen2"`) {
+		t.Fatalf("a refused remote write changed LBA 0: %q", out)
+	}
 	if err := remote("trim", "-lba", "0", "-count", "1"); err != nil {
 		t.Fatalf("trim: %v", err)
 	}

@@ -167,32 +167,3 @@ func TestCloseStartsNoBackgroundWork(t *testing.T) {
 		t.Fatalf("%d tasks still pending after the drain", f.Scheduler().Pending())
 	}
 }
-
-// TestCloseWithoutPayloadsProgramsNothing: a device that stores no payloads
-// can never read a checkpoint back, so Close must not spend programs (and
-// pinned pages) writing one.
-func TestCloseWithoutPayloadsProgramsNothing(t *testing.T) {
-	cfg := testConfig()
-	cfg.Nand.StoreData = false
-	f, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := f.Write(0, 5, sectorPattern(f.SectorSize(), 5, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := f.Device().Stats().PagePrograms
-	if _, err := f.Close(now); err != nil {
-		t.Fatal(err)
-	}
-	if after := f.Device().Stats().PagePrograms; after != before {
-		t.Fatalf("Close programmed %d pages on a device that stores no payloads", after-before)
-	}
-	if st := f.Stats(); st.Checkpoints != 0 || st.CheckpointErrors != 0 {
-		t.Fatalf("Close on a fingerprint-mode device: %d checkpoints, %d errors", st.Checkpoints, st.CheckpointErrors)
-	}
-	if f.StartCheckpoint(now) {
-		t.Fatal("StartCheckpoint scheduled a checkpoint no recovery could read")
-	}
-}

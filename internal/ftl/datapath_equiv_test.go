@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"iosnap/internal/faultinject"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -121,17 +120,6 @@ func deviceDigest(t *testing.T, d *nand.Device) string {
 		}
 	}
 	return b.String()
-}
-
-// firstDigestDiff locates the first line where two device digests differ.
-func firstDigestDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d: %q vs %q", i, al[i], bl[i])
-		}
-	}
-	return fmt.Sprintf("length %d vs %d lines", len(al), len(bl))
 }
 
 // runDigest condenses a run into FNV-64a sums: each operation's completion
@@ -259,93 +247,4 @@ func TestReadEquivalenceWithHoles(t *testing.T) {
 	if got := d.summary(t, f); got != want {
 		t.Errorf("pinned run moved:\n got: %s\nwant: %s", got, want)
 	}
-}
-
-// TestPartialBatchWriteAccounting: a permanent mid-run program failure
-// leaves the completed prefix committed and counted, and the returned
-// virtual time reflects the work actually consumed.
-func TestPartialBatchWriteAccounting(t *testing.T) {
-	t.Run("batched", func(t *testing.T) {
-		f, err := New(equivConfig(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := f.SectorSize()
-		// The 5th program attempt enters a transient episode longer than
-		// the retry budget: a permanent mid-run failure at sector 4.
-		plan := faultinject.NewPlan(0, faultinject.Rule{
-			Kind: faultinject.KindTransient, Op: nand.OpProgram, Seg: faultinject.AnySeg,
-			AfterN: 5, Times: 100,
-		})
-		plan.Arm(f.Device())
-		now := sim.Time(1000)
-		done, err := f.Write(now, 0, runPattern(ss, 0, 8, 1))
-		plan.Disarm(f.Device())
-		if err == nil {
-			t.Fatal("mid-run failure did not surface")
-		}
-		if done <= now {
-			t.Fatalf("done %d does not reflect consumed time (now %d)", done, now)
-		}
-		st := f.Stats()
-		if st.UserWrites != 4 {
-			t.Fatalf("UserWrites = %d, want 4 (completed sectors)", st.UserWrites)
-		}
-		if st.BytesWritten != int64(4*ss) {
-			t.Fatalf("BytesWritten = %d, want %d", st.BytesWritten, 4*ss)
-		}
-		buf := make([]byte, ss)
-		for lba := int64(0); lba < 4; lba++ {
-			if _, err := f.Read(done, lba, buf); err != nil {
-				t.Fatalf("completed sector %d unreadable: %v", lba, err)
-			}
-			want := runPattern(ss, lba, 1, 1)
-			if string(buf) != string(want) {
-				t.Fatalf("completed sector %d corrupted", lba)
-			}
-		}
-		if _, err := f.Read(done, 5, buf); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range buf {
-			if c != 0 {
-				t.Fatal("unwritten sector not zero")
-			}
-		}
-	})
-}
-
-// TestPartialBatchReadAccounting: a permanent read failure mid-run counts
-// only the sectors read before it.
-func TestPartialBatchReadAccounting(t *testing.T) {
-	t.Run("batched", func(t *testing.T) {
-		f, err := New(equivConfig(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := f.SectorSize()
-		now, err := f.Write(0, 0, runPattern(ss, 0, 8, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		readsBefore := f.Stats().UserReads
-		plan := faultinject.NewPlan(0, faultinject.Rule{
-			Kind: faultinject.KindTransient, Op: nand.OpRead, Seg: faultinject.AnySeg,
-			AfterN: 4, Times: 100,
-		})
-		plan.Arm(f.Device())
-		buf := make([]byte, 8*ss)
-		done, err := f.Read(now, 0, buf)
-		plan.Disarm(f.Device())
-		if err == nil {
-			t.Fatal("mid-run read failure did not surface")
-		}
-		if done <= now {
-			t.Fatalf("done %d does not reflect consumed time (now %d)", done, now)
-		}
-		st := f.Stats()
-		if got := st.UserReads - readsBefore; got != 3 {
-			t.Fatalf("UserReads delta = %d, want 3 (completed sectors)", got)
-		}
-	})
 }

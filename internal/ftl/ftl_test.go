@@ -46,26 +46,35 @@ func sectorPattern(ss int, lba int64, version byte) []byte {
 	return b
 }
 
+// writeLBAs writes version ver of LBAs [lo, hi), one sector at a time.
+func writeLBAs(t *testing.T, f *FTL, now sim.Time, lo, hi int64, ver byte) sim.Time {
+	t.Helper()
+	for lba := lo; lba < hi; lba++ {
+		var err error
+		if now, err = f.Write(now, lba, sectorPattern(f.SectorSize(), lba, ver)); err != nil {
+			t.Fatalf("write LBA %d v%d: %v", lba, ver, err)
+		}
+	}
+	return now
+}
+
+// readLBAs fails unless LBAs [lo, hi) read back version ver.
+func readLBAs(t *testing.T, f *FTL, now sim.Time, lo, hi int64, ver byte) {
+	t.Helper()
+	buf := make([]byte, f.SectorSize())
+	for lba := lo; lba < hi; lba++ {
+		if _, err := f.Read(now, lba, buf); err != nil {
+			t.Fatalf("read LBA %d: %v", lba, err)
+		}
+		if !bytes.Equal(buf, sectorPattern(f.SectorSize(), lba, ver)) {
+			t.Fatalf("LBA %d does not hold v%d", lba, ver)
+		}
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	f := newTestFTL(t)
-	ss := f.SectorSize()
-	now := sim.Time(0)
-	for lba := int64(0); lba < 20; lba++ {
-		d, err := f.Write(now, lba, sectorPattern(ss, lba, 1))
-		if err != nil {
-			t.Fatalf("Write(%d): %v", lba, err)
-		}
-		now = d
-	}
-	buf := make([]byte, ss)
-	for lba := int64(0); lba < 20; lba++ {
-		if _, err := f.Read(now, lba, buf); err != nil {
-			t.Fatalf("Read(%d): %v", lba, err)
-		}
-		if !bytes.Equal(buf, sectorPattern(ss, lba, 1)) {
-			t.Fatalf("LBA %d content mismatch", lba)
-		}
-	}
+	readLBAs(t, f, writeLBAs(t, f, 0, 0, 20, 1), 0, 20, 1)
 }
 
 func TestUnwrittenReadsZero(t *testing.T) {
@@ -240,23 +249,7 @@ func TestGCReclaimsSpace(t *testing.T) {
 func TestValidityConsistentWithMap(t *testing.T) {
 	f := newTestFTL(t)
 	_, _ = fillAndChurn(t, f, 800, 80, 13)
-	// Every mapped LBA's physical page must be valid and hold that LBA.
-	count := 0
-	f.ActiveMap.All(func(lba, addr uint64) bool {
-		count++
-		if !f.validity.Test(int64(addr)) {
-			t.Fatalf("LBA %d maps to invalid page %d", lba, addr)
-		}
-		if _, err := f.Dev.PageOOB(nand.PageAddr(addr)); err != nil {
-			t.Fatalf("LBA %d page %d unreadable: %v", lba, addr, err)
-		}
-		return true
-	})
-	// And the validity population must equal the map population (vanilla has
-	// exactly one live page per mapping).
-	if got := f.validity.Count(); got != count {
-		t.Fatalf("validity bits %d != mappings %d", got, count)
-	}
+	checkValidity(t, f)
 }
 
 func TestDeviceFullOfLiveData(t *testing.T) {
@@ -360,14 +353,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestForceCleanVanilla(t *testing.T) {
 	f := newTestFTL(t)
-	ss := f.SectorSize()
-	now := sim.Time(0)
-	for lba := int64(0); lba < 32; lba++ {
-		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 1))
-	}
-	for lba := int64(0); lba < 8; lba++ {
-		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 2))
-	}
+	now := writeLBAs(t, f, writeLBAs(t, f, 0, 0, 32, 1), 0, 8, 2)
 	target := f.UsedSegments()[0]
 	if err := f.ForceClean(now, target); err != nil {
 		t.Fatalf("ForceClean: %v", err)
@@ -379,19 +365,8 @@ func TestForceCleanVanilla(t *testing.T) {
 	if f.Device().ProgrammedInSegment(target) != 0 {
 		t.Fatal("target not erased")
 	}
-	buf := make([]byte, ss)
-	for lba := int64(0); lba < 32; lba++ {
-		want := byte(1)
-		if lba < 8 {
-			want = 2
-		}
-		if _, err := f.Read(now, lba, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, sectorPattern(ss, lba, want)) {
-			t.Fatalf("LBA %d wrong after forced clean", lba)
-		}
-	}
+	readLBAs(t, f, now, 0, 8, 2)
+	readLBAs(t, f, now, 8, 32, 1)
 	if err := f.ForceClean(now, 999); err == nil {
 		t.Fatal("bad segment accepted")
 	}

@@ -416,14 +416,15 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointChunkFailureSealsHead: a permanent media failure while
-// programming a chunk must abort the checkpoint, seal the log head off the
-// failing segment, and leave the FTL fully writable — the regression the
-// vanilla FTL shipped.
+// TestCheckpointChunkFailureSealsHead: after a checkpoint aborted by a
+// permanent chunk failure, ioSnap's CoW validity is consistent, and a
+// retried checkpoint commits a generation a remount trusts and reads every
+// sector back from. The engine's share (CheckpointErrors, the anchor left
+// alone, the landed chunks unpinned, the sealed head) is logcore's
+// TestCheckpointChunkFailureAborts.
 func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	s := runScenario(t, 19, 200)
 	f := s.f
-	oldHead := f.HeadSeg
 	plan := faultinject.NewPlan(0, faultinject.Rule{
 		Kind: faultinject.KindTransient, Op: nand.OpProgram, Seg: faultinject.AnySeg,
 		AfterN: 1, Times: 10, // outlasts the retry budget: a permanent failure
@@ -434,23 +435,12 @@ func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	}
 	s.now = f.Sched.Drain(s.now)
 	plan.Disarm(f.Device())
-	st := f.Stats()
-	if st.CheckpointErrors < 1 {
-		t.Fatalf("failed checkpoint not counted: %+v", st)
-	}
-	if st.Checkpoints != 0 {
-		t.Fatal("failed checkpoint claims to have committed")
-	}
-	if f.Device().Anchor() != nil {
-		t.Fatal("aborted checkpoint left an anchor")
-	}
-	if f.HeadSeg == oldHead {
-		t.Fatal("head not sealed off the failing segment")
+	if st := f.Stats(); st.CheckpointErrors != 1 {
+		t.Fatalf("setup: CheckpointErrors = %d, want the aborted checkpoint", st.CheckpointErrors)
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after aborted checkpoint: %v", err)
 	}
-	// The device keeps working, and a retried checkpoint commits.
 	d, err := f.Write(s.now, 1, model.Sectors(f.SectorSize(), 1, 1, 3000))
 	if err != nil {
 		t.Fatalf("write after sealed head: %v", err)

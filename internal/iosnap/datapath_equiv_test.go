@@ -1,6 +1,7 @@
 package iosnap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -325,94 +326,71 @@ func TestTrimClosedBeatsFrozen(t *testing.T) {
 	}
 }
 
-// TestPartialBatchWriteAccounting: when the device permanently fails
-// mid-run, the sectors that landed stay committed and counted, and the
-// returned virtual time reflects the work actually consumed.
+// snapshotRunFTL returns an FTL whose LBAs 0-7 hold runPattern v1, frozen
+// in snapshot 1, and a plan that fails times op attempts from the n-th on.
+// The engine's retries and partial-batch accounting are logcore's
+// TestTransientFaultsRetriedInvisibly and TestPartialBatchAccounting; the
+// tests using this check them over CoW-shared blocks.
+func snapshotRunFTL(t *testing.T, op nand.Op, n, times int64) (*FTL, *faultinject.Plan, sim.Time) {
+	t.Helper()
+	f, err := New(equivConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := f.Write(0, 0, runPattern(f.SectorSize(), 0, 8, 1))
+	if err == nil {
+		_, now, err = f.CreateSnapshot(now)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, faultinject.NewPlan(0, faultinject.Rule{
+		Kind: faultinject.KindTransient, Op: op, Seg: faultinject.AnySeg, AfterN: n, Times: times,
+	}), now
+}
+
+// TestPartialBatchWriteAccounting: an 8-sector overwrite failing for good on
+// its 5th page counts the 4 sectors that landed; the other 4 keep their old
+// data, and CoW validity stays consistent.
 func TestPartialBatchWriteAccounting(t *testing.T) {
 	t.Run("batched", func(t *testing.T) {
-		cfg := equivConfig()
-		f, err := New(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := f.SectorSize()
-		// The 5th program attempt enters a transient episode longer than
-		// the retry budget: a permanent mid-run failure at sector 4.
-		plan := faultinject.NewPlan(0, faultinject.Rule{
-			Kind: faultinject.KindTransient, Op: nand.OpProgram, Seg: faultinject.AnySeg,
-			AfterN: 5, Times: 100,
-		})
+		f, plan, now := snapshotRunFTL(t, nand.OpProgram, 5, 100)
+		ss, before := f.SectorSize(), f.Stats()
 		plan.Arm(f.Device())
-		now := sim.Time(1000)
-		done, err := f.Write(now, 0, runPattern(ss, 0, 8, 1))
+		done, err := f.Write(now, 0, runPattern(ss, 0, 8, 2))
 		plan.Disarm(f.Device())
-		if err == nil {
-			t.Fatal("mid-run failure did not surface")
+		if err == nil || done <= now {
+			t.Fatalf("mid-run failure: err %v, done %d (now %d)", err, done, now)
 		}
-		if done <= now {
-			t.Fatalf("done %d does not reflect consumed time (now %d)", done, now)
+		if st := f.Stats(); st.UserWrites-before.UserWrites != 4 || st.BytesWritten-before.BytesWritten != int64(4*ss) {
+			t.Fatalf("wrote %d sectors, %d bytes: want the 4 completed", st.UserWrites-before.UserWrites, st.BytesWritten-before.BytesWritten)
 		}
-		st := f.Stats()
-		if st.UserWrites != 4 {
-			t.Fatalf("UserWrites = %d, want 4 (completed sectors)", st.UserWrites)
-		}
-		if st.BytesWritten != int64(4*ss) {
-			t.Fatalf("BytesWritten = %d, want %d", st.BytesWritten, 4*ss)
-		}
-		// The completed prefix must be durably mapped and readable.
-		buf := make([]byte, ss)
-		for lba := int64(0); lba < 4; lba++ {
-			if _, err := f.Read(done, lba, buf); err != nil {
-				t.Fatalf("completed sector %d unreadable: %v", lba, err)
-			}
-			want := runPattern(ss, lba, 1, 1)
-			if string(buf) != string(want) {
-				t.Fatalf("completed sector %d corrupted", lba)
-			}
-		}
-		// Sectors past the failure never landed: they read as zeros.
-		if _, err := f.Read(done, 5, buf); err != nil {
+		buf := make([]byte, 8*ss)
+		if _, err := f.Read(done, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range buf {
-			if c != 0 {
-				t.Fatal("unwritten sector not zero")
-			}
+		if !bytes.Equal(buf[:4*ss], runPattern(ss, 0, 4, 2)) || !bytes.Equal(buf[4*ss:], runPattern(ss, 4, 4, 1)) {
+			t.Fatal("want LBAs 0-3 overwritten and 4-7 keeping their old data")
 		}
+		checkInvariants(t, f)
 	})
 }
 
-// TestPartialBatchReadAccounting: a permanent read failure mid-run counts
-// only the sectors read before it.
+// TestPartialBatchReadAccounting: an 8-sector read failing for good on its
+// 4th page counts only the 3 sectors read before it.
 func TestPartialBatchReadAccounting(t *testing.T) {
 	t.Run("batched", func(t *testing.T) {
-		f, err := New(equivConfig(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := f.SectorSize()
-		now, err := f.Write(0, 0, runPattern(ss, 0, 8, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		readsBefore := f.Stats().UserReads
-		plan := faultinject.NewPlan(0, faultinject.Rule{
-			Kind: faultinject.KindTransient, Op: nand.OpRead, Seg: faultinject.AnySeg,
-			AfterN: 4, Times: 100,
-		})
+		f, plan, now := snapshotRunFTL(t, nand.OpRead, 4, 100)
+		before := f.Stats()
 		plan.Arm(f.Device())
-		buf := make([]byte, 8*ss)
-		done, err := f.Read(now, 0, buf)
+		done, err := f.Read(now, 0, make([]byte, 8*f.SectorSize()))
 		plan.Disarm(f.Device())
-		if err == nil {
-			t.Fatal("mid-run read failure did not surface")
+		if err == nil || done <= now {
+			t.Fatalf("mid-run read failure: err %v, done %d (now %d)", err, done, now)
 		}
-		if done <= now {
-			t.Fatalf("done %d does not reflect consumed time (now %d)", done, now)
-		}
-		st := f.Stats()
-		if got := st.UserReads - readsBefore; got != 3 {
+		if got := f.Stats().UserReads - before.UserReads; got != 3 {
 			t.Fatalf("UserReads delta = %d, want 3 (completed sectors)", got)
 		}
+		checkInvariants(t, f)
 	})
 }

@@ -13,68 +13,78 @@ import (
 	"iosnap/internal/sim"
 )
 
-// TestTransientWriteRetriedInvisibly: a KindTransient program episode
-// shorter than the retry budget must be absorbed entirely — the write
-// succeeds, the retry is counted, and nothing is marked suspect.
+// TestTransientWriteRetriedInvisibly: a transient program episode shorter
+// than the retry budget, on an overwrite of a block a snapshot holds, is
+// absorbed: two retries, nothing suspect, CoW validity consistent, and both
+// versions read back.
 func TestTransientWriteRetriedInvisibly(t *testing.T) {
-	f := newTestFTL(t)
+	f, plan, now := snapshotRunFTL(t, nand.OpProgram, 1, 2) // budget is 3 attempts, so the episode clears
 	ss := f.SectorSize()
-	plan := faultinject.NewPlan(0, faultinject.Rule{
-		Kind: faultinject.KindTransient, Op: nand.OpProgram, Seg: faultinject.AnySeg,
-		AfterN: 1, Times: 2, // budget is 3 attempts, so the episode clears
-	})
 	plan.Arm(f.Device())
-	now, err := f.Write(0, 5, sectorPattern(ss, 5, 1))
-	if err != nil {
-		t.Fatalf("transient episode not absorbed: %v", err)
-	}
+	now, err := f.Write(now, 5, runPattern(ss, 5, 1, 2))
 	plan.Disarm(f.Device())
-
-	st := f.Stats()
-	if st.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2", st.Retries)
+	if st := f.Stats(); err != nil || st.Retries != 2 || st.MediaFailures != 0 || st.SegmentsSuspect != 0 {
+		t.Fatalf("transient episode not absorbed invisibly (%v): %+v", err, st)
 	}
-	if st.MediaFailures != 0 || st.SegmentsSuspect != 0 {
-		t.Fatalf("transient episode marked media suspect: %+v", st)
-	}
-	buf := make([]byte, ss)
-	if _, err := f.Read(now, 5, buf); err != nil {
+	checkInvariants(t, f)
+	v, now, err := f.ActivateSync(now, 1, noLimit, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf, sectorPattern(ss, 5, 1)) {
-		t.Fatal("retried write lost its data")
+	buf := make([]byte, ss)
+	for ver, read := range map[byte]func(sim.Time, int64, []byte) (sim.Time, error){2: f.Read, 1: v.Read} {
+		if _, err := read(now, 5, buf); err != nil || !bytes.Equal(buf, runPattern(ss, 5, 1, ver)) {
+			t.Fatalf("v%d of LBA 5 lost (%v)", ver, err)
+		}
 	}
 }
 
-// TestExhaustedTransientMarksSuspect: an episode longer than the retry
-// budget is a permanent failure — the error surfaces, the segment goes
-// suspect, and the head seals onto healthy media so writes keep working.
-func TestExhaustedTransientMarksSuspect(t *testing.T) {
+// writeFaultKeepsInvariants fails the next program with rule and checks
+// that ioSnap's CoW validity stays consistent across the failed write, the
+// head seal and ten writes after it. The engine's share — the error, the
+// suspect segment, the seal, the writes landing after it — is logcore's
+// TestMediaBoundary.
+func writeFaultKeepsInvariants(t *testing.T, rule faultinject.Rule) {
+	t.Helper()
 	f := newTestFTL(t)
 	ss := f.SectorSize()
-	plan := faultinject.NewPlan(0, faultinject.Rule{
-		Kind: faultinject.KindTransient, Op: nand.OpProgram, Seg: faultinject.AnySeg,
-		AfterN: 1, Times: 10, // outlasts the 3-attempt budget
-	})
+	now, err := f.Write(0, 1, sectorPattern(ss, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faultinject.NewPlan(0, rule)
 	plan.Arm(f.Device())
-	if _, err := f.Write(0, 5, sectorPattern(ss, 5, 1)); !errors.Is(err, nand.ErrTransient) {
-		t.Fatalf("exhausted transient: %v, want ErrTransient to surface", err)
+	if _, err := f.Write(now, 2, sectorPattern(ss, 2, 1)); err == nil {
+		t.Fatal("injected program fault not reported")
 	}
 	plan.Disarm(f.Device())
-	st := f.Stats()
-	if st.MediaFailures != 1 || st.SegmentsSuspect != 1 {
-		t.Fatalf("exhausted transient did not mark suspect: %+v", st)
+	if st := f.Stats(); st.SegmentsSuspect != 1 {
+		t.Fatalf("setup: %d suspect segments, want the head's", st.SegmentsSuspect)
 	}
-	now := sim.Time(0)
-	var err error
-	for lba := int64(0); lba < 10; lba++ {
+	for lba := int64(2); lba < 12; lba++ {
 		if now, err = f.Write(now, lba, sectorPattern(ss, lba, 2)); err != nil {
-			t.Fatalf("write after seal: %v", err)
+			t.Fatalf("write after the fault: %v", err)
 		}
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestExhaustedTransientMarksSuspect: a transient program episode longer
+// than the retry budget.
+func TestExhaustedTransientMarksSuspect(t *testing.T) {
+	writeFaultKeepsInvariants(t, faultinject.Rule{
+		Kind: faultinject.KindTransient, Op: nand.OpProgram, Seg: faultinject.AnySeg,
+		AfterN: 1, Times: 10, // outlasts the 3-attempt budget
+	})
+}
+
+// TestWriteFaultDoesNotBrickLogHead: a permanent program failure.
+func TestWriteFaultDoesNotBrickLogHead(t *testing.T) {
+	writeFaultKeepsInvariants(t, faultinject.Rule{
+		Kind: faultinject.KindError, Op: nand.OpProgram, Seg: faultinject.AnySeg, AfterN: 1,
+	})
 }
 
 // TestSnapshotDataRescuedOnRetirement: retiring a segment that holds blocks

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"iosnap/internal/faultinject"
@@ -250,10 +249,12 @@ func TestTortureExportChurnDeterministic(t *testing.T) {
 
 // --- satellite regressions -------------------------------------------------
 
-// TestGCErrorRecordedNotSwallowed drives a background clean into an injected
-// copy error and asserts the error is recorded in Stats, the device stays
-// consistent, and the log head still accepts writes (the failed copy's
-// allocated page was rolled back, not left as a permanent hole).
+// TestGCErrorRecordedNotSwallowed: a background clean aborted by a copy
+// error leaves ioSnap's CoW validity consistent — every block it moved was
+// re-pointed in each epoch holding it — and so does the clean that takes the
+// victim again. The engine's share (GCErrors and GCLastErr, the head left
+// writable, the victim cleaned later) is logcore's
+// TestBackgroundCleanAbortsOnCopyFailure.
 func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 	f := newTestFTL(t)
 	ss := f.SectorSize()
@@ -293,63 +294,16 @@ func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 	}
 	now = f.Sched.Drain(now)
 	plan.Disarm(f.Device())
-
-	st := f.Stats()
-	if st.GCErrors != 1 {
-		t.Fatalf("GCErrors = %d, want 1 (error swallowed)", st.GCErrors)
-	}
-	if !strings.Contains(st.GCLastErr, "copy-forward") {
-		t.Fatalf("GCLastErr = %q, want copy-forward error", st.GCLastErr)
-	}
-	if f.CleaningActive() {
-		t.Fatal("cleaner still marked active after abort")
+	if st := f.Stats(); st.GCErrors != 1 {
+		t.Fatalf("setup: GCErrors = %d, want the aborted clean", st.GCErrors)
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatalf("inconsistent after GC abort: %v", err)
 	}
-	// The log head must not be bricked by the rolled-back allocation.
-	for lba := int64(0); lba < 10; lba++ {
-		if now, err = f.Write(now, lba, sectorPattern(ss, lba, 3)); err != nil {
-			t.Fatalf("write after GC abort: %v", err)
-		}
-	}
-	// And the victim must still be cleanable.
 	if err := f.ForceClean(now, victim); err != nil {
 		t.Fatalf("victim not cleanable after abort: %v", err)
 	}
-	now = f.Sched.Drain(now)
-	if st := f.Stats(); st.GCErases == 0 {
-		t.Fatal("retry clean never erased the victim")
-	}
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWriteFaultDoesNotBrickLogHead: a failed foreground program must roll
-// the allocated page back; without ungetPage every subsequent write fails
-// with ErrOutOfOrder.
-func TestWriteFaultDoesNotBrickLogHead(t *testing.T) {
-	f := newTestFTL(t)
-	ss := f.SectorSize()
-	now := sim.Time(0)
-	var err error
-	if now, err = f.Write(now, 1, sectorPattern(ss, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	plan := faultinject.NewPlan(0, faultinject.Rule{
-		Kind: faultinject.KindError, Op: nand.OpProgram, Seg: faultinject.AnySeg, AfterN: 1,
-	})
-	plan.Arm(f.Device())
-	if _, err := f.Write(now, 2, sectorPattern(ss, 2, 1)); err == nil {
-		t.Fatal("injected program fault not reported")
-	}
-	plan.Disarm(f.Device())
-	for lba := int64(2); lba < 12; lba++ {
-		if now, err = f.Write(now, lba, sectorPattern(ss, lba, 1)); err != nil {
-			t.Fatalf("log head bricked after one failed program: %v", err)
-		}
-	}
+	f.Sched.Drain(now)
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

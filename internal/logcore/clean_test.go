@@ -119,18 +119,14 @@ func TestBackgroundCleanChains(t *testing.T) {
 
 // TestBackgroundCleanAbortsOnCopyFailure: a permanent copy failure in the
 // second quantum aborts the clean, records it in GCErrors and GCLastErr, and
-// leaves the victim in UsedSegs with the page that failed; a later clean
-// takes the victim, now suspect, and retires it, and no data is lost.
+// leaves the victim in UsedSegs with the page that failed. The abort hands
+// the failed copy's slot back, so writes still land at the head; a later
+// clean takes the victim, now suspect, erases and retires it, and no data is
+// lost.
 func TestBackgroundCleanAbortsOnCopyFailure(t *testing.T) {
 	p := newFlatWith(t, func(c *Config) { c.GCChunk = 2 })
 	victim, now := p.halfInvalidVictim(t)
-	failing := p.Dev.Addr(victim, 3)
-	p.Dev.SetFaultHook(nand.FaultFunc(func(op nand.Op, a nand.PageAddr) error {
-		if op == nand.OpCopy && a == failing {
-			return nand.ErrDeviceFailed
-		}
-		return nil
-	}))
+	p.failAt(nand.OpCopy, p.Dev.Addr(victim, 3), nand.ErrDeviceFailed, 0)
 	if err := p.ForceClean(now, victim); err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +142,17 @@ func TestBackgroundCleanAbortsOnCopyFailure(t *testing.T) {
 	}
 
 	p.Dev.SetFaultHook(nil)
+	now = p.mustWrite(t, now, 5, 3, 3)
 	if err := p.ForceClean(now, victim); err != nil {
 		t.Fatalf("victim not cleanable after the abort: %v", err)
 	}
 	now = p.Sched.Drain(now)
-	if st := p.Stats(); st.GCRuns != 1 || p.SegInUse(victim) || slices.Contains(p.FreeSegs, victim) {
-		t.Fatalf("later clean: GCRuns %d, victim in use %v, free %v; want 1 and the suspect victim retired", st.GCRuns, p.SegInUse(victim), p.FreeSegs)
+	if st := p.Stats(); st.GCRuns != 1 || st.GCErases != 1 || p.SegInUse(victim) || slices.Contains(p.FreeSegs, victim) {
+		t.Fatalf("later clean: GCRuns %d, GCErases %d, victim in use %v, free %v; want 1, 1 and the suspect victim retired",
+			st.GCRuns, st.GCErases, p.SegInUse(victim), p.FreeSegs)
 	}
 	p.readsBack(t, now, 0, 5, 1)
+	p.readsBack(t, now, 5, 8, 3)
 }
 
 // TestCloseCancelsBackgroundClean: Close releases a clean caught between two

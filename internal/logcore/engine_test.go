@@ -124,7 +124,29 @@ func (p *flatPolicy) SerializeCheckpoint() (uint64, []ChunkJob, error) {
 	return p.Seq, jobs, err
 }
 
-// sectors returns n sectors of 512 bytes, each filled with its LBA xor tag.
+// withChunks gives the checkpoint one section whose stream fills exactly n
+// chunks.
+func (p *flatPolicy) withChunks(t *testing.T, n int) {
+	t.Helper()
+	p.secs = []Section{{Kind: 1, Data: make([]byte, (n-1)*(p.cfg.Nand.SectorSize-chunkPrefix))}}
+	if jobs, err := p.StreamJobs(header.TypeCheckpoint, 0, p.secs); err != nil || len(jobs) != n {
+		t.Fatalf("setup: %d chunks, err %v; want %d", len(jobs), err, n)
+	}
+}
+
+// failAt arms a fault hook that fails op on page a with err the first times
+// attempts (0 = every attempt) and lets everything else through.
+func (p *flatPolicy) failAt(op nand.Op, a nand.PageAddr, err error, times int) {
+	fails := 0
+	p.Dev.SetFaultHook(nand.FaultFunc(func(o nand.Op, at nand.PageAddr) error {
+		if o != op || at != a || (times > 0 && fails == times) {
+			return nil
+		}
+		fails++
+		return err
+	}))
+}
+
 // mustWrite appends a run for the device's own map at epoch 0.
 func (p *flatPolicy) mustWrite(t *testing.T, now sim.Time, lba int64, n int, ver uint64) sim.Time {
 	t.Helper()
@@ -148,13 +170,7 @@ func TestCopyForwardPermanentFailureMidBatch(t *testing.T) {
 	if head == victim || headIdx != 2 {
 		t.Fatalf("setup: head %d/%d, victim %d", head, headIdx, victim)
 	}
-	failing := p.Dev.Addr(victim, 3)
-	p.Dev.SetFaultHook(nand.FaultFunc(func(op nand.Op, a nand.PageAddr) error {
-		if op == nand.OpCopy && a == failing {
-			return nand.ErrDeviceFailed
-		}
-		return nil
-	}))
+	p.failAt(nand.OpCopy, p.Dev.Addr(victim, 3), nand.ErrDeviceFailed, 0)
 	var landed []string
 	moved := func(v int, old, dst nand.PageAddr, h header.Header) {
 		landed = append(landed, fmt.Sprintf("%d->%d", old, dst))
@@ -221,12 +237,7 @@ func TestReadAnchorChunks(t *testing.T) {
 		t.Fatalf("AssembleStream: ok %v, sections equal %v", ok, sectionsEqual(secs, p.secs))
 	}
 
-	p.Dev.SetFaultHook(nand.FaultFunc(func(op nand.Op, a nand.PageAddr) error {
-		if op == nand.OpRead && a == addrs[1] {
-			return nand.ErrDeviceFailed
-		}
-		return nil
-	}))
+	p.failAt(nand.OpRead, addrs[1], nand.ErrDeviceFailed, 0)
 	if _, _, ok := p.ReadAnchorChunks(now); ok {
 		t.Fatal("an unreadable anchored chunk reported ok=true")
 	}

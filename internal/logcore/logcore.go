@@ -73,7 +73,8 @@ type Config struct {
 	// untouched: headroom that keeps the cleaner and segment rescue able to
 	// make progress even when users have filled the device. Writes that
 	// would dip into the reserve (and cannot force-clean their way out) are
-	// shed with ErrOutOfSpace. 0 behaves like the historical floor of 1.
+	// shed with ErrOutOfSpace. The floor is 1 (DataReserve): a value below
+	// it keeps one segment.
 	RescueReserve int
 
 	// CheckpointInterval arms periodic background checkpointing: once at

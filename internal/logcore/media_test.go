@@ -1,8 +1,10 @@
 package logcore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"iosnap/internal/ftlmap"
@@ -46,6 +48,8 @@ type mediaOp struct {
 // failed head append keeps the failing page's Seq, hands back the slots and
 // Seq numbers of the pages it never attempted, and on a media failure seals
 // the head; an error that is not the medium's rolls back without sealing.
+// After any failed run that took head slots, more than a segment of writes
+// lands and reads back: the failure leaves no hole at the head.
 func TestMediaBoundary(t *testing.T) {
 	const runPages = 6
 	span := sim.Duration(ftlmap.RunSpan(runPages)) * mapCPUCost
@@ -123,14 +127,7 @@ func TestMediaBoundary(t *testing.T) {
 					})
 					r := o.prepare(t, p, k)
 					seq, head, headIdx, free := p.Seq, p.HeadSeg, p.HeadIdx, append([]int(nil), p.FreeSegs...)
-					fails := 0
-					p.Dev.SetFaultHook(nand.FaultFunc(func(op nand.Op, a nand.PageAddr) error {
-						if op != o.op || a != r.target || (f.times > 0 && fails == f.times) {
-							return nil
-						}
-						fails++
-						return f.err
-					}))
+					p.failAt(o.op, r.target, f.err, f.times)
 					now := sim.Time(sim.Millisecond) // every channel idle
 					n, start, done, err := r.run(now)
 					st := p.Stats()
@@ -187,8 +184,113 @@ func TestMediaBoundary(t *testing.T) {
 							t.Errorf("a read moved the head to %d/%d", p.HeadSeg, p.HeadIdx)
 						}
 					}
+					if o.takes {
+						p.Dev.SetFaultHook(nil)
+						end := int64(22 + p.cfg.Nand.PagesPerSegment)
+						for lba := int64(20); lba < end; lba++ {
+							done = p.mustWrite(t, done, lba, 1, 3)
+						}
+						p.readsBack(t, done, 20, end, 3)
+					}
 				})
 			}
 		}
+	}
+}
+
+// TestTransientFaultsRetriedInvisibly: a transient program or read fault
+// shorter than the retry budget costs retries and nothing else — the write
+// and the read succeed and are counted whole, nothing is suspect, and the
+// read returns what was written.
+func TestTransientFaultsRetriedInvisibly(t *testing.T) {
+	p := newFlat(t)
+	target := p.Dev.Addr(p.HeadSeg, p.HeadIdx+2) // LBA 5 of the run
+	p.failAt(nand.OpProgram, target, nand.ErrTransient, 2)
+	now, err := p.WriteActive(0, 0, 3, model.Sectors(512, 3, 5, 1))
+	if err != nil {
+		t.Fatalf("a transient program fault reached the writer: %v", err)
+	}
+	p.failAt(nand.OpRead, target, nand.ErrTransient, 1)
+	buf := make([]byte, 5*512)
+	if _, err := p.Read(now, 3, buf); err != nil || !bytes.Equal(buf, model.Sectors(512, 3, 5, 1)) {
+		t.Fatalf("read after a transient read fault: %v, or not the data written", err)
+	}
+	st := p.Stats()
+	if st.Retries != 3 || st.UserWrites != 5 || st.UserReads != 5 || st.MediaFailures != 0 || st.SegmentsSuspect != 0 {
+		t.Fatalf("Retries %d, UserWrites %d, UserReads %d, MediaFailures %d, SegmentsSuspect %d; want 3, 5, 5, 0, 0",
+			st.Retries, st.UserWrites, st.UserReads, st.MediaFailures, st.SegmentsSuspect)
+	}
+}
+
+// TestPartialBatchAccounting: a run that fails for good mid-way keeps what
+// landed and counts only that. A write whose fifth page fails leaves four
+// sectors mapped, counted in UserWrites and BytesWritten and readable, and
+// the rest unmapped; a read whose fourth page fails counts three sectors.
+// Both return the time the landed work took.
+func TestPartialBatchAccounting(t *testing.T) {
+	p := newFlat(t)
+	now := sim.Time(1000)
+	p.failAt(nand.OpProgram, p.Dev.Addr(p.HeadSeg, p.HeadIdx+4), nand.ErrDeviceFailed, 0)
+	done, err := p.WriteActive(now, 0, 0, model.Sectors(512, 0, 8, 1))
+	if !errors.Is(err, nand.ErrDeviceFailed) || done <= now {
+		t.Fatalf("write: done %v (from %v), err %v; want time spent and the injected failure", done, now, err)
+	}
+	if st := p.Stats(); st.UserWrites != 4 || st.BytesWritten != 4*512 {
+		t.Fatalf("UserWrites %d, BytesWritten %d; want 4 and %d", st.UserWrites, st.BytesWritten, 4*512)
+	}
+	p.Dev.SetFaultHook(nil)
+	p.readsBack(t, done, 0, 4, 1)
+	p.readsBack(t, done, 4, 8, 0) // version 0 reads as zeros
+
+	q := newFlat(t)
+	now = q.mustWrite(t, 0, 0, 8, 1)
+	q.failAt(nand.OpRead, q.Dev.Addr(0, 3), nand.ErrDeviceFailed, 0)
+	done, err = q.Read(now, 0, make([]byte, 8*512))
+	if !errors.Is(err, nand.ErrDeviceFailed) || done <= now {
+		t.Fatalf("read: done %v (from %v), err %v; want time spent and the injected failure", done, now, err)
+	}
+	if st := q.Stats(); st.UserReads != 3 || st.BytesRead != 3*512 {
+		t.Fatalf("UserReads %d, BytesRead %d; want 3 and %d", st.UserReads, st.BytesRead, 3*512)
+	}
+}
+
+// TestCleanRetiresDyingVictim: a victim that is suspect, or whose erase
+// wears out, is cleaned like any other — its valid pages are copied off —
+// and then retired instead of returning to the free pool. No data is lost
+// and no clean error is recorded.
+func TestCleanRetiresDyingVictim(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		arm    func(p *flatPolicy, victim int)
+		erases int64
+	}{
+		{"suspect", func(p *flatPolicy, victim int) { p.Dev.MarkSuspect(victim) }, 1},
+		{"erase wears out", func(p *flatPolicy, victim int) {
+			p.failAt(nand.OpErase, p.Dev.Addr(victim, 0), nand.ErrWornOut, 0)
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newFlatWith(t, func(c *Config) { c.GCChunk = 2 })
+			victim, now := p.halfInvalidVictim(t)
+			tc.arm(p, victim)
+			if err := p.ForceClean(now, victim); err != nil {
+				t.Fatal(err)
+			}
+			now = p.Sched.Drain(now)
+			st := p.Stats()
+			if st.GCRuns != 1 || st.GCCopied != 5 || st.GCErases != tc.erases || st.GCErrors != 0 || st.SegmentsRetired != 1 {
+				t.Fatalf("GCRuns %d, GCCopied %d, GCErases %d, GCErrors %d, SegmentsRetired %d; want 1, 5, %d, 0, 1",
+					st.GCRuns, st.GCCopied, st.GCErases, st.GCErrors, st.SegmentsRetired, tc.erases)
+			}
+			if p.Dev.SegmentHealth(victim) != nand.Retired || p.SegInUse(victim) || slices.Contains(p.FreeSegs, victim) {
+				t.Fatalf("victim %v, in use %v, free pool %v; want it retired and in neither pool",
+					p.Dev.SegmentHealth(victim), p.SegInUse(victim), p.FreeSegs)
+			}
+			p.readsBack(t, now, 0, 5, 1)
+			p.readsBack(t, now, 5, 8, 2)
+			if err := p.CheckVictimHeap(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

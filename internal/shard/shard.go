@@ -29,9 +29,12 @@
 //     The barrier holds every shard's lock, so no op is half-executed when
 //     it freezes.
 //
-//   - The rescue reserve is a global budget distributed across shards:
-//     Config.Base.RescueReserve segments total, round-robin, so sharding
-//     does not multiply the held-back space.
+//   - The rescue reserve is distributed across shards:
+//     Config.Base.RescueReserve segments in total, round-robin.
+//     ConfigForDevices — the mount path of iosnapd and the benchmark — sets
+//     it to the per-device reserve times the shard count, so each shard
+//     keeps the per-device reserve (2 by default) and the held-back space
+//     grows with the shard count.
 package shard
 
 import (
@@ -42,8 +45,9 @@ import (
 
 // Config parameterizes the sharded front-end.
 type Config struct {
-	// Base is the configuration of the WHOLE logical device; New splits it
-	// evenly across shards (segments, channels, user sectors, reserves).
+	// Base is the configuration of the WHOLE logical device; NewService and
+	// NewServiceFrom split it evenly across shards (segments, channels,
+	// user sectors, reserves).
 	// With Shards=1 the single shard receives Base verbatim.
 	Base iosnap.Config
 

@@ -53,6 +53,15 @@ $CTL write -lba 4097 -text "far sector"   # lands on the second shard
 $CTL snap-create | grep "created snapshot 1"
 $CTL write -lba 0 -text "smoke v2"
 $CTL read -lba 0 | grep "smoke v2"
+# A -text longer than its -count sectors is refused, and the LBA keeps its
+# value.
+LONG=$(head -c 9000 /dev/zero | tr '\0' x)
+if $CTL write -lba 0 -count 2 -text "$LONG" 2>"$WORK/long.err"; then
+    echo "a 9000-byte -text with -count 2 was accepted" >&2
+    exit 1
+fi
+grep -- "-count" "$WORK/long.err"
+$CTL read -lba 0 | grep "smoke v2"
 $CTL snap-read -id 1 -lba 0 | grep "smoke v1"
 $CTL stats | grep "shards:             2"
 $CTL stats | grep "shard skew:"

@@ -6,7 +6,6 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
-	"io/fs"
 	"os"
 	"sort"
 	"strings"
@@ -14,14 +13,27 @@ import (
 )
 
 // The log engine exists once: internal/logcore holds the mechanics and
-// internal/ftl / internal/iosnap keep only policy. This guard keeps the twin
+// internal/ftl / internal/iosnap keep only policy, and the engine's
+// behaviour is tested once, in internal/logcore. This guard keeps the twin
 // from growing back — it fails when any two of the three packages declare a
-// same-named function or method whose bodies are identical (comments and the
-// package's error prefix aside) and longer than three lines.
+// same-named function or method, in code or in tests, whose bodies are
+// identical (comments and the package's error prefix aside) and longer than
+// three lines.
 
 var twinGuardPkgs = []string{"internal/logcore", "internal/ftl", "internal/iosnap"}
 
-// twinFunc is one non-test function, printed without comments.
+// twinFixtures are test helpers each FTL package keeps its own copy of on
+// purpose: they feed constants pinned in that package's tests, or call that
+// package's own New, so sharing them would couple the two packages' pins.
+var twinFixtures = map[string]string{
+	"deviceDigest":  "feeds the pinned seeded runs' constants",
+	"runDigest.op":  "feeds the pinned seeded runs' constants",
+	"runPattern":    "feeds the pinned seeded runs' constants",
+	"sectorPattern": "feeds constants pinned in the package's tests",
+	"newTestFTL":    "calls the package's own New",
+}
+
+// twinFunc is one function, printed without comments.
 type twinFunc struct {
 	pkg, name, body string
 	lines           int
@@ -30,9 +42,7 @@ type twinFunc struct {
 func twinFuncs(t *testing.T, dir string) []twinFunc {
 	t.Helper()
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0) // mode 0: comments are not parsed, so they cannot differ
+	pkgs, err := parser.ParseDir(fset, dir, nil, 0) // mode 0: comments are not parsed, so they cannot differ
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
@@ -81,7 +91,7 @@ func TestNoTwinFunctions(t *testing.T) {
 	for name, fs := range seen {
 		for i := 0; i < len(fs); i++ {
 			for j := i + 1; j < len(fs); j++ {
-				if fs[i].pkg != fs[j].pkg && fs[i].lines > 3 && fs[i].body == fs[j].body {
+				if _, fixture := twinFixtures[name]; !fixture && fs[i].pkg != fs[j].pkg && fs[i].lines > 3 && fs[i].body == fs[j].body {
 					offenders = append(offenders, name+" ("+fs[i].pkg+", "+fs[j].pkg+")")
 					total += fs[i].lines
 				}
@@ -90,7 +100,7 @@ func TestNoTwinFunctions(t *testing.T) {
 	}
 	if len(offenders) > 0 {
 		sort.Strings(offenders)
-		t.Errorf("%d functions (%d body lines) are declared identically in two log-engine packages; move one copy into internal/logcore:\n  %s",
+		t.Errorf("%d functions (%d body lines) are declared identically in two log-engine packages; move one copy into internal/logcore (a test fixture that must stay per package goes in twinFixtures, with why):\n  %s",
 			len(offenders), total, strings.Join(offenders, "\n  "))
 	}
 }

@@ -17,9 +17,10 @@ import (
 // shares the device with foreground I/O instead of monopolizing it.
 
 // maybeScheduleScrub arms a scrub pass when scrubbing is enabled and either
-// the interval has elapsed or a suspect segment awaits rescue.
+// the interval has elapsed or a suspect segment awaits rescue; StartScrub
+// refuses while a pass runs or the device is closed.
 func (f *FTL) maybeScheduleScrub(now sim.Time) {
-	if f.scrubActive || f.Closed() || f.cfg.ScrubInterval <= 0 {
+	if f.cfg.ScrubInterval <= 0 {
 		return
 	}
 	suspect, _ := f.Dev.HealthCounts()

@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"iosnap/internal/sim"
@@ -46,10 +47,11 @@ func (b *busModel) reserve(now sim.Time, window sim.Duration) sim.Time {
 }
 
 // ProgramPages programs len(addrs) erased pages in one batch submitted at
-// now: datas[i] and oobs[i] land at addrs[i]. The write bus is reserved
-// once for the batch's total bytes; page i's cell program starts at its
-// transfer hand-off point inside that window, on its own channel, so a
-// striped batch overlaps programming across channels. Pages commit in
+// now: datas[i], a sector long, is copied into addrs[i]'s payload window
+// and oobs[i], at most OOBSize bytes, is its header. The write bus is
+// reserved once for the batch's total bytes; page i's cell program starts
+// at its transfer hand-off point inside that window, on its own channel,
+// so a striped batch overlaps programming across channels. Pages commit in
 // order (fault hooks are consulted per page, in order, preserving
 // crash-at-operation-N semantics); on the first failure the batch stops
 // and returns how many pages landed, the completion time of the landed
@@ -98,9 +100,7 @@ func (d *Device) ProgramPages(now sim.Time, addrs []PageAddr, datas, oobs [][]by
 			pageIdx = d.PageIndexOf(addr)
 			ch = int(addr) % nch
 			seg = &d.segs[segIdx]
-			if seg.pages == nil {
-				seg.pages = make([]page, pps)
-			}
+			d.materialize(seg)
 		}
 		p := &seg.pages[pageIdx]
 		if seg.health == Retired {
@@ -122,11 +122,14 @@ func (d *Device) ProgramPages(now sim.Time, addrs []PageAddr, datas, oobs [][]by
 		}
 		stored := data
 		if d.hook != nil {
+			// Torn/corrupted header injection: the payload lands but its
+			// header bytes may be garbage, as when power fails mid-program.
 			if m := d.hook.MutateOOB(addr, oob); len(m) <= OOBSize {
 				oob = m
 			}
-			// Same post-ECC payload corruption as ProgramPage: cells store the
-			// corrupted bytes, the fingerprint captures the intended ones.
+			// Payload corruption on program: the cells store the corrupted
+			// bytes while the fingerprint below is computed from the intended
+			// ones (bits flipped after ECC), so reads detect the damage.
 			stored = d.corruptData(OpProgram, addr, data)
 		}
 
@@ -135,10 +138,8 @@ func (d *Device) ProgramPages(now sim.Time, addrs []PageAddr, datas, oobs [][]by
 		for j := len(oob); j < OOBSize; j++ {
 			p.oob[j] = 0
 		}
-		p.fp = Fingerprint(data)
-		if d.cfg.StoreData {
-			p.data = append(p.data[:0], stored...)
-		}
+		binary.LittleEndian.PutUint64(p.fp[:], Fingerprint(data))
+		copy(d.slot(seg, pageIdx), stored)
 		seg.nextProg = pageIdx + 1
 		programmed++
 
@@ -167,11 +168,12 @@ func (d *Device) ProgramPages(now sim.Time, addrs []PageAddr, datas, oobs [][]by
 // caller-owned result scratch, so the data path's one call per chunk
 // allocates nothing. Cell reads overlap across channels; each page's
 // transfer then claims the read bus in submission order (one monotone pass
-// — the batch's bus charge). The appended slices alias device memory like
-// ReadPage's return values (a payload is nil in fingerprint mode) and must
-// not be modified. On the first failing page the batch stops, returning how
-// many pages were read, their completion time, and the failing page's
-// error.
+// — the batch's bus charge). The appended slices alias device memory and
+// must not be modified: a payload is the page's window of its segment's
+// store (nil in fingerprint mode), which for a loaded device may be a
+// window into its mapped image, valid only while the device is reachable.
+// On the first failing page the batch stops, returning how many pages were
+// read, their completion time, and the failing page's error.
 func (d *Device) ReadPagesInto(now sim.Time, addrs []PageAddr, datas, oobs *[][]byte) (n int, done sim.Time, err error) {
 	done = now
 	for i, addr := range addrs {
@@ -180,7 +182,7 @@ func (d *Device) ReadPagesInto(now sim.Time, addrs []PageAddr, datas, oobs *[][]
 				return i, done, err
 			}
 		}
-		_, p, err := d.check(addr)
+		seg, p, err := d.check(addr)
 		if err != nil {
 			return i, done, err
 		}
@@ -195,7 +197,7 @@ func (d *Device) ReadPagesInto(now sim.Time, addrs []PageAddr, datas, oobs *[][]
 		if pageDone > done {
 			done = pageDone
 		}
-		data := p.data
+		data := d.payload(seg, d.PageIndexOf(addr))
 		if d.hook != nil {
 			data = d.corruptData(OpRead, addr, data)
 			if err := d.verifyPayload(addr, p, data); err != nil {

@@ -13,12 +13,12 @@ import (
 // both transfers crossing the shared buses, so copy-forward contends with
 // foreground I/O exactly like host-issued operations.
 //
-// Payload buffers are never shared between pages: the source's bytes are
-// copied into the destination's own buffer, rewritten in place as a program
-// does (a loaded page's buffer is a region of its image), so a slice
-// ReadPage returned for any other page is unaffected.
+// The source's payload is copied into the destination's window of its
+// segment's store, rewritten in place as a program does (a loaded
+// segment's store is its region of the image); windows never overlap, so a
+// slice ReadPage returned for any other page is unaffected.
 func (d *Device) CopyPage(now sim.Time, from, to PageAddr) (sim.Time, error) {
-	_, src, err := d.check(from)
+	srcSeg, src, err := d.check(from)
 	if err != nil {
 		return now, err
 	}
@@ -57,9 +57,7 @@ func (d *Device) CopyPage(now sim.Time, from, to PageAddr) (sim.Time, error) {
 	dst.state = pageProgrammed
 	dst.oob = src.oob
 	dst.fp = src.fp
-	if d.cfg.StoreData && src.data != nil {
-		dst.data = append(dst.data[:0], src.data...)
-	}
+	copy(d.slot(dstSeg, toIdx), d.payload(srcSeg, d.PageIndexOf(from)))
 	dstSeg.nextProg = toIdx + 1
 
 	d.stats.PageReads++
@@ -99,12 +97,12 @@ func (d *Device) PageData(addr PageAddr) ([]byte, error) {
 	if !d.cfg.StoreData {
 		return nil, fmt.Errorf("nand: PageData on a fingerprint-mode device")
 	}
-	_, p, err := d.check(addr)
+	s, p, err := d.check(addr)
 	if err != nil {
 		return nil, err
 	}
 	if p.state != pageProgrammed {
 		return nil, fmt.Errorf("%w: page %d", ErrReadErased, addr)
 	}
-	return p.data, nil
+	return d.payload(s, d.PageIndexOf(addr)), nil
 }

@@ -3,6 +3,7 @@ package nand
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -27,9 +28,9 @@ import (
 // order, to any io.Writer. LoadImage takes the image whole — mapped private
 // to the process when it is a file on Linux, read once otherwise — and walks
 // its frame headers while the workers verify and decode frames where they
-// lie and the caller installs them in image order; the image then holds
-// the loaded pages' payloads. At most framesPerWorker frames per worker
-// are in flight, so a save adds O(workers × segment) of heap and a load
+// lie and the caller installs them in image order; a segment's frame then
+// stays its payload store. At most framesPerWorker frames per worker are
+// in flight, so a save adds O(workers × segment) of heap and a load
 // nothing beyond the image, never O(device) — which is what lets a
 // TB-class geometry persist through an ordinary file handle. Untouched
 // segments (never programmed, never erased, healthy) are not framed at
@@ -61,7 +62,10 @@ const maxFramePayload = 1 << 30
 // A segment frame's payload: segFixedLen bytes of u32 index, u32 nextProg,
 // u32 erases, u8 health, u32 programmedPages; then per programmed page,
 // ascending, a pageRecLen record of u32 pageIndex, OOBSize bytes OOB, u64
-// fingerprint, u32 dataLen, followed by dataLen payload bytes.
+// fingerprint, u32 dataLen, followed by dataLen payload bytes: SectorSize
+// on a StoreData device, 0 on a fingerprint-mode one. A StoreData
+// segment's payloads therefore lie pageRecLen+SectorSize apart, which is
+// what lets a load keep them where they are.
 //
 // The end frame's payload: u64 segment frames, u64 programmed pages.
 const (
@@ -99,9 +103,9 @@ func maxSegFrame(c Config) int64 {
 // checkImageGeometry rejects a valid configuration that no image can carry:
 // a fully programmed segment must fit one frame, and the arrays New and a
 // segment's first program allocate — one entry per segment, per channel,
-// per page of a segment — are held to the frame bound too, so a crafted
-// header can neither panic New nor ask for more memory in one allocation
-// than a frame may. Together these keep TotalPages (< 2^25 segments ×
+// per page of a segment, and the payload store, which is smaller than the
+// frame — are held to the frame bound too, so a crafted header can neither
+// panic New nor ask for more memory in one allocation than a frame may. Together these keep TotalPages (< 2^25 segments ×
 // < 2^25 pages) and Capacity (< 2^25 segments × 2^30 bytes) inside int64.
 func checkImageGeometry(c Config) error {
 	fits := func(n int, size uintptr) bool { return int64(n) <= maxFramePayload/int64(size) }
@@ -223,7 +227,7 @@ func (d *Device) SaveImage(w io.Writer) error {
 		i++
 		return true, nil
 	}, func(j *segJob) {
-		j.frame, j.pages = stageSegment(j.frame, j.seg, &d.segs[j.seg])
+		j.frame, j.pages = d.stageSegment(j.frame, j.seg)
 	}, func(j *segJob) error {
 		if _, err := bw.Write(j.frame); err != nil {
 			return fmt.Errorf("nand: writing segment %d: %w", j.seg, err)
@@ -312,12 +316,13 @@ func decodeHeader(payload []byte) (cfg Config, st Stats, anchor *Anchor, err err
 // stageSegment stages segment i's whole frame in buf's storage and returns
 // it with the number of programmed pages it carries. The frame's length is
 // summed from the page list first, so buf grows at most once.
-func stageSegment(buf []byte, i int, s *segment) ([]byte, int) {
+func (d *Device) stageSegment(buf []byte, i int) ([]byte, int) {
+	s := &d.segs[i]
 	programmed, n := 0, codec.Overhead+segFixedLen
 	for j := range s.pages {
 		if p := &s.pages[j]; p.state == pageProgrammed {
 			programmed++
-			n += pageRecLen + len(p.data)
+			n += pageRecLen + len(d.payload(s, j))
 		}
 	}
 	w := codec.Writer{B: slices.Grow(buf[:0], n)}
@@ -334,8 +339,8 @@ func stageSegment(buf []byte, i int, s *segment) ([]byte, int) {
 		}
 		w.U32(uint32(j))
 		w.B = append(w.B, p.oob[:]...)
-		w.U64(p.fp)
-		w.Bytes(p.data)
+		w.U64(p.fingerprint())
+		w.Bytes(d.payload(s, j))
 	}
 	w.End(start)
 	return w.B, programmed
@@ -348,13 +353,16 @@ func frameErr(off int, err error) error {
 
 // LoadImage reconstructs a device previously serialized with SaveImage,
 // reading r to its end. On Linux an *os.File at its first byte is not read
-// but mapped, private to this process: loaded pages are then windows into
-// the mapping, and the first program or copy into one makes the kernel
-// copy that page of the mapping, so no write through the device reaches
-// the file. The device owns the mapping, which is unmapped once the device
-// is unreachable. Any other source — a bytes.Reader, a vfs file, a file
-// the kernel will not map — is read once, into a buffer of its exact size
-// when it reports one, and loaded pages are windows into that buffer. On
+// but mapped, private to this process: a segment's payload store is then
+// its frame's region of the mapping, and the first program or copy into
+// one of its pages makes the kernel copy that page of the mapping, so no
+// write through the device reaches the file. The device owns the mapping,
+// which is unmapped once the device is unreachable. Any other source — a
+// bytes.Reader, a vfs file, a file the kernel will not map — is read once,
+// into a buffer of its exact size when it reports one, and segments'
+// stores are regions of that buffer. A frame holds only the pages the
+// segment had programmed: the first program past them, on the resumed log
+// head say, copies them into a store of the segment's own. On
 // any error — a missing magic, truncation, bit damage, duplicate or
 // out-of-range indices, a geometry no image can carry — no device is
 // returned: a partially-reconstructed device must never reach recovery.
@@ -398,13 +406,13 @@ func readImage(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// imageMapping owns the mapping a loaded device's pages are windows into.
-// Only the device refers to it, so its finalizer unmaps the image once the
-// device is unreachable.
+// imageMapping owns the mapping a loaded device's segments' stores are
+// regions of. Only the device refers to it, so its finalizer unmaps the
+// image once the device is unreachable.
 type imageMapping struct{ b []byte }
 
 // decodeImage builds the device the whole image img describes. Loaded
-// pages' payloads stay where img holds them.
+// payloads stay where img holds them.
 func decodeImage(img []byte) (*Device, error) {
 	if !bytes.HasPrefix(img, []byte(imageMagic)) {
 		return nil, fmt.Errorf("%w: stream does not open with the image magic", ErrImageCorrupt)
@@ -481,7 +489,7 @@ func loadSegments(img []byte, off int, d *Device) error {
 		if j.err = codec.Check(j.frame); j.err != nil {
 			j.err = frameErr(j.off, j.err)
 		} else {
-			j.idx, j.pages, j.err = decodeSegmentFrame(d.cfg, j.body, &j.seg)
+			j.idx, j.pages, j.err = d.decodeSegmentFrame(j.body, &j.seg)
 		}
 	}, func(j *loadJob) error {
 		if j.err != nil {
@@ -524,13 +532,18 @@ func loadSegments(img []byte, off int, d *Device) error {
 	return nil
 }
 
-// decodeSegmentFrame decodes one segment frame into s, a zero segment, and
-// returns the segment's index and how many pages it programs, rejecting an
-// out-of-range index and malformed page lists. Each loaded payload stays
-// where the frame holds it: the page's data is a sub-slice of body, capped
-// at the sector size, so programming or copying into the page later
-// rewrites those bytes and no neighbour's.
-func decodeSegmentFrame(cfg Config, body []byte, s *segment) (idx, pages int, err error) {
+// decodeSegmentFrame decodes one segment frame into s, a zero segment of
+// d, and returns the segment's index and how many pages it programs,
+// rejecting an out-of-range index, malformed page lists and a payload
+// length other than the device's (the sector size with StoreData, else 0).
+// A StoreData segment whose programmed pages are a prefix — every segment
+// of a device that programs in order — adopts body, where its payloads lie
+// at a fixed stride, as its store, so programming or copying into one of
+// those pages later rewrites that page's bytes of body and no neighbour's,
+// and the first program past them moves the store to a slab (slot). Any
+// other gets a slab at once, its payloads copied in.
+func (d *Device) decodeSegmentFrame(body []byte, s *segment) (idx, pages int, err error) {
+	cfg := d.cfg
 	r := codec.Reader{B: body}
 	idx = int(r.U32())
 	nextProg := int(r.U32())
@@ -554,7 +567,11 @@ func decodeSegmentFrame(cfg Config, body []byte, s *segment) (idx, pages int, er
 	s.erases = erases
 	s.health = health
 	if nPages > 0 {
-		s.pages = make([]page, cfg.PagesPerSegment)
+		d.materialize(s)
+	}
+	dataLen := 0
+	if cfg.StoreData {
+		dataLen = cfg.SectorSize
 	}
 	prev := -1
 	for k := 0; k < nPages; k++ {
@@ -570,21 +587,34 @@ func decodeSegmentFrame(cfg Config, body []byte, s *segment) (idx, pages int, er
 			// the writer emits strictly ascending page indices.
 			return 0, 0, fmt.Errorf("%w: segment %d page index %d after %d", ErrImageCorrupt, idx, pi, prev)
 		}
-		if len(data) != 0 && len(data) != cfg.SectorSize {
-			return 0, 0, fmt.Errorf("%w: segment %d page %d payload %d bytes, want 0 or %d",
-				ErrImageCorrupt, idx, pi, len(data), cfg.SectorSize)
+		if len(data) != dataLen {
+			return 0, 0, fmt.Errorf("%w: segment %d page %d payload %d bytes, want %d",
+				ErrImageCorrupt, idx, pi, len(data), dataLen)
 		}
 		prev = pi
 		p := &s.pages[pi]
 		p.state = pageProgrammed
 		copy(p.oob[:], oob)
-		p.fp = fp
-		if len(data) != 0 {
-			p.data = data
-		}
+		binary.LittleEndian.PutUint64(p.fp[:], fp)
 	}
 	if r.Rest() != 0 {
 		return 0, 0, fmt.Errorf("%w: segment %d frame has %d trailing bytes", ErrImageCorrupt, idx, r.Rest())
+	}
+	if cfg.StoreData && nPages > 0 {
+		// Every record carries a sector of payload, so the k-th record's
+		// payload starts k records after the first one's.
+		frame := segment{data: body[segFixedLen+pageRecLen:], stride: pageRecLen + cfg.SectorSize}
+		if prev == nPages-1 { // ascending indices: the pages are 0 to nPages-1
+			s.data, s.stride = frame.data, frame.stride
+		} else {
+			k := 0
+			for j := range s.pages {
+				if s.pages[j].state == pageProgrammed {
+					copy(d.slot(s, j), d.payload(&frame, k))
+					k++
+				}
+			}
+		}
 	}
 	return idx, nPages, nil
 }
@@ -628,8 +658,8 @@ func (d *Device) StateDigest() uint64 {
 			}
 			h = mix64(h, uint64(j))
 			h = hashWords(h, p.oob[:])
-			h = mix64(h, p.fp)
-			h = hashWords(h, p.data)
+			h = mix64(h, p.fingerprint())
+			h = hashWords(h, d.payload(s, j))
 		}
 	}
 	return h

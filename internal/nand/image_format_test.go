@@ -107,6 +107,9 @@ func FuzzLoadImage(f *testing.F) {
 		pinnedImageDevice(f, fp, 2),
 		seededDevice(f, small, 3),
 		New(small),
+		// Full segments and a half-programmed one, whose frames a load
+		// adopts as their stores.
+		fullDevice(f),
 	} {
 		var buf bytes.Buffer
 		if err := d.SaveImage(&buf); err != nil {

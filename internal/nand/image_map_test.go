@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // imageSource is one way LoadImage takes in an image.
@@ -66,7 +67,7 @@ func saveImage(t *testing.T, d *Device) []byte {
 
 // fullDevice programs every page of segments 0-4 and half of segment 5,
 // each page with its own payload.
-func fullDevice(t *testing.T) *Device {
+func fullDevice(t testing.TB) *Device {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Segments = 6
@@ -160,6 +161,63 @@ func TestMappedLoadLeavesTheFileAlone(t *testing.T) {
 	}
 	if again.StateDigest() != before {
 		t.Fatal("a second load of the file does not give the device as it was loaded")
+	}
+}
+
+// TestMappedLoadAdoptsItsFrames: a mapped load keeps each segment's
+// payloads where the image holds them, so a page of a full segment and one
+// of half-programmed segment 5 both read back windows into the mapping. The
+// frame holds only the pages segment 5 had programmed: programming its next
+// page moves its payloads into a store of its own, the bytes unchanged,
+// while the full segments stay in the image.
+func TestMappedLoadAdoptsItsFrames(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("images are mapped on Linux only")
+	}
+	orig := fullDevice(t)
+	d, err := loadFile(t, imageFile(t, saveImage(t, orig)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.image == nil {
+		t.Fatal("a file load is not mapped")
+	}
+	pps := d.Config().PagesPerSegment
+	check := func(when string, seg, page int, inImage bool) {
+		t.Helper()
+		got, _, _, err := d.ReadPage(0, d.Addr(seg, page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _, _ := orig.ReadPage(0, orig.Addr(seg, page))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: segment %d page %d reads back other bytes than were saved", when, seg, page)
+		}
+		img := d.image.b
+		lo, at := uintptr(unsafe.Pointer(unsafe.SliceData(img))), uintptr(unsafe.Pointer(unsafe.SliceData(got)))
+		if in := at >= lo && at+uintptr(len(got)) <= lo+uintptr(len(img)); in != inImage {
+			t.Errorf("%s: segment %d page %d: payload inside the mapped image = %v, want %v", when, seg, page, in, inImage)
+		}
+	}
+	for _, inHalf := range []bool{true, false} {
+		when := "after the load"
+		if !inHalf {
+			when = "after a program into segment 5"
+			next := fill(d.Config().SectorSize, 0xEE)
+			for _, dev := range []*Device{orig, d} {
+				if _, err := dev.ProgramPage(0, dev.Addr(5, pps/2), next, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(when, 5, pps/2, false)
+		}
+		check(when, 0, 0, true)
+		check(when, 4, pps-1, true)
+		check(when, 5, 0, inHalf)
+		check(when, 5, pps/2-1, inHalf)
+	}
+	if d.StateDigest() != orig.StateDigest() {
+		t.Fatal("the loaded device and its original differ after the same program")
 	}
 }
 

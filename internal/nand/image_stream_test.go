@@ -164,6 +164,31 @@ func TestLoadImageBitDamage(t *testing.T) {
 		}
 	}
 
+	// A segment frame whose page carries a payload of a length its device
+	// does not keep — none on a StoreData device, a sector on a
+	// fingerprint-mode one — is refused; the same frame with the device's
+	// length loads.
+	fpCfg := testConfig()
+	fpCfg.StoreData = false
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		keep, bad int
+	}{
+		{"StoreData page without payload", testConfig(), 512, 0},
+		{"fingerprint-mode page with payload", fpCfg, 0, 512},
+	} {
+		for _, src := range sources {
+			if dev, err := src.load(onePageImage(t, tc.cfg, tc.keep)); err != nil || dev == nil {
+				t.Fatalf("%s: %s: the frame with a %d-byte payload: LoadImage = %v, %v", src.name, tc.name, tc.keep, dev, err)
+			}
+			dev, err := src.load(onePageImage(t, tc.cfg, tc.bad))
+			if dev != nil || !errors.Is(err, ErrImageCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("payload %d bytes, want %d", tc.bad, tc.keep)) {
+				t.Fatalf("%s: %s: LoadImage = %v, %v; want no device and ErrImageCorrupt naming the payload length", src.name, tc.name, dev, err)
+			}
+		}
+	}
+
 	// Two damaged segment frames side by side, so both are in flight at
 	// once: whichever a worker rejects first, the load reports the earlier.
 	buf.Reset()
@@ -509,10 +534,10 @@ func TestImageTBClassAllocationBounds(t *testing.T) {
 	if alloc := int64(ms2.TotalAlloc - ms1.TotalAlloc); alloc > budget {
 		t.Fatalf("LoadImage of a 1 TiB image allocated %d bytes, budget %d (O(segment) violated)", alloc, budget)
 	}
-	// Object count, not bytes: a loaded page's payload is a region of the
-	// image, read once, so the count follows frames (page array, a share of
-	// the seen-map) plus the image and the header's constant, never the 3072
-	// pages.
+	// Object count, not bytes: a loaded segment's payloads are a region of
+	// the image, read once, so the count follows frames (page array, a
+	// share of the seen-map) plus the image and the header's constant,
+	// never the 3072 pages.
 	if mallocs := ms2.Mallocs - ms1.Mallocs; mallocs > 4*touched+512 {
 		t.Fatalf("LoadImage made %d allocations for %d segment frames (one per page?)", mallocs, touched)
 	}
@@ -563,13 +588,35 @@ func craftedImage(t *testing.T, cfg Config) []byte {
 	return w.B
 }
 
+// onePageImage is a well-sealed image of a device with cfg whose segment 0
+// has page 0 programmed with a payload of dataLen zero bytes (and a zero
+// fingerprint, which a load does not check).
+func onePageImage(t *testing.T, cfg Config, dataLen int) []byte {
+	t.Helper()
+	var seg codec.Writer
+	seg.U32(0)            // segment index
+	seg.U32(1)            // nextProg
+	seg.U32(0)            // erases
+	seg.U8(byte(Healthy)) // health
+	seg.U32(1)            // programmed pages
+	seg.U32(0)            // page index
+	seg.B = append(seg.B, make([]byte, OOBSize)...)
+	seg.U64(0) // fingerprint
+	seg.Bytes(make([]byte, dataLen))
+	var end codec.Writer
+	end.U64(1) // segment frames
+	end.U64(1) // programmed pages
+	return appendFrame(appendFrame(craftedImage(t, cfg), codec.ImageSegment, seg.B), codec.ImageEnd, end.B)
+}
+
 // TestLoadImageRejectsImpossibleGeometry: a header whose geometry no image
 // can carry is refused as corrupt before anything is sized from it. Each
 // crafted image also holds one well-formed segment frame (segment 0, page 0
-// programmed, no payload) and a matching end frame, so a loader that trusts
-// the header sizes a segment from it. The loads run in a child process: the
-// unguarded PagesPerSegment case dies with a fatal out-of-memory that no
-// recover catches, and the Segments and Channels ones panic inside New.
+// programmed, no payload, as on a fingerprint-mode device) and a matching
+// end frame, so a loader that trusts the header sizes a segment from it.
+// The loads run in a child process: the unguarded PagesPerSegment case dies
+// with a fatal out-of-memory that no recover catches, and the Segments and
+// Channels ones panic inside New.
 func TestLoadImageRejectsImpossibleGeometry(t *testing.T) {
 	cases := map[string]func(*Config){
 		"segments":          func(c *Config) { c.Segments = 1 << 50 },
@@ -581,13 +628,9 @@ func TestLoadImageRejectsImpossibleGeometry(t *testing.T) {
 	const env = "NAND_IMPOSSIBLE_GEOMETRY"
 	if name := os.Getenv(env); name != "" {
 		cfg := testConfig()
+		cfg.StoreData = false
 		cases[name](&cfg)
-		seg := []byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0}
-		seg = append(seg, make([]byte, pageRecLen)...)
-		var end [16]byte
-		end[0], end[8] = 1, 1
-		img := appendFrame(appendFrame(craftedImage(t, cfg), codec.ImageSegment, seg), codec.ImageEnd, end[:])
-		if d, err := LoadImage(bytes.NewReader(img)); !errors.Is(err, ErrImageCorrupt) || d != nil {
+		if d, err := LoadImage(bytes.NewReader(onePageImage(t, cfg, 0))); !errors.Is(err, ErrImageCorrupt) || d != nil {
 			t.Fatalf("%s: LoadImage = %v, %v; want no device and ErrImageCorrupt", name, d, err)
 		}
 		return
@@ -631,12 +674,12 @@ func TestLoadImageBoundsSegmentFrames(t *testing.T) {
 	}
 }
 
-// TestLoadedPagesOwnTheirBuffers: a loaded page's payload is a region of
-// its segment frame in the image. Erasing and reprogramming a loaded segment,
-// copying into and out of loaded pages and reprogramming a page rewrite
-// that page's bytes and no others: the loaded device ends in the same state
-// as the device it was saved from after the same operations, and a slice
-// ReadPage returned before them for a page none of them writes is intact.
+// TestLoadedPagesOwnTheirBuffers: a loaded segment's payloads are its frame
+// in the image. Erasing and reprogramming a loaded segment, copying into
+// and out of loaded pages and reprogramming a page rewrite that page's
+// bytes and no others: the loaded device ends in the same state as the
+// device it was saved from after the same operations, and a slice ReadPage
+// returned before them for a page none of them writes is intact.
 func TestLoadedPagesOwnTheirBuffers(t *testing.T) {
 	cfg := testConfig()
 	cfg.Segments = 6
@@ -689,9 +732,9 @@ func TestLoadedPagesOwnTheirBuffers(t *testing.T) {
 		version++
 		program(d, 4, 0)
 		// Copy out of loaded pages into an erased loaded segment (the
-		// destinations' buffers are frame regions too) and into the tail
-		// of the part-programmed one (no buffer yet); then out of a page
-		// that was itself just copied.
+		// destinations' windows are frame regions too) and into the tail
+		// of the part-programmed one (past its frame, so its store moves
+		// to a slab); then out of a page that was itself just copied.
 		if _, err := d.EraseSegment(0, 2); err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,10 @@
 // To keep multi-gigabyte experiments cheap, payload storage is optional:
 // with Config.StoreData=false the device keeps only a 64-bit fingerprint of
 // each payload (enough for integrity checks) while timing and OOB metadata
-// remain exact.
+// remain exact. With StoreData, payloads live in one store per segment,
+// beside a page table of pointer-free records (state, OOB, fingerprint), so
+// the host memory a physical page costs beyond its payload is 41 bytes that
+// the garbage collector never scans.
 package nand
 
 import (
@@ -267,15 +270,29 @@ const (
 	pageProgrammed
 )
 
+// page is one physical page's record: 41 bytes, with no padding and no
+// pointer, so a segment's page array is one allocation the garbage
+// collector never scans. Its payload lives in its segment's store.
 type page struct {
 	state pageState
 	oob   [OOBSize]byte
-	fp    uint64 // payload fingerprint (always kept)
-	data  []byte // payload, only when StoreData
+	fp    [8]byte // payload fingerprint, little-endian (always kept)
 }
 
+// fingerprint returns the page's payload fingerprint.
+func (p *page) fingerprint() uint64 { return binary.LittleEndian.Uint64(p.fp[:]) }
+
+// segment is one erase block: its page records and, on a StoreData device,
+// its payload store data, where page i's payload starts at i*stride (read
+// through payload, written through slot). A loaded segment's store is its
+// frame in the image, where payloads lie pageRecLen+SectorSize apart and
+// reach only as far as the pages the image holds; otherwise, and from the
+// first program past that, it is a slab of PagesPerSegment sectors at
+// stride SectorSize. Either is kept across erases.
 type segment struct {
 	pages    []page
+	data     []byte
+	stride   int
 	nextProg int // next in-order page index (SequentialProg)
 	erases   int
 	health   Health
@@ -306,7 +323,7 @@ type Device struct {
 
 	hook FaultHook // nil = no fault injection
 
-	image *imageMapping // the mapped image loaded pages are windows into; nil if none
+	image *imageMapping // the mapped image loaded segments' stores lie in; nil if none
 }
 
 // Anchor is the device's checkpoint anchor: the identity and chunk
@@ -367,9 +384,10 @@ func New(cfg Config) *Device {
 		readBus:  busModel{nsPerByte: mbpsToNsPerByte(cfg.ReadBusMBps)},
 		writeBus: busModel{nsPerByte: mbpsToNsPerByte(cfg.WriteBusMBps)},
 	}
-	// Per-segment page arrays are materialized lazily on first program
-	// (checkProg): a TB-class geometry mounts in O(touched-segments) host
-	// memory instead of paying ~sizeof(page) per physical page up front.
+	// A segment's page array and payload store are made at its first
+	// program (materialize, slot): a TB-class geometry mounts in
+	// O(touched-segments) host memory instead of paying a page record and
+	// a sector per physical page up front.
 	if cfg.WearOutThreshold > 0 {
 		d.wearRNG = sim.NewRNG(cfg.WearSeed)
 	}
@@ -434,7 +452,7 @@ func (d *Device) Addr(seg, idx int) PageAddr {
 // erasedPage stands in for any page of a segment whose backing array has
 // not been materialized (nothing was ever programmed there): reads observe
 // it as erased. It must never be written through — write paths go via
-// checkProg, which materializes the real array first.
+// materialize, which makes the real array first.
 var erasedPage page
 
 func (d *Device) check(addr PageAddr) (*segment, *page, error) {
@@ -448,17 +466,53 @@ func (d *Device) check(addr PageAddr) (*segment, *page, error) {
 	return s, &s.pages[d.PageIndexOf(addr)], nil
 }
 
-// checkProg is check for write paths: it materializes the segment's page
-// array on first touch (lazy allocation keeps untouched segments free).
+// checkProg is check for write paths: it materializes the segment on first
+// touch (lazy allocation keeps untouched segments free).
 func (d *Device) checkProg(addr PageAddr) (*segment, *page, error) {
 	if int64(addr) >= d.cfg.TotalPages() {
 		return nil, nil, fmt.Errorf("%w: %d", ErrBadAddress, addr)
 	}
 	s := &d.segs[d.SegmentOf(addr)]
+	d.materialize(s)
+	return s, &s.pages[d.PageIndexOf(addr)], nil
+}
+
+// materialize gives a segment that has none its page array.
+func (d *Device) materialize(s *segment) {
 	if s.pages == nil {
 		s.pages = make([]page, d.cfg.PagesPerSegment)
 	}
-	return s, &s.pages[d.PageIndexOf(addr)], nil
+}
+
+// slot is payload for a program into page idx of a materialized segment.
+// On a StoreData device whose store does not reach idx — there is none yet,
+// or it is a loaded frame holding fewer pages — s first gets a zeroed slab
+// of its own, and the payloads of its other programmed pages are copied
+// across.
+func (d *Device) slot(s *segment, idx int) []byte {
+	if d.cfg.StoreData && idx*s.stride+d.cfg.SectorSize > len(s.data) {
+		old := *s
+		s.data, s.stride = make([]byte, d.cfg.PagesPerSegment*d.cfg.SectorSize), d.cfg.SectorSize
+		for j := range s.pages {
+			if j != idx && s.pages[j].state == pageProgrammed {
+				copy(d.payload(s, j), d.payload(&old, j))
+			}
+		}
+	}
+	return d.payload(s, idx)
+}
+
+// payload is every path's way to a stored payload: page idx's window into
+// its segment's store, exactly a sector long with its capacity ending
+// there, so a write through it reaches no other page. It is nil where the
+// segment has no store: on a fingerprint-mode device, or before the
+// segment's first program.
+func (d *Device) payload(s *segment, idx int) []byte {
+	if s.data == nil {
+		return nil
+	}
+	off := idx * s.stride
+	return s.data[off : off+d.cfg.SectorSize : off+d.cfg.SectorSize]
 }
 
 func (d *Device) channelFor(addr PageAddr) *sim.Resource {
@@ -513,104 +567,19 @@ func mix64(h, x uint64) uint64 {
 	return h
 }
 
-// ProgramPage writes data and oob to the erased page at addr, submitted at
-// virtual time now. It returns the operation's completion time. len(data)
-// must equal the sector size; len(oob) must not exceed OOBSize.
+// ProgramPage is ProgramPages of the one page at addr.
 func (d *Device) ProgramPage(now sim.Time, addr PageAddr, data, oob []byte) (sim.Time, error) {
-	if d.hook != nil {
-		if err := d.hook.BeforeOp(OpProgram, addr); err != nil {
-			return now, err
-		}
-	}
-	seg, p, err := d.checkProg(addr)
-	if err != nil {
-		return now, err
-	}
-	if seg.health == Retired {
-		return now, fmt.Errorf("%w: program of segment %d", ErrRetired, d.SegmentOf(addr))
-	}
-	if len(data) != d.cfg.SectorSize {
-		return now, fmt.Errorf("%w: got %d, want %d", ErrBadSize, len(data), d.cfg.SectorSize)
-	}
-	if len(oob) > OOBSize {
-		return now, fmt.Errorf("nand: oob %d bytes exceeds %d", len(oob), OOBSize)
-	}
-	if p.state != pageErased {
-		return now, fmt.Errorf("%w: page %d", ErrNotErased, addr)
-	}
-	idx := d.PageIndexOf(addr)
-	if d.cfg.SequentialProg && idx != seg.nextProg {
-		return now, fmt.Errorf("%w: segment %d page %d (next free %d)",
-			ErrOutOfOrder, d.SegmentOf(addr), idx, seg.nextProg)
-	}
-	stored := data
-	if d.hook != nil {
-		// Torn/corrupted header injection: the payload lands but its header
-		// bytes may be garbage, as when power fails mid-program.
-		if m := d.hook.MutateOOB(addr, oob); len(m) <= OOBSize {
-			oob = m
-		}
-		// Payload corruption on program: the cells store the corrupted bytes
-		// while the fingerprint below is computed from the intended ones
-		// (bits flipped after ECC), so reads detect the damage.
-		stored = d.corruptData(OpProgram, addr, data)
-	}
-
-	p.state = pageProgrammed
-	copy(p.oob[:], oob)
-	for i := len(oob); i < OOBSize; i++ {
-		p.oob[i] = 0
-	}
-	p.fp = Fingerprint(data)
-	if d.cfg.StoreData {
-		p.data = append(p.data[:0], stored...)
-	}
-	seg.nextProg = idx + 1
-
-	d.stats.PagePrograms++
-	d.stats.BytesWritten += int64(len(data))
-
-	// Timing: transfer over the write bus, then cell programming on the
-	// page's channel. Bus and channel serialize independently, which is what
-	// lets striped sequential writes overlap programming across channels.
-	busDone := d.writeBus.acquire(now, len(data))
-	_, done := d.channelFor(addr).Acquire(busDone, d.cfg.ProgramLatency)
-	return done, nil
+	_, done, err := d.ProgramPages(now, []PageAddr{addr}, [][]byte{data}, [][]byte{oob})
+	return done, err
 }
 
-// ReadPage reads the programmed page at addr. The returned payload is nil in
-// fingerprint mode; oob is always the stored header bytes. The returned
-// slices alias device memory and must not be modified. The payload of a
-// loaded page may be a window into the device's mapped image, valid only
-// while the device is reachable.
+// ReadPage is ReadPagesInto of the one page at addr.
 func (d *Device) ReadPage(now sim.Time, addr PageAddr) (data, oob []byte, done sim.Time, err error) {
-	if d.hook != nil {
-		if err := d.hook.BeforeOp(OpRead, addr); err != nil {
-			return nil, nil, now, err
-		}
+	var datas, oobs [][]byte
+	if _, done, err = d.ReadPagesInto(now, []PageAddr{addr}, &datas, &oobs); err != nil {
+		return nil, nil, done, err
 	}
-	_, p, err := d.check(addr)
-	if err != nil {
-		return nil, nil, now, err
-	}
-	if p.state != pageProgrammed {
-		return nil, nil, now, fmt.Errorf("%w: page %d", ErrReadErased, addr)
-	}
-	d.stats.PageReads++
-	d.stats.BytesRead += int64(d.cfg.SectorSize)
-
-	_, cellDone := d.channelFor(addr).Acquire(now, d.cfg.ReadLatency)
-	done = d.readBus.acquire(cellDone, d.cfg.SectorSize)
-	data = p.data
-	if d.hook != nil {
-		data = d.corruptData(OpRead, addr, data)
-		if err := d.verifyPayload(addr, p, data); err != nil {
-			// The read consumed cell and bus time before the integrity check
-			// rejected its payload, so the clock still advances.
-			return nil, nil, done, err
-		}
-	}
-	return data, p.oob[:], done, nil
+	return datas[0], oobs[0], done, nil
 }
 
 // corruptData consults the hook's DataCorrupter extension, if any. Callers
@@ -634,7 +603,7 @@ func (d *Device) corruptData(op Op, addr PageAddr, data []byte) []byte {
 // diverge from the fingerprint, so the per-read hashing cost is not paid on
 // the hot path of ordinary experiments.
 func (d *Device) verifyPayload(addr PageAddr, p *page, data []byte) error {
-	if data == nil || Fingerprint(data) == p.fp {
+	if data == nil || Fingerprint(data) == p.fingerprint() {
 		return nil
 	}
 	return fmt.Errorf("%w: page %d", ErrCorruptData, addr)
@@ -651,7 +620,7 @@ func (d *Device) PageFingerprint(addr PageAddr) (uint64, error) {
 	if p.state != pageProgrammed {
 		return 0, fmt.Errorf("%w: page %d", ErrReadErased, addr)
 	}
-	return p.fp, nil
+	return p.fingerprint(), nil
 }
 
 // IsProgrammed reports whether the page at addr holds data.
@@ -720,9 +689,10 @@ func (d *Device) EraseSegment(now sim.Time, seg int) (sim.Time, error) {
 		// but unreliable. The caller decides whether to retry or retire.
 		return now, fmt.Errorf("%w: segment %d wear-out after %d erases", ErrWornOut, seg, s.erases)
 	}
-	// Only the state byte needs resetting: oob/fp/data are unreadable while
-	// erased and fully rewritten on the next program. Keeping data's capacity
-	// also lets StoreData configs reuse page buffers across erase cycles.
+	// Only the state byte needs resetting: oob, fingerprint and payload are
+	// unreadable while erased and fully rewritten on the next program. The
+	// payload store is kept, so StoreData configs reuse it across erase
+	// cycles.
 	for i := range s.pages {
 		s.pages[i].state = pageErased
 	}

@@ -3,7 +3,9 @@ package nand
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"iosnap/internal/sim"
 )
@@ -263,6 +265,34 @@ func TestScanSegmentOOB(t *testing.T) {
 	}
 }
 
+// TestPageRecordIsPointerFree pins the page table's layout: a page record
+// holds no pointer, slice, map or interface, so a segment's page array is a
+// noscan allocation the garbage collector never walks, and it is at most 41
+// bytes (state, OOB, fingerprint), the host memory a physical page costs
+// beside its payload. A payload slice kept per page would be both a pointer
+// per page to scan and a separate heap object per page.
+func TestPageRecordIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Interface,
+			reflect.String, reflect.Chan, reflect.Func:
+			t.Errorf("page field %s is a %s: every page record would hold a pointer the garbage collector scans", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("page", reflect.TypeOf(page{}))
+	if size := unsafe.Sizeof(page{}); size > 41 {
+		t.Errorf("a page record is %d bytes, want at most 41: the page table is host heap paid per physical page", size)
+	}
+}
+
 func TestFingerprintMode(t *testing.T) {
 	cfg := testConfig()
 	cfg.StoreData = false
@@ -446,7 +476,11 @@ func TestOpString(t *testing.T) {
 }
 
 // TestDeviceMatchesModelRandomOps drives random program/copy/erase
-// sequences against a simple model of what each page should hold.
+// sequences against a simple model of what each page should hold. Every
+// 2000 steps the device is replaced by a load of its image, so programs
+// and copies also land in stores that are image frames — a frame of pages
+// programmed in order, which the load adopts and the first program past it
+// moves to a slab, or of pages out of order, which the load copies.
 func TestDeviceMatchesModelRandomOps(t *testing.T) {
 	cfg := testConfig()
 	cfg.SequentialProg = false
@@ -463,6 +497,17 @@ func TestDeviceMatchesModelRandomOps(t *testing.T) {
 	payload := func(tag byte) []byte { return fill(cfg.SectorSize, tag) }
 
 	for step := 0; step < 20000; step++ {
+		if step%2000 == 1999 {
+			var buf bytes.Buffer
+			if err := d.SaveImage(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadImage(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			d = loaded
+		}
 		switch rng.Intn(6) {
 		case 0, 1: // program a random erased page
 			addr := PageAddr(rng.Intn(total))

@@ -361,7 +361,7 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tr := ftlmap.BulkLoad(entries, 1.0)
+			tr := ftlmap.BulkLoad(entries)
 			b.ReportMetric(float64(tr.MemoryBytes()), "B")
 		}
 	})

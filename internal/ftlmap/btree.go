@@ -2,22 +2,19 @@
 // translating logical block addresses (LBAs) to physical page addresses,
 // the structure the paper's VSL keeps in host memory (§5.2.2).
 //
-// Besides the usual insert/lookup/delete, the tree supports bottom-up bulk
-// loading from sorted entries. That is how both crash recovery (§5.5.1,
-// "sort the entries ... and reconstruct the forward map in a bottom up
-// fashion") and snapshot activation build their trees — and why an activated
-// snapshot's tree is more compact than an organically grown active tree with
-// identical contents, the effect the paper measures in Table 3.
+// The tree keeps the operations the FTLs run: point insert and lookup, the
+// run operations of runops.go (trims delete through DeleteRange; there is no
+// per-key delete), ordered walks, and bottom-up bulk loading from sorted
+// entries. Bulk loading is how both crash recovery (§5.5.1, "sort the
+// entries ... and reconstruct the forward map in a bottom up fashion") and
+// snapshot activation build their trees — and why an activated snapshot's
+// tree is more compact than an organically grown active tree with identical
+// contents, the effect the paper measures in Table 3.
 package ftlmap
-
-import "fmt"
 
 // order is the maximum number of keys per node. 64 keys × 16 bytes keeps
 // nodes around a cache-line-friendly 1 KB.
 const order = 64
-
-// minKeys is the underflow threshold for non-root nodes.
-const minKeys = order / 2
 
 // Tree is a B+tree from uint64 keys (LBAs) to uint64 values (physical page
 // addresses). The zero value is not usable; call New.
@@ -52,12 +49,6 @@ func New() *Tree {
 
 // Len returns the number of mappings.
 func (t *Tree) Len() int { return t.size }
-
-// Height returns the tree height (1 when the root is a leaf).
-func (t *Tree) Height() int { return t.height }
-
-// Nodes returns the number of leaf and internal nodes.
-func (t *Tree) Nodes() (leaves, internals int) { return t.leaves, t.internals }
 
 // MemoryBytes estimates the heap footprint of the tree: per-node fixed
 // overhead plus per-entry storage, using each node's *capacity* (allocated
@@ -200,142 +191,6 @@ func (t *Tree) insert(n node, key, val uint64) (right node, sep uint64, split bo
 	panic("ftlmap: unknown node type")
 }
 
-// Delete removes the mapping for key, returning its value and whether it
-// existed.
-func (t *Tree) Delete(key uint64) (uint64, bool) {
-	val, existed := t.delete(t.root, key)
-	if existed {
-		t.size--
-	}
-	// Collapse a root internal node with a single child.
-	if in, ok := t.root.(*internal); ok && len(in.kids) == 1 {
-		t.root = in.kids[0]
-		t.internals--
-		t.height--
-	}
-	return val, existed
-}
-
-func (t *Tree) delete(n node, key uint64) (uint64, bool) {
-	switch n := n.(type) {
-	case *leaf:
-		i := lowerBound(n.keys, key)
-		if i >= len(n.keys) || n.keys[i] != key {
-			return 0, false
-		}
-		val := n.vals[i]
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		return val, true
-	case *internal:
-		idx := upperBound(n.keys, key)
-		val, existed := t.delete(n.kids[idx], key)
-		if existed {
-			t.rebalance(n, idx)
-		}
-		return val, existed
-	}
-	panic("ftlmap: unknown node type")
-}
-
-// rebalance fixes a possible underflow of n.kids[idx] by borrowing from or
-// merging with a sibling.
-func (t *Tree) rebalance(n *internal, idx int) {
-	switch child := n.kids[idx].(type) {
-	case *leaf:
-		if len(child.keys) >= minKeys {
-			return
-		}
-		// Borrow from left sibling.
-		if idx > 0 {
-			left := n.kids[idx-1].(*leaf)
-			if len(left.keys) > minKeys {
-				last := len(left.keys) - 1
-				child.keys = append([]uint64{left.keys[last]}, child.keys...)
-				child.vals = append([]uint64{left.vals[last]}, child.vals...)
-				left.keys = left.keys[:last]
-				left.vals = left.vals[:last]
-				n.keys[idx-1] = child.keys[0]
-				return
-			}
-		}
-		// Borrow from right sibling.
-		if idx < len(n.kids)-1 {
-			right := n.kids[idx+1].(*leaf)
-			if len(right.keys) > minKeys {
-				child.keys = append(child.keys, right.keys[0])
-				child.vals = append(child.vals, right.vals[0])
-				right.keys = right.keys[1:]
-				right.vals = right.vals[1:]
-				n.keys[idx] = right.keys[0]
-				return
-			}
-		}
-		// Merge with a sibling.
-		if idx > 0 {
-			left := n.kids[idx-1].(*leaf)
-			left.keys = append(left.keys, child.keys...)
-			left.vals = append(left.vals, child.vals...)
-			left.next = child.next
-			n.keys = append(n.keys[:idx-1], n.keys[idx:]...)
-			n.kids = append(n.kids[:idx], n.kids[idx+1:]...)
-			t.leaves--
-			return
-		}
-		right := n.kids[idx+1].(*leaf)
-		child.keys = append(child.keys, right.keys...)
-		child.vals = append(child.vals, right.vals...)
-		child.next = right.next
-		n.keys = append(n.keys[:idx], n.keys[idx+1:]...)
-		n.kids = append(n.kids[:idx+1], n.kids[idx+2:]...)
-		t.leaves--
-	case *internal:
-		if len(child.keys) >= minKeys {
-			return
-		}
-		if idx > 0 {
-			left := n.kids[idx-1].(*internal)
-			if len(left.keys) > minKeys {
-				last := len(left.keys) - 1
-				child.keys = append([]uint64{n.keys[idx-1]}, child.keys...)
-				child.kids = append([]node{left.kids[len(left.kids)-1]}, child.kids...)
-				n.keys[idx-1] = left.keys[last]
-				left.keys = left.keys[:last]
-				left.kids = left.kids[:len(left.kids)-1]
-				return
-			}
-		}
-		if idx < len(n.kids)-1 {
-			right := n.kids[idx+1].(*internal)
-			if len(right.keys) > minKeys {
-				child.keys = append(child.keys, n.keys[idx])
-				child.kids = append(child.kids, right.kids[0])
-				n.keys[idx] = right.keys[0]
-				right.keys = right.keys[1:]
-				right.kids = right.kids[1:]
-				return
-			}
-		}
-		if idx > 0 {
-			left := n.kids[idx-1].(*internal)
-			left.keys = append(left.keys, n.keys[idx-1])
-			left.keys = append(left.keys, child.keys...)
-			left.kids = append(left.kids, child.kids...)
-			n.keys = append(n.keys[:idx-1], n.keys[idx:]...)
-			n.kids = append(n.kids[:idx], n.kids[idx+1:]...)
-			t.internals--
-			return
-		}
-		right := n.kids[idx+1].(*internal)
-		child.keys = append(child.keys, n.keys[idx])
-		child.keys = append(child.keys, right.keys...)
-		child.kids = append(child.kids, right.kids...)
-		n.keys = append(n.keys[:idx], n.keys[idx+1:]...)
-		n.kids = append(n.kids[:idx+1], n.kids[idx+2:]...)
-		t.internals--
-	}
-}
-
 // Range calls fn for every mapping with lo <= key < hi in ascending key
 // order, stopping early if fn returns false.
 func (t *Tree) Range(lo, hi uint64, fn func(key, val uint64) bool) {
@@ -376,26 +231,23 @@ type Entry struct {
 }
 
 // BulkLoad builds a tree bottom-up from entries sorted by ascending unique
-// key, packing leaves to the given fill factor in (0, 1]. A fill of 1 yields
-// the most compact tree possible. It panics if entries are unsorted or
-// duplicated — callers sort and deduplicate during recovery/activation.
-func BulkLoad(entries []Entry, fill float64) *Tree {
-	if fill <= 0 || fill > 1 {
-		panic(fmt.Sprintf("ftlmap: fill factor %v out of (0,1]", fill))
-	}
+// key, packing every node full: the most compact tree possible. It panics
+// if entries are unsorted or duplicated — callers sort and deduplicate
+// during recovery/activation.
+func BulkLoad(entries []Entry) *Tree {
 	for i := 1; i < len(entries); i++ {
 		if entries[i].Key <= entries[i-1].Key {
 			panic("ftlmap: BulkLoad entries not strictly ascending")
 		}
 	}
-	p := &packer{perLeaf: max(int(float64(order)*fill), 1), left: len(entries)}
+	p := &packer{left: len(entries)}
 	for _, e := range entries {
 		p.add(e.Key, e.Val)
 	}
 	return p.tree()
 }
 
-// BulkMerge returns the tree BulkLoad(entries, 1) builds, where entries are
+// BulkMerge returns the tree BulkLoad(entries) builds, where entries are
 // base's with writes put (inserted or replacing) and deletes removed. Both
 // lists ascend by key, and no key is in both. It is one pass over base's
 // leaves that copies the runs between the delta keys, so it costs base's
@@ -415,7 +267,7 @@ func BulkMerge(base *Tree, writes []Entry, deletes []uint64) *Tree {
 			n--
 		}
 	}
-	p := &packer{perLeaf: order, left: n, keys: make([]uint64, n), vals: make([]uint64, n)}
+	p := &packer{left: n, keys: make([]uint64, n), vals: make([]uint64, n)}
 	first := base.root
 	for in, ok := first.(*internal); ok; in, ok = first.(*internal) {
 		first = in.kids[0]
@@ -453,10 +305,9 @@ func BulkMerge(base *Tree, writes []Entry, deletes []uint64) *Tree {
 	return p.tree()
 }
 
-// packer builds a tree's leaves left to right, perLeaf entries to a leaf
-// but the last, which is sized to what is left: the layout BulkLoad gives.
+// packer builds a tree's leaves left to right, order entries to a leaf but
+// the last, which is sized to what is left: the layout BulkLoad gives.
 type packer struct {
-	perLeaf    int
 	left       int      // entries still to come
 	keys, vals []uint64 // when non-nil, the rest of the arrays leaves are cut from
 	leaves     []node
@@ -466,7 +317,7 @@ type packer struct {
 // room returns the leaf the next entry goes into.
 func (p *packer) room() *leaf {
 	if p.cur == nil || len(p.cur.keys) == cap(p.cur.keys) {
-		n := min(p.perLeaf, p.left)
+		n := min(order, p.left)
 		if n <= 0 {
 			panic("ftlmap: more entries packed than the tree was sized for")
 		}
@@ -520,12 +371,11 @@ func (p *packer) tree() *Tree {
 		t.size += len(level[i].(*leaf).keys)
 	}
 	t.size += len(p.cur.keys)
-	perNode := min(p.perLeaf, order)
 	for len(level) > 1 {
 		var nextLevel []node
 		var nextSeps []uint64
-		for start := 0; start < len(level); start += perNode + 1 {
-			end := start + perNode + 1
+		for start := 0; start < len(level); start += order + 1 {
+			end := start + order + 1
 			if end > len(level) {
 				end = len(level)
 			}
@@ -545,52 +395,4 @@ func (p *packer) tree() *Tree {
 	}
 	t.root = level[0]
 	return t
-}
-
-// check validates tree invariants; it is exported to tests via export_test.
-func (t *Tree) check() error {
-	type bound struct{ lo, hi uint64 } // keys in [lo, hi)
-	var walk func(n node, b bound, depth int) error
-	walk = func(n node, b bound, depth int) error {
-		switch n := n.(type) {
-		case *leaf:
-			if depth != t.height {
-				return fmt.Errorf("leaf at depth %d, height %d", depth, t.height)
-			}
-			for i, k := range n.keys {
-				if k < b.lo || k >= b.hi {
-					return fmt.Errorf("leaf key %d out of bound [%d,%d)", k, b.lo, b.hi)
-				}
-				if i > 0 && n.keys[i-1] >= k {
-					return fmt.Errorf("leaf keys not ascending at %d", k)
-				}
-			}
-		case *internal:
-			if len(n.kids) != len(n.keys)+1 {
-				return fmt.Errorf("internal fanout mismatch: %d kids, %d keys", len(n.kids), len(n.keys))
-			}
-			for i, k := range n.keys {
-				if k < b.lo || k >= b.hi {
-					return fmt.Errorf("internal key %d out of bound [%d,%d)", k, b.lo, b.hi)
-				}
-				if i > 0 && n.keys[i-1] >= k {
-					return fmt.Errorf("internal keys not ascending at %d", k)
-				}
-			}
-			for i, kid := range n.kids {
-				lo, hi := b.lo, b.hi
-				if i > 0 {
-					lo = n.keys[i-1]
-				}
-				if i < len(n.keys) {
-					hi = n.keys[i]
-				}
-				if err := walk(kid, bound{lo, hi}, depth+1); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return walk(t.root, bound{0, ^uint64(0)}, 1)
 }

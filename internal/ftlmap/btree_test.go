@@ -15,8 +15,8 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Lookup(5); ok {
 		t.Fatal("lookup in empty tree succeeded")
 	}
-	if _, ok := tr.Delete(5); ok {
-		t.Fatal("delete in empty tree succeeded")
+	if n := tr.DeleteRange(5, 6, nil); n != 0 {
+		t.Fatalf("delete in empty tree removed %d", n)
 	}
 }
 
@@ -57,48 +57,6 @@ func TestInsertOverwrite(t *testing.T) {
 	v, _ := tr.Lookup(7)
 	if v != 200 {
 		t.Fatalf("Lookup after overwrite = %d", v)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	tr := New()
-	const n = 5000
-	for i := uint64(0); i < n; i++ {
-		tr.Insert(i, i+1)
-	}
-	// Delete every other key.
-	for i := uint64(0); i < n; i += 2 {
-		v, ok := tr.Delete(i)
-		if !ok || v != i+1 {
-			t.Fatalf("Delete(%d) = %d,%v", i, v, ok)
-		}
-	}
-	if tr.Len() != n/2 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.Check(); err != nil {
-		t.Fatalf("invariants after deletes: %v", err)
-	}
-	for i := uint64(0); i < n; i++ {
-		_, ok := tr.Lookup(i)
-		if want := i%2 == 1; ok != want {
-			t.Fatalf("Lookup(%d) = %v, want %v", i, ok, want)
-		}
-	}
-	// Delete everything else, down to empty.
-	for i := uint64(1); i < n; i += 2 {
-		if _, ok := tr.Delete(i); !ok {
-			t.Fatalf("Delete(%d) missed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len after full delete = %d", tr.Len())
-	}
-	if tr.Height() != 1 {
-		t.Fatalf("Height after full delete = %d", tr.Height())
-	}
-	if err := tr.Check(); err != nil {
-		t.Fatalf("invariants on emptied tree: %v", err)
 	}
 }
 
@@ -162,7 +120,7 @@ func TestBulkLoad(t *testing.T) {
 	for i := uint64(0); i < 12345; i++ {
 		entries = append(entries, Entry{Key: i * 2, Val: i})
 	}
-	tr := BulkLoad(entries, 1.0)
+	tr := BulkLoad(entries)
 	if tr.Len() != len(entries) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
@@ -180,8 +138,8 @@ func TestBulkLoad(t *testing.T) {
 	if v, ok := tr.Lookup(1); !ok || v != 999 {
 		t.Fatal("insert into bulk-loaded tree failed")
 	}
-	if _, ok := tr.Delete(0); !ok {
-		t.Fatal("delete from bulk-loaded tree failed")
+	if n := tr.DeleteRange(0, 1, nil); n != 1 {
+		t.Fatalf("delete from bulk-loaded tree removed %d", n)
 	}
 	if err := tr.Check(); err != nil {
 		t.Fatalf("invariants after mutation: %v", err)
@@ -189,7 +147,7 @@ func TestBulkLoad(t *testing.T) {
 }
 
 func TestBulkLoadEmpty(t *testing.T) {
-	tr := BulkLoad(nil, 1.0)
+	tr := BulkLoad(nil)
 	if tr.Len() != 0 {
 		t.Fatal("empty bulk load not empty")
 	}
@@ -205,7 +163,7 @@ func TestBulkLoadUnsortedPanics(t *testing.T) {
 			t.Fatal("unsorted BulkLoad did not panic")
 		}
 	}()
-	BulkLoad([]Entry{{5, 0}, {3, 0}}, 1.0)
+	BulkLoad([]Entry{{5, 0}, {3, 0}})
 }
 
 func TestBulkLoadCompactness(t *testing.T) {
@@ -222,7 +180,7 @@ func TestBulkLoadCompactness(t *testing.T) {
 	for i := 0; i < n; i++ {
 		entries = append(entries, Entry{Key: uint64(i), Val: uint64(i)})
 	}
-	packed := BulkLoad(entries, 1.0)
+	packed := BulkLoad(entries)
 	if packed.MemoryBytes() >= grown.MemoryBytes() {
 		t.Fatalf("bulk-loaded tree (%d B) not smaller than grown tree (%d B)",
 			packed.MemoryBytes(), grown.MemoryBytes())
@@ -251,10 +209,11 @@ func TestTreeMatchesModelRandomOps(t *testing.T) {
 			}
 			model[k] = v
 		case 2:
-			v, ok := tr.Delete(k)
+			var v uint64
+			ok := tr.DeleteRange(k, k+1, func(_, val uint64) { v = val }) == 1
 			mv, mok := model[k]
 			if ok != mok || (ok && v != mv) {
-				t.Fatalf("step %d: Delete(%d) = %d,%v model=%d,%v", step, k, v, ok, mv, mok)
+				t.Fatalf("step %d: DeleteRange(%d) = %d,%v model=%d,%v", step, k, v, ok, mv, mok)
 			}
 			delete(model, k)
 		case 3:

@@ -34,7 +34,7 @@ func TestBulkMergeMatchesBulkLoad(t *testing.T) {
 					}
 				}
 				if !grown {
-					base = BulkLoad(entries, 1.0)
+					base = BulkLoad(entries)
 				}
 				before := base.MemoryBytes()
 				delta := make(map[uint64]bool) // key -> written (else deleted)
@@ -61,7 +61,7 @@ func TestBulkMergeMatchesBulkLoad(t *testing.T) {
 				for _, k := range sortedKeys(want) {
 					all = append(all, Entry{k, want[k]})
 				}
-				got, ref := BulkMerge(base, writes, deletes), BulkLoad(all, 1.0)
+				got, ref := BulkMerge(base, writes, deletes), BulkLoad(all)
 				audit(t, got)
 				var gotAll []Entry
 				got.All(func(k, v uint64) bool { gotAll = append(gotAll, Entry{k, v}); return true })
@@ -74,7 +74,7 @@ func TestBulkMergeMatchesBulkLoad(t *testing.T) {
 					t.Fatalf("%s: merged tree %d/%d nodes height %d %d bytes, BulkLoad %d/%d height %d %d bytes",
 						name, gl, gi, got.Height(), got.MemoryBytes(), rl, ri, ref.Height(), ref.MemoryBytes())
 				}
-				if base.MemoryBytes() != before || base.check() != nil {
+				if base.MemoryBytes() != before || base.Check() != nil {
 					t.Fatalf("%s: the merge changed its base", name)
 				}
 			}

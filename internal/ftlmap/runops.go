@@ -1,19 +1,19 @@
 // Run-based batch operations on the forward map. A multi-sector request
 // translates to a run of consecutive LBAs; serving it with per-key
-// Insert/Lookup/Delete costs one full root-to-leaf descent per sector even
-// though consecutive keys almost always land in the same handful of leaves.
-// The operations here descend once per *touched leaf* instead: InsertRun
-// merges a sorted run into the leaf chain with multi-way splits, LookupRange
+// Insert/Lookup costs one full root-to-leaf descent per sector even though
+// consecutive keys almost always land in the same handful of leaves. The
+// operations here descend once per *touched leaf* instead: InsertRun merges
+// a sorted run into the leaf chain with multi-way splits, LookupRange
 // resolves a run with a single descent plus a next-pointer walk, and
 // DeleteRange splices a key interval out of the chain and prunes emptied
-// nodes. LeafSpan reports how many leaves a run touches, which is what the
-// FTLs charge logcore's per-descent map cost against (see DESIGN.md §10).
+// nodes. The FTLs charge logcore's per-descent map cost against RunSpan, the
+// leaves a run would touch in a maximally-packed tree (see DESIGN.md §10).
 package ftlmap
 
 // RunSpan is the modeled descent count for a run of n consecutive keys: one
 // root-to-leaf descent plus one next-pointer hop per additional leaf of a
 // maximally-packed tree. The FTLs charge the map cost against this instead of
-// the live tree's LeafSpan because the model must be shape-independent:
+// the leaves the live tree spans because the model must be shape-independent:
 // bulk-loaded and organically-grown trees spread the same keys over
 // different leaf counts, and a request must charge the same virtual time
 // whichever shape the map has grown into.
@@ -22,25 +22,6 @@ func RunSpan(n int) int {
 		return 1
 	}
 	return 1 + (n-1)/order
-}
-
-// LeafSpan returns the number of leaves the key interval [lo, hi) touches
-// in this tree, never less than 1: one root-to-leaf descent plus one
-// next-pointer hop per additional leaf.
-func (t *Tree) LeafSpan(lo, hi uint64) int {
-	n := t.root
-	for {
-		in, ok := n.(*internal)
-		if !ok {
-			break
-		}
-		n = in.kids[upperBound(in.keys, lo)]
-	}
-	span := 1
-	for lf := n.(*leaf); lf.next != nil && len(lf.next.keys) > 0 && lf.next.keys[0] < hi; lf = lf.next {
-		span++
-	}
-	return span
 }
 
 // LookupRange resolves the len(vals) consecutive keys lo, lo+1, ... with a
@@ -334,9 +315,9 @@ func (t *Tree) splitInternal(n *internal) (rights []node, seps []uint64) {
 // DeleteRange removes every mapping with lo <= key < hi, calling onDel (if
 // non-nil) for each removed pair in ascending key order, and returns the
 // number removed. Emptied leaves are unlinked from the chain and emptied
-// nodes pruned; interior nodes are allowed to underflow (like the per-key
-// Delete path after merges, occupancy below the split threshold is legal —
-// the tree only guarantees ordering and depth invariants).
+// nodes pruned; nodes are allowed to underflow (occupancy below the split
+// threshold is legal — the tree only guarantees ordering and depth
+// invariants).
 func (t *Tree) DeleteRange(lo, hi uint64, onDel func(key, val uint64)) int {
 	if hi <= lo {
 		return 0

@@ -3,15 +3,16 @@ package ftlmap
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// audit validates invariants the plain check() skips: node counters, size,
+// audit validates invariants the plain Check skips: node counters, size,
 // and leaf-chain integrity (the chain must visit exactly the tree's keys in
 // ascending order).
 func audit(t *testing.T, tr *Tree) {
 	t.Helper()
-	if err := tr.check(); err != nil {
+	if err := tr.Check(); err != nil {
 		t.Fatalf("check: %v", err)
 	}
 	var leaves, internals, size int
@@ -56,13 +57,15 @@ func audit(t *testing.T, tr *Tree) {
 	}
 }
 
-// mirror applies the same operations to a reference tree via per-key ops and
-// to the tree under test via run ops, comparing results.
+// TestRunOpsMatchPerKey drives random run inserts, range deletes and range
+// lookups through the tree and checks each against a Go map, key by key:
+// InsertRun's replaced values, DeleteRange's removed pairs in ascending
+// order, and LookupRange's hits.
 func TestRunOpsMatchPerKey(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			ref := New()
+			ref := make(map[uint64]uint64)
 			tut := New()
 			const keySpace = 1 << 14
 			for step := 0; step < 400; step++ {
@@ -76,9 +79,10 @@ func TestRunOpsMatchPerKey(t *testing.T) {
 					}
 					var refPrev, tutPrev []string
 					for i, e := range entries {
-						if prev, ok := ref.Insert(e.Key, e.Val); ok {
+						if prev, ok := ref[e.Key]; ok {
 							refPrev = append(refPrev, fmt.Sprint(i, prev))
 						}
+						ref[e.Key] = e.Val
 					}
 					tut.InsertRun(entries, func(i int, prev uint64) {
 						tutPrev = append(tutPrev, fmt.Sprint(i, prev))
@@ -89,18 +93,17 @@ func TestRunOpsMatchPerKey(t *testing.T) {
 				case 1: // delete a range
 					hi := lo + uint64(n)
 					var refDel, tutDel []string
-					var refCount int
 					for k := lo; k < hi; k++ {
-						if v, ok := ref.Delete(k); ok {
+						if v, ok := ref[k]; ok {
 							refDel = append(refDel, fmt.Sprint(k, v))
-							refCount++
+							delete(ref, k)
 						}
 					}
 					tutCount := tut.DeleteRange(lo, hi, func(k, v uint64) {
 						tutDel = append(tutDel, fmt.Sprint(k, v))
 					})
-					if refCount != tutCount {
-						t.Fatalf("step %d: DeleteRange removed %d, per-key removed %d", step, tutCount, refCount)
+					if tutCount != len(refDel) {
+						t.Fatalf("step %d: DeleteRange removed %d, the map held %d", step, tutCount, len(refDel))
 					}
 					if fmt.Sprint(refDel) != fmt.Sprint(tutDel) {
 						t.Fatalf("step %d: delete callbacks differ:\nref %v\ntut %v", step, refDel, tutDel)
@@ -111,7 +114,7 @@ func TestRunOpsMatchPerKey(t *testing.T) {
 					hits := tut.LookupRange(lo, vals, found)
 					wantHits := 0
 					for i := 0; i < n; i++ {
-						wv, wok := ref.Lookup(lo + uint64(i))
+						wv, wok := ref[lo+uint64(i)]
 						if wok {
 							wantHits++
 						}
@@ -124,8 +127,8 @@ func TestRunOpsMatchPerKey(t *testing.T) {
 						t.Fatalf("step %d: hits %d want %d", step, hits, wantHits)
 					}
 				}
-				if ref.Len() != tut.Len() {
-					t.Fatalf("step %d: size %d vs %d", step, tut.Len(), ref.Len())
+				if len(ref) != tut.Len() {
+					t.Fatalf("step %d: size %d vs %d", step, tut.Len(), len(ref))
 				}
 				if step%37 == 0 {
 					audit(t, tut)
@@ -133,8 +136,15 @@ func TestRunOpsMatchPerKey(t *testing.T) {
 			}
 			audit(t, tut)
 			// Final content equivalence.
+			keys := make([]uint64, 0, len(ref))
+			for k := range ref {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
 			var want, got []string
-			ref.All(func(k, v uint64) bool { want = append(want, fmt.Sprint(k, v)); return true })
+			for _, k := range keys {
+				want = append(want, fmt.Sprint(k, ref[k]))
+			}
 			tut.All(func(k, v uint64) bool { got = append(got, fmt.Sprint(k, v)); return true })
 			if fmt.Sprint(want) != fmt.Sprint(got) {
 				t.Fatalf("content differs")
@@ -185,31 +195,26 @@ func TestDeleteRangeEverything(t *testing.T) {
 	}
 }
 
-func TestLeafSpan(t *testing.T) {
-	tr := New()
-	if got := tr.LeafSpan(0, 1000); got != 1 {
-		t.Fatalf("empty tree span %d", got)
-	}
-	entries := make([]Entry, 10000)
+// TestRunSpanCountsPackedLeaves: RunSpan, what the FTLs charge a run's map
+// cost against, is the number of leaves a run starting at a leaf boundary
+// touches in a bulk-loaded tree.
+func TestRunSpanCountsPackedLeaves(t *testing.T) {
+	entries := make([]Entry, 10*order)
 	for i := range entries {
 		entries[i] = Entry{Key: uint64(i), Val: uint64(i)}
 	}
-	tr.InsertRun(entries, nil)
-	if got := tr.LeafSpan(5, 6); got != 1 {
-		t.Fatalf("single-key span %d", got)
+	tr := BulkLoad(entries)
+	first := tr.root
+	for in, ok := first.(*internal); ok; in, ok = first.(*internal) {
+		first = in.kids[0]
 	}
-	full := tr.LeafSpan(0, 10000)
-	leaves, _ := tr.Nodes()
-	if full != leaves {
-		t.Fatalf("full span %d, leaves %d", full, leaves)
-	}
-	// Span must be monotone in range width and bounded by leaf count.
-	prev := 0
-	for w := uint64(1); w <= 4096; w *= 4 {
-		s := tr.LeafSpan(100, 100+w)
-		if s < prev || s > leaves {
-			t.Fatalf("span %d (prev %d, leaves %d) at width %d", s, prev, leaves, w)
+	for n := 1; n <= len(entries); n++ {
+		touched := 0
+		for lf := first.(*leaf); lf != nil && lf.keys[0] < uint64(n); lf = lf.next {
+			touched++
 		}
-		prev = s
+		if got := RunSpan(n); got != touched {
+			t.Fatalf("RunSpan(%d) = %d, a packed tree's run touches %d leaves", n, got, touched)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"iosnap/internal/bitmap"
 	"iosnap/internal/ftlmap"
 	"iosnap/internal/header"
-	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/sim"
@@ -523,12 +522,11 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 	// demand).
 	var tree *ftlmap.Tree
 	if a.base == nil {
-		tree = ftlmap.BulkLoad(a.sorted, 1.0)
+		tree = ftlmap.BulkLoad(a.sorted)
 	} else {
-		tree = ftlmap.BulkMerge(a.base.v.fmap.Tree(), a.sorted, a.deletes)
+		tree = ftlmap.BulkMerge(a.base.v.fmap.(*ftlmap.Tree), a.sorted, a.deletes)
 	}
-	fm := mapcache.FromTree(tree)
-	v := &view{fmap: fm, epoch: a.viewEpoch, writable: a.writable, parent: a.snap, fromActivation: true}
+	v := &view{fmap: tree, epoch: a.viewEpoch, writable: a.writable, parent: a.snap, fromActivation: true}
 	f.views = append(f.views, v)
 	// The view's epoch just moved from the "frozen" to the "backs a view"
 	// class without the epoch set changing; invalidate the merge caches.

@@ -6,6 +6,7 @@ import (
 
 	"iosnap/internal/bitmap"
 	"iosnap/internal/header"
+	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
 )
 
@@ -71,8 +72,8 @@ func (f *FTL) CheckInvariants() error {
 // every pinned page must hold a parseable translation-page header whose
 // LBA field names the pinned index.
 func (f *FTL) checkMapPins() error {
-	c := f.ActiveMap.Paged()
-	if c == nil {
+	c, ok := f.ActiveMap.(*mapcache.Cache)
+	if !ok {
 		if len(f.MapPins) != 0 {
 			return fmt.Errorf("invariant: %d translation-page pins with no paged map", len(f.MapPins))
 		}

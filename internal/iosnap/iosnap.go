@@ -170,7 +170,7 @@ type Stats struct {
 // view is one writable-or-readable mapping of the device: the active tree,
 // or an activated snapshot.
 type view struct {
-	fmap     *mapcache.Map
+	fmap     mapcache.Map
 	epoch    bitmap.Epoch
 	writable bool
 	closed   bool

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"iosnap/internal/mapcache"
 	"iosnap/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func TestPagedMapEquivalenceWithSnapshots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if paged.ActiveMap.Paged() == nil {
+			if _, ok := paged.ActiveMap.(*mapcache.Cache); !ok {
 				t.Fatal("MapCachePages > 0 did not produce a paged map")
 			}
 			ss := tree.SectorSize()

@@ -263,7 +263,7 @@ func (l *Log) ckptFailed(landed []nand.PageAddr, err error) {
 // checkpoint serializes must reference current copies — and captures the
 // policy's state.
 func (l *Log) serialize(now sim.Time) (sim.Time, uint64, []ChunkJob, error) {
-	if c := l.ActiveMap.Paged(); c != nil {
+	if c, ok := l.ActiveMap.(*mapcache.Cache); ok {
 		var err error
 		if now, err = l.flushAllMapPages(now, c); err != nil {
 			return now, 0, nil, err
@@ -316,7 +316,7 @@ func (l *Log) StartCheckpoint(now sim.Time) bool {
 		return false
 	}
 	task := &ckptTask{l: l}
-	if l.ActiveMap.Paged() != nil {
+	if _, ok := l.ActiveMap.(*mapcache.Cache); ok {
 		// A paged map must flush every dirty translation page before
 		// serializing, and flushing programs through the log head — which
 		// cannot happen here: this fires from the head-advance path,
@@ -401,7 +401,7 @@ func (t *ckptTask) finish() (sim.Time, bool) {
 // copies are current.
 func (l *Log) EncodeMapSection() (data []byte, gtd bool, err error) {
 	var w codec.Writer
-	if c := l.ActiveMap.Paged(); c != nil {
+	if c, ok := l.ActiveMap.(*mapcache.Cache); ok {
 		if dirty := c.DirtyPages(); len(dirty) != 0 {
 			return nil, true, fmt.Errorf("logcore: checkpoint with %d unflushed translation pages", len(dirty))
 		}

@@ -7,9 +7,9 @@ package logcore
 // DeleteRange), the policy flips validity once per programmed chunk
 // (Policy.RunCommitted), and the NAND sees one batch call per log-head chunk.
 // Each batch operation is checked against its per-element equivalent in its
-// own package (ftlmap's per-key map operations, nand's per-page calls,
-// bitmap's per-bit flips); the whole path is pinned by the seeded runs in
-// both FTLs' datapath_equiv_test.go.
+// own package (ftlmap's run operations against a Go map, nand's per-page
+// calls, bitmap's per-bit flips); the whole path is pinned by the seeded runs
+// in both FTLs' datapath_equiv_test.go.
 //
 // Partial failure is accounted honestly: when the device fails mid-run, the
 // sectors that completed stay committed (map, validity, stats) and the
@@ -48,6 +48,13 @@ type dataPathScratch struct {
 	found    []bool
 	secIdx   []int
 
+	// keepPrev and keepDel append a displaced page to prevs: InsertRun's and
+	// DeleteRange's callbacks. Init builds them once, because a closure
+	// passed through the mapcache.Map interface escapes, and one built per
+	// call would cost the data path an allocation.
+	keepPrev func(i int, prev uint64)
+	keepDel  func(lba, prev uint64)
+
 	mapMiss  []uint64        // translation-page fault lists (mappage.go)
 	mapAddrs []nand.PageAddr // their flash addresses for the batch read
 	mapPage  []byte          // flushMapPage's encoded sector
@@ -84,7 +91,7 @@ func (l *Log) WriteActive(now sim.Time, epoch uint64, lba int64, data []byte) (s
 // view's). It returns the number of sectors completed (all of them unless
 // the device failed mid-run), the completion time of the work performed, and
 // the first error.
-func (l *Log) ReadRun(m *mapcache.Map, now sim.Time, lba int64, buf []byte) (completed int, done sim.Time, err error) {
+func (l *Log) ReadRun(m mapcache.Map, now sim.Time, lba int64, buf []byte) (completed int, done sim.Time, err error) {
 	ss := l.cfg.Nand.SectorSize
 	if len(buf)%ss != 0 {
 		return 0, now, fmt.Errorf("%w: %d", ErrBadLength, len(buf))
@@ -145,7 +152,7 @@ func (l *Log) ReadRun(m *mapcache.Map, now sim.Time, lba int64, buf []byte) (com
 // scheduling — behaves exactly as for a single page. The host time the
 // flips cost (ioSnap's CoW page copies) is charged in aggregate at the end
 // of the run.
-func (l *Log) WriteRun(m *mapcache.Map, epoch uint64, now sim.Time, lba int64, data []byte) (completed int, done sim.Time, err error) {
+func (l *Log) WriteRun(m mapcache.Map, epoch uint64, now sim.Time, lba int64, data []byte) (completed int, done sim.Time, err error) {
 	if l.frozen {
 		return 0, now, ErrFrozen
 	}
@@ -193,7 +200,7 @@ func (l *Log) WriteRun(m *mapcache.Map, epoch uint64, now sim.Time, lba int64, d
 // commitRun installs translations for a run of freshly-programmed pages
 // (addrs[j] backs lba0+j, one contiguous physical run in the head segment)
 // and hands the new pages and the displaced translations to the policy.
-func (l *Log) commitRun(m *mapcache.Map, epoch, lba0 uint64, addrs []nand.PageAddr) sim.Duration {
+func (l *Log) commitRun(m mapcache.Map, epoch, lba0 uint64, addrs []nand.PageAddr) sim.Duration {
 	if len(addrs) == 0 {
 		return 0
 	}
@@ -203,9 +210,7 @@ func (l *Log) commitRun(m *mapcache.Map, epoch, lba0 uint64, addrs []nand.PageAd
 		entries = append(entries, ftlmap.Entry{Key: lba0 + uint64(j), Val: uint64(a)})
 	}
 	l.ws.entries = entries
-	m.InsertRun(entries, func(_ int, prev uint64) {
-		l.ws.prevs = append(l.ws.prevs, prev)
-	})
+	m.InsertRun(entries, l.ws.keepPrev)
 	return l.policy.RunCommitted(epoch, addrs, l.ws.prevs)
 }
 
@@ -231,9 +236,7 @@ func (l *Log) TrimActive(now sim.Time, epoch uint64, lba int64, n int64) (sim.Ti
 		return t, err
 	}
 	l.ws.prevs = l.ws.prevs[:0]
-	l.ActiveMap.DeleteRange(uint64(lba), uint64(lba)+uint64(n), func(_, prev uint64) {
-		l.ws.prevs = append(l.ws.prevs, prev)
-	})
+	l.ActiveMap.DeleteRange(uint64(lba), uint64(lba)+uint64(n), l.ws.keepDel)
 	l.policy.RunCommitted(epoch, nil, l.ws.prevs)
 	l.stats.Trims += n
 	return t.Add(sim.Duration(span) * mapCPUCost), nil

@@ -275,7 +275,7 @@ type Log struct {
 	// ActiveMap is the device's own forward map (ioSnap's active view). It
 	// is the map checkpoints serialize and translation-page pins refer to;
 	// activated views bring their own to ReadRun/WriteRun.
-	ActiveMap *mapcache.Map
+	ActiveMap mapcache.Map
 
 	HeadSeg    int      // segment currently absorbing appends
 	HeadIdx    int      // next page index within HeadSeg
@@ -330,6 +330,8 @@ func (l *Log) Init(cfg Config, dev *nand.Device, sched *sim.Scheduler, p Policy,
 		CkptPins:   make(map[nand.PageAddr]bool),
 		MapPins:    make(map[nand.PageAddr]uint64),
 	}
+	l.ws.keepPrev = func(_ int, prev uint64) { l.ws.prevs = append(l.ws.prevs, prev) }
+	l.ws.keepDel = func(_, prev uint64) { l.ws.prevs = append(l.ws.prevs, prev) }
 }
 
 // Format lays out an empty log: segment 0 is the head, the rest are free.
@@ -384,8 +386,9 @@ func (l *Log) SetFrozen(frozen bool) { l.frozen = frozen }
 func (l *Log) Stats() Stats {
 	s := *l.stats
 	s.MapMemory = l.ActiveMap.MemoryBytes()
-	s.MapMemoryResident = l.ActiveMap.ResidentBytes()
-	if c := l.ActiveMap.Paged(); c != nil {
+	s.MapMemoryResident = s.MapMemory
+	if c, ok := l.ActiveMap.(*mapcache.Cache); ok {
+		s.MapMemoryResident = c.ResidentBytes()
 		cs := c.Stats()
 		s.MapCacheHits = cs.Hits
 		s.MapCacheMisses = cs.Misses

@@ -21,13 +21,13 @@ import (
 // (they are valid in no bitmap, exactly like checkpoint chunks).
 
 // newActiveMap builds the device's forward map per the configured
-// layout: the legacy in-RAM tree, or the paged translation-page cache
-// bounded to MapCachePages resident pages.
-func (l *Log) newActiveMap() *mapcache.Map {
+// layout: the in-RAM tree, or the paged translation-page cache bounded to
+// MapCachePages resident pages.
+func (l *Log) newActiveMap() mapcache.Map {
 	if l.cfg.MapCachePages == 0 {
-		return mapcache.NewTree()
+		return ftlmap.New()
 	}
-	return mapcache.NewPaged(mapcache.SlotsFor(l.cfg.Nand.SectorSize), l.cfg.MapCachePages, l.newMapFault())
+	return mapcache.NewCache(mapcache.SlotsFor(l.cfg.Nand.SectorSize), l.cfg.MapCachePages, l.newMapFault())
 }
 
 // RecoverMap builds the device's forward map from recovery output: the
@@ -36,16 +36,16 @@ func (l *Log) newActiveMap() *mapcache.Map {
 // checkpoint. GTD pages stay on flash and fault in lazily; entries become
 // resident dirty pages (the cache may start over-limit — the first
 // foreground op shrinks it).
-func (l *Log) RecoverMap(entries []ftlmap.Entry, gtd []mapcache.GTDEnt) *mapcache.Map {
+func (l *Log) RecoverMap(entries []ftlmap.Entry, gtd []mapcache.GTDEnt) mapcache.Map {
 	// Keys are unique, so any correct sort yields the same order;
 	// slices.SortFunc does it without sort.Slice's reflection-based swapper.
 	slices.SortFunc(entries, func(a, b ftlmap.Entry) int { return cmp.Compare(a.Key, b.Key) })
 	if l.cfg.MapCachePages == 0 {
-		l.ActiveMap = mapcache.FromTree(ftlmap.BulkLoad(entries, 1.0))
+		l.ActiveMap = ftlmap.BulkLoad(entries)
 		return l.ActiveMap
 	}
 	l.ActiveMap = l.newActiveMap()
-	c := l.ActiveMap.Paged()
+	c := l.ActiveMap.(*mapcache.Cache)
 	if len(gtd) > 0 {
 		c.LoadGTD(gtd)
 		for _, ent := range gtd {
@@ -70,9 +70,9 @@ func (l *Log) newMapFault() mapcache.FaultFunc {
 // m before a foreground operation, charging the fault reads to the
 // operation's timeline, then evicts back down to the residency limit.
 // Tree-mode maps pass through untouched.
-func (l *Log) mapEnsure(now sim.Time, m *mapcache.Map, lba uint64, n int) (sim.Time, error) {
-	c := m.Paged()
-	if c == nil {
+func (l *Log) mapEnsure(now sim.Time, m mapcache.Map, lba uint64, n int) (sim.Time, error) {
+	c, ok := m.(*mapcache.Cache)
+	if !ok {
 		return now, nil
 	}
 	l.ws.mapMiss = c.TouchRange(lba, n, l.ws.mapMiss[:0])
@@ -86,9 +86,9 @@ func (l *Log) mapEnsure(now sim.Time, m *mapcache.Map, lba uint64, n int) (sim.T
 // mapEnsureRange is mapEnsure for sparse spans (trims): only translation
 // pages that exist are faulted, so a discard over a huge hole costs
 // O(existing pages), not O(range).
-func (l *Log) mapEnsureRange(now sim.Time, m *mapcache.Map, lo, hi uint64) (sim.Time, error) {
-	c := m.Paged()
-	if c == nil {
+func (l *Log) mapEnsureRange(now sim.Time, m mapcache.Map, lo, hi uint64) (sim.Time, error) {
+	c, ok := m.(*mapcache.Cache)
+	if !ok {
 		return now, nil
 	}
 	loIdx, hiIdx := c.PageOf(lo), c.PageOf(hi-1)
@@ -229,7 +229,7 @@ func (l *Log) moveMapPin(old, dst nand.PageAddr) {
 	}
 	l.unpinMapPage(old)
 	l.pinMapPage(dst, idx)
-	if c := l.ActiveMap.Paged(); c != nil {
+	if c, ok := l.ActiveMap.(*mapcache.Cache); ok {
 		c.Relocate(idx, uint64(old), uint64(dst))
 	}
 }

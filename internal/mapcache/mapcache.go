@@ -10,12 +10,12 @@
 // to its newest flash address. Dirty resident pages are written back
 // through the log head by the owning FTL; this package only tracks state.
 //
-// Map is the FTL-facing handle. It has two modes behind one API:
+// Map is the forward-map interface the FTLs hold. Two types satisfy it:
 //
-//   - tree mode wraps the plain in-RAM ftlmap.Tree (the legacy layout);
-//   - paged mode runs the translation-page cache, bounded to a residency
-//     limit of at least one page. While the whole map fits the limit no
-//     page is ever evicted, so nothing is written to flash until the owner
+//   - *ftlmap.Tree, the plain in-RAM B+tree;
+//   - *Cache, the translation-page cache, bounded to a residency limit of
+//     at least one page. While the whole map fits the limit no page is
+//     ever evicted, so nothing is written to flash until the owner
 //     checkpoints.
 //
 // A slot is a 4-byte page address, in RAM and on flash: every shard
@@ -772,103 +772,18 @@ func (c *Cache) ResidentBytes() int64 {
 	return int64(len(c.pages))*c.pageBytes() + int64(len(c.gtd))*gtdEntBytes
 }
 
-// ---- Map: the two-mode FTL-facing handle ----
+// ---- Map: the FTL-facing forward map ----
 
-// Map is the forward-map handle both FTLs hold: either a plain in-RAM
-// B+tree or the paged translation-page cache, behind the tree's API.
-type Map struct {
-	tree *ftlmap.Tree
-	c    *Cache
-}
-
-// NewTree returns a tree-mode map (the legacy in-RAM layout).
-func NewTree() *Map { return &Map{tree: ftlmap.New()} }
-
-// FromTree wraps an existing tree (bulk-loaded recovery/activation paths).
-func FromTree(t *ftlmap.Tree) *Map { return &Map{tree: t} }
-
-// NewPaged returns a paged-mode map (see NewCache).
-func NewPaged(slotsPer, limit int, fault FaultFunc) *Map {
-	return &Map{c: NewCache(slotsPer, limit, fault)}
-}
-
-// Paged returns the underlying cache, or nil in tree mode.
-func (m *Map) Paged() *Cache { return m.c }
-
-// Tree returns the underlying tree, or nil in paged mode.
-func (m *Map) Tree() *ftlmap.Tree { return m.tree }
-
-// Lookup returns the mapping for lba.
-func (m *Map) Lookup(lba uint64) (uint64, bool) {
-	if m.c != nil {
-		return m.c.Lookup(lba)
-	}
-	return m.tree.Lookup(lba)
-}
-
-// LookupRange resolves len(vals) consecutive keys from lo (tree contract).
-func (m *Map) LookupRange(lo uint64, vals []uint64, found []bool) int {
-	if m.c != nil {
-		return m.c.LookupRange(lo, vals, found)
-	}
-	return m.tree.LookupRange(lo, vals, found)
-}
-
-// Insert maps lba to val.
-func (m *Map) Insert(lba, val uint64) (prev uint64, existed bool) {
-	if m.c != nil {
-		return m.c.Insert(lba, val)
-	}
-	return m.tree.Insert(lba, val)
-}
-
-// InsertRun inserts strictly-ascending entries (tree contract).
-func (m *Map) InsertRun(entries []ftlmap.Entry, onPrev func(i int, prev uint64)) {
-	if m.c != nil {
-		m.c.InsertRun(entries, onPrev)
-		return
-	}
-	m.tree.InsertRun(entries, onPrev)
-}
-
-// DeleteRange removes [lo, hi), calling onDel ascending (tree contract).
-func (m *Map) DeleteRange(lo, hi uint64, onDel func(key, val uint64)) int {
-	if m.c != nil {
-		return m.c.DeleteRange(lo, hi, onDel)
-	}
-	return m.tree.DeleteRange(lo, hi, onDel)
-}
-
-// Len returns the number of mappings.
-func (m *Map) Len() int {
-	if m.c != nil {
-		return m.c.Len()
-	}
-	return m.tree.Len()
-}
-
-// All visits every mapping in ascending key order.
-func (m *Map) All(fn func(key, val uint64) bool) {
-	if m.c != nil {
-		m.c.All(fn)
-		return
-	}
-	m.tree.All(fn)
-}
-
-// MemoryBytes returns the as-if-fully-resident map footprint.
-func (m *Map) MemoryBytes() int64 {
-	if m.c != nil {
-		return m.c.MemoryBytes()
-	}
-	return m.tree.MemoryBytes()
-}
-
-// ResidentBytes returns the actual host RAM held by the map. In tree mode
-// it equals MemoryBytes.
-func (m *Map) ResidentBytes() int64 {
-	if m.c != nil {
-		return m.c.ResidentBytes()
-	}
-	return m.tree.MemoryBytes()
+// Map is the forward map both FTLs hold: the in-RAM *ftlmap.Tree or the
+// paged *Cache. The log engine type-asserts *Cache where paging needs the
+// cache itself (faults, write-back, the checkpoint's GTD).
+type Map interface {
+	Lookup(lba uint64) (uint64, bool)
+	LookupRange(lo uint64, vals []uint64, found []bool) int
+	Insert(lba, val uint64) (prev uint64, existed bool)
+	InsertRun(entries []ftlmap.Entry, onPrev func(i int, prev uint64))
+	DeleteRange(lo, hi uint64, onDel func(key, val uint64)) int
+	Len() int
+	All(fn func(key, val uint64) bool)
+	MemoryBytes() int64
 }

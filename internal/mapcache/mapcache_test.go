@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"iosnap/internal/codec"
@@ -168,11 +169,11 @@ func FuzzDecodePage(f *testing.F) {
 // TestInsertRefusesWideValue: a value that does not fit a 4-byte slot
 // panics before the map changes.
 func TestInsertRefusesWideValue(t *testing.T) {
-	for _, insert := range []func(m *Map){
-		func(m *Map) { m.Insert(5, uint64(Unmapped)) },
-		func(m *Map) { m.InsertRun([]ftlmap.Entry{{Key: 5, Val: 1 << 40}}, nil) },
+	for _, insert := range []func(m Map){
+		func(m Map) { m.Insert(5, uint64(Unmapped)) },
+		func(m Map) { m.InsertRun([]ftlmap.Entry{{Key: 5, Val: 1 << 40}}, nil) },
 	} {
-		m := NewPaged(SlotsFor(512), 1, nil)
+		m := NewCache(SlotsFor(512), 1, nil)
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -187,16 +188,56 @@ func TestInsertRefusesWideValue(t *testing.T) {
 	}
 }
 
-// opMix drives the same random operation sequence through a Map and a
-// reference ftlmap.Tree and checks full agreement.
-func opMix(t *testing.T, m *Map, seed uint64, space uint64, steps int) {
+// refMap is the reference forward map the tests check a Map against: a Go
+// map, walked in key order where the Map's contract is ordered.
+type refMap map[uint64]uint64
+
+func (r refMap) insert(k, v uint64) (prev uint64, existed bool) {
+	prev, existed = r[k]
+	r[k] = v
+	return prev, existed
+}
+
+// deleteRange removes [lo, hi), returning the removed pairs ascending.
+func (r refMap) deleteRange(lo, hi uint64) (dels []uint64) {
+	for k := lo; k < hi; k++ {
+		if v, ok := r[k]; ok {
+			dels = append(dels, k, v)
+			delete(r, k)
+		}
+	}
+	return dels
+}
+
+// checkAll compares m.All's ascending walk with the reference.
+func (r refMap) checkAll(t *testing.T, m Map) {
 	t.Helper()
-	ref := ftlmap.New()
+	keys := make([]uint64, 0, len(r))
+	for k := range r {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	i := 0
+	m.All(func(k, v uint64) bool {
+		if i >= len(keys) || k != keys[i] || v != r[k] {
+			t.Fatalf("All[%d]: (%d,%d) out of step with the reference", i, k, v)
+		}
+		i++
+		return true
+	})
+	if i != len(keys) {
+		t.Fatalf("All visited %d mappings, the reference holds %d", i, len(keys))
+	}
+}
+
+// opMix drives a random operation sequence through a Map and a reference
+// Go map and checks full agreement.
+func opMix(t *testing.T, m Map, seed uint64, space uint64, steps int) {
+	t.Helper()
+	ref := refMap{}
 	rng := sim.NewRNG(seed)
 	vals := make([]uint64, 16)
 	found := make([]bool, 16)
-	rvals := make([]uint64, 16)
-	rfound := make([]bool, 16)
 	val := func() uint64 { return uint64(rng.Int63n(int64(Unmapped))) } // any page address
 	for step := 0; step < steps; step++ {
 		lba := uint64(rng.Int63n(int64(space)))
@@ -204,7 +245,7 @@ func opMix(t *testing.T, m *Map, seed uint64, space uint64, steps int) {
 		case 0, 1, 2: // single insert
 			v := val()
 			p1, e1 := m.Insert(lba, v)
-			p2, e2 := ref.Insert(lba, v)
+			p2, e2 := ref.insert(lba, v)
 			if p1 != p2 || e1 != e2 {
 				t.Fatalf("step %d: Insert(%d) -> (%d,%v), ref (%d,%v)", step, lba, p1, e1, p2, e2)
 			}
@@ -216,84 +257,66 @@ func opMix(t *testing.T, m *Map, seed uint64, space uint64, steps int) {
 			}
 			var prevs1, prevs2 []uint64
 			m.InsertRun(entries, func(i int, prev uint64) { prevs1 = append(prevs1, uint64(i)<<48|prev) })
-			ref.InsertRun(entries, func(i int, prev uint64) { prevs2 = append(prevs2, uint64(i)<<48|prev) })
-			if len(prevs1) != len(prevs2) {
-				t.Fatalf("step %d: InsertRun prev count %d vs %d", step, len(prevs1), len(prevs2))
-			}
-			for i := range prevs1 {
-				if prevs1[i] != prevs2[i] {
-					t.Fatalf("step %d: InsertRun prev %d: %x vs %x", step, i, prevs1[i], prevs2[i])
+			for i, e := range entries {
+				if prev, existed := ref.insert(e.Key, e.Val); existed {
+					prevs2 = append(prevs2, uint64(i)<<48|prev)
 				}
 			}
-		case 5: // single delete
-			var v1 uint64
-			ok1 := m.DeleteRange(lba, lba+1, func(_, v uint64) { v1 = v }) == 1
-			v2, ok2 := ref.Delete(lba)
-			if v1 != v2 || ok1 != ok2 {
-				t.Fatalf("step %d: Delete(%d) -> (%d,%v), ref (%d,%v)", step, lba, v1, ok1, v2, ok2)
+			if !slices.Equal(prevs1, prevs2) {
+				t.Fatalf("step %d: InsertRun prevs %x, ref %x", step, prevs1, prevs2)
 			}
-		case 6: // range delete
-			n := 1 + uint64(rng.Int63n(int64(60)))
-			var dels1, dels2 []uint64
-			n1 := m.DeleteRange(lba, lba+n, func(k, v uint64) { dels1 = append(dels1, k, v) })
-			n2 := ref.DeleteRange(lba, lba+n, func(k, v uint64) { dels2 = append(dels2, k, v) })
-			if n1 != n2 || len(dels1) != len(dels2) {
-				t.Fatalf("step %d: DeleteRange count %d vs %d", step, n1, n2)
+		case 5, 6: // delete: a single key or a range
+			n := uint64(1)
+			if rng.Int63n(2) == 0 {
+				n += uint64(rng.Int63n(int64(60)))
 			}
-			for i := range dels1 {
-				if dels1[i] != dels2[i] {
-					t.Fatalf("step %d: DeleteRange seq %d: %d vs %d", step, i, dels1[i], dels2[i])
-				}
+			var dels []uint64
+			got := m.DeleteRange(lba, lba+n, func(k, v uint64) { dels = append(dels, k, v) })
+			want := ref.deleteRange(lba, lba+n)
+			if got != len(want)/2 || !slices.Equal(dels, want) {
+				t.Fatalf("step %d: DeleteRange(%d, %d) removed %d %v, ref %v", step, lba, lba+n, got, dels, want)
 			}
 		case 7, 8: // range lookup
 			n := 1 + uint64(rng.Int63n(int64(16)))
+			clear(vals)
+			clear(found)
+			hits := m.LookupRange(lba, vals[:n], found[:n])
+			want := 0
 			for i := uint64(0); i < n; i++ {
-				vals[i], rvals[i] = 0, 0
-				found[i], rfound[i] = false, false
-			}
-			h1 := m.LookupRange(lba, vals[:n], found[:n])
-			h2 := ref.LookupRange(lba, rvals[:n], rfound[:n])
-			if h1 != h2 {
-				t.Fatalf("step %d: LookupRange hits %d vs %d", step, h1, h2)
-			}
-			for i := uint64(0); i < n; i++ {
-				if found[i] != rfound[i] || (found[i] && vals[i] != rvals[i]) {
-					t.Fatalf("step %d: LookupRange[%d] (%d,%v) vs (%d,%v)",
-						step, i, vals[i], found[i], rvals[i], rfound[i])
+				rv, rok := ref[lba+i]
+				if rok {
+					want++
 				}
+				if found[i] != rok || (rok && vals[i] != rv) {
+					t.Fatalf("step %d: LookupRange[%d] (%d,%v) vs (%d,%v)", step, i, vals[i], found[i], rv, rok)
+				}
+			}
+			if hits != want {
+				t.Fatalf("step %d: LookupRange hits %d vs %d", step, hits, want)
 			}
 		default: // point lookup
 			v1, ok1 := m.Lookup(lba)
-			v2, ok2 := ref.Lookup(lba)
+			v2, ok2 := ref[lba]
 			if v1 != v2 || ok1 != ok2 {
 				t.Fatalf("step %d: Lookup(%d) -> (%d,%v), ref (%d,%v)", step, lba, v1, ok1, v2, ok2)
 			}
 		}
-		if m.Len() != ref.Len() {
-			t.Fatalf("step %d: Len %d vs %d", step, m.Len(), ref.Len())
+		if m.Len() != len(ref) {
+			t.Fatalf("step %d: Len %d vs %d", step, m.Len(), len(ref))
 		}
 	}
-	var got, want []uint64
-	m.All(func(k, v uint64) bool { got = append(got, k, v); return true })
-	ref.All(func(k, v uint64) bool { want = append(want, k, v); return true })
-	if len(got) != len(want) {
-		t.Fatalf("All: %d vs %d values", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("All[%d]: %d vs %d", i, got[i], want[i])
-		}
-	}
+	ref.checkAll(t, m)
 }
 
 // TestUnboundedPagedMatchesTree: a cache whose limit covers every page of
 // the key space (4096 keys / 32 slots = 128 pages) never faults and agrees
-// with the tree operation for operation.
+// with the reference map operation for operation, as the tree does
+// (TestTreeModeDelegates).
 func TestUnboundedPagedMatchesTree(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		m := NewPaged(32, 4096/32, nil)
-		opMix(t, m, seed, 4096, 3000)
-		if c := m.Paged(); c.Stats().Misses != 0 {
+		c := NewCache(32, 4096/32, nil)
+		opMix(t, c, seed, 4096, 3000)
+		if c.Stats().Misses != 0 {
 			t.Fatalf("whole-map cache faulted %d pages", c.Stats().Misses)
 		}
 	}
@@ -369,38 +392,36 @@ func TestBoundedCacheMatchesTree(t *testing.T) {
 	const sector = 512
 	for seed := uint64(1); seed <= 4; seed++ {
 		fs := &flashSim{t: t, sector: sector, store: make(map[uint64][]byte)}
-		m := NewPaged(SlotsFor(sector), 4, fs.fault)
-		c := m.Paged()
-		ref := ftlmap.New()
+		c := NewCache(SlotsFor(sector), 4, fs.fault)
+		ref := refMap{}
 		rng := sim.NewRNG(seed ^ 0x9E3779B9)
 		for step := 0; step < 4000; step++ {
 			lba := uint64(rng.Int63n(int64(2048)))
 			switch uint64(rng.Int63n(int64(6))) {
 			case 0, 1, 2:
 				val := uint64(rng.Int63n(int64(Unmapped))) // page addresses fit 32 bits
-				p1, e1 := m.Insert(lba, val)
-				p2, e2 := ref.Insert(lba, val)
+				p1, e1 := c.Insert(lba, val)
+				p2, e2 := ref.insert(lba, val)
 				if p1 != p2 || e1 != e2 {
 					t.Fatalf("seed %d step %d: Insert mismatch", seed, step)
 				}
 			case 3:
-				var v1 uint64
-				ok1 := m.DeleteRange(lba, lba+1, func(_, v uint64) { v1 = v }) == 1
-				v2, ok2 := ref.Delete(lba)
-				if v1 != v2 || ok1 != ok2 {
-					t.Fatalf("seed %d step %d: Delete mismatch", seed, step)
+				var dels []uint64
+				c.DeleteRange(lba, lba+1, func(k, v uint64) { dels = append(dels, k, v) })
+				if want := ref.deleteRange(lba, lba+1); !slices.Equal(dels, want) {
+					t.Fatalf("seed %d step %d: DeleteRange removed %v, ref %v", seed, step, dels, want)
 				}
 			default:
-				v1, ok1 := m.Lookup(lba)
-				v2, ok2 := ref.Lookup(lba)
+				v1, ok1 := c.Lookup(lba)
+				v2, ok2 := ref[lba]
 				if v1 != v2 || ok1 != ok2 {
 					t.Fatalf("seed %d step %d: Lookup(%d) (%d,%v) vs (%d,%v)",
 						seed, step, lba, v1, ok1, v2, ok2)
 				}
 			}
 			fs.trim(c)
-			if m.Len() != ref.Len() {
-				t.Fatalf("seed %d step %d: Len %d vs %d", seed, step, m.Len(), ref.Len())
+			if c.Len() != len(ref) {
+				t.Fatalf("seed %d step %d: Len %d vs %d", seed, step, c.Len(), len(ref))
 			}
 		}
 		if c.Resident() > c.Limit() {
@@ -411,19 +432,9 @@ func TestBoundedCacheMatchesTree(t *testing.T) {
 		}
 		// Full-content audit via the transient walk (faults without install).
 		before := c.Resident()
-		var got, want []uint64
-		m.All(func(k, v uint64) bool { got = append(got, k, v); return true })
-		ref.All(func(k, v uint64) bool { want = append(want, k, v); return true })
+		ref.checkAll(t, c)
 		if c.Resident() != before {
 			t.Fatalf("All changed residency %d -> %d", before, c.Resident())
-		}
-		if len(got) != len(want) {
-			t.Fatalf("All: %d vs %d values", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("All[%d]: %d vs %d", i, got[i], want[i])
-			}
 		}
 		if c.ResidentBytes() >= c.MemoryBytes() {
 			t.Fatalf("resident bytes %d not below total %d", c.ResidentBytes(), c.MemoryBytes())
@@ -431,10 +442,8 @@ func TestBoundedCacheMatchesTree(t *testing.T) {
 	}
 }
 
+// TestTreeModeDelegates: the in-RAM tree is a Map too, and agrees with the
+// reference map operation for operation.
 func TestTreeModeDelegates(t *testing.T) {
-	m := NewTree()
-	if m.Paged() != nil {
-		t.Fatal("tree-mode map reports a cache")
-	}
-	opMix(t, m, 11, 4096, 1500)
+	opMix(t, ftlmap.New(), 11, 4096, 1500)
 }

@@ -191,9 +191,9 @@ func TestDataPathEquivalence(t *testing.T) {
 		seed int64
 		want string
 	}{
-		{1, "userWrites=25151 gcRuns=985 gcCopied=4673 batchNandCalls=1049 ops=15d168735632474b reads=4fdd093f83a72d25 stats=38b3fb8e856304ba dev=de7a774bf29d7cc2 image=c809d50b56ceccc3"},
-		{7, "userWrites=20339 gcRuns=887 gcCopied=6824 batchNandCalls=889 ops=ed78dabe186a0104 reads=ad5a15c2540f6725 stats=508a330e306eae2c dev=b6770a9008f316ac image=04314f3aa77d4f4c"},
-		{42, "userWrites=19377 gcRuns=691 gcCopied=2350 batchNandCalls=863 ops=895a4829c0aaf2e7 reads=f5f04b9ffca23125 stats=558ec03612492de8 dev=1df78c13187f86ef image=2b2666225b46c7da"},
+		{1, "userWrites=25151 gcRuns=859 gcCopied=3261 batchNandCalls=1119 ops=0a0b84b8a5f5471f reads=4fdd093f83a72d25 stats=fdd1d7c49fa8d767 dev=204334b70d7861e1 image=2719851d17c3dedf"},
+		{7, "userWrites=20339 gcRuns=781 gcCopied=5556 batchNandCalls=981 ops=1c3105f4e783cd62 reads=ad5a15c2540f6725 stats=bd35a415c729d7d6 dev=d44de093a1bfe68f image=6b3624a7eada64b3"},
+		{42, "userWrites=19377 gcRuns=637 gcCopied=1923 batchNandCalls=886 ops=65b5ba59b64efaa6 reads=f5f04b9ffca23125 stats=2889c92ddc79b258 dev=fb8007d00e1f49f8 image=47974f08ffc43c04"},
 	} {
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			f, err := New(equivConfig(), nil)

@@ -26,7 +26,7 @@ func TestPinnedSeededRun(t *testing.T) {
 		{"tree", false,
 			"fired=15 digest=6689f643a4f9f443 drained=52367521 gcRuns=490 gcCopied=1327 gcForced=0 retries=15 mediaFailures=0 retired=0 mapped=248 free=3"},
 		{"forced-clean", true,
-			"fired=15 digest=37329448b9334eef drained=5005918967 gcRuns=777 gcCopied=2998 gcForced=734 retries=15 mediaFailures=0 retired=0 mapped=248 free=3"},
+			"fired=15 digest=71f592c3db4ad21d drained=5005918967 gcRuns=504 gcCopied=1535 gcForced=461 retries=15 mediaFailures=0 retired=0 mapped=248 free=4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -223,9 +223,9 @@ func TestDataPathEquivalenceWithSnapshots(t *testing.T) {
 		seed int64
 		want string
 	}{
-		{3, "userWrites=6554 gcRuns=284 gcCopied=2961 batchNandCalls=329 cows=137 ops=a08552401f924168 reads=03d6258f1244b325 stats=25e3c82e90f26484 dev=9d53d681a01ef7dd image=f6fe6d607d299ff1"},
-		{11, "userWrites=5040 gcRuns=206 gcCopied=2045 batchNandCalls=242 cows=100 ops=b5624afc5b1ffb90 reads=284887e48491f725 stats=cd7a5fc6a4e8a3dd dev=5c472b00c724f89a image=c1d2f732843b267a"},
-		{99, "userWrites=8747 gcRuns=326 gcCopied=1948 batchNandCalls=378 cows=108 ops=075a9ac791919768 reads=6a611a6b9380f325 stats=655a426ae5954d16 dev=7a286c644eb99d2b image=c624aaeb5912776d"},
+		{3, "userWrites=6285 gcRuns=258 gcCopied=2914 batchNandCalls=340 cows=139 ops=63807d8ca6c17d83 reads=e44bcfbd3b42a725 stats=87608b4ba75902da dev=5955080d81497820 image=51f947805944b2d6"},
+		{11, "userWrites=5042 gcRuns=186 gcCopied=1856 batchNandCalls=267 cows=108 ops=8738682bc01a3a3e reads=14bca427efea6d25 stats=fb03aa4354b26404 dev=7b7de61b6b00c06f image=ac9483573056da30"},
+		{99, "userWrites=10445 gcRuns=404 gcCopied=3429 batchNandCalls=488 cows=109 ops=2b6b386eaa6f2556 reads=4d931d119eb93925 stats=8cc73e6299d3b833 dev=a366fee76383e79c image=1f2e4c37c7727e5e"},
 	} {
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			f, err := New(equivConfig(), nil)

@@ -218,3 +218,44 @@ func TestOutOfSpaceNamesTheInFlightClean(t *testing.T) {
 		t.Fatalf("the shed write disturbed the queued clean: cleaning %v, victim %d", p.CleaningActive(), p.GCVictim)
 	}
 }
+
+// TestForcedCleanKeepsTheCleanersSegment: a write at a full head with the
+// pool at the writers' floor forces two cleans, whose copies open a fresh
+// segment and leave room in it. The write lands in that segment right
+// after the copies; it does not open another segment and leave the
+// cleaner's partly programmed.
+func TestForcedCleanKeepsTheCleanersSegment(t *testing.T) {
+	p := newFlat(t)
+	// LBAs 0-7 and 8-15 fill two segments; overwriting all but the last two
+	// LBAs of each leaves two victims of 2 valid pages. Fresh LBAs then fill
+	// the log until the head is full and the pool is at the floor.
+	now := p.mustWrite(t, 0, 0, 16, 1)
+	now = p.mustWrite(t, now, 0, 6, 2)
+	now = p.mustWrite(t, now, 8, 6, 2)
+	now = p.mustWrite(t, now, 16, 20, 1)
+	if p.HeadIdx != p.cfg.Nand.PagesPerSegment || len(p.FreeSegs) != p.cfg.DataReserve() {
+		t.Fatalf("setup: head index %d, %d free; want a full head and %d free", p.HeadIdx, len(p.FreeSegs), p.cfg.DataReserve())
+	}
+	before := p.Stats()
+	now = p.mustWrite(t, now, 36, 1, 1)
+	st := p.Stats()
+	if forced, copied := st.GCForced-before.GCForced, st.GCCopied-before.GCCopied; forced != 2 || copied != 4 {
+		t.Fatalf("the write forced %d cleans copying %d pages; want 2 copying 4", forced, copied)
+	}
+	var last uint64 // the cleans' last copy
+	for _, lba := range []uint64{6, 7, 14, 15} {
+		a, _ := p.ActiveMap.Lookup(lba)
+		last = max(last, a)
+	}
+	got, _ := p.ActiveMap.Lookup(36)
+	if got != last+1 || p.Dev.SegmentOf(nand.PageAddr(got)) != p.Dev.SegmentOf(nand.PageAddr(last)) {
+		t.Fatalf("the write landed at page %d and the cleans' last copy at %d; want the next page of the same segment", got, last)
+	}
+	p.readsBack(t, now, 0, 6, 2)
+	p.readsBack(t, now, 6, 8, 1)
+	p.readsBack(t, now, 8, 14, 2)
+	p.readsBack(t, now, 14, 37, 1)
+	if err := p.CheckVictimHeap(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -96,7 +96,11 @@ func (l *Log) allocPage(now sim.Time, reserve int) (nand.PageAddr, sim.Time, err
 			}
 		}
 		l.degraded = false
-		l.nextHead()
+		// The clean's copies may have opened a segment with room left: the
+		// head moves on only if it is still full.
+		if l.HeadIdx == l.cfg.Nand.PagesPerSegment {
+			l.nextHead()
+		}
 		l.MaybeClean(now)
 		l.policy.HeadAdvanced(now)
 		l.maybeScheduleCheckpoint(now)

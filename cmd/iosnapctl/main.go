@@ -182,7 +182,7 @@ func cmdInit(image string, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeImage(image, f.Device()); err != nil {
+	if err := vfs.WriteAtomic(fsys, image, f.Device().SaveImage); err != nil {
 		return err
 	}
 	fmt.Printf("initialized %s: %d MiB raw, %d sectors x %d B usable\n",
@@ -209,28 +209,15 @@ func load(image string, mapCachePages int) (*nand.Device, *iosnap.FTL, error) {
 	return dev, f, nil
 }
 
+// save checkpoints f and replaces the image atomically: a crash at any
+// point leaves the previous image or the complete new one.
 func save(image string, dev *nand.Device, f *iosnap.FTL, now sim.Time) error {
 	// Close drains background work and writes a checkpoint, so the next
 	// invocation mounts tail-bounded instead of full-scanning the log.
 	if _, err := f.Close(now); err != nil {
 		return fmt.Errorf("checkpointing before save: %w", err)
 	}
-	return writeImage(image, dev)
-}
-
-// writeImage streams the device image to disk through an atomic, fsynced
-// temp-file + rename, so a crash at any point leaves either the previous
-// image or the complete new one.
-func writeImage(image string, dev *nand.Device) error {
-	a, err := vfs.NewAtomicFile(fsys, image)
-	if err != nil {
-		return err
-	}
-	if err := dev.SaveImage(a); err != nil {
-		a.Abort()
-		return err
-	}
-	return a.Commit()
+	return vfs.WriteAtomic(fsys, image, dev.SaveImage)
 }
 
 func lbaCountFlags(fs *flag.FlagSet) (lba *int64, count *int64) {

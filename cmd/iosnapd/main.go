@@ -153,7 +153,7 @@ func serve(opt options, sig <-chan os.Signal, started func(net.Addr)) error {
 	closeErr := svc.Close()
 	var saveErr error
 	for i, d := range devs {
-		if err := writeImage(shardPath(opt.image, i), d); err != nil && saveErr == nil {
+		if err := vfs.WriteAtomic(fsys, shardPath(opt.image, i), d.SaveImage); err != nil && saveErr == nil {
 			saveErr = fmt.Errorf("saving shard %d: %w", i, err)
 		}
 	}
@@ -208,7 +208,7 @@ func ensureImages(opt options) error {
 		if _, err := f.Close(0); err != nil {
 			return err
 		}
-		if err := writeImage(shardPath(opt.image, i), f.Device()); err != nil {
+		if err := vfs.WriteAtomic(fsys, shardPath(opt.image, i), f.Device().SaveImage); err != nil {
 			return err
 		}
 	}
@@ -232,18 +232,4 @@ func loadDevices(opt options) ([]*nand.Device, error) {
 		devs[i] = d
 	}
 	return devs, nil
-}
-
-// writeImage streams the device to its image file atomically: fsynced
-// temp file, rename, parent-directory fsync.
-func writeImage(path string, dev *nand.Device) error {
-	a, err := vfs.NewAtomicFile(fsys, path)
-	if err != nil {
-		return err
-	}
-	if err := dev.SaveImage(a); err != nil {
-		a.Abort()
-		return err
-	}
-	return a.Commit()
 }

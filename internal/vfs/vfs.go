@@ -183,22 +183,34 @@ func (a *AtomicFile) Abort() {
 	a.fsys.Remove(a.tmp)
 }
 
-// WriteFileAtomic writes b to path with full crash durability: after it
-// returns nil, a crash at any later point surfaces the complete new
-// content; a crash before it returns surfaces the complete old content (or
-// absence). This is the sidecar-file helper — receive journals and
-// generation manifests exist precisely to survive crashes, so their own
-// persistence must not have a torn-write window.
-func WriteFileAtomic(fsys FileSystem, path string, b []byte) error {
+// WriteAtomic writes path with full crash durability: write streams the
+// content into an AtomicFile, which is committed if write returns nil and
+// aborted otherwise. After it returns nil, a crash at any later point
+// surfaces the complete new content; a crash before it returns surfaces
+// the complete old content (or absence). Device images are saved this way
+// (write is the device's SaveImage), and so are sidecar files
+// (WriteFileAtomic).
+func WriteAtomic(fsys FileSystem, path string, write func(io.Writer) error) error {
 	a, err := NewAtomicFile(fsys, path)
 	if err != nil {
 		return err
 	}
-	if _, err := a.Write(b); err != nil {
+	if err := write(a); err != nil {
 		a.Abort()
 		return err
 	}
 	return a.Commit()
+}
+
+// WriteFileAtomic writes b to path through WriteAtomic. This is the
+// sidecar-file helper — receive journals and generation manifests exist
+// precisely to survive crashes, so their own persistence must not have a
+// torn-write window.
+func WriteFileAtomic(fsys FileSystem, path string, b []byte) error {
+	return WriteAtomic(fsys, path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 }
 
 // IsNotExist reports whether err means the file is absent (as opposed to

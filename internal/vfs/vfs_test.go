@@ -239,6 +239,30 @@ func TestAtomicFileAbort(t *testing.T) {
 	}
 }
 
+// TestWriteAtomicAbortsOnError: a write function that fails after
+// streaming part of the content returns its error and leaves the old file
+// as it was, with no temporary file behind.
+func TestWriteAtomicAbortsOnError(t *testing.T) {
+	m := NewMem()
+	if err := WriteFileAtomic(m, "img/dev.img", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("save failed")
+	err := WriteAtomic(m, "img/dev.img", func(w io.Writer) error {
+		w.Write([]byte("partial"))
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteAtomic = %v, want the write function's error", err)
+	}
+	if b, err := ReadFile(m, "img/dev.img"); err != nil || string(b) != "old" {
+		t.Fatalf("after the failed write the file holds %q (%v), want the old content", b, err)
+	}
+	if m.Exists("img/dev.img.tmp") {
+		t.Fatal("the failed write left its temporary file behind")
+	}
+}
+
 // TestAtomicFileWriteFailure propagates the first write error and cleans up.
 func TestAtomicFileWriteFailure(t *testing.T) {
 	m := NewMem()

@@ -3,7 +3,7 @@
 // rebuild the FTL state. Mutating verbs checkpoint on save, so the next
 // invocation mounts tail-bounded from the anchored checkpoint; without one
 // (crash, torn checkpoint, stale generation) recovery falls back to the
-// paper's full two-pass log scan.
+// paper's full log scan.
 //
 // Usage:
 //

@@ -97,8 +97,8 @@ func pattern(lba int64, version byte) []byte {
 }
 
 // Write data across several snapshots, "crash" without a clean shutdown,
-// then run the paper's two-pass recovery (rebuilding the snapshot tree from
-// log notes and the active forward map bottom-up) and verify both the
+// then run the paper's recovery (replaying the log's notes and data pages to
+// rebuild the snapshot tree and the active forward map) and verify both the
 // active state and an activated snapshot.
 func Example_crashRecovery() {
 	nc := nand.DefaultConfig()

@@ -16,11 +16,11 @@ import (
 // harness and `iosnapctl check` can assert consistency after fault injection
 // and crash recovery:
 //
-//  1. every view's forward-map entry points at a programmed page whose OOB
-//     header is a data header carrying that LBA, stamped with an epoch in
-//     the view's lineage (a reaped stamp through its heir), with the
-//     view-epoch validity bit set; no two LBAs of one view share a physical
-//     page;
+//  1. every view's forward-map entry maps one of the device's LBAs to a
+//     programmed page whose OOB header is a data header carrying that LBA,
+//     stamped with an epoch in the view's lineage (a reaped stamp through
+//     its heir), with the view-epoch validity bit set; no two LBAs of one
+//     view share a physical page;
 //  2. merged validity agrees with live OOB state: every page valid in any
 //     live epoch is programmed with a parseable header, a data page's
 //     stamping epoch is registered or left an heir, and every active-valid
@@ -255,6 +255,10 @@ func (f *FTL) checkViews() error {
 		seen := make(map[uint64]uint64)
 		var ierr error
 		v.fmap.All(func(lba, addr uint64) bool {
+			if lba >= uint64(f.cfg.UserSectors) {
+				ierr = fmt.Errorf("invariant: view %d maps LBA %d on a %d-sector device", vi, lba, f.cfg.UserSectors)
+				return false
+			}
 			if prev, dup := seen[addr]; dup {
 				ierr = fmt.Errorf("invariant: view %d: physical page %d mapped by LBAs %d and %d", vi, addr, prev, lba)
 				return false

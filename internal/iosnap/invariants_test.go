@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"iosnap/internal/header"
 	"iosnap/internal/model"
 	"iosnap/internal/sim"
 )
@@ -170,5 +171,25 @@ func TestRandomizedInvariantStress(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInvariantsCatchLBAOutsideDevice: a translation for an LBA past the
+// device's sectors fails the checker, even when its page is a data page of
+// that LBA, valid in the active epoch, as a mount of a crafted log made one.
+func TestInvariantsCatchLBAOutsideDevice(t *testing.T) {
+	f := newTestFTL(t)
+	now, err := f.Write(0, 3, sectorPattern(f.SectorSize(), 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Sched.Drain(now)
+	addr := f.Dev.Addr(f.HeadSeg, f.Dev.NextFreeInSegment(f.HeadSeg))
+	programAfterHead(t, f.Dev, f.HeadSeg, header.Header{Type: header.TypeData, LBA: 5000, Epoch: uint64(f.active.epoch), Seq: f.Seq + 1})
+	f.active.fmap.Insert(5000, uint64(addr))
+	f.vstore.Set(f.active.epoch, int64(addr))
+	f.acct.onViewSet(int64(addr))
+	if err := f.CheckInvariants(); err == nil {
+		t.Fatalf("LBA 5000 mapped on a %d-sector device passed the invariants", f.cfg.UserSectors)
 	}
 }

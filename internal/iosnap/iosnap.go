@@ -13,8 +13,9 @@
 //     and re-points every referencing epoch when it moves a block (§5.4.3);
 //   - deferred, rate-limited snapshot activation that rebuilds a snapshot's
 //     forward map from a log scan (§5.6);
-//   - two-pass crash recovery reconstructing the snapshot tree, the active
-//     forward map, and per-epoch validity maps (§5.5).
+//   - crash recovery that replays the log's notes and data pages to
+//     reconstruct the snapshot tree, the active forward map, and per-epoch
+//     validity maps (§5.5).
 //
 // Snapshot create and delete are a single log note (~tens of µs); all
 // expensive work is deferred to the rare activation path — the paper's

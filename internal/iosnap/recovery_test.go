@@ -2,6 +2,7 @@ package iosnap
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"iosnap/internal/header"
@@ -338,4 +339,138 @@ func TestRecoverAfterDeleteReclaims(t *testing.T) {
 		}
 		now = d
 	}
+}
+
+// TestMountsMatchLiveFTL: at a crash point both mounts hold what the live
+// FTL held — its active map, its snapshot tree and epochs (reaped as the
+// mounts reap theirs) and, in every live epoch, the same valid pages, each
+// note valid in the epoch that was active when it was written.
+func TestMountsMatchLiveFTL(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		s := ckptScenario(t, seed, 300)
+		f := s.f
+		if !f.StartCheckpoint(s.now) {
+			t.Fatalf("seed %d: StartCheckpoint refused", seed)
+		}
+		s.now = f.Sched.Drain(s.now)
+		tailChurn(t, s, seed+100)
+		devA, devB := duplicateDevice(t, f.Device())
+		tail, _, err := Recover(f.Config(), devA, nil, s.now)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !tail.Stats().RecoveryTailBounded {
+			t.Fatalf("seed %d: the checkpointed device did not mount tail-bounded", seed)
+		}
+		full, _, err := RecoverFullScan(f.Config(), devB, nil, s.now)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		f.reap()
+		for _, m := range []struct {
+			name string
+			r    *FTL
+		}{{"tail-bounded", tail}, {"full-scan", full}} {
+			if err := compareState(f, m.r); err != nil {
+				t.Errorf("seed %d: live FTL vs %s mount: %v", seed, m.name, err)
+			}
+		}
+	}
+}
+
+// TestFailedMountKeepsAnchor: a mount that refuses the log leaves the
+// device's checkpoint anchor as it found it.
+func TestFailedMountKeepsAnchor(t *testing.T) {
+	cfg, img, lastSeq := recoverLogImage(t)
+	dev, err := nand.LoadImage(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	programCrafted(t, dev, lastSeq, craftedHeaders(header.Header{Type: header.TypeSnapCreate, LBA: 3, Epoch: 0, Seq: 1}))
+	want := dev.Anchor()
+	if want == nil {
+		t.Fatal("the closed device has no anchor")
+	}
+	for _, m := range []struct {
+		name  string
+		mount func(Config, *nand.Device, *sim.Scheduler, sim.Time) (*FTL, sim.Time, error)
+	}{{"Recover", Recover}, {"RecoverFullScan", RecoverFullScan}} {
+		if _, _, err := m.mount(cfg, dev, nil, 0); err == nil {
+			t.Fatalf("%s mounted a create note freezing epoch 0", m.name)
+		}
+		if got := dev.Anchor(); got == nil || got.ID != want.ID || !slices.Equal(got.Addrs, want.Addrs) {
+			t.Fatalf("%s failed and left the anchor %+v, want %+v", m.name, got, want)
+		}
+	}
+}
+
+// TestMountRefusesLBAOutsideDevice: a data page whose header names an LBA
+// past the device's sectors is not one the live system writes; both mounts
+// refuse it, with either map.
+func TestMountRefusesLBAOutsideDevice(t *testing.T) {
+	for _, pages := range []int{0, 2} {
+		cfg := testConfig()
+		cfg.MapCachePages = pages
+		f, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := sim.Time(0)
+		for lba := int64(0); lba < 8; lba++ {
+			if now, err = f.Write(now, lba, sectorPattern(f.SectorSize(), lba, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if now, err = f.Close(now); err != nil {
+			t.Fatal(err)
+		}
+		programCrafted(t, f.Dev, f.Seq, craftedHeaders(header.Header{Type: header.TypeData, LBA: 5000, Epoch: 1, Seq: 1}))
+		devA, devB := duplicateDevice(t, f.Dev)
+		if _, _, err := Recover(cfg, devA, nil, now); err == nil {
+			t.Fatalf("map cache %d: Recover mapped LBA 5000 on a %d-sector device", pages, cfg.UserSectors)
+		}
+		if _, _, err := RecoverFullScan(cfg, devB, nil, now); err == nil {
+			t.Fatalf("map cache %d: RecoverFullScan mapped LBA 5000 on a %d-sector device", pages, cfg.UserSectors)
+		}
+	}
+}
+
+// TestWritableViewSnapshotAfterCheckpoint: a writable view that took a
+// snapshot before a checkpoint, and writes and takes another after it,
+// mounts tail-bounded and equal to the full scan; every snapshot reads back.
+func TestWritableViewSnapshotAfterCheckpoint(t *testing.T) {
+	h := newHistRun(t, ckptConfig())
+	h.write(nil, nil, span(0, 20)...)
+	s1 := h.create()
+	h.write(nil, nil, 2, 5, 7)
+	vm := h.m.Snapshot(s1.ID).Fork()
+	vw := h.activate(s1.ID, true)
+	h.write(vw, vm, 3, 4, 30)
+	h.createFrom(vw, vm)
+	h.checkpoint()
+	h.write(vw, vm, 4, 6, 31)
+	h.write(nil, nil, 3, 6)
+	h.createFrom(vw, vm)
+	h.write(vw, vm, 6)
+	h.now = h.f.Sched.Drain(h.now)
+
+	devA, devB := duplicateDevice(t, h.f.Device())
+	tail, now, err := Recover(h.f.Config(), devA, nil, h.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tail.Stats().RecoveryTailBounded {
+		t.Fatal("a writable view's snapshot after the checkpoint made the mount fall back")
+	}
+	full, _, err := RecoverFullScan(h.f.Config(), devB, nil, h.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CompareRecovered(tail, full); err != nil {
+		t.Fatal(err)
+	}
+	if err := tail.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	h.verify(tail, now, "after the mount")
 }

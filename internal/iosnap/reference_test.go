@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"iosnap/internal/bitmap"
-	"iosnap/internal/header"
-	"iosnap/internal/nand"
 )
 
 // Reference implementations the tests compare the production paths against.
@@ -41,22 +39,10 @@ func (f *FTL) selectVictimScratch() (victim, mergedValid int) {
 
 // CompareRecovered checks that two independently recovered FTLs (typically
 // tail-bounded vs full-scan over copies of the same device image) agree on
-// all durable state: the active forward map, log geometry, the validity
-// store's epochs with their parents and deletion marks and the alias table
-// of reaped epochs, the snapshot tree and the next snapshot ID, and per-page
-// validity of every data page in every live epoch.
+// the log geometry and on all durable state (compareState).
 //
-// Deliberately not compared: snapshot note addresses and creation times, and
-// validity bits of non-data pages (the full scan parks all surviving note
-// bits in the final active epoch, while checkpoints preserve the historical
-// epoch each note landed in — both keep the notes alive for the cleaner).
+// Deliberately not compared: snapshot note addresses and creation times.
 func CompareRecovered(a, b *FTL) error {
-	if a.active.epoch != b.active.epoch {
-		return fmt.Errorf("compare: active epoch %d vs %d", a.active.epoch, b.active.epoch)
-	}
-	if a.epochCounter != b.epochCounter {
-		return fmt.Errorf("compare: epoch counter %d vs %d", a.epochCounter, b.epochCounter)
-	}
 	if a.Seq != b.Seq {
 		return fmt.Errorf("compare: sequence number %d vs %d", a.Seq, b.Seq)
 	}
@@ -73,6 +59,24 @@ func CompareRecovered(a, b *FTL) error {
 		if a.SegLastSeq[s] != b.SegLastSeq[s] {
 			return fmt.Errorf("compare: segment %d last seq %d vs %d", s, a.SegLastSeq[s], b.SegLastSeq[s])
 		}
+	}
+	return compareState(a, b)
+}
+
+// compareState checks that two FTLs agree on the active epoch, the epoch
+// counter and the active forward map, entry for entry; on the validity
+// store's epochs with their parents and deletion marks and the alias table
+// of reaped epochs; on the snapshot tree and the next snapshot ID; and, in
+// every live epoch, on the validity of every page — notes included, each
+// valid in the epoch that was active when it was written. A mount compares
+// equal to another mount of the same image, and to the live FTL it crashed
+// from once that has reaped its history, if it had no view open.
+func compareState(a, b *FTL) error {
+	if a.active.epoch != b.active.epoch {
+		return fmt.Errorf("compare: active epoch %d vs %d", a.active.epoch, b.active.epoch)
+	}
+	if a.epochCounter != b.epochCounter {
+		return fmt.Errorf("compare: epoch counter %d vs %d", a.epochCounter, b.epochCounter)
 	}
 
 	// Active forward map, entry for entry.
@@ -142,21 +146,11 @@ func CompareRecovered(a, b *FTL) error {
 		}
 	}
 
-	// Per-page validity of data pages, across every live epoch.
-	live := a.vstore.LiveEpochs()
-	for p := int64(0); p < a.cfg.Nand.TotalPages(); p++ {
-		oob, err := a.Dev.PageOOB(nand.PageAddr(p))
-		if err != nil {
-			continue // unprogrammed
-		}
-		h, err := header.Unmarshal(oob)
-		if err != nil || h.Type != header.TypeData {
-			continue
-		}
-		for _, e := range live {
-			if a.vstore.Test(e, p) != b.vstore.Test(e, p) {
-				return fmt.Errorf("compare: data page %d (LBA %d) validity in epoch %d: %v vs %v",
-					p, h.LBA, e, a.vstore.Test(e, p), b.vstore.Test(e, p))
+	// Per-page validity, across every live epoch.
+	for _, e := range a.vstore.LiveEpochs() {
+		for p := int64(0); p < a.cfg.Nand.TotalPages(); p++ {
+			if av, bv := a.vstore.Test(e, p), b.vstore.Test(e, p); av != bv {
+				return fmt.Errorf("compare: page %d validity in epoch %d: %v vs %v", p, e, av, bv)
 			}
 		}
 	}

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/printer"
 	"go/token"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -19,7 +21,8 @@ import (
 // (vfs.WriteAtomic saves an image). This guard keeps a twin from growing
 // back — it fails when any two of these packages declare a same-named
 // function or method, in code or in tests, whose bodies are identical
-// (comments and the package's error prefix aside) and longer than three
+// (comments, the package's error prefix and the names of the function's own
+// receiver, parameters, results and locals aside) and longer than three
 // lines.
 
 var twinGuardPkgs = []string{"internal/logcore", "internal/ftl", "internal/iosnap", "cmd/iosnapctl", "cmd/iosnapd"}
@@ -65,6 +68,7 @@ func twinFuncs(t *testing.T, dir string) []twinFunc {
 					printer.Fprint(&rb, fset, fn.Recv.List[0].Type)
 					name = strings.TrimPrefix(rb.String(), "*") + "." + name
 				}
+				normalizeLocals(fn)
 				var b bytes.Buffer
 				if err := printer.Fprint(&b, fset, fn.Body); err != nil {
 					t.Fatal(err)
@@ -81,15 +85,40 @@ func twinFuncs(t *testing.T, dir string) []twinFunc {
 	return out
 }
 
-func TestNoTwinFunctions(t *testing.T) {
+// normalizeLocals renames every variable fn declares — its receiver,
+// parameters, results and locals — after the order it is first met in, so
+// two bodies that differ only in those names print alike. Names declared
+// outside fn, and string literals, stay as they are.
+func normalizeLocals(fn *ast.FuncDecl) {
+	renamed := make(map[*ast.Object]string)
+	ast.Inspect(fn, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok || id.Obj == nil || id.Obj.Kind != ast.Var {
+			return true
+		}
+		if decl, ok := id.Obj.Decl.(ast.Node); !ok || decl.Pos() < fn.Pos() || decl.End() > fn.End() {
+			return true
+		}
+		name, ok := renamed[id.Obj]
+		if !ok {
+			name = fmt.Sprintf("v%d", len(renamed))
+			renamed[id.Obj] = name
+		}
+		id.Name = name
+		return true
+	})
+}
+
+// twinOffenders lists the functions declared identically in two of dirs,
+// and their body lines in all.
+func twinOffenders(t *testing.T, dirs []string) (offenders []string, total int) {
+	t.Helper()
 	seen := make(map[string][]twinFunc)
-	for _, dir := range twinGuardPkgs {
+	for _, dir := range dirs {
 		for _, f := range twinFuncs(t, dir) {
 			seen[f.name] = append(seen[f.name], f)
 		}
 	}
-	var offenders []string
-	total := 0
 	for name, fs := range seen {
 		for i := 0; i < len(fs); i++ {
 			for j := i + 1; j < len(fs); j++ {
@@ -100,9 +129,44 @@ func TestNoTwinFunctions(t *testing.T) {
 			}
 		}
 	}
-	if len(offenders) > 0 {
-		sort.Strings(offenders)
+	sort.Strings(offenders)
+	return offenders, total
+}
+
+func TestNoTwinFunctions(t *testing.T) {
+	if offenders, total := twinOffenders(t, twinGuardPkgs); len(offenders) > 0 {
 		t.Errorf("%d functions (%d body lines) are declared identically in two guarded packages; move one copy into internal/logcore, or for the commands into the internal package it serves (a test fixture that must stay per package goes in twinFixtures, with why):\n  %s",
 			len(offenders), total, strings.Join(offenders, "\n  "))
+	}
+}
+
+// TestTwinGuardIgnoresLocalNames: two commands each declaring the same
+// image writer, one naming its path parameter image and the other path,
+// are twins.
+func TestTwinGuardIgnoresLocalNames(t *testing.T) {
+	const writer = `package main
+
+func writeImage(%[1]s string, dev *nand.Device) error {
+	a, err := vfs.NewAtomicFile(fsys, %[1]s)
+	if err != nil {
+		return err
+	}
+	if err := dev.SaveImage(a); err != nil {
+		a.Abort()
+		return err
+	}
+	return a.Commit()
+}
+`
+	var dirs []string
+	for _, param := range []string{"image", "path"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(fmt.Sprintf(writer, param)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, dir)
+	}
+	if offenders, _ := twinOffenders(t, dirs); len(offenders) != 1 {
+		t.Fatalf("twin writers differing in a parameter name: offenders %v, want writeImage", offenders)
 	}
 }

@@ -41,7 +41,7 @@ const (
 	ImageHeader byte = 1 + iota
 	ImageSegment
 	ImageEnd
-	// Checkpoint streams (internal/logcore): a generation frame — the
+	// The checkpoint stream (internal/logcore): a generation frame — the
 	// checkpoint ID and the section count — then one frame per section,
 	// typed by what the section holds (internal/iosnap).
 	CkptGeneration

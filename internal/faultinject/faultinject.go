@@ -454,12 +454,12 @@ func CrashAtScan(n int64) *Plan {
 	return NewPlan(0, Rule{Name: "crash-at-scan", Kind: KindCrash, Op: nand.OpScanOOB, Seg: AnySeg, AfterN: n})
 }
 
-// CrashAtChunk cuts power right after the n-th checkpoint chunk of the given
-// header type lands — mid-checkpoint, before the generation commits. The
-// partial generation's chunks are intact but unanchored (or the anchor still
-// names the previous generation), so recovery must not trust them.
-func CrashAtChunk(t header.Type, n int64) *Plan {
-	return NewPlan(0, Rule{Name: "crash-at-chunk", Kind: KindCrash, Seg: AnySeg, HeaderType: t, AfterN: n})
+// CrashAtChunk cuts power right after the n-th checkpoint chunk lands —
+// mid-checkpoint, before the generation commits. The partial generation's
+// chunks are intact but unanchored (or the anchor still names the previous
+// generation), so recovery must not trust them.
+func CrashAtChunk(n int64) *Plan {
+	return NewPlan(0, Rule{Name: "crash-at-chunk", Kind: KindCrash, Seg: AnySeg, HeaderType: header.TypeCheckpoint, AfterN: n})
 }
 
 // RandomTransients is a probabilistic retryable-fault plan: each distinct

@@ -25,15 +25,16 @@ const (
 	TypeSnapDelete
 	TypeSnapActivate
 	TypeSnapDeactivate
-	TypeCheckpoint // single-stream checkpoint chunk; no FTL writes it, it keeps its number
+	// TypeCheckpoint tags a checkpoint chunk: a generation is one stream
+	// of sections cut into chunks, each carrying its index in the stream in
+	// LBA and the stream's chunk count in Epoch — not a logical address or
+	// an epoch.
+	TypeCheckpoint
 
-	// ioSnap checkpoint chunk streams: each section kind is its own chunk
-	// sequence, with chunk index in LBA and chunk total in Epoch (the same
-	// convention TypeCheckpoint uses). Note that for all four checkpoint
-	// types LBA/Epoch are NOT a logical address / epoch number.
-	TypeCkptMap   // active forward map
-	TypeCkptTree  // snapshot tree, epoch graph, counters, segment table
-	TypeCkptValid // per-epoch CoW validity pages
+	// Types 7–9 tagged the three chunk streams a checkpoint was once split
+	// into. They are retired: a generation whose chunks carry them is not a
+	// checkpoint, so the mount falls back to the full scan, which ignores
+	// such pages.
 
 	// TypeMapPage tags a flash-resident translation page of the paged
 	// forward map: LBA holds the translation-page index, Epoch is unused
@@ -41,19 +42,13 @@ const (
 	// replay) and not checkpoint chunks (they are reached through the GTD,
 	// not the anchor); the live copy of each translation page is pinned
 	// against cleaning like a checkpoint chunk.
-	TypeMapPage
+	TypeMapPage Type = 10
 )
 
 // IsCheckpoint reports whether t tags a checkpoint chunk — pages whose
 // LBA/Epoch fields are chunk coordinates, which recovery replay and the
 // cleaner's remap bookkeeping must skip.
-func (t Type) IsCheckpoint() bool {
-	switch t {
-	case TypeCheckpoint, TypeCkptMap, TypeCkptTree, TypeCkptValid:
-		return true
-	}
-	return false
-}
+func (t Type) IsCheckpoint() bool { return t == TypeCheckpoint }
 
 func (t Type) String() string {
 	switch t {
@@ -69,12 +64,6 @@ func (t Type) String() string {
 		return "snap-deactivate"
 	case TypeCheckpoint:
 		return "checkpoint"
-	case TypeCkptMap:
-		return "ckpt-map"
-	case TypeCkptTree:
-		return "ckpt-tree"
-	case TypeCkptValid:
-		return "ckpt-valid"
 	case TypeMapPage:
 		return "map-page"
 	default:

@@ -57,9 +57,8 @@ func TestTypeString(t *testing.T) {
 		TypeSnapActivate:   "snap-activate",
 		TypeSnapDeactivate: "snap-deactivate",
 		TypeCheckpoint:     "checkpoint",
-		TypeCkptMap:        "ckpt-map",
-		TypeCkptTree:       "ckpt-tree",
-		TypeCkptValid:      "ckpt-valid",
+		TypeMapPage:        "map-page",
+		Type(7):            "type(7)",
 	} {
 		if typ.String() != want {
 			t.Errorf("%d.String() = %q, want %q", typ, typ.String(), want)
@@ -67,15 +66,21 @@ func TestTypeString(t *testing.T) {
 	}
 }
 
+// TestIsCheckpoint pins the type numbers — they are on flash, so one that
+// moves misreads every image written before — and that only TypeCheckpoint
+// tags a checkpoint chunk: the retired stream types 7–9 do not.
 func TestIsCheckpoint(t *testing.T) {
-	for _, typ := range []Type{TypeCheckpoint, TypeCkptMap, TypeCkptTree, TypeCkptValid} {
-		if !typ.IsCheckpoint() {
-			t.Errorf("%v.IsCheckpoint() = false", typ)
+	for typ, want := range map[Type]uint8{
+		TypeInvalid: 0, TypeData: 1, TypeSnapCreate: 2, TypeSnapDelete: 3,
+		TypeSnapActivate: 4, TypeSnapDeactivate: 5, TypeCheckpoint: 6, TypeMapPage: 10,
+	} {
+		if uint8(typ) != want {
+			t.Errorf("%v is type %d, want %d", typ, uint8(typ), want)
 		}
 	}
-	for _, typ := range []Type{TypeInvalid, TypeData, TypeSnapCreate, TypeSnapDelete, TypeSnapActivate, TypeSnapDeactivate} {
-		if typ.IsCheckpoint() {
-			t.Errorf("%v.IsCheckpoint() = true", typ)
+	for typ := Type(0); typ < 16; typ++ {
+		if got := typ.IsCheckpoint(); got != (typ == TypeCheckpoint) {
+			t.Errorf("%v.IsCheckpoint() = %v", typ, got)
 		}
 	}
 }

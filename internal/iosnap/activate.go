@@ -526,7 +526,7 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 	} else {
 		tree = ftlmap.BulkMerge(a.base.v.fmap.(*ftlmap.Tree), a.sorted, a.deletes)
 	}
-	v := &view{fmap: tree, epoch: a.viewEpoch, writable: a.writable, parent: a.snap, fromActivation: true}
+	v := &view{fmap: tree, epoch: a.viewEpoch, writable: a.writable, parent: a.snap}
 	f.views = append(f.views, v)
 	// The view's epoch just moved from the "frozen" to the "backs a view"
 	// class without the epoch set changing; invalidate the merge caches.

@@ -178,12 +178,6 @@ type view struct {
 	// parent is the snapshot this view descends from (nil for the initial
 	// active view of a fresh device).
 	parent *Snapshot
-	// fromActivation is true while the view's epoch is still the one its
-	// activation note allocated. Crash recovery kills exactly those epochs
-	// (an un-snapshotted activation dies with the host), so a checkpoint
-	// must serialize them as deleted; once the view creates a snapshot its
-	// continuation epoch survives recovery and the flag resets.
-	fromActivation bool
 }
 
 // FTL is the snapshot-capable translation layer: the log engine plus

@@ -1,6 +1,7 @@
 package iosnap
 
 import (
+	"slices"
 	"testing"
 
 	"iosnap/internal/codec"
@@ -62,47 +63,22 @@ func checkPagedModel(t *testing.T, f *FTL, now sim.Time, im *model.Image) {
 	}
 }
 
-// rewriteMapStream replaces the closed device's anchored map stream,
-// programming the new chunks into a free segment. With eightByte it writes
-// the same map with 8-byte translation entries: every translation page
-// re-encoded as 32 eight-byte slots, programmed beside the chunks, and a GTD
-// section naming them with 32 slots per page. Without, it re-programs the
-// stream as it is (the control: the rewrite itself must not cost the
-// tail-bounded mount).
-func rewriteMapStream(t *testing.T, f *FTL, now sim.Time, eightByte bool) {
+// rewriteMapSection replaces the closed device's anchored checkpoint with
+// one whose GTD section is rewritten, programming the new chunks into a free
+// segment. With eightByte it writes the same map with 8-byte translation
+// entries: every translation page re-encoded as 32 eight-byte slots,
+// programmed beside the chunks, and a GTD section naming them with 32 slots
+// per page. Without, it re-programs the stream as it is (the control: the
+// rewrite itself must not cost the tail-bounded mount).
+func rewriteMapSection(t *testing.T, f *FTL, now sim.Time, eightByte bool) {
 	t.Helper()
-	dev := f.Device()
 	ss := f.SectorSize()
-	anchor := dev.Anchor()
-	chunks, _, ok := f.ReadAnchorChunks(now)
-	if !ok {
-		t.Fatal("closed device has no readable checkpoint")
+	secs := anchoredSections(t, f, now)
+	gi := slices.IndexFunc(secs, func(s logcore.Section) bool { return s.Kind == ckptSecGTD })
+	if gi < 0 {
+		t.Fatal("anchored stream has no GTD section")
 	}
-	var kept []nand.PageAddr
-	var mapChunks []logcore.AnchorChunk
-	for _, c := range chunks {
-		if c.Type == header.TypeCkptMap {
-			mapChunks = append(mapChunks, c)
-		} else {
-			kept = append(kept, c.Addr)
-		}
-	}
-	secs, ok := logcore.AssembleStream(anchor.ID, mapChunks)
-	if !ok || len(secs) != 1 || secs[0].Kind != ckptSecGTD {
-		t.Fatal("anchored map stream is not one GTD section")
-	}
-
-	seg, seq := f.FreeSegs[0], f.Seq
-	program := func(data []byte, h header.Header) nand.PageAddr {
-		seq++
-		h.Seq = seq
-		addr := dev.Addr(seg, dev.NextFreeInSegment(seg))
-		if _, err := dev.ProgramPage(now, addr, data, h.Marshal()); err != nil {
-			t.Fatal(err)
-		}
-		return addr
-	}
-	gtd := secs[0]
+	program := freeSegmentWriter(t, f, now)
 	if eightByte {
 		const slotsPer = 32
 		pages := make(map[uint64][]uint64)
@@ -140,16 +116,10 @@ func rewriteMapStream(t *testing.T, f *FTL, now sim.Time, eightByte bool) {
 			w.U64(uint64(program(payload, header.Header{Type: header.TypeMapPage, LBA: idx})))
 			w.U32(uint32(live))
 		}
-		gtd = logcore.Section{Kind: ckptSecGTD, Data: w.B}
+		secs[gi].Data = w.B
 	}
-	jobs, err := f.StreamJobs(header.TypeCkptMap, anchor.ID, []logcore.Section{gtd})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		kept = append(kept, program(j.Data, header.Header{Type: j.Type, LBA: uint64(j.Idx), Epoch: uint64(j.Total)}))
-	}
-	dev.SetAnchor(&nand.Anchor{ID: anchor.ID, Addrs: kept})
+	dev := f.Device()
+	dev.SetAnchor(&nand.Anchor{ID: dev.Anchor().ID, Addrs: programStream(t, f, program, header.TypeCheckpoint, secs)})
 }
 
 // TestMapFaultEvictFlushAllocatesNothing: with a one-page cache, every
@@ -229,7 +199,7 @@ func TestEightByteCheckpointMountsByFullScan(t *testing.T) {
 		if now, err = f.Close(now); err != nil {
 			t.Fatal(err)
 		}
-		rewriteMapStream(t, f, now, eightByte)
+		rewriteMapSection(t, f, now, eightByte)
 
 		r, now, err := Recover(cfg, f.Device(), nil, now)
 		if err != nil {

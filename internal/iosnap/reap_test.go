@@ -519,21 +519,7 @@ func TestFullHistoryCheckpointMountsAndReaps(t *testing.T) {
 	}
 	h.checkpoint()
 	f.scans = nil
-	chunks, _, ok := f.ReadAnchorChunks(h.now)
-	if !ok {
-		t.Fatal("no readable checkpoint")
-	}
-	var valid []logcore.AnchorChunk
-	for _, c := range chunks {
-		if c.Type == header.TypeCkptValid {
-			valid = append(valid, c)
-		}
-	}
-	secs, ok := logcore.AssembleStream(f.AnchorID, valid)
-	if !ok {
-		t.Fatal("validity stream does not assemble")
-	}
-	recs, err := decodeCkptValid(secs, f.vstore.BitsPerPage())
+	recs, err := decodeCkptValid(anchoredSections(t, f, h.now), f.vstore.BitsPerPage())
 	if err != nil || len(recs) != history || history < 60 {
 		t.Fatalf("the checkpoint holds %d of %d epochs (%v)", len(recs), history, err)
 	}

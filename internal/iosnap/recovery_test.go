@@ -435,42 +435,64 @@ func TestMountRefusesLBAOutsideDevice(t *testing.T) {
 	}
 }
 
-// TestWritableViewSnapshotAfterCheckpoint: a writable view that took a
-// snapshot before a checkpoint, and writes and takes another after it,
-// mounts tail-bounded and equal to the full scan; every snapshot reads back.
+// TestWritableViewSnapshotAfterCheckpoint: a writable view whose snapshot
+// comes after a checkpoint mounts tail-bounded and equal to the full scan,
+// and every snapshot reads back — whether the view had snapshotted before
+// the checkpoint or was still on its activation epoch when it was taken.
 func TestWritableViewSnapshotAfterCheckpoint(t *testing.T) {
-	h := newHistRun(t, ckptConfig())
-	h.write(nil, nil, span(0, 20)...)
-	s1 := h.create()
-	h.write(nil, nil, 2, 5, 7)
-	vm := h.m.Snapshot(s1.ID).Fork()
-	vw := h.activate(s1.ID, true)
-	h.write(vw, vm, 3, 4, 30)
-	h.createFrom(vw, vm)
-	h.checkpoint()
-	h.write(vw, vm, 4, 6, 31)
-	h.write(nil, nil, 3, 6)
-	h.createFrom(vw, vm)
-	h.write(vw, vm, 6)
-	h.now = h.f.Sched.Drain(h.now)
+	for _, tc := range []struct {
+		name string
+		run  func(h *histRun)
+	}{
+		{"snapshot-before-checkpoint", func(h *histRun) {
+			h.write(nil, nil, span(0, 20)...)
+			s1 := h.create()
+			h.write(nil, nil, 2, 5, 7)
+			vm := h.m.Snapshot(s1.ID).Fork()
+			vw := h.activate(s1.ID, true)
+			h.write(vw, vm, 3, 4, 30)
+			h.createFrom(vw, vm)
+			h.checkpoint()
+			h.write(vw, vm, 4, 6, 31)
+			h.write(nil, nil, 3, 6)
+			h.createFrom(vw, vm)
+			h.write(vw, vm, 6)
+		}},
+		{"activation-epoch-at-checkpoint", func(h *histRun) {
+			h.write(nil, nil, span(0, 20)...)
+			s1 := h.create()
+			vm := h.m.Snapshot(s1.ID).Fork()
+			vw := h.activate(s1.ID, true)
+			h.checkpoint()
+			h.write(vw, vm, 3, 4)
+			h.createFrom(vw, vm)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHistRun(t, ckptConfig())
+			tc.run(h)
+			h.now = h.f.Sched.Drain(h.now)
 
-	devA, devB := duplicateDevice(t, h.f.Device())
-	tail, now, err := Recover(h.f.Config(), devA, nil, h.now)
-	if err != nil {
-		t.Fatal(err)
+			devA, devB := duplicateDevice(t, h.f.Device())
+			tail, now, err := Recover(h.f.Config(), devA, nil, h.now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tail.Stats().RecoveryTailBounded {
+				t.Fatalf("a writable view's snapshot after the checkpoint made the mount fall back (%d header pages read)",
+					tail.Stats().RecoveryHeaderPages)
+			}
+			full, _, err := RecoverFullScan(h.f.Config(), devB, nil, h.now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := CompareRecovered(tail, full); err != nil {
+				t.Fatal(err)
+			}
+			if err := tail.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			h.verify(tail, now, "after the mount")
+		})
 	}
-	if !tail.Stats().RecoveryTailBounded {
-		t.Fatal("a writable view's snapshot after the checkpoint made the mount fall back")
-	}
-	full, _, err := RecoverFullScan(h.f.Config(), devB, nil, h.now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompareRecovered(tail, full); err != nil {
-		t.Fatal(err)
-	}
-	if err := tail.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	h.verify(tail, now, "after the mount")
 }

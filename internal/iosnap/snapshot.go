@@ -166,10 +166,6 @@ func (f *FTL) createSnapshotFrom(v *view, now sim.Time) (*Snapshot, sim.Time, er
 	f.tree.add(snap)
 	v.epoch = newEpoch
 	v.parent = snap
-	// The view now continues on a fresh epoch born of a create, not an
-	// activation: a crash keeps that epoch's lineage (it is a snapshot
-	// child), so checkpoints must not normalize it dead.
-	v.fromActivation = false
 	f.stats.SnapshotCreates++
 	return snap, done, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"iosnap/internal/faultinject"
-	"iosnap/internal/header"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -42,7 +41,6 @@ func TestTorturePinnedOracles(t *testing.T) {
 		cfg.CheckpointInterval = d
 		return cfg
 	}
-	chunkTypes := []header.Type{header.TypeCkptMap, header.TypeCkptTree, header.TypeCkptValid}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -85,21 +83,15 @@ func TestTorturePinnedOracles(t *testing.T) {
 		// recovery or fallback); a bounded map's GTD checkpoints.
 		{"ckpt-churn/seed77", ckptEvery(tortureConfig(), 1*sim.Millisecond),
 			TortureOptions{Seed: 77, Steps: 1200, Mix: MixSnapshotChurn},
-			"steps=1200 opErrors=36 crashes=0 recoveries=0 checks=13 repls=0 gcErrors=0 torn=0 fired=0/09612b07b5ecb5a5 digest=4b2b1be6fa174e0b gcRuns=231 gcCopied=3278 ckpts=23 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
+			"steps=1200 opErrors=25 crashes=0 recoveries=0 checks=13 repls=0 gcErrors=0 torn=0 fired=0/09612b07b5ecb5a5 digest=17e79770b51a6e2f gcRuns=231 gcCopied=3283 ckpts=25 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
 		{"ckpt-crash/seed4242", ckptEvery(tortureConfig(), 500*sim.Microsecond),
 			TortureOptions{Seed: 4242, Steps: 1500, ActivationLimit: actLimit,
-				Plan: faultinject.CrashAtChunk(header.TypeCkptMap, 1),
-				Replan: func(cycle int) *faultinject.Plan {
-					if cycle >= 4 {
-						return nil
-					}
-					return faultinject.CrashAtChunk(chunkTypes[cycle%len(chunkTypes)], 1+int64(cycle%2))
-				}},
-			"steps=1500 opErrors=0 crashes=4 recoveries=4 checks=20 repls=0 gcErrors=0 torn=0 fired=4/fbdbb5fb10ef4f91 digest=9ae0b30b855f7fd9 gcRuns=210 gcCopied=2627 ckpts=29 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
+				Plan: faultinject.CrashAtChunk(1), Replan: ckptCrashReplan},
+			"steps=1500 opErrors=0 crashes=4 recoveries=4 checks=20 repls=0 gcErrors=0 torn=0 fired=4/24c56f674e7de61e digest=f222ecc0644c1aff gcRuns=216 gcCopied=2783 ckpts=30 retries=0 mediaFailures=0 retired=0 fallbacks=0 mapFlushed=0"},
 		{"map-thrash-ckpt-crash/seed9", ckptEvery(mapThrashConfig(), 1*sim.Millisecond),
 			TortureOptions{Seed: 9, Steps: 900, Space: mapThrashSpace, Mix: MixMapThrash,
 				Plan: mapCrashPlan(400)},
-			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=1/940b61e260bc2703 digest=457970cc77eccda5 gcRuns=89 gcCopied=1012 ckpts=16 retries=0 mediaFailures=0 retired=0 fallbacks=1 mapFlushed=401"},
+			"steps=900 opErrors=0 crashes=1 recoveries=1 checks=11 repls=0 gcErrors=0 torn=0 fired=1/5404519dd7836c5b digest=db8f79693099d9b7 gcRuns=88 gcCopied=1009 ckpts=17 retries=0 mediaFailures=0 retired=0 fallbacks=1 mapFlushed=386"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

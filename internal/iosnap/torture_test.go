@@ -600,37 +600,41 @@ func TestTortureWearOutDeterministic(t *testing.T) {
 
 // TestTortureCrashDuringCheckpoint: periodic checkpoints run underneath the
 // randomized snapshot workload, and power dies right after a checkpoint
-// chunk lands — several cycles, rotating which stream's chunk is last to
-// survive. Every recovery must come up from a complete generation or the
-// full scan with all acknowledged state intact.
+// chunk lands — several cycles, rotating which of the stream's first three
+// chunks is the last to survive, over eight seeds. Every recovery must come
+// up from a complete generation or the full scan with all acknowledged state
+// intact.
 func TestTortureCrashDuringCheckpoint(t *testing.T) {
 	cfg := tortureConfig()
 	cfg.CheckpointInterval = 500 * sim.Microsecond
-	chunkTypes := []header.Type{header.TypeCkptMap, header.TypeCkptTree, header.TypeCkptValid}
-	rep, err := Torture(cfg, TortureOptions{
-		Seed:  4242,
-		Steps: 1500,
-		Plan:  faultinject.CrashAtChunk(header.TypeCkptMap, 1),
-		Replan: func(cycle int) *faultinject.Plan {
-			if cycle >= 4 {
-				return nil // fault-free tail so the final verify is clean
-			}
-			return faultinject.CrashAtChunk(chunkTypes[cycle%len(chunkTypes)], 1+int64(cycle%2))
-		},
-		ActivationLimit: actLimit,
-	})
-	if err != nil {
-		t.Fatalf("%v (%s)", err, rep)
+	for seed := uint64(1); seed <= 8; seed++ {
+		rep, err := Torture(cfg, TortureOptions{
+			Seed:            seed,
+			Steps:           1500,
+			Plan:            faultinject.CrashAtChunk(1),
+			Replan:          ckptCrashReplan,
+			ActivationLimit: actLimit,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v (%s)", seed, err, rep)
+		}
+		if rep.Crashes < 2 || rep.Recoveries != rep.Crashes {
+			t.Fatalf("seed %d: wanted >=2 clean crash/recover cycles, got %d/%d (%s)", seed, rep.Crashes, rep.Recoveries, rep)
+		}
+		st := rep.FinalStats
+		t.Logf("seed %d: %s tailBounded=%v fallbacks=%d ckpts=%d ckptErrors=%d",
+			seed, rep, st.RecoveryTailBounded, st.RecoveryFallbacks, st.Checkpoints, st.CheckpointErrors)
 	}
-	if len(rep.Fired) == 0 {
-		t.Fatalf("no checkpoint-chunk crash ever fired; periodic checkpointing never ran (%s)", rep)
+}
+
+// ckptCrashReplan crashes at the second, third, then first chunk of a later
+// checkpoint, and leaves a fault-free tail after four cycles so the final
+// verify is clean.
+func ckptCrashReplan(cycle int) *faultinject.Plan {
+	if cycle >= 4 {
+		return nil
 	}
-	if rep.Crashes < 2 || rep.Recoveries != rep.Crashes {
-		t.Fatalf("wanted >=2 clean crash/recover cycles, got %d/%d (%s)", rep.Crashes, rep.Recoveries, rep)
-	}
-	st := rep.FinalStats
-	t.Logf("torture: %s tailBounded=%v fallbacks=%d ckpts=%d ckptErrors=%d",
-		rep, st.RecoveryTailBounded, st.RecoveryFallbacks, st.Checkpoints, st.CheckpointErrors)
+	return faultinject.CrashAtChunk(1 + int64(cycle%3))
 }
 
 // TestTortureCheckpointChurn: periodic checkpoints under the full

@@ -152,10 +152,10 @@ func (l *Log) nextHead() {
 
 // ungetPage rolls back the most recent allocation after a failed program.
 // Without it the unprogrammed page becomes a permanent hole at the log head:
-// SequentialProg devices reject every later program in the segment with
-// ErrOutOfOrder, turning one transient fault into a bricked log. Only the
-// exact page just handed out is reclaimed, and only if the program really did
-// not land.
+// pages program in order, so the device rejects every later program in the
+// segment with ErrOutOfOrder, turning one transient fault into a bricked log.
+// Only the exact page just handed out is reclaimed, and only if the program
+// really did not land.
 func (l *Log) ungetPage(addr nand.PageAddr) {
 	if l.HeadIdx == 0 || addr != l.Dev.Addr(l.HeadSeg, l.HeadIdx-1) {
 		return

@@ -20,7 +20,6 @@ type AnchorChunk struct {
 	Addr    nand.PageAddr
 	Idx     uint64 // position in its stream
 	Total   uint64 // the stream's chunk count
-	Type    header.Type
 	Payload []byte
 }
 
@@ -41,7 +40,7 @@ func (l *Log) ReadAnchorChunks(now sim.Time) (chunks []AnchorChunk, done sim.Tim
 		if err != nil || !h.Type.IsCheckpoint() {
 			return nil, now, false
 		}
-		chunks = append(chunks, AnchorChunk{Addr: addr, Idx: h.LBA, Total: h.Epoch, Type: h.Type})
+		chunks = append(chunks, AnchorChunk{Addr: addr, Idx: h.LBA, Total: h.Epoch})
 	}
 	payloads, _, _, done, err := l.DevReadPages(now, addrs)
 	if err != nil {
@@ -53,7 +52,7 @@ func (l *Log) ReadAnchorChunks(now sim.Time) (chunks []AnchorChunk, done sim.Tim
 	return chunks, done, true
 }
 
-// AssembleStream proves a group of chunks is one complete stream — indices
+// AssembleStream proves the chunks are one complete stream — indices
 // {0..total-1}, one copy each, one total — joins it under generation id, and
 // decodes it. ok=false means a torn, mixed or partially-reclaimed stream.
 func AssembleStream(id uint64, group []AnchorChunk) (secs []Section, ok bool) {

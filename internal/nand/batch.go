@@ -116,7 +116,7 @@ func (d *Device) ProgramPages(now sim.Time, addrs []PageAddr, datas, oobs [][]by
 		if p.state != pageErased {
 			return i, done, fmt.Errorf("%w: page %d", ErrNotErased, addr)
 		}
-		if d.cfg.SequentialProg && pageIdx != seg.nextProg {
+		if pageIdx != seg.nextProg {
 			return i, done, fmt.Errorf("%w: segment %d page %d (next free %d)",
 				ErrOutOfOrder, segIdx, pageIdx, seg.nextProg)
 		}

@@ -36,7 +36,7 @@ func (d *Device) CopyPage(now sim.Time, from, to PageAddr) (sim.Time, error) {
 		return now, fmt.Errorf("%w: copy destination %d", ErrNotErased, to)
 	}
 	toIdx := d.PageIndexOf(to)
-	if d.cfg.SequentialProg && toIdx != dstSeg.nextProg {
+	if toIdx != dstSeg.nextProg {
 		return now, fmt.Errorf("%w: segment %d page %d (next free %d)",
 			ErrOutOfOrder, d.SegmentOf(to), toIdx, dstSeg.nextProg)
 	}

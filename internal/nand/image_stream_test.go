@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func seededDevice(t testing.TB, cfg Config, seed int64) *Device {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	d := New(cfg)
-	// Program a prefix of most segments (in order, per SequentialProg).
+	// Program a prefix of most segments (pages program in order).
 	for seg := 0; seg < cfg.Segments; seg++ {
 		if rng.Intn(4) == 0 {
 			continue // leave some segments untouched
@@ -592,21 +593,84 @@ func craftedImage(t *testing.T, cfg Config) []byte {
 // has page 0 programmed with a payload of dataLen zero bytes (and a zero
 // fingerprint, which a load does not check).
 func onePageImage(t *testing.T, cfg Config, dataLen int) []byte {
+	return segmentImage(t, cfg, dataLen, 1, 0)
+}
+
+// segmentImage is a well-sealed image of a device with cfg whose segment 0
+// records nextProg and carries the given pages, in the order given, each
+// with a payload of dataLen zero bytes and a zero fingerprint.
+func segmentImage(t *testing.T, cfg Config, dataLen, nextProg int, pages ...int) []byte {
 	t.Helper()
 	var seg codec.Writer
-	seg.U32(0)            // segment index
-	seg.U32(1)            // nextProg
-	seg.U32(0)            // erases
-	seg.U8(byte(Healthy)) // health
-	seg.U32(1)            // programmed pages
-	seg.U32(0)            // page index
-	seg.B = append(seg.B, make([]byte, OOBSize)...)
-	seg.U64(0) // fingerprint
-	seg.Bytes(make([]byte, dataLen))
+	seg.U32(0)                  // segment index
+	seg.U32(uint32(nextProg))   // nextProg
+	seg.U32(0)                  // erases
+	seg.U8(byte(Healthy))       // health
+	seg.U32(uint32(len(pages))) // programmed pages
+	for _, pi := range pages {
+		seg.U32(uint32(pi))
+		seg.B = append(seg.B, make([]byte, OOBSize)...)
+		seg.U64(0) // fingerprint
+		seg.Bytes(make([]byte, dataLen))
+	}
 	var end codec.Writer
-	end.U64(1) // segment frames
-	end.U64(1) // programmed pages
+	end.U64(1)                  // segment frames
+	end.U64(uint64(len(pages))) // programmed pages
 	return appendFrame(appendFrame(craftedImage(t, cfg), codec.ImageSegment, seg.B), codec.ImageEnd, end.B)
+}
+
+// TestLoadImageRefusesPagesOutOfOrder: pages program in order, so a segment
+// frame holds pages 0 to nextProg-1 and nothing else. A gap, pages out of
+// order, or a nextProg other than the page count is refused as corrupt; the
+// in-order frame loads, and every page of it reads back. A header that says
+// its device programs out of order is refused too.
+func TestLoadImageRefusesPagesOutOfOrder(t *testing.T) {
+	cfg := testConfig()
+	for _, tc := range []struct {
+		name     string
+		nextProg int
+		pages    []int
+	}{
+		{"in order", 3, []int{0, 1, 2}},
+		{"gap", 3, []int{0, 2}},
+		{"gap, nextProg the page count", 2, []int{0, 2}},
+		{"out of order", 2, []int{1, 0}},
+		{"nextProg past the pages", 3, []int{0, 1}},
+		{"nextProg short of the pages", 1, []int{0, 1}},
+	} {
+		for _, src := range imageSources(t) {
+			d, err := src.load(segmentImage(t, cfg, cfg.SectorSize, tc.nextProg, tc.pages...))
+			if tc.name == "in order" {
+				if err != nil || d.NextFreeInSegment(0) != 3 {
+					t.Fatalf("%s: %s: LoadImage error %v", src.name, tc.name, err)
+				}
+				for pi := range 3 {
+					if data, _, _, err := d.ReadPage(0, d.Addr(0, pi)); err != nil || !bytes.Equal(data, make([]byte, cfg.SectorSize)) {
+						t.Fatalf("%s: page %d of the loaded frame: %v", src.name, pi, err)
+					}
+				}
+				continue
+			}
+			if !errors.Is(err, ErrImageCorrupt) || d != nil {
+				t.Fatalf("%s: %s: LoadImage gave a device %v, error %v; want none and ErrImageCorrupt", src.name, tc.name, d != nil, err)
+			}
+		}
+	}
+
+	frames := splitFrames(t, onePageImage(t, cfg, cfg.SectorSize))
+	hdr := slices.Clone(frames[0][codec.HeadLen : len(frames[0])-codec.TailLen])
+	const inOrderFlag = 4 + 11*8 + 1 // version, eleven u64 fields, StoreData
+	if hdr[inOrderFlag] != 1 {
+		t.Fatalf("header byte %d is %d, want the in-order flag 1", inOrderFlag, hdr[inOrderFlag])
+	}
+	hdr[inOrderFlag] = 0
+	img := appendFrame([]byte(imageMagic), codec.ImageHeader, hdr)
+	for _, f := range frames[1:] {
+		img = append(img, f...)
+	}
+	if d, err := LoadImage(bytes.NewReader(img)); !errors.Is(err, ErrImageCorrupt) || d != nil {
+		t.Fatalf("a header saying pages program out of order: LoadImage gave a device %v, error %v", d != nil, err)
+	}
 }
 
 // TestLoadImageRejectsImpossibleGeometry: a header whose geometry no image

@@ -179,7 +179,6 @@ type Config struct {
 
 	EraseEndurance int  // max erases per segment; 0 = unlimited
 	StoreData      bool // keep payloads (true) or fingerprints only (false)
-	SequentialProg bool // enforce in-order programming within a segment
 
 	// Wear-out model: once a segment has been erased WearOutThreshold times,
 	// each further erase fails with ErrWornOut with probability WearOutProb.
@@ -211,7 +210,6 @@ func DefaultConfig() Config {
 		WriteBusMBps:    1700,
 		EraseEndurance:  0,
 		StoreData:       false,
-		SequentialProg:  true,
 	}
 }
 
@@ -293,7 +291,7 @@ type segment struct {
 	pages    []page
 	data     []byte
 	stride   int
-	nextProg int // next in-order page index (SequentialProg)
+	nextProg int // next page to program: pages program in order, so 0..nextProg-1 are programmed
 	erases   int
 	health   Health
 }

@@ -102,7 +102,7 @@ func (f *FTL) SegmentReleased(int)      {}
 
 // SerializeCheckpoint implements logcore.Policy: a vanilla checkpoint carries
 // nothing, so one programs no chunk and pins no page.
-func (f *FTL) SerializeCheckpoint() (uint64, []logcore.ChunkJob, error) { return f.Seq, nil, nil }
+func (f *FTL) SerializeCheckpoint() (uint64, [][]byte, error) { return f.Seq, nil, nil }
 
 // markValid sets a validity bit and keeps the per-segment counts exact. All
 // validity transitions must go through markValid/markInvalid (or their run

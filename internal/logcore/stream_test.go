@@ -10,7 +10,7 @@ import (
 	"iosnap/internal/codec"
 )
 
-// The checkpoint stream codec below the chunk jobs: a generation frame and
+// The checkpoint stream codec below StreamJobs: a generation frame and
 // one frame per section, split into ID-prefixed chunks and joined back.
 
 func roundTrip(t *testing.T, id uint64, secs []Section, sectorSize int) []Section {

@@ -16,7 +16,7 @@
 //	iosnapctl -image dev.img snap-list
 //	iosnapctl -image dev.img snap-read -id N -lba L [-count k]
 //	iosnapctl -image dev.img export -id N -out stream.bin [-base M] [-basegen replica.img.gen]
-//	iosnapctl -image replica.img import -in stream.bin [-abort-after N]
+//	iosnapctl -image replica.img import -in stream.bin
 //	iosnapctl -image dev.img replicate -id N -dst replica.img [-base M] [-attempts N]
 //	iosnapctl -image replica.img verify [-gen replica.img.gen]
 //	iosnapctl -image dev.img stats
@@ -34,14 +34,17 @@
 //
 // The replication verbs speak the internal/xport transport. export writes a
 // self-checking chunk stream (no activation needed; with -base only the
-// delta between the two snapshots is shipped). import applies a stream to
-// the image, journaling progress in IMAGE.journal so an interrupted import
-// — simulate one with -abort-after — resumes instead of restarting, and
-// recording the committed generation manifest in IMAGE.gen. replicate runs
-// the whole pipeline (export, receive, verify, bounded retry) from the
-// source image onto -dst, incremental when -base names the previously
-// replicated snapshot. verify re-hashes every sector the generation
-// manifest defines and exits non-zero on any mismatch.
+// delta between the two snapshots is shipped). import validates a stream
+// and applies all of it to the image in memory, then commits: it removes
+// the generation manifest IMAGE.gen, saves the image, and writes the new
+// IMAGE.gen, each step atomic. A failed or interrupted import leaves the
+// replica as it was or with no IMAGE.gen (a delta is then refused and a
+// full import repairs it); an IMAGE.gen present always describes the image
+// beside it. replicate runs the whole pipeline (export, receive, verify,
+// bounded retry) from the source image onto -dst and commits -dst the same
+// way, incremental when -base names the previously replicated snapshot.
+// verify re-hashes every sector the generation manifest defines and exits
+// non-zero on any mismatch.
 //
 // check reloads the image, crash-recovers, and runs the full invariant
 // checker over the rebuilt state; health reports per-segment media health
@@ -62,6 +65,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"iosnap/internal/faultinject"
 	"iosnap/internal/header"
@@ -75,8 +79,8 @@ import (
 )
 
 // fsys is the filesystem every image and sidecar access goes through: the
-// image load, the image and sidecar writes, the transfer stream read and the
-// journal removal. Tests swap in a faulting or in-memory implementation.
+// image load, the image and sidecar writes and removal, and the transfer
+// stream read. Tests swap in a faulting or in-memory implementation.
 var fsys vfs.FileSystem = vfs.OS{}
 
 func main() {
@@ -144,9 +148,9 @@ func run(args []string) error {
 	case "export":
 		err = cmdExport(f, now, cmdArgs) // reads only; no notes are written
 	case "import":
-		return cmdImport(*image, dev, f, now, cmdArgs) // saves (or preserves) its own state
+		err = cmdImport(*image, dev, f, now, cmdArgs) // commits the replica itself
 	case "replicate":
-		err = cmdReplicate(f, now, cmdArgs) // source is read-only; dst saves itself
+		err = cmdReplicate(f, now, cmdArgs) // source is read-only; dst commits itself
 	case "verify":
 		err = cmdVerify(*image, f, now, cmdArgs)
 	case "stats":
@@ -386,10 +390,9 @@ func cmdSnapRead(f *iosnap.FTL, now sim.Time, args []string) error {
 
 // --- snapshot replication (internal/xport transport) -----------------------
 
-// genPath / journalPath are the replica image's sidecars: the committed
-// generation manifest and the in-flight receive journal.
-func genPath(image string) string     { return image + ".gen" }
-func journalPath(image string) string { return image + ".journal" }
+// genPath is the replica image's sidecar: the manifest of the generation
+// the image beside it holds.
+func genPath(image string) string { return image + ".gen" }
 
 func readManifest(path string) (*xport.Manifest, error) {
 	b, err := vfs.ReadFile(fsys, path)
@@ -403,31 +406,38 @@ func readManifest(path string) (*xport.Manifest, error) {
 	return m, nil
 }
 
-// loadSidecars reads the replica's committed generation manifest and
-// in-flight journal, distinguishing "never existed" (a fresh replica —
-// proceed bare) from "exists but unreadable/corrupt" (fail loudly: treating
-// a damaged generation as a bare destination would silently re-clear and
+// loadGeneration reads the replica's committed generation manifest,
+// distinguishing "none" (a fresh replica, or a commit cut short — proceed
+// bare) from "exists but unreadable/corrupt" (fail loudly: treating a
+// damaged generation as a bare destination would silently re-clear and
 // re-apply a full image over a replica whose true state is unknown).
-func loadSidecars(image string) (gen *xport.Manifest, journal []byte, err error) {
-	g, gerr := readManifest(genPath(image))
-	switch {
-	case gerr == nil:
-		gen = g
-	case vfs.IsNotExist(gerr):
-		// Fresh replica: no committed generation yet.
-	default:
-		return nil, nil, fmt.Errorf("generation sidecar: %w", gerr)
+func loadGeneration(image string) (*xport.Manifest, error) {
+	g, err := readManifest(genPath(image))
+	if vfs.IsNotExist(err) {
+		return nil, nil
 	}
-	jb, jerr := vfs.ReadFile(fsys, journalPath(image))
-	switch {
-	case jerr == nil:
-		journal = jb
-	case vfs.IsNotExist(jerr):
-		// No interrupted transfer to resume.
-	default:
-		return nil, nil, fmt.Errorf("journal sidecar: %w", jerr)
+	if err != nil {
+		return nil, fmt.Errorf("generation sidecar: %w", err)
 	}
-	return gen, journal, nil
+	return g, nil
+}
+
+// commitReplica makes the replica at image hold generation m, which f
+// holds in memory. The old generation manifest goes first, durably; then
+// the image is saved and the new manifest written, each atomically. A
+// crash at any point leaves the old image with its manifest, an image with
+// none, or the new image with the new manifest.
+func commitReplica(image string, dev *nand.Device, f *iosnap.FTL, now sim.Time, m *xport.Manifest) error {
+	if err := fsys.Remove(genPath(image)); err != nil && !vfs.IsNotExist(err) {
+		return err
+	}
+	if err := fsys.SyncDir(filepath.Dir(image)); err != nil {
+		return err
+	}
+	if err := save(image, dev, f, now); err != nil {
+		return err
+	}
+	return writeFileAtomic(genPath(image), m.Encode())
 }
 
 func writeFileAtomic(path string, b []byte) error {
@@ -480,7 +490,6 @@ func cmdExport(f *iosnap.FTL, now sim.Time, args []string) error {
 func cmdImport(image string, dev *nand.Device, f *iosnap.FTL, now sim.Time, args []string) error {
 	fs := flag.NewFlagSet("import", flag.ContinueOnError)
 	in := fs.String("in", "", "transfer stream file (required)")
-	abortAfter := fs.Int("abort-after", 0, "abort after N chunk writes (simulated crash; journal survives)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -491,33 +500,18 @@ func cmdImport(image string, dev *nand.Device, f *iosnap.FTL, now sim.Time, args
 	if err != nil {
 		return err
 	}
-	opt := iosnap.ReceiveOpts{
-		AbortAfter: *abortAfter,
-		// A journal that cannot be persisted aborts the receive: resuming
-		// later would otherwise trust durability points that never hit disk.
-		Persist: func(j []byte) error { return writeFileAtomic(journalPath(image), j) },
-	}
-	opt.Base, opt.Journal, err = loadSidecars(image)
+	gen, err := loadGeneration(image)
 	if err != nil {
 		return fmt.Errorf("import: %w", err)
 	}
-	rec, done, rerr := iosnap.ReceiveInto(f, now, stream, opt)
-	if rec != nil {
-		// Writes may have landed (even on the abort path) — persist the
-		// device so a later import resumes against real state.
-		if serr := save(image, dev, f, done); serr != nil {
-			return serr
-		}
-	}
-	if rerr != nil {
-		return rerr
-	}
-	if err := writeFileAtomic(genPath(image), rec.Manifest.Encode()); err != nil {
+	rec, done, err := iosnap.ReceiveInto(f, now, stream, gen)
+	if err != nil {
 		return err
 	}
-	fsys.Remove(journalPath(image))
-	fmt.Printf("imported %s: applied %d, skipped %d (already durable), deduped %d, resumed=%v\n",
-		*in, rec.Applied, rec.Skipped, rec.Deduped, rec.Resumed)
+	if err := commitReplica(image, dev, f, done, rec.Manifest); err != nil {
+		return err
+	}
+	fmt.Printf("imported %s: applied %d, deduped %d\n", *in, rec.Applied, rec.Deduped)
 	return nil
 }
 
@@ -537,38 +531,31 @@ func cmdReplicate(f *iosnap.FTL, now sim.Time, args []string) error {
 	if err != nil {
 		return err
 	}
-	r := &iosnap.Replicator{
-		Src:     f,
-		Dst:     dstF,
-		Policy:  retry.Policy{MaxAttempts: *attempts, Backoff: 100 * sim.Microsecond},
-		Persist: func(j []byte) error { return writeFileAtomic(journalPath(*dst), j) },
-	}
-	gen, journal, err := loadSidecars(*dst)
+	gen, err := loadGeneration(*dst)
 	if err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
-	r.Restore(gen, journal)
-	m, done, rerr := r.Replicate(now, iosnap.SnapshotID(*id), iosnap.SnapshotID(*base))
-	// Persist the destination either way: on failure the journal sidecar
-	// plus the partially-applied image is exactly what a resume needs.
-	if serr := save(*dst, dstDev, dstF, done); serr != nil {
-		return serr
+	r := &iosnap.Replicator{
+		Src:    f,
+		Dst:    dstF,
+		Policy: retry.Policy{MaxAttempts: *attempts, Backoff: 100 * sim.Microsecond},
 	}
-	if rerr != nil {
-		return rerr
-	}
-	if err := writeFileAtomic(genPath(*dst), m.Encode()); err != nil {
+	r.Restore(gen)
+	m, done, err := r.Replicate(now, iosnap.SnapshotID(*id), iosnap.SnapshotID(*base))
+	if err != nil {
 		return err
 	}
-	fsys.Remove(journalPath(*dst))
+	if err := commitReplica(*dst, dstDev, dstF, done, m); err != nil {
+		return err
+	}
 	st := f.Stats()
 	kind := "full"
 	if m.IsDelta() {
 		kind = "delta"
 	}
-	fmt.Printf("replicated snapshot %d to %s (%s): %d sectors, %d chunks shipped, %d deduped, retries=%d resumes=%d mismatches=%d\n",
+	fmt.Printf("replicated snapshot %d to %s (%s): %d sectors, %d chunks shipped, %d deduped, retries=%d mismatches=%d\n",
 		*id, *dst, kind, len(m.Writes), st.ExportChunks, st.ExportDedupHits,
-		st.ImportRetries, st.ImportResumes, st.VerifyMismatches)
+		st.ImportRetries, st.VerifyMismatches)
 	return nil
 }
 
@@ -628,8 +615,8 @@ func cmdStats(f *iosnap.FTL) error {
 		st.Checkpoints, st.CheckpointChunks, st.CheckpointErrors)
 	fmt.Printf("batched data path:  %d leaf descents, %d pages in %d NAND calls\n",
 		st.BatchDescents, st.BatchPages, st.BatchNandCalls)
-	fmt.Printf("replication:        %d chunks shipped, %d deduped, %d retries, %d resumes, %d verify mismatches\n",
-		st.ExportChunks, st.ExportDedupHits, st.ImportRetries, st.ImportResumes, st.VerifyMismatches)
+	fmt.Printf("replication:        %d chunks shipped, %d deduped, %d retries, %d verify mismatches\n",
+		st.ExportChunks, st.ExportDedupHits, st.ImportRetries, st.VerifyMismatches)
 	fmt.Printf("device wear (min/max/total erases): %v\n", formatWear(f))
 	return nil
 }

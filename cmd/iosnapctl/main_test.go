@@ -518,9 +518,6 @@ func TestCLIReplication(t *testing.T) {
 	if _, err := os.Stat(dst + ".gen"); err != nil {
 		t.Fatalf("generation manifest sidecar missing: %v", err)
 	}
-	if _, err := os.Stat(dst + ".journal"); !os.IsNotExist(err) {
-		t.Fatal("committed replicate left a journal behind")
-	}
 
 	// Generation 2: change one sector, add one, and replicate incrementally.
 	if err := runCtl(t, src, "write", "-lba", "2", "-text", "gen2-2"); err != nil {
@@ -548,9 +545,9 @@ func TestCLIReplication(t *testing.T) {
 	}
 }
 
-// TestCLIExportImportResume exercises the split export/import verbs plus
-// the crash-mid-import resume path, asserting process exit codes.
-func TestCLIExportImportResume(t *testing.T) {
+// TestCLIExportImport exercises the split export/import verbs, asserting
+// process exit codes.
+func TestCLIExportImport(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "src.img")
 	dst := filepath.Join(dir, "dst.img")
@@ -572,27 +569,11 @@ func TestCLIExportImportResume(t *testing.T) {
 		t.Fatalf("export: %v", err)
 	}
 
-	// Simulated crash after two chunk writes: non-zero exit, journal kept,
-	// no generation committed.
-	if code := execCtl(t, "-image", dst, "import", "-in", stream, "-abort-after", "2"); code == 0 {
-		t.Fatal("aborted import exited 0")
-	}
-	if _, err := os.Stat(dst + ".journal"); err != nil {
-		t.Fatalf("aborted import must persist its journal: %v", err)
-	}
-	if _, err := os.Stat(dst + ".gen"); !os.IsNotExist(err) {
-		t.Fatal("aborted import must not commit a generation")
-	}
-
-	// Re-run: resumes from the journal and commits.
-	if err := runCtl(t, dst, "import", "-in", stream); err != nil {
-		t.Fatalf("resumed import: %v", err)
-	}
-	if _, err := os.Stat(dst + ".journal"); !os.IsNotExist(err) {
-		t.Fatal("committed import must remove the journal")
+	if code := execCtl(t, "-image", dst, "import", "-in", stream); code != 0 {
+		t.Fatalf("import exited %d", code)
 	}
 	if err := runCtl(t, dst, "verify"); err != nil {
-		t.Fatalf("verify after resumed import: %v", err)
+		t.Fatalf("verify after import: %v", err)
 	}
 
 	// A damaged stream is rejected with a non-zero exit and no state change.

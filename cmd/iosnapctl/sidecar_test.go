@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"iosnap/internal/vfs"
+	"iosnap/internal/xport"
 )
 
 // failFS wraps the real filesystem and fails creates whose path matches a
@@ -55,30 +57,61 @@ func replicaFixture(t *testing.T) (src, dst, stream string) {
 	return src, dst, stream
 }
 
-// TestCLIImportPersistFailureAborts: a journal that cannot be written must
-// abort the import with the persist error — not "succeed" with a resume
-// contract that never reached disk. (Regression: the error used to be
-// swallowed with `_ = writeFileAtomic(...)`.)
+// nextGeneration writes a second generation on src — one sector changed,
+// one added — takes snapshot 2 and exports its full image to a stream
+// beside src, returning the stream's path.
+func nextGeneration(t *testing.T, src string) string {
+	t.Helper()
+	stream := src + ".s2"
+	for _, step := range [][]string{
+		{"write", "-lba", "2", "-text", "v2-2"},
+		{"write", "-lba", "9", "-text", "v2-9"},
+		{"snap-create"},
+		{"export", "-id", "2", "-out", stream},
+	} {
+		if err := runCtl(t, src, step...); err != nil {
+			t.Fatalf("%s: %v", step[0], err)
+		}
+	}
+	return stream
+}
+
+// verifyIfGenerated verifies the replica against its generation manifest,
+// when it has one: a manifest present must describe the image beside it.
+func verifyIfGenerated(t *testing.T, dst string) {
+	t.Helper()
+	if _, err := os.Stat(genPath(dst)); err == nil {
+		if err := runCtl(t, dst, "verify"); err != nil {
+			t.Fatalf("the generation left beside the image does not describe it: %v", err)
+		}
+	}
+}
+
+// TestCLIImportPersistFailureAborts: a generation manifest that cannot be
+// written fails the import with that error, and what the failed import
+// leaves is a replica whose manifest, if any, describes its image. With
+// the fault cleared the import commits.
 func TestCLIImportPersistFailureAborts(t *testing.T) {
-	_, dst, stream := replicaFixture(t)
+	src, dst, stream := replicaFixture(t)
+	if err := runCtl(t, dst, "import", "-in", stream); err != nil {
+		t.Fatal(err)
+	}
+	stream2 := nextGeneration(t, src)
 
 	boom := errors.New("injected sidecar write failure")
-	ff := &failFS{FileSystem: fsys, match: ".journal", err: boom}
+	ff := &failFS{FileSystem: fsys, match: ".gen", err: boom}
 	old := fsys
 	fsys = ff
-	err := runCtl(t, dst, "import", "-in", stream)
+	err := runCtl(t, dst, "import", "-in", stream2)
 	fsys = old
 	if !errors.Is(err, boom) {
-		t.Fatalf("import with failing journal persist returned %v, want the persist error", err)
+		t.Fatalf("import with failing generation write returned %v, want the write error", err)
 	}
 	if ff.fired == 0 {
 		t.Fatal("fault never fired — the test exercised nothing")
 	}
-	if _, err := os.Stat(dst + ".gen"); !os.IsNotExist(err) {
-		t.Fatal("aborted import must not commit a generation manifest")
-	}
-	// With the fault cleared the import completes and verifies.
-	if err := runCtl(t, dst, "import", "-in", stream); err != nil {
+	verifyIfGenerated(t, dst)
+	if err := runCtl(t, dst, "import", "-in", stream2); err != nil {
 		t.Fatalf("import after fault cleared: %v", err)
 	}
 	if err := runCtl(t, dst, "verify"); err != nil {
@@ -87,30 +120,73 @@ func TestCLIImportPersistFailureAborts(t *testing.T) {
 }
 
 // TestCLIReplicatePersistFailureAborts: same contract for the replicate
-// verb's journal sidecar.
+// verb's generation manifest.
 func TestCLIReplicatePersistFailureAborts(t *testing.T) {
 	src, dst, _ := replicaFixture(t)
+	if err := runCtl(t, src, "replicate", "-id", "1", "-dst", dst); err != nil {
+		t.Fatal(err)
+	}
+	nextGeneration(t, src)
 
 	boom := errors.New("injected sidecar write failure")
-	ff := &failFS{FileSystem: fsys, match: ".journal", err: boom}
+	ff := &failFS{FileSystem: fsys, match: ".gen", err: boom}
 	old := fsys
 	fsys = ff
-	err := runCtl(t, src, "replicate", "-id", "1", "-dst", dst)
+	err := runCtl(t, src, "replicate", "-id", "2", "-base", "1", "-dst", dst)
 	fsys = old
 	if !errors.Is(err, boom) {
-		t.Fatalf("replicate with failing journal persist returned %v, want the persist error", err)
+		t.Fatalf("replicate with failing generation write returned %v, want the write error", err)
 	}
 	if ff.fired == 0 {
 		t.Fatal("fault never fired")
 	}
-	if _, err := os.Stat(dst + ".gen"); !os.IsNotExist(err) {
-		t.Fatal("failed replicate must not commit a generation manifest")
-	}
-	if err := runCtl(t, src, "replicate", "-id", "1", "-dst", dst); err != nil {
+	verifyIfGenerated(t, dst)
+	if err := runCtl(t, src, "replicate", "-id", "2", "-dst", dst); err != nil {
 		t.Fatalf("replicate after fault cleared: %v", err)
 	}
 	if err := runCtl(t, dst, "verify"); err != nil {
 		t.Fatalf("verify: %v", err)
+	}
+}
+
+// TestCLIFailedImportLeavesReplica: an import that fails after its
+// validation pass — here a deduplicated sector whose local content was
+// tampered with — writes nothing: image and generation manifest keep
+// their bytes.
+func TestCLIFailedImportLeavesReplica(t *testing.T) {
+	src, dst, stream := replicaFixture(t)
+	if err := runCtl(t, dst, "import", "-in", stream); err != nil {
+		t.Fatal(err)
+	}
+	stream2 := filepath.Join(filepath.Dir(src), "dedup.bin")
+	for _, step := range [][]string{
+		{src, "write", "-lba", "2", "-text", "v2-2"},
+		{src, "snap-create"},
+		{src, "export", "-id", "2", "-basegen", genPath(dst), "-out", stream2},
+		{dst, "write", "-lba", "3", "-text", "tampered"},
+	} {
+		if err := runCtl(t, step[0], step[1:]...); err != nil {
+			t.Fatalf("%s: %v", step[1], err)
+		}
+	}
+	read := func() (img, gen []byte) {
+		img, err := os.ReadFile(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen, err = os.ReadFile(genPath(dst)); err != nil {
+			t.Fatal(err)
+		}
+		return img, gen
+	}
+	img, gen := read()
+	if err := runCtl(t, dst, "import", "-in", stream2); !errors.Is(err, xport.ErrHashMismatch) {
+		t.Fatalf("import over tampered dedup content returned %v, want ErrHashMismatch", err)
+	}
+	img2, gen2 := read()
+	if !bytes.Equal(img, img2) || !bytes.Equal(gen, gen2) {
+		t.Fatalf("the failed import rewrote the replica (image same %v, generation same %v)",
+			bytes.Equal(img, img2), bytes.Equal(gen, gen2))
 	}
 }
 
@@ -137,23 +213,10 @@ func TestCLICorruptSidecarFailsLoudly(t *testing.T) {
 		t.Fatalf("replicate with corrupt .gen returned %v, want a loud sidecar failure", err)
 	}
 
-	// An unreadable journal sidecar fails loudly too (a directory is a
-	// reliable read error on every platform).
+	// A missing sidecar (the fresh-replica case) still proceeds.
 	if err := os.Remove(dst + ".gen"); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(dst+".journal", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	err = runCtl(t, dst, "import", "-in", stream)
-	if err == nil || !strings.Contains(err.Error(), "journal sidecar") {
-		t.Fatalf("import with unreadable .journal returned %v, want a loud sidecar failure", err)
-	}
-	if err := os.Remove(dst + ".journal"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Missing sidecars (the fresh-replica case) still proceed.
 	if err := runCtl(t, dst, "import", "-in", stream); err != nil {
 		t.Fatalf("fresh import after sidecar removal: %v", err)
 	}
@@ -166,7 +229,7 @@ func TestCLICorruptSidecarFailsLoudly(t *testing.T) {
 // image takes a write and a snapshot and exports it, and a replica imports
 // the stream. Every image, stream and sidecar access goes through fsys: the
 // directory the paths name stays empty on disk, and the committed import
-// leaves its generation manifest and no journal in the Mem replica.
+// leaves its generation manifest in the Mem replica.
 func TestCLIRunsOnMemFilesystem(t *testing.T) {
 	mem := vfs.NewMem()
 	old := fsys
@@ -188,9 +251,6 @@ func TestCLIRunsOnMemFilesystem(t *testing.T) {
 		if err := runCtl(t, step[0], step[1:]...); err != nil {
 			t.Fatalf("%s on %s: %v", step[1], filepath.Base(step[0]), err)
 		}
-	}
-	if mem.Exists(journalPath(dst)) {
-		t.Error("the committed import left its journal in the replica")
 	}
 	if !mem.Exists(genPath(dst)) {
 		t.Error("the committed import wrote no generation manifest")

@@ -53,12 +53,10 @@ const (
 	// A translation page of the paged map (internal/mapcache).
 	MapPage
 	// Snapshot transfer (internal/xport): a stream is a manifest frame,
-	// chunk frames and an end frame; a sidecar is one manifest or journal
-	// frame.
+	// chunk frames and an end frame; a .gen sidecar is one manifest frame.
 	Manifest
 	Chunk
 	StreamEnd
-	Journal
 )
 
 var (

@@ -168,7 +168,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	var w Writer
 	w.Frame(ImageHeader, []byte("header"))
 	w.Frame(MapPage, nil)
-	f.Add(w.B, ^uint32(0), byte(Journal))
+	f.Add(w.B, ^uint32(0), byte(StreamEnd))
 	f.Add(w.B[:7], uint32(3), byte(0))
 	f.Add([]byte{Chunk, 0xff, 0xff, 0xff, 0xff}, ^uint32(0), byte(Chunk))
 	f.Fuzz(func(t *testing.T, b []byte, limit uint32, typ byte) {

@@ -223,9 +223,9 @@ func TestDataPathEquivalenceWithSnapshots(t *testing.T) {
 		seed int64
 		want string
 	}{
-		{3, "userWrites=6285 gcRuns=258 gcCopied=2914 batchNandCalls=340 cows=139 ops=63807d8ca6c17d83 reads=e44bcfbd3b42a725 stats=87608b4ba75902da dev=5955080d81497820 image=51f947805944b2d6"},
-		{11, "userWrites=5042 gcRuns=186 gcCopied=1856 batchNandCalls=267 cows=108 ops=8738682bc01a3a3e reads=14bca427efea6d25 stats=fb03aa4354b26404 dev=7b7de61b6b00c06f image=ac9483573056da30"},
-		{99, "userWrites=10445 gcRuns=404 gcCopied=3429 batchNandCalls=488 cows=109 ops=2b6b386eaa6f2556 reads=4d931d119eb93925 stats=8cc73e6299d3b833 dev=a366fee76383e79c image=1f2e4c37c7727e5e"},
+		{3, "userWrites=6285 gcRuns=258 gcCopied=2914 batchNandCalls=340 cows=139 ops=63807d8ca6c17d83 reads=e44bcfbd3b42a725 stats=2c051dfc0ab2712f dev=5955080d81497820 image=51f947805944b2d6"},
+		{11, "userWrites=5042 gcRuns=186 gcCopied=1856 batchNandCalls=267 cows=108 ops=8738682bc01a3a3e reads=14bca427efea6d25 stats=5362db770886ad1b dev=7b7de61b6b00c06f image=ac9483573056da30"},
+		{99, "userWrites=10445 gcRuns=404 gcCopied=3429 batchNandCalls=488 cows=109 ops=2b6b386eaa6f2556 reads=4d931d119eb93925 stats=16baade24e89e85e dev=a366fee76383e79c image=1f2e4c37c7727e5e"},
 	} {
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			f, err := New(equivConfig(), nil)
@@ -242,7 +242,7 @@ func TestDataPathEquivalenceWithSnapshots(t *testing.T) {
 // TestActivatedViewEquivalence drives reads and writes through an activated
 // snapshot view: the view must show the frozen image and take writes.
 func TestActivatedViewEquivalence(t *testing.T) {
-	const want = "userWrites=128 gcRuns=0 gcCopied=0 batchNandCalls=29 cows=3 ops=4081a28261f2b253 reads=8f2f337d8862b325 stats=9415bf03a1b70abb dev=e0575289813e787c image=793f9872d6490939"
+	const want = "userWrites=128 gcRuns=0 gcCopied=0 batchNandCalls=29 cows=3 ops=4081a28261f2b253 reads=8f2f337d8862b325 stats=4c8d32eb972d13d6 dev=e0575289813e787c image=793f9872d6490939"
 	f, err := New(equivConfig(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -306,7 +306,8 @@ func Example_backupRotation() {
 	sched := dev.Scheduler()
 
 	// The replica tier: a second device the snapshots are shipped to. Any
-	// blockdev.Device works; an FTL keeps the example self-contained.
+	// iosnap.Replica (a block device that trims) works; an FTL keeps the
+	// example self-contained.
 	arch, err := iosnap.New(iosnap.DefaultConfig(nc), nil)
 	if err != nil {
 		log.Fatal(err)

@@ -162,7 +162,6 @@ type Stats struct {
 	ExportChunks     int64 // chunks shipped by snapshot exports (after dedup)
 	ExportDedupHits  int64 // chunks the receiver already held (listed, not shipped)
 	ImportRetries    int64 // replication receive/verify attempts re-driven
-	ImportResumes    int64 // receives resumed from a persisted journal
 	VerifyMismatches int64 // replica sectors that failed post-receive verification
 
 	ValidityMemory int64 // CoW validity pages bytes (refreshed by Stats())

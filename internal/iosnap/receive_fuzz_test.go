@@ -179,12 +179,12 @@ func FuzzReceiveStream(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, now, err := ReceiveInto(dst, 0, full, ReceiveOpts{})
+		_, now, err := ReceiveInto(dst, 0, full, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before, image := deviceDigest(t, dst.Device()), imageDigest(t, dst)
-		rec, now, err := ReceiveInto(dst, now, resealStream(data), ReceiveOpts{Base: base})
+		rec, now, err := ReceiveInto(dst, now, resealStream(data), base)
 		if err != nil {
 			if after := deviceDigest(t, dst.Device()); after != before {
 				t.Fatalf("refused stream (%v) changed the destination: %s", err, firstDigestDiff(before, after))

@@ -47,11 +47,6 @@ var ErrBadExport = errors.New("iosnap: malformed export stream")
 // export (e.g. its snapshot was deleted mid-export).
 var ErrExportAborted = errors.New("iosnap: export aborted")
 
-// ErrReceiveAborted simulates the receiving host dying mid-apply (the
-// ReceiveOpts.AbortAfter test hook). The journal persisted so far is the
-// crash artifact a resumed receive recovers from.
-var ErrReceiveAborted = errors.New("iosnap: receive aborted (simulated crash)")
-
 // ErrReplicaMismatch reports a destination device whose geometry cannot
 // hold the manifest's image.
 var ErrReplicaMismatch = errors.New("iosnap: replica device mismatch")
@@ -261,216 +256,125 @@ func (f *FTL) ExportSync(now sim.Time, opt ExportOpts) (*xport.Manifest, []byte,
 	return x.manifest, x.stream, x.completedAt, nil
 }
 
-// ReceiveOpts parameterizes ReceiveInto.
-type ReceiveOpts struct {
-	// Base is the manifest of the generation currently on the destination:
-	// required to accept a delta (its ID must equal the delta's BaseID) and
-	// to materialize deduplicated chunks locally. nil = bare destination.
-	Base *xport.Manifest
-	// Journal, when non-nil, resumes an interrupted receive of the SAME
-	// transfer from its persisted journal bytes. A journal from a different
-	// transfer is refused (xport.ErrWrongTransfer); a damaged journal is
-	// refused (xport.ErrBadJournal) — the caller decides to restart fresh.
-	Journal []byte
-	// Persist, when non-nil, is called with encoded journal bytes at every
-	// durability point (after the clear phase, every PersistEvery applied
-	// chunks, and at commit). This is the receiver's crash-consistency
-	// contract: what Persist saw is what a resume can rely on — so a
-	// Persist failure aborts the receive. Swallowing it would let the
-	// receive "commit" against a journal that never became durable, and a
-	// crash after that leaves a resume trusting state that does not exist.
-	Persist func(journal []byte) error
-	// PersistEvery is the applied-chunk batch between journal persists
-	// (default 32).
-	PersistEvery int
-	// AbortAfter, when positive, aborts the receive with ErrReceiveAborted
-	// after that many chunk writes — the crash-mid-receive test hook. The
-	// journal is persisted before aborting.
-	AbortAfter int
+// Replica is a destination a transfer stream is applied to: a block
+// device that trims, so a clear programs nothing.
+type Replica interface {
+	blockdev.Device
+	blockdev.Trimmer
 }
 
 // Receipt summarizes one ReceiveInto call.
 type Receipt struct {
 	Manifest *xport.Manifest
-	Journal  *xport.Journal
-	Applied  int  // chunk writes performed by this call
-	Skipped  int  // entries already durable from a prior attempt
-	Deduped  int  // entries materialized from local base content
-	Resumed  bool // this call continued a persisted journal
+	Applied  int // chunk writes performed
+	Deduped  int // entries materialized from local base content
 }
 
-// ReceiveInto applies a transfer stream to dst. The stream is validated
-// end to end BEFORE the device is touched — a truncated, reordered-into-
-// garbage, or bit-flipped stream fails atomically with no mutation. After
-// validation the apply itself is journaled: an interrupted apply (crash,
-// AbortAfter) resumes from the persisted journal, re-applying only what
-// never became durable, and the import is complete exactly when the
-// journal commits.
-func ReceiveInto(dst blockdev.Device, now sim.Time, stream []byte, opt ReceiveOpts) (*Receipt, sim.Time, error) {
+// ReceiveInto applies a transfer stream to dst, whose current generation
+// is base (nil for a bare destination; a delta needs the base it names).
+// The stream is validated end to end BEFORE the device is touched — a
+// truncated, reordered-into-garbage, or bit-flipped stream fails with no
+// mutation. The apply itself is idempotent: re-applying the same stream
+// over a partly applied one reads, clears and writes the same sectors to
+// the same content, so a failed apply is repaired by applying again.
+// Durability is the caller's: a replica is committed by saving it whole.
+func ReceiveInto(dst Replica, now sim.Time, stream []byte, base *xport.Manifest) (*Receipt, sim.Time, error) {
 	// ---- Validation pass: no device mutation below until it finishes. ----
 	m, shipped, err := scanStream(stream)
 	if err != nil {
 		return nil, now, err
 	}
-	id := m.ID()
 	if m.SectorSize != dst.SectorSize() || m.Sectors > dst.Sectors() {
 		return nil, now, fmt.Errorf("%w: manifest %d×%d vs device %d×%d",
 			ErrReplicaMismatch, m.Sectors, m.SectorSize, dst.Sectors(), dst.SectorSize())
 	}
 	if m.IsDelta() {
-		if opt.Base == nil {
+		if base == nil {
 			return nil, now, fmt.Errorf("%w: delta received on a bare destination", xport.ErrBaseMismatch)
 		}
-		if opt.Base.ID() != m.BaseID {
+		if base.ID() != m.BaseID {
 			return nil, now, fmt.Errorf("%w: delta base %#x, destination holds %#x",
-				xport.ErrBaseMismatch, m.BaseID, opt.Base.ID())
+				xport.ErrBaseMismatch, m.BaseID, base.ID())
 		}
 	}
 	rec := &Receipt{Manifest: m}
-	if opt.Journal != nil {
-		j, err := xport.DecodeJournal(opt.Journal)
-		if err != nil {
-			return nil, now, err
-		}
-		if j.ManifestID != id {
-			return nil, now, fmt.Errorf("%w: journal for %#x, stream is %#x",
-				xport.ErrWrongTransfer, j.ManifestID, id)
-		}
-		rec.Journal = j
-		rec.Resumed = true
-	} else {
-		rec.Journal = xport.NewJournal(id)
-	}
-	j := rec.Journal
-	persistEvery := opt.PersistEvery
-	if persistEvery <= 0 {
-		persistEvery = 32
-	}
-	persist := func() error {
-		if opt.Persist != nil {
-			if err := opt.Persist(j.Encode()); err != nil {
-				return fmt.Errorf("iosnap: persisting receive journal: %w", err)
-			}
-		}
-		return nil
-	}
 
 	// ---- Dedup phase: verify locally-materialized entries first, while
 	// their source sectors are untouched by this apply. A deduplicated
 	// entry's content already sits at the SAME lba (the oracle only claims
-	// same-lba matches), so this phase reads and hashes without writing —
-	// idempotent across resumes. ----
-	ss := m.SectorSize
-	buf := make([]byte, ss)
+	// same-lba matches), so this phase reads and hashes without writing. ----
+	buf := make([]byte, m.SectorSize)
 	for _, e := range m.Writes {
 		if _, isShipped := shipped[e.LBA]; isShipped {
 			continue
 		}
-		if j.Applied(e.LBA) {
-			rec.Skipped++
-			continue
-		}
 		be, ok := xport.Entry{}, false
-		if opt.Base != nil {
-			be, ok = opt.Base.Find(e.LBA)
+		if base != nil {
+			be, ok = base.Find(e.LBA)
 		}
 		if !ok || be.Hash != e.Hash {
-			return rec, now, fmt.Errorf("%w: no chunk and no local content for LBA %d", xport.ErrTruncated, e.LBA)
+			return nil, now, fmt.Errorf("%w: no chunk and no local content for LBA %d", xport.ErrTruncated, e.LBA)
 		}
 		done, err := dst.Read(now, int64(e.LBA), buf)
 		if err != nil {
-			return rec, now, fmt.Errorf("iosnap: dedup read of LBA %d: %w", e.LBA, err)
+			return nil, now, fmt.Errorf("iosnap: dedup read of LBA %d: %w", e.LBA, err)
 		}
 		now = done
 		if xport.HashChunk(buf) != e.Hash {
-			return rec, now, fmt.Errorf("%w: local content for LBA %d", xport.ErrHashMismatch, e.LBA)
+			return nil, now, fmt.Errorf("%w: local content for LBA %d", xport.ErrHashMismatch, e.LBA)
 		}
-		j.MarkApplied(e.LBA)
 		rec.Deduped++
 	}
 
-	// ---- Clear phase (journaled): a delta trims its Deletes; a full image
-	// trims every sector the manifest does not define, so the finished
-	// replica equals the image exactly — not the image layered over stale
-	// sectors. ----
-	if !j.DeletesDone {
-		if m.IsDelta() {
-			for _, lba := range m.Deletes {
-				done, err := clearSectors(dst, now, int64(lba), 1, buf)
-				if err != nil {
-					return rec, now, fmt.Errorf("iosnap: clearing LBA %d: %w", lba, err)
-				}
-				now = done
-			}
-		} else {
-			var next int64
-			for _, e := range m.Writes {
-				if int64(e.LBA) > next {
-					done, err := clearSectors(dst, now, next, int64(e.LBA)-next, buf)
-					if err != nil {
-						return rec, now, fmt.Errorf("iosnap: clearing [%d,%d): %w", next, e.LBA, err)
-					}
-					now = done
-				}
-				next = int64(e.LBA) + 1
-			}
-			if next < m.Sectors {
-				done, err := clearSectors(dst, now, next, m.Sectors-next, buf)
-				if err != nil {
-					return rec, now, fmt.Errorf("iosnap: clearing [%d,%d): %w", next, m.Sectors, err)
-				}
-				now = done
+	// ---- Clear phase: a delta trims its Deletes; a full image trims every
+	// sector the manifest does not define, so the finished replica equals
+	// the image exactly — not the image layered over stale sectors. ----
+	trim := func(lba, n int64) error {
+		done, err := dst.Trim(now, lba, n)
+		if err != nil {
+			return fmt.Errorf("iosnap: clearing [%d,%d): %w", lba, lba+n, err)
+		}
+		now = done
+		return nil
+	}
+	if m.IsDelta() {
+		for _, lba := range m.Deletes {
+			if err := trim(int64(lba), 1); err != nil {
+				return nil, now, err
 			}
 		}
-		j.DeletesDone = true
-		if err := persist(); err != nil {
-			return rec, now, err
+	} else {
+		var next int64
+		for _, e := range m.Writes {
+			if int64(e.LBA) > next {
+				if err := trim(next, int64(e.LBA)-next); err != nil {
+					return nil, now, err
+				}
+			}
+			next = int64(e.LBA) + 1
+		}
+		if next < m.Sectors {
+			if err := trim(next, m.Sectors-next); err != nil {
+				return nil, now, err
+			}
 		}
 	}
 
-	// ---- Apply phase (journaled): shipped chunks land in ascending LBA
-	// order; every write is hash-verified bytes (VerifyChunk ran in the
-	// validation pass) and becomes durable in the journal in batches. ----
+	// ---- Apply phase: shipped chunks land in ascending LBA order; every
+	// write is hash-verified bytes (VerifyChunk ran in the validation
+	// pass). ----
 	order := make([]uint64, 0, len(shipped))
 	for lba := range shipped {
 		order = append(order, lba)
 	}
 	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	sincePersist := 0
 	for _, lba := range order {
-		if j.Applied(lba) {
-			rec.Skipped++
-			continue
-		}
 		done, err := dst.Write(now, int64(lba), shipped[lba])
 		if err != nil {
-			perr := persist() // best-effort journal of what DID land
-			return rec, now, errors.Join(fmt.Errorf("iosnap: applying LBA %d: %w", lba, err), perr)
+			return nil, now, fmt.Errorf("iosnap: applying LBA %d: %w", lba, err)
 		}
 		now = done
-		j.MarkApplied(lba)
 		rec.Applied++
-		sincePersist++
-		if sincePersist >= persistEvery {
-			if err := persist(); err != nil {
-				return rec, now, err
-			}
-			sincePersist = 0
-		}
-		if opt.AbortAfter > 0 && rec.Applied >= opt.AbortAfter {
-			if err := persist(); err != nil {
-				return rec, now, err
-			}
-			return rec, now, ErrReceiveAborted
-		}
-	}
-
-	j.Committed = true
-	if err := persist(); err != nil {
-		// The commit record never became durable: the transfer is NOT
-		// complete, and the in-memory journal must say so too.
-		j.Committed = false
-		return rec, now, err
 	}
 	return rec, now, nil
 }
@@ -529,25 +433,6 @@ func scanStream(stream []byte) (*xport.Manifest, map[uint64][]byte, error) {
 	return m, shipped, nil
 }
 
-// clearSectors trims [lba, lba+n) on dst, falling back to zero-writes when
-// the device has no Trim. buf is sector-sized scratch (clobbered).
-func clearSectors(dst blockdev.Device, now sim.Time, lba, n int64, buf []byte) (sim.Time, error) {
-	if tr, ok := dst.(blockdev.Trimmer); ok {
-		return tr.Trim(now, lba, n)
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	for i := int64(0); i < n; i++ {
-		done, err := dst.Write(now, lba+i, buf)
-		if err != nil {
-			return now, err
-		}
-		now = done
-	}
-	return now, nil
-}
-
 // VerifyReplica re-reads every sector the manifest defines from dst and
 // hashes it against the manifest; delta Deletes are checked to read as
 // zeros. It returns the mismatching LBAs (read errors count as mismatches:
@@ -585,13 +470,13 @@ func VerifyReplica(dst blockdev.Device, now sim.Time, m *xport.Manifest) (mismat
 }
 
 // Replicator drives end-to-end replication from a source FTL to a
-// destination block device: export, transfer (with optional injected
-// stream damage), journaled receive, verify, and bounded retry. It tracks
-// the destination's committed generation so successive calls replicate
-// incrementally and deduplicate unchanged content.
+// destination device: export, transfer (with optional injected stream
+// damage), receive, verify, and bounded retry. It tracks the destination's
+// committed generation so successive calls replicate incrementally and
+// deduplicate unchanged content.
 type Replicator struct {
 	Src *FTL
-	Dst blockdev.Device
+	Dst Replica
 	// Policy bounds the receive/verify retry loop (zero = single attempt).
 	Policy retry.Policy
 	// Limit rate-limits the export job.
@@ -600,31 +485,17 @@ type Replicator struct {
 	// fault-injection hook (attempt is 1-based; return the stream
 	// unmodified to stop injecting).
 	Mangle func(attempt int, stream []byte) []byte
-	// Persist, when non-nil, observes journal bytes at every durability
-	// point (the CLI writes them to a file). A Persist failure aborts the
-	// replication attempt: the resume contract is only as good as what
-	// actually reached stable storage.
-	Persist func(journal []byte) error
 
-	gen     *xport.Manifest
-	journal []byte
+	gen *xport.Manifest
 }
 
 // Generation returns the destination's committed generation manifest (nil
 // before the first successful replication).
 func (r *Replicator) Generation() *xport.Manifest { return r.gen }
 
-// Restore installs previously persisted state (committed generation and,
-// when resuming a crashed transfer, its journal) — the CLI's path to
-// resuming across process restarts.
-func (r *Replicator) Restore(gen *xport.Manifest, journal []byte) {
-	r.gen = gen
-	r.journal = journal
-}
-
-// Journal returns the in-flight transfer's persisted journal bytes (nil
-// when the last transfer committed).
-func (r *Replicator) Journal() []byte { return r.journal }
+// Restore installs a previously committed generation — the CLI's path to
+// replicating incrementally across process restarts.
+func (r *Replicator) Restore(gen *xport.Manifest) { r.gen = gen }
 
 // Replicate ships snapshot snap to the destination. With base != 0 (and a
 // committed generation present) the transfer is incremental; otherwise a
@@ -632,10 +503,9 @@ func (r *Replicator) Journal() []byte { return r.journal }
 //
 // Failure semantics: stream-shape damage (truncation, bit flips, chunk
 // hash mismatches) and verify failures are retried within Policy's budget,
-// with sectors that failed verification re-applied from the stream; errors
-// that survive the budget — and non-retryable errors — leave the
-// destination's committed generation unchanged (an interrupted apply's
-// journal is kept so the next call resumes it).
+// each attempt applying the whole stream again; errors that survive the
+// budget — and non-retryable errors — leave the committed generation
+// unchanged.
 func (r *Replicator) Replicate(now sim.Time, snap, base SnapshotID) (*xport.Manifest, sim.Time, error) {
 	opt := ExportOpts{Snapshot: snap, Base: base, Limit: r.Limit}
 	if base != 0 {
@@ -664,51 +534,24 @@ func (r *Replicator) Replicate(now sim.Time, snap, base SnapshotID) (*xport.Mani
 		if r.Mangle != nil {
 			wire = r.Mangle(attempt, wire)
 		}
-		rec, d, rerr := ReceiveInto(r.Dst, at, wire, ReceiveOpts{
-			Base:    r.gen,
-			Journal: r.journal,
-			Persist: r.persistJournal,
-		})
-		if rec != nil && rec.Resumed {
-			r.Src.stats.ImportResumes++
+		_, d, err := ReceiveInto(r.Dst, at, wire, r.gen)
+		if err != nil {
+			return d, err
 		}
-		if rerr != nil {
-			return d, rerr
-		}
-		mism, d2, verr := VerifyReplica(r.Dst, d, m)
-		if verr != nil {
-			return d2, verr
+		mism, d, err := VerifyReplica(r.Dst, d, m)
+		if err != nil {
+			return d, err
 		}
 		if len(mism) > 0 {
-			// Re-open the journal for exactly the failed sectors so the next
-			// attempt re-applies them from the already-verified stream.
 			r.Src.stats.VerifyMismatches += int64(len(mism))
-			for _, lba := range mism {
-				rec.Journal.Unmark(lba)
-			}
-			rec.Journal.Committed = false
-			if perr := r.persistJournal(rec.Journal.Encode()); perr != nil {
-				return d2, perr
-			}
-			return d2, fmt.Errorf("%w: %d sectors failed verification", xport.ErrHashMismatch, len(mism))
+			return d, fmt.Errorf("%w: %d sectors failed verification", xport.ErrHashMismatch, len(mism))
 		}
-		return d2, nil
+		return d, nil
 	})
 	r.Src.stats.ImportRetries += retries
 	if err != nil {
 		return nil, done, err
 	}
 	r.gen = m
-	r.journal = nil
 	return m, done, nil
-}
-
-func (r *Replicator) persistJournal(b []byte) error {
-	r.journal = b
-	if r.Persist != nil {
-		if err := r.Persist(b); err != nil {
-			return fmt.Errorf("iosnap: persisting replication journal: %w", err)
-		}
-	}
-	return nil
 }

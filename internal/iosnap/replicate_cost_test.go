@@ -80,7 +80,7 @@ func TestReplicationCostFullVsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, t2, err := ReceiveInto(dst, t1, stream, ReceiveOpts{})
+	_, t2, err := ReceiveInto(dst, t1, stream, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestReplicationCostFullVsIncremental(t *testing.T) {
 	if dst, err = New(src.cfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, t0, err := ReceiveInto(dst, now, stream1, ReceiveOpts{})
+	_, t0, err := ReceiveInto(dst, now, stream1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestReplicationCostFullVsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, t2, err = ReceiveInto(dst, t1, stream, ReceiveOpts{Base: gen1}); err != nil {
+	if _, t2, err = ReceiveInto(dst, t1, stream, gen1); err != nil {
 		t.Fatal(err)
 	}
 	if !m.IsDelta() {

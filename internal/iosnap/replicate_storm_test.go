@@ -88,7 +88,7 @@ func TestExportStorm(t *testing.T) {
 					t.Fatalf("export %d: %v", i, err)
 				}
 				dst := newTestFTL(t)
-				_, d2, err := ReceiveInto(dst, now, stream, ReceiveOpts{})
+				_, d2, err := ReceiveInto(dst, now, stream, nil)
 				if err != nil {
 					t.Fatalf("receive %d: %v", i, err)
 				}

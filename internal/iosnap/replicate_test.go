@@ -94,9 +94,6 @@ func TestFullReplicateBitIdentical(t *testing.T) {
 	if r.Generation() == nil || r.Generation().ID() != m.ID() {
 		t.Fatal("replicator did not commit the generation")
 	}
-	if r.Journal() != nil {
-		t.Fatal("committed transfer must clear the journal")
-	}
 }
 
 func TestIncrementalShipsOnlyTheDelta(t *testing.T) {
@@ -184,118 +181,74 @@ func TestDedupSkipsUnchangedContent(t *testing.T) {
 	checkReplica(t, dst, want)
 }
 
-func TestCrashMidReceiveResumes(t *testing.T) {
-	src, dst, want, now := replPair(t, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	snap, now, err := src.FrozenSnapshot(now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stream, now, err := src.ExportSync(now, ExportOpts{Snapshot: snap.ID})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var persisted []byte
-	keep := func(j []byte) error { persisted = append([]byte(nil), j...); return nil }
-
-	// Crash after three applied chunks. The journal persisted at the abort
-	// is everything the resume may rely on.
-	rec, now, err := ReceiveInto(dst, now, stream, ReceiveOpts{AbortAfter: 3, Persist: keep, PersistEvery: 2})
-	if !errors.Is(err, ErrReceiveAborted) {
-		t.Fatalf("want ErrReceiveAborted, got %v", err)
-	}
-	if rec.Applied != 3 || persisted == nil {
-		t.Fatalf("aborted receive: applied %d, journal persisted %v", rec.Applied, persisted != nil)
-	}
-
-	// Resume from the persisted journal: only the remaining chunks land.
-	rec2, now, err := ReceiveInto(dst, now, stream, ReceiveOpts{Journal: persisted, Persist: keep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec2.Resumed {
-		t.Fatal("second receive must report Resumed")
-	}
-	if rec2.Skipped != 3 || rec2.Applied != len(want.LBAs())-3 {
-		t.Fatalf("resume skipped %d applied %d, want 3/%d", rec2.Skipped, rec2.Applied, len(want.LBAs())-3)
-	}
-	if !rec2.Journal.Committed {
-		t.Fatal("resumed receive must commit")
-	}
-	checkReplica(t, dst, want)
-
-	// A journal from this transfer must be refused by a different one.
-	if now, err = src.Write(now, 1, sectorPattern(src.SectorSize(), 1, 3)); err != nil {
-		t.Fatal(err)
-	}
-	snap2, now, err := src.FrozenSnapshot(now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stream2, now, err := src.ExportSync(now, ExportOpts{Snapshot: snap2.ID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReceiveInto(dst, now, stream2, ReceiveOpts{Journal: persisted}); !errors.Is(err, xport.ErrWrongTransfer) {
-		t.Fatalf("stale journal: want ErrWrongTransfer, got %v", err)
-	}
+// failingReplica passes its first ok writes to the FTL and fails every
+// one after: a receiving host whose disk fills mid-apply.
+type failingReplica struct {
+	*FTL
+	ok int
 }
 
-// TestPersistFailureAbortsReceive: when the journal cannot be made
-// durable, the receive must fail — not report success against a resume
-// contract that exists only in memory. (Regression: Persist errors used to
-// be unreportable by signature.)
-func TestPersistFailureAbortsReceive(t *testing.T) {
-	src, dst, _, now := replPair(t, []int64{0, 1, 2, 3, 4})
-	snap, now, err := src.FrozenSnapshot(now)
+var errReplicaFull = errors.New("replica full")
+
+func (d *failingReplica) Write(now sim.Time, lba int64, data []byte) (sim.Time, error) {
+	if d.ok == 0 {
+		return now, errReplicaFull
+	}
+	d.ok--
+	return d.FTL.Write(now, lba, data)
+}
+
+// TestInterruptedReceiveReapplies: an apply that fails part way leaves a
+// half-changed replica, and applying the same stream again from the start
+// finishes it. The delta dedups, trims and ships, so the second apply
+// re-reads dedup content past a partly written image, trims again and
+// rewrites the chunks that already landed.
+func TestInterruptedReceiveReapplies(t *testing.T) {
+	src, dst, want, now := replPair(t, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	s1, now, err := src.FrozenSnapshot(now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stream, now, err := src.ExportSync(now, ExportOpts{Snapshot: snap.ID})
+	gen1, full, now, err := src.ExportSync(now, ExportOpts{Snapshot: s1.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("sidecar device full")
-	// Fail the very first durability point.
-	rec, _, rerr := ReceiveInto(dst, now, stream, ReceiveOpts{Persist: func([]byte) error { return boom }})
-	if !errors.Is(rerr, boom) {
-		t.Fatalf("receive with failing persist returned %v, want the persist error", rerr)
+	if _, now, err = ReceiveInto(dst, now, full, nil); err != nil {
+		t.Fatal(err)
 	}
-	if rec != nil && rec.Journal.Committed {
-		t.Fatal("journal claims committed although it never became durable")
+	for _, lba := range []int64{2, 5, 8, 40} {
+		now = writeVersion(t, src, want, now, lba, 2)
 	}
-
-	// Fail only the final (commit) persist: everything applied, but the
-	// commit record was lost — the call must still fail and the journal
-	// must not claim Committed.
-	calls := 0
-	var last error
-	rec, _, rerr = ReceiveInto(dst, now, stream, ReceiveOpts{
-		PersistEvery: 1000, // only the clear-phase and commit persists fire
-		Persist: func(j []byte) error {
-			calls++
-			if calls >= 2 {
-				last = boom
-				return boom
-			}
-			return nil
-		},
-	})
-	if !errors.Is(rerr, boom) || last == nil {
-		t.Fatalf("receive with failing commit persist returned %v (persist calls %d)", rerr, calls)
+	if now, err = src.Trim(now, 6, 1); err != nil {
+		t.Fatal(err)
 	}
-	if rec.Journal.Committed {
-		t.Fatal("journal claims committed although the commit record was lost")
+	want.Trim(6)
+	s2, now, err := src.FrozenSnapshot(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := func(lba, hash uint64) bool { e, ok := gen1.Find(lba); return ok && e.Hash == hash }
+	m, delta, now, err := src.ExportSync(now, ExportOpts{Snapshot: s2.ID, Base: s1.ID, BaseManifestID: gen1.ID(), Have: have})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// The replicator propagates the same failure instead of committing a
-	// generation whose journal never persisted.
-	r := &Replicator{Src: src, Dst: dst, Persist: func([]byte) error { return boom }}
-	if _, _, err := r.Replicate(now, snap.ID, 0); !errors.Is(err, boom) {
-		t.Fatalf("replicate with failing persist returned %v, want the persist error", err)
+	if _, _, err := ReceiveInto(&failingReplica{FTL: dst, ok: 2}, now, delta, gen1); !errors.Is(err, errReplicaFull) {
+		t.Fatalf("interrupted receive returned %v, want the write failure", err)
 	}
-	if r.Generation() != nil {
-		t.Fatal("failed replication must not advance the committed generation")
+	if mism, _, err := VerifyReplica(dst, now, m); err != nil || len(mism) == 0 {
+		t.Fatalf("the interrupted receive left a replica that verifies (%v): nothing was interrupted", err)
+	}
+	rec, now, err := ReceiveInto(dst, now, delta, gen1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Applied != 4 || rec.Deduped != len(m.Writes)-4 {
+		t.Fatalf("re-apply wrote %d chunks and deduped %d, want 4 and %d", rec.Applied, rec.Deduped, len(m.Writes)-4)
+	}
+	checkReplica(t, dst, want)
+	if mism, _, err := VerifyReplica(dst, now, m); err != nil || len(mism) != 0 {
+		t.Fatalf("verify after re-apply: %v, %v", mism, err)
 	}
 }
 
@@ -330,16 +283,12 @@ func TestDamagedStreamFailsAtomically(t *testing.T) {
 		{"empty", func(b []byte) []byte { return nil }, xport.ErrTruncated},
 	}
 	for _, tc := range cases {
-		var persisted bool
-		_, _, err := ReceiveInto(dst, now, tc.mangle(stream), ReceiveOpts{Persist: func([]byte) error { persisted = true; return nil }})
+		_, _, err := ReceiveInto(dst, now, tc.mangle(stream), nil)
 		if !errors.Is(err, tc.want) {
 			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 		if !xport.Retryable(err) {
 			t.Fatalf("%s: stream damage must be retryable", tc.name)
-		}
-		if persisted {
-			t.Fatalf("%s: rejected stream must not journal anything", tc.name)
 		}
 		buf := make([]byte, ss)
 		if _, err := dst.Read(now, 2, buf); err != nil || !bytes.Equal(buf, sentinel) {
@@ -359,7 +308,7 @@ func TestImportRejectsGarbage(t *testing.T) {
 		{[]byte("junk"), xport.ErrTruncated},
 		{bytes.Repeat([]byte("not a transfer stream "), 4), xport.ErrBadStream},
 	} {
-		if _, _, err := ReceiveInto(dst, 0, tc.junk, ReceiveOpts{}); !errors.Is(err, tc.want) || !xport.Retryable(err) {
+		if _, _, err := ReceiveInto(dst, 0, tc.junk, nil); !errors.Is(err, tc.want) || !xport.Retryable(err) {
 			t.Fatalf("%d junk bytes: got %v, want %v", len(tc.junk), err, tc.want)
 		}
 	}
@@ -390,7 +339,7 @@ func TestImportSectorSizeMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ReceiveInto(dst, now, stream, ReceiveOpts{}); !errors.Is(err, ErrReplicaMismatch) {
+		if _, _, err := ReceiveInto(dst, now, stream, nil); !errors.Is(err, ErrReplicaMismatch) {
 			t.Fatalf("%s: receive got %v, want ErrReplicaMismatch", name, err)
 		}
 		if dst.MappedSectors() != 0 {
@@ -539,7 +488,7 @@ func TestExportWhileForegroundWritesContinue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, now, err = ReceiveInto(dst, now, stream, ReceiveOpts{}); err != nil {
+	if _, now, err = ReceiveInto(dst, now, stream, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The replica must equal the FROZEN image (version 1), untouched by the
@@ -673,12 +622,12 @@ func TestDeltaRequiresMatchingBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bare destination: refused.
-	if _, _, err := ReceiveInto(dst, now, stream, ReceiveOpts{}); !errors.Is(err, xport.ErrBaseMismatch) {
+	if _, _, err := ReceiveInto(dst, now, stream, nil); !errors.Is(err, xport.ErrBaseMismatch) {
 		t.Fatalf("delta on bare destination: %v", err)
 	}
 	// Destination holding a different generation: refused.
 	other := &xport.Manifest{SnapID: 1, SectorSize: ss, Sectors: src.Sectors()}
-	if _, _, err := ReceiveInto(dst, now, stream, ReceiveOpts{Base: other}); !errors.Is(err, xport.ErrBaseMismatch) {
+	if _, _, err := ReceiveInto(dst, now, stream, other); !errors.Is(err, xport.ErrBaseMismatch) {
 		t.Fatalf("delta on wrong generation: %v", err)
 	}
 	// A replicator with no committed generation refuses to even export one.
@@ -724,7 +673,7 @@ func TestDestageThenDeleteFreesFlash(t *testing.T) {
 	}
 	// And the archive still restores generation 1.
 	dst := newTestFTL(t)
-	_, now2, err := ReceiveInto(dst, 0, archive, ReceiveOpts{})
+	_, now2, err := ReceiveInto(dst, 0, archive, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/retry"
 	"iosnap/internal/sim"
-	"iosnap/internal/xport"
 )
 
 // The torture harness drives a randomized workload — writes, trims, snapshot
@@ -373,12 +372,6 @@ func (t *tortureRun) replicate() error {
 		base = t.lastRepl
 	}
 	_, done, err := t.repl.Replicate(t.now, id, base)
-	if errors.Is(err, xport.ErrWrongTransfer) {
-		// A journal from an interrupted transfer of a different snapshot:
-		// explicitly drop it and restart this transfer fresh.
-		t.repl.Restore(t.repl.Generation(), nil)
-		_, done, err = t.repl.Replicate(t.now, id, base)
-	}
 	if err != nil {
 		if t.crashed() || t.planArmed() || errors.Is(err, ErrOutOfSpace) {
 			t.rep.OpErrors++
@@ -440,9 +433,9 @@ func (t *tortureRun) powerCycle() error {
 	t.f = f2
 	t.now = now2
 	t.rep.Recoveries++
-	// Replication state (destination contents, committed generation, any
-	// receive journal) survives the source's crash; only the source handle
-	// is re-wired to the recovered FTL.
+	// Replication state (destination contents, committed generation)
+	// survives the source's crash; only the source handle is re-wired to
+	// the recovered FTL.
 	if t.repl != nil {
 		t.repl.Src = f2
 	}

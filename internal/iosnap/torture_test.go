@@ -237,9 +237,9 @@ func TestTortureExportChurnDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v (%s)", err, rep)
 		}
-		return fmt.Sprintf("%s fired=%v exported=%d deduped=%d resumed=%d",
+		return fmt.Sprintf("%s fired=%v exported=%d deduped=%d retries=%d",
 			rep, rep.Fired, rep.FinalStats.ExportChunks,
-			rep.FinalStats.ExportDedupHits, rep.FinalStats.ImportResumes)
+			rep.FinalStats.ExportDedupHits, rep.FinalStats.ImportRetries)
 	}
 	a, b := run(), run()
 	if a != b {

@@ -1,6 +1,6 @@
 // Package vfs is the minimal filesystem abstraction the storage service
 // persists through: a FileSystem hands out Files, and everything above it
-// (device images, sidecar manifests, receive journals) is written via the
+// (device images, generation manifests, transfer streams) is written via the
 // durable helpers in this package instead of bare os calls.
 //
 // Two implementations exist: OS, a thin veneer over the operating system,
@@ -203,8 +203,8 @@ func WriteAtomic(fsys FileSystem, path string, write func(io.Writer) error) erro
 }
 
 // WriteFileAtomic writes b to path through WriteAtomic. This is the
-// sidecar-file helper — receive journals and generation manifests exist
-// precisely to survive crashes, so their own persistence must not have a
+// sidecar-file helper — a generation manifest must describe the image
+// beside it after a crash, so its own persistence must not have a
 // torn-write window.
 func WriteFileAtomic(fsys FileSystem, path string, b []byte) error {
 	return WriteAtomic(fsys, path, func(w io.Writer) error {

@@ -126,24 +126,24 @@ func TestMemCrashDropsUnsyncedData(t *testing.T) {
 // contract, and the fsync-less version of the helper fails this test.
 func TestWriteFileAtomicSurvivesCrash(t *testing.T) {
 	m := NewMem()
-	if err := WriteFileAtomic(m, "d/x.journal", []byte("epoch-1")); err != nil {
+	if err := WriteFileAtomic(m, "d/x.gen", []byte("epoch-1")); err != nil {
 		t.Fatal(err)
 	}
 	m.Crash()
-	b, err := ReadFile(m, "d/x.journal")
+	b, err := ReadFile(m, "d/x.gen")
 	if err != nil || string(b) != "epoch-1" {
 		t.Fatalf("after crash: %q, %v", b, err)
 	}
 	// Overwrite, crash: the new content (not a torn mix) survives.
-	if err := WriteFileAtomic(m, "d/x.journal", []byte("epoch-2-longer")); err != nil {
+	if err := WriteFileAtomic(m, "d/x.gen", []byte("epoch-2-longer")); err != nil {
 		t.Fatal(err)
 	}
 	m.Crash()
-	b, err = ReadFile(m, "d/x.journal")
+	b, err = ReadFile(m, "d/x.gen")
 	if err != nil || string(b) != "epoch-2-longer" {
 		t.Fatalf("after overwrite crash: %q, %v", b, err)
 	}
-	if m.Exists("d/x.journal.tmp") {
+	if m.Exists("d/x.gen.tmp") {
 		t.Fatal("temp file survived")
 	}
 }

@@ -3,7 +3,7 @@
 // device to another, every self-contained unit of it one frame of the
 // shared codec (internal/codec).
 //
-// Three artifacts travel between sender and receiver:
+// Two artifacts travel between sender and receiver:
 //
 //   - a Manifest names every sector the image defines, with a content hash
 //     per sector, plus (for deltas) the sectors the base image defines that
@@ -17,10 +17,8 @@
 //     caught at the damaged frame, a truncation at the missing end frame,
 //     and a reordering is harmless because every chunk names its own LBA.
 //
-//   - a Journal records which chunks a receiver has verified and applied,
-//     so an interrupted receive resumes from the last durable chunk instead
-//     of restarting, and a half-applied import is detectable (journal
-//     present, Committed false) rather than silently visible.
+// A receiver keeps the manifest it last committed as its generation (the
+// .gen sidecar of a replica image), so the next delta can name its base.
 //
 // The codec is device-agnostic; the device-aware send/receive/verify loops
 // live in internal/iosnap (replicate.go) and compose this package with the
@@ -46,7 +44,6 @@ var (
 	ErrHashMismatch = errors.New("xport: chunk hash mismatch")
 
 	ErrBadManifest   = errors.New("xport: malformed manifest")
-	ErrBadJournal    = errors.New("xport: malformed journal")
 	ErrWrongTransfer = errors.New("xport: chunk belongs to a different transfer")
 	ErrUnknownLBA    = errors.New("xport: chunk for LBA not in manifest")
 	ErrBaseMismatch  = errors.New("xport: delta does not apply to this base")
@@ -161,26 +158,18 @@ func (m *Manifest) Encode() []byte {
 	return w.B
 }
 
-// openOnly opens b as exactly one frame of type typ: a sidecar file. A
-// foreign type or bytes after the frame are badErr.
-func openOnly(b []byte, typ byte, badErr error) ([]byte, error) {
-	got, payload, n, err := codec.Open(b, codec.MaxPayload)
+// DecodeManifest opens a manifest frame — a whole .gen sidecar file — and
+// decodes its body. A foreign frame type or bytes after the frame are
+// ErrBadManifest.
+func DecodeManifest(b []byte) (*Manifest, error) {
+	typ, body, n, err := codec.Open(b, codec.MaxPayload)
 	switch {
 	case err != nil:
 		return nil, err
-	case got != typ:
-		return nil, fmt.Errorf("%w: frame type %d", badErr, got)
+	case typ != codec.Manifest:
+		return nil, fmt.Errorf("%w: frame type %d", ErrBadManifest, typ)
 	case n != len(b):
-		return nil, fmt.Errorf("%w: %d bytes after the frame", badErr, len(b)-n)
-	}
-	return payload, nil
-}
-
-// DecodeManifest opens a manifest frame and decodes its body.
-func DecodeManifest(b []byte) (*Manifest, error) {
-	body, err := openOnly(b, codec.Manifest, ErrBadManifest)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %d bytes after the frame", ErrBadManifest, len(b)-n)
 	}
 	return decodeManifestBody(body)
 }
@@ -370,98 +359,4 @@ func VerifyChunk(m *Manifest, id uint64, f Frame) error {
 		return fmt.Errorf("%w: LBA %d", ErrHashMismatch, f.LBA)
 	}
 	return nil
-}
-
-// Journal is the receiver's durable record of one transfer: which chunks
-// verified and landed on the target device, whether the delta's deletes
-// were applied, and whether the import committed. A receiver persists the
-// journal after every applied batch; on restart, DecodeJournal + the same
-// manifest resume the transfer from the last durable chunk.
-type Journal struct {
-	// ManifestID pins the journal to one transfer; resuming with a journal
-	// from a different transfer is ErrWrongTransfer.
-	ManifestID uint64
-	// Committed is set by the receiver's final step, after every chunk and
-	// delete has landed. A journal with Committed false marks a half-applied
-	// import: invisible to consumers until resumed to completion.
-	Committed bool
-	// DeletesDone records that the delta's Deletes were applied (they are
-	// idempotent, but tracking them keeps resume cheap).
-	DeletesDone bool
-
-	applied map[uint64]struct{}
-}
-
-// NewJournal starts an empty journal for the given transfer.
-func NewJournal(manifestID uint64) *Journal {
-	return &Journal{ManifestID: manifestID, applied: make(map[uint64]struct{})}
-}
-
-// MarkApplied records that lba's chunk verified and landed.
-func (j *Journal) MarkApplied(lba uint64) { j.applied[lba] = struct{}{} }
-
-// Applied reports whether lba's chunk already landed.
-func (j *Journal) Applied(lba uint64) bool {
-	_, ok := j.applied[lba]
-	return ok
-}
-
-// AppliedCount is the number of landed chunks.
-func (j *Journal) AppliedCount() int { return len(j.applied) }
-
-// Unmark forgets that lba's chunk landed, forcing the next resumed apply
-// to re-write it — the verify-repair path for sectors that failed a
-// post-receive hash check.
-func (j *Journal) Unmark(lba uint64) { delete(j.applied, lba) }
-
-// Encode frames the journal as one codec.Journal frame: a whole sidecar
-// file.
-func (j *Journal) Encode() []byte {
-	lbas := make([]uint64, 0, len(j.applied))
-	for lba := range j.applied {
-		lbas = append(lbas, lba)
-	}
-	sort.Slice(lbas, func(a, b int) bool { return lbas[a] < lbas[b] })
-	var w codec.Writer
-	start := w.Begin(codec.Journal)
-	w.U64(j.ManifestID)
-	w.Bool(j.Committed)
-	w.Bool(j.DeletesDone)
-	w.U32(uint32(len(lbas)))
-	for _, lba := range lbas {
-		w.U64(lba)
-	}
-	w.End(start)
-	return w.B
-}
-
-// DecodeJournal validates framing and checksum and rebuilds the journal.
-// A damaged journal is ErrBadJournal-class: the receiver restarts the
-// transfer from scratch rather than trusting it.
-func DecodeJournal(b []byte) (*Journal, error) {
-	body, err := openOnly(b, codec.Journal, ErrBadJournal)
-	if err != nil {
-		if !errors.Is(err, ErrBadJournal) {
-			err = fmt.Errorf("%w: %v", ErrBadJournal, err)
-		}
-		return nil, err
-	}
-	r := codec.Reader{B: body}
-	j := &Journal{
-		ManifestID:  r.U64(),
-		Committed:   r.Bool(),
-		DeletesDone: r.Bool(),
-		applied:     make(map[uint64]struct{}),
-	}
-	n := r.Count(uint64(r.U32()), 8)
-	for i := 0; i < n; i++ {
-		j.applied[r.U64()] = struct{}{}
-	}
-	if r.Err() != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadJournal, r.Err())
-	}
-	if r.Rest() != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after the applied LBAs", ErrBadJournal, r.Rest())
-	}
-	return j, nil
 }

@@ -98,7 +98,7 @@ func TestManifestDecodeRejectsDamage(t *testing.T) {
 			c[len(c)/2] ^= 0x10
 			return c
 		}, ErrBadChecksum},
-		{"journal-frame", func([]byte) []byte { return NewJournal(1).Encode() }, ErrBadManifest},
+		{"end-frame", func([]byte) []byte { return NewStreamWriter(testManifest()).Close()[len(enc):] }, ErrBadManifest},
 		{"trailing-bytes", func(b []byte) []byte { return append(append([]byte(nil), b...), 0) }, ErrBadManifest},
 	}
 	for _, tc := range cases {
@@ -242,48 +242,6 @@ func TestVerifyChunkRejections(t *testing.T) {
 	}
 }
 
-func TestJournalRoundTripAndResume(t *testing.T) {
-	j := NewJournal(0xABCD)
-	j.MarkApplied(3)
-	j.MarkApplied(77)
-	j.DeletesDone = true
-
-	got, err := DecodeJournal(j.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ManifestID != j.ManifestID || got.Committed || !got.DeletesDone {
-		t.Fatalf("journal fields: %+v", got)
-	}
-	if !got.Applied(3) || !got.Applied(77) || got.Applied(10) {
-		t.Fatal("applied set did not round-trip")
-	}
-	if got.AppliedCount() != 2 {
-		t.Fatalf("AppliedCount = %d", got.AppliedCount())
-	}
-
-	got.Committed = true
-	again, err := DecodeJournal(got.Encode())
-	if err != nil || !again.Committed {
-		t.Fatalf("committed round-trip: %+v, %v", again, err)
-	}
-}
-
-func TestJournalDecodeRejectsDamage(t *testing.T) {
-	j := NewJournal(1)
-	j.MarkApplied(5)
-	enc := j.Encode()
-
-	if _, err := DecodeJournal(enc[:len(enc)-3]); !errors.Is(err, ErrBadJournal) {
-		t.Fatalf("truncated journal: %v", err)
-	}
-	flipped := append([]byte(nil), enc...)
-	flipped[len(flipped)-10] ^= 0x80
-	if _, err := DecodeJournal(flipped); !errors.Is(err, ErrBadJournal) {
-		t.Fatalf("flipped journal: %v", err)
-	}
-}
-
 func TestEmptyManifestStream(t *testing.T) {
 	// A delta with no changed sectors is legal: manifest + end frame only.
 	m := &Manifest{SnapID: 1, BaseSnapID: 2, BaseID: 9, SectorSize: 64, Sectors: 16}
@@ -301,17 +259,13 @@ func TestEmptyManifestStream(t *testing.T) {
 	}
 }
 
-// TestEncodingsPinned: manifests, streams and journals are a wire and file
+// TestEncodingsPinned: manifests and streams are a wire and file
 // format, so the bytes the encoders produce are pinned by length and
 // FNV-64a. A moved constant is a changed format: the old one is refused,
 // never read, so it moves only with a change of format by design.
 func TestEncodingsPinned(t *testing.T) {
 	delta := testManifest()
 	delta.BaseID, delta.BaseSnapID, delta.Deletes = 42, 6, []uint64{1, 2, 99}
-	j := NewJournal(delta.ID())
-	j.MarkApplied(77)
-	j.MarkApplied(3)
-	j.DeletesDone = true
 	for _, tc := range []struct {
 		name string
 		b    []byte
@@ -321,7 +275,6 @@ func TestEncodingsPinned(t *testing.T) {
 		{"manifest", delta.Encode(), 125, 0xf2ec44339a6fa44},
 		{"stream", buildStream(testManifest()), 405, 0x388968c2fa61b50f},
 		{"empty stream", NewStreamWriter(&Manifest{SnapID: 1, SectorSize: 64, Sectors: 16}).Close(), 78, 0xa4d261a722a74a04},
-		{"journal", j.Encode(), 39, 0x3b3a6626b5a05763},
 	} {
 		if len(tc.b) != tc.n || HashChunk(tc.b) != tc.sum {
 			t.Errorf("%s: %d bytes, FNV-64a %#x; pinned %d bytes, %#x", tc.name, len(tc.b), HashChunk(tc.b), tc.n, tc.sum)

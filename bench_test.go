@@ -184,14 +184,16 @@ func BenchmarkActivation(b *testing.B) {
 // BenchmarkCleanAfterSnapshotHistory measures what a forced clean costs per
 // moved block on devices that differ only in how many snapshots have come
 // and gone: N create → activate → deactivate → delete cycles, then the same
-// four live snapshots. Every cycle leaves two dead epochs in the validity
-// store; the cleaner's per-block fix-up walks the live ones, so ns/moved-block
-// must be flat in N (it grew with N while the fix-up enumerated every epoch
-// ever created). Then the device is closed and mounted back: the checkpoint
-// Close writes (ckpt-chunks) and the tail-bounded mount (recover-ns, the
-// fastest of five) must be flat in N too, since a checkpoint reaps the dead
-// epochs instead of serializing them. Printed, not gated: wall clock on a
-// shared runner is noise.
+// four live snapshots. Each cycle's two dead epochs, the view's and the
+// snapshot's, are reaped as they die (the snapshot's at the next create,
+// which moves the active view off it), so the validity store ends holding the
+// same epochs whatever N. The cleaner's per-block fix-up walks the live ones,
+// so ns/moved-block must be flat in N (it grew with N while the fix-up
+// enumerated every epoch ever created). Then the device is closed and
+// mounted back: the checkpoint Close writes (ckpt-chunks) and the
+// tail-bounded mount (recover-ns, the fastest of five) must be flat in N too,
+// since no dead epoch is left to serialize. Printed, not gated: wall clock
+// on a shared runner is noise.
 func BenchmarkCleanAfterSnapshotHistory(b *testing.B) {
 	for _, cycles := range []int{0, 100, 400} {
 		b.Run("cycles-"+strconv.Itoa(cycles), func(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"iosnap/internal/iosnap"
 	"iosnap/internal/vfs"
 	"iosnap/internal/xport"
 )
@@ -151,8 +152,9 @@ func TestCLIReplicatePersistFailureAborts(t *testing.T) {
 
 // TestCLIFailedImportLeavesReplica: an import that fails after its
 // validation pass — here a deduplicated sector whose local content was
-// tampered with — writes nothing: image and generation manifest keep
-// their bytes.
+// tampered with — names the sector and writes nothing: image and generation
+// manifest keep their bytes. No re-send of that stream can repair it, so the
+// error is not one a retry loop retries.
 func TestCLIFailedImportLeavesReplica(t *testing.T) {
 	src, dst, stream := replicaFixture(t)
 	if err := runCtl(t, dst, "import", "-in", stream); err != nil {
@@ -180,13 +182,45 @@ func TestCLIFailedImportLeavesReplica(t *testing.T) {
 		return img, gen
 	}
 	img, gen := read()
-	if err := runCtl(t, dst, "import", "-in", stream2); !errors.Is(err, xport.ErrHashMismatch) {
-		t.Fatalf("import over tampered dedup content returned %v, want ErrHashMismatch", err)
+	err := runCtl(t, dst, "import", "-in", stream2)
+	if !errors.Is(err, iosnap.ErrReplicaDiverged) || xport.Retryable(err) || !strings.Contains(err.Error(), "LBA 3") {
+		t.Fatalf("import over tampered dedup content returned %v, want ErrReplicaDiverged naming LBA 3, not retryable", err)
 	}
 	img2, gen2 := read()
 	if !bytes.Equal(img, img2) || !bytes.Equal(gen, gen2) {
 		t.Fatalf("the failed import rewrote the replica (image same %v, generation same %v)",
 			bytes.Equal(img, img2), bytes.Equal(gen, gen2))
+	}
+}
+
+// TestCLIReplicateRepairsDivergedReplica: a replica whose copy of a sector
+// was changed behind its generation manifest takes the next replicate. Its
+// first attempt dedups that sector and is refused; the next exports the
+// snapshot again without dedup and ships it, and the replica verifies.
+func TestCLIReplicateRepairsDivergedReplica(t *testing.T) {
+	mem := vfs.NewMem()
+	old := fsys
+	fsys = mem
+	defer func() { fsys = old }()
+	const src, dst = "src.img", "dst.img"
+	for _, step := range [][]string{
+		{src, "init", "-megabytes", "8"},
+		{dst, "init", "-megabytes", "8"},
+		{src, "write", "-lba", "0", "-text", "v-0"},
+		{src, "write", "-lba", "1", "-text", "v-1"},
+		{src, "write", "-lba", "2", "-text", "v-2"},
+		{src, "write", "-lba", "3", "-text", "v-3"},
+		{src, "snap-create"},
+		{src, "replicate", "-id", "1", "-dst", dst},
+		{dst, "write", "-lba", "3", "-text", "tampered"},
+		{src, "write", "-lba", "2", "-text", "v2-2"},
+		{src, "snap-create"},
+		{src, "replicate", "-id", "2", "-dst", dst},
+		{dst, "verify"},
+	} {
+		if err := runCtl(t, step[0], step[1:]...); err != nil {
+			t.Fatalf("%s on %s: %v", strings.Join(step[1:], " "), step[0], err)
+		}
 	}
 }
 

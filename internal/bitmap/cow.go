@@ -41,7 +41,7 @@ type Store struct {
 	nBits       int64
 	bitsPerPage int64
 	epochs      map[Epoch]*epochMap
-	heirs       map[Epoch]Epoch // reaped epoch -> surviving heir (Resolve)
+	heirs       map[Epoch]Epoch // spliced epoch -> the child that took its place (Resolve)
 	live        []Epoch         // the non-deleted epochs, ascending
 	liveMaps    []*epochMap     // their maps, index for index
 	holding     []int           // Repoint's scratch: indices into liveMaps
@@ -199,27 +199,12 @@ type Reaped struct {
 // which is the same whatever order the epochs were deleted or reaped in: the
 // live epochs, the pinned ones and the deleted ones with two or more
 // surviving children, each inheriting from its nearest surviving ancestor.
-// The alias table (Resolve) is the same too.
+// The alias table (Resolve, Aliases) is the same too.
+//
+// A spliced epoch records only its heir, so a pass costs the epochs the
+// store holds, not the history: Resolve follows the chain an alias starts.
 func (s *Store) Reap(pinned func(Epoch) bool) []Reaped {
 	out := s.reap(pinned)
-	if len(out) == 0 {
-		return nil
-	}
-	// Path compression: an alias naming an epoch reaped just now moves on
-	// to that epoch's heir, which survived this pass, or goes with it.
-	heirOf := make(map[Epoch]Epoch, len(out))
-	for _, r := range out {
-		heirOf[r.Epoch] = r.Heir
-	}
-	for e, h := range s.heirs {
-		if next, reaped := heirOf[h]; reaped {
-			if next == NoParent {
-				delete(s.heirs, e)
-			} else {
-				s.heirs[e] = next
-			}
-		}
-	}
 	for _, r := range out {
 		if r.Heir != NoParent {
 			s.heirs[r.Epoch] = r.Heir
@@ -228,12 +213,29 @@ func (s *Store) Reap(pinned func(Epoch) bool) []Reaped {
 	return out
 }
 
+// Reapable returns the lowest deleted epoch Reap would remove now, if any.
+// Reap removes nothing exactly when there is none: an epoch becomes
+// removable during a pass only once a child of it was removed.
+func (s *Store) Reapable(pinned func(Epoch) bool) (Epoch, bool) {
+	for _, e := range s.Epochs() {
+		if s.epochs[e].reapable(pinned) {
+			return e, true
+		}
+	}
+	return 0, false
+}
+
+// reapable is Reap's rule: a deleted epoch with at most one child, unpinned.
+func (em *epochMap) reapable(pinned func(Epoch) bool) bool {
+	return em.deleted && len(em.children) <= 1 && !pinned(em.epoch)
+}
+
 func (s *Store) reap(pinned func(Epoch) bool) []Reaped {
 	var out []Reaped
 	eps := s.Epochs()
 	for i := len(eps) - 1; i >= 0; i-- {
 		em := s.epochs[eps[i]]
-		if !em.deleted || len(em.children) > 1 || pinned(em.epoch) {
+		if !em.reapable(pinned) {
 			continue
 		}
 		r := Reaped{Epoch: em.epoch, Heir: NoParent}
@@ -267,23 +269,48 @@ func (s *Store) reap(pinned func(Epoch) bool) []Reaped {
 }
 
 // Resolve maps an epoch number, as data pages on flash keep carrying it, to
-// the epoch that stands for it now: itself while registered, its heir once
-// spliced out (path-compressed: one lookup), and ok=false once it was
-// dropped or if it never existed.
+// the epoch that stands for it now: itself while registered, the end of its
+// chain of heirs once spliced out, and ok=false once that chain ends in a
+// dropped epoch or if it never existed. The walk compresses the chain: every
+// alias on it names the end afterwards, or goes with a dropped end.
 func (s *Store) Resolve(e Epoch) (Epoch, bool) {
-	if h, ok := s.heirs[e]; ok {
-		return h, true
+	end, spliced := s.heirs[e]
+	if !spliced {
+		_, ok := s.epochs[e]
+		return e, ok
 	}
-	_, ok := s.epochs[e]
-	return e, ok
+	for {
+		next, ok := s.heirs[end]
+		if !ok {
+			break
+		}
+		end = next
+	}
+	_, ok := s.epochs[end]
+	for at := e; at != end; {
+		next := s.heirs[at]
+		if ok {
+			s.heirs[at] = end
+		} else {
+			delete(s.heirs, at)
+		}
+		at = next
+	}
+	if !ok {
+		return e, false
+	}
+	return end, true
 }
 
 // Aliases returns the alias table, ascending by reaped epoch: every epoch
-// spliced out so far whose heir still stands for it.
+// spliced out so far, each naming the registered epoch it resolves to now.
+// An alias whose chain ends in a dropped epoch is left out (and forgotten).
 func (s *Store) Aliases() []Reaped {
 	out := make([]Reaped, 0, len(s.heirs))
-	for e, h := range s.heirs {
-		out = append(out, Reaped{Epoch: e, Heir: h})
+	for e := range s.heirs {
+		if h, ok := s.Resolve(e); ok {
+			out = append(out, Reaped{Epoch: e, Heir: h})
+		}
 	}
 	slices.SortFunc(out, func(a, b Reaped) int { return cmp.Compare(a.Epoch, b.Epoch) })
 	return out

@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,8 +40,15 @@ func TestReapShapes(t *testing.T) {
 	before := s.MemoryBytes()
 	cows := s.CoWCopies()
 	gen := s.Gen()
+	none := func(Epoch) bool { return false }
+	if e, ok := s.Reapable(none); !ok || e != 2 {
+		t.Fatalf("Reapable = %d, %v; want 2, the lowest deleted epoch with one child", e, ok)
+	}
+	if _, ok := s.Reapable(func(e Epoch) bool { return e != 1 && e != 4 }); ok {
+		t.Fatal("Reapable found an epoch with every deleted one pinned")
+	}
 
-	got := s.Reap(func(Epoch) bool { return false })
+	got := s.Reap(none)
 	want := []Reaped{{6, NoParent}, {5, NoParent}, {3, 4}, {2, 4}}
 	if !slices.Equal(got, want) {
 		t.Fatalf("Reap = %v, want %v", got, want)
@@ -79,7 +87,10 @@ func TestReapShapes(t *testing.T) {
 			t.Fatalf("Resolve(%d) found an heir for a dropped or unknown epoch", e)
 		}
 	}
-	if again := s.Reap(func(Epoch) bool { return false }); again != nil {
+	if e, ok := s.Reapable(none); ok {
+		t.Fatalf("Reapable = %d after reaping", e)
+	}
+	if again := s.Reap(none); again != nil {
 		t.Fatalf("a second pass reaped %v", again)
 	}
 }
@@ -87,9 +98,9 @@ func TestReapShapes(t *testing.T) {
 // TestReapIsConfluent: a store reaped after every operation, with pins that
 // come and go, and a twin reaped once at the end with the final pins hold
 // the same epochs, parents, deletion marks, owned page indices, bits and
-// alias table. This is what lets a checkpoint reap what it serializes and
-// still agree with a recovery that rebuilds the whole history and reaps it
-// in one pass. (CoW counts may differ: a write into an epoch that adopted a
+// alias table. This is what lets the FTL reap history as it dies and still
+// agree with a recovery that rebuilds the whole history and reaps it in one
+// pass. (CoW counts may differ: a write into an epoch that adopted a
 // page finds it owned and copies nothing.)
 func TestReapIsConfluent(t *testing.T) {
 	const nBits, bpp = 1024, 64
@@ -137,6 +148,9 @@ func TestReapIsConfluent(t *testing.T) {
 				})
 			}
 			reaped += len(eager.Reap(pinned))
+			if e, ok := eager.Reapable(pinned); ok {
+				t.Fatalf("seed %d step %d: epoch %d still reapable after a pass", seed, step, e)
+			}
 		}
 		reaped += len(eager.Reap(pinned))
 		lazy.Reap(pinned)
@@ -170,5 +184,165 @@ func TestReapIsConfluent(t *testing.T) {
 			}
 		}
 		checkLive(t, eager, "after reaping")
+	}
+}
+
+// eagerAliases is the alias table as Reap used to keep it: every pass
+// rewrote every alias naming an epoch it reaped, so the table always named
+// registered heirs directly. It is the reference for the lazy table.
+type eagerAliases map[Epoch]Epoch
+
+func (a eagerAliases) apply(out []Reaped) {
+	heirOf := make(map[Epoch]Epoch, len(out))
+	for _, r := range out {
+		heirOf[r.Epoch] = r.Heir
+	}
+	for e, h := range a {
+		if next, reaped := heirOf[h]; reaped {
+			if next == NoParent {
+				delete(a, e)
+			} else {
+				a[e] = next
+			}
+		}
+	}
+	for _, r := range out {
+		if r.Heir != NoParent {
+			a[r.Epoch] = r.Heir
+		}
+	}
+}
+
+func (a eagerAliases) list() []Reaped {
+	out := make([]Reaped, 0, len(a))
+	for e, h := range a {
+		out = append(out, Reaped{Epoch: e, Heir: h})
+	}
+	slices.SortFunc(out, func(x, y Reaped) int { return cmp.Compare(x.Epoch, y.Epoch) })
+	return out
+}
+
+// checkAliases compares s's alias table and Resolve of every epoch below
+// next (every epoch ever created, and 0, never created) with the reference.
+func checkAliases(t *testing.T, s *Store, ref eagerAliases, next Epoch, when string) {
+	t.Helper()
+	if got, want := s.Aliases(), ref.list(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Aliases() = %v, want %v", when, got, want)
+	}
+	for e := Epoch(0); e < next; e++ {
+		want, wantOK := ref[e]
+		if !wantOK {
+			want, wantOK = e, s.Exists(e)
+		}
+		if got, ok := s.Resolve(e); ok != wantOK || (ok && got != want) {
+			t.Fatalf("%s: Resolve(%d) = %d, %v; want %d, %v", when, e, got, ok, want, wantOK)
+		}
+	}
+}
+
+// TestLazyAliasesMatchEagerSweep: random create, delete, pin and reap
+// sequences on two stores, one whose alias table is read after every reap
+// (chains compressed as they form) and one read only now and then (chains
+// left to grow), both against the eager sweep as reference.
+func TestLazyAliasesMatchEagerSweep(t *testing.T) {
+	const nBits, bpp = 1024, 64
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		every, sometimes := NewStore(nBits, bpp), NewStore(nBits, bpp)
+		ref := eagerAliases{}
+		both := func(fn func(s *Store) error) {
+			if err := fn(every); err != nil {
+				t.Fatal(err)
+			}
+			if err := fn(sometimes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		both(func(s *Store) error { return s.CreateEpoch(1, NoParent) })
+		pins := map[Epoch]bool{}
+		pinned := func(e Epoch) bool { return pins[e] }
+		next, spliced := Epoch(2), 0
+		for step := 0; step < 2000; step++ {
+			live := every.LiveEpochs()
+			switch op := rng.Intn(10); {
+			case op < 3 && len(live) < 8:
+				p := live[rng.Intn(len(live))]
+				both(func(s *Store) error { return s.CreateEpoch(next, p) })
+				next++
+			case op < 6 && len(live) > 1:
+				e := live[rng.Intn(len(live))]
+				both(func(s *Store) error { return s.DeleteEpoch(e) })
+			case op == 6:
+				eps := every.Epochs()
+				e := eps[rng.Intn(len(eps))]
+				pins[e] = !pins[e]
+			default:
+				e, i := live[rng.Intn(len(live))], int64(rng.Intn(nBits))
+				both(func(s *Store) error { s.Set(e, i); return nil })
+			}
+			out := every.Reap(pinned)
+			if other := sometimes.Reap(pinned); !slices.Equal(out, other) {
+				t.Fatalf("seed %d step %d: twin stores reaped %v and %v", seed, step, out, other)
+			}
+			ref.apply(out)
+			for _, r := range out {
+				if r.Heir != NoParent {
+					spliced++
+				}
+			}
+			if len(out) > 0 {
+				checkAliases(t, every, ref, next, "after a reap")
+			}
+			if rng.Intn(50) == 0 {
+				checkAliases(t, sometimes, ref, next, "now and then")
+			}
+		}
+		checkAliases(t, sometimes, ref, next, "at the end")
+		if spliced < 50 || len(ref) == 0 {
+			t.Fatalf("seed %d: degenerate run: %d epochs spliced, %d aliases left", seed, spliced, len(ref))
+		}
+	}
+}
+
+// TestDeepAliasChain: snap-churn's shape — the active epoch freezes into a
+// snapshot, the oldest of the three held is deleted and reaped — 10 000
+// times, the alias table never read in between. Every deleted epoch is
+// spliced into the next, a chain 10 000 deep; it ends as one alias per
+// spliced epoch, each naming the one that survives.
+func TestDeepAliasChain(t *testing.T) {
+	const cycles = 10_000
+	s := NewStore(1024, 64)
+	if err := s.CreateEpoch(1, NoParent); err != nil {
+		t.Fatal(err)
+	}
+	active, held := Epoch(1), []Epoch(nil)
+	for i := 0; i < cycles+3; i++ {
+		s.Set(active, int64(i%1024))
+		held = append(held, active)
+		active++
+		if err := s.CreateEpoch(active, active-1); err != nil {
+			t.Fatal(err)
+		}
+		if len(held) > 3 {
+			if err := s.DeleteEpoch(held[0]); err != nil {
+				t.Fatal(err)
+			}
+			held = held[1:]
+			if out := s.Reap(func(Epoch) bool { return false }); len(out) != 1 {
+				t.Fatalf("cycle %d reaped %v, want the deleted epoch", i, out)
+			}
+		}
+	}
+	if eps := s.Epochs(); len(eps) != len(held)+1 {
+		t.Fatalf("%d epochs left, want the %d held and the active one", len(eps), len(held))
+	}
+	aliases := s.Aliases()
+	if len(aliases) != cycles {
+		t.Fatalf("%d aliases, want one per spliced epoch (%d)", len(aliases), cycles)
+	}
+	for i, a := range aliases {
+		if a.Epoch != Epoch(i+1) || a.Heir != held[0] {
+			t.Fatalf("alias %d is %d -> %d, want %d -> %d", i, a.Epoch, a.Heir, i+1, held[0])
+		}
 	}
 }

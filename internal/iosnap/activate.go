@@ -83,8 +83,9 @@ func (vw *View) CreateSnapshot(now sim.Time) (*Snapshot, sim.Time, error) {
 }
 
 // Deactivate releases the view: a note records the action, the view's map
-// memory is freed, and (for writable views) any writes never captured by a
-// snapshot become garbage for the cleaner.
+// memory is freed, (for writable views) any writes never captured by a
+// snapshot become garbage for the cleaner, and the history only the view
+// still read is reaped (reap.go).
 func (vw *View) Deactivate(now sim.Time) (sim.Time, error) {
 	if vw.v.closed {
 		return now, ErrViewClosed
@@ -113,6 +114,7 @@ func (vw *View) Deactivate(now sim.Time) (sim.Time, error) {
 		}
 	}
 	vw.v.fmap = nil
+	f.reap()
 	return done, nil
 }
 
@@ -283,12 +285,13 @@ func (s *scan) finishScan(build func([]actCand) []ftlmap.Entry) {
 }
 
 // end finishes the job at now with err (nil on success): its remaining
-// quanta become no-ops, the cleaner stops calling it, and the scan's state
-// is dropped.
+// quanta become no-ops, the cleaner stops calling it, the scan's state is
+// dropped, and so is the history only its pins kept (reap.go).
 func (s *scan) end(now sim.Time, err error) {
 	s.done, s.err, s.completedAt = true, err, now
 	s.f.scans = slices.DeleteFunc(s.f.scans, func(x *scan) bool { return x == s })
 	s.cands, s.scanned, s.moved, s.valid, s.sorted, s.deletes = nil, nil, nil, nil, nil, nil
+	s.f.reap()
 }
 
 // classify turns the scan's LBA-sorted candidates into the job's writes and,
@@ -331,12 +334,12 @@ func (s *scan) classify(cands []actCand) []ftlmap.Entry {
 // would keep the snapshot's blocks merged-valid after the snapshot itself is
 // deleted, and a checkpoint would persist it as live.
 func (s *scan) fail(now sim.Time, err error) (sim.Time, bool) {
-	s.end(now, err)
 	if vs := s.f.vstore; vs.Exists(s.viewEpoch) && !vs.Deleted(s.viewEpoch) {
 		if derr := vs.DeleteEpoch(s.viewEpoch); derr != nil {
-			s.err = errors.Join(err, derr)
+			err = errors.Join(err, derr)
 		}
 	}
+	s.end(now, err)
 	return now, true
 }
 

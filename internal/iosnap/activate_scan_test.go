@@ -389,8 +389,10 @@ func TestActivationScanFaultLeaksNoEpoch(t *testing.T) {
 }
 
 // TestCleanerFixUpCostsLiveEpochsNotHistory: after 200 create → activate →
-// deactivate → delete cycles the store remembers 400+ epochs, but the
-// cleaner's per-block fix-up walks only the live ones and allocates nothing.
+// deactivate → delete cycles, every epoch pinned as it is created, the store
+// remembers 400+ epochs, but the cleaner's per-block fix-up walks only the
+// live ones and allocates nothing. Once the pins go, the whole store is as
+// small as the live epochs.
 func TestCleanerFixUpCostsLiveEpochsNotHistory(t *testing.T) {
 	// Every create, activate, deactivate and delete leaves a note that stays
 	// valid for good: 800 pages by the end, so this needs a roomier device
@@ -403,6 +405,7 @@ func TestCleanerFixUpCostsLiveEpochsNotHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pins := newHistoryPins(f)
 	ss := f.SectorSize()
 	now := sim.Time(0)
 	rng := sim.NewRNG(4)
@@ -420,10 +423,12 @@ func TestCleanerFixUpCostsLiveEpochsNotHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pins.pin()
 		vw, d, err := f.ActivateSync(d, snap.ID, noLimit, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pins.pin()
 		if now, err = vw.Deactivate(d); err != nil {
 			t.Fatal(err)
 		}
@@ -477,6 +482,13 @@ func TestCleanerFixUpCostsLiveEpochsNotHistory(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("the cleaner's per-block fix-up allocates %.1f times per two moves, want 0", allocs)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	pins.release(now)
+	if got, bound := len(f.vstore.Epochs()), len(kept)+len(f.views)+1; got > bound {
+		t.Fatalf("the store holds %d epochs once the pins went, want at most %d (live snapshots + views + 1)", got, bound)
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)

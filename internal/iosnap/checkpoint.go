@@ -24,10 +24,10 @@ import (
 //   - every epoch's validity delta — its CoW-owned bitmap pages plus its
 //     parent link and deleted mark.
 //
-// Serialization starts with a history reap (reap.go), so the tree and
-// validity sections hold the live epochs and snapshots plus the deleted ones
-// that still branch or are still read — not every epoch ever created;
-// recovery reaps what it loaded all the same. Each epoch is written as it
+// History is reaped where it dies (reap.go), so the tree and validity
+// sections hold the live epochs and snapshots plus the deleted ones that
+// still branch or are still read — not every epoch ever created; recovery
+// reaps what it loaded all the same. Each epoch is written as it
 // stands: one that dies at a crash — a writable view's, an in-flight
 // activation's — is live in the checkpoint, and the mount's replay kills it
 // as it kills every live epoch that is neither active nor frozen.
@@ -77,11 +77,11 @@ type ckptTreeState struct {
 	aliases []bitmap.Reaped
 }
 
-// SerializeCheckpoint implements logcore.Policy: it reaps dead history, then
-// captures the four sections at one instant and returns the checkpoint
-// identity plus every chunk of their stream.
+// SerializeCheckpoint implements logcore.Policy: it captures the four
+// sections at one instant and returns the checkpoint identity plus every
+// chunk of their stream. It reaps nothing: every path that could leave a
+// reapable epoch has reaped it already (CheckInvariants holds it to that).
 func (f *FTL) SerializeCheckpoint() (uint64, [][]byte, error) {
-	f.reap()
 	ckptID := f.Seq
 
 	// The active forward map, in whichever layout the engine serializes it.

@@ -501,13 +501,27 @@ func TestValidSectionEncodingUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := driveScenario(t, f, 31, 400) // writes, snapshot creates and deletes
-		// A view still on its activation epoch and an activation in flight:
-		// both epochs are written as they stand, live.
-		snaps := f.Snapshots()
-		if len(snaps) == 0 {
-			t.Fatal("scenario left no snapshot to activate")
+		// History that survives reaping: four more live snapshots, each
+		// over writes of its own.
+		for i := range int64(4) {
+			for lba := 10 * i; lba < 10*i+5; lba++ {
+				if s.now, err = f.Write(s.now, lba, sectorPattern(f.SectorSize(), lba, byte(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, s.now, err = f.CreateSnapshot(s.now); err != nil {
+				t.Fatal(err)
+			}
 		}
+		// A view still on its activation epoch, whose snapshot is deleted
+		// under it, and an activation in flight: the epochs are written as
+		// they stand, the view's and the activation's live, the snapshot's
+		// deleted.
+		snaps := f.Snapshots()
 		if _, s.now, err = f.ActivateSync(s.now, snaps[0].ID, noLimit, false); err != nil {
+			t.Fatal(err)
+		}
+		if s.now, err = f.DeleteSnapshot(s.now, snaps[0].ID); err != nil {
 			t.Fatal(err)
 		}
 		if _, s.now, err = f.Activate(s.now, snaps[len(snaps)-1].ID, actLimit, false); err != nil {

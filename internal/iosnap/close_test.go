@@ -235,7 +235,7 @@ func TestCloseEndsBackgroundScans(t *testing.T) {
 	if !errors.Is(act.Err(), ErrClosed) || !errors.Is(x.Err(), ErrClosed) {
 		t.Fatalf("activation ended with %v, export with %v; want ErrClosed", act.Err(), x.Err())
 	}
-	if !f.vstore.Deleted(act.viewEpoch) {
+	if f.vstore.Exists(act.viewEpoch) {
 		t.Fatal("the activation's epoch outlived it")
 	}
 }

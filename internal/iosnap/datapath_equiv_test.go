@@ -223,9 +223,9 @@ func TestDataPathEquivalenceWithSnapshots(t *testing.T) {
 		seed int64
 		want string
 	}{
-		{3, "userWrites=6285 gcRuns=258 gcCopied=2914 batchNandCalls=340 cows=139 ops=63807d8ca6c17d83 reads=e44bcfbd3b42a725 stats=2c051dfc0ab2712f dev=5955080d81497820 image=51f947805944b2d6"},
-		{11, "userWrites=5042 gcRuns=186 gcCopied=1856 batchNandCalls=267 cows=108 ops=8738682bc01a3a3e reads=14bca427efea6d25 stats=5362db770886ad1b dev=7b7de61b6b00c06f image=ac9483573056da30"},
-		{99, "userWrites=10445 gcRuns=404 gcCopied=3429 batchNandCalls=488 cows=109 ops=2b6b386eaa6f2556 reads=4d931d119eb93925 stats=16baade24e89e85e dev=a366fee76383e79c image=1f2e4c37c7727e5e"},
+		{3, "userWrites=6285 gcRuns=258 gcCopied=2914 batchNandCalls=340 cows=139 ops=63807d8ca6c17d83 reads=e44bcfbd3b42a725 stats=ee8e244d97c12ba1 dev=5955080d81497820 image=51f947805944b2d6"},
+		{11, "userWrites=5042 gcRuns=186 gcCopied=1856 batchNandCalls=267 cows=108 ops=8738682bc01a3a3e reads=14bca427efea6d25 stats=502dd6d35e09a2c3 dev=7b7de61b6b00c06f image=ac9483573056da30"},
+		{99, "userWrites=10445 gcRuns=404 gcCopied=3429 batchNandCalls=488 cows=109 ops=2b6b386eaa6f2556 reads=4d931d119eb93925 stats=000242b22e52c4cf dev=a366fee76383e79c image=1f2e4c37c7727e5e"},
 	} {
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			f, err := New(equivConfig(), nil)

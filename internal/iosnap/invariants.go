@@ -30,7 +30,8 @@ import (
 //     a reaped epoch and an heir the store holds, every live snapshot's
 //     epoch exists in the store, parent/child links are mutual, and each
 //     snapshot's epoch reaches its parent's epoch by walking the store's
-//     parent chain;
+//     parent chain; no deleted epoch is left that a reap would remove —
+//     one with at most one child that no view, view parent or scan pins;
 //  4. UsedSegs and FreeSegs partition the non-retired segments with no
 //     duplicates, free segments hold no programmed pages, and the log head
 //     lives in a used segment;
@@ -363,6 +364,9 @@ func (f *FTL) checkTree() error {
 		if p, ok := f.vstore.Parent(e); ok && p >= e {
 			return fmt.Errorf("invariant: epoch %d inherits from %d, not an older epoch", e, p)
 		}
+	}
+	if e, ok := f.vstore.Reapable(f.reapPinned()); ok {
+		return fmt.Errorf("invariant: deleted epoch %d, unpinned with at most one child, was left unreaped", e)
 	}
 	for _, a := range f.vstore.Aliases() {
 		if f.vstore.Exists(a.Epoch) || !f.vstore.Exists(a.Heir) {

@@ -2,6 +2,7 @@ package iosnap
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"iosnap/internal/header"
@@ -192,4 +193,25 @@ func TestInvariantsCatchLBAOutsideDevice(t *testing.T) {
 	if err := f.CheckInvariants(); err == nil {
 		t.Fatalf("LBA 5000 mapped on a %d-sector device passed the invariants", f.cfg.UserSectors)
 	}
+}
+
+// TestInvariantsCatchUnreapedEpoch: a deleted epoch a reap would remove —
+// here one left with a single child by a delete that skipped the reap —
+// fails the checker until it is reaped.
+func TestInvariantsCatchUnreapedEpoch(t *testing.T) {
+	f := buildOneSnapshot(t)
+	// Snapshot 2 takes over as the active view's parent: nothing pins 1.
+	if _, _, err := f.CreateSnapshot(0); err != nil {
+		t.Fatal(err)
+	}
+	s1, _ := f.tree.Lookup(1)
+	s1.Deleted = true
+	if err := f.vstore.DeleteEpoch(s1.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "unreaped") {
+		t.Fatalf("a reapable deleted epoch passed the invariants: %v", err)
+	}
+	f.reap()
+	checkInvariants(t, f)
 }

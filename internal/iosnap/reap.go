@@ -6,13 +6,14 @@ import (
 	"iosnap/internal/bitmap"
 )
 
-// History reaping. Deleting a snapshot is one note (paper §5.8): its epoch
-// stays in the validity store and its record in the tree, and nothing
-// foreground ever pays for them again — but a checkpoint serializes, and a
-// mount reads back, everything there. So each checkpoint
-// (SerializeCheckpoint, the periodic task's and Close's) and each recovery
-// path, once it has rebuilt its state, first forgets the history no reader
-// needs (bitmap.Store.Reap):
+// History reaping. Deleting a snapshot is one note (paper §5.8), but its
+// epoch and its record need not outlive the last reader of its history. So
+// wherever history dies — a snapshot delete (DeleteSnapshot), a view's
+// deactivation (View.Deactivate), the end of a scan, where an activation or
+// an export drops its pins (scan.end), and a snapshot create that moves a
+// view off the deleted snapshot it descended from — and once more after a
+// recovery has replayed the log, the FTL forgets the history no reader needs
+// (bitmap.Store.Reap):
 //
 //   - a deleted epoch with no child is dropped with its bitmap pages;
 //   - a deleted epoch with one child is spliced out, the child adopting by
@@ -24,19 +25,21 @@ import (
 // reaped epoch's number in their headers; the store's alias table maps it to
 // the heir that now holds its place (Resolve), and every consumer of a
 // header's epoch — the invariant checker among them — resolves it there.
+// Since every path that can make an epoch reapable reaps, a checkpoint finds
+// nothing left to reap (CheckInvariants fails on a reapable epoch).
 //
-// Reaping never runs on a write, a delete or a clean: nothing it changes is
-// visible to the foreground (no live epoch's view moves, no page is copied,
-// the cleaner's merge caches stay exact), so a run that never checkpoints
-// behaves exactly as before, CoW counts and all. It is confluent — the
-// result is the same however the history was reaped along the way — which
-// is what keeps a tail-bounded mount of a reaped checkpoint equal to a full
-// scan that rebuilds the whole history and reaps it at once.
+// No live epoch's view moves, so the cleaner's merge caches stay exact. No
+// page is copied by the reap itself; a later write or re-point in an heir
+// finds the pages it adopted already its own and copies none of them. It is
+// confluent — the result is the same however the history was
+// reaped along the way — which is what keeps a tail-bounded mount of a
+// checkpoint equal to a full scan that rebuilds the whole history and reaps
+// it at once.
 
-// reapPinned lists the epochs a reap must keep whatever their state: every
+// reapPinned reports the epochs a reap must keep whatever their state: every
 // view's epoch and the snapshot it descends from (its record is the view's
 // parent), and the epochs an in-flight activation or export reads.
-func (f *FTL) reapPinned() []bitmap.Epoch {
+func (f *FTL) reapPinned() func(bitmap.Epoch) bool {
 	var pins []bitmap.Epoch
 	for _, v := range f.views {
 		pins = append(pins, v.epoch)
@@ -53,14 +56,12 @@ func (f *FTL) reapPinned() []bitmap.Epoch {
 			pins = append(pins, s.viewEpoch)
 		}
 	}
-	return pins
+	return func(e bitmap.Epoch) bool { return slices.Contains(pins, e) }
 }
 
 // reap forgets the history no reader needs (see above).
 func (f *FTL) reap() {
-	pins := f.reapPinned()
-	reaped := f.vstore.Reap(func(e bitmap.Epoch) bool { return slices.Contains(pins, e) })
-	for _, r := range reaped {
+	for _, r := range f.vstore.Reap(f.reapPinned()) {
 		if s, ok := f.tree.ByEpoch(r.Epoch); ok {
 			f.tree.remove(s)
 		}

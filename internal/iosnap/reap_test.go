@@ -2,6 +2,7 @@ package iosnap
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -115,7 +116,7 @@ func (h *histRun) del(id SnapshotID) {
 	h.m.Delete(id)
 }
 
-// checkpoint commits a background checkpoint, the reaper's trigger.
+// checkpoint commits a background checkpoint.
 func (h *histRun) checkpoint() {
 	h.t.Helper()
 	if !h.f.StartCheckpoint(h.now) {
@@ -183,9 +184,55 @@ func bounded(t *testing.T, f *FTL, when string) {
 	}
 }
 
+// historyPins keeps every epoch it was shown from being reaped, as exports
+// of each one that never finished would: each pin is an inert scan of one
+// epoch. It lets a test build a history that deletes and deactivations
+// cannot reap.
+type historyPins struct {
+	f    *FTL
+	pins map[bitmap.Epoch]*scan
+}
+
+func newHistoryPins(f *FTL) *historyPins {
+	return &historyPins{f: f, pins: make(map[bitmap.Epoch]*scan)}
+}
+
+// pin pins every epoch f holds that is not pinned yet. Call it after each
+// operation that creates an epoch, before the one that kills it.
+func (p *historyPins) pin() {
+	for _, e := range p.f.vstore.Epochs() {
+		if p.pins[e] == nil {
+			p.pins[e] = &scan{f: p.f, epoch: e, done: true}
+			p.f.scans = append(p.f.scans, p.pins[e])
+		}
+	}
+}
+
+// release drops every pin at once: the last one ends as a scan ends, which
+// reaps what the pins kept.
+func (p *historyPins) release(now sim.Time) {
+	var last *scan
+	p.f.scans = slices.DeleteFunc(p.f.scans, func(s *scan) bool {
+		if p.pins[s.epoch] != s {
+			return false
+		}
+		if last == nil {
+			last = s
+			return false
+		}
+		return true
+	})
+	clear(p.pins)
+	if last != nil {
+		last.end(now, nil)
+	}
+}
+
 // TestCheckpointReapsHistory: 400 create → activate → deactivate → delete
-// cycles leave 800 dead epochs behind; a checkpoint forgets them, and so do
-// both recovery paths, which agree on the result.
+// cycles, every epoch pinned as it is created, leave 800 dead epochs behind.
+// When the pins go, the end of the last one forgets them; the checkpoint
+// after it and both recovery paths, which agree on the result, hold only
+// what is live.
 func TestCheckpointReapsHistory(t *testing.T) {
 	cfg := testConfig()
 	// Every snapshot operation leaves a note that stays valid for good:
@@ -195,6 +242,7 @@ func TestCheckpointReapsHistory(t *testing.T) {
 	cfg.GCWindow = 10 * sim.Millisecond
 	cfg.SelectiveScan = true
 	h := newHistRun(t, cfg)
+	pins := newHistoryPins(h.f)
 	rng := sim.NewRNG(4)
 	var kept []SnapshotID
 	for cycle := 0; cycle < 400; cycle++ {
@@ -204,7 +252,10 @@ func TestCheckpointReapsHistory(t *testing.T) {
 		}
 		h.write(nil, nil, lbas...)
 		s := h.create()
-		h.deactivate(h.activate(s.ID, false))
+		pins.pin()
+		vw := h.activate(s.ID, false)
+		pins.pin()
+		h.deactivate(vw)
 		if kept = append(kept, s.ID); len(kept) > 2 {
 			h.del(kept[0])
 			kept = kept[1:]
@@ -212,8 +263,9 @@ func TestCheckpointReapsHistory(t *testing.T) {
 	}
 	f := h.f
 	if n := len(f.vstore.Epochs()); n < 800 {
-		t.Fatalf("%d epochs before the checkpoint, want the whole history", n)
+		t.Fatalf("%d epochs before the pins went, want the whole history", n)
 	}
+	pins.release(h.now)
 	h.checkpoint()
 	bounded(t, f, "after the checkpoint")
 	reaped := int(f.epochCounter) - len(f.vstore.Epochs())
@@ -233,6 +285,50 @@ func TestCheckpointReapsHistory(t *testing.T) {
 		bounded(t, r, "after remounting")
 		h.verify(r, now, "after remounting")
 	}
+}
+
+// TestDeactivateReapsPinnedSnapshot: a snapshot deleted while a view of it
+// is open stays, pinned by the view, and so does the view's epoch; closing
+// the view reaps both, with no checkpoint in between.
+func TestDeactivateReapsPinnedSnapshot(t *testing.T) {
+	h := newHistRun(t, ckptConfig())
+	h.write(nil, nil, span(0, 30)...)
+	s1 := h.create()
+	h.write(nil, nil, span(10, 20)...)
+	s2 := h.create()
+	view := h.activate(s1.ID, false)
+	viewEpoch := view.Epoch()
+	h.del(s1.ID)
+	f := h.f
+	if r, ok := f.tree.Lookup(s1.ID); !ok || !r.Deleted || !f.vstore.Exists(s1.Epoch) || !f.vstore.Exists(viewEpoch) {
+		t.Fatal("the snapshot an open view reads was reaped")
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := f.Stats().Checkpoints
+	h.deactivate(view)
+	if f.Stats().Checkpoints != checkpoints {
+		t.Fatal("a checkpoint ran")
+	}
+	for _, e := range []bitmap.Epoch{s1.Epoch, viewEpoch} {
+		if f.vstore.Exists(e) {
+			t.Fatalf("epoch %d outlived the view that pinned it", e)
+		}
+	}
+	if _, ok := f.tree.Lookup(s1.ID); ok {
+		t.Fatal("the deleted snapshot's record outlived the view")
+	}
+	if e, ok := f.vstore.Resolve(s1.Epoch); !ok || e != s2.Epoch {
+		t.Fatalf("epoch %d resolves to %d (%v), want its heir %d", s1.Epoch, e, ok, s2.Epoch)
+	}
+	if _, ok := f.vstore.Resolve(viewEpoch); ok {
+		t.Fatal("the dropped view epoch resolves")
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	h.verify(f, h.now, "after the view closed")
 }
 
 // TestReapCases: one shape of history per case, checked after a checkpoint
@@ -400,8 +496,8 @@ func TestReapCases(t *testing.T) {
 
 // TestReapedMountsMatchFullScan: a random mix of writes, snapshot creates
 // and deletes, writable and read-only views, snapshots of views and
-// background activations, under periodic checkpoints that reap whatever the
-// moment allows — pinned epochs, dying ones, history half-reaped. At every
+// background activations, under periodic checkpoints of whatever the moment
+// holds — pinned epochs, dying ones, history reaped as it died. At every
 // crash point a tail-bounded mount and a full scan of the same image must
 // agree, hold their invariants and read every snapshot back.
 func TestReapedMountsMatchFullScan(t *testing.T) {
@@ -501,11 +597,16 @@ func TestReapedMountsMatchFullScan(t *testing.T) {
 // read holds — still mounts tail-bounded, and the mount reaps it.
 func TestFullHistoryCheckpointMountsAndReaps(t *testing.T) {
 	h := newHistRun(t, ckptConfig())
+	// Pin every epoch as it is created, as if the reaper did not exist.
+	pins := newHistoryPins(h.f)
 	var kept []SnapshotID
 	for cycle := 0; cycle < 30; cycle++ {
 		h.write(nil, nil, int64(cycle%7), int64(20+cycle%11))
 		s := h.create()
-		h.deactivate(h.activate(s.ID, false))
+		pins.pin()
+		vw := h.activate(s.ID, false)
+		pins.pin()
+		h.deactivate(vw)
 		if kept = append(kept, s.ID); len(kept) > 2 {
 			h.del(kept[0])
 			kept = kept[1:]
@@ -513,12 +614,8 @@ func TestFullHistoryCheckpointMountsAndReaps(t *testing.T) {
 	}
 	f := h.f
 	history := len(f.vstore.Epochs())
-	// Pin every epoch, as if the reaper did not exist, for one checkpoint.
-	for _, e := range f.vstore.Epochs() {
-		f.scans = append(f.scans, &scan{f: f, epoch: e})
-	}
 	h.checkpoint()
-	f.scans = nil
+	pins.release(h.now)
 	recs, err := decodeCkptValid(anchoredSections(t, f, h.now), f.vstore.BitsPerPage())
 	if err != nil || len(recs) != history || history < 60 {
 		t.Fatalf("the checkpoint holds %d of %d epochs (%v)", len(recs), history, err)

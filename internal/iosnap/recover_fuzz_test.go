@@ -18,7 +18,7 @@ import (
 // two must be equal.
 
 // recoverLogImage is the fuzzer's device: writes, two snapshots, one of them
-// deleted (so the checkpoint reaps an epoch and has an alias), a view left
+// deleted (so its epoch is reaped and the checkpoint has an alias), a view left
 // open on the other, and a Close that anchors the checkpoint.
 func recoverLogImage(t testing.TB) (Config, []byte, uint64) {
 	f, err := New(testConfig(), nil)

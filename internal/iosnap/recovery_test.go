@@ -94,16 +94,45 @@ func TestRecoverActiveState(t *testing.T) {
 
 func TestRecoverSnapshotTree(t *testing.T) {
 	s := runScenario(t, 2, 500)
+	// A fork point: a snapshot of a writable view of the oldest live
+	// snapshot, which is then deleted. With two children its record stays,
+	// a tombstone recovery must rebuild.
+	f := s.f
+	snaps := f.Snapshots()
+	if len(snaps) == 0 {
+		t.Fatal("scenario left no snapshot to fork")
+	}
+	fork := snaps[0].ID
+	vw, now, err := f.ActivateSync(s.now, fork, noLimit, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = vw.Write(now, 3, model.Sectors(f.SectorSize(), 3, 1, 9999)); err != nil {
+		t.Fatal(err)
+	}
+	if _, now, err = vw.CreateSnapshot(now); err != nil {
+		t.Fatal(err)
+	}
+	if now, err = vw.Deactivate(now); err != nil {
+		t.Fatal(err)
+	}
+	if now, err = f.DeleteSnapshot(now, fork); err != nil {
+		t.Fatal(err)
+	}
+	s.now = f.Sched.Drain(now)
+
 	r, _, err := Recover(s.f.Config(), s.f.Device(), nil, s.now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Recovery reaps the history it rebuilt; the crashed FTL, reaped the
-	// same way, is the tree it must have found.
-	records := s.f.Tree().Len()
-	s.f.reap()
-	if s.f.Tree().Len() >= records {
-		t.Fatalf("scenario deleted nothing reapable: %d records before reaping, %d after", records, s.f.Tree().Len())
+	// Recovery reaps the history it rebuilt at once; the crashed FTL, which
+	// reaped it as it died, is the tree it must have found.
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	tombstones := f.Tree().Len() - len(f.Snapshots())
+	if tombstones == 0 || f.Stats().SnapshotDeletes <= int64(tombstones) {
+		t.Fatalf("scenario kept %d tombstones of %d deletes, want some reaped and some kept", tombstones, f.Stats().SnapshotDeletes)
 	}
 	if r.Tree().Len() != s.f.Tree().Len() {
 		t.Fatalf("tree size %d, want %d", r.Tree().Len(), s.f.Tree().Len())

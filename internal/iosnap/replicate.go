@@ -51,6 +51,12 @@ var ErrExportAborted = errors.New("iosnap: export aborted")
 // hold the manifest's image.
 var ErrReplicaMismatch = errors.New("iosnap: replica device mismatch")
 
+// ErrReplicaDiverged reports a replica whose own content at a deduplicated
+// LBA no longer matches its committed generation. The stream left that
+// chunk out, so re-sending the same stream fails the same way
+// (xport.Retryable is false); a stream that ships the chunk repairs it.
+var ErrReplicaDiverged = errors.New("iosnap: replica content diverged from its generation")
+
 // ExportOpts parameterizes BeginExport.
 type ExportOpts struct {
 	// Snapshot is the target snapshot to export.
@@ -321,7 +327,7 @@ func ReceiveInto(dst Replica, now sim.Time, stream []byte, base *xport.Manifest)
 		}
 		now = done
 		if xport.HashChunk(buf) != e.Hash {
-			return nil, now, fmt.Errorf("%w: local content for LBA %d", xport.ErrHashMismatch, e.LBA)
+			return nil, now, fmt.Errorf("%w: local content for LBA %d", ErrReplicaDiverged, e.LBA)
 		}
 		rec.Deduped++
 	}
@@ -503,9 +509,11 @@ func (r *Replicator) Restore(gen *xport.Manifest) { r.gen = gen }
 //
 // Failure semantics: stream-shape damage (truncation, bit flips, chunk
 // hash mismatches) and verify failures are retried within Policy's budget,
-// each attempt applying the whole stream again; errors that survive the
-// budget — and non-retryable errors — leave the committed generation
-// unchanged.
+// each attempt applying the whole stream again. A replica whose own copy of
+// a deduplicated chunk diverged (ErrReplicaDiverged) is retried too, with
+// the snapshot exported again without dedup, so every chunk ships. Errors
+// that survive the budget — and non-retryable errors — leave the committed
+// generation unchanged.
 func (r *Replicator) Replicate(now sim.Time, snap, base SnapshotID) (*xport.Manifest, sim.Time, error) {
 	opt := ExportOpts{Snapshot: snap, Base: base, Limit: r.Limit}
 	if base != 0 {
@@ -527,15 +535,24 @@ func (r *Replicator) Replicate(now sim.Time, snap, base SnapshotID) (*xport.Mani
 	}
 	now = done
 
-	attempt := 0
-	done, retries, err := r.Policy.Do(now, xport.Retryable, func(at sim.Time) (sim.Time, error) {
+	attempt, diverged := 0, false
+	retryable := func(err error) bool { return xport.Retryable(err) || errors.Is(err, ErrReplicaDiverged) }
+	done, retries, err := r.Policy.Do(now, retryable, func(at sim.Time) (sim.Time, error) {
 		attempt++
+		if diverged {
+			diverged, opt.Have = false, nil
+			var err error
+			if m, stream, at, err = r.Src.ExportSync(at, opt); err != nil {
+				return at, err
+			}
+		}
 		wire := stream
 		if r.Mangle != nil {
 			wire = r.Mangle(attempt, wire)
 		}
 		_, d, err := ReceiveInto(r.Dst, at, wire, r.gen)
 		if err != nil {
+			diverged = errors.Is(err, ErrReplicaDiverged)
 			return d, err
 		}
 		mism, d, err := VerifyReplica(r.Dst, d, m)

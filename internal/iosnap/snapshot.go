@@ -165,15 +165,21 @@ func (f *FTL) createSnapshotFrom(v *view, now sim.Time) (*Snapshot, sim.Time, er
 	}
 	f.tree.add(snap)
 	v.epoch = newEpoch
+	unpinned := v.parent
 	v.parent = snap
 	f.stats.SnapshotCreates++
+	if unpinned != nil && unpinned.Deleted {
+		// The view no longer pins the deleted snapshot it descended from.
+		f.reap()
+	}
 	return snap, done, nil
 }
 
 // DeleteSnapshot marks a snapshot deleted: a note makes the deletion
 // durable, the tree node is tombstoned, and the snapshot's exclusively-held
 // blocks become reclaimable — the cleaner frees them in the background, so
-// deletion itself costs one page program (paper §5.8).
+// deletion itself costs one page program (paper §5.8). The epoch and the
+// record go at once unless something still reads them (reap.go).
 func (f *FTL) DeleteSnapshot(now sim.Time, id SnapshotID) (sim.Time, error) {
 	if f.Closed() {
 		return now, ErrClosed
@@ -193,10 +199,12 @@ func (f *FTL) DeleteSnapshot(now sim.Time, id SnapshotID) (sim.Time, error) {
 	// The create note stays on the log (one 4 KB block per snapshot ever
 	// created — the paper's "insignificant" fixed metadata): the full scan
 	// replays the whole note history to reproduce epoch numbering, so even
-	// reaped snapshots keep their create note. The epoch and the record are
-	// forgotten at the next checkpoint (reap.go), not here: deleting stays
-	// one note, and no CoW counter moves.
+	// reaped snapshots keep their create note. The epoch, its validity
+	// pages and the record are forgotten here, unless the epoch still
+	// branches or a view, an activation or an export reads it: then the
+	// deactivation or the scan's end that lets it go reaps it (reap.go).
 	f.stats.SnapshotDeletes++
+	f.reap()
 	return done, nil
 }
 

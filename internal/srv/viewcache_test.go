@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"iosnap/internal/bitmap"
 	"iosnap/internal/iosnap"
 	"iosnap/internal/shard"
 )
@@ -189,5 +190,72 @@ func TestViewCacheFailedBasedActivationBalancesRefs(t *testing.T) {
 	}
 	if err := fx.svc.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidityMemoryFollowsLiveSnapshots: 300 cycles of snap-create, a
+// snap-read of the newest snapshot (which the view cache activates) and,
+// once three are held, a snap-delete of the oldest. What each shard keeps
+// of its validity maps must follow the live snapshots and the cached views,
+// not the snapshots ever taken: no checkpoint runs, so nothing but the
+// delete and the view cache's deactivations can free a dead epoch's pages.
+func TestValidityMemoryFollowsLiveSnapshots(t *testing.T) {
+	cfg := testShardConfig(4)
+	// Every snapshot operation leaves a note that stays valid for good:
+	// four per shard per cycle, 1 200 by the end.
+	cfg.Base.Nand.Segments = 512
+	cfg.Base.BitmapPageBits = bitmap.DefaultBitsPerPage // one validity page covers a shard
+	svc, err := shard.NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	s, addr, served := startServer(t, svc)
+	defer func() { s.Shutdown(); <-served }()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ss := svc.SectorSize()
+	if err := c.Write(0, pattern('a', 64, ss)); err != nil {
+		t.Fatal(err)
+	}
+	const page = bitmap.DefaultBitsPerPage / 8
+	var held []uint64
+	for cycle := 1; cycle <= 300; cycle++ {
+		if err := c.Write(int64(cycle%64), pattern(byte(cycle), 1, ss)); err != nil {
+			t.Fatal(err)
+		}
+		id, err := c.SnapCreate()
+		if err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if _, err := c.SnapRead(id, int64(cycle%64), 1); err != nil {
+			t.Fatal(err)
+		}
+		if held = append(held, id); len(held) > 3 {
+			if err := c.SnapDelete(held[0]); err != nil {
+				t.Fatal(err)
+			}
+			held = held[1:]
+		}
+		if cycle%50 != 0 {
+			continue
+		}
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := int64(st.LiveSnapshots+st.ViewCacheLive+2) * page
+		for i, p := range st.PerShard {
+			if p.Checkpoints != 0 {
+				t.Fatalf("cycle %d: shard %d took a checkpoint", cycle, i)
+			}
+			if p.ValidityMemory > limit {
+				t.Fatalf("cycle %d: shard %d holds %d B of validity pages, want at most %d (%d live snapshots, %d cached views, 2 more pages)",
+					cycle, i, p.ValidityMemory, limit, st.LiveSnapshots, st.ViewCacheLive)
+			}
+		}
 	}
 }
